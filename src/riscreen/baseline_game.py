@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ri_core
+from .ri_core import BracketError
 
 HI = "hi"
 LO = "lo"
@@ -40,10 +41,6 @@ DISCRIMINATORY = "discriminatory"
 IC_TOL = 1e-12
 #: tolerance of the impartiality predicate pi(d) = 1 - pi(-d)
 IMPARTIAL_TOL = 1e-9
-
-
-class BracketError(RuntimeError):
-    """A root search failed to bracket a sign change."""
 
 
 @dataclass(frozen=True)
@@ -275,10 +272,14 @@ def f_func(params: GameParams, gamma: float) -> float:
     gamma = A/B, strictly increasing above, with limit B/(A+B). Evaluated
     in r = 1/gamma, which keeps huge gammas finite.
     """
+    if gamma < params.A / params.B:
+        raise ValueError(f"f_func needs gamma >= A/B = {params.A / params.B!r}, got {gamma!r}")
+    return _f_of_r(params, 0.0 if math.isinf(gamma) else 1.0 / gamma)
+
+
+def _f_of_r(params: GameParams, r: float) -> float:
+    """f at gamma = 1/r; decreasing from B/(A+B) at r = 0 to 0 at r = B/A."""
     A, B = params.A, params.B
-    if gamma < A / B:
-        raise ValueError(f"f_func needs gamma >= A/B = {A / B!r}, got {gamma!r}")
-    r = 0.0 if math.isinf(gamma) else 1.0 / gamma
     return (A - r * B) * (B - r * A) / ((1.0 - r * r) * (A + B) * A)
 
 
@@ -296,8 +297,9 @@ def f_inverse(params: GameParams, x: float) -> float:
 
     f(gamma) = x is quadratic in gamma:
     (AB - k) gamma^2 - (A^2 + B^2) gamma + (AB + k) = 0 with k = x(A+B)A,
-    and the root above A/B takes the plus branch. Falls back to bisection
-    when the leading coefficient nearly vanishes (x close to the supremum).
+    and the root above A/B takes the plus branch. When the leading
+    coefficient nearly vanishes (x close to the supremum) the root is found
+    in r = 1/gamma instead, on the bracket [0, B/A].
     """
     A, B = params.A, params.B
     if x < 0.0:
@@ -309,20 +311,7 @@ def f_inverse(params: GameParams, x: float) -> float:
     if abs(lead) >= 1e-14:
         disc = (A * A - B * B) ** 2 + 4.0 * k * k
         return ((A * A + B * B) + math.sqrt(disc)) / (2.0 * lead)
-    # nearly degenerate quadratic: bisect on an expanding bracket
-    lo = A / B + 1e-9
-    hi = 2.0 * lo
-    while f_func(params, hi) < x:
-        hi *= 2.0
-        if hi > 1e300:
-            raise BracketError(f"f_inverse could not bracket x={x!r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_func(params, mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / ri_core.find_root(lambda r: _f_of_r(params, r) - x, 0.0, B / A)
 
 
 def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
@@ -507,34 +496,34 @@ def welfare_ordering(records: list) -> list:
 # ---------------------------------------------------------------------------
 
 def _psi(params: GameParams, gamma: float) -> float:
-    """Rescaled f used to locate the condition5 crossing."""
-    A, B = params.A, params.B
-    s_hi = params.mu_hi * (1.0 - params.mu_hi)
-    return (gamma * A - B) * (gamma * B - A) / ((gamma**2 - 1.0) * (A + B) * s_hi)
+    """Rescaled f, f(gamma) A / (mu_hi (1 - mu_hi)); it meets g at gamma_hat."""
+    return f_func(params, gamma) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
 
 
 def _gamma_hat(params: GameParams) -> float:
-    """Unique root of g(gamma) = psi(gamma) above A/B; exists when mu_lo > 1/2."""
-    lo = params.A / params.B + 1e-9
-    hi = 2.0 * lo
-    expansions = 0
-    while g_func(hi) - _psi(params, hi) > 0.0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 600:
-            raise BracketError("no g = psi crossing found; is mu_lo > 1/2?")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g_func(mid) - _psi(params, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Unique root of g(gamma) = psi(gamma) above A/B; exists when mu_lo > 1/2.
+
+    Solved in r = 1/gamma on [0, B/A]: g - psi is g(A/B) > 0 at r = B/A,
+    where psi vanishes, and changes sign below exactly when the crossing
+    exists (otherwise BracketError).
+    """
+    scale = params.A / (params.mu_hi * (1.0 - params.mu_hi))
+
+    def crossing(r: float) -> float:
+        return (1.0 - r) / (2.0 * (1.0 + r)) - scale * _f_of_r(params, r)
+
+    return 1.0 / ri_core.find_root(crossing, 0.0, params.B / params.A)
 
 
 def _lam_of_gamma(gamma: float) -> float:
     """Inverse of gamma = exp(1/lam); an infinite gamma maps to lam = 0."""
     return 0.0 if math.isinf(gamma) else 1.0 / math.log(gamma)
+
+
+def lambda_star(params: GameParams) -> float:
+    """Attention cost at which impartial equilibria switch from high to low
+    effort, 1/ln(gamma*) with gamma* = g^-1(c); independent of params.lam."""
+    return _lam_of_gamma(g_inverse(params.c))
 
 
 def thresholds(params: GameParams) -> ThresholdSet:
@@ -548,7 +537,6 @@ def thresholds(params: GameParams) -> ThresholdSet:
     """
     c = params.c
     lambda_breve = 1.0 / math.log(params.A / params.B)
-    lambda_star = _lam_of_gamma(g_inverse(c))
     X_high = c * params.mu_lo / params.mu_hi
     X_low = c * (1.0 - params.mu_hi) / (1.0 - params.mu_lo)
     lambda_low = _lam_of_gamma(f_inverse(params, X_high))
@@ -557,7 +545,7 @@ def thresholds(params: GameParams) -> ThresholdSet:
     condition5 = gamma_hat is not None and c > g_func(gamma_hat)
     return ThresholdSet(
         lambda_breve=lambda_breve,
-        lambda_star=lambda_star,
+        lambda_star=lambda_star(params),
         lambda_low=lambda_low,
         lambda_high=lambda_high,
         gamma_hat=gamma_hat,

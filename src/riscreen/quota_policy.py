@@ -75,39 +75,18 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     """Multiplier nu making the average promotion probability exactly 1/2.
 
     Symmetric profiles need no subsidy (complementary slackness: nu = 0).
-    Otherwise nu is bisected out of the consistency equation above, starting
-    from [-10, 10] and doubling the bracket until the residual changes sign;
-    the returned signal is re-derived through :func:`subsidized_signal` and
+    Otherwise nu solves the consistency equation above, found with
+    :func:`ri_core.find_root` on [-1, 1]: every d - nu is >= 0 at nu = -1
+    and <= 0 at nu = 1, so the residual changes sign on that bracket. The
+    returned signal is re-derived through :func:`subsidized_signal` and
     checked against the quota to QUOTA_TOL.
     """
     e_m, e_w = profile
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile), True)
-    lo, hi = -10.0, 10.0
-    f_lo = _quota_residual(params, profile, lo)
-    f_hi = _quota_residual(params, profile, hi)
-    expansions = 0
-    while f_lo < 0.0 or f_hi > 0.0:
-        lo *= 2.0
-        hi *= 2.0
-        f_lo = _quota_residual(params, profile, lo)
-        f_hi = _quota_residual(params, profile, hi)
-        expansions += 1
-        if expansions > 60:
-            raise BracketError(
-                f"quota residual has no sign change on [{lo!r}, {hi!r}] "
-                f"for profile {profile!r}"
-            )
-    for _ in range(200):
-        nu = 0.5 * (lo + hi)
-        res = _quota_residual(params, profile, nu)
-        if res == 0.0 or hi - lo <= 1e-15:
-            break
-        if res > 0.0:
-            lo = nu
-        else:
-            hi = nu
-    nu = 0.5 * (lo + hi)
+    nu = ri_core.find_root(
+        lambda nu: _quota_residual(params, profile, nu), -1.0, 1.0, xtol=1e-15
+    )
     signal = subsidized_signal(params, profile, nu)
     if abs(signal.pi_bar - 0.5) > QUOTA_TOL:
         raise BracketError(

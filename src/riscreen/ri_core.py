@@ -15,8 +15,10 @@ q_bar:
 
 with q_bar pinned down by consistency with the prior,
 sum_s p(s) q(s) = q_bar. The consistency equation has a unique interior
-root, which we locate by bisection. Everything here works in natural
-logarithms; information is measured in nats.
+root, which we locate in the log-odds b = logit(q_bar) with
+:func:`find_root`, a safeguarded bracketing root finder (Brent's method)
+that the closed forms in the rest of the package share. Everything here
+works in natural logarithms; information is measured in nats.
 
 All values are immutable after construction and every function is pure, so
 problems and rules can be shared freely across threads.
@@ -25,8 +27,9 @@ problems and rules can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 ALWAYS_ACT1 = "always_act1"
 ALWAYS_ACT0 = "always_act0"
@@ -36,14 +39,21 @@ INTERIOR = "interior"
 PRIOR_TOL = 1e-12
 #: default residual tolerance for the q_bar fixed point
 RESIDUAL_TOL = 1e-10
-#: default iteration budget for the bisection
+#: default budget of residual evaluations for a root search
 MAX_STEPS = 200
-#: bracket inset keeping the bisection away from the q_bar = 0, 1 corners
-_EDGE = 1e-12
+#: log-odds distance past -max(v/lam) and -min(v/lam) beyond which every
+#: conditional is within exp(-40) of 0 or 1, so the residual is flat there
+_FLAT = 40.0
+#: cap on |v/lam|; a state beyond it is decided whatever q_bar is
+_Z_MAX = 1e300
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point search ran out of budget; the message reports the residual."""
+    """A root search ran out of budget; the message reports the residual."""
+
+
+class BracketError(RuntimeError):
+    """A root search failed to bracket a sign change."""
 
 
 def _exp(z: float) -> float:
@@ -60,6 +70,99 @@ def _sigmoid(t: float) -> float:
         return 1.0 / (1.0 + math.exp(-t))
     e = math.exp(t)
     return e / (1.0 + e)
+
+
+def _softplus(t: float) -> float:
+    """log(1 + exp(t)) = -log(sigmoid(-t)), without overflow."""
+    if t > 0.0:
+        return t + math.log1p(math.exp(-t))
+    return math.log1p(math.exp(t))
+
+
+def _logsumexp(terms: list) -> float:
+    """log(sum(exp(t) for t in terms)), without overflow."""
+    if len(terms) == 1:
+        return terms[0]
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def find_root(
+    func,
+    lo: float,
+    hi: float,
+    f_lo: Optional[float] = None,
+    f_hi: Optional[float] = None,
+    xtol: float = 0.0,
+    max_evals: int = MAX_STEPS,
+) -> float:
+    """Root of a continuous scalar function on the bracket [lo, hi].
+
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): inverse quadratic or secant steps, replaced by a
+    bisection step whenever they would leave the bracket or shrink it too
+    slowly, so it converges at least as surely as bisection. Stops when the
+    bracket around the best point x is at most 4 eps |x| + xtol wide, or
+    when func hits zero exactly; xtol must be positive if the root may be 0.
+
+    f_lo, f_hi are func(lo), func(hi) when the caller already has them;
+    missing ones are evaluated here. max_evals bounds the evaluations made
+    here. Raises :class:`BracketError` when the end values share a sign and
+    :class:`ConvergenceError` when the budget runs out first.
+    """
+    evals = 0
+    if f_lo is None:
+        f_lo, evals = func(lo), evals + 1
+    if f_hi is None:
+        f_hi, evals = func(hi), evals + 1
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise BracketError(
+            f"no sign change on [{lo!r}, {hi!r}]: f = {f_lo!r} and {f_hi!r}"
+        )
+    # b is the best point, a the previous one, and [b, c] brackets the root
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    step = prev_step = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * xtol
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if evals >= max_evals:
+            raise ConvergenceError(
+                f"root search out of budget after {evals} evaluations: residual "
+                f"{abs(fb):.3e} at {b!r}, bracket [{min(b, c)!r}, {max(b, c)!r}]"
+            )
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb, evals = func(b), evals + 1
 
 
 def neg_entropy(x: float) -> float:
@@ -169,16 +272,27 @@ def degeneracy_check(problem: BinaryRIProblem) -> str:
     return INTERIOR
 
 
-def _conditionals(problem: BinaryRIProblem, q_bar: float) -> tuple:
-    """Logit conditionals at a candidate unconditional probability q_bar."""
-    base = math.log(q_bar / (1.0 - q_bar))
-    return tuple(_sigmoid(base + v / problem.lam) for v in problem.advantage)
+def _consistency_residual(pos: tuple, neg: tuple, b: float) -> float:
+    """Scale-free consistency residual S(b) at the log-odds b = logit(q_bar).
 
+    With z = v/lam, the condition sum_s p(s) sigmoid(b + z_s) = sigmoid(b)
+    rearranges to
 
-def _consistency_residual(problem: BinaryRIProblem, q_bar: float) -> float:
-    """sum_s p(s) q(s | q_bar) - q_bar; the interior optimum is its root."""
-    cond = _conditionals(problem, q_bar)
-    return sum(p * q for p, q in zip(problem.prior, cond)) - q_bar
+      sum_{z>0} p (1 - e^-z) sigmoid(b + z) = e^b sum_{z<0} p (1 - e^z) sigmoid(-b - z),
+
+    and S is the log of the left side minus the log of the right:
+
+      S(b) = -b + log sum_{z>0} p (1 - e^-z) sigmoid(b + z)
+                - log sum_{z<0} p (1 - e^z) sigmoid(-b - z).
+
+    pos and neg hold (z, log(p (1 - e^-|z|))) for the states with z > 0 and
+    z < 0. S has the sign of the plain residual but stays of order one
+    where that underflows, and it is constant, to rounding, outside
+    [-max z - 40, -min z + 40].
+    """
+    up = _logsumexp([w - _softplus(-b - z) for z, w in pos])
+    down = _logsumexp([w - _softplus(b + z) for z, w in neg])
+    return up - down - b
 
 
 def solve_binary_ri(
@@ -189,12 +303,17 @@ def solve_binary_ri(
     """Solve the problem and return the optimal :class:`ChoiceRule`.
 
     Degenerate problems return the corresponding constant rule at zero
-    information cost. Interior problems are solved by bisecting the
-    consistency residual on [1e-12, 1 - 1e-12]; the map is continuous with a
-    unique interior root, so bisection cannot miss it. Raises
-    :class:`ConvergenceError` if the residual still exceeds ``residual_tol``
-    after ``max_steps`` bisection steps, which flags an ill-conditioned
-    advantage/lam combination.
+    information cost. Interior problems are solved for b = logit(q_bar) by
+    :func:`find_root` on the residual S of :func:`_consistency_residual`,
+    with z = v/lam. S is positive below the root and negative above it, so
+    its sign at b = 0 (q_bar = 1/2) gives the side of the root. The root
+    lies between 0 and the kink on that side (-min z or -max z), or else at
+    most 40 past the kink: S is flat beyond that point, so when rounding
+    leaves no sign change even there, the rule at that point equals the
+    true rule to within exp(-40). max_steps is the budget of residual
+    evaluations, the two or three that build the bracket included. Raises
+    :class:`ConvergenceError` when the budget runs out, or when the q-space
+    residual sum_s p(s) q(s) - q_bar at the root exceeds ``residual_tol``.
     """
     n = len(problem.prior)
     corner = degeneracy_check(problem)
@@ -203,25 +322,44 @@ def solve_binary_ri(
     if corner == ALWAYS_ACT0:
         return ChoiceRule((0.0,) * n, 0.0, True, 0.0)
 
-    lo, hi = _EDGE, 1.0 - _EDGE
-    f_lo = _consistency_residual(problem, lo)
-    q_bar = 0.5 * (lo + hi)
-    for _ in range(max_steps):
-        q_bar = 0.5 * (lo + hi)
-        f_mid = _consistency_residual(problem, q_bar)
-        if f_mid == 0.0 or hi - lo <= 1e-14:
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = q_bar, f_mid
-        else:
-            hi = q_bar
-    residual = abs(_consistency_residual(problem, q_bar))
-    if residual > residual_tol:
+    z = [min(max(v / problem.lam, -_Z_MAX), _Z_MAX) for v in problem.advantage]
+    terms = [
+        (zs, math.log(p) + math.log(-math.expm1(-abs(zs))))
+        for p, zs in zip(problem.prior, z)
+        if p > 0.0 and zs != 0.0
+    ]
+    pos = tuple(t for t in terms if t[0] > 0.0)
+    neg = tuple(t for t in terms if t[0] < 0.0)
+    # the moment check can call a one-signed problem interior when the prior
+    # sums to a hair above 1; no state then favours the other action
+    if not neg:
+        return ChoiceRule((1.0,) * n, 1.0, True, 0.0)
+    if not pos:
+        return ChoiceRule((0.0,) * n, 0.0, True, 0.0)
+
+    def residual(b: float) -> float:
+        return _consistency_residual(pos, neg, b)
+
+    # bracket [a, b]: from 0 to the kink, else from the kink to 40 past it
+    a, s_a = 0.0, residual(0.0)
+    b, s_b, evals = a, s_a, 1
+    if s_a != 0.0:
+        b = -min(z) if s_a > 0.0 else -max(z)
+        s_b, evals = residual(b), 2
+        if s_b != 0.0 and (s_b > 0.0) == (s_a > 0.0):
+            a, s_a = b, s_b
+            b += math.copysign(_FLAT, s_a)
+            s_b, evals = residual(b), 3
+    if s_b != 0.0 and (s_b > 0.0) != (s_a > 0.0):
+        b = find_root(residual, a, b, s_a, s_b, xtol=1e-13, max_evals=max_steps - evals)
+    q_bar = _sigmoid(b)
+    cond = tuple(_sigmoid(b + zs) for zs in z)
+    gap = abs(sum(p * q for p, q in zip(problem.prior, cond)) - q_bar)
+    if gap > residual_tol:
         raise ConvergenceError(
-            f"consistency residual {residual:.3e} above {residual_tol:.1e} "
-            f"after {max_steps} bisection steps (lam={problem.lam!r})"
+            f"consistency residual {gap:.3e} above {residual_tol:.1e} "
+            f"at the log-odds root (lam={problem.lam!r})"
         )
-    cond = _conditionals(problem, q_bar)
     return ChoiceRule(cond, q_bar, False, mutual_information(problem.prior, cond))
 
 

@@ -27,11 +27,11 @@ from .baseline_game import (
     f_inverse,
     g_inverse,
     incentive_gain,
+    lambda_star,
     optimal_signal,
     profit,
     state_distribution,
     supports_profile,
-    thresholds,
 )
 
 _IC_TOL = 1e-12
@@ -211,37 +211,29 @@ class BindingHighSolution:
 def bind_high_effort(game: GameParams, agent: str) -> Optional[BindingHighSolution]:
     """Search nu >= 0 until `agent`'s constraint holds with equality under (hi, hi).
 
-    Returns None when the gain never reaches c on the expanding bracket
-    (committing to high effort through this constraint is then infeasible).
+    Doubling nu from 1 brackets the root of gain - c, which
+    :func:`ri_core.find_root` then solves. Returns None when the gain still
+    falls short of c at nu = 2**50 (committing to high effort through this
+    constraint is then infeasible).
     """
     c = game.c
     other = AGENT_W if agent == AGENT_M else AGENT_M
 
-    def gain(nu: float) -> float:
+    def gap(nu: float) -> float:
         sig = _constrained_high_signal(game, nu, agent)
-        return incentive_gain(game, sig, agent, HI)
+        return incentive_gain(game, sig, agent, HI) - c
 
-    lo, f_lo = 0.0, gain(0.0) - c
+    lo, f_lo = 0.0, gap(0.0)
+    nu = 0.0
     if f_lo < 0.0:
-        hi = 1.0
-        expansions = 0
-        while gain(hi) - c < 0.0:
-            hi *= 2.0
-            expansions += 1
-            if expansions > 50:
+        hi, f_hi = 1.0, gap(1.0)
+        while f_hi < 0.0:
+            if hi >= 2.0**50:
                 return None
-        for _ in range(200):
-            nu = 0.5 * (lo + hi)
-            f_mid = gain(nu) - c
-            if abs(f_mid) <= 1e-11 or hi - lo <= 1e-13:
-                break
-            if f_mid < 0.0:
-                lo = nu
-            else:
-                hi = nu
-        nu = 0.5 * (lo + hi)
-    else:
-        nu = 0.0
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            f_hi = gap(hi)
+        nu = ri_core.find_root(gap, lo, hi, f_lo, f_hi, xtol=1e-15)
     sig = _constrained_high_signal(game, nu, agent)
     slack = incentive_gain(game, sig, other, HI) >= c - 1e-9
     return BindingHighSolution(agent, nu, sig, _signal_profit(game, (HI, HI), sig), slack)
@@ -258,8 +250,7 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     unconstrained (lo, lo) rule. Both choices of the bound agent are tried;
     by symmetry they tie, and m is reported.
     """
-    cuts = thresholds(game)
-    if game.lam <= cuts.lambda_star + 1e-15:
+    if game.lam <= lambda_star(game) + 1e-15:
         signal = optimal_signal(game, (HI, HI))
         value = profit(game, (HI, HI)).profit
         return CommitmentSolution(
@@ -419,7 +410,11 @@ def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> O
 
 
 def _scan_roots(func, lo: float, hi: float, samples: int = 400) -> list:
-    """All sign-change roots of a continuous scalar function on [lo, hi]."""
+    """All sign-change roots of a continuous scalar function on [lo, hi].
+
+    func is sampled on a uniform grid, and each sign change between two
+    neighbouring samples is refined with :func:`ri_core.find_root` to 1e-13.
+    """
     xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     vals = [func(x) for x in xs]
     roots = []
@@ -427,19 +422,8 @@ def _scan_roots(func, lo: float, hi: float, samples: int = 400) -> list:
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0:
             roots.append(xs[i])
-            continue
-        if v0 * v1 < 0.0:
-            a, b, fa = xs[i], xs[i + 1], v0
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                fm = func(mid)
-                if fm == 0.0 or b - a <= 1e-13:
-                    break
-                if (fm > 0.0) == (fa > 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
+        elif v0 * v1 < 0.0:
+            roots.append(ri_core.find_root(func, xs[i], xs[i + 1], v0, v1, xtol=1e-13))
     if vals[-1] == 0.0:
         roots.append(xs[-1])
     return roots
@@ -462,11 +446,10 @@ def mixed_equilibria(game: GameParams) -> list:
 
     Away from lam = lambda_star every returned signal is discriminatory.
     """
-    cuts = thresholds(game)
     c = game.c
     found = []
 
-    if abs(game.lam - cuts.lambda_star) <= 1e-9:
+    if abs(game.lam - lambda_star(game)) <= 1e-9:
         signal = optimal_signal(game, (HI, HI))
         found.append(
             MixedEquilibrium(MixedProfile(0.5, 0.5), signal, IMPARTIAL if signal.impartial else DISCRIMINATORY)

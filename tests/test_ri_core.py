@@ -1,20 +1,24 @@
 """Tests for the generic binary-action solver."""
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riscreen import ri_core
+from riscreen import PROFILES, GameParams, commitment_solve, ri_core
+from riscreen.baseline_game import ri_problem
 from riscreen.ri_core import (
     ALWAYS_ACT0,
     ALWAYS_ACT1,
     INTERIOR,
     BinaryRIProblem,
+    BracketError,
     ChoiceRule,
     ConvergenceError,
     degeneracy_check,
+    find_root,
     mutual_information,
     neg_entropy,
     objective_value,
@@ -248,3 +252,195 @@ def test_symmetric_prior_yields_even_split(p_hi, lam):
     rule = solve_binary_ri(prob)
     assert rule.unconditional == pytest.approx(0.5, abs=1e-10)
     assert rule.conditional[0] + rule.conditional[2] == pytest.approx(1.0, abs=1e-10)
+
+
+def decimal_rule(problem, digits=400):
+    """(conditionals, q_bar) of an interior problem in 400-digit arithmetic.
+
+    Bisects the odds t = q_bar / (1 - q_bar) geometrically on
+    [exp(-max|z| - 200), exp(max|z| + 200)] until hi/lo < 1 + 1e-15. The
+    residual sum_s p(s) (q(s) - q_bar), divided by q_bar > 0, is
+    sum_s p(s) (e^z - 1) / (1 + t e^z), which keeps its digits however close
+    q_bar gets to 0 or 1. Independent of ri_core beyond reading the problem.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+        one = Decimal(1)
+        lam = Decimal(problem.lam)
+        z = [Decimal(v) / lam for v in problem.advantage]
+        ez = [zs.exp() for zs in z]
+        prior = [Decimal(p) for p in problem.prior]
+
+        def residual(t):
+            return sum(p * (e - one) / (one + t * e) for p, e in zip(prior, ez))
+
+        span = max(abs(zs) for zs in z) + 200
+        lo, hi = (-span).exp(), span.exp()
+        while hi / lo - one > Decimal("1e-15"):
+            with localcontext() as coarse:  # the midpoint need not be exact
+                coarse.prec = 30
+                mid = +(lo * hi).sqrt()
+            if residual(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return [float(lo * e / (one + lo * e)) for e in ez], float(lo / (one + lo))
+
+
+class TestCornerDefects:
+    """Interior problems whose q_bar or a conditional sits within 1e-12 of 0 or 1.
+
+    A bisection of q_bar on [1e-12, 1 - 1e-12] raised on (a) and returned a
+    conditional off by about 1 on (b) and (c).
+    """
+
+    CASES = {
+        "a": (BinaryRIProblem((0, 1), (1e-13, 1 - 1e-13), (50.0, -50.0), 1.0), 1.0e-13),
+        "b": (
+            BinaryRIProblem(
+                (0, 1),
+                (4.471729387249975e-25, 1.0),
+                (6.227629508328808, -0.015898896652350492),
+                0.0642922635240012,
+            ),
+            None,
+        ),
+        "c": (
+            BinaryRIProblem(
+                (0, 1, 2),
+                (0.26710094773247367, 7.533295390206302e-14, 0.732899052267451),
+                (-0.011901827365708934, 19.50625969068841, -0.055650926320803096),
+                0.14752897509748253,
+            ),
+            3.0012591e-13,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_high_precision_reference(self, case):
+        problem, q_bar = self.CASES[case]
+        assert degeneracy_check(problem) == INTERIOR
+        rule = solve_binary_ri(problem)
+        cond, ref_q_bar = decimal_rule(problem)
+        assert max(abs(a - b) for a, b in zip(rule.conditional, cond)) <= 1e-9
+        assert rule.unconditional == pytest.approx(ref_q_bar, rel=1e-9)
+        if q_bar is not None:
+            assert ref_q_bar == pytest.approx(q_bar, rel=1e-7)
+
+    def test_zero_advantage_with_prior_rounding_up(self):
+        weights = (0.5, 0.5, 0.5, 0.08124215965661577, 0.5)
+        prior = tuple(w / sum(weights) for w in weights)
+        problem = BinaryRIProblem(range(5), prior, (0.0,) * 5, 1.0)
+        assert sum(prior) > 1.0 and degeneracy_check(problem) == INTERIOR
+        rule = solve_binary_ri(problem)
+        assert rule.degenerate and rule.conditional == (1.0,) * 5
+
+    def test_huge_log_odds(self):
+        # |z| reaches 1e15, so b + z carries no digits below 0.1; every
+        # conditional is still 0 or 1 and q_bar is the prior mass of z > 0
+        problem = BinaryRIProblem((-1, 0, 1), (0.2, 0.5, 0.3), (-1e12, 2e11, 1e12), 1e-3)
+        rule = solve_binary_ri(problem)
+        assert rule.conditional == (0.0, 1.0, 1.0)
+        assert rule.unconditional == pytest.approx(0.8, rel=1e-12)
+
+    def test_advantage_over_lam_overflows(self):
+        problem = BinaryRIProblem((0, 1), (0.3, 0.7), (1e300, -1e300), 1e-300)
+        rule = solve_binary_ri(problem)
+        assert rule.conditional == (1.0, 0.0)
+        assert rule.unconditional == pytest.approx(0.3, rel=1e-12)
+
+    def test_tiny_conditional_resolved(self):
+        rule = solve_binary_ri(self.CASES["b"][0])
+        assert rule.conditional[0] == 1.0
+        assert rule.conditional[1] == pytest.approx(1.5939058e-24, rel=1e-7)
+
+
+@st.composite
+def wide_problems(draw):
+    """2-6 states, prior entries down to 1e-25, |v| in [1e-2, 1e2], lam in [1e-4, 1e4]."""
+    n = draw(st.integers(2, 6))
+    weights = [10.0 ** draw(st.floats(-25.0, 0.0)) for _ in range(n)]
+    total = sum(weights)
+    adv = [
+        draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-2.0, 2.0))
+        for _ in range(n)
+    ]
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    return BinaryRIProblem(tuple(range(n)), tuple(w / total for w in weights), tuple(adv), lam)
+
+
+@given(problem=wide_problems())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_interior_rules_match_high_precision_reference(problem):
+    rule = solve_binary_ri(problem)
+    if degeneracy_check(problem) != INTERIOR:
+        assert rule.degenerate
+        return
+    cond, _ = decimal_rule(problem)
+    assert max(abs(a - b) for a, b in zip(rule.conditional, cond)) <= 1e-9
+
+
+class TestFindRoot:
+    def test_smooth_root_to_machine_precision(self):
+        assert find_root(math.cos, 0.0, 2.0) == pytest.approx(math.pi / 2, rel=4e-16)
+
+    def test_known_end_values_are_used(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3 - 2.0
+
+        root = find_root(f, 0.0, 2.0, -2.0, 6.0)
+        assert root == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
+        assert 0.0 not in calls and 2.0 not in calls
+
+    def test_zero_at_an_end(self):
+        assert find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+    def test_same_sign_ends_raise(self):
+        with pytest.raises(BracketError):
+            find_root(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    def test_budget_counts_end_evaluations(self):
+        with pytest.raises(ConvergenceError):
+            find_root(math.cos, 0.0, 2.0, max_evals=3)
+
+    def test_step_function_falls_back_to_bisection(self):
+        # no interpolation step helps on a jump; the safeguard still closes the bracket
+        root = find_root(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, xtol=1e-12)
+        assert root == pytest.approx(0.3, abs=1e-12)
+
+
+class TestWorkCounts:
+    """Residual evaluations counted by wrapping the module-level residual."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        residual = ri_core._consistency_residual
+
+        def wrapper(*args):
+            counted.append(None)
+            return residual(*args)
+
+        monkeypatch.setattr(ri_core, "_consistency_residual", wrapper)
+        return counted
+
+    def test_commitment_solve(self, calls):
+        commitment_solve(GameParams(0.8, 0.6, 0.07, 0.8))
+        # a bisection of q_bar nested in a bisection of nu took 3,790
+        assert 0 < len(calls) <= 758
+
+    def test_interior_solves_on_a_lambda_ladder(self, calls):
+        solves = 0
+        for k in range(30):
+            game = GameParams(0.8, 0.6, 0.07, 0.05 * 1.2**k)
+            for profile in PROFILES:
+                problem = ri_problem(game, profile)
+                if degeneracy_check(problem) == INTERIOR:
+                    solve_binary_ri(problem)
+                    solves += 1
+        assert solves > 0
+        assert solves <= len(calls) <= 8 * solves
