@@ -62,10 +62,10 @@ class GameParams:
             raise ValueError(
                 f"need 0 < mu_lo < mu_hi < 1, got mu_lo={self.mu_lo!r}, mu_hi={self.mu_hi!r}"
             )
-        if not self.cost_C > 0.0:
-            raise ValueError(f"cost_C must be positive, got {self.cost_C!r}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
+        if not (self.cost_C > 0.0 and math.isfinite(self.cost_C)):
+            raise ValueError(f"cost_C must be positive and finite, got {self.cost_C!r}")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
 
     @property
     def delta_mu(self) -> float:
@@ -337,10 +337,22 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     A, B = params.A, params.B
     if r >= B / A:
         return PromotionSignal(1.0, 1.0, 1.0, 1.0)
+    pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+    return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+
+
+def signal_from_odds(A, B, r):
+    """(pi(-1), pi_bar, pi(1)) of the interior signal at outcome odds A : B.
+
+    A = P(d = 1) and B = P(d = -1) under the effort profile, r = exp(-1/lam);
+    pi(0) = pi_bar. Plain arithmetic, so floats and numpy arrays both work.
+    No degeneracy test: the result is only meaningful where r < A/B < 1/r,
+    which each caller checks in its own way.
+    """
     pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
     pi_plus = (A - r * B) / ((1.0 - r * r) * A)
     pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
-    return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    return pi_minus, pi_bar, pi_plus
 
 
 def ri_problem(params: GameParams, profile: tuple) -> ri_core.BinaryRIProblem:

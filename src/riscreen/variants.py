@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import ri_core
 from .baseline_game import (
     AGENT_M,
@@ -30,6 +28,7 @@ from .baseline_game import (
     lambda_star,
     optimal_signal,
     profit,
+    signal_from_odds,
     state_distribution,
     supports_profile,
 )
@@ -76,6 +75,11 @@ def _gamma_star(c: float) -> float:
     return g_inverse(min(c, 0.5))
 
 
+def _reach(gamma: float) -> float:
+    """1/gamma for a bound gamma must reach; -1, met by no r, when it is +inf."""
+    return 1.0 / gamma if math.isfinite(gamma) else -1.0
+
+
 def _gamma_window(params: GameParams, c_work: float, c_shirk: float) -> tuple:
     """gamma range sustaining (worker, shirker) = (hi, lo) at costs (c_work, c_shirk).
 
@@ -118,6 +122,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
       (hi, hi) iff gamma >= gamma*(c_w); (lo, lo) iff gamma <= gamma*(c_m);
       (hi, lo) iff gamma lies in the window at (c_m, c_w);
       (lo, hi) iff gamma lies in the window at (c_w, c_m).
+    All four are compared in r = 1/gamma = exp(-1/lam), finite at every lam.
 
     Window emptiness encodes the cost-ratio bounds: favoring the low-cost
     agent is possible whenever c_w/c_m >= mu_hi(1-mu_hi)/(mu_lo(1-mu_lo))
@@ -125,17 +130,15 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
     c_m, c_w = het.effective_costs(game.delta_mu)
-    gamma = game.gamma
+    r = math.exp(-1.0 / game.lam)
     found = []
-    if gamma >= _gamma_star(c_w) * (1.0 - 1e-14):
+    if r <= _reach(_gamma_star(c_w)) * (1.0 + 1e-14):
         found.append(_het_record(game, (HI, HI), het))
-    lo, hi = _gamma_window(game, c_m, c_w)
-    if lo * (1.0 - 1e-14) <= gamma <= hi * (1.0 + 1e-14):
-        found.append(_het_record(game, (HI, LO), het))
-    lo, hi = _gamma_window(game, c_w, c_m)
-    if lo * (1.0 - 1e-14) <= gamma <= hi * (1.0 + 1e-14):
-        found.append(_het_record(game, (LO, HI), het))
-    if gamma <= _gamma_star(c_m) * (1.0 + 1e-14):
+    for profile, costs in (((HI, LO), (c_m, c_w)), ((LO, HI), (c_w, c_m))):
+        lo, hi = _gamma_window(game, *costs)
+        if (1.0 / hi) * (1.0 - 1e-14) <= r <= _reach(lo) * (1.0 + 1e-14):
+            found.append(_het_record(game, profile, het))
+    if r >= (1.0 / _gamma_star(c_m)) * (1.0 - 1e-14):
         found.append(_het_record(game, (LO, LO), het))
     return found
 
@@ -393,39 +396,53 @@ _SIGMA_EDGE = 1e-6
 def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> Optional[PromotionSignal]:
     """Closed-form optimal signal when success probabilities are (nu_m, nu_w).
 
-    Same algebra as the pure-profile case with A = nu_m (1 - nu_w) and
-    B = nu_w (1 - nu_m), evaluated in r = exp(-1/lam). Returns None when the
-    signal is degenerate (a degenerate signal provides no incentives, so it
-    cannot hold an indifference condition).
+    :func:`signal_from_odds` at A = nu_m (1 - nu_w), B = nu_w (1 - nu_m); None
+    when degenerate (no incentives, so no indifference condition can hold).
     """
     r = math.exp(-1.0 / params.lam)
     A = nu_m * (1.0 - nu_w)
     B = nu_w * (1.0 - nu_m)
     if A <= r * B or B <= r * A:
         return None
-    pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
-    pi_plus = (A - r * B) / ((1.0 - r * r) * A)
-    pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
+    pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
     return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
 
 
-def _scan_roots(func, lo: float, hi: float, samples: int = 400) -> list:
-    """All sign-change roots of a continuous scalar function on [lo, hi].
-
-    func is sampled on a uniform grid, and each sign change between two
-    neighbouring samples is refined with :func:`ri_core.find_root` to 1e-13.
+def _success_gap(game: GameParams, nu_m, nu_w, weight_x, weight_y):
+    """weight_x X + weight_y Y - c under the signal of :func:`_signal_for_success_probs`,
+    or -c where it is degenerate. Floats or numpy arrays in, numpy values out.
     """
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    vals = [func(x) for x in xs]
+    import numpy as np
+    r = math.exp(-1.0 / game.lam)
+    A = nu_m * (1.0 - nu_w)
+    B = nu_w * (1.0 - nu_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+        gap = weight_x * (pi_plus - pi_bar) + weight_y * (pi_bar - pi_minus) - game.c
+    return np.where((A <= r * B) | (B <= r * A), -game.c, gap)
+
+
+def _scan_roots(gap, lo: float, hi: float, samples: int = 400) -> list:
+    """All roots of a continuous function on [lo, hi] found by a grid scan.
+
+    gap is evaluated once, on a numpy array of `samples` uniform points; a
+    zero sample is a root, and each sign change between neighbours is refined
+    with :func:`ri_core.find_root` to 1e-13 on gap at one point at a time.
+    Roots are floats, in increasing order.
+    """
+    import numpy as np
+    xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+    vals = gap(xs)
+    hits = np.append(vals[:-1] * vals[1:] < 0.0, False) | (vals == 0.0)
+    xs, vals = xs.tolist(), vals.tolist()
     roots = []
-    for i in range(samples - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
+    for i in np.flatnonzero(hits):
+        if vals[i] == 0.0:
             roots.append(xs[i])
-        elif v0 * v1 < 0.0:
-            roots.append(ri_core.find_root(func, xs[i], xs[i + 1], v0, v1, xtol=1e-13))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
+        else:
+            roots.append(ri_core.find_root(
+                lambda x: float(gap(np.float64(x))), xs[i], xs[i + 1], vals[i], vals[i + 1], xtol=1e-13
+            ))
     return roots
 
 
@@ -444,80 +461,55 @@ def mixed_equilibria(game: GameParams) -> list:
       working m. The m <-> w relabelings of these are omitted as symmetric
       duplicates.
 
-    Away from lam = lambda_star every returned signal is discriminatory.
+    Each one-dimensional condition is a :func:`_success_gap` that
+    :func:`_scan_roots` scans in one 400-point array pass. Away from
+    lam = lambda_star every returned signal is discriminatory.
     """
     c = game.c
+    mu_lo, mu_hi, delta_mu = game.mu_lo, game.mu_hi, game.delta_mu
     found = []
 
-    if abs(game.lam - lambda_star(game)) <= 1e-9:
-        signal = optimal_signal(game, (HI, HI))
-        found.append(
-            MixedEquilibrium(MixedProfile(0.5, 0.5), signal, IMPARTIAL if signal.impartial else DISCRIMINATORY)
-        )
+    def keep(sigma_m: float, sigma_w: float, sig: PromotionSignal) -> None:
+        label = IMPARTIAL if sig.impartial else DISCRIMINATORY
+        found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, label))
 
-    if game.mu_lo < 0.5:
-        lo = max(game.mu_lo, 1.0 - game.mu_hi) + 1e-9
-        hi = min(game.mu_hi, 1.0 - game.mu_lo) - 1e-9
+    if abs(game.lam - lambda_star(game)) <= 1e-9:
+        keep(0.5, 0.5, optimal_signal(game, (HI, HI)))
+
+    if mu_lo < 0.5:
+        lo = max(mu_lo, 1.0 - mu_hi) + 1e-9
+        hi = min(mu_hi, 1.0 - mu_lo) - 1e-9
         if lo < hi:
 
-            def balanced_gap(nu_m: float) -> float:
-                sig = _signal_for_success_probs(game, nu_m, 1.0 - nu_m)
-                if sig is None:
-                    return -c
-                return nu_m * sig.X + (1.0 - nu_m) * sig.Y - c
+            def balanced(nu):
+                return _success_gap(game, nu, 1.0 - nu, nu, 1.0 - nu)
 
-            for nu_m in _scan_roots(balanced_gap, lo, hi):
+            for nu_m in _scan_roots(balanced, lo, hi):
                 sig = _signal_for_success_probs(game, nu_m, 1.0 - nu_m)
                 if sig is None:
                     continue
-                sigma_m = (nu_m - game.mu_lo) / game.delta_mu
-                sigma_w = (1.0 - nu_m - game.mu_lo) / game.delta_mu
+                sigma_m = (nu_m - mu_lo) / delta_mu
+                sigma_w = (1.0 - nu_m - mu_lo) / delta_mu
                 if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
-                    found.append(
-                        MixedEquilibrium(
-                            MixedProfile(sigma_m, sigma_w),
-                            sig,
-                            IMPARTIAL if sig.impartial else DISCRIMINATORY,
-                        )
-                    )
+                    keep(sigma_m, sigma_w, sig)
 
-    def m_indifference(sigma: float) -> float:
-        nu_m = game.mu_lo + sigma * game.delta_mu
-        sig = _signal_for_success_probs(game, nu_m, game.mu_lo)
-        if sig is None:
-            return -c
-        return (1.0 - game.mu_lo) * sig.X + game.mu_lo * sig.Y - c
+    def m_mixing(sigma):
+        return _success_gap(game, mu_lo + sigma * delta_mu, mu_lo, 1.0 - mu_lo, mu_lo)
 
-    for sigma in _scan_roots(m_indifference, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
-        nu_m = game.mu_lo + sigma * game.delta_mu
-        sig = _signal_for_success_probs(game, nu_m, game.mu_lo)
-        if sig is None:
-            continue
-        if nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL:
-            found.append(
-                MixedEquilibrium(
-                    MixedProfile(sigma, 0.0), sig, IMPARTIAL if sig.impartial else DISCRIMINATORY
-                )
-            )
+    for sigma in _scan_roots(m_mixing, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
+        nu_m = mu_lo + sigma * delta_mu
+        sig = _signal_for_success_probs(game, nu_m, mu_lo)
+        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL:
+            keep(sigma, 0.0, sig)
 
-    def w_indifference(sigma: float) -> float:
-        nu_w = game.mu_lo + sigma * game.delta_mu
-        sig = _signal_for_success_probs(game, game.mu_hi, nu_w)
-        if sig is None:
-            return -c
-        return game.mu_hi * sig.X + (1.0 - game.mu_hi) * sig.Y - c
+    def w_mixing(sigma):
+        return _success_gap(game, mu_hi, mu_lo + sigma * delta_mu, mu_hi, 1.0 - mu_hi)
 
-    for sigma in _scan_roots(w_indifference, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
-        nu_w = game.mu_lo + sigma * game.delta_mu
-        sig = _signal_for_success_probs(game, game.mu_hi, nu_w)
-        if sig is None:
-            continue
-        if (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL:
-            found.append(
-                MixedEquilibrium(
-                    MixedProfile(1.0, sigma), sig, IMPARTIAL if sig.impartial else DISCRIMINATORY
-                )
-            )
+    for sigma in _scan_roots(w_mixing, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
+        nu_w = mu_lo + sigma * delta_mu
+        sig = _signal_for_success_probs(game, mu_hi, nu_w)
+        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL:
+            keep(1.0, sigma, sig)
 
     return found
 
@@ -560,6 +552,7 @@ def continuous_effort_equilibria(
         raise ValueError("grid_size must be at least 2")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
+    import numpy as np
     grid = np.linspace(0.0, 1.0, grid_size)
     nu_m = grid[:, None]
     nu_w = grid[None, :]
@@ -570,17 +563,9 @@ def continuous_effort_equilibria(
         r = math.exp(-1.0 / lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             interior = (A > r * B) & (B > r * A)
-            pi_bar = np.where(interior, (A - r * B) / ((1.0 - r) * (A + B)), 0.5)
-            X = np.where(
-                interior,
-                (A - r * B) / ((1.0 - r * r) * np.where(A > 0, A, 1.0)) - pi_bar,
-                0.0,
-            )
-            Y = np.where(
-                interior,
-                pi_bar - r * (A - r * B) / ((1.0 - r * r) * np.where(B > 0, B, 1.0)),
-                0.0,
-            )
+            pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+            X = np.where(interior, pi_plus - pi_bar, 0.0)
+            Y = np.where(interior, pi_bar - pi_minus, 0.0)
         gain_m = (1.0 - nu_w) * X + nu_w * Y
         gain_w = nu_m * X + (1.0 - nu_m) * Y
         br_m = _grid_best_response(grid, gain_m, kappa)
@@ -594,12 +579,13 @@ def continuous_effort_equilibria(
     return results
 
 
-def _grid_best_response(grid: np.ndarray, gain: np.ndarray, kappa: float) -> np.ndarray:
+def _grid_best_response(grid, gain, kappa: float):
     """Index of argmax over the grid of mu*gain - kappa*mu^2/2, ties to lower mu.
 
     The objective is concave in mu, so the grid argmax sits next to the
     unconstrained optimum gain/kappa; only the two neighbors are compared.
     """
+    import numpy as np
     n = grid.size
     target = np.clip(gain / kappa, 0.0, 1.0)
     i_lo = np.clip(np.floor(target * (n - 1)).astype(int), 0, n - 1)

@@ -60,6 +60,10 @@ class TestGameParams:
             dict(mu_hi=1.0, mu_lo=0.6, cost_C=0.07, lam=0.3),
             dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.0, lam=0.3),
             dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=-1.0),
+            dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=math.inf),
+            dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=math.nan),
+            dict(mu_hi=0.8, mu_lo=0.6, cost_C=math.inf, lam=0.3),
+            dict(mu_hi=0.8, mu_lo=0.6, cost_C=math.nan, lam=0.3),
         ],
     )
     def test_rejects_bad_primitives(self, kwargs):

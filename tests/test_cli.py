@@ -1,8 +1,14 @@
 """CLI behavior: formats, determinism, exit codes, golden checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import riscreen
 
 from riscreen import baseline_game as bg
 from riscreen import cli
@@ -253,3 +259,21 @@ class TestOtherCommands:
         assert code == 0
         assert out == ""
         assert "pi_bar=0.7441" in target.read_text()
+
+
+def test_cli_loads_numpy_only_for_array_paths():
+    src = str(Path(riscreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "import contextlib, io, sys\n"
+        "import riscreen.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import riscreen.cli loaded numpy'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['equilibria', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3'])\n"
+        "assert 'numpy' not in sys.modules, 'equilibria loaded numpy'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['variants', '--which', 'mixed', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3'])\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

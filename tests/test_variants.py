@@ -108,6 +108,23 @@ class TestHeterogeneous:
         lo2, hi2 = _gamma_window(game, 0.1, 0.105)
         assert lo2 > hi2
 
+    @pytest.mark.parametrize("lam", [1.0 / 720.0, 1e-3, 1e-4])
+    def test_tiny_lambda_matches_baseline(self, lam, capsys):
+        # exp(1/lam) overflows a double here; the regimes are read in exp(-1/lam)
+        from riscreen import cli
+
+        rng = np.random.default_rng(29)
+        games = [replace(GAME, lam=lam)]
+        games += [replace(helpers.sample_assumption1(rng), lam=lam) for _ in range(20)]
+        games += [GameParams(0.6, 0.3, 0.03, lam), GameParams(0.9, 0.2, 0.3, lam)]
+        for game in games:
+            het = HeterogeneousParams(game.cost_C, game.cost_C)
+            assert heterogeneous_equilibrium_set(game, het) == equilibrium_set(game)
+        code = cli.main(["variants", "--which", "heterogeneous", "--mu-hi", ".8", "--mu-lo", ".6",
+                         "--lambda", repr(lam), "--cost-m", ".07", "--cost-w", ".07"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("(hi,hi) impartial")
+
 
 class TestCommitment:
     def test_low_lambda_keeps_impartial_optimum(self):
