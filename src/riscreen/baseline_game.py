@@ -88,9 +88,15 @@ class GameParams:
 
     @property
     def gamma(self) -> float:
-        """exp(1/lam); overflows below lam ~ 0.00141. Internal closed forms
-        work in 1/gamma instead, so tiny lam values stay representable."""
-        return math.exp(1.0 / self.lam)
+        """exp(1/lam), or +inf where that overflows (lam below about 1/710).
+
+        g_func, f_func and f_inverse read an infinite gamma as the costless
+        limit. Internal closed forms work in 1/gamma, which stays finite.
+        """
+        try:
+            return math.exp(1.0 / self.lam)
+        except OverflowError:
+            return math.inf
 
     @property
     def assumption1(self) -> bool:
@@ -269,12 +275,15 @@ def f_func(params: GameParams, gamma: float) -> float:
     """Outperform bonus X of the (hi, lo) signal.
 
     (gamma A - B)(gamma B - A) / ((gamma^2 - 1)(A + B) A); zero at
-    gamma = A/B, strictly increasing above, with limit B/(A+B). Evaluated
-    in r = 1/gamma, which keeps huge gammas finite.
+    gamma = A/B, strictly increasing above, with limit B/(A+B), which an
+    infinite gamma returns exactly. Evaluated in r = 1/gamma, which keeps
+    huge gammas finite.
     """
     if gamma < params.A / params.B:
         raise ValueError(f"f_func needs gamma >= A/B = {params.A / params.B!r}, got {gamma!r}")
-    return _f_of_r(params, 0.0 if math.isinf(gamma) else 1.0 / gamma)
+    if math.isinf(gamma):
+        return params.B / (params.A + params.B)
+    return _f_of_r(params, 1.0 / gamma)
 
 
 def _f_of_r(params: GameParams, r: float) -> float:
@@ -493,7 +502,11 @@ def most_profitable(params: GameParams) -> list:
     list has length two whenever a discriminatory equilibrium is on top, and
     length one otherwise.
     """
-    records = equilibrium_set(params)
+    return most_profitable_among(equilibrium_set(params))
+
+
+def most_profitable_among(records: list) -> list:
+    """Records within 1e-12 of the highest profit among those given."""
     best = max(r.profit for r in records)
     return [r for r in records if r.profit >= best - 1e-12]
 

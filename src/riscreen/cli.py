@@ -167,7 +167,7 @@ def _profile_tag(profile: tuple) -> str:
 def cmd_equilibria(args) -> int:
     game = _game(args)
     records = bg.equilibrium_set(game)
-    best = {r.profile for r in bg.most_profitable(game)}
+    best = {r.profile for r in bg.most_profitable_among(records)}
     lines = []
     for rec in records:
         star = " *" if rec.profile in best else ""
@@ -200,8 +200,7 @@ _REGIME_HEADER = [
 def _regime_row(game: bg.GameParams, cuts: bg.ThresholdSet, quota: bool) -> list:
     records = qp.quota_equilibrium_set(game) if quota else bg.equilibrium_set(game)
     present = {r.profile for r in records}
-    best = max(records, key=lambda r: r.profit)
-    ties = [r for r in records if r.profit >= best.profit - 1e-12]
+    ties = bg.most_profitable_among(records)
     welfare = bg.welfare_ordering(records)
     return [
         game.lam,
@@ -210,7 +209,7 @@ def _regime_row(game: bg.GameParams, cuts: bg.ThresholdSet, quota: bool) -> list
         int((bg.LO, bg.HI) in present),
         int((bg.LO, bg.LO) in present),
         "|".join(sorted(_profile_tag(r.profile) for r in ties)),
-        best.profit,
+        max(r.profit for r in ties),
         ">".join(_profile_tag(r.profile) for r in welfare),
         cuts.lambda_low,
         cuts.lambda_star,
@@ -269,7 +268,7 @@ def cmd_regimes(args) -> int:
         for lam in grid:
             game = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, lam)
             records = mt.multitask_equilibrium_set(game, tasks)
-            winners = mt.multitask_most_profitable(game, tasks)
+            winners = mt.most_profitable_among(records, tasks)
             rows.append(
                 [
                     lam,
@@ -329,7 +328,7 @@ def cmd_multitask(args) -> int:
             f" {rec.classification:15s} payoff={_fmt4(rec.payoff)}"
         )
     if abs(tasks[0].alpha - tasks[1].alpha) <= 1e-12 and records:
-        winners = mt.multitask_most_profitable(game, tasks)
+        winners = mt.most_profitable_among(records, tasks)
         lines.append("most profitable: " + ", ".join(sorted({w.classification for w in winners})))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

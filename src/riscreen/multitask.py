@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from .baseline_game import (
     HI,
     LO,
+    PROFILES,
     GameParams,
     optimal_signal,
     profit,
@@ -104,11 +105,22 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
 
     One-step deviations are all that need deterring (task payoffs are
     additively separable), so the check is per task: the task-t effort pair
-    must survive both incentive constraints of the task-t game. The
-    principal's payoff adds the per-task profits weighted by arrivals,
-    sum_t alpha^t (V_t - lam I_t).
+    must survive both incentive constraints of the task-t game. Each of the
+    2 x 4 (task, effort pair) games is solved once and the 16 joint profiles
+    are combined from those results. The principal's payoff adds the
+    per-task profits weighted by arrivals, sum_t alpha^t (V_t - lam I_t);
+    profits do not depend on the task's cost, so each pair's is computed
+    once.
     """
     games = task_games(game, tasks)
+    solved = []
+    for task_game in games:
+        per_pair = {}
+        for pair in PROFILES:
+            signal = optimal_signal(task_game, pair)
+            per_pair[pair] = (signal, supports_profile(task_game, signal, pair))
+        solved.append(per_pair)
+    profits = {pair: profit(game, pair).profit for pair in PROFILES}
     found = []
     for m1 in _EFFORTS:
         for m2 in _EFFORTS:
@@ -116,17 +128,10 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
                 for w2 in _EFFORTS:
                     inv_m, inv_w = (m1, m2), (w1, w2)
                     profiles = ((m1, w1), (m2, w2))
-                    signals = tuple(
-                        optimal_signal(games[t], profiles[t]) for t in range(2)
-                    )
-                    if not all(
-                        supports_profile(games[t], signals[t], profiles[t])
-                        for t in range(2)
-                    ):
+                    if not all(solved[t][profiles[t]][1] for t in range(2)):
                         continue
                     payoff = sum(
-                        tasks[t].alpha * profit(game, profiles[t]).profit
-                        for t in range(2)
+                        tasks[t].alpha * profits[profiles[t]] for t in range(2)
                     )
                     found.append(
                         MultitaskRecord(
@@ -134,7 +139,7 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
                             investment_w=inv_w,
                             classification=_classify(inv_m, inv_w),
                             payoff=payoff,
-                            signals=signals,
+                            signals=tuple(solved[t][profiles[t]][0] for t in range(2)),
                         )
                     )
     return found
@@ -149,14 +154,24 @@ def multitask_most_profitable(game: GameParams, tasks: tuple) -> list:
     outside the ranking's scope and can out-earn both ranked classes.
     Mirror specialized equilibria tie, so the list can have two entries.
     """
+    _check_equal_arrivals(tasks)
+    return most_profitable_among(multitask_equilibrium_set(game, tasks), tasks)
+
+
+def most_profitable_among(records: list, tasks: tuple) -> list:
+    """The ranking of :func:`multitask_most_profitable` over records in hand.
+
+    records are those of :func:`multitask_equilibrium_set` for the same
+    tasks; the same alpha1 = alpha2 requirement and 1e-12 tie rule apply.
+    """
+    _check_equal_arrivals(tasks)
+    ranked = [r for r in records if r.classification in (SPECIALIZED, NON_SPECIALIZED)]
+    if not ranked:
+        return []
+    best = max(r.payoff for r in ranked)
+    return [r for r in ranked if r.payoff >= best - 1e-12]
+
+
+def _check_equal_arrivals(tasks: tuple) -> None:
     if abs(tasks[0].alpha - tasks[1].alpha) > 1e-12:
         raise ValueError("profitability ranking requires alpha1 = alpha2")
-    records = [
-        r
-        for r in multitask_equilibrium_set(game, tasks)
-        if r.classification in (SPECIALIZED, NON_SPECIALIZED)
-    ]
-    if not records:
-        return []
-    best = max(r.payoff for r in records)
-    return [r for r in records if r.payoff >= best - 1e-12]

@@ -3,8 +3,11 @@
 A binding quota pi_bar = 1/2 acts like a per-promotion subsidy: the
 principal screens with advantage d - nu instead of d, where nu is the
 multiplier of the quota constraint. nu is zero when efforts are symmetric,
-positive when m works harder, negative in the mirror case. The quota kills
-exactly the discriminatory equilibria and leaves the impartial ones alone.
+positive when m works harder, negative in the mirror case. The binding
+signal is then the closed-form logit rule at nu (Matejka & McKay 2015),
+pi(d) = sigmoid((d - nu)/lam), so no RI problem is solved on this path.
+The quota kills exactly the discriminatory equilibria and leaves the
+impartial ones alone.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ def subsidized_signal(params: GameParams, profile: tuple, nu: float) -> Promotio
     return PromotionSignal(q[0], q[1], q[2], rule.unconditional)
 
 
+def _binding_rule(prior: tuple, lam: float, nu: float) -> tuple:
+    """Conditionals sigmoid((d - nu)/lam) for d = -1, 0, 1, and their average.
+
+    The average is taken under prior = (p(-1), p(0), p(1)); it is the
+    pi_bar of the taxed logit rule, 1/2 when nu is the quota multiplier.
+    """
+    q = tuple(ri_core._sigmoid((d - nu) / lam) for d in (-1.0, 0.0, 1.0))
+    return q, sum(p * qd for p, qd in zip(prior, q))
+
+
 def _quota_residual(params: GameParams, profile: tuple, nu: float) -> float:
     """Average promotion probability at the binding quota, minus 1/2.
 
@@ -62,13 +75,8 @@ def _quota_residual(params: GameParams, profile: tuple, nu: float) -> float:
     single consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2.
     Strictly decreasing in nu.
     """
-    dist = state_distribution(params, profile)
-    lam = params.lam
-    total = sum(
-        p * ri_core._sigmoid((d - nu) / lam)
-        for p, d in zip(dist.as_tuple(), (-1.0, 0.0, 1.0))
-    )
-    return total - 0.5
+    prior = state_distribution(params, profile).as_tuple()
+    return _binding_rule(prior, params.lam, nu)[1] - 0.5
 
 
 def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
@@ -78,8 +86,9 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     Otherwise nu solves the consistency equation above, found with
     :func:`ri_core.find_root` on [-1, 1]: every d - nu is >= 0 at nu = -1
     and <= 0 at nu = 1, so the residual changes sign on that bracket. The
-    returned signal is re-derived through :func:`subsidized_signal` and
-    checked against the quota to QUOTA_TOL.
+    returned signal is the closed-form logit rule at nu,
+    pi(d) = sigmoid((d - nu)/lam), with pi_bar = sum_d p(d) pi(d) computed,
+    not assumed, and checked against the quota to QUOTA_TOL.
     """
     e_m, e_w = profile
     if e_m == e_w:
@@ -87,12 +96,11 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     nu = ri_core.find_root(
         lambda nu: _quota_residual(params, profile, nu), -1.0, 1.0, xtol=1e-15
     )
-    signal = subsidized_signal(params, profile, nu)
-    if abs(signal.pi_bar - 0.5) > QUOTA_TOL:
-        raise BracketError(
-            f"quota not met at nu={nu!r}: pi_bar={signal.pi_bar!r}"
-        )
-    return QuotaSolution(nu, signal, True)
+    prior = state_distribution(params, profile).as_tuple()
+    q, pi_bar = _binding_rule(prior, params.lam, nu)
+    if abs(pi_bar - 0.5) > QUOTA_TOL:
+        raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
+    return QuotaSolution(nu, PromotionSignal(*q, pi_bar), True)
 
 
 def _quota_record(params: GameParams, profile: tuple, signal: PromotionSignal) -> EquilibriumRecord:

@@ -70,6 +70,15 @@ class TestGameParams:
         with pytest.raises(ValueError):
             GameParams(**kwargs)
 
+    @pytest.mark.parametrize("lam", [1e-3, 1e-4])
+    @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.35), (0.7, 0.59)])
+    def test_gamma_past_overflow_is_the_costless_limit(self, lam, mus):
+        # exp(1/lam) overflows here; gamma is +inf and the curves take their limits
+        p = GameParams(*mus, 0.07, lam)
+        assert p.gamma == math.inf
+        assert g_func(p.gamma) == 0.5
+        assert f_func(p, p.gamma) == p.B / (p.A + p.B)
+
     def test_assumption1_fails_for_large_cost(self):
         bound = GAME.mu_hi * (1 - GAME.mu_hi) / (GAME.A + GAME.B)
         big = GameParams(0.8, 0.6, (bound + 0.01) * 0.2, 0.3)

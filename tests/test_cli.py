@@ -277,3 +277,38 @@ def test_cli_loads_numpy_only_for_array_paths():
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):
+    src = str(Path(riscreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu_hi": 0.9, "mu_lo": 0.55, "cost": 0.05, "lam": 0.4}))
+    default = ["equilibria", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3"]
+    configured = ["--config", str(cfg), "equilibria"]
+
+    def fresh(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "riscreen", *argv], env=env, capture_output=True, text=True
+        )
+        return done.returncode, done.stdout
+
+    for argv in (default, configured, default):
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == fresh(argv)
+    # the config's mu_hi, mu_lo and lam must not have become defaults
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equilibria"])
+    assert exc.value.code == 2
+
+
+def test_equilibria_enumerates_once(capsys, monkeypatch):
+    calls = []
+    real = bg.equilibrium_set
+    monkeypatch.setattr(bg, "equilibrium_set", lambda params: calls.append(params) or real(params))
+    code, out, _ = run(["equilibria", *CANON, "--lambda", ".3"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert [l for l in out.splitlines() if l.endswith(" *")] == [
+        l for l in out.splitlines() if l.startswith("(hi,hi)")
+    ]

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riscreen import (
     HI,
@@ -221,3 +222,124 @@ class TestMostProfitable:
         non_spec = [r for r in recs if r.classification == NON_SPECIALIZED]
         assert [r.investment_m for r in non_spec] == [(HI, LO)]
         assert non_spec[0].payoff < winners[0].payoff
+
+
+# ---------------------------------------------------------------------------
+# one solve per (task, effort pair)
+# ---------------------------------------------------------------------------
+
+_EFFORTS = (HI, LO)
+
+
+def reference_equilibrium_set(game, tasks):
+    """The enumeration as first written: two signals solved per joint profile."""
+    from riscreen.baseline_game import optimal_signal, supports_profile
+    from riscreen.multitask import MultitaskRecord, _classify
+
+    games = task_games(game, tasks)
+    found = []
+    for m1 in _EFFORTS:
+        for m2 in _EFFORTS:
+            for w1 in _EFFORTS:
+                for w2 in _EFFORTS:
+                    inv_m, inv_w = (m1, m2), (w1, w2)
+                    profiles = ((m1, w1), (m2, w2))
+                    signals = tuple(optimal_signal(games[t], profiles[t]) for t in range(2))
+                    if not all(
+                        supports_profile(games[t], signals[t], profiles[t]) for t in range(2)
+                    ):
+                        continue
+                    payoff = sum(
+                        tasks[t].alpha * profit(game, profiles[t]).profit for t in range(2)
+                    )
+                    found.append(
+                        MultitaskRecord(inv_m, inv_w, _classify(inv_m, inv_w), payoff, signals)
+                    )
+    return found
+
+
+@st.composite
+def multitask_games(draw):
+    """Regular games, lam around both task games' cutpoints or in one's
+    discriminatory window."""
+    mu_hi = draw(st.floats(0.55, 0.97))
+    mu_lo = draw(st.floats(max(1.0 - mu_hi, 0.05) + 0.005, mu_hi - 0.01))
+    game = GameParams(mu_hi, mu_lo, 0.07, 1.0)
+    bound = mu_hi * (1.0 - mu_hi) / (game.A + game.B)
+    alpha1 = draw(st.floats(0.2, 0.5))
+    alpha2 = alpha1 if draw(st.booleans()) else draw(st.floats(0.2, 0.5))
+    beta = draw(st.floats(0.5, 2.0))
+    c1 = bound * draw(st.floats(0.3, 0.98))
+    c2 = min(c1 * draw(st.floats(1.0, 1.3)), 0.99 * bound)
+    tasks = (
+        TaskParams(alpha1, beta, c1 * alpha1 * beta * game.delta_mu),
+        TaskParams(alpha2, beta, c2 * alpha2 * beta * game.delta_mu),
+    )
+    if tasks[0].effective_cost(game.delta_mu) > tasks[1].effective_cost(game.delta_mu):
+        tasks = tasks[::-1]
+    cuts = [thresholds(g) for g in task_games(game, tasks)]
+    window = draw(st.sampled_from(cuts + [None]))
+    if window is None:  # anywhere around the cutpoints of both tasks
+        ends = [
+            v
+            for k in cuts
+            for v in (k.lambda_low, k.lambda_star, k.lambda_high)
+            if 0.0 < v < math.inf
+        ]
+        lam = draw(st.floats(0.5 * min(ends), 1.25 * max(ends)))
+    else:  # inside one task's discriminatory window
+        lam = draw(st.floats(window.lambda_low, window.lambda_high))
+    return replace(game, lam=lam), tasks
+
+
+@given(case=multitask_games())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_equilibrium_set_matches_reference(case):
+    game, tasks = case
+    expected = reference_equilibrium_set(game, tasks)
+    records = multitask_equilibrium_set(game, tasks)
+    assert records == expected
+    assert repr(records) == repr(expected)
+    if abs(tasks[0].alpha - tasks[1].alpha) <= 1e-12:
+        ranked = [r for r in expected if r.classification in (SPECIALIZED, NON_SPECIALIZED)]
+        best = max((r.payoff for r in ranked), default=None)
+        assert multitask_most_profitable(game, tasks) == [
+            r for r in ranked if r.payoff >= best - 1e-12
+        ]
+
+
+def test_each_task_pair_is_solved_once(monkeypatch):
+    from riscreen import multitask
+
+    counts = {"optimal_signal": 0, "profit": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(multitask, name, counted(name, getattr(multitask, name)))
+    tasks = equal_tasks(0.35)
+    g1, _ = task_games(GAME, tasks)
+    cuts = thresholds(g1)
+    game = replace(GAME, lam=0.5 * (cuts.lambda_low + cuts.lambda_high))
+    records = multitask_equilibrium_set(game, tasks)
+    assert len(records) >= 2
+    assert counts["optimal_signal"] <= 8
+    assert counts["profit"] <= 4
+
+
+def test_regimes_sweep_refuses_unequal_arrivals(capsys):
+    from riscreen import cli
+
+    code = cli.main(
+        ["regimes", "--analysis", "multitask", "--mu-hi", ".8", "--mu-lo", ".6",
+         "--task1", "0.3,1,0.01", "--task2", "0.5,1,0.02"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: profitability ranking requires alpha1 = alpha2\n"

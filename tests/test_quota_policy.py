@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from riscreen import (
     HI,
@@ -167,3 +168,68 @@ class TestDuality:
         fine, _ = _primal_grid_value(game, (HI, LO), argmax, 0.02, 2e-4)
         assert fine <= solution_value + 1e-9
         assert fine == pytest.approx(solution_value, abs=1e-6)
+
+
+class TestClosedFormBindingSignal:
+    """The binding signal is the logit rule at nu; no RI problem is re-solved."""
+
+    def test_ill_conditioned_large_lambda(self, capsys):
+        from riscreen import cli
+
+        game = GameParams(0.8, 0.6, 0.07, 5000.0)
+        impartial = [r.profile for r in equilibrium_set(game) if r.classification == IMPARTIAL]
+        assert [r.profile for r in quota_equilibrium_set(game)] == impartial == [(LO, LO)]
+        code = cli.main(["quota", "--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", "5000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("quota equilibria: (lo,lo)\n")
+
+    def test_agrees_with_the_generic_solver_where_well_conditioned(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(25):
+            base = helpers.sample_assumption1(rng)
+            for lam in (0.01, 0.05, 0.2, 0.6, 1.5, 4.0, 10.0):
+                game = replace(base, lam=lam)
+                for profile in ((HI, LO), (LO, HI)):
+                    sol = find_multiplier(game, profile)
+                    again = subsidized_signal(game, profile, sol.nu)
+                    assert max(
+                        abs(a - b)
+                        for a, b in zip(
+                            (*sol.signal.as_tuple(), sol.signal.pi_bar),
+                            (*again.as_tuple(), again.pi_bar),
+                        )
+                    ) <= 1e-12
+
+    def test_solves_no_ri_problem(self, monkeypatch):
+        from riscreen import ri_core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_binary_ri called")
+
+        monkeypatch.setattr(ri_core, "solve_binary_ri", refuse)
+        for profile in PROFILES:
+            assert find_multiplier(GAME, profile).signal.pi_bar == pytest.approx(0.5, abs=1e-12)
+
+
+@st.composite
+def quota_games(draw):
+    """lam log-uniform in [1e-4, 1e4], mu up to 1e-3 from the edges, costs over six decades."""
+    mu_hi = draw(st.floats(0.501, 0.999))
+    mu_lo = draw(st.floats(1.0 - mu_hi, mu_hi, exclude_min=True, exclude_max=True))
+    assume(mu_hi + mu_lo > 1.0 and mu_lo < mu_hi)
+    cost = 10.0 ** draw(st.floats(-6.0, 0.0))
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    return GameParams(mu_hi, mu_lo, cost, lam)
+
+
+@given(game=quota_games())
+@example(game=GameParams(0.8, 0.6, 0.07, 5000.0))
+@example(game=GameParams(0.999, 0.998, 1e-6, 1e4))
+@example(game=GameParams(0.999, 0.001 + 1e-9, 1.0, 1e-4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_quota_equilibria_are_the_impartial_ones(game):
+    quota = quota_equilibrium_set(game)
+    impartial = [r.profile for r in equilibrium_set(game) if r.classification == IMPARTIAL]
+    assert [r.profile for r in quota] == impartial
+    assert all(r.classification == IMPARTIAL for r in quota)
