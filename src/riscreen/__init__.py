@@ -36,6 +36,7 @@ from .baseline_game import (
     ThresholdSet,
     agent_utilities,
     equilibrium_set,
+    evaluate,
     f_func,
     f_inverse,
     g_func,

@@ -148,15 +148,6 @@ class PromotionSignal:
     pi_plus: float
     pi_bar: float
 
-    def pi(self, dtheta: int) -> float:
-        if dtheta == -1:
-            return self.pi_minus
-        if dtheta == 0:
-            return self.pi_zero
-        if dtheta == 1:
-            return self.pi_plus
-        raise ValueError(f"dtheta must be -1, 0 or 1, got {dtheta!r}")
-
     def as_tuple(self) -> tuple:
         """(pi(-1), pi(0), pi(1))."""
         return (self.pi_minus, self.pi_zero, self.pi_plus)
@@ -308,7 +299,10 @@ def f_inverse(params: GameParams, x: float) -> float:
     (AB - k) gamma^2 - (A^2 + B^2) gamma + (AB + k) = 0 with k = x(A+B)A,
     and the root above A/B takes the plus branch. When the leading
     coefficient nearly vanishes (x close to the supremum) the root is found
-    in r = 1/gamma instead, on the bracket [0, B/A].
+    in r = 1/gamma instead, on the bracket [0, B/A]. Near the cap the loss
+    of relative accuracy is the problem's conditioning, not the formula's:
+    the result is backward stable (f(gamma) is within a few ulps of x), so
+    its relative error stays below eps x / (B/(A+B) - x).
     """
     A, B = params.A, params.B
     if x < 0.0:
@@ -453,31 +447,51 @@ def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
     return ProfitBreakdown(V, I, V - params.lam * I)
 
 
-def agent_utilities(params: GameParams, record: "EquilibriumRecord") -> tuple:
-    """(utility_m, utility_w): promotion probability net of any effort cost."""
-    return _utilities(params, record.profile, record.signal)
+def evaluate(
+    params: GameParams,
+    profile: tuple,
+    signal: PromotionSignal,
+    *,
+    optimal: bool = False,
+    costs: Optional[tuple] = None,
+    weights: Optional[tuple] = None,
+) -> EquilibriumRecord:
+    """Value a signal at an effort profile: V, I, profit V - lam I, utilities.
 
-
-def _utilities(params: GameParams, profile: tuple, signal: PromotionSignal) -> tuple:
+    With optimal=True the signal is optimal_signal(params, profile), and V
+    and I come from the closed forms of :func:`profit`, which keep more
+    digits at large lam. Any other signal is valued by the generic sums
+    V = sum_d p(d) pi(d) d + mu_w and I = the mutual information of d and
+    the promotion decision. Agent i's utility is weight_i times its
+    promotion probability, less cost_i when it works high; costs default
+    to (cost_C, cost_C) and weights to (1, 1).
+    """
+    if optimal:
+        pb = profit(params, profile)
+        V, I = pb.V, pb.I
+    else:
+        prior, q = state_distribution(params, profile).as_tuple(), signal.as_tuple()
+        V = sum(p * qd * d for p, qd, d in zip(prior, q, (-1.0, 0.0, 1.0))) + params.mu(profile[1])
+        I = ri_core.mutual_information(prior, q)
+    cost_m, cost_w = (params.cost_C, params.cost_C) if costs is None else costs
+    du_m, du_w = (1.0, 1.0) if weights is None else weights
     e_m, e_w = profile
-    u_m = signal.pi_bar - (params.cost_C if e_m == HI else 0.0)
-    u_w = (1.0 - signal.pi_bar) - (params.cost_C if e_w == HI else 0.0)
-    return (u_m, u_w)
-
-
-def _record(params: GameParams, profile: tuple, signal: PromotionSignal) -> EquilibriumRecord:
-    pb = profit(params, profile)
-    u_m, u_w = _utilities(params, profile, signal)
     return EquilibriumRecord(
         profile=profile,
         signal=signal,
         classification=IMPARTIAL if signal.impartial else DISCRIMINATORY,
-        revenue=pb.V,
-        info_cost=pb.I,
-        profit=pb.profit,
-        utility_m=u_m,
-        utility_w=u_w,
+        revenue=V,
+        info_cost=I,
+        profit=V - params.lam * I,
+        utility_m=du_m * signal.pi_bar - (cost_m if e_m == HI else 0.0),
+        utility_w=du_w * (1.0 - signal.pi_bar) - (cost_w if e_w == HI else 0.0),
     )
+
+
+def agent_utilities(params: GameParams, record: "EquilibriumRecord") -> tuple:
+    """(utility_m, utility_w): promotion probability net of any effort cost."""
+    rec = evaluate(params, record.profile, record.signal)
+    return (rec.utility_m, rec.utility_w)
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -491,7 +505,7 @@ def equilibrium_set(params: GameParams) -> list:
     for profile in PROFILES:
         signal = optimal_signal(params, profile)
         if supports_profile(params, signal, profile):
-            found.append(_record(params, profile, signal))
+            found.append(evaluate(params, profile, signal, optimal=True))
     return found
 
 

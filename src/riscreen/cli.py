@@ -117,8 +117,8 @@ def cmd_signal(args) -> int:
     game = _game(args)
     profile = _parse_profile(args.profile)
     dist = bg.state_distribution(game, profile)
-    signal = bg.optimal_signal(game, profile)
-    pb = bg.profit(game, profile)
+    rec = bg.evaluate(game, profile, bg.optimal_signal(game, profile), optimal=True)
+    signal = rec.signal
     lines = [f"profile ({profile[0]}, {profile[1]})  mu=({game.mu_hi:g}, {game.mu_lo:g})  lambda={game.lam:g}"]
     lines.append("d         1     0    -1")
     lines.append(
@@ -136,7 +136,7 @@ def cmd_signal(args) -> int:
         f"pi_bar={_fmt4(signal.pi_bar)}  X={_fmt4(signal.X)}  Y={_fmt4(signal.Y)}"
     )
     lines.append(
-        f"V={_fmt4(pb.V)}  I={_fmt4(pb.I)}  profit={_fmt4(pb.profit)}"
+        f"V={_fmt4(rec.revenue)}  I={_fmt4(rec.info_cost)}  profit={_fmt4(rec.profit)}"
     )
     if args.oracle:
         residual = bg.signal_oracle_residual(game, profile)

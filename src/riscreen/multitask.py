@@ -60,9 +60,6 @@ class MultitaskRecord:
     payoff: float
     signals: tuple
 
-    def task_profile(self, t: int) -> tuple:
-        return (self.investment_m[t], self.investment_w[t])
-
 
 def _validate(game: GameParams, tasks: tuple) -> tuple:
     if len(tasks) != 2:

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 from . import ri_core
 from .baseline_game import (
-    DISCRIMINATORY,
-    HI,
-    IMPARTIAL,
     PROFILES,
     BracketError,
-    EquilibriumRecord,
     GameParams,
     PromotionSignal,
+    evaluate,
     optimal_signal,
     state_distribution,
     supports_profile,
@@ -103,28 +100,6 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar), True)
 
 
-def _quota_record(params: GameParams, profile: tuple, signal: PromotionSignal) -> EquilibriumRecord:
-    dist = state_distribution(params, profile)
-    V = (
-        sum(p * q * d for p, q, d in zip(dist.as_tuple(), signal.as_tuple(), (-1.0, 0.0, 1.0)))
-        + params.mu(profile[1])
-    )
-    I = ri_core.mutual_information(dist.as_tuple(), signal.as_tuple())
-    e_m, e_w = profile
-    u_m = signal.pi_bar - (params.cost_C if e_m == HI else 0.0)
-    u_w = (1.0 - signal.pi_bar) - (params.cost_C if e_w == HI else 0.0)
-    return EquilibriumRecord(
-        profile=profile,
-        signal=signal,
-        classification=IMPARTIAL if signal.impartial else DISCRIMINATORY,
-        revenue=V,
-        info_cost=I,
-        profit=V - params.lam * I,
-        utility_m=u_m,
-        utility_w=u_w,
-    )
-
-
 def quota_equilibrium_set(params: GameParams) -> list:
     """Equilibria of the game with the quota in force.
 
@@ -132,7 +107,8 @@ def quota_equilibrium_set(params: GameParams) -> list:
     quota-constrained signal for an asymmetric profile has X > Y > 0, and
     with mu_hi + mu_lo > 1 such a signal cannot satisfy the worker's and the
     shirker's incentive constraints at once. The case mu_hi + mu_lo <= 1 is
-    not characterized and is refused.
+    not characterized and is refused. Each record values the quota signal
+    with :func:`evaluate`'s generic sums.
     """
     if not params.mu_hi + params.mu_lo > 1.0:
         raise ValueError(
@@ -143,7 +119,7 @@ def quota_equilibrium_set(params: GameParams) -> list:
     for profile in PROFILES:
         solution = find_multiplier(params, profile)
         if supports_profile(params, solution.signal, profile):
-            found.append(_quota_record(params, profile, solution.signal))
+            found.append(evaluate(params, profile, solution.signal))
     return found
 
 

@@ -17,23 +17,21 @@ from .baseline_game import (
     AGENT_W,
     DISCRIMINATORY,
     HI,
+    IC_TOL,
     IMPARTIAL,
     LO,
-    EquilibriumRecord,
     GameParams,
     PromotionSignal,
+    evaluate,
     f_inverse,
     g_inverse,
     incentive_gain,
     lambda_star,
     optimal_signal,
-    profit,
     signal_from_odds,
     state_distribution,
     supports_profile,
 )
-
-_IC_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +92,6 @@ def _gamma_window(params: GameParams, c_work: float, c_shirk: float) -> tuple:
     return f_inverse(params, x_low), f_inverse(params, x_high)
 
 
-def _het_record(params: GameParams, profile: tuple, het: HeterogeneousParams) -> EquilibriumRecord:
-    signal = optimal_signal(params, profile)
-    pb = profit(params, profile)
-    e_m, e_w = profile
-    u_m = het.du_m * signal.pi_bar - (het.cost_m if e_m == HI else 0.0)
-    u_w = het.du_w * (1.0 - signal.pi_bar) - (het.cost_w if e_w == HI else 0.0)
-    return EquilibriumRecord(
-        profile=profile,
-        signal=signal,
-        classification=IMPARTIAL if signal.impartial else DISCRIMINATORY,
-        revenue=pb.V,
-        info_cost=pb.I,
-        profit=pb.profit,
-        utility_m=u_m,
-        utility_w=u_w,
-    )
-
-
 def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) -> list:
     """Equilibria when the agents differ in effort cost or risk aversion.
 
@@ -133,14 +113,18 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     r = math.exp(-1.0 / game.lam)
     found = []
     if r <= _reach(_gamma_star(c_w)) * (1.0 + 1e-14):
-        found.append(_het_record(game, (HI, HI), het))
+        found.append((HI, HI))
     for profile, costs in (((HI, LO), (c_m, c_w)), ((LO, HI), (c_w, c_m))):
         lo, hi = _gamma_window(game, *costs)
         if (1.0 / hi) * (1.0 - 1e-14) <= r <= _reach(lo) * (1.0 + 1e-14):
-            found.append(_het_record(game, profile, het))
+            found.append(profile)
     if r >= (1.0 / _gamma_star(c_m)) * (1.0 - 1e-14):
-        found.append(_het_record(game, (LO, LO), het))
-    return found
+        found.append((LO, LO))
+    return [
+        evaluate(game, profile, optimal_signal(game, profile), optimal=True,
+                 costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w))
+        for profile in found
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +170,6 @@ def _constrained_high_signal(game: GameParams, nu: float, agent: str) -> Promoti
     return PromotionSignal(q[0], q[1], q[2], rule.unconditional)
 
 
-def _signal_profit(game: GameParams, profile: tuple, signal: PromotionSignal) -> float:
-    """Principal's profit from an arbitrary signal at a fixed effort profile."""
-    dist = state_distribution(game, profile)
-    V = (
-        sum(p * q * d for p, q, d in zip(dist.as_tuple(), signal.as_tuple(), (-1.0, 0.0, 1.0)))
-        + game.mu(profile[1])
-    )
-    return V - game.lam * ri_core.mutual_information(dist.as_tuple(), signal.as_tuple())
-
-
 @dataclass(frozen=True)
 class BindingHighSolution:
     """Root of the priced incentive constraint for inducing (hi, hi).
@@ -239,7 +213,7 @@ def bind_high_effort(game: GameParams, agent: str) -> Optional[BindingHighSoluti
         nu = ri_core.find_root(gap, lo, hi, f_lo, f_hi, xtol=1e-15)
     sig = _constrained_high_signal(game, nu, agent)
     slack = incentive_gain(game, sig, other, HI) >= c - 1e-9
-    return BindingHighSolution(agent, nu, sig, _signal_profit(game, (HI, HI), sig), slack)
+    return BindingHighSolution(agent, nu, sig, evaluate(game, (HI, HI), sig).profit, slack)
 
 
 def commitment_solve(game: GameParams) -> CommitmentSolution:
@@ -254,22 +228,18 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     by symmetry they tie, and m is reported.
     """
     if game.lam <= lambda_star(game) + 1e-15:
-        signal = optimal_signal(game, (HI, HI))
-        value = profit(game, (HI, HI)).profit
-        return CommitmentSolution(
-            0.0, signal, (HI, HI), value, None, {(HI, HI): value}
-        )
-    candidates = {}
-    value = profit(game, (LO, LO)).profit
-    candidates[(LO, LO)] = value
-    best = ((LO, LO), optimal_signal(game, (LO, LO)), value, 0.0, None)
+        rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)), optimal=True)
+        return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
+    rec = evaluate(game, (LO, LO), optimal_signal(game, (LO, LO)), optimal=True)
+    candidates = {(LO, LO): rec.profit}
+    best = ((LO, LO), rec.signal, rec.profit, 0.0, None)
 
     disc_signal = optimal_signal(game, (HI, LO))
     if supports_profile(game, disc_signal, (HI, LO)):
-        value = profit(game, (HI, LO)).profit
-        candidates[(HI, LO)] = value
-        if value > best[2]:
-            best = ((HI, LO), disc_signal, value, 0.0, None)
+        rec = evaluate(game, (HI, LO), disc_signal, optimal=True)
+        candidates[(HI, LO)] = rec.profit
+        if rec.profit > best[2]:
+            best = ((HI, LO), disc_signal, rec.profit, 0.0, None)
 
     bound = None
     for agent in (AGENT_W, AGENT_M):  # m last so it wins the symmetric tie
@@ -499,7 +469,7 @@ def mixed_equilibria(game: GameParams) -> list:
     for sigma in _scan_roots(m_mixing, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
         nu_m = mu_lo + sigma * delta_mu
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
-        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL:
+        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + IC_TOL:
             keep(sigma, 0.0, sig)
 
     def w_mixing(sigma):
@@ -508,7 +478,7 @@ def mixed_equilibria(game: GameParams) -> list:
     for sigma in _scan_roots(w_mixing, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
         nu_w = mu_lo + sigma * delta_mu
         sig = _signal_for_success_probs(game, mu_hi, nu_w)
-        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL:
+        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - IC_TOL:
             keep(1.0, sigma, sig)
 
     return found

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from riscreen import (
     GameParams,
     agent_utilities,
     equilibrium_set,
+    evaluate,
     f_func,
     f_inverse,
     g_func,
@@ -142,6 +144,27 @@ class TestCurves:
     def test_inverse_caps(self):
         assert g_inverse(0.5) == math.inf
         assert f_inverse(GAME, GAME.B / (GAME.A + GAME.B)) == math.inf
+
+    @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.2), (0.55, 0.5), (0.999, 0.001)])
+    def test_inverse_near_cap_is_as_accurate_as_its_conditioning(self, mus):
+        # backward error a few ulps; forward error within eps times the
+        # condition number x / (cap - x), against the quadratic in 60 digits
+        game = GameParams(*mus, 0.01, 1.0)
+        A, B = game.A, game.B
+        cap = B / (A + B)
+        eps = np.finfo(float).eps
+        for e in range(4, 15):
+            x = cap * (1.0 - 10.0**-e)
+            gamma = f_inverse(game, x)
+            assert abs(f_func(game, gamma) - x) <= 4.0 * eps * x
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a, b, xd = Decimal(A), Decimal(B), Decimal(x)
+                k = xd * (a + b) * a
+                disc = (a * a - b * b) ** 2 + 4 * k * k
+                exact = ((a * a + b * b) + disc.sqrt()) / (2 * (a * b - k))
+                rel = float(abs(Decimal(gamma) - exact) / exact)
+            assert rel <= eps * x / (cap - x)
 
     def test_quadratic_inverse_agrees_with_bisection(self):
         # independent bisection on f over an expanding bracket
@@ -366,25 +389,15 @@ class TestProfit:
         assert pb.I == 0.0
 
     def test_profit_agrees_with_signal_recomputation(self):
-        for lam in (0.05, 0.3, 0.7, 1.5, 3.0):
+        # the closed forms against evaluate's generic sums at the same signal
+        for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 3.0, 1e2, 1e4):
             game = replace(GAME, lam=lam)
             for profile in PROFILES:
                 pb = profit(game, profile)
-                sig = optimal_signal(game, profile)
-                dist = state_distribution(game, profile)
-                V = (
-                    sum(
-                        p * q * d
-                        for p, q, d in zip(dist.as_tuple(), sig.as_tuple(), (-1.0, 0.0, 1.0))
-                    )
-                    + game.mu(profile[1])
-                )
-                from riscreen import mutual_information
-
-                I = mutual_information(dist.as_tuple(), sig.as_tuple())
-                assert pb.V == pytest.approx(V, abs=1e-8)
-                assert pb.I == pytest.approx(I, abs=1e-8)
-                assert pb.profit == pytest.approx(V - game.lam * I, abs=1e-8)
+                rec = evaluate(game, profile, optimal_signal(game, profile))
+                assert pb.V == pytest.approx(rec.revenue, abs=1e-8)
+                assert pb.I == pytest.approx(rec.info_cost, abs=1e-8)
+                assert pb.profit == pytest.approx(rec.profit, abs=1e-8)
 
     def test_difference_derivatives_match_finite_differences(self):
         # d/dgamma of the revenue and information gaps across profiles

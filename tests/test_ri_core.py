@@ -1,5 +1,6 @@
 """Tests for the generic binary-action solver."""
 
+import ast
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
@@ -444,3 +445,14 @@ class TestWorkCounts:
                     solves += 1
         assert solves > 0
         assert solves <= len(calls) <= 8 * solves
+
+
+def test_imports_nothing_from_the_closed_forms():
+    # the generic solver is the closed forms' oracle, so it must not reuse them
+    tree = ast.parse(open(ri_core.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
+            assert not (node.module or "").startswith("riscreen")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "riscreen" for a in node.names)

@@ -108,6 +108,24 @@ class TestHeterogeneous:
         lo2, hi2 = _gamma_window(game, 0.1, 0.105)
         assert lo2 > hi2
 
+    def test_records_value_raw_costs_and_weights(self):
+        # raw costs 0.06 > 0.05, but du_m > du_w makes m's effective cost lower
+        het = HeterogeneousParams(0.06, 0.05, du_m=1.5, du_w=0.9)
+        seen = set()
+        for lam in (0.4, 1.2):
+            game = replace(GAME, lam=lam)
+            baseline = {r.profile: r for r in equilibrium_set(game)}
+            for rec in heterogeneous_equilibrium_set(game, het):
+                seen.add(rec.profile)
+                e_m, e_w = rec.profile
+                pi_bar = rec.signal.pi_bar
+                assert rec.signal == optimal_signal(game, rec.profile)
+                assert rec.utility_m == pytest.approx(1.5 * pi_bar - 0.06 * (e_m == HI), abs=1e-15)
+                assert rec.utility_w == pytest.approx(0.9 * (1.0 - pi_bar) - 0.05 * (e_w == HI), abs=1e-15)
+                base = baseline[rec.profile]
+                assert (rec.revenue, rec.info_cost, rec.profit) == (base.revenue, base.info_cost, base.profit)
+        assert seen == {(HI, HI), (HI, LO), (LO, LO)}
+
     @pytest.mark.parametrize("lam", [1.0 / 720.0, 1e-3, 1e-4])
     def test_tiny_lambda_matches_baseline(self, lam, capsys):
         # exp(1/lam) overflows a double here; the regimes are read in exp(-1/lam)
