@@ -256,20 +256,35 @@ def mutual_information(prior: Sequence[float], rule: Union["ChoiceRule", Sequenc
     return value if value > 0.0 else 0.0
 
 
-def degeneracy_check(problem: BinaryRIProblem) -> str:
-    """Classify the optimum as a corner or an interior rule.
+def classify(prior: Sequence[float], z: Sequence[float]) -> str:
+    """Corner or interior optimum for the scaled advantages z = v/lam.
 
-    Action 1 is taken unconditionally when E[exp(-v(s)/lam)] <= 1, action 0
-    when E[exp(v(s)/lam)] <= 1; otherwise the optimum is interior.
+    Action 1 is taken unconditionally when E[exp(-z)] <= 1, action 0 when
+    E[exp(z)] <= 1; otherwise the optimum is interior. A problem in which
+    no state of positive prior has z < 0 (or z > 0) is a corner whatever
+    the moments say, since a prior summing to a hair above 1 can push them
+    past 1; when no state has z of either sign, action 1 is taken.
     """
-    lam = problem.lam
-    down = sum(p * _exp(-v / lam) for p, v in zip(problem.prior, problem.advantage))
-    if down <= 1.0:
+    down = up = 0.0
+    neg = pos = False
+    for p, zs in zip(prior, z):
+        if p > 0.0:
+            down += p * _exp(-zs)
+            up += p * _exp(zs)
+            if zs < 0.0:
+                neg = True
+            elif zs > 0.0:
+                pos = True
+    if not neg or down <= 1.0:
         return ALWAYS_ACT1
-    up = sum(p * _exp(v / lam) for p, v in zip(problem.prior, problem.advantage))
-    if up <= 1.0:
+    if not pos or up <= 1.0:
         return ALWAYS_ACT0
     return INTERIOR
+
+
+def degeneracy_check(problem: BinaryRIProblem) -> str:
+    """Classify the optimum as a corner or an interior rule (see :func:`classify`)."""
+    return classify(problem.prior, [v / problem.lam for v in problem.advantage])
 
 
 def _consistency_residual(pos: tuple, neg: tuple, b: float) -> float:
@@ -316,13 +331,13 @@ def solve_binary_ri(
     residual sum_s p(s) q(s) - q_bar at the root exceeds ``residual_tol``.
     """
     n = len(problem.prior)
-    corner = degeneracy_check(problem)
+    z = [min(max(v / problem.lam, -_Z_MAX), _Z_MAX) for v in problem.advantage]
+    corner = classify(problem.prior, z)
     if corner == ALWAYS_ACT1:
         return ChoiceRule((1.0,) * n, 1.0, True, 0.0)
     if corner == ALWAYS_ACT0:
         return ChoiceRule((0.0,) * n, 0.0, True, 0.0)
 
-    z = [min(max(v / problem.lam, -_Z_MAX), _Z_MAX) for v in problem.advantage]
     terms = [
         (zs, math.log(p) + math.log(-math.expm1(-abs(zs))))
         for p, zs in zip(problem.prior, z)
@@ -330,12 +345,6 @@ def solve_binary_ri(
     ]
     pos = tuple(t for t in terms if t[0] > 0.0)
     neg = tuple(t for t in terms if t[0] < 0.0)
-    # the moment check can call a one-signed problem interior when the prior
-    # sums to a hair above 1; no state then favours the other action
-    if not neg:
-        return ChoiceRule((1.0,) * n, 1.0, True, 0.0)
-    if not pos:
-        return ChoiceRule((0.0,) * n, 0.0, True, 0.0)
 
     def residual(b: float) -> float:
         return _consistency_residual(pos, neg, b)

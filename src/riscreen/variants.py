@@ -28,6 +28,7 @@ from .baseline_game import (
     incentive_gain,
     lambda_star,
     optimal_signal,
+    signal_from_advantage,
     signal_from_odds,
     state_distribution,
     supports_profile,
@@ -153,21 +154,18 @@ def _constrained_high_signal(game: GameParams, nu: float, agent: str) -> Promoti
 
     Folding the constraint into the objective tilts the advantage to
       v(1) = 1 + nu (1-mu)/p(1), v(0) = nu (2mu-1)/p(0), v(-1) = -1 - nu mu/p(-1)
-    with mu = mu_hi for agent m; for agent w the weights mirror.
+    with mu = mu_hi for agent m; for agent w the weights mirror. The tilted
+    3-state problem is solved in closed form by :func:`signal_from_advantage`.
     """
-    dist = state_distribution(game, (HI, HI))
-    p_m, p_0, p_p = dist.as_tuple()
+    prior = state_distribution(game, (HI, HI)).as_tuple()
+    p_m, p_0, p_p = prior
     mu = game.mu_hi
     if agent == AGENT_M:
         adv = (-1.0 - nu * mu / p_m, nu * (2.0 * mu - 1.0) / p_0, 1.0 + nu * (1.0 - mu) / p_p)
     else:
         adv = (-1.0 - nu * (1.0 - mu) / p_m, nu * (1.0 - 2.0 * mu) / p_0, 1.0 + nu * mu / p_p)
-    problem = ri_core.BinaryRIProblem(
-        states=(-1, 0, 1), prior=dist.as_tuple(), advantage=adv, lam=game.lam
-    )
-    rule = ri_core.solve_binary_ri(problem)
-    q = rule.conditional
-    return PromotionSignal(q[0], q[1], q[2], rule.unconditional)
+    q, q_bar = signal_from_advantage(prior, adv, game.lam)
+    return PromotionSignal(q[0], q[1], q[2], q_bar)
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,9 @@ def bind_high_effort(game: GameParams, agent: str) -> Optional[BindingHighSoluti
     """Search nu >= 0 until `agent`'s constraint holds with equality under (hi, hi).
 
     Doubling nu from 1 brackets the root of gain - c, which
-    :func:`ri_core.find_root` then solves. Returns None when the gain still
+    :func:`ri_core.find_root` then solves. Each evaluation of the gain
+    builds the tilted signal of :func:`_constrained_high_signal` in closed
+    form, so this is the only root search. Returns None when the gain still
     falls short of c at nu = 2**50 (committing to high effort through this
     constraint is then infeasible).
     """
@@ -225,7 +225,9 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     (priced at nu, which distorts the rule away from impartiality), the
     discriminatory (hi, lo) rule when it is self-enforcing, and the
     unconstrained (lo, lo) rule. Both choices of the bound agent are tried;
-    by symmetry they tie, and m is reported.
+    by symmetry they tie, and m is reported. The (hi, lo) and (lo, lo) rules
+    are closed forms; the bound (hi, hi) rule costs one root search in nu
+    per agent (:func:`bind_high_effort`).
     """
     if game.lam <= lambda_star(game) + 1e-15:
         rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)), optimal=True)

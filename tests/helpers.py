@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from riscreen import GameParams, g_func, thresholds
 from riscreen.ri_core import BinaryRIProblem
@@ -13,6 +14,22 @@ CANONICAL = dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=0.3)
 
 def canonical(lam: float = 0.3) -> GameParams:
     return GameParams(0.8, 0.6, 0.07, lam)
+
+
+# mu within 1e-3 of either edge, or anywhere between
+EDGE_MU = st.one_of(st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6), st.floats(1e-3, 1.0 - 1e-3))
+
+
+@st.composite
+def domain_games(draw):
+    """Games over the documented domain: lam log-uniform in [1e-4, 1e4], mu
+    near the edges, cost_C log-uniform in [1e-6, 1]."""
+    mu_a, mu_b = draw(EDGE_MU), draw(EDGE_MU)
+    if mu_a == mu_b:
+        mu_b = mu_a / 2.0
+    cost = 10.0 ** draw(st.floats(-6.0, 0.0))
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    return GameParams(max(mu_a, mu_b), min(mu_a, mu_b), cost, lam)
 
 
 def sample_assumption1(rng: np.random.Generator, lam: float = 1.0) -> GameParams:

@@ -31,7 +31,7 @@ from riscreen import (
     thresholds,
     welfare_ordering,
 )
-from riscreen.baseline_game import signal_oracle_residual
+from riscreen.baseline_game import most_profitable_among, signal_oracle_residual
 
 import helpers
 
@@ -469,6 +469,10 @@ class TestWelfareAndSelection:
         # between lambda_low and lambda_star the impartial record still wins
         mid = most_profitable(helpers.canonical(0.3))
         assert [r.profile for r in mid] == [(HI, HI)]
+
+    def test_ranking_no_records_raises(self):
+        with pytest.raises(ValueError, match="no equilibrium records to rank"):
+            most_profitable_among([])
 
     def test_most_profitable_discriminatory_under_condition5(self):
         rng = np.random.default_rng(55)

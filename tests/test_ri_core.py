@@ -2,6 +2,7 @@
 
 import ast
 import math
+from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riscreen import PROFILES, GameParams, commitment_solve, ri_core
-from riscreen.baseline_game import ri_problem
+from riscreen.baseline_game import lambda_star, ri_problem
 from riscreen.ri_core import (
     ALWAYS_ACT0,
     ALWAYS_ACT1,
@@ -333,7 +334,7 @@ class TestCornerDefects:
         weights = (0.5, 0.5, 0.5, 0.08124215965661577, 0.5)
         prior = tuple(w / sum(weights) for w in weights)
         problem = BinaryRIProblem(range(5), prior, (0.0,) * 5, 1.0)
-        assert sum(prior) > 1.0 and degeneracy_check(problem) == INTERIOR
+        assert sum(prior) > 1.0 and degeneracy_check(problem) == ALWAYS_ACT1
         rule = solve_binary_ri(problem)
         assert rule.degenerate and rule.conditional == (1.0,) * 5
 
@@ -431,8 +432,25 @@ class TestWorkCounts:
 
     def test_commitment_solve(self, calls):
         commitment_solve(GameParams(0.8, 0.6, 0.07, 0.8))
-        # a bisection of q_bar nested in a bisection of nu took 3,790
-        assert 0 < len(calls) <= 758
+        # a bisection of q_bar nested in a bisection of nu took 3,790; the
+        # tilted 3-state signal is now a closed form
+        assert len(calls) == 0
+
+    def test_commitment_ladder_never_solves_generically(self, calls, monkeypatch):
+        solves = []
+        solve = ri_core.solve_binary_ri
+
+        def wrapper(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ri_core, "solve_binary_ri", wrapper)
+        game = GameParams(0.8, 0.6, 0.07, 1.0)
+        star = lambda_star(game)
+        for k in range(40):
+            sol = commitment_solve(replace(game, lam=star * 0.5 * 6.0 ** (k / 39)))
+            assert math.isfinite(sol.profit)
+        assert solves == [] and calls == []
 
     def test_interior_solves_on_a_lambda_ladder(self, calls):
         solves = 0

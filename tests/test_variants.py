@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from riscreen import (
     AGENT_M,
@@ -27,6 +28,7 @@ from riscreen import (
     state_distribution,
     thresholds,
 )
+from riscreen.ri_core import BracketError, ConvergenceError
 from riscreen.variants import _gamma_window, _signal_for_success_probs
 
 import helpers
@@ -196,6 +198,23 @@ class TestCommitment:
             sol = commitment_solve(replace(base, lam=float(lam)))
             assert not sol.signal.impartial
             assert sol.induced_profile in ((HI, HI), (HI, LO))
+
+
+@given(game=helpers.domain_games())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_commitment_on_the_whole_domain(game):
+    try:
+        sol = commitment_solve(game)
+    except (ValueError, BracketError, ConvergenceError) as err:
+        assert str(err)
+        return
+    assert math.isfinite(sol.profit)
+    assert sol.profit >= max(r.profit for r in equilibrium_set(game)) - 1e-9
+    m_side, w_side = bind_high_effort(game, AGENT_M), bind_high_effort(game, AGENT_W)
+    assert (m_side is None) == (w_side is None)
+    if m_side is not None:
+        assert m_side.profit == pytest.approx(w_side.profit, abs=1e-9)
+        assert m_side.nu == pytest.approx(w_side.nu, rel=1e-7)
 
 
 class TestPriorInvariant:
