@@ -471,15 +471,20 @@ def supports_profile(
     return ok_m and ok_w
 
 
-def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
+def profit(
+    params: GameParams, profile: tuple, signal: Optional[PromotionSignal] = None
+) -> ProfitBreakdown:
     """Principal's revenue, information bill and profit at the optimal signal.
 
     Closed forms: symmetric profiles have V = mu + mu(1-mu)(gamma-1)/(gamma+1)
     and I = 2 mu(1-mu) [h(gamma/(gamma+1)) - h(1/2)]. Asymmetric profiles have
     V = mu_lo + (gamma A - B)/(gamma + 1) and
-    I = A h(pi(1)) + B h(pi(-1)) - (A + B) h(pi_bar) while interior; in the
-    degenerate region gamma <= A/B the promoted agent is the high-effort one
-    for sure, so V = mu_hi and I = 0.
+    I = A h(pi(1)) + B h(pi(-1)) - (A + B) h(pi_bar) at the (hi, lo) signal
+    while interior; in the degenerate region gamma <= A/B the promoted agent
+    is the high-effort one for sure, so V = mu_hi and I = 0. A caller that
+    holds optimal_signal(params, profile) may pass it as ``signal``; the
+    (hi, lo) profile then uses it instead of solving again. (lo, hi) always
+    solves (hi, lo): un-mirroring its signal moves the last bits of I.
     """
     r = math.exp(-1.0 / params.lam)
     h = ri_core.neg_entropy
@@ -495,8 +500,9 @@ def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
             V, I = params.mu_hi, 0.0
         else:
             V = params.mu_lo + (A - r * B) / (1.0 + r)
-            sig = optimal_signal(params, (HI, LO))
-            I = A * h(sig.pi_plus) + B * h(sig.pi_minus) - (A + B) * h(sig.pi_bar)
+            if signal is None or profile != (HI, LO):
+                signal = optimal_signal(params, (HI, LO))
+            I = A * h(signal.pi_plus) + B * h(signal.pi_minus) - (A + B) * h(signal.pi_bar)
     return ProfitBreakdown(V, I, V - params.lam * I)
 
 
@@ -520,7 +526,7 @@ def evaluate(
     to (cost_C, cost_C) and weights to (1, 1).
     """
     if optimal:
-        pb = profit(params, profile)
+        pb = profit(params, profile, signal)
         V, I = pb.V, pb.I
     else:
         prior, q = state_distribution(params, profile).as_tuple(), signal.as_tuple()

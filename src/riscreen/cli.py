@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -106,7 +107,35 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
             for row in rows
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload)
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, for string-keyed dicts.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder. Here each
+    dict or list whose members are all scalars is one C-encoder call, with
+    the line break and indentation as its item separator, so only the
+    nesting above those runs in Python.
+    """
+    return _indented(obj, 1) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(obj, depth: int) -> str:
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    pad = "\n" + "  " * depth
+    members = obj.values() if isinstance(obj, dict) else obj
+    if not any([isinstance(m, _CONTAINERS) for m in members]):
+        text = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))
+        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_indented(v, depth + 1)}" for k, v in sorted(obj.items())]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    return "[" + pad + ("," + pad).join([_indented(v, depth + 1) for v in obj]) + pad[:-2] + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +276,10 @@ def _regime_svg(rows: list) -> str:
 
 def cmd_regimes(args) -> int:
     base = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, 1.0)
-    cuts = bg.thresholds(base)
     grid = _lam_grid(args)
+    if args.svg is not None and args.analysis not in ("baseline", "quota"):
+        raise ValueError("the regime strip chart is defined for baseline/quota sweeps")
+    cuts = bg.thresholds(base)
     meta = {
         "analysis": args.analysis,
         "mu_hi": f"{args.mu_hi:.12g}",
@@ -292,8 +323,6 @@ def cmd_regimes(args) -> int:
     )
     _emit(text, args.out)
     if args.svg is not None:
-        if args.analysis not in ("baseline", "quota"):
-            raise ValueError("the regime strip chart is defined for baseline/quota sweeps")
         _emit(_regime_svg(rows), args.svg)
     return 0
 
@@ -513,7 +542,7 @@ def cmd_reproduce(args) -> int:
             ],
             "passed": not failed,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         lines = []
         for name, ok, measured, tol in checks:
@@ -561,33 +590,55 @@ def _add_output_args(sub, cfg):
     sub.add_argument("--seed", type=int, default=cfg.get("seed", 0))
 
 
-def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
-    cfg = cfg or {}
-    parser = argparse.ArgumentParser(
-        prog="riscreen",
-        description="Promotion-game analysis under mutual-information attention costs.",
-    )
-    parser.add_argument("--config", default=None, help="JSON file with default option values")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that is built when it first parses.
 
-    p = sub.add_parser("signal", help="optimal signal table for one effort profile")
+    :func:`build_parser` registers all eight subcommands, so the top-level
+    help and the invalid-choice message list every one. Only the chosen
+    subcommand runs ``ArgumentParser.__init__`` (its ``-h`` included) and its
+    argument code: each ``add_argument`` formats through a HelpFormatter,
+    which asks for the terminal size. argparse reaches a subcommand's parser
+    through ``parse_known_args`` only.
+    """
+
+    def __init__(self, *, add_arguments, **kwargs):
+        self._pending = (add_arguments, kwargs)
+
+    def build(self) -> None:
+        """Run the deferred ``ArgumentParser.__init__`` and argument code, once."""
+        if self._pending is None:
+            return
+        add_arguments, kwargs = self._pending
+        self._pending = None
+        super().__init__(**kwargs)
+        add_arguments(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.build()
+        return super().parse_known_args(args, namespace)
+
+
+def _signal_args(p, cfg):
     _add_game_args(p, cfg)
     p.add_argument("--profile", default=cfg.get("profile", "hi,lo"))
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_signal)
 
-    p = sub.add_parser("thresholds", help="regime cutpoints")
+
+def _thresholds_args(p, cfg):
     _add_game_args(p, cfg, lam_default=1.0)
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("equilibria", help="pure equilibria at one parameter point")
+
+def _equilibria_args(p, cfg):
     _add_game_args(p, cfg)
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_equilibria)
 
-    p = sub.add_parser("regimes", help="sweep lambda and write regime rows")
+
+def _regimes_args(p, cfg):
     _add_game_args(p, cfg, lam_default=1.0)
     _add_sweep_args(p, cfg)
     _add_output_args(p, cfg)
@@ -601,19 +652,22 @@ def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--svg", default=cfg.get("svg"), help="also write an SVG regime strip chart")
     p.set_defaults(func=cmd_regimes)
 
-    p = sub.add_parser("quota", help="equal-promotion quota analysis")
+
+def _quota_args(p, cfg):
     _add_game_args(p, cfg)
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_quota)
 
-    p = sub.add_parser("multitask", help="two-task investment equilibria")
+
+def _multitask_args(p, cfg):
     _add_game_args(p, cfg)
     p.add_argument("--task1", help="alpha,beta,cost of task 1", **_req(cfg, "task1"))
     p.add_argument("--task2", help="alpha,beta,cost of task 2", **_req(cfg, "task2"))
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_multitask)
 
-    p = sub.add_parser("variants", help="model variants")
+
+def _variants_args(p, cfg):
     _add_game_args(p, cfg)
     p.add_argument(
         "--which",
@@ -632,11 +686,36 @@ def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_variants)
 
-    p = sub.add_parser("reproduce", help="run the golden checks")
+
+def _reproduce_args(p, cfg):
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=cfg.get("out"))
     p.set_defaults(func=cmd_reproduce)
 
+
+#: (name, help, argument code) of every subcommand, in help order
+_COMMANDS = (
+    ("signal", "optimal signal table for one effort profile", _signal_args),
+    ("thresholds", "regime cutpoints", _thresholds_args),
+    ("equilibria", "pure equilibria at one parameter point", _equilibria_args),
+    ("regimes", "sweep lambda and write regime rows", _regimes_args),
+    ("quota", "equal-promotion quota analysis", _quota_args),
+    ("multitask", "two-task investment equilibria", _multitask_args),
+    ("variants", "model variants", _variants_args),
+    ("reproduce", "run the golden checks", _reproduce_args),
+)
+
+
+def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
+    cfg = cfg or {}
+    parser = argparse.ArgumentParser(
+        prog="riscreen",
+        description="Promotion-game analysis under mutual-information attention costs.",
+    )
+    parser.add_argument("--config", default=None, help="JSON file with default option values")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, help_text, add_arguments in _COMMANDS:
+        sub.add_parser(name, help=help_text, add_arguments=functools.partial(add_arguments, cfg=cfg))
     return parser
 
 

@@ -117,7 +117,8 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
             signal = optimal_signal(task_game, pair)
             per_pair[pair] = (signal, supports_profile(task_game, signal, pair))
         solved.append(per_pair)
-    profits = {pair: profit(game, pair).profit for pair in PROFILES}
+    # a task game differs from game only in cost_C, so its signals are game's
+    profits = {pair: profit(game, pair, solved[0][pair][0]).profit for pair in PROFILES}
     found = []
     for m1 in _EFFORTS:
         for m2 in _EFFORTS:

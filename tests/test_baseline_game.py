@@ -399,6 +399,20 @@ class TestProfit:
                 assert pb.I == pytest.approx(rec.info_cost, abs=1e-8)
                 assert pb.profit == pytest.approx(rec.profit, abs=1e-8)
 
+    def test_held_hi_lo_signal_is_not_solved_again(self, monkeypatch):
+        import riscreen.baseline_game as bg
+
+        games = [replace(GAME, lam=lam) for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4)]
+        held = [optimal_signal(game, (HI, LO)) for game in games]
+        expected = [profit(game, (HI, LO)) for game in games]
+        calls = []
+        real = bg.optimal_signal
+        monkeypatch.setattr(bg, "optimal_signal", lambda *args: calls.append(args) or real(*args))
+        for game, signal, pb in zip(games, held, expected):
+            assert profit(game, (HI, LO), signal) == pb
+            assert evaluate(game, (HI, LO), signal, optimal=True).profit == pb.profit
+        assert calls == []
+
     def test_difference_derivatives_match_finite_differences(self):
         # d/dgamma of the revenue and information gaps across profiles
         for gamma in (4.0, 8.0, 20.0, 60.0):

@@ -163,6 +163,20 @@ class TestRegimesCommand:
         assert text.startswith("<svg") and text.count("<rect") == 12
 
 
+    @pytest.mark.parametrize("analysis", ["variants", "multitask"])
+    def test_svg_rejected_before_any_solve(self, analysis, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(bg, "thresholds", lambda params: solves.append(params))
+        svg = tmp_path / "strip.svg"
+        code, out, err = run(
+            ["regimes", *CANON, "--analysis", analysis, "--lambda-steps", "3", "--svg", str(svg)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the regime strip chart is defined for baseline/quota sweeps\n"
+        assert solves == [] and not svg.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_required_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
