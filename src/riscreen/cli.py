@@ -721,8 +721,10 @@ def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # --config belongs to the top-level parser: look for it before the subcommand only
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
+    probe.add_argument("command", nargs=argparse.REMAINDER)
     known, _ = probe.parse_known_args(argv)
     cfg = None
     if known.config is not None:

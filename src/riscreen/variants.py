@@ -8,6 +8,7 @@ reuses its machinery wherever the logic carries over unchanged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -224,10 +225,11 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     the best of: (hi, hi) held together by one binding incentive constraint
     (priced at nu, which distorts the rule away from impartiality), the
     discriminatory (hi, lo) rule when it is self-enforcing, and the
-    unconstrained (lo, lo) rule. Both choices of the bound agent are tried;
-    by symmetry they tie, and m is reported. The (hi, lo) and (lo, lo) rules
-    are closed forms; the bound (hi, hi) rule costs one root search in nu
-    per agent (:func:`bind_high_effort`).
+    unconstrained (lo, lo) rule. The (hi, hi) prior is symmetric and the
+    w-bound tilt mirrors the m-bound one, so binding w gives the mirrored
+    rule at the same nu and profit; only m is searched and reported. The
+    (hi, lo) and (lo, lo) rules are closed forms; the bound (hi, hi) rule
+    costs one root search in nu (:func:`bind_high_effort`).
     """
     if game.lam <= lambda_star(game) + 1e-15:
         rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)), optimal=True)
@@ -243,13 +245,8 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
         if rec.profit > best[2]:
             best = ((HI, LO), disc_signal, rec.profit, 0.0, None)
 
-    bound = None
-    for agent in (AGENT_W, AGENT_M):  # m last so it wins the symmetric tie
-        result = bind_high_effort(game, agent)
-        if result is not None and result.other_ic_slack:
-            if bound is None or result.profit >= bound.profit - 1e-12:
-                bound = result
-    if bound is not None:
+    bound = bind_high_effort(game, AGENT_M)
+    if bound is not None and bound.other_ic_slack:
         candidates[(HI, HI)] = bound.profit
         if bound.profit > best[2]:
             best = ((HI, HI), bound.signal, bound.profit, bound.nu, bound.agent)
@@ -380,65 +377,63 @@ def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> O
     return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
 
 
-def _success_gap(game: GameParams, nu_m, nu_w, weight_x, weight_y):
-    """weight_x X + weight_y Y - c under the signal of :func:`_signal_for_success_probs`,
-    or -c where it is degenerate. Floats or numpy arrays in, numpy values out.
+def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:
+    """Roots in [lo, hi], increasing, of P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho).
+
+    [lo, hi] is clipped to (r, 1/r), outside which P < 0. The roots of the
+    quadratic P' (the stable pair q/a, c/q) split it into pieces on which P
+    is monotone, and :func:`ri_core.find_root` refines each sign change on
+    P in this factored form.
     """
-    import numpy as np
-    r = math.exp(-1.0 / game.lam)
-    A = nu_m * (1.0 - nu_w)
-    B = nu_w * (1.0 - nu_m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
-        gap = weight_x * (pi_plus - pi_bar) + weight_y * (pi_bar - pi_minus) - game.c
-    return np.where((A <= r * B) | (B <= r * A), -game.c, gap)
+    def P(rho: float) -> float:
+        return (rho - r) * (1.0 - r * rho) * (w_x + w_y * rho) - k * rho * (1.0 + rho)
 
-
-def _scan_roots(gap, lo: float, hi: float, samples: int = 400) -> list:
-    """All roots of a continuous function on [lo, hi] found by a grid scan.
-
-    gap is evaluated once, on a numpy array of `samples` uniform points; a
-    zero sample is a root, and each sign change between neighbours is refined
-    with :func:`ri_core.find_root` to 1e-13 on gap at one point at a time.
-    Roots are floats, in increasing order.
-    """
-    import numpy as np
-    xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
-    vals = gap(xs)
-    hits = np.append(vals[:-1] * vals[1:] < 0.0, False) | (vals == 0.0)
-    xs, vals = xs.tolist(), vals.tolist()
-    roots = []
-    for i in np.flatnonzero(hits):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        else:
-            roots.append(ri_core.find_root(
-                lambda x: float(gap(np.float64(x))), xs[i], xs[i + 1], vals[i], vals[i + 1], xtol=1e-13
-            ))
-    return roots
+    lo, hi = max(lo, r), min(hi, 1.0 / r) if r else hi
+    if not lo < hi:
+        return []
+    # P'(rho) = a rho^2 + b rho + c; with no real roots, any split point is harmless
+    a = -3.0 * r * w_y
+    b = 2.0 * ((1.0 + r * r) * w_y - r * w_x - k)
+    c = (1.0 + r * r) * w_x - r * w_y - k
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    cuts = ([c / q] if q else []) + ([q / a] if a else [])
+    xs = [lo, *sorted(x for x in cuts if lo < x < hi), hi]
+    vals = [P(x) for x in xs]
+    roots = [x for x, v in zip(xs, vals) if v == 0.0]
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+        if v0 * v1 < 0.0:
+            roots.append(ri_core.find_root(P, x0, x1, v0, v1))
+    return sorted(roots)
 
 
 def mixed_equilibria(game: GameParams) -> list:
     """Equilibria in which at least one agent strictly mixes.
 
-    Branches, following the indifference algebra:
+    With A = nu_m (1-nu_w), B = nu_w (1-nu_m), rho = A/B and r = exp(-1/lam),
+    the closed-form signal has X = K/A, Y = K/B, K = (A-rB)(B-rA)/((1-r^2)(A+B)),
+    so each indifference gap w_x X + w_y Y - c depends on sigma through rho only:
 
     * both agents mixing requires X = Y = c, which pins lam = lambda_star;
       the whole symmetric family sigma_m = sigma_w then works, and the
       midpoint sigma = 1/2 is reported as its representative;
-    * both mixing with nu_m + nu_w = 1 (possible only when mu_lo < 1/2):
-      a one-dimensional root of the common indifference condition;
-    * m mixing against a shirking w, the root of m's indifference, kept when
-      w indeed prefers to shirk; and the mirror with w mixing against a
-      working m. The m <-> w relabelings of these are omitted as symmetric
-      duplicates.
+    * both mixing with nu_m + nu_w = 1 (possible only when mu_lo < 1/2): with
+      s = nu_m/nu_w and k = c(1-r^2) the gap's numerator (s^2-r)(1-r s^2) -
+      k s(1+s^2) is a palindromic quartic, so u = s + 1/s solves
+      r u^2 + k u - (1+r)^2 = 0; its positive root (1/k when r underflows to
+      0) gives the roots s and 1/s in closed form when u > 2;
+    * m mixing against a shirking w (w_x = 1-mu_lo, w_y = mu_lo; rho rises
+      with sigma), kept when w indeed prefers to shirk, and the mirror with
+      w mixing against a working m (w_x = mu_hi, w_y = 1-mu_hi; rho falls).
+      The gap has the sign of the cubic P of :func:`_odds_roots`, negative
+      at 0, r and 1/r, so at most two roots lie in (r, 1/r). The m <-> w
+      relabelings are omitted as symmetric duplicates.
 
-    Each one-dimensional condition is a :func:`_success_gap` that
-    :func:`_scan_roots` scans in one 400-point array pass. Away from
-    lam = lambda_star every returned signal is discriminatory.
+    Away from lam = lambda_star every returned signal is discriminatory.
     """
     c = game.c
     mu_lo, mu_hi, delta_mu = game.mu_lo, game.mu_hi, game.delta_mu
+    r = math.exp(-1.0 / game.lam)
+    k = c * (1.0 - r * r)
     found = []
 
     def keep(sigma_m: float, sigma_w: float, sig: PromotionSignal) -> None:
@@ -451,33 +446,33 @@ def mixed_equilibria(game: GameParams) -> list:
     if mu_lo < 0.5:
         lo = max(mu_lo, 1.0 - mu_hi) + 1e-9
         hi = min(mu_hi, 1.0 - mu_lo) - 1e-9
-        if lo < hi:
-
-            def balanced(nu):
-                return _success_gap(game, nu, 1.0 - nu, nu, 1.0 - nu)
-
-            for nu_m in _scan_roots(balanced, lo, hi):
+        u = 2.0 * (1.0 + r) ** 2 / (k + math.sqrt(k * k + 4.0 * r * (1.0 + r) ** 2))
+        # within its few ulps of rounding, u = 2 is the double root s = 1 (at
+        # lam = lambda_star): a tangency, not a pair of sign changes
+        if lo < hi and u > 2.0 * (1.0 + 4.0 * sys.float_info.epsilon):
+            s = 0.5 * (u + math.sqrt((u - 2.0) * (u + 2.0)))
+            for nu_m in (1.0 / (1.0 + s), s / (1.0 + s)):
                 sig = _signal_for_success_probs(game, nu_m, 1.0 - nu_m)
-                if sig is None:
+                if sig is None or not lo <= nu_m <= hi:
                     continue
                 sigma_m = (nu_m - mu_lo) / delta_mu
                 sigma_w = (1.0 - nu_m - mu_lo) / delta_mu
                 if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
                     keep(sigma_m, sigma_w, sig)
 
-    def m_mixing(sigma):
-        return _success_gap(game, mu_lo + sigma * delta_mu, mu_lo, 1.0 - mu_lo, mu_lo)
-
-    for sigma in _scan_roots(m_mixing, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
+    # the sigma range in rho: m's odds rise with sigma, w's fall (roots reversed)
+    nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
+    rho_m = [nu * (1.0 - mu_lo) / (mu_lo * (1.0 - nu)) for nu in nu_edges]
+    for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
+        sigma = (rho * mu_lo / (1.0 - mu_lo + rho * mu_lo) - mu_lo) / delta_mu
         nu_m = mu_lo + sigma * delta_mu
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
         if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + IC_TOL:
             keep(sigma, 0.0, sig)
 
-    def w_mixing(sigma):
-        return _success_gap(game, mu_hi, mu_lo + sigma * delta_mu, mu_hi, 1.0 - mu_hi)
-
-    for sigma in _scan_roots(w_mixing, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
+    rho_w = [mu_hi * (1.0 - nu) / (nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
+    for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
+        sigma = (mu_hi / (mu_hi + rho * (1.0 - mu_hi)) - mu_lo) / delta_mu
         nu_w = mu_lo + sigma * delta_mu
         sig = _signal_for_success_probs(game, mu_hi, nu_w)
         if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - IC_TOL:

@@ -197,6 +197,22 @@ class TestConfigFile:
         assert code == 2
         assert "error" in err
 
+    def test_config_after_the_subcommand_is_not_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["signal", *CANON, "--lambda", ".3", "--config", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"riscreen: error: unrecognized arguments: --config {missing}\n")
+        # a readable config there supplies nothing: the required options stay missing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["signal", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --mu-hi, --mu-lo, --lambda\n")
+
 
 class TestReproduce:
     def test_all_checks_pass(self, capsys):
@@ -278,15 +294,22 @@ class TestOtherCommands:
 def test_cli_loads_numpy_only_for_array_paths():
     src = str(Path(riscreen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    game = "'--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3'"
     script = (
         "import contextlib, io, sys\n"
         "import riscreen.cli as cli\n"
         "assert 'numpy' not in sys.modules, 'import riscreen.cli loaded numpy'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['equilibria', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3'])\n"
+        f"    cli.main(['equilibria', {game}])\n"
         "assert 'numpy' not in sys.modules, 'equilibria loaded numpy'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['variants', '--which', 'mixed', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3'])\n"
+        f"    cli.main(['variants', '--which', 'mixed', {game}])\n"
+        "assert 'numpy' not in sys.modules, 'variants --which mixed loaded numpy'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['regimes', '--analysis', 'variants', '--mu-hi', '.8', '--mu-lo', '.6'])\n"
+        "assert 'numpy' not in sys.modules, 'regimes --analysis variants loaded numpy'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main(['variants', '--which', 'continuous', {game}, '--lambda-steps', '2', '--grid-size', '5'])\n"
         "assert 'numpy' in sys.modules\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

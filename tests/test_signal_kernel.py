@@ -1,16 +1,28 @@
-"""The shared closed-form signal kernel and the array scans of mixed_equilibria.
+"""The shared closed-form signal kernel and the root isolation of mixed_equilibria.
 
-The reference below is the scalar scan that mixed_equilibria ran before its
-grids became array passes: one PromotionSignal per sample, 1,200 samples per
-call, each sign change refined by find_root. The array version must give
-the same equilibria to the last bit, so every check here is an exact
-equality.
+mixed_equilibria finds the roots of each indifference condition without a
+grid: in closed form on the balanced branch (nu_m + nu_w = 1) and between
+the critical points of a cubic in the outcome odds rho = A/B on the two
+branches where one agent mixes. It is held to three oracles written here:
+
+* the 400-point scalar scan it replaced: every root the scan finds must be
+  returned, to 1e-10 in sigma and with the same label (the scan can only
+  miss roots, never invent them, so this is a lower bound on the output);
+* exact arithmetic: at every returned root the indifference gap changes
+  sign between sigma - 1e-9 and sigma + 1e-9, evaluated with
+  fractions.Fraction at the float r = exp(-1/lam);
+* a 20,000-point scan of the same gaps: the counts agree.
+
+A game on which the 400-point scan misses a pair of roots inside one grid
+cell is pinned as a regression; games at lam = lambda_star and where r
+underflows to 0 are explicit examples of the property test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riscreen import (
     DISCRIMINATORY,
@@ -42,16 +54,56 @@ def reference_signal(params, nu_m, nu_w):
     return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
 
 
-def reference_scan(func, lo, hi, samples=400):
+def branch_odds(game, branch, sigma, num=float):
+    """(nu_m, nu_w, w_x, w_y) of a branch's indifference gap w_x X + w_y Y - c at sigma.
+
+    sigma is sigma_m on the "m" and "balanced" branches and sigma_w on "w";
+    num converts the game's floats (Fraction for exact arithmetic). Plain
+    arithmetic, so floats, numpy arrays and Fractions all work.
+    """
+    mu_lo, mu_hi, delta_mu = num(game.mu_lo), num(game.mu_hi), num(game.delta_mu)
+    if branch == "m":
+        return mu_lo + sigma * delta_mu, mu_lo, 1 - mu_lo, mu_lo
+    if branch == "w":
+        return mu_hi, mu_lo + sigma * delta_mu, mu_hi, 1 - mu_hi
+    nu_m = mu_lo + sigma * delta_mu
+    return nu_m, 1 - nu_m, nu_m, 1 - nu_m
+
+
+def reference_gap(game, branch, sigma):
+    """The gap on a numpy array of sigma values, -c where the signal is degenerate."""
+    r = math.exp(-1.0 / game.lam)
+    nu_m, nu_w, w_x, w_y = branch_odds(game, branch, np.asarray(sigma, dtype=float))
+    A = nu_m * (1.0 - nu_w)
+    B = nu_w * (1.0 - nu_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+        gap = w_x * (pi_plus - pi_bar) + w_y * (pi_bar - pi_minus) - game.c
+    return np.where((A <= r * B) | (B <= r * A), -game.c, gap)
+
+
+def exact_gap(game, branch, sigma):
+    """The gap at a Fraction sigma in exact rational arithmetic at the float r."""
+    r, c = Fraction(math.exp(-1.0 / game.lam)), Fraction(game.c)
+    nu_m, nu_w, w_x, w_y = branch_odds(game, branch, sigma, Fraction)
+    A, B = nu_m * (1 - nu_w), nu_w * (1 - nu_m)
+    if A <= r * B or B <= r * A:
+        return -c
+    K = (A - r * B) * (B - r * A) / ((1 - r * r) * (A + B))
+    return w_x * K / A + w_y * K / B - c
+
+
+def reference_scan(gap, lo, hi, samples):
+    """Zero samples and refined sign changes of gap on `samples` uniform points."""
     xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    vals = [func(x) for x in xs]
+    vals = gap(np.array(xs)).tolist()
     roots = []
     for i in range(samples - 1):
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0:
             roots.append(xs[i])
         elif v0 * v1 < 0.0:
-            roots.append(ri_core.find_root(func, xs[i], xs[i + 1], v0, v1, xtol=1e-13))
+            roots.append(ri_core.find_root(lambda x: float(gap(x)), xs[i], xs[i + 1], v0, v1, xtol=1e-13))
     if vals[-1] == 0.0:
         roots.append(xs[-1])
     return roots
@@ -61,65 +113,73 @@ def _label(sig):
     return IMPARTIAL if sig.impartial else DISCRIMINATORY
 
 
-def reference_mixed_equilibria(game):
-    c = game.c
+def reference_mixed_equilibria(game, samples=400):
+    """mixed_equilibria as a grid scan of each branch's gap."""
+    c, mu_lo, delta_mu = game.c, game.mu_lo, game.delta_mu
     found = []
 
     if abs(game.lam - lambda_star(game)) <= 1e-9:
         signal = optimal_signal(game, (HI, HI))
         found.append(MixedEquilibrium(MixedProfile(0.5, 0.5), signal, _label(signal)))
 
-    if game.mu_lo < 0.5:
-        lo = max(game.mu_lo, 1.0 - game.mu_hi) + 1e-9
-        hi = min(game.mu_hi, 1.0 - game.mu_lo) - 1e-9
+    if mu_lo < 0.5:
+        lo = max(mu_lo, 1.0 - game.mu_hi) + 1e-9
+        hi = min(game.mu_hi, 1.0 - mu_lo) - 1e-9
         if lo < hi:
+            def balanced(nu_m):
+                return reference_gap(game, "balanced", (nu_m - mu_lo) / delta_mu)
 
-            def balanced_gap(nu_m):
+            for nu_m in reference_scan(balanced, lo, hi, samples):
                 sig = reference_signal(game, nu_m, 1.0 - nu_m)
-                if sig is None:
-                    return -c
-                return nu_m * sig.X + (1.0 - nu_m) * sig.Y - c
-
-            for nu_m in reference_scan(balanced_gap, lo, hi):
-                sig = reference_signal(game, nu_m, 1.0 - nu_m)
-                if sig is None:
-                    continue
-                sigma_m = (nu_m - game.mu_lo) / game.delta_mu
-                sigma_w = (1.0 - nu_m - game.mu_lo) / game.delta_mu
-                if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
+                sigma_m = (nu_m - mu_lo) / delta_mu
+                sigma_w = (1.0 - nu_m - mu_lo) / delta_mu
+                if sig is not None and all(_SIGMA_EDGE < s < 1.0 - _SIGMA_EDGE for s in (sigma_m, sigma_w)):
                     found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, _label(sig)))
 
-    def m_indifference(sigma):
-        nu_m = game.mu_lo + sigma * game.delta_mu
-        sig = reference_signal(game, nu_m, game.mu_lo)
-        if sig is None:
-            return -c
-        return (1.0 - game.mu_lo) * sig.X + game.mu_lo * sig.Y - c
-
-    for sigma in reference_scan(m_indifference, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
-        nu_m = game.mu_lo + sigma * game.delta_mu
-        sig = reference_signal(game, nu_m, game.mu_lo)
-        if sig is None:
-            continue
-        if nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL:
+    for sigma in reference_scan(lambda s: reference_gap(game, "m", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
+        nu_m = mu_lo + sigma * delta_mu
+        sig = reference_signal(game, nu_m, mu_lo)
+        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL:
             found.append(MixedEquilibrium(MixedProfile(sigma, 0.0), sig, _label(sig)))
 
-    def w_indifference(sigma):
-        nu_w = game.mu_lo + sigma * game.delta_mu
+    for sigma in reference_scan(lambda s: reference_gap(game, "w", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
+        nu_w = mu_lo + sigma * delta_mu
         sig = reference_signal(game, game.mu_hi, nu_w)
-        if sig is None:
-            return -c
-        return game.mu_hi * sig.X + (1.0 - game.mu_hi) * sig.Y - c
-
-    for sigma in reference_scan(w_indifference, _SIGMA_EDGE, 1.0 - _SIGMA_EDGE):
-        nu_w = game.mu_lo + sigma * game.delta_mu
-        sig = reference_signal(game, game.mu_hi, nu_w)
-        if sig is None:
-            continue
-        if (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL:
+        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL:
             found.append(MixedEquilibrium(MixedProfile(1.0, sigma), sig, _label(sig)))
 
     return found
+
+
+def branch_of(eq):
+    p = eq.profile
+    return "m" if p.sigma_w == 0.0 else "w" if p.sigma_m == 1.0 else "balanced"
+
+
+def check_against_oracles(game):
+    """Assert the three oracles of the module docstring; return the equilibria."""
+    got = mixed_equilibria(game)
+    for want in reference_mixed_equilibria(game):
+        assert any(
+            eq.classification == want.classification
+            and abs(eq.profile.sigma_m - want.profile.sigma_m) <= 1e-10
+            and abs(eq.profile.sigma_w - want.profile.sigma_w) <= 1e-10
+            for eq in got
+        ), (game, want, got)
+    step = Fraction(1, 10**9)
+    order = []
+    for eq in got:
+        if eq.profile == MixedProfile(0.5, 0.5) and abs(game.lam - lambda_star(game)) <= 1e-9:
+            continue  # the representative of the symmetric family, not a root
+        branch = branch_of(eq)
+        sigma = eq.profile.sigma_w if branch == "w" else eq.profile.sigma_m
+        below = exact_gap(game, branch, Fraction(sigma) - step)
+        above = exact_gap(game, branch, Fraction(sigma) + step)
+        assert below * above <= 0, (game, eq, float(below), float(above))
+        order.append((("balanced", "m", "w").index(branch), sigma))
+    assert order == sorted(order), (game, got)  # the scan's order: by branch, then sigma
+    assert len(got) == len(reference_mixed_equilibria(game, samples=20_000)), (game, got)
+    return got
 
 
 @st.composite
@@ -141,15 +201,18 @@ def games(draw):
 
 @given(game=games())
 @settings(max_examples=200, deadline=None, derandomize=True)
+# lam = lambda_star: u = 2, the balanced gap only touches 0 at nu = 1/2
+@example(game=GameParams(0.75, 0.25, 0.08275317458487116, 1.453635679629572))
+# exp(-1/lam) underflows to 0 (lam below about 1/745): the quartic's u is 1/k
+@example(game=GameParams(0.889626626266012, 0.08700055843059516, 0.1718723373731984, 0.00015899821749638233))
+# m's indifference has two roots, split at the critical point of the cubic
+@example(game=GameParams(0.9368641636882881, 0.6938578056329902, 0.07941401136421603, 0.6495333980073986))
 def test_mixed_equilibria_match_scalar_scan(game):
-    got = mixed_equilibria(game)
-    want = reference_mixed_equilibria(game)
-    assert got == want
-    assert repr(got) == repr(want)
+    check_against_oracles(game)
 
 
 def test_mixed_equilibria_match_scalar_scan_on_mixing_games():
-    # a fixed set that finds equilibria on all three scanned branches
+    # a fixed set that finds equilibria on all three branches
     rng = np.random.default_rng(5)
     branches = set()
     for _ in range(40):
@@ -157,14 +220,21 @@ def test_mixed_equilibria_match_scalar_scan_on_mixing_games():
         mu_hi = float(rng.uniform(mu_lo + 0.05, 0.99)) if mu_lo < 0.94 else 0.99
         cost = float(rng.uniform(0.2, 0.9)) * 0.5 * (mu_hi - mu_lo)
         lam = lambda_star(GameParams(mu_hi, mu_lo, cost, 1.0)) * float(rng.uniform(0.5, 2.0))
-        game = GameParams(mu_hi, mu_lo, cost, lam)
-        got, want = mixed_equilibria(game), reference_mixed_equilibria(game)
-        assert got == want
-        assert repr(got) == repr(want)
-        for eq in got:
-            p = eq.profile
-            branches.add("m" if p.sigma_w == 0.0 else "w" if p.sigma_m == 1.0 else "balanced")
+        branches |= {branch_of(eq) for eq in check_against_oracles(GameParams(mu_hi, mu_lo, cost, lam))}
     assert branches == {"m", "w", "balanced"}
+
+
+def test_pair_inside_one_scan_cell_is_found():
+    # at lam near 7,600 the balanced roots lie 1e-4 apart in sigma, inside one
+    # cell of the 400-point scan, which therefore reports only the w branch
+    game = GameParams(0.6236792197440802, 0.3199750795940246, 7.382364218763797e-07, 7597.416805125792)
+    got = check_against_oracles(game)
+    assert len(reference_mixed_equilibria(game)) == 1
+    assert [branch_of(eq) for eq in got] == ["balanced", "balanced", "w"]
+    (a, b), (c, d) = [(eq.profile.sigma_m, eq.profile.sigma_w) for eq in got[:2]]
+    assert math.isclose(a, d, rel_tol=1e-12) and math.isclose(b, c, rel_tol=1e-12)
+    assert round(a, 5) == 0.59271 and round(b, 5) == 0.59282
+    assert round(got[2].profile.sigma_w, 5) == 0.9999
 
 
 def test_signal_from_odds_arrays_match_floats_bit_for_bit():
@@ -177,4 +247,3 @@ def test_signal_from_odds_arrays_match_floats_bit_for_bit():
         for k in range(3):
             assert all(isinstance(f[k], float) for f in floats)
             assert arrays[k].tobytes() == np.array([f[k] for f in floats]).tobytes()
-

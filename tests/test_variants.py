@@ -210,11 +210,19 @@ def test_commitment_on_the_whole_domain(game):
         return
     assert math.isfinite(sol.profit)
     assert sol.profit >= max(r.profit for r in equilibrium_set(game)) - 1e-9
+    # commitment_solve searches m's constraint only: the (hi, hi) prior is
+    # symmetric, so binding w must give the mirror image of m's rule
     m_side, w_side = bind_high_effort(game, AGENT_M), bind_high_effort(game, AGENT_W)
     assert (m_side is None) == (w_side is None)
     if m_side is not None:
-        assert m_side.profit == pytest.approx(w_side.profit, abs=1e-9)
-        assert m_side.nu == pytest.approx(w_side.nu, rel=1e-7)
+        assert w_side.nu == pytest.approx(m_side.nu, rel=1e-10, abs=1e-10)
+        assert w_side.profit == pytest.approx(m_side.profit, rel=1e-10, abs=1e-10)
+        assert w_side.other_ic_slack == m_side.other_ic_slack
+        m_sig, w_sig = m_side.signal, w_side.signal
+        mirrored = (1.0 - m_sig.pi_plus, 1.0 - m_sig.pi_zero, 1.0 - m_sig.pi_minus, 1.0 - m_sig.pi_bar)
+        np.testing.assert_allclose(
+            (w_sig.pi_minus, w_sig.pi_zero, w_sig.pi_plus, w_sig.pi_bar), mirrored, rtol=0.0, atol=1e-10
+        )
 
 
 class TestPriorInvariant:
