@@ -358,59 +358,6 @@ def signal_from_odds(A, B, r):
     return pi_minus, pi_bar, pi_plus
 
 
-def signal_from_advantage(prior: tuple, advantage: tuple, lam: float) -> tuple:
-    """(conditionals, q_bar) of the optimal rule of a 3-state binary RI problem.
-
-    The same rule as :func:`ri_core.solve_binary_ri` on (prior, advantage,
-    lam), in closed form. With z = v/lam and t = q_bar/(1 - q_bar), the
-    logit consistency condition sum_s p(s) sigmoid(log t + z_s) = q_bar
-    becomes sum_s p(s) (e^z_s - 1)/(t e^z_s + 1) = 0. A state with z > 0
-    contributes w/(t + e) and one with z < 0 contributes -w/(e t + 1), where
-    e = e^-|z| and w = p (1 - e), so no term overflows. Cleared of
-    denominators this is a quadratic c2 t^2 + c1 t + c0 with c0 > 0 > c2 on
-    the interior, so its roots have opposite signs. The positive one is
-    taken from the pair q/c2, c0/q with
-    q = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0))/2, whichever adds terms of one
-    sign. Then q(s) = sigmoid(log t + z_s). Corners (see
-    :func:`ri_core.classify`) return the constant rule. Raises
-    :class:`ri_core.ConvergenceError` when the q-space residual
-    sum_s p(s) q(s) - q_bar exceeds ``ri_core.RESIDUAL_TOL``.
-    """
-    z = [v / lam for v in advantage]
-    corner = ri_core.classify(prior, z)
-    if corner != ri_core.INTERIOR:
-        q = 1.0 if corner == ri_core.ALWAYS_ACT1 else 0.0
-        return (q, q, q), q
-    # (signed weight, coefficient of t, constant) of each state's denominator
-    terms = []
-    for p, zs in zip(prior, z):
-        e = math.exp(-abs(zs))
-        w = -p * math.expm1(-abs(zs))
-        terms.append((w, 1.0, e) if zs > 0.0 else (-w, e, 1.0))
-    (w0, a0, b0), (w1, a1, b1), (w2, a2, b2) = terms
-    c2 = w0 * a1 * a2 + w1 * a0 * a2 + w2 * a0 * a1
-    c1 = w0 * (a1 * b2 + a2 * b1) + w1 * (a0 * b2 + a2 * b0) + w2 * (a0 * b1 + a1 * b0)
-    c0 = w0 * b1 * b2 + w1 * b0 * b2 + w2 * b0 * b1
-    # where an e underflows, c0 or c2 can round to 0 or past it; t is then 0
-    # or inf (q_bar 0 or 1 to working precision) and no branch divides by 0
-    root = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
-    if c1 >= 0.0:
-        t = -(c1 + root) / (2.0 * c2) if c2 < 0.0 else math.inf
-    else:
-        t = 2.0 * c0 / (root - c1)
-    b = math.log(t) if t > 0.0 else -math.inf
-    sigmoid = ri_core._sigmoid
-    q_bar = sigmoid(b)
-    cond = (sigmoid(b + z[0]), sigmoid(b + z[1]), sigmoid(b + z[2]))
-    gap = abs(prior[0] * cond[0] + prior[1] * cond[1] + prior[2] * cond[2] - q_bar)
-    if not gap <= ri_core.RESIDUAL_TOL:  # NaN fails too
-        raise ri_core.ConvergenceError(
-            f"consistency residual {gap:.3e} above {ri_core.RESIDUAL_TOL:.1e} "
-            f"at the closed-form root (lam={lam!r})"
-        )
-    return cond, q_bar
-
-
 def ri_problem(params: GameParams, profile: tuple) -> ri_core.BinaryRIProblem:
     """The promotion decision recast as a generic binary RI problem."""
     dist = state_distribution(params, profile)

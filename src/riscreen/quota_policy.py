@@ -107,8 +107,9 @@ def quota_equilibrium_set(params: GameParams) -> list:
     quota-constrained signal for an asymmetric profile has X > Y > 0, and
     with mu_hi + mu_lo > 1 such a signal cannot satisfy the worker's and the
     shirker's incentive constraints at once. The case mu_hi + mu_lo <= 1 is
-    not characterized and is refused. Each record values the quota signal
-    with :func:`evaluate`'s generic sums.
+    not characterized and is refused. A symmetric profile's quota signal
+    is its optimal_signal, valued as :func:`baseline_game.equilibrium_set`
+    values it; any other quota signal gets :func:`evaluate`'s generic sums.
     """
     if not params.mu_hi + params.mu_lo > 1.0:
         raise ValueError(
@@ -119,7 +120,7 @@ def quota_equilibrium_set(params: GameParams) -> list:
     for profile in PROFILES:
         solution = find_multiplier(params, profile)
         if supports_profile(params, solution.signal, profile):
-            found.append(evaluate(params, profile, solution.signal))
+            found.append(evaluate(params, profile, solution.signal, optimal=profile[0] == profile[1]))
     return found
 
 

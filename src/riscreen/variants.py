@@ -21,17 +21,13 @@ from .baseline_game import (
     IC_TOL,
     IMPARTIAL,
     LO,
+    PROFILES,
     GameParams,
     PromotionSignal,
     evaluate,
-    f_inverse,
-    g_inverse,
-    incentive_gain,
     lambda_star,
     optimal_signal,
-    signal_from_advantage,
     signal_from_odds,
-    state_distribution,
     supports_profile,
 )
 
@@ -71,62 +67,28 @@ class HeterogeneousParams:
         return c_m, c_w
 
 
-def _gamma_star(c: float) -> float:
-    return g_inverse(min(c, 0.5))
-
-
-def _reach(gamma: float) -> float:
-    """1/gamma for a bound gamma must reach; -1, met by no r, when it is +inf."""
-    return 1.0 / gamma if math.isfinite(gamma) else -1.0
-
-
-def _gamma_window(params: GameParams, c_work: float, c_shirk: float) -> tuple:
-    """gamma range sustaining (worker, shirker) = (hi, lo) at costs (c_work, c_shirk).
-
-    The worker's constraint needs the outperform bonus X = f(gamma) to reach
-    X_low(c_work) = c_work (1-mu_hi)/(1-mu_lo); the shirker's needs it to stay
-    below X_high(c_shirk) = c_shirk mu_lo / mu_hi. Either bound can be
-    unattainable (f is capped at B/(A+B)), in which case the corresponding
-    endpoint is +inf and the window may be empty for every finite gamma.
-    """
-    x_low = c_work * (1.0 - params.mu_hi) / (1.0 - params.mu_lo)
-    x_high = c_shirk * params.mu_lo / params.mu_hi
-    return f_inverse(params, x_low), f_inverse(params, x_high)
-
-
 def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) -> list:
     """Equilibria when the agents differ in effort cost or risk aversion.
 
     Cost asymmetry leaves the principal's screening problem untouched and
-    only shifts the incentive constraints, so the regimes are the baseline
-    ones evaluated at per-agent effective costs:
+    only shifts the incentive constraints, so a profile is an equilibrium
+    when its baseline optimal signal passes :func:`supports_profile` at the
+    per-agent effective costs (c_m, c_w). The impartial regimes then split:
+    (hi, hi) needs g(gamma) >= c_w and (lo, lo) needs g(gamma) <= c_m.
 
-      (hi, hi) iff gamma >= gamma*(c_w); (lo, lo) iff gamma <= gamma*(c_m);
-      (hi, lo) iff gamma lies in the window at (c_m, c_w);
-      (lo, hi) iff gamma lies in the window at (c_w, c_m).
-    All four are compared in r = 1/gamma = exp(-1/lam), finite at every lam.
-
-    Window emptiness encodes the cost-ratio bounds: favoring the low-cost
+    The cost ratio bounds the discriminatory ones: favoring the low-cost
     agent is possible whenever c_w/c_m >= mu_hi(1-mu_hi)/(mu_lo(1-mu_lo))
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
     c_m, c_w = het.effective_costs(game.delta_mu)
-    r = math.exp(-1.0 / game.lam)
     found = []
-    if r <= _reach(_gamma_star(c_w)) * (1.0 + 1e-14):
-        found.append((HI, HI))
-    for profile, costs in (((HI, LO), (c_m, c_w)), ((LO, HI), (c_w, c_m))):
-        lo, hi = _gamma_window(game, *costs)
-        if (1.0 / hi) * (1.0 - 1e-14) <= r <= _reach(lo) * (1.0 + 1e-14):
-            found.append(profile)
-    if r >= (1.0 / _gamma_star(c_m)) * (1.0 - 1e-14):
-        found.append((LO, LO))
-    return [
-        evaluate(game, profile, optimal_signal(game, profile), optimal=True,
-                 costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w))
-        for profile in found
-    ]
+    for profile in PROFILES:
+        signal = optimal_signal(game, profile)
+        if supports_profile(game, signal, profile, c_m, c_w):
+            found.append(evaluate(game, profile, signal, optimal=True,
+                                  costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w)))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +99,10 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
 class CommitmentSolution:
     """Best committed screening rule and the effort profile it induces.
 
-    nu_m is the multiplier on the binding incentive constraint (zero when no
-    constraint binds), binding_agent names whose constraint binds, and
-    candidates maps each feasible induced outcome to its profit.
+    nu_m is the multiplier on the binding incentive constraints (zero when
+    none binds), binding_agent names whose constraints bind ("m,w" for the
+    bound (hi, hi) rule), and candidates maps each feasible induced outcome
+    to its profit.
     """
 
     nu_m: float
@@ -150,71 +113,36 @@ class CommitmentSolution:
     candidates: dict
 
 
-def _constrained_high_signal(game: GameParams, nu: float, agent: str) -> PromotionSignal:
-    """Optimal signal for (hi, hi) when `agent`'s incentive constraint is priced at nu.
-
-    Folding the constraint into the objective tilts the advantage to
-      v(1) = 1 + nu (1-mu)/p(1), v(0) = nu (2mu-1)/p(0), v(-1) = -1 - nu mu/p(-1)
-    with mu = mu_hi for agent m; for agent w the weights mirror. The tilted
-    3-state problem is solved in closed form by :func:`signal_from_advantage`.
-    """
-    prior = state_distribution(game, (HI, HI)).as_tuple()
-    p_m, p_0, p_p = prior
-    mu = game.mu_hi
-    if agent == AGENT_M:
-        adv = (-1.0 - nu * mu / p_m, nu * (2.0 * mu - 1.0) / p_0, 1.0 + nu * (1.0 - mu) / p_p)
-    else:
-        adv = (-1.0 - nu * (1.0 - mu) / p_m, nu * (1.0 - 2.0 * mu) / p_0, 1.0 + nu * mu / p_p)
-    q, q_bar = signal_from_advantage(prior, adv, game.lam)
-    return PromotionSignal(q[0], q[1], q[2], q_bar)
-
-
 @dataclass(frozen=True)
 class BindingHighSolution:
-    """Root of the priced incentive constraint for inducing (hi, hi).
+    """The rule holding (hi, hi) with both incentive constraints binding at multiplier nu."""
 
-    other_ic_slack reports whether the unpriced agent still wants to work at
-    the distorted signal; only then is the high profile actually induced.
-    """
-
-    agent: str
     nu: float
     signal: PromotionSignal
     profit: float
-    other_ic_slack: bool
 
 
-def bind_high_effort(game: GameParams, agent: str) -> Optional[BindingHighSolution]:
-    """Search nu >= 0 until `agent`'s constraint holds with equality under (hi, hi).
+def bind_high_effort(game: GameParams) -> Optional[BindingHighSolution]:
+    """The impartial rule with X = Y = c: both agents' gains equal c under (hi, hi).
 
-    Doubling nu from 1 brackets the root of gain - c, which
-    :func:`ri_core.find_root` then solves. Each evaluation of the gain
-    builds the tilted signal of :func:`_constrained_high_signal` in closed
-    form, so this is the only root search. Returns None when the gain still
-    falls short of c at nu = 2**50 (committing to high effort through this
-    constraint is then infeasible).
+    The (hi, hi) prior is symmetric, p(1) = p(-1) = s = mu_hi (1 - mu_hi).
+    Pricing both incentive constraints at one multiplier nu tilts the
+    advantage to (-(1 + nu/s), 0, 1 + nu/s), whose optimum is the impartial
+    logit rule pi(1) = 1 - pi(-1) = sigmoid((1 + nu/s)/lam) (Matejka &
+    McKay 2015). It meets both constraints with equality at
+    pi = (1/2 - c, 1/2, 1/2 + c), so (1 + nu/s)/lam = ln gamma* with
+    gamma* = (1 + 2c)/(1 - 2c), and nu = s (lam ln gamma* - 1): positive
+    above lambda_star, where the unpriced rule gives X = g(gamma) < c. The
+    rule is valued by :func:`evaluate`'s generic sums. Returns None when
+    c >= 1/2, which no interior rule reaches.
     """
     c = game.c
-    other = AGENT_W if agent == AGENT_M else AGENT_M
-
-    def gap(nu: float) -> float:
-        sig = _constrained_high_signal(game, nu, agent)
-        return incentive_gain(game, sig, agent, HI) - c
-
-    lo, f_lo = 0.0, gap(0.0)
-    nu = 0.0
-    if f_lo < 0.0:
-        hi, f_hi = 1.0, gap(1.0)
-        while f_hi < 0.0:
-            if hi >= 2.0**50:
-                return None
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            f_hi = gap(hi)
-        nu = ri_core.find_root(gap, lo, hi, f_lo, f_hi, xtol=1e-15)
-    sig = _constrained_high_signal(game, nu, agent)
-    slack = incentive_gain(game, sig, other, HI) >= c - 1e-9
-    return BindingHighSolution(agent, nu, sig, evaluate(game, (HI, HI), sig).profit, slack)
+    if not c < 0.5:
+        return None
+    s = game.mu_hi * (1.0 - game.mu_hi)
+    nu = s * (game.lam * (math.log1p(2.0 * c) - math.log1p(-2.0 * c)) - 1.0)
+    signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5)
+    return BindingHighSolution(nu, signal, evaluate(game, (HI, HI), signal).profit)
 
 
 def commitment_solve(game: GameParams) -> CommitmentSolution:
@@ -222,14 +150,10 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
 
     Below lambda_star the unconstrained impartial rule already induces
     (hi, hi) and nothing can beat it. Above, the committed principal picks
-    the best of: (hi, hi) held together by one binding incentive constraint
-    (priced at nu, which distorts the rule away from impartiality), the
-    discriminatory (hi, lo) rule when it is self-enforcing, and the
-    unconstrained (lo, lo) rule. The (hi, hi) prior is symmetric and the
-    w-bound tilt mirrors the m-bound one, so binding w gives the mirrored
-    rule at the same nu and profit; only m is searched and reported. The
-    (hi, lo) and (lo, lo) rules are closed forms; the bound (hi, hi) rule
-    costs one root search in nu (:func:`bind_high_effort`).
+    the best of: (hi, hi) held together by both incentive constraints
+    binding (:func:`bind_high_effort`, the impartial rule with X = Y = c),
+    the discriminatory (hi, lo) rule when it is self-enforcing, and the
+    unconstrained (lo, lo) rule. All three are closed forms.
     """
     if game.lam <= lambda_star(game) + 1e-15:
         rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)), optimal=True)
@@ -245,11 +169,11 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
         if rec.profit > best[2]:
             best = ((HI, LO), disc_signal, rec.profit, 0.0, None)
 
-    bound = bind_high_effort(game, AGENT_M)
-    if bound is not None and bound.other_ic_slack:
+    bound = bind_high_effort(game)
+    if bound is not None:
         candidates[(HI, HI)] = bound.profit
         if bound.profit > best[2]:
-            best = ((HI, HI), bound.signal, bound.profit, bound.nu, bound.agent)
+            best = ((HI, HI), bound.signal, bound.profit, bound.nu, f"{AGENT_M},{AGENT_W}")
 
     profile, signal, value, nu, agent = best
     return CommitmentSolution(nu, signal, profile, value, agent, candidates)
@@ -315,24 +239,33 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
       pi_bar_q = ((alpha-1) beta q(1) - (beta-1) q(-1))
                  / ((alpha-1)(beta-1)(q(1) + q(-1))),
 
-    which must itself be consistent with the reference prior. A pi_bar_q
-    outside (0, 1) (or a vanishing tilt) means the optimum is not interior;
-    that case is flagged rather than guessed.
+    which must itself be consistent with the reference prior. With the
+    log-tilts a = ln alpha and b = ln beta it is up / (up + down), where
+    up = q(1)/(1 - e^-b) - q(-1) e^-a/(1 - e^-a) and down is up with the
+    states mirrored (up + down = q(1) + q(-1)). No term overflows at small
+    lam, and the logit base ln(up/down) keeps its digits near 0 and 1. An
+    up or down <= 0 (or a vanishing tilt) means the optimum is not interior;
+    that case is flagged rather than guessed. Raises
+    :class:`ri_core.ConvergenceError` when the reference-prior consistency
+    residual exceeds 1e-10.
     """
     q_m, q_0, q_p = problem.reference_prior
-    a, b = problem.alpha, problem.beta
-    if abs(a - 1.0) < 1e-14 or abs(b - 1.0) < 1e-14:
+    p_m, _, p_p = problem.true_prior
+    a, b = p_p / q_p / problem.lam, p_m / q_m / problem.lam
+    if a < 1e-14 or b < 1e-14:
         return PriorInvariantResult(math.nan, False, None)
-    pi_bar_q = ((a - 1.0) * b * q_p - (b - 1.0) * q_m) / ((a - 1.0) * (b - 1.0) * (q_p + q_m))
-    if not 0.0 < pi_bar_q < 1.0:
+    up = q_p / -math.expm1(-b) - q_m * math.exp(-a) / -math.expm1(-a)
+    down = q_m / -math.expm1(-a) - q_p * math.exp(-b) / -math.expm1(-b)
+    pi_bar_q = up / (up + down)
+    if not (up > 0.0 and down > 0.0):
         return PriorInvariantResult(pi_bar_q, False, None)
-    base = math.log(pi_bar_q / (1.0 - pi_bar_q))
-    pi_p = ri_core._sigmoid(base + math.log(a))
-    pi_m = ri_core._sigmoid(base - math.log(b))
+    base = math.log(up / down)
+    pi_p = ri_core._sigmoid(base + a)
+    pi_m = ri_core._sigmoid(base - b)
     signal = PromotionSignal(pi_m, pi_bar_q, pi_p, pi_bar_q)
     residual = q_m * pi_m + q_0 * pi_bar_q + q_p * pi_p - pi_bar_q
-    if abs(residual) > 1e-10:
-        raise RuntimeError(f"reference-prior consistency violated: {residual!r}")
+    if not abs(residual) <= 1e-10:
+        raise ri_core.ConvergenceError(f"reference-prior consistency residual {residual!r} above 1e-10")
     return PriorInvariantResult(pi_bar_q, True, signal)
 
 

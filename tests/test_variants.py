@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riscreen import (
     AGENT_M,
@@ -13,23 +14,30 @@ from riscreen import (
     DISCRIMINATORY,
     HI,
     LO,
+    PROFILES,
     GameParams,
     HeterogeneousParams,
+    PromotionSignal,
     ReferencePriorProblem,
     bind_high_effort,
     commitment_solve,
     continuous_effort_equilibria,
     equilibrium_set,
+    evaluate,
+    f_inverse,
     heterogeneous_equilibrium_set,
     incentive_gain,
     mixed_equilibria,
+    most_profitable,
     optimal_signal,
     prior_invariant_signal,
     state_distribution,
     thresholds,
 )
+from riscreen import ri_core
+from riscreen.baseline_game import lambda_star, supports_profile
 from riscreen.ri_core import BracketError, ConvergenceError
-from riscreen.variants import _gamma_window, _signal_for_success_probs
+from riscreen.variants import _signal_for_success_probs
 
 import helpers
 
@@ -99,7 +107,9 @@ class TestHeterogeneous:
         # mu_hi + mu_lo < 1 supports (hi, lo) when w's cost is enough higher
         game = GameParams(0.6, 0.3, 0.1 * 0.3, 1.0)
         het = HeterogeneousParams(0.1 * 0.3, 0.15 * 0.3)
-        lo, hi = _gamma_window(game, 0.1, 0.15)
+        # m works while X reaches c_m (1-mu_hi)/(1-mu_lo); w shirks while X stays below c_w mu_lo/mu_hi
+        lo = f_inverse(game, 0.1 * (1.0 - game.mu_hi) / (1.0 - game.mu_lo))
+        hi = f_inverse(game, 0.15 * game.mu_lo / game.mu_hi)
         assert lo < hi
         lam = 1.0 / math.log(0.5 * (lo + hi))
         profiles = [r.profile for r in heterogeneous_equilibrium_set(replace(game, lam=lam), het)]
@@ -107,8 +117,10 @@ class TestHeterogeneous:
         assert (HI, LO) in het_direct_ic(replace(game, lam=lam), 0.1, 0.15)
         # but not when the cost ratio sits below the bound
         het_close = HeterogeneousParams(0.1 * 0.3, 0.105 * 0.3)
-        lo2, hi2 = _gamma_window(game, 0.1, 0.105)
+        lo2 = f_inverse(game, 0.1 * (1.0 - game.mu_hi) / (1.0 - game.mu_lo))
+        hi2 = f_inverse(game, 0.105 * game.mu_lo / game.mu_hi)
         assert lo2 > hi2
+        assert (HI, LO) not in [r.profile for r in heterogeneous_equilibrium_set(replace(game, lam=lam), het_close)]
 
     def test_records_value_raw_costs_and_weights(self):
         # raw costs 0.06 > 0.05, but du_m > du_w makes m's effective cost lower
@@ -157,27 +169,68 @@ class TestCommitment:
         )
 
     def test_zero_multiplier_reproduces_unconstrained_signal(self):
-        from riscreen.variants import _constrained_high_signal
-
-        base = optimal_signal(GAME, (HI, HI))
+        # at lambda_star the unpriced impartial rule already has X = Y = c
+        game = replace(GAME, lam=lambda_star(GAME))
+        bound = bind_high_effort(game)
+        assert abs(bound.nu) <= 1e-12
         np.testing.assert_allclose(
-            _constrained_high_signal(GAME, 0.0, AGENT_M).as_tuple(), base.as_tuple(), atol=1e-9
+            bound.signal.as_tuple(), optimal_signal(game, (HI, HI)).as_tuple(), rtol=0.0, atol=1e-12
         )
 
-    def test_priced_constraint_distorts_away_from_impartiality(self):
-        cuts = thresholds(GAME)
-        game = replace(GAME, lam=cuts.lambda_star * 1.02)
-        sol = bind_high_effort(game, AGENT_M)
-        assert sol is not None and sol.nu > 0.0
-        assert not sol.signal.impartial
-        assert incentive_gain(game, sol.signal, AGENT_M, HI) == pytest.approx(game.c, abs=1e-9)
+    def test_priced_constraints_keep_impartiality(self):
+        game = replace(GAME, lam=lambda_star(GAME) * 1.02)
+        sol = bind_high_effort(game)
+        assert sol.nu > 0.0
+        assert sol.signal.impartial and sol.signal.pi_bar == 0.5
+        assert sol.signal.X == pytest.approx(game.c, abs=1e-15)
+        # pricing raises the bonus above the unpriced g(gamma) < c
+        assert sol.signal.X > optimal_signal(game, (HI, HI)).X
 
     def test_binding_either_agent_ties_by_symmetry(self):
         game = replace(GAME, lam=0.62)
-        m_side = bind_high_effort(game, AGENT_M)
-        w_side = bind_high_effort(game, AGENT_W)
-        assert m_side.profit == pytest.approx(w_side.profit, abs=1e-9)
-        assert m_side.nu == pytest.approx(w_side.nu, abs=1e-7)
+        sol = commitment_solve(game)
+        assert sol.induced_profile == (HI, HI) and sol.binding_agent == "m,w"
+        for agent in (AGENT_M, AGENT_W):
+            assert abs(incentive_gain(game, sol.signal, agent, HI) - game.c) <= 1e-12
+
+    def test_high_profile_is_a_candidate_above_lambda_star(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            base = helpers.sample_assumption1(rng)
+            for factor in (1.01, 1.5, 4.0):
+                game = replace(base, lam=lambda_star(base) * factor)
+                sol = commitment_solve(game)
+                assert (HI, HI) in sol.candidates
+                assert sol.profit == max(sol.candidates.values())
+
+    def test_rule_is_the_logit_optimum_at_the_reported_tilt(self):
+        # the tilt +-(1 + nu/s) prices both constraints; the generic solver's
+        # optimum there must be the committed rule
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            base = helpers.sample_assumption1(rng)
+            game = replace(base, lam=lambda_star(base) * float(rng.uniform(1.001, 6.0)))
+            bound, sol = bind_high_effort(game), commitment_solve(game)
+            if sol.induced_profile == (HI, HI):
+                assert (sol.nu_m, sol.signal) == (bound.nu, bound.signal)
+            tilt = 1.0 + bound.nu / (game.mu_hi * (1.0 - game.mu_hi))
+            prior = state_distribution(game, (HI, HI)).as_tuple()
+            rule = ri_core.solve_binary_ri(ri_core.BinaryRIProblem((-1, 0, 1), prior, (-tilt, 0.0, tilt), game.lam))
+            got = (*bound.signal.as_tuple(), bound.signal.pi_bar)
+            np.testing.assert_allclose((*rule.conditional, rule.unconditional), got, rtol=0.0, atol=1e-10)
+
+    def test_makes_no_root_search(self, monkeypatch):
+        calls = []
+        find_root = ri_core.find_root
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return find_root(*args, **kwargs)
+
+        monkeypatch.setattr(ri_core, "find_root", counted)
+        for lam in np.linspace(0.1, 3.0, 30):
+            commitment_solve(helpers.canonical(float(lam)))
+        assert calls == []
 
     def test_beats_every_baseline_equilibrium(self):
         rng = np.random.default_rng(29)
@@ -190,14 +243,24 @@ class TestCommitment:
             assert sol.profit >= best - 1e-9
 
     def test_condition5_band_prefers_discrimination(self):
-        rng = np.random.default_rng(31)
-        base = helpers.sample_condition5(rng)
-        cuts = thresholds(base)
-        for frac in (0.25, 0.75):
-            lam = cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)
-            sol = commitment_solve(replace(base, lam=float(lam)))
-            assert not sol.signal.impartial
-            assert sol.induced_profile in ((HI, HI), (HI, LO))
+        # between lambda_star and lambda_high the best equilibrium discriminates,
+        # but a committed principal does better with the impartial X = c rule,
+        # and no feasible rule near it earns more
+        for seed in range(31, 36):
+            rng = np.random.default_rng(seed)
+            base = helpers.sample_condition5(rng)
+            cuts = thresholds(base)
+            for frac in (0.25, 0.75):
+                game = replace(base, lam=float(cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)))
+                assert most_profitable(game)[0].classification == DISCRIMINATORY
+                sol = commitment_solve(game)
+                assert sol.induced_profile == (HI, HI) and sol.signal.impartial
+                assert sol.profit > sol.candidates[(HI, LO)]
+                for _ in range(200):
+                    pi = np.clip(np.array(sol.signal.as_tuple()) + rng.normal(0.0, 0.02, 3), 0.0, 1.0)
+                    trial = PromotionSignal(*pi, float(np.dot(state_distribution(game, (HI, HI)).as_tuple(), pi)))
+                    if supports_profile(game, trial, (HI, HI)):
+                        assert evaluate(game, (HI, HI), trial).profit <= sol.profit + 1e-12
 
 
 @given(game=helpers.domain_games())
@@ -210,19 +273,14 @@ def test_commitment_on_the_whole_domain(game):
         return
     assert math.isfinite(sol.profit)
     assert sol.profit >= max(r.profit for r in equilibrium_set(game)) - 1e-9
-    # commitment_solve searches m's constraint only: the (hi, hi) prior is
-    # symmetric, so binding w must give the mirror image of m's rule
-    m_side, w_side = bind_high_effort(game, AGENT_M), bind_high_effort(game, AGENT_W)
-    assert (m_side is None) == (w_side is None)
-    if m_side is not None:
-        assert w_side.nu == pytest.approx(m_side.nu, rel=1e-10, abs=1e-10)
-        assert w_side.profit == pytest.approx(m_side.profit, rel=1e-10, abs=1e-10)
-        assert w_side.other_ic_slack == m_side.other_ic_slack
-        m_sig, w_sig = m_side.signal, w_side.signal
-        mirrored = (1.0 - m_sig.pi_plus, 1.0 - m_sig.pi_zero, 1.0 - m_sig.pi_minus, 1.0 - m_sig.pi_bar)
-        np.testing.assert_allclose(
-            (w_sig.pi_minus, w_sig.pi_zero, w_sig.pi_plus, w_sig.pi_bar), mirrored, rtol=0.0, atol=1e-10
-        )
+    # above lambda_star with c < 1/2, (hi, hi) is held by both constraints binding
+    bound = bind_high_effort(game)
+    assert (bound is None) == (game.c >= 0.5)
+    if bound is not None and game.lam > lambda_star(game) + 1e-15:
+        assert sol.candidates[(HI, HI)] == bound.profit and bound.nu > 0.0
+        assert bound.signal.impartial
+        for agent in (AGENT_M, AGENT_W):
+            assert abs(incentive_gain(game, bound.signal, agent, HI) - game.c) <= 1e-12
 
 
 class TestPriorInvariant:
@@ -270,6 +328,46 @@ class TestPriorInvariant:
     def test_full_support_required(self):
         with pytest.raises(ValueError):
             ReferencePriorProblem((0.2, 0.5, 0.3), (0.0, 0.5, 0.5), 0.3)
+
+    def test_tiny_lambda_does_not_overflow(self, capsys):
+        # exp(p(1)/(lam q(1))) = exp(1066.7) overflows a double; the log-tilts do not
+        from riscreen import cli
+
+        code = cli.main(["variants", "--which", "prior-invariant", "--mu-hi", ".8", "--mu-lo", ".6",
+                         "--lambda", "0.001", "--ref-prior", ".3,.4,.3"])
+        assert code == 0
+        assert capsys.readouterr().out == "pi=(0.0000, 0.5000, 1.0000) pi_bar_q=0.5000 impartial=True\n"
+
+
+@given(
+    game=helpers.domain_games(),
+    profile=st.sampled_from(PROFILES),
+    log_weights=st.tuples(st.floats(-12.0, 0.0), st.floats(-12.0, 0.0), st.floats(-12.0, 0.0)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(game=GameParams(0.8, 0.6, 0.07, 1e-3), profile=(HI, LO), log_weights=(0.0, math.log10(4.0 / 3.0), 0.0))
+def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
+    weights = [10.0 ** w for w in log_weights]
+    ref = tuple(w / sum(weights) for w in weights)
+    dist = state_distribution(game, profile).as_tuple()
+    try:
+        result = prior_invariant_signal(ReferencePriorProblem(dist, ref, game.lam))
+        mirror = prior_invariant_signal(ReferencePriorProblem(dist[::-1], ref[::-1], game.lam))
+    except ConvergenceError as err:
+        assert str(err)
+        return
+    assert result.interior == mirror.interior
+    if not result.interior:
+        assert result.signal is None
+        return
+    sig = result.signal
+    values = (*sig.as_tuple(), sig.pi_bar)
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert sig.pi_minus <= sig.pi_zero <= sig.pi_plus
+    residual = sum(q * pi for q, pi in zip(ref, sig.as_tuple())) - sig.pi_bar
+    assert abs(residual) <= 1e-10
+    flipped = mirror.signal.mirrored()
+    np.testing.assert_allclose((*flipped.as_tuple(), flipped.pi_bar), values, rtol=0.0, atol=1e-12)
 
 
 class TestMixed:
