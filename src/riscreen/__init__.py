@@ -34,7 +34,6 @@ from .baseline_game import (
     PromotionSignal,
     StateDistribution,
     ThresholdSet,
-    agent_utilities,
     equilibrium_set,
     evaluate,
     f_func,

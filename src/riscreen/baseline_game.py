@@ -418,20 +418,16 @@ def supports_profile(
     return ok_m and ok_w
 
 
-def profit(
-    params: GameParams, profile: tuple, signal: Optional[PromotionSignal] = None
-) -> ProfitBreakdown:
+def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
     """Principal's revenue, information bill and profit at the optimal signal.
 
     Closed forms: symmetric profiles have V = mu + mu(1-mu)(gamma-1)/(gamma+1)
     and I = 2 mu(1-mu) [h(gamma/(gamma+1)) - h(1/2)]. Asymmetric profiles have
     V = mu_lo + (gamma A - B)/(gamma + 1) and
-    I = A h(pi(1)) + B h(pi(-1)) - (A + B) h(pi_bar) at the (hi, lo) signal
-    while interior; in the degenerate region gamma <= A/B the promoted agent
-    is the high-effort one for sure, so V = mu_hi and I = 0. A caller that
-    holds optimal_signal(params, profile) may pass it as ``signal``; the
-    (hi, lo) profile then uses it instead of solving again. (lo, hi) always
-    solves (hi, lo): un-mirroring its signal moves the last bits of I.
+    I = A h(pi(1)) + B h(pi(-1)) - (A + B) h(pi_bar) at the (hi, lo)
+    conditionals of :func:`signal_from_odds` while interior; in the
+    degenerate region gamma <= A/B the promoted agent is the high-effort one
+    for sure, so V = mu_hi and I = 0.
     """
     r = math.exp(-1.0 / params.lam)
     h = ri_core.neg_entropy
@@ -447,9 +443,8 @@ def profit(
             V, I = params.mu_hi, 0.0
         else:
             V = params.mu_lo + (A - r * B) / (1.0 + r)
-            if signal is None or profile != (HI, LO):
-                signal = optimal_signal(params, (HI, LO))
-            I = A * h(signal.pi_plus) + B * h(signal.pi_minus) - (A + B) * h(signal.pi_bar)
+            pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+            I = A * h(pi_plus) + B * h(pi_minus) - (A + B) * h(pi_bar)
     return ProfitBreakdown(V, I, V - params.lam * I)
 
 
@@ -473,7 +468,7 @@ def evaluate(
     to (cost_C, cost_C) and weights to (1, 1).
     """
     if optimal:
-        pb = profit(params, profile, signal)
+        pb = profit(params, profile)
         V, I = pb.V, pb.I
     else:
         prior, q = state_distribution(params, profile).as_tuple(), signal.as_tuple()
@@ -492,12 +487,6 @@ def evaluate(
         utility_m=du_m * signal.pi_bar - (cost_m if e_m == HI else 0.0),
         utility_w=du_w * (1.0 - signal.pi_bar) - (cost_w if e_w == HI else 0.0),
     )
-
-
-def agent_utilities(params: GameParams, record: "EquilibriumRecord") -> tuple:
-    """(utility_m, utility_w): promotion probability net of any effort cost."""
-    rec = evaluate(params, record.profile, record.signal)
-    return (rec.utility_m, rec.utility_w)
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -545,24 +534,20 @@ def welfare_ordering(records: list) -> list:
 # thresholds
 # ---------------------------------------------------------------------------
 
-def _psi(params: GameParams, gamma: float) -> float:
-    """Rescaled f, f(gamma) A / (mu_hi (1 - mu_hi)); it meets g at gamma_hat."""
-    return f_func(params, gamma) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
-
-
 def _gamma_hat(params: GameParams) -> float:
-    """Unique root of g(gamma) = psi(gamma) above A/B; exists when mu_lo > 1/2.
+    """Root above A/B of g(gamma) = f(gamma) A / s, s = mu_hi (1 - mu_hi).
 
-    Solved in r = 1/gamma on [0, B/A]: g - psi is g(A/B) > 0 at r = B/A,
-    where psi vanishes, and changes sign below exactly when the crossing
-    exists (otherwise BracketError).
+    In r = 1/gamma the crossing is the palindromic quadratic
+    (1 - r)^2 (A + B) s = 2 (A - rB)(B - rA). With A - B = delta_mu,
+    2AB - s(A + B) = s delta_mu (2 mu_lo - 1) and
+    A + B - 2s = delta_mu (2 mu_hi - 1) its root is
+    gamma_hat = 1 + (delta_mu + sqrt(delta_mu (A + B)(2 mu_hi - 1)))
+    / (s (2 mu_lo - 1)), a sum of positive terms; it exists exactly when
+    mu_lo > 1/2, the sign of the denominator.
     """
-    scale = params.A / (params.mu_hi * (1.0 - params.mu_hi))
-
-    def crossing(r: float) -> float:
-        return (1.0 - r) / (2.0 * (1.0 + r)) - scale * _f_of_r(params, r)
-
-    return 1.0 / ri_core.find_root(crossing, 0.0, params.B / params.A)
+    dmu, s = params.delta_mu, params.mu_hi * (1.0 - params.mu_hi)
+    root = math.sqrt(dmu * (params.A + params.B) * (2.0 * params.mu_hi - 1.0))
+    return 1.0 + (dmu + root) / (s * (2.0 * params.mu_lo - 1.0))
 
 
 def _lam_of_gamma(gamma: float) -> float:

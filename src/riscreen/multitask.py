@@ -102,23 +102,20 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
 
     One-step deviations are all that need deterring (task payoffs are
     additively separable), so the check is per task: the task-t effort pair
-    must survive both incentive constraints of the task-t game. Each of the
-    2 x 4 (task, effort pair) games is solved once and the 16 joint profiles
-    are combined from those results. The principal's payoff adds the
-    per-task profits weighted by arrivals, sum_t alpha^t (V_t - lam I_t);
-    profits do not depend on the task's cost, so each pair's is computed
-    once.
+    must survive both incentive constraints of the task-t game. A task game
+    differs from game only in cost_C, and signals and profits do not depend
+    on the cost, so each effort pair's signal and profit are computed once
+    and checked against both task games; the 16 joint profiles are combined
+    from those results. The principal's payoff adds the per-task profits
+    weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
     """
     games = task_games(game, tasks)
-    solved = []
-    for task_game in games:
-        per_pair = {}
-        for pair in PROFILES:
-            signal = optimal_signal(task_game, pair)
-            per_pair[pair] = (signal, supports_profile(task_game, signal, pair))
-        solved.append(per_pair)
-    # a task game differs from game only in cost_C, so its signals are game's
-    profits = {pair: profit(game, pair, solved[0][pair][0]).profit for pair in PROFILES}
+    signals = {pair: optimal_signal(game, pair) for pair in PROFILES}
+    supported = [
+        {pair: supports_profile(task_game, signals[pair], pair) for pair in PROFILES}
+        for task_game in games
+    ]
+    profits = {pair: profit(game, pair).profit for pair in PROFILES}
     found = []
     for m1 in _EFFORTS:
         for m2 in _EFFORTS:
@@ -126,7 +123,7 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
                 for w2 in _EFFORTS:
                     inv_m, inv_w = (m1, m2), (w1, w2)
                     profiles = ((m1, w1), (m2, w2))
-                    if not all(solved[t][profiles[t]][1] for t in range(2)):
+                    if not all(supported[t][profiles[t]] for t in range(2)):
                         continue
                     payoff = sum(
                         tasks[t].alpha * profits[profiles[t]] for t in range(2)
@@ -137,7 +134,7 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
                             investment_w=inv_w,
                             classification=_classify(inv_m, inv_w),
                             payoff=payoff,
-                            signals=tuple(solved[t][profiles[t]][0] for t in range(2)),
+                            signals=tuple(signals[p] for p in profiles),
                         )
                     )
     return found

@@ -12,7 +12,6 @@ impartial ones alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import ri_core
@@ -64,23 +63,14 @@ def _binding_rule(prior: tuple, lam: float, nu: float) -> tuple:
     return q, sum(p * qd for p, qd in zip(prior, q))
 
 
-def _quota_residual(params: GameParams, profile: tuple, nu: float) -> float:
-    """Average promotion probability at the binding quota, minus 1/2.
-
-    When the quota binds, the interior rule has unconditional probability
-    exactly 1/2 and conditionals sigmoid((d - nu)/lam), so nu solves the
-    single consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2.
-    Strictly decreasing in nu.
-    """
-    prior = state_distribution(params, profile).as_tuple()
-    return _binding_rule(prior, params.lam, nu)[1] - 0.5
-
-
 def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     """Multiplier nu making the average promotion probability exactly 1/2.
 
     Symmetric profiles need no subsidy (complementary slackness: nu = 0).
-    Otherwise nu solves the consistency equation above, found with
+    Otherwise the binding rule has unconditional probability exactly 1/2
+    and conditionals sigmoid((d - nu)/lam), so nu solves the single
+    consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2, whose left
+    side is strictly decreasing in nu. It is found with
     :func:`ri_core.find_root` on [-1, 1]: every d - nu is >= 0 at nu = -1
     and <= 0 at nu = 1, so the residual changes sign on that bracket. The
     returned signal is the closed-form logit rule at nu,
@@ -90,10 +80,10 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     e_m, e_w = profile
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile), True)
-    nu = ri_core.find_root(
-        lambda nu: _quota_residual(params, profile, nu), -1.0, 1.0, xtol=1e-15
-    )
     prior = state_distribution(params, profile).as_tuple()
+    nu = ri_core.find_root(
+        lambda nu: _binding_rule(prior, params.lam, nu)[1] - 0.5, -1.0, 1.0, xtol=1e-15
+    )
     q, pi_bar = _binding_rule(prior, params.lam, nu)
     if abs(pi_bar - 0.5) > QUOTA_TOL:
         raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
@@ -123,13 +113,3 @@ def quota_equilibrium_set(params: GameParams) -> list:
             found.append(evaluate(params, profile, solution.signal, optimal=profile[0] == profile[1]))
     return found
 
-
-def shape_ratio(params: GameParams, nu: float) -> float:
-    """Closed-form X/Y of a binding quota signal at multiplier nu.
-
-    Equals (exp((nu+1)/lam) + 1) / (exp(1/lam) + exp(nu/lam)), which exceeds
-    one whenever nu > 0: the quota-constrained screen favors w unless m is
-    strictly more productive.
-    """
-    lam = params.lam
-    return (math.exp((nu + 1.0) / lam) + 1.0) / (math.exp(1.0 / lam) + math.exp(nu / lam))

@@ -37,7 +37,7 @@ INTERIOR = "interior"
 
 #: |sum(prior) - 1| must stay below this.
 PRIOR_TOL = 1e-12
-#: default residual tolerance for the q_bar fixed point
+#: tolerance on the q-space residual of the q_bar fixed point
 RESIDUAL_TOL = 1e-10
 #: default budget of residual evaluations for a root search
 MAX_STEPS = 200
@@ -310,11 +310,7 @@ def _consistency_residual(pos: tuple, neg: tuple, b: float) -> float:
     return up - down - b
 
 
-def solve_binary_ri(
-    problem: BinaryRIProblem,
-    residual_tol: float = RESIDUAL_TOL,
-    max_steps: int = MAX_STEPS,
-) -> ChoiceRule:
+def solve_binary_ri(problem: BinaryRIProblem, max_steps: int = MAX_STEPS) -> ChoiceRule:
     """Solve the problem and return the optimal :class:`ChoiceRule`.
 
     Degenerate problems return the corresponding constant rule at zero
@@ -328,7 +324,7 @@ def solve_binary_ri(
     true rule to within exp(-40). max_steps is the budget of residual
     evaluations, the two or three that build the bracket included. Raises
     :class:`ConvergenceError` when the budget runs out, or when the q-space
-    residual sum_s p(s) q(s) - q_bar at the root exceeds ``residual_tol``.
+    residual sum_s p(s) q(s) - q_bar at the root exceeds RESIDUAL_TOL.
     """
     n = len(problem.prior)
     z = [min(max(v / problem.lam, -_Z_MAX), _Z_MAX) for v in problem.advantage]
@@ -364,9 +360,9 @@ def solve_binary_ri(
     q_bar = _sigmoid(b)
     cond = tuple(_sigmoid(b + zs) for zs in z)
     gap = abs(sum(p * q for p, q in zip(problem.prior, cond)) - q_bar)
-    if gap > residual_tol:
+    if gap > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"consistency residual {gap:.3e} above {residual_tol:.1e} "
+            f"consistency residual {gap:.3e} above {RESIDUAL_TOL:.1e} "
             f"at the log-odds root (lam={problem.lam!r})"
         )
     return ChoiceRule(cond, q_bar, False, mutual_information(problem.prior, cond))

@@ -210,16 +210,6 @@ class ReferencePriorProblem:
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
 
-    @property
-    def alpha(self) -> float:
-        """exp(p(1) / (lam q(1))), the tilted odds factor of the good state."""
-        return math.exp(self.true_prior[2] / (self.lam * self.reference_prior[2]))
-
-    @property
-    def beta(self) -> float:
-        """exp(p(-1) / (lam q(-1))), the tilted odds factor of the bad state."""
-        return math.exp(self.true_prior[0] / (self.lam * self.reference_prior[0]))
-
 
 @dataclass(frozen=True)
 class PriorInvariantResult:

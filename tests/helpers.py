@@ -89,10 +89,9 @@ def random_interior_problem(rng: np.random.Generator) -> BinaryRIProblem:
 
 
 def _h(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = (x > 0.0) & (x < 1.0)
-    out[m] = x[m] * np.log(x[m]) + (1.0 - x[m]) * np.log1p(-x[m])
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(x) + (1.0 - x) * np.log1p(-x)
+    return np.where((x > 0.0) & (x < 1.0), out, 0.0)
 
 
 def grid_search_value(problem: BinaryRIProblem, step: float = 1e-4) -> tuple:

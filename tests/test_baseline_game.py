@@ -1,11 +1,12 @@
 """Tests for the closed-form promotion game analysis."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from riscreen import (
     AGENT_M,
@@ -16,7 +17,6 @@ from riscreen import (
     LO,
     PROFILES,
     GameParams,
-    agent_utilities,
     equilibrium_set,
     evaluate,
     f_func,
@@ -320,9 +320,56 @@ class TestThresholds:
             params = helpers.sample_condition5(rng)
             cuts = thresholds(params)
             assert cuts.gamma_hat is not None
-            from riscreen.baseline_game import _psi
+            psi = f_func(params, cuts.gamma_hat) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
+            assert g_func(cuts.gamma_hat) == pytest.approx(psi, abs=1e-9)
 
-            assert g_func(cuts.gamma_hat) == pytest.approx(_psi(params, cuts.gamma_hat), abs=1e-9)
+    def test_no_root_search(self, monkeypatch):
+        # every cutpoint of these games is a closed form, gamma_hat included
+        from riscreen import ri_core
+
+        games = (GAME, helpers.sample_condition5(np.random.default_rng(3)))
+        calls = []
+        real = ri_core.find_root
+        monkeypatch.setattr(ri_core, "find_root", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for params in games:
+            assert thresholds(params).gamma_hat is not None
+        assert calls == []
+
+
+def gamma_hat_reference(params, digits=50):
+    """Root above A/B of (gamma - 1)^2 (A + B) s = 2 (gamma A - B)(gamma B - A) in `digits` digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        hi, lo = Decimal(params.mu_hi), Decimal(params.mu_lo)
+        A, B, s = hi * (1 - lo), lo * (1 - hi), hi * (1 - hi)
+        c0 = (A + B) * s - 2 * A * B  # coefficient of gamma^2 and of gamma^0
+        c1 = 2 * (A * A + B * B) - 2 * (A + B) * s
+        return (c1 + (c1 * c1 - 4 * c0 * c0).sqrt()) / (-2 * c0)
+
+
+@st.composite
+def near_half_games(draw):
+    """Games with mu_lo within 1e-6 of 1/2, where gamma_hat is huge or absent."""
+    mu_lo = 0.5 + draw(st.floats(-1e-6, 1e-6))
+    mu_hi = draw(st.one_of(st.floats(0.5 + 2e-6, 1.0 - 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6)))
+    cost = 10.0 ** draw(st.floats(-6.0, 0.0))
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    return GameParams(mu_hi, mu_lo, cost, lam)
+
+
+@given(params=st.one_of(helpers.domain_games(), near_half_games()))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(params=GameParams(0.8, 0.5, 0.07, 0.3))
+@example(params=GameParams(1.0 - 1e-6, 0.5 + 2.0**-53, 1e-6, 1e4))
+def test_thresholds_on_the_whole_domain(params):
+    cuts = thresholds(params)
+    values = [getattr(cuts, f.name) for f in fields(cuts) if f.name != "gamma_hat"]
+    assert all(math.isfinite(v) for v in values), cuts
+    assert (cuts.gamma_hat is None) == (params.mu_lo <= 0.5)
+    if cuts.gamma_hat is not None:
+        exact = gamma_hat_reference(params)
+        assert math.isfinite(cuts.gamma_hat) and cuts.gamma_hat > params.A / params.B
+        assert float(abs(Decimal(cuts.gamma_hat) - exact) / exact) <= 1e-14, (params, cuts.gamma_hat)
 
 
 class TestEquilibria:
@@ -399,18 +446,20 @@ class TestProfit:
                 assert pb.I == pytest.approx(rec.info_cost, abs=1e-8)
                 assert pb.profit == pytest.approx(rec.profit, abs=1e-8)
 
-    def test_held_hi_lo_signal_is_not_solved_again(self, monkeypatch):
+    def test_profit_solves_no_signal(self, monkeypatch):
+        # the (hi, lo) and (lo, hi) bills read signal_from_odds, never optimal_signal
         import riscreen.baseline_game as bg
 
         games = [replace(GAME, lam=lam) for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4)]
-        held = [optimal_signal(game, (HI, LO)) for game in games]
-        expected = [profit(game, (HI, LO)) for game in games]
+        held = {(game, p): optimal_signal(game, p) for game in games for p in PROFILES}
         calls = []
         real = bg.optimal_signal
         monkeypatch.setattr(bg, "optimal_signal", lambda *args: calls.append(args) or real(*args))
-        for game, signal, pb in zip(games, held, expected):
-            assert profit(game, (HI, LO), signal) == pb
-            assert evaluate(game, (HI, LO), signal, optimal=True).profit == pb.profit
+        for (game, profile), signal in held.items():
+            pb = profit(game, profile)
+            assert evaluate(game, profile, signal, optimal=True).profit == pb.profit
+            if profile == (LO, HI):
+                assert pb == profit(game, (HI, LO))
         assert calls == []
 
     def test_difference_derivatives_match_finite_differences(self):
@@ -452,7 +501,6 @@ class TestWelfareAndSelection:
         assert hi.utility_m == pytest.approx(0.5 - GAME.cost_C, abs=1e-12)
         assert hi.utility_w == pytest.approx(0.5 - GAME.cost_C, abs=1e-12)
         assert lo.utility_m == pytest.approx(0.5, abs=1e-12)
-        assert agent_utilities(GAME, hi) == (hi.utility_m, hi.utility_w)
 
     def test_discriminatory_utilities(self):
         rec = [r for r in equilibrium_set(GAME) if r.profile == (HI, LO)][0]

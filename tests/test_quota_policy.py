@@ -1,5 +1,6 @@
 """Tests for the equal-promotion quota analysis."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from riscreen import (
     subsidized_signal,
     state_distribution,
 )
-from riscreen.quota_policy import shape_ratio
 
 import helpers
 
@@ -73,13 +73,17 @@ class TestFindMultiplier:
         assert minus.nu == pytest.approx(-plus.nu, abs=1e-9)
 
     def test_bisection_from_two_brackets_agrees(self):
-        from riscreen.quota_policy import _quota_residual
+        # pi_bar - 1/2 of the binding logit rule sigmoid((d - nu)/lam), decreasing in nu
+        prior = state_distribution(GAME, (HI, LO)).as_tuple()
+
+        def residual(nu):
+            return sum(p / (1.0 + math.exp((nu - d) / GAME.lam)) for p, d in zip(prior, (-1, 0, 1))) - 0.5
 
         sol = find_multiplier(GAME, (HI, LO))
         for lo, hi in ((-3.0, 3.0), (-40.0, 40.0)):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                if _quota_residual(GAME, (HI, LO), mid) > 0.0:
+                if residual(mid) > 0.0:
                     lo = mid
                 else:
                     hi = mid
@@ -93,7 +97,22 @@ class TestFindMultiplier:
             assert sol.nu > 0.0
             assert sig.pi_zero < 0.5
             assert sig.X > sig.Y > 0.0
-            assert sig.X / sig.Y == pytest.approx(shape_ratio(game, sol.nu), abs=1e-8)
+            # X/Y of the logit rule at nu, (e^((nu+1)/lam) + 1) / (e^(1/lam) + e^(nu/lam))
+            ratio = (math.exp((sol.nu + 1.0) / lam) + 1.0) / (math.exp(1.0 / lam) + math.exp(sol.nu / lam))
+            assert sig.X / sig.Y == pytest.approx(ratio, abs=1e-8)
+
+    def test_prior_is_built_once(self, monkeypatch):
+        from riscreen import quota_policy
+
+        calls = []
+        real = quota_policy.state_distribution
+        monkeypatch.setattr(quota_policy, "state_distribution", lambda *a: calls.append(a) or real(*a))
+        for lam in (1e-4, 0.3, 1e4):
+            game = replace(GAME, lam=lam)
+            for profile in ((HI, LO), (LO, HI)):
+                calls.clear()
+                find_multiplier(game, profile)
+                assert calls == [(game, profile)]
 
 
 class TestQuotaEquilibria:

@@ -95,17 +95,14 @@ def exact_gap(game, branch, sigma):
 
 def reference_scan(gap, lo, hi, samples):
     """Zero samples and refined sign changes of gap on `samples` uniform points."""
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    vals = gap(np.array(xs)).tolist()
+    xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+    vals = gap(xs)
     roots = []
-    for i in range(samples - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(xs[i])
-        elif v0 * v1 < 0.0:
-            roots.append(ri_core.find_root(lambda x: float(gap(x)), xs[i], xs[i + 1], v0, v1, xtol=1e-13))
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
+        x0, x1, v0, v1 = float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1])
+        roots.append(x0 if v0 == 0.0 else ri_core.find_root(lambda x: float(gap(x)), x0, x1, v0, v1, xtol=1e-13))
     if vals[-1] == 0.0:
-        roots.append(xs[-1])
+        roots.append(float(xs[-1]))
     return roots
 
 

@@ -310,20 +310,19 @@ class TestPriorInvariant:
         assert not result.signal.impartial
 
     def test_balanced_average_bonus_formulas(self):
-        # with the average pinned at 1/2 the bonuses collapse to the odds factors
-        prob = ReferencePriorProblem(
-            state_distribution(GAME, (HI, HI)).as_tuple(), (0.3, 0.5, 0.2), 0.3
-        )
-        a, b = prob.alpha, prob.beta
-        from riscreen.ri_core import _sigmoid
-
-        pi_p = _sigmoid(math.log(a))
-        pi_m = _sigmoid(-math.log(b))
-        X = pi_p - 0.5
-        Y = 0.5 - pi_m
-        assert X == pytest.approx(a / (a + 1.0) - 0.5, abs=1e-12)
-        assert Y == pytest.approx(0.5 - 1.0 / (1.0 + b), abs=1e-12)
-        assert X != pytest.approx(Y, abs=1e-6)
+        # pi(+-1) is the logit at base ln(pi_bar_q/(1 - pi_bar_q)) tilted by the
+        # log-tilts a = p(1)/(lam q(1)) and -b = -p(-1)/(lam q(-1))
+        p = state_distribution(GAME, (HI, HI)).as_tuple()
+        for q in ((0.3, 0.5, 0.2), (0.25, 0.5, 0.25), (0.1, 0.3, 0.6)):
+            for lam in (0.05, 0.3, 2.0):
+                result = prior_invariant_signal(ReferencePriorProblem(p, q, lam))
+                assert result.interior
+                a, b = p[2] / (lam * q[2]), p[0] / (lam * q[0])
+                base = math.log(result.pi_bar_q / (1.0 - result.pi_bar_q))
+                sig = result.signal
+                assert sig.pi_plus == pytest.approx(1.0 / (1.0 + math.exp(-(base + a))), abs=1e-12)
+                assert sig.pi_minus == pytest.approx(1.0 / (1.0 + math.exp(-(base - b))), abs=1e-12)
+                assert sig.pi_zero == result.pi_bar_q
 
     def test_full_support_required(self):
         with pytest.raises(ValueError):
