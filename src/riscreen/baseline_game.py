@@ -20,8 +20,8 @@ parallelized by the caller without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 from . import ri_core
 from .ri_core import BracketError
@@ -43,8 +43,7 @@ IC_TOL = 1e-12
 IMPARTIAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GameParams:
+class GameParams(ri_core._Validated, namedtuple("GameParams", "mu_hi mu_lo cost_C lam")):
     """Primitives of the promotion game.
 
     mu_hi, mu_lo: success probabilities under high and low effort, 0 < mu_lo < mu_hi < 1
@@ -52,20 +51,16 @@ class GameParams:
     lam:          attention cost in utils per nat
     """
 
-    mu_hi: float
-    mu_lo: float
-    cost_C: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.mu_lo < self.mu_hi < 1.0:
-            raise ValueError(
-                f"need 0 < mu_lo < mu_hi < 1, got mu_lo={self.mu_lo!r}, mu_hi={self.mu_hi!r}"
-            )
-        if not (self.cost_C > 0.0 and math.isfinite(self.cost_C)):
-            raise ValueError(f"cost_C must be positive and finite, got {self.cost_C!r}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
+    def __new__(cls, mu_hi: float, mu_lo: float, cost_C: float, lam: float):
+        if not 0.0 < mu_lo < mu_hi < 1.0:
+            raise ValueError(f"need 0 < mu_lo < mu_hi < 1, got mu_lo={mu_lo!r}, mu_hi={mu_hi!r}")
+        if not (cost_C > 0.0 and math.isfinite(cost_C)):
+            raise ValueError(f"cost_C must be positive and finite, got {cost_C!r}")
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be positive and finite, got {lam!r}")
+        return tuple.__new__(cls, (mu_hi, mu_lo, cost_C, lam))
 
     @property
     def delta_mu(self) -> float:
@@ -114,28 +109,25 @@ class GameParams:
         raise ValueError(f"effort must be {HI!r} or {LO!r}, got {effort!r}")
 
 
-@dataclass(frozen=True)
-class StateDistribution:
+class StateDistribution(ri_core._Validated, namedtuple("StateDistribution", "p_minus p_zero p_plus")):
     """Distribution of the productivity difference d = theta_m - theta_w."""
 
-    p_minus: float
-    p_zero: float
-    p_plus: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in (self.p_minus, self.p_zero, self.p_plus):
+    def __new__(cls, p_minus: float, p_zero: float, p_plus: float):
+        for p in (p_minus, p_zero, p_plus):
             if p < -1e-15:
                 raise ValueError(f"negative probability {p!r}")
-        if abs(self.p_minus + self.p_zero + self.p_plus - 1.0) > 1e-12:
+        if abs(p_minus + p_zero + p_plus - 1.0) > 1e-12:
             raise ValueError("state probabilities must sum to 1")
+        return tuple.__new__(cls, (p_minus, p_zero, p_plus))
 
     def as_tuple(self) -> tuple:
         """(p(-1), p(0), p(1))."""
         return (self.p_minus, self.p_zero, self.p_plus)
 
 
-@dataclass(frozen=True)
-class PromotionSignal:
+class PromotionSignal(NamedTuple):
     """Promotion probabilities for m conditional on the productivity difference.
 
     pi_bar is the average promotion probability under the distribution the
@@ -183,8 +175,7 @@ class PromotionSignal:
         )
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(NamedTuple):
     """Cutpoints of the attention-cost axis.
 
     lambda_breve: above it the signal for (hi, lo) collapses to always-promote-m
@@ -217,8 +208,7 @@ class ThresholdSet:
         )
 
 
-@dataclass(frozen=True)
-class ProfitBreakdown:
+class ProfitBreakdown(NamedTuple):
     """Expected revenue V, information bill I (nats), and profit V - lam * I."""
 
     V: float
@@ -226,8 +216,7 @@ class ProfitBreakdown:
     profit: float
 
 
-@dataclass(frozen=True)
-class EquilibriumRecord:
+class EquilibriumRecord(NamedTuple):
     profile: tuple
     signal: PromotionSignal
     classification: str

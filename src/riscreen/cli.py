@@ -11,10 +11,8 @@ truncates at 2 decimals.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import sys
 from typing import Optional
@@ -87,6 +85,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
+    import csv
     buf = io.StringIO()
     buf.write(f"# schema={SCHEMA_VERSION}\n")
     for key in sorted(meta):
@@ -125,6 +124,7 @@ _CONTAINERS = (dict, list, tuple)
 
 
 def _indented(obj, depth: int) -> str:
+    import json
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     pad = "\n" + "  " * depth
@@ -728,6 +728,7 @@ def main(argv=None) -> int:
     known, _ = probe.parse_known_args(argv)
     cfg = None
     if known.config is not None:
+        import json
         try:
             with open(known.config) as fh:
                 cfg = json.load(fh)

@@ -10,7 +10,8 @@ task's effort pair is an equilibrium of its own per-task game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 from .baseline_game import (
     HI,
@@ -21,6 +22,7 @@ from .baseline_game import (
     profit,
     supports_profile,
 )
+from .ri_core import _Validated
 
 NON_SPECIALIZED = "non-specialized"
 SPECIALIZED = "specialized"
@@ -29,29 +31,26 @@ HYBRID = "hybrid"
 _EFFORTS = (HI, LO)
 
 
-@dataclass(frozen=True)
-class TaskParams:
+class TaskParams(_Validated, namedtuple("TaskParams", "alpha beta cost_C")):
     """One task: arrival probability alpha in (0, 1/2], reward beta > 0, cost."""
 
-    alpha: float
-    beta: float
-    cost_C: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2], got {self.alpha!r}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
-        if not self.cost_C > 0.0:
-            raise ValueError(f"cost_C must be positive, got {self.cost_C!r}")
+    def __new__(cls, alpha: float, beta: float, cost_C: float):
+        if not 0.0 < alpha <= 0.5:
+            raise ValueError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+        if not beta > 0.0:
+            raise ValueError(f"beta must be positive, got {beta!r}")
+        if not cost_C > 0.0:
+            raise ValueError(f"cost_C must be positive, got {cost_C!r}")
+        return tuple.__new__(cls, (alpha, beta, cost_C))
 
     def effective_cost(self, delta_mu: float) -> float:
         """c^t = C^t / (alpha^t beta^t delta_mu), the per-task analog of c."""
         return self.cost_C / (self.alpha * self.beta * delta_mu)
 
 
-@dataclass(frozen=True)
-class MultitaskRecord:
+class MultitaskRecord(NamedTuple):
     """A joint equilibrium: per-agent investment vectors, one entry per task."""
 
     investment_m: tuple
@@ -83,8 +82,8 @@ def task_games(game: GameParams, tasks: tuple) -> tuple:
     """
     c1, c2 = _validate(game, tasks)
     return (
-        replace(game, cost_C=c1 * game.delta_mu),
-        replace(game, cost_C=c2 * game.delta_mu),
+        game._replace(cost_C=c1 * game.delta_mu),
+        game._replace(cost_C=c2 * game.delta_mu),
     )
 
 

@@ -12,7 +12,7 @@ impartial ones alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ri_core
 from .baseline_game import (
@@ -30,8 +30,7 @@ from .baseline_game import (
 QUOTA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuotaSolution:
+class QuotaSolution(NamedTuple):
     """Multiplier nu, the signal it induces, and whether the quota binds."""
 
     nu: float

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence, Union
 
 ALWAYS_ACT1 = "always_act1"
@@ -178,8 +178,17 @@ def neg_entropy(x: float) -> float:
     return x * math.log(x) + (1.0 - x) * math.log1p(-x)
 
 
-@dataclass(frozen=True)
-class BinaryRIProblem:
+class _Validated:
+    """Mixin for a named-tuple record whose ``__new__`` validates: ``_replace`` goes through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class BinaryRIProblem(_Validated, namedtuple("BinaryRIProblem", "states prior advantage lam")):
     """A finite-state decision problem with two actions and a mutual-information cost.
 
     states:    ordered labels, kept only for reporting
@@ -188,34 +197,31 @@ class BinaryRIProblem:
     lam:       price of information in utils per nat, strictly positive
     """
 
-    states: tuple
-    prior: tuple
-    advantage: tuple
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "prior", tuple(float(p) for p in self.prior))
-        object.__setattr__(self, "advantage", tuple(float(v) for v in self.advantage))
-        n = len(self.states)
+    def __new__(cls, states: Sequence, prior: Sequence[float], advantage: Sequence[float], lam: float):
+        states = tuple(states)
+        prior = tuple(float(p) for p in prior)
+        advantage = tuple(float(v) for v in advantage)
+        n = len(states)
         if n < 2:
             raise ValueError("need at least two states")
-        if len(self.prior) != n or len(self.advantage) != n:
+        if len(prior) != n or len(advantage) != n:
             raise ValueError("states, prior and advantage must have equal length")
-        for p in self.prior:
+        for p in prior:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"prior entry outside [0, 1]: {p!r}")
-        if abs(sum(self.prior) - 1.0) > PRIOR_TOL:
-            raise ValueError(f"prior sums to {sum(self.prior)!r}, not 1")
-        for v in self.advantage:
+        if abs(sum(prior) - 1.0) > PRIOR_TOL:
+            raise ValueError(f"prior sums to {sum(prior)!r}, not 1")
+        for v in advantage:
             if not math.isfinite(v):
                 raise ValueError(f"advantage must be finite, got {v!r}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be strictly positive, got {self.lam!r}")
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be strictly positive, got {lam!r}")
+        return tuple.__new__(cls, (states, prior, advantage, lam))
 
 
-@dataclass(frozen=True)
-class ChoiceRule:
+class ChoiceRule(_Validated, namedtuple("ChoiceRule", "conditional unconditional degenerate info_cost")):
     """Solution of a :class:`BinaryRIProblem`.
 
     conditional:   probability of action 1 in each state
@@ -224,20 +230,18 @@ class ChoiceRule:
     info_cost:     mutual information of the rule in nats (0 when degenerate)
     """
 
-    conditional: tuple
-    unconditional: float
-    degenerate: bool
-    info_cost: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "conditional", tuple(float(q) for q in self.conditional))
-        for q in self.conditional:
+    def __new__(cls, conditional: Sequence[float], unconditional: float, degenerate: bool, info_cost: float):
+        conditional = tuple(float(q) for q in conditional)
+        for q in conditional:
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"conditional outside [0, 1]: {q!r}")
-        if self.info_cost < 0.0:
+        if info_cost < 0.0:
             raise ValueError("info_cost must be nonnegative")
-        if self.degenerate and self.info_cost != 0.0:
+        if degenerate and info_cost != 0.0:
             raise ValueError("degenerate rules carry zero information")
+        return tuple.__new__(cls, (conditional, unconditional, degenerate, info_cost))
 
 
 def mutual_information(prior: Sequence[float], rule: Union["ChoiceRule", Sequence[float]]) -> float:

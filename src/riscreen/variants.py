@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from typing import NamedTuple, Optional, Sequence
 
 from . import ri_core
 from .baseline_game import (
@@ -36,8 +36,7 @@ from .baseline_game import (
 # heterogeneous effort costs and risk aversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeterogeneousParams:
+class HeterogeneousParams(ri_core._Validated, namedtuple("HeterogeneousParams", "cost_m cost_w du_m du_w")):
     """Per-agent effort costs and promotion utility gains.
 
     Risk aversion enters only through the utility gain du_i = u_i(1) - u_i(0)
@@ -46,15 +45,14 @@ class HeterogeneousParams:
     Labeling convention: m is the agent with the weakly lower effective cost.
     """
 
-    cost_m: float
-    cost_w: float
-    du_m: float = 1.0
-    du_w: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("cost_m", "cost_w", "du_m", "du_w"):
-            if not getattr(self, name) > 0.0:
+    def __new__(cls, cost_m: float, cost_w: float, du_m: float = 1.0, du_w: float = 1.0):
+        self = tuple.__new__(cls, (cost_m, cost_w, du_m, du_w))
+        for name, value in zip(self._fields, self):
+            if not value > 0.0:
                 raise ValueError(f"{name} must be positive")
+        return self
 
     def effective_costs(self, delta_mu: float) -> tuple:
         c_m = self.cost_m / delta_mu / self.du_m
@@ -95,8 +93,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
 # commitment to the screening rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommitmentSolution:
+class CommitmentSolution(NamedTuple):
     """Best committed screening rule and the effort profile it induces.
 
     nu_m is the multiplier on the binding incentive constraints (zero when
@@ -113,8 +110,7 @@ class CommitmentSolution:
     candidates: dict
 
 
-@dataclass(frozen=True)
-class BindingHighSolution:
+class BindingHighSolution(NamedTuple):
     """The rule holding (hi, hi) with both incentive constraints binding at multiplier nu."""
 
     nu: float
@@ -183,8 +179,9 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
 # prior-invariant attention cost
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferencePriorProblem:
+class ReferencePriorProblem(
+    ri_core._Validated, namedtuple("ReferencePriorProblem", "true_prior reference_prior lam")
+):
     """Screening with the information bill charged against a fixed reference prior.
 
     true_prior and reference_prior are distributions over d in (-1, 0, 1),
@@ -193,31 +190,43 @@ class ReferencePriorProblem:
     prior, so the bill no longer tracks the actual state distribution.
     """
 
-    true_prior: tuple
-    reference_prior: tuple
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "true_prior", tuple(float(p) for p in self.true_prior))
-        object.__setattr__(self, "reference_prior", tuple(float(q) for q in self.reference_prior))
-        for dist in (self.true_prior, self.reference_prior):
+    def __new__(cls, true_prior: Sequence[float], reference_prior: Sequence[float], lam: float):
+        true_prior = tuple(float(p) for p in true_prior)
+        reference_prior = tuple(float(q) for q in reference_prior)
+        for dist in (true_prior, reference_prior):
             if len(dist) != 3:
                 raise ValueError("priors live on the three differences (-1, 0, 1)")
             if any(p < 0.0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
                 raise ValueError(f"invalid distribution {dist!r}")
-        if min(self.reference_prior) <= 0.0:
+        if min(reference_prior) <= 0.0:
             raise ValueError("reference prior must have full support")
-        if not self.lam > 0.0:
+        if not lam > 0.0:
             raise ValueError("lam must be positive")
+        return tuple.__new__(cls, (true_prior, reference_prior, lam))
 
 
-@dataclass(frozen=True)
-class PriorInvariantResult:
+class PriorInvariantResult(NamedTuple):
     """pi_bar_q is the reference-prior average; signal is None off the interior."""
 
     pi_bar_q: float
     interior: bool
     signal: Optional[PromotionSignal]
+
+
+def _phi(x: float) -> float:
+    """1/(1 - e^-x) - 1/x for x > 0; it rises from 1/2 at 0 to 1 at infinity.
+
+    Below x = 0.15 both terms are near 1/x and cancel, so the Taylor series
+    1/2 + x/12 - x^3/720 + x^5/30240 - x^7/1209600 takes over there. The
+    switch sits where the two errors cross: against a 60-digit evaluation
+    either side stays within 3e-15 relative.
+    """
+    if x < 0.15:
+        x2 = x * x
+        return 0.5 + x * (1.0 / 12.0 - x2 * (1.0 / 720.0 - x2 * (1.0 / 30240.0 - x2 / 1209600.0)))
+    return 1.0 / -math.expm1(-x) - 1.0 / x
 
 
 def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResult:
@@ -232,8 +241,13 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     which must itself be consistent with the reference prior. With the
     log-tilts a = ln alpha and b = ln beta it is up / (up + down), where
     up = q(1)/(1 - e^-b) - q(-1) e^-a/(1 - e^-a) and down is up with the
-    states mirrored (up + down = q(1) + q(-1)). No term overflows at small
-    lam, and the logit base ln(up/down) keeps its digits near 0 and 1. An
+    states mirrored (up + down = q(1) + q(-1)). When both tilts are below 1
+    (large lam), the 1/tilt parts of up, q(1)/b - q(-1)/a, are large and
+    nearly cancel; up is then evaluated as lam q(1) q(-1) (p(1) - p(-1))
+    / (p(1) p(-1)) + q(1) phi(b) + q(-1) (1 - phi(a)) with :func:`_phi`,
+    whose first term is that difference in closed form. At larger tilts the
+    split would cancel instead. No term overflows at small lam, and the
+    logit base ln(up/down) keeps its digits near 0 and 1. An
     up or down <= 0 (or a vanishing tilt) means the optimum is not interior;
     that case is flagged rather than guessed. Raises
     :class:`ri_core.ConvergenceError` when the reference-prior consistency
@@ -244,8 +258,14 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     a, b = p_p / q_p / problem.lam, p_m / q_m / problem.lam
     if a < 1e-14 or b < 1e-14:
         return PriorInvariantResult(math.nan, False, None)
-    up = q_p / -math.expm1(-b) - q_m * math.exp(-a) / -math.expm1(-a)
-    down = q_m / -math.expm1(-a) - q_p * math.exp(-b) / -math.expm1(-b)
+    if max(a, b) < 1.0:
+        lead = problem.lam * q_p * q_m * (p_p - p_m) / (p_p * p_m)
+        phi_a, phi_b = _phi(a), _phi(b)
+        up = lead + q_p * phi_b + q_m * (1.0 - phi_a)
+        down = q_m * phi_a + q_p * (1.0 - phi_b) - lead
+    else:
+        up = q_p / -math.expm1(-b) - q_m * math.exp(-a) / -math.expm1(-a)
+        down = q_m / -math.expm1(-a) - q_p * math.exp(-b) / -math.expm1(-b)
     pi_bar_q = up / (up + down)
     if not (up > 0.0 and down > 0.0):
         return PriorInvariantResult(pi_bar_q, False, None)
@@ -263,8 +283,7 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
 # mixed strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(NamedTuple):
     """Probabilities of high effort; nu_m, nu_w are the success probabilities."""
 
     sigma_m: float
@@ -275,8 +294,7 @@ class MixedProfile:
         return params.mu_lo + sigma * params.delta_mu
 
 
-@dataclass(frozen=True)
-class MixedEquilibrium:
+class MixedEquilibrium(NamedTuple):
     profile: MixedProfile
     signal: PromotionSignal
     classification: str
@@ -408,8 +426,7 @@ def mixed_equilibria(game: GameParams) -> list:
 # continuous effort on a grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EffortGridResult:
+class EffortGridResult(NamedTuple):
     """Pure fixed points of the effort best-response map at one lam."""
 
     lam: float

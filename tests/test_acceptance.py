@@ -6,7 +6,6 @@ lines; every tolerance is fixed here, nothing is calibrated at runtime.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,7 +80,7 @@ def test_criterion_01_table_reproduction():
 def test_criterion_02_revenue_checks():
     V = profit(CANON, (HI, LO)).V
     bench = 1 - (1 - CANON.mu_hi) * (1 - CANON.mu_lo)
-    v_limit = profit(replace(CANON, lam=0.01), (HI, LO)).V
+    v_limit = profit(CANON._replace(lam=0.01), (HI, LO)).V
     ok = abs(V - 0.9048) <= 5e-3 and bench == 0.92 and abs(v_limit - 0.92) <= 1e-9
     _report(
         2,
@@ -149,7 +148,7 @@ def test_criterion_05_threshold_properties():
         ):
             bad_values += 1
         for lam in rng.uniform(0.05, 2.5, size=20):
-            game = replace(base, lam=float(lam))
+            game = base._replace(lam=float(lam))
             got = [r.profile for r in equilibrium_set(game)]
             predicted = []
             if lam <= cuts.lambda_star + 1e-12:
@@ -179,14 +178,14 @@ def test_criterion_06_most_profitable_ranking():
         cuts = thresholds(base)
         for frac in rng.uniform(0.02, 1.0, size=5):
             lam = cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)
-            game = replace(base, lam=float(lam))
+            game = base._replace(lam=float(lam))
             records = {r.profile: r for r in equilibrium_set(game)}
             margin = records[(HI, LO)].profit - records[(LO, LO)].profit
             min_margin_upper = min(min_margin_upper, margin)
             checked_upper += 1
         for frac in rng.uniform(0.02, 0.98, size=5):
             lam = cuts.lambda_low + frac * (min(cuts.lambda_star, cuts.lambda_high) - cuts.lambda_low)
-            game = replace(base, lam=float(lam))
+            game = base._replace(lam=float(lam))
             records = {r.profile: r for r in equilibrium_set(game)}
             margin = records[(HI, HI)].profit - records[(HI, LO)].profit
             min_margin_lower = min(min_margin_lower, margin)
@@ -210,13 +209,13 @@ def test_criterion_07_quota_equivalence():
     for _ in range(200):
         base = helpers.sample_assumption1(rng)
         for lam in rng.uniform(0.05, 2.5, size=20):
-            game = replace(base, lam=float(lam))
+            game = base._replace(lam=float(lam))
             quota = [r.profile for r in quota_equilibrium_set(game)]
             impartial = [r.profile for r in equilibrium_set(game) if r.classification == IMPARTIAL]
             points += 1
             if quota != impartial:
                 disagreements += 1
-        sol = find_multiplier(replace(base, lam=float(rng.uniform(0.1, 1.5))), (HI, LO))
+        sol = find_multiplier(base._replace(lam=float(rng.uniform(0.1, 1.5))), (HI, LO))
         if sol.nu > 0 and abs(sol.signal.pi_bar - 0.5) <= 1e-9:
             sig = sol.signal
             if not (sig.pi_zero < 0.5 and sig.X > sig.Y > 0):
@@ -235,7 +234,7 @@ def test_criterion_08_task_split_inequalities():
     worst_identity = 0.0
     ordering_ok = True
     for gamma in np.geomspace(game.A / game.B + 1e-3, 1e6, 60):
-        g = replace(game, lam=1.0 / math.log(float(gamma)))
+        g = game._replace(lam=1.0 / math.log(float(gamma)))
         dv1 = profit(g, (HI, HI)).V - profit(g, (HI, LO)).V
         dv2 = profit(g, (HI, LO)).V - profit(g, (LO, LO)).V
         worst_identity = max(
@@ -260,19 +259,19 @@ def test_criterion_08_task_split_inequalities():
     tasks = tasks_for(0.30, 0.30)
     k = thresholds(task_games(mt_game, tasks)[0])
     lam = 0.5 * (k.lambda_low + min(k.lambda_star, k.lambda_high))
-    win = multitask_most_profitable(replace(mt_game, lam=lam), tasks)
+    win = multitask_most_profitable(mt_game._replace(lam=lam), tasks)
     selections_ok &= {w.classification for w in win} == {NON_SPECIALIZED}
     # regime (ii): specialized coexists with invest-in-nothing; specialized wins
     tasks = tasks_for(0.40, 0.40)
     k = thresholds(task_games(mt_game, tasks)[0])
     lam = 0.5 * (k.lambda_star + k.lambda_high)
-    win = multitask_most_profitable(replace(mt_game, lam=lam), tasks)
+    win = multitask_most_profitable(mt_game._replace(lam=lam), tasks)
     selections_ok &= {w.classification for w in win} == {SPECIALIZED}
     # regime (iii): specialized coexists with invest-in-skill-1-only; specialized wins
     tasks = tasks_for(0.36, 0.40)
     k1, k2 = (thresholds(g) for g in task_games(mt_game, tasks))
     lam = 0.5 * (max(k1.lambda_low, k2.lambda_star) + min(k2.lambda_high, k1.lambda_star))
-    win = multitask_most_profitable(replace(mt_game, lam=lam), tasks)
+    win = multitask_most_profitable(mt_game._replace(lam=lam), tasks)
     selections_ok &= {w.classification for w in win} == {SPECIALIZED}
 
     ok = worst_identity <= 1e-10 and ordering_ok and selections_ok
@@ -290,7 +289,7 @@ def test_criterion_09_variants():
     reduction_mismatch = 0
     for _ in range(200):
         base = helpers.sample_assumption1(rng)
-        game = replace(base, lam=float(rng.uniform(0.05, 2.0)))
+        game = base._replace(lam=float(rng.uniform(0.05, 2.0)))
         het = HeterogeneousParams(game.cost_C, game.cost_C)
         a = [r.profile for r in heterogeneous_equilibrium_set(game, het)]
         b = [r.profile for r in equilibrium_set(game)]
@@ -300,9 +299,9 @@ def test_criterion_09_variants():
     prior_flag_errors = 0
     for profile in PROFILES:
         for lam in (0.1, 0.3, 0.8, 1.5):
-            dist = state_distribution(replace(CANON, lam=lam), profile).as_tuple()
+            dist = state_distribution(CANON._replace(lam=lam), profile).as_tuple()
             result = prior_invariant_signal(ReferencePriorProblem(dist, dist, lam))
-            base_sig = optimal_signal(replace(CANON, lam=lam), profile)
+            base_sig = optimal_signal(CANON._replace(lam=lam), profile)
             if not result.interior:
                 # the flag must coincide with baseline degeneracy at q = p
                 prior_flag_errors += not base_sig.degenerate
@@ -324,7 +323,7 @@ def test_criterion_09_variants():
     commit_slack = math.inf
     grids = [helpers.canonical(float(l)) for l in np.linspace(0.08, 2.0, 15)]
     cond5 = helpers.sample_condition5(rng)
-    grids += [replace(cond5, lam=float(l)) for l in np.linspace(0.1, 1.6, 10)]
+    grids += [cond5._replace(lam=float(l)) for l in np.linspace(0.1, 1.6, 10)]
     for game in grids:
         best = max(r.profit for r in equilibrium_set(game))
         commit_slack = min(commit_slack, commitment_solve(game).profit - best)

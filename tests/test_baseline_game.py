@@ -1,7 +1,6 @@
 """Tests for the closed-form promotion game analysis."""
 
 import math
-from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -203,7 +202,7 @@ class TestOptimalSignal:
             assert sig.pi_plus + sig.pi_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_above_breve(self):
-        sig = optimal_signal(replace(GAME, lam=2.0), (HI, LO))
+        sig = optimal_signal(GAME._replace(lam=2.0), (HI, LO))
         assert sig.degenerate
         assert sig.as_tuple() == (1.0, 1.0, 1.0)
 
@@ -229,19 +228,19 @@ class TestOptimalSignal:
         # the closed forms are evaluated in 1/gamma, so attention costs far
         # below the exp overflow point still produce the costless limit
         for lam in (0.002, 1e-4, 1e-8):
-            game = replace(GAME, lam=lam)
+            game = GAME._replace(lam=lam)
             sig = optimal_signal(game, (HI, LO))
             pb = profit(game, (HI, LO))
             assert all(math.isfinite(v) for v in sig.as_tuple() + (sig.pi_bar, pb.V, pb.I))
             assert pb.V == pytest.approx(0.92, abs=1e-6)
-        limit = optimal_signal(replace(GAME, lam=1e-9), (HI, LO))
+        limit = optimal_signal(GAME._replace(lam=1e-9), (HI, LO))
         assert limit.as_tuple() == (0.0, GAME.A / (GAME.A + GAME.B), 1.0)
 
     def test_bonuses_shrink_with_lambda(self):
         lams = np.linspace(0.15, 1.0, 30)
         xs, ys = [], []
         for lam in lams:
-            sig = optimal_signal(replace(GAME, lam=float(lam)), (HI, LO))
+            sig = optimal_signal(GAME._replace(lam=float(lam)), (HI, LO))
             xs.append(sig.X)
             ys.append(sig.Y)
         assert all(b < a for a, b in zip(xs, xs[1:]))
@@ -363,7 +362,7 @@ def near_half_games(draw):
 @example(params=GameParams(1.0 - 1e-6, 0.5 + 2.0**-53, 1e-6, 1e4))
 def test_thresholds_on_the_whole_domain(params):
     cuts = thresholds(params)
-    values = [getattr(cuts, f.name) for f in fields(cuts) if f.name != "gamma_hat"]
+    values = [getattr(cuts, name) for name in cuts._fields if name != "gamma_hat"]
     assert all(math.isfinite(v) for v in values), cuts
     assert (cuts.gamma_hat is None) == (params.mu_lo <= 0.5)
     if cuts.gamma_hat is not None:
@@ -405,7 +404,7 @@ class TestEquilibria:
             base = helpers.sample_assumption1(rng)
             cuts = thresholds(base)
             for lam in rng.uniform(0.05, 2.0, size=8):
-                game = replace(base, lam=float(lam))
+                game = base._replace(lam=float(lam))
                 got = [r.profile for r in equilibrium_set(game)]
                 assert got == helpers.direct_ic_equilibria(game)
                 predicted = []
@@ -427,18 +426,18 @@ class TestProfit:
 
     def test_costless_benchmark(self):
         assert 1 - (1 - GAME.mu_hi) * (1 - GAME.mu_lo) == pytest.approx(0.92, abs=1e-15)
-        assert profit(replace(GAME, lam=0.01), (HI, LO)).V == pytest.approx(0.92, abs=1e-9)
+        assert profit(GAME._replace(lam=0.01), (HI, LO)).V == pytest.approx(0.92, abs=1e-9)
 
     def test_degenerate_region(self):
         # always-promote-m yields the worker's expected productivity at zero bill
-        pb = profit(replace(GAME, lam=2.0), (HI, LO))
+        pb = profit(GAME._replace(lam=2.0), (HI, LO))
         assert pb.V == GAME.mu_hi
         assert pb.I == 0.0
 
     def test_profit_agrees_with_signal_recomputation(self):
         # the closed forms against evaluate's generic sums at the same signal
         for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 3.0, 1e2, 1e4):
-            game = replace(GAME, lam=lam)
+            game = GAME._replace(lam=lam)
             for profile in PROFILES:
                 pb = profit(game, profile)
                 rec = evaluate(game, profile, optimal_signal(game, profile))
@@ -450,7 +449,7 @@ class TestProfit:
         # the (hi, lo) and (lo, hi) bills read signal_from_odds, never optimal_signal
         import riscreen.baseline_game as bg
 
-        games = [replace(GAME, lam=lam) for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4)]
+        games = [GAME._replace(lam=lam) for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4)]
         held = {(game, p): optimal_signal(game, p) for game in games for p in PROFILES}
         calls = []
         real = bg.optimal_signal
@@ -469,7 +468,7 @@ class TestProfit:
             dmu = GAME.delta_mu
 
             def gaps(g):
-                game = replace(GAME, lam=1.0 / math.log(g))
+                game = GAME._replace(lam=1.0 / math.log(g))
                 hi_hi, hi_lo, lo_lo = (
                     profit(game, (HI, HI)),
                     profit(game, (HI, LO)),
@@ -514,7 +513,7 @@ class TestWelfareAndSelection:
             base = helpers.sample_condition5(rng)
             cuts = thresholds(base)
             lam = 0.5 * (max(cuts.lambda_low, cuts.lambda_star * 0.99) + cuts.lambda_star)
-            game = replace(base, lam=float(lam))
+            game = base._replace(lam=float(lam))
             records = equilibrium_set(game)
             if len(records) < 3:
                 continue
@@ -542,6 +541,6 @@ class TestWelfareAndSelection:
             base = helpers.sample_condition5(rng)
             cuts = thresholds(base)
             lam = cuts.lambda_star + 0.5 * (cuts.lambda_high - cuts.lambda_star)
-            winners = most_profitable(replace(base, lam=float(lam)))
+            winners = most_profitable(base._replace(lam=float(lam)))
             assert {r.profile for r in winners} == {(HI, LO), (LO, HI)}
             assert all(r.classification == DISCRIMINATORY for r in winners)

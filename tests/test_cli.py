@@ -299,6 +299,8 @@ def test_cli_loads_numpy_only_for_array_paths():
         "import contextlib, io, sys\n"
         "import riscreen.cli as cli\n"
         "assert 'numpy' not in sys.modules, 'import riscreen.cli loaded numpy'\n"
+        "assert 'dataclasses' not in sys.modules, 'import riscreen.cli loaded dataclasses'\n"
+        "assert 'inspect' not in sys.modules, 'import riscreen.cli loaded inspect'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    cli.main(['equilibria', {game}])\n"
         "assert 'numpy' not in sys.modules, 'equilibria loaded numpy'\n"

@@ -1,7 +1,6 @@
 """Tests for the two-task extension."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ class TestTaskParams:
     def test_boundary_arrivals_accepted(self):
         # alpha <= 1/2 per task already caps the joint arrival mass at one
         both_half = (TaskParams(0.5, 1.0, 0.012), TaskParams(0.5, 1.0, 0.012))
-        assert multitask_equilibrium_set(replace(GAME, lam=0.2), both_half)
+        assert multitask_equilibrium_set(GAME._replace(lam=0.2), both_half)
 
     def test_task_games_carry_effective_costs(self):
         tasks = tasks_for(0.3, 0.4)
@@ -69,7 +68,7 @@ class TestTaskParams:
 
 class TestEquilibriumSet:
     def test_cheap_equal_tasks_low_lambda(self):
-        game = replace(GAME, lam=0.2)
+        game = GAME._replace(lam=0.2)
         records = multitask_equilibrium_set(game, equal_tasks(0.3))
         assert len(records) == 1
         rec = records[0]
@@ -93,17 +92,17 @@ class TestEquilibriumSet:
             hi = thresholds(g2).lambda_high
             assert (lo <= hi) == expect
             if expect:
-                game = replace(GAME, lam=0.5 * (lo + hi))
+                game = GAME._replace(lam=0.5 * (lo + hi))
                 recs = multitask_equilibrium_set(game, tasks)
                 assert any(r.classification == SPECIALIZED for r in recs)
             else:
                 # window empty: no lam can support specialization
                 for lam in np.linspace(0.05, 2.0, 15):
-                    recs = multitask_equilibrium_set(replace(GAME, lam=float(lam)), tasks)
+                    recs = multitask_equilibrium_set(GAME._replace(lam=float(lam)), tasks)
                     assert not any(r.classification == SPECIALIZED for r in recs)
 
     def test_all_lo_when_lambda_large(self):
-        game = replace(GAME, lam=2.5)
+        game = GAME._replace(lam=2.5)
         records = multitask_equilibrium_set(game, equal_tasks(0.3))
         assert [r.classification for r in records] == [NON_SPECIALIZED]
         assert records[0].investment_m == (LO, LO)
@@ -118,7 +117,7 @@ class TestEquilibriumSet:
             (0.5 * (star2 + star1), (HI, LO)),
             (star1 * 1.1, (LO, LO)),
         ):
-            recs = multitask_equilibrium_set(replace(GAME, lam=float(lam)), tasks)
+            recs = multitask_equilibrium_set(GAME._replace(lam=float(lam)), tasks)
             non_spec = [r for r in recs if r.classification == NON_SPECIALIZED]
             assert [r.investment_m for r in non_spec] == [expected]
 
@@ -126,7 +125,7 @@ class TestEquilibriumSet:
         tasks = equal_tasks(0.35)
         g1, _ = task_games(GAME, tasks)
         cuts = thresholds(g1)
-        game = replace(GAME, lam=0.5 * (cuts.lambda_low + cuts.lambda_high))
+        game = GAME._replace(lam=0.5 * (cuts.lambda_low + cuts.lambda_high))
         specialized = [
             r for r in multitask_equilibrium_set(game, tasks) if r.classification == SPECIALIZED
         ]
@@ -137,7 +136,7 @@ class TestEquilibriumSet:
 
 
 def _gaps(game, gamma):
-    g = replace(game, lam=1.0 / math.log(gamma))
+    g = game._replace(lam=1.0 / math.log(gamma))
     hi_hi, hi_lo, lo_lo = profit(g, (HI, HI)), profit(g, (HI, LO)), profit(g, (LO, LO))
     return hi_hi.V - hi_lo.V, hi_lo.V - lo_lo.V, hi_hi.I - hi_lo.I, hi_lo.I - lo_lo.I
 
@@ -184,13 +183,13 @@ class TestMostProfitable:
         g1, _ = task_games(game, tasks)
         cuts = thresholds(g1)
         lam = 0.5 * (cuts.lambda_low + min(cuts.lambda_star, cuts.lambda_high))
-        winners = multitask_most_profitable(replace(game, lam=lam), tasks)
+        winners = multitask_most_profitable(game._replace(lam=lam), tasks)
         assert {w.classification for w in winners} == {NON_SPECIALIZED}
         assert winners[0].investment_m == (HI, HI)
         # a specialized rival exists and earns less
         rivals = [
             r
-            for r in multitask_equilibrium_set(replace(game, lam=lam), tasks)
+            for r in multitask_equilibrium_set(game._replace(lam=lam), tasks)
             if r.classification == SPECIALIZED
         ]
         assert rivals and all(r.payoff < winners[0].payoff for r in rivals)
@@ -202,7 +201,7 @@ class TestMostProfitable:
         cuts = thresholds(g1)
         assert cuts.condition5  # the window above lambda_star is nonempty
         lam = 0.5 * (cuts.lambda_star + cuts.lambda_high)
-        winners = multitask_most_profitable(replace(game, lam=lam), tasks)
+        winners = multitask_most_profitable(game._replace(lam=lam), tasks)
         assert {w.classification for w in winners} == {SPECIALIZED}
 
     def test_regime_iii_specialized_wins(self):
@@ -215,10 +214,10 @@ class TestMostProfitable:
         hi = min(k2.lambda_high, k1.lambda_star)
         assert lo < hi  # the regime-(iii) overlap is nonempty by construction
         lam = 0.5 * (lo + hi)
-        winners = multitask_most_profitable(replace(game, lam=lam), tasks)
+        winners = multitask_most_profitable(game._replace(lam=lam), tasks)
         assert {w.classification for w in winners} == {SPECIALIZED}
         # the rival non-specialized equilibrium invests in skill 1 only
-        recs = multitask_equilibrium_set(replace(game, lam=lam), tasks)
+        recs = multitask_equilibrium_set(game._replace(lam=lam), tasks)
         non_spec = [r for r in recs if r.classification == NON_SPECIALIZED]
         assert [r.investment_m for r in non_spec] == [(HI, LO)]
         assert non_spec[0].payoff < winners[0].payoff
@@ -289,7 +288,7 @@ def multitask_games(draw):
         lam = draw(st.floats(0.5 * min(ends), 1.25 * max(ends)))
     else:  # inside one task's discriminatory window
         lam = draw(st.floats(window.lambda_low, window.lambda_high))
-    return replace(game, lam=lam), tasks
+    return game._replace(lam=lam), tasks
 
 
 @given(case=multitask_games())
@@ -326,7 +325,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     tasks = equal_tasks(0.35)
     g1, _ = task_games(GAME, tasks)
     cuts = thresholds(g1)
-    game = replace(GAME, lam=0.5 * (cuts.lambda_low + cuts.lambda_high))
+    game = GAME._replace(lam=0.5 * (cuts.lambda_low + cuts.lambda_high))
     records = multitask_equilibrium_set(game, tasks)
     assert len(records) >= 2
     assert counts == {"optimal_signal": 4, "profit": 4}

@@ -1,7 +1,6 @@
 """Tests for the equal-promotion quota analysis."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +90,7 @@ class TestFindMultiplier:
 
     def test_binding_quota_shape(self):
         for lam in (0.15, 0.3, 0.6, 1.5):
-            game = replace(GAME, lam=lam)
+            game = GAME._replace(lam=lam)
             sol = find_multiplier(game, (HI, LO))
             sig = sol.signal
             assert sol.nu > 0.0
@@ -108,7 +107,7 @@ class TestFindMultiplier:
         real = quota_policy.state_distribution
         monkeypatch.setattr(quota_policy, "state_distribution", lambda *a: calls.append(a) or real(*a))
         for lam in (1e-4, 0.3, 1e4):
-            game = replace(GAME, lam=lam)
+            game = GAME._replace(lam=lam)
             for profile in ((HI, LO), (LO, HI)):
                 calls.clear()
                 find_multiplier(game, profile)
@@ -138,7 +137,7 @@ class TestQuotaEquilibria:
         for _ in range(30):
             base = helpers.sample_assumption1(rng)
             for lam in rng.uniform(0.05, 2.5, size=10):
-                game = replace(base, lam=float(lam))
+                game = base._replace(lam=float(lam))
                 quota = [r.profile for r in quota_equilibrium_set(game)]
                 impartial = [
                     r.profile for r in equilibrium_set(game) if r.classification == IMPARTIAL
@@ -174,7 +173,7 @@ def _primal_grid_value(game, profile, center, span, step):
 class TestDuality:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     def test_lagrangian_value_matches_primal_grid(self, lam):
-        game = replace(GAME, lam=lam)
+        game = GAME._replace(lam=lam)
         sol = find_multiplier(game, (HI, LO))
         sig = sol.signal
         dist = state_distribution(game, (HI, LO))
@@ -208,7 +207,7 @@ class TestClosedFormBindingSignal:
         for _ in range(25):
             base = helpers.sample_assumption1(rng)
             for lam in (0.01, 0.05, 0.2, 0.6, 1.5, 4.0, 10.0):
-                game = replace(base, lam=lam)
+                game = base._replace(lam=lam)
                 for profile in ((HI, LO), (LO, HI)):
                     sol = find_multiplier(game, profile)
                     again = subsidized_signal(game, profile, sol.nu)

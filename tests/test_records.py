@@ -1,0 +1,92 @@
+"""Records are immutable named tuples: their repr, equality, hashing and validation."""
+
+import pytest
+
+from riscreen import (
+    HI,
+    LO,
+    BinaryRIProblem,
+    ChoiceRule,
+    GameParams,
+    HeterogeneousParams,
+    MixedProfile,
+    PromotionSignal,
+    QuotaSolution,
+    ReferencePriorProblem,
+    StateDistribution,
+    TaskParams,
+    optimal_signal,
+)
+
+GAME = GameParams(0.8, 0.6, 0.07, 0.3)
+
+
+def test_reprs_name_every_field():
+    assert repr(GAME) == "GameParams(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=0.3)"
+    assert repr(ChoiceRule([0, 1], 0.5, False, 0.25)) == (
+        "ChoiceRule(conditional=(0.0, 1.0), unconditional=0.5, degenerate=False, info_cost=0.25)"
+    )
+    assert repr(QuotaSolution(0.0, PromotionSignal(0.25, 0.5, 0.75, 0.5), False)) == (
+        "QuotaSolution(nu=0.0, signal=PromotionSignal(pi_minus=0.25, pi_zero=0.5, pi_plus=0.75, "
+        "pi_bar=0.5), binding=False)"
+    )
+    assert repr(TaskParams(0.5, 1.0, 0.02)) == "TaskParams(alpha=0.5, beta=1.0, cost_C=0.02)"
+    assert repr(HeterogeneousParams(0.07, 0.08)) == (
+        "HeterogeneousParams(cost_m=0.07, cost_w=0.08, du_m=1.0, du_w=1.0)"
+    )
+    assert repr(MixedProfile(0.25, 0.5)) == "MixedProfile(sigma_m=0.25, sigma_w=0.5)"
+
+
+def test_equality_and_hash_follow_the_fields():
+    same = GameParams(0.8, 0.6, 0.07, 0.3)
+    assert same == GAME and hash(same) == hash(GAME)
+    assert GAME != GAME._replace(lam=0.4)
+    assert len({GAME, same, GAME._replace(lam=0.4)}) == 2
+    sig = optimal_signal(GAME, (HI, LO))
+    assert sig == optimal_signal(GAME, (HI, LO)) and hash(sig) == hash(optimal_signal(GAME, (HI, LO)))
+    # the one difference from a class record: a record is the tuple of its fields
+    assert GAME == (0.8, 0.6, 0.07, 0.3) and tuple(GAME) == (0.8, 0.6, 0.07, 0.3)
+    assert GAME._fields == ("mu_hi", "mu_lo", "cost_C", "lam")
+
+
+@pytest.mark.parametrize("record", [
+    GAME,
+    PromotionSignal(0.1, 0.5, 0.9, 0.5),
+    TaskParams(0.5, 1.0, 0.02),
+    ReferencePriorProblem((0.2, 0.5, 0.3), (0.3, 0.4, 0.3), 0.3),
+    MixedProfile(0.25, 0.5),
+])
+def test_records_are_immutable(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+
+
+def test_replace_revalidates():
+    with pytest.raises(ValueError, match="lam must be positive and finite, got -1.0"):
+        GAME._replace(lam=-1.0)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\], got 0.9"):
+        TaskParams(0.5, 1.0, 0.02)._replace(alpha=0.9)
+    with pytest.raises(ValueError, match="state probabilities must sum to 1"):
+        StateDistribution(0.2, 0.2, 0.2)
+    with pytest.raises(ValueError, match="negative probability"):
+        StateDistribution(0.5, 0.6, -0.1)
+    with pytest.raises(ValueError, match="du_w must be positive"):
+        HeterogeneousParams(0.07, 0.08)._replace(du_w=0.0)
+    assert GAME._replace(lam=0.4) == GameParams(0.8, 0.6, 0.07, 0.4)
+
+
+def test_sequence_inputs_become_float_tuples():
+    problem = BinaryRIProblem([-1, 0, 1], [0, 1, 0], [-1, 0, 1], 0.3)
+    assert problem.states == (-1, 0, 1)
+    assert problem.prior == (0.0, 1.0, 0.0) and problem.advantage == (-1.0, 0.0, 1.0)
+    assert all(type(v) is float for v in problem.prior + problem.advantage)
+    rule = ChoiceRule([0, 1, 1], 2 / 3, False, 0.5)
+    assert rule.conditional == (0.0, 1.0, 1.0) and all(type(v) is float for v in rule.conditional)
+    ref = ReferencePriorProblem([0, 1, 0], [0.25, 0.5, 0.25], 0.3)
+    assert ref.true_prior == (0.0, 1.0, 0.0) and ref.reference_prior == (0.25, 0.5, 0.25)
+    assert all(type(v) is float for v in ref.true_prior)
+    with pytest.raises(ValueError, match="invalid distribution"):
+        ref._replace(reference_prior=[1, 2, 1])

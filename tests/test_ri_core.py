@@ -2,7 +2,6 @@
 
 import ast
 import math
-from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
@@ -448,7 +447,7 @@ class TestWorkCounts:
         game = GameParams(0.8, 0.6, 0.07, 1.0)
         star = lambda_star(game)
         for k in range(40):
-            sol = commitment_solve(replace(game, lam=star * 0.5 * 6.0 ** (k / 39)))
+            sol = commitment_solve(game._replace(lam=star * 0.5 * 6.0 ** (k / 39)))
             assert math.isfinite(sol.profit)
         assert solves == [] and calls == []
 

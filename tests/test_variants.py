@@ -1,7 +1,7 @@
 """Tests for the model variants."""
 
 import math
-from dataclasses import replace
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -72,7 +72,7 @@ class TestHeterogeneous:
         rng = np.random.default_rng(17)
         for _ in range(60):
             base = helpers.sample_assumption1(rng)
-            game = replace(base, lam=float(rng.uniform(0.05, 2.0)))
+            game = base._replace(lam=float(rng.uniform(0.05, 2.0)))
             het = HeterogeneousParams(game.cost_C, game.cost_C)
             got = [(r.profile, r.classification) for r in heterogeneous_equilibrium_set(game, het)]
             want = [(r.profile, r.classification) for r in equilibrium_set(game)]
@@ -86,7 +86,7 @@ class TestHeterogeneous:
             c_w = base.c * float(rng.uniform(1.0, 1.6))
             het = HeterogeneousParams(c_m * base.delta_mu, c_w * base.delta_mu)
             for lam in rng.uniform(0.05, 2.0, size=6):
-                game = replace(base, lam=float(lam))
+                game = base._replace(lam=float(lam))
                 got = [r.profile for r in heterogeneous_equilibrium_set(game, het)]
                 assert got == het_direct_ic(game, c_m, c_w)
 
@@ -100,7 +100,7 @@ class TestHeterogeneous:
         lam_lo_edge = 1.0 / math.log(g_inverse(c_m))   # above: (lo, lo)
         assert lam_hi_edge < lam_lo_edge
         lam = 0.5 * (lam_hi_edge + lam_lo_edge)
-        profiles = [r.profile for r in heterogeneous_equilibrium_set(replace(GAME, lam=lam), het)]
+        profiles = [r.profile for r in heterogeneous_equilibrium_set(GAME._replace(lam=lam), het)]
         assert (HI, HI) not in profiles and (LO, LO) not in profiles
 
     def test_low_sum_productivity_discrimination(self):
@@ -112,22 +112,22 @@ class TestHeterogeneous:
         hi = f_inverse(game, 0.15 * game.mu_lo / game.mu_hi)
         assert lo < hi
         lam = 1.0 / math.log(0.5 * (lo + hi))
-        profiles = [r.profile for r in heterogeneous_equilibrium_set(replace(game, lam=lam), het)]
+        profiles = [r.profile for r in heterogeneous_equilibrium_set(game._replace(lam=lam), het)]
         assert (HI, LO) in profiles
-        assert (HI, LO) in het_direct_ic(replace(game, lam=lam), 0.1, 0.15)
+        assert (HI, LO) in het_direct_ic(game._replace(lam=lam), 0.1, 0.15)
         # but not when the cost ratio sits below the bound
         het_close = HeterogeneousParams(0.1 * 0.3, 0.105 * 0.3)
         lo2 = f_inverse(game, 0.1 * (1.0 - game.mu_hi) / (1.0 - game.mu_lo))
         hi2 = f_inverse(game, 0.105 * game.mu_lo / game.mu_hi)
         assert lo2 > hi2
-        assert (HI, LO) not in [r.profile for r in heterogeneous_equilibrium_set(replace(game, lam=lam), het_close)]
+        assert (HI, LO) not in [r.profile for r in heterogeneous_equilibrium_set(game._replace(lam=lam), het_close)]
 
     def test_records_value_raw_costs_and_weights(self):
         # raw costs 0.06 > 0.05, but du_m > du_w makes m's effective cost lower
         het = HeterogeneousParams(0.06, 0.05, du_m=1.5, du_w=0.9)
         seen = set()
         for lam in (0.4, 1.2):
-            game = replace(GAME, lam=lam)
+            game = GAME._replace(lam=lam)
             baseline = {r.profile: r for r in equilibrium_set(game)}
             for rec in heterogeneous_equilibrium_set(game, het):
                 seen.add(rec.profile)
@@ -146,8 +146,8 @@ class TestHeterogeneous:
         from riscreen import cli
 
         rng = np.random.default_rng(29)
-        games = [replace(GAME, lam=lam)]
-        games += [replace(helpers.sample_assumption1(rng), lam=lam) for _ in range(20)]
+        games = [GAME._replace(lam=lam)]
+        games += [helpers.sample_assumption1(rng)._replace(lam=lam) for _ in range(20)]
         games += [GameParams(0.6, 0.3, 0.03, lam), GameParams(0.9, 0.2, 0.3, lam)]
         for game in games:
             het = HeterogeneousParams(game.cost_C, game.cost_C)
@@ -170,7 +170,7 @@ class TestCommitment:
 
     def test_zero_multiplier_reproduces_unconstrained_signal(self):
         # at lambda_star the unpriced impartial rule already has X = Y = c
-        game = replace(GAME, lam=lambda_star(GAME))
+        game = GAME._replace(lam=lambda_star(GAME))
         bound = bind_high_effort(game)
         assert abs(bound.nu) <= 1e-12
         np.testing.assert_allclose(
@@ -178,7 +178,7 @@ class TestCommitment:
         )
 
     def test_priced_constraints_keep_impartiality(self):
-        game = replace(GAME, lam=lambda_star(GAME) * 1.02)
+        game = GAME._replace(lam=lambda_star(GAME) * 1.02)
         sol = bind_high_effort(game)
         assert sol.nu > 0.0
         assert sol.signal.impartial and sol.signal.pi_bar == 0.5
@@ -187,7 +187,7 @@ class TestCommitment:
         assert sol.signal.X > optimal_signal(game, (HI, HI)).X
 
     def test_binding_either_agent_ties_by_symmetry(self):
-        game = replace(GAME, lam=0.62)
+        game = GAME._replace(lam=0.62)
         sol = commitment_solve(game)
         assert sol.induced_profile == (HI, HI) and sol.binding_agent == "m,w"
         for agent in (AGENT_M, AGENT_W):
@@ -198,7 +198,7 @@ class TestCommitment:
         for _ in range(20):
             base = helpers.sample_assumption1(rng)
             for factor in (1.01, 1.5, 4.0):
-                game = replace(base, lam=lambda_star(base) * factor)
+                game = base._replace(lam=lambda_star(base) * factor)
                 sol = commitment_solve(game)
                 assert (HI, HI) in sol.candidates
                 assert sol.profit == max(sol.candidates.values())
@@ -209,7 +209,7 @@ class TestCommitment:
         rng = np.random.default_rng(41)
         for _ in range(20):
             base = helpers.sample_assumption1(rng)
-            game = replace(base, lam=lambda_star(base) * float(rng.uniform(1.001, 6.0)))
+            game = base._replace(lam=lambda_star(base) * float(rng.uniform(1.001, 6.0)))
             bound, sol = bind_high_effort(game), commitment_solve(game)
             if sol.induced_profile == (HI, HI):
                 assert (sol.nu_m, sol.signal) == (bound.nu, bound.signal)
@@ -236,7 +236,7 @@ class TestCommitment:
         rng = np.random.default_rng(29)
         games = [helpers.canonical(lam) for lam in np.linspace(0.08, 2.2, 12)]
         base = helpers.sample_condition5(rng)
-        games += [replace(base, lam=float(lam)) for lam in np.linspace(0.1, 1.5, 10)]
+        games += [base._replace(lam=float(lam)) for lam in np.linspace(0.1, 1.5, 10)]
         for game in games:
             sol = commitment_solve(game)
             best = max(r.profit for r in equilibrium_set(game))
@@ -251,7 +251,7 @@ class TestCommitment:
             base = helpers.sample_condition5(rng)
             cuts = thresholds(base)
             for frac in (0.25, 0.75):
-                game = replace(base, lam=float(cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)))
+                game = base._replace(lam=float(cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)))
                 assert most_profitable(game)[0].classification == DISCRIMINATORY
                 sol = commitment_solve(game)
                 assert sol.induced_profile == (HI, HI) and sol.signal.impartial
@@ -287,7 +287,7 @@ class TestPriorInvariant:
     def test_matching_reference_prior_reduces_to_baseline(self):
         for profile in ((HI, LO), (HI, HI), (LO, HI)):
             for lam in (0.2, 0.3, 0.8):
-                game = replace(GAME, lam=lam)
+                game = GAME._replace(lam=lam)
                 dist = state_distribution(game, profile).as_tuple()
                 result = prior_invariant_signal(ReferencePriorProblem(dist, dist, lam))
                 assert result.interior
@@ -367,6 +367,55 @@ def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
     assert abs(residual) <= 1e-10
     flipped = mirror.signal.mirrored()
     np.testing.assert_allclose((*flipped.as_tuple(), flipped.pi_bar), values, rtol=0.0, atol=1e-12)
+
+
+def _prior_invariant_reference(p: tuple, q: tuple, lam: float):
+    """(pi_bar_q, pi(-1), pi(1)) of the closed form up / (up + down) in 60-digit decimal.
+
+    up = q(1)/(1 - e^-b) - q(-1)/(e^a - 1) and down, its mirror image, are
+    taken as written; None when either is not positive (no interior optimum).
+    """
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
+        one = Decimal(1)
+        q_m, q_p, lam = Decimal(q[0]), Decimal(q[2]), Decimal(lam)
+        a, b = Decimal(p[2]) / q_p / lam, Decimal(p[0]) / q_m / lam
+        up = q_p / (one - (-b).exp()) - q_m / (a.exp() - one)
+        down = q_m / (one - (-a).exp()) - q_p / (b.exp() - one)
+        if up <= 0 or down <= 0:
+            return None
+        base = (up / down).ln()
+        return up / (up + down), one / (one + (b - base).exp()), one / (one + (-base - a).exp())
+
+
+@given(
+    game=helpers.domain_games(),
+    profile=st.sampled_from(PROFILES),
+    log_weights=st.tuples(st.floats(-12.0, 0.0), st.floats(-12.0, 0.0), st.floats(-12.0, 0.0)),
+    symmetric_reference=st.booleans(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+# a symmetric true prior at lam = 1e4: up and down are each about lam q(1) q(-1) / p(d)
+@example(game=GameParams(0.99, 0.5, 0.05, 1e4), profile=(HI, HI),
+         log_weights=(0.0, -1.0, math.log10(3.0)), symmetric_reference=False)
+def test_prior_invariant_matches_a_60_digit_reference(game, profile, log_weights, symmetric_reference):
+    weights = [10.0 ** w for w in log_weights]
+    if symmetric_reference:
+        weights[2] = weights[0]
+    ref = tuple(w / sum(weights) for w in weights)
+    dist = state_distribution(game, profile).as_tuple()
+    try:
+        result = prior_invariant_signal(ReferencePriorProblem(dist, ref, game.lam))
+    except ConvergenceError:
+        return
+    if not result.interior:
+        return
+    exact = _prior_invariant_reference(dist, ref, game.lam)
+    assert exact is not None
+    pi_bar_q, pi_minus, pi_plus = (float(v) for v in exact)
+    assert abs(result.pi_bar_q - pi_bar_q) <= 1e-12 * pi_bar_q, (result.pi_bar_q, pi_bar_q)
+    assert abs(result.signal.pi_minus - pi_minus) <= 1e-12, (result.signal.pi_minus, pi_minus)
+    assert abs(result.signal.pi_plus - pi_plus) <= 1e-12, (result.signal.pi_plus, pi_plus)
 
 
 class TestMixed:
