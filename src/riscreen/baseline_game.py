@@ -122,10 +122,6 @@ class StateDistribution(ri_core._Validated, namedtuple("StateDistribution", "p_m
             raise ValueError("state probabilities must sum to 1")
         return tuple.__new__(cls, (p_minus, p_zero, p_plus))
 
-    def as_tuple(self) -> tuple:
-        """(p(-1), p(0), p(1))."""
-        return (self.p_minus, self.p_zero, self.p_plus)
-
 
 class PromotionSignal(NamedTuple):
     """Promotion probabilities for m conditional on the productivity difference.
@@ -337,7 +333,7 @@ def signal_from_odds(A, B, r):
     """(pi(-1), pi_bar, pi(1)) of the interior signal at outcome odds A : B.
 
     A = P(d = 1) and B = P(d = -1) under the effort profile, r = exp(-1/lam);
-    pi(0) = pi_bar. Plain arithmetic, so floats and numpy arrays both work.
+    pi(0) = pi_bar. Plain arithmetic, so it also works elementwise on arrays.
     No degeneracy test: the result is only meaningful where r < A/B < 1/r,
     which each caller checks in its own way.
     """
@@ -349,10 +345,9 @@ def signal_from_odds(A, B, r):
 
 def ri_problem(params: GameParams, profile: tuple) -> ri_core.BinaryRIProblem:
     """The promotion decision recast as a generic binary RI problem."""
-    dist = state_distribution(params, profile)
     return ri_core.BinaryRIProblem(
         states=(-1, 0, 1),
-        prior=dist.as_tuple(),
+        prior=state_distribution(params, profile),
         advantage=(-1.0, 0.0, 1.0),
         lam=params.lam,
     )
@@ -460,7 +455,7 @@ def evaluate(
         pb = profit(params, profile)
         V, I = pb.V, pb.I
     else:
-        prior, q = state_distribution(params, profile).as_tuple(), signal.as_tuple()
+        prior, q = state_distribution(params, profile), signal.as_tuple()
         V = sum(p * qd * d for p, qd, d in zip(prior, q, (-1.0, 0.0, 1.0))) + params.mu(profile[1])
         I = ri_core.mutual_information(prior, q)
     cost_m, cost_w = (params.cost_C, params.cost_C) if costs is None else costs
@@ -544,10 +539,18 @@ def _lam_of_gamma(gamma: float) -> float:
     return 0.0 if math.isinf(gamma) else 1.0 / math.log(gamma)
 
 
+def _log_gamma_star(c: float) -> float:
+    """ln gamma* = ln((1 + 2c)/(1 - 2c)), where g(gamma*) = c; +inf when c >= 1/2.
+
+    Taken as log1p(2c) - log1p(-2c), which keeps its digits at small c.
+    """
+    return math.log1p(2.0 * c) - math.log1p(-2.0 * c) if c < 0.5 else math.inf
+
+
 def lambda_star(params: GameParams) -> float:
     """Attention cost at which impartial equilibria switch from high to low
     effort, 1/ln(gamma*) with gamma* = g^-1(c); independent of params.lam."""
-    return _lam_of_gamma(g_inverse(params.c))
+    return 1.0 / _log_gamma_star(params.c)
 
 
 def thresholds(params: GameParams) -> ThresholdSet:
@@ -560,7 +563,7 @@ def thresholds(params: GameParams) -> ThresholdSet:
     lambda_star < lambda_high.
     """
     c = params.c
-    lambda_breve = 1.0 / math.log(params.A / params.B)
+    lambda_breve = 1.0 / math.log1p(params.delta_mu / params.B)  # A/B = 1 + delta_mu/B
     X_high = c * params.mu_lo / params.mu_hi
     X_low = c * (1.0 - params.mu_hi) / (1.0 - params.mu_lo)
     lambda_low = _lam_of_gamma(f_inverse(params, X_high))

@@ -387,7 +387,7 @@ def cmd_variants(args) -> int:
             raise ValueError("--ref-prior is required for the prior-invariant variant")
         profile = _parse_profile(args.profile)
         dist = bg.state_distribution(game, profile)
-        problem = va.ReferencePriorProblem(dist.as_tuple(), _parse_triple(args.ref_prior), game.lam)
+        problem = va.ReferencePriorProblem(dist, _parse_triple(args.ref_prior), game.lam)
         result = va.prior_invariant_signal(problem)
         if not result.interior:
             lines.append(f"not interior: pi_bar_q={result.pi_bar_q}")

@@ -40,10 +40,9 @@ class QuotaSolution(NamedTuple):
 
 def subsidized_signal(params: GameParams, profile: tuple, nu: float) -> PromotionSignal:
     """Optimal signal when promoting m is taxed by nu (advantage d - nu)."""
-    dist = state_distribution(params, profile)
     problem = ri_core.BinaryRIProblem(
         states=(-1, 0, 1),
-        prior=dist.as_tuple(),
+        prior=state_distribution(params, profile),
         advantage=(-1.0 - nu, -nu, 1.0 - nu),
         lam=params.lam,
     )
@@ -79,7 +78,7 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     e_m, e_w = profile
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile), True)
-    prior = state_distribution(params, profile).as_tuple()
+    prior = state_distribution(params, profile)
     nu = ri_core.find_root(
         lambda nu: _binding_rule(prior, params.lam, nu)[1] - 0.5, -1.0, 1.0, xtol=1e-15
     )

@@ -24,6 +24,7 @@ from .baseline_game import (
     PROFILES,
     GameParams,
     PromotionSignal,
+    _log_gamma_star,
     evaluate,
     lambda_star,
     optimal_signal,
@@ -136,7 +137,7 @@ def bind_high_effort(game: GameParams) -> Optional[BindingHighSolution]:
     if not c < 0.5:
         return None
     s = game.mu_hi * (1.0 - game.mu_hi)
-    nu = s * (game.lam * (math.log1p(2.0 * c) - math.log1p(-2.0 * c)) - 1.0)
+    nu = s * (game.lam * _log_gamma_star(c) - 1.0)
     signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5)
     return BindingHighSolution(nu, signal, evaluate(game, (HI, HI), signal).profit)
 
@@ -451,52 +452,49 @@ def continuous_effort_equilibria(
     closed forms (degenerate outside 1/gamma < A/B < gamma); an agent's win
     probability is linear in own effort with slope equal to the incentive
     gain, so the best response is the grid point closest to gain/kappa, with
-    exact ties broken toward lower effort. All grid_size^2 profiles are
-    scanned exhaustively, which finds every pure fixed point; results are
-    reported in row-major (mu_m, mu_w) order.
+    exact ties broken toward lower effort. Results are reported in row-major
+    (mu_m, mu_w) order.
+
+    A degenerate signal gives no gain and best response 0, so (0, 0) is
+    always a fixed point and no other has an agent at 0 or 1 (A or B is 0
+    there). Inside, X = K/A and Y = K/B give gain_i = K/(nu_i (1 - nu_i))
+    with one K for both agents, and the best response is i only if
+    gain_i/kappa lies in [nu_(i-1), nu_(i+1)]. So only the pairs whose
+    windows nu_i (1 - nu_i) [nu_(i-1), nu_(i+1)] meet are evaluated, with
+    the float rule of an exhaustive scan. The windows are widened by
+    1e-12 relative and n eps/kappa absolute. Off the diagonal, where they
+    differ, rounding moves each gain by at most (n + 16) u (u = eps/2)
+    absolute from K/(nu (1 - nu)), a factor common to both agents aside:
+    1 - r^2 loses the most, and 1/(1 - r) <= n - 1 there. With
+    nu (1 - nu) <= 1/4 that is below n eps/kappa in K/kappa; the floor, the
+    grid and the division add about 10 u relative.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    import numpy as np
-    grid = np.linspace(0.0, 1.0, grid_size)
-    nu_m = grid[:, None]
-    nu_w = grid[None, :]
-    A = nu_m * (1.0 - nu_w)
-    B = nu_w * (1.0 - nu_m)
+    n, inner, slack = grid_size, range(1, grid_size - 1), grid_size * sys.float_info.epsilon / kappa
+    grid = [i * (1.0 / (n - 1)) for i in range(n - 1)] + [1.0]
+    lo = {i: grid[i] * (1.0 - grid[i]) * grid[i - 1] * (1.0 - 1e-12) - slack for i in inner}
+    hi = {i: grid[i] * (1.0 - grid[i]) * grid[i + 1] * (1.0 + 1e-12) + slack for i in inner}
+    pairs = [(i, j, grid[i], grid[j], grid[i] * (1.0 - grid[j]), grid[j] * (1.0 - grid[i]))
+             for i in inner for j in inner if lo[i] <= hi[j] and lo[j] <= hi[i]]
+    cost = [0.5 * kappa * (g * g) for g in grid]
+
+    def best_response(gain: float) -> int:
+        t = gain / kappa
+        k = 0 if t <= 0.0 else n - 1 if t >= 1.0 else int(t * (n - 1))
+        return k + 1 if k < n - 1 and grid[k + 1] * gain - cost[k + 1] > grid[k] * gain - cost[k] else k
+
     results = []
     for lam in lam_values:
         r = math.exp(-1.0 / lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interior = (A > r * B) & (B > r * A)
-            pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
-            X = np.where(interior, pi_plus - pi_bar, 0.0)
-            Y = np.where(interior, pi_bar - pi_minus, 0.0)
-        gain_m = (1.0 - nu_w) * X + nu_w * Y
-        gain_w = nu_m * X + (1.0 - nu_m) * Y
-        br_m = _grid_best_response(grid, gain_m, kappa)
-        br_w = _grid_best_response(grid, gain_w, kappa)
-        rows = np.arange(grid_size)[:, None]
-        cols = np.arange(grid_size)[None, :]
-        fixed = (br_m == rows) & (br_w == cols)
-        ii, jj = np.nonzero(fixed)
-        points = tuple((float(grid[i]), float(grid[j])) for i, j in zip(ii, jj))
-        results.append(EffortGridResult(float(lam), points))
+        points = [(0.0, 0.0)]
+        for i, j, nu_m, nu_w, A, B in pairs:
+            if A > r * B and B > r * A:
+                pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+                X, Y = pi_plus - pi_bar, pi_bar - pi_minus
+                if best_response((1.0 - nu_w) * X + nu_w * Y) == i and best_response(nu_m * X + (1.0 - nu_m) * Y) == j:
+                    points.append((nu_m, nu_w))
+        results.append(EffortGridResult(float(lam), tuple(points)))
     return results
-
-
-def _grid_best_response(grid, gain, kappa: float):
-    """Index of argmax over the grid of mu*gain - kappa*mu^2/2, ties to lower mu.
-
-    The objective is concave in mu, so the grid argmax sits next to the
-    unconstrained optimum gain/kappa; only the two neighbors are compared.
-    """
-    import numpy as np
-    n = grid.size
-    target = np.clip(gain / kappa, 0.0, 1.0)
-    i_lo = np.clip(np.floor(target * (n - 1)).astype(int), 0, n - 1)
-    i_hi = np.clip(i_lo + 1, 0, n - 1)
-    val_lo = grid[i_lo] * gain - 0.5 * kappa * grid[i_lo] ** 2
-    val_hi = grid[i_hi] * gain - 0.5 * kappa * grid[i_hi] ** 2
-    return np.where(val_hi > val_lo, i_hi, i_lo)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -163,3 +165,50 @@ def direct_ic_equilibria(params: GameParams, tol: float = 1e-12) -> list:
         ] - tol:
             out.append(profile)
     return out
+
+
+def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> list:
+    """The exhaustive numpy scan of every grid_size^2 effort pair, the oracle
+    of :func:`riscreen.variants.continuous_effort_equilibria`."""
+    from riscreen.baseline_game import signal_from_odds
+    from riscreen.variants import EffortGridResult
+
+    grid = np.linspace(0.0, 1.0, grid_size)
+    nu_m = grid[:, None]
+    nu_w = grid[None, :]
+    A = nu_m * (1.0 - nu_w)
+    B = nu_w * (1.0 - nu_m)
+    results = []
+    for lam in lam_values:
+        r = math.exp(-1.0 / lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            interior = (A > r * B) & (B > r * A)
+            pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+            X = np.where(interior, pi_plus - pi_bar, 0.0)
+            Y = np.where(interior, pi_bar - pi_minus, 0.0)
+        gain_m = (1.0 - nu_w) * X + nu_w * Y
+        gain_w = nu_m * X + (1.0 - nu_m) * Y
+        br_m = _grid_best_response(grid, gain_m, kappa)
+        br_w = _grid_best_response(grid, gain_w, kappa)
+        rows = np.arange(grid_size)[:, None]
+        cols = np.arange(grid_size)[None, :]
+        fixed = (br_m == rows) & (br_w == cols)
+        ii, jj = np.nonzero(fixed)
+        points = tuple((float(grid[i]), float(grid[j])) for i, j in zip(ii, jj))
+        results.append(EffortGridResult(float(lam), points))
+    return results
+
+
+def _grid_best_response(grid, gain, kappa: float):
+    """Index of argmax over the grid of mu*gain - kappa*mu^2/2, ties to lower mu.
+
+    The objective is concave in mu, so the grid argmax sits next to the
+    unconstrained optimum gain/kappa; only the two neighbors are compared.
+    """
+    n = grid.size
+    target = np.clip(gain / kappa, 0.0, 1.0)
+    i_lo = np.clip(np.floor(target * (n - 1)).astype(int), 0, n - 1)
+    i_hi = np.clip(i_lo + 1, 0, n - 1)
+    val_lo = grid[i_lo] * gain - 0.5 * kappa * grid[i_lo] ** 2
+    val_hi = grid[i_hi] * gain - 0.5 * kappa * grid[i_hi] ** 2
+    return np.where(val_hi > val_lo, i_hi, i_lo)

@@ -299,7 +299,7 @@ def test_criterion_09_variants():
     prior_flag_errors = 0
     for profile in PROFILES:
         for lam in (0.1, 0.3, 0.8, 1.5):
-            dist = state_distribution(CANON._replace(lam=lam), profile).as_tuple()
+            dist = tuple(state_distribution(CANON._replace(lam=lam), profile))
             result = prior_invariant_signal(ReferencePriorProblem(dist, dist, lam))
             base_sig = optimal_signal(CANON._replace(lam=lam), profile)
             if not result.interior:

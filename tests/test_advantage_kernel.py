@@ -21,7 +21,7 @@ def test_zero_tilt_is_the_impartial_signal():
     sig = optimal_signal(game, (HI, HI))
     assert sig.as_tuple() == pytest.approx(want, abs=1e-15)
     assert sig.pi_bar == pytest.approx(0.5, abs=1e-15)
-    prior = state_distribution(game, (HI, HI)).as_tuple()
+    prior = tuple(state_distribution(game, (HI, HI)))
     rule = solve_binary_ri(BinaryRIProblem((-1, 0, 1), prior, (-1.0, 0.0, 1.0), 0.7))
     assert rule.conditional == pytest.approx(want, abs=1e-12)
     assert rule.unconditional == pytest.approx(0.5, abs=1e-12)

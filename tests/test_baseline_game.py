@@ -346,6 +346,15 @@ def gamma_hat_reference(params, digits=50):
         return (c1 + (c1 * c1 - 4 * c0 * c0).sqrt()) / (-2 * c0)
 
 
+def cutpoint_references(params, digits=60):
+    """(lambda_star, lambda_breve) = (1/ln((1+2c)/(1-2c)), 0 when c >= 1/2; 1/ln(A/B)) in `digits` digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        c, hi, lo = Decimal(params.c), Decimal(params.mu_hi), Decimal(params.mu_lo)
+        star = 1 / ((1 + 2 * c) / (1 - 2 * c)).ln() if 2 * c < 1 else Decimal(0)
+        return star, 1 / (hi * (1 - lo) / (lo * (1 - hi))).ln()
+
+
 @st.composite
 def near_half_games(draw):
     """Games with mu_lo within 1e-6 of 1/2, where gamma_hat is huge or absent."""
@@ -360,10 +369,14 @@ def near_half_games(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @example(params=GameParams(0.8, 0.5, 0.07, 0.3))
 @example(params=GameParams(1.0 - 1e-6, 0.5 + 2.0**-53, 1e-6, 1e4))
+@example(params=GameParams(0.8, 0.6, 0.2e-6, 0.3))  # c = 1e-6
+@example(params=GameParams(0.6 + 1e-6, 0.6, 1e-3, 0.3))  # delta_mu = 1e-6
 def test_thresholds_on_the_whole_domain(params):
     cuts = thresholds(params)
     values = [getattr(cuts, name) for name in cuts._fields if name != "gamma_hat"]
     assert all(math.isfinite(v) for v in values), cuts
+    for got, exact in zip((cuts.lambda_star, cuts.lambda_breve), cutpoint_references(params)):
+        assert float(abs(Decimal(got) - exact)) <= 1e-14 * float(exact), (params, got)
     assert (cuts.gamma_hat is None) == (params.mu_lo <= 0.5)
     if cuts.gamma_hat is not None:
         exact = gamma_hat_reference(params)

@@ -291,28 +291,39 @@ class TestOtherCommands:
         assert "pi_bar=0.7441" in target.read_text()
 
 
-def test_cli_loads_numpy_only_for_array_paths():
+def test_cli_never_loads_numpy(tmp_path):
+    # numpy is only a test dependency: every subcommand must run with it unimportable
     src = str(Path(riscreen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    game = "'--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3'"
+    game = ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3"]
+    sweep = ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda-steps", "8"]
+    commands = [
+        ["signal", *game, "--profile", "hi,lo", "--oracle"],
+        ["thresholds", *game],
+        ["equilibria", *game],
+        *(["regimes", "--analysis", a, *sweep] for a in ("baseline", "quota", "multitask", "variants")),
+        ["regimes", *sweep, "--format", "json", "--svg", str(tmp_path / "strip.svg")],
+        ["quota", *game],
+        ["multitask", *game, "--task1", "0.5,1.0,0.028", "--task2", "0.5,1.0,0.03"],
+        ["variants", "--which", "heterogeneous", *game, "--cost-m", "0.06", "--cost-w", "0.08"],
+        ["variants", "--which", "commitment", *game],
+        ["variants", "--which", "prior-invariant", *game, "--ref-prior", "0.2,0.5,0.3"],
+        ["variants", "--which", "mixed", *game],
+        ["variants", "--which", "continuous", *game, "--lambda-steps", "3", "--grid-size", "40"],
+        ["reproduce"],
+        ["reproduce", "--json"],
+    ]
+    assert {c[0] for c in commands} == {name for name, _, _ in cli._COMMANDS}
     script = (
         "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
         "import riscreen.cli as cli\n"
-        "assert 'numpy' not in sys.modules, 'import riscreen.cli loaded numpy'\n"
         "assert 'dataclasses' not in sys.modules, 'import riscreen.cli loaded dataclasses'\n"
         "assert 'inspect' not in sys.modules, 'import riscreen.cli loaded inspect'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.main(['equilibria', {game}])\n"
-        "assert 'numpy' not in sys.modules, 'equilibria loaded numpy'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.main(['variants', '--which', 'mixed', {game}])\n"
-        "assert 'numpy' not in sys.modules, 'variants --which mixed loaded numpy'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['regimes', '--analysis', 'variants', '--mu-hi', '.8', '--mu-lo', '.6'])\n"
-        "assert 'numpy' not in sys.modules, 'regimes --analysis variants loaded numpy'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.main(['variants', '--which', 'continuous', {game}, '--lambda-steps', '2', '--grid-size', '5'])\n"
-        "assert 'numpy' in sys.modules\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -73,7 +73,7 @@ class TestFindMultiplier:
 
     def test_bisection_from_two_brackets_agrees(self):
         # pi_bar - 1/2 of the binding logit rule sigmoid((d - nu)/lam), decreasing in nu
-        prior = state_distribution(GAME, (HI, LO)).as_tuple()
+        prior = tuple(state_distribution(GAME, (HI, LO)))
 
         def residual(nu):
             return sum(p / (1.0 + math.exp((nu - d) / GAME.lam)) for p, d in zip(prior, (-1, 0, 1))) - 0.5
@@ -149,7 +149,7 @@ class TestQuotaEquilibria:
 def _primal_grid_value(game, profile, center, span, step):
     """Best objective over signals satisfying the quota, on a (pi1, pi0) grid."""
     dist = state_distribution(game, profile)
-    p_m, p_0, p_p = dist.as_tuple()
+    p_m, p_0, p_p = tuple(dist)
     pi1 = np.arange(max(0.0, center[0] - span), min(1.0, center[0] + span) + step, step)
     pi0 = np.arange(max(0.0, center[1] - span), min(1.0, center[1] + span) + step, step)
     P1, P0 = np.meshgrid(pi1, pi0, indexing="ij")
@@ -178,9 +178,9 @@ class TestDuality:
         sig = sol.signal
         dist = state_distribution(game, (HI, LO))
         solution_value = (
-            sum(p * q * d for p, q, d in zip(dist.as_tuple(), sig.as_tuple(), (-1.0, 0.0, 1.0)))
+            sum(p * q * d for p, q, d in zip(tuple(dist), sig.as_tuple(), (-1.0, 0.0, 1.0)))
             + game.mu_lo
-            - game.lam * mutual_information(dist.as_tuple(), sig.as_tuple())
+            - game.lam * mutual_information(tuple(dist), sig.as_tuple())
         )
         coarse, argmax = _primal_grid_value(game, (HI, LO), (0.5, 0.5), 0.5, 5e-3)
         fine, _ = _primal_grid_value(game, (HI, LO), argmax, 0.02, 2e-4)

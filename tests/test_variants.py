@@ -13,6 +13,7 @@ from riscreen import (
     AGENT_W,
     DISCRIMINATORY,
     HI,
+    IMPARTIAL,
     LO,
     PROFILES,
     GameParams,
@@ -214,7 +215,7 @@ class TestCommitment:
             if sol.induced_profile == (HI, HI):
                 assert (sol.nu_m, sol.signal) == (bound.nu, bound.signal)
             tilt = 1.0 + bound.nu / (game.mu_hi * (1.0 - game.mu_hi))
-            prior = state_distribution(game, (HI, HI)).as_tuple()
+            prior = tuple(state_distribution(game, (HI, HI)))
             rule = ri_core.solve_binary_ri(ri_core.BinaryRIProblem((-1, 0, 1), prior, (-tilt, 0.0, tilt), game.lam))
             got = (*bound.signal.as_tuple(), bound.signal.pi_bar)
             np.testing.assert_allclose((*rule.conditional, rule.unconditional), got, rtol=0.0, atol=1e-10)
@@ -258,7 +259,7 @@ class TestCommitment:
                 assert sol.profit > sol.candidates[(HI, LO)]
                 for _ in range(200):
                     pi = np.clip(np.array(sol.signal.as_tuple()) + rng.normal(0.0, 0.02, 3), 0.0, 1.0)
-                    trial = PromotionSignal(*pi, float(np.dot(state_distribution(game, (HI, HI)).as_tuple(), pi)))
+                    trial = PromotionSignal(*pi, float(np.dot(tuple(state_distribution(game, (HI, HI))), pi)))
                     if supports_profile(game, trial, (HI, HI)):
                         assert evaluate(game, (HI, HI), trial).profit <= sol.profit + 1e-12
 
@@ -283,12 +284,30 @@ def test_commitment_on_the_whole_domain(game):
             assert abs(incentive_gain(game, bound.signal, agent, HI) - game.c) <= 1e-12
 
 
+@given(game=helpers.domain_games(), log_ratio=st.floats(0.0, 3.0), log_du=st.floats(-0.3, 0.3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_equilibrium_sets_on_the_whole_domain(game, log_ratio, log_du):
+    # c_w / c_m = 10**log_ratio >= 1, so m is the agent with the lower effective cost
+    du_m, du_w = 10.0**log_du, 10.0**-log_du
+    het = HeterogeneousParams(game.cost_C, game.cost_C * du_w / du_m * 10.0**log_ratio, du_m, du_w)
+    for solve in (lambda: equilibrium_set(game), lambda: heterogeneous_equilibrium_set(game, het)):
+        try:
+            records = solve()
+        except (ValueError, BracketError, ConvergenceError) as err:
+            assert str(err)
+            continue
+        for rec in records:
+            assert rec.profile in PROFILES and rec.classification in (IMPARTIAL, DISCRIMINATORY)
+            numbers = (*rec.signal, rec.revenue, rec.info_cost, rec.profit, rec.utility_m, rec.utility_w)
+            assert all(math.isfinite(v) for v in numbers), (game, het, rec)
+
+
 class TestPriorInvariant:
     def test_matching_reference_prior_reduces_to_baseline(self):
         for profile in ((HI, LO), (HI, HI), (LO, HI)):
             for lam in (0.2, 0.3, 0.8):
                 game = GAME._replace(lam=lam)
-                dist = state_distribution(game, profile).as_tuple()
+                dist = tuple(state_distribution(game, profile))
                 result = prior_invariant_signal(ReferencePriorProblem(dist, dist, lam))
                 assert result.interior
                 base = optimal_signal(game, profile)
@@ -298,13 +317,13 @@ class TestPriorInvariant:
                 assert worst <= 1e-9
 
     def test_symmetric_reference_keeps_impartiality(self):
-        p = state_distribution(GAME, (HI, HI)).as_tuple()
+        p = tuple(state_distribution(GAME, (HI, HI)))
         q = (0.25, 0.5, 0.25)
         result = prior_invariant_signal(ReferencePriorProblem(p, q, 0.3))
         assert result.interior and result.signal.impartial
 
     def test_asymmetric_reference_breaks_impartiality(self):
-        p = state_distribution(GAME, (HI, HI)).as_tuple()
+        p = tuple(state_distribution(GAME, (HI, HI)))
         result = prior_invariant_signal(ReferencePriorProblem(p, (0.3, 0.5, 0.2), 0.3))
         assert result.interior
         assert not result.signal.impartial
@@ -312,7 +331,7 @@ class TestPriorInvariant:
     def test_balanced_average_bonus_formulas(self):
         # pi(+-1) is the logit at base ln(pi_bar_q/(1 - pi_bar_q)) tilted by the
         # log-tilts a = p(1)/(lam q(1)) and -b = -p(-1)/(lam q(-1))
-        p = state_distribution(GAME, (HI, HI)).as_tuple()
+        p = tuple(state_distribution(GAME, (HI, HI)))
         for q in ((0.3, 0.5, 0.2), (0.25, 0.5, 0.25), (0.1, 0.3, 0.6)):
             for lam in (0.05, 0.3, 2.0):
                 result = prior_invariant_signal(ReferencePriorProblem(p, q, lam))
@@ -348,7 +367,7 @@ class TestPriorInvariant:
 def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
     weights = [10.0 ** w for w in log_weights]
     ref = tuple(w / sum(weights) for w in weights)
-    dist = state_distribution(game, profile).as_tuple()
+    dist = tuple(state_distribution(game, profile))
     try:
         result = prior_invariant_signal(ReferencePriorProblem(dist, ref, game.lam))
         mirror = prior_invariant_signal(ReferencePriorProblem(dist[::-1], ref[::-1], game.lam))
@@ -403,7 +422,7 @@ def test_prior_invariant_matches_a_60_digit_reference(game, profile, log_weights
     if symmetric_reference:
         weights[2] = weights[0]
     ref = tuple(w / sum(weights) for w in weights)
-    dist = state_distribution(game, profile).as_tuple()
+    dist = tuple(state_distribution(game, profile))
     try:
         result = prior_invariant_signal(ReferencePriorProblem(dist, ref, game.lam))
     except ConvergenceError:
@@ -527,6 +546,29 @@ class TestContinuousEffort:
                     fixed.add((round(float(mu_m), 12), round(float(mu_w), 12)))
         got = {(round(a, 12), round(b, 12)) for a, b in res.fixed_points}
         assert got == fixed
+
+    @given(
+        log_kappa=st.floats(-2.0, 2.0),
+        log_lams=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+        grid_size=st.integers(2, 200),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(log_kappa=0.0, log_lams=[0.0], grid_size=2)
+    @example(log_kappa=0.0, log_lams=[-4.0, 4.0], grid_size=3)
+    def test_equals_the_exhaustive_scan(self, log_kappa, log_lams, grid_size):
+        kappa, lams = 10.0**log_kappa, [10.0**x for x in log_lams]
+        got = continuous_effort_equilibria(kappa, lams, grid_size)
+        assert got == helpers.continuous_effort_scan(kappa, lams, grid_size)
+
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            [0.1 + (5.0 - 0.1) * i / 11 for i in range(12)],  # the CLI grid of the benchmark's sweep
+            [float(x) for x in np.linspace(0.1, 5.0, 100)],
+        ],
+    )
+    def test_equals_the_exhaustive_scan_on_the_sweeps(self, lams):
+        assert continuous_effort_equilibria(0.65, lams, 100) == helpers.continuous_effort_scan(0.65, lams, 100)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
