@@ -405,31 +405,29 @@ def supports_profile(
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
     """Principal's revenue, information bill and profit at the optimal signal.
 
-    Closed forms: symmetric profiles have V = mu + mu(1-mu)(gamma-1)/(gamma+1)
-    and I = 2 mu(1-mu) [h(gamma/(gamma+1)) - h(1/2)]. Asymmetric profiles have
-    V = mu_lo + (gamma A - B)/(gamma + 1) and
-    I = A h(pi(1)) + B h(pi(-1)) - (A + B) h(pi_bar) at the (hi, lo)
-    conditionals of :func:`signal_from_odds` while interior; in the
-    degenerate region gamma <= A/B the promoted agent is the high-effort one
-    for sure, so V = mu_hi and I = 0.
+    :func:`evaluate` at :func:`optimal_signal`. None of the three depends on
+    which agent is called m: (lo, hi) is valued as (hi, lo), bit for bit.
     """
-    r = math.exp(-1.0 / params.lam)
-    h = ri_core.neg_entropy
-    e_m, e_w = profile
-    if e_m == e_w:
-        mu = params.mu(e_m)
-        s = mu * (1.0 - mu)
-        V = mu + s * (1.0 - r) / (1.0 + r)
-        I = 2.0 * s * (h(1.0 / (1.0 + r)) - h(0.5))
-    else:
-        A, B = params.A, params.B
-        if r >= B / A:
-            V, I = params.mu_hi, 0.0
-        else:
-            V = params.mu_lo + (A - r * B) / (1.0 + r)
-            pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
-            I = A * h(pi_plus) + B * h(pi_minus) - (A + B) * h(pi_bar)
-    return ProfitBreakdown(V, I, V - params.lam * I)
+    profile = (HI, LO) if profile == (LO, HI) else profile
+    rec = evaluate(params, profile, optimal_signal(params, profile))
+    return ProfitBreakdown(rec.revenue, rec.info_cost, rec.profit)
+
+
+def _divergence(a: float, b: float) -> float:
+    """Binary relative entropy D(a || b) in nats: 0 ln 0 = 0, and exactly 0 at a == b.
+
+    Log ratios near 0 go through log1p, which keeps the digits of a near b.
+    """
+    if a == b:
+        return 0.0
+    t = 0.0
+    if a > 0.0:
+        x = (a - b) / b
+        t += a * (math.log1p(x) if abs(x) < 0.5 else math.log(a / b))
+    if a < 1.0:
+        y = (b - a) / (1.0 - b)
+        t += (1.0 - a) * (math.log1p(y) if abs(y) < 0.5 else math.log((1.0 - a) / (1.0 - b)))
+    return t
 
 
 def evaluate(
@@ -437,30 +435,32 @@ def evaluate(
     profile: tuple,
     signal: PromotionSignal,
     *,
-    optimal: bool = False,
     costs: Optional[tuple] = None,
     weights: Optional[tuple] = None,
 ) -> EquilibriumRecord:
     """Value a signal at an effort profile: V, I, profit V - lam I, utilities.
 
-    With optimal=True the signal is optimal_signal(params, profile), and V
-    and I come from the closed forms of :func:`profit`, which keep more
-    digits at large lam. Any other signal is valued by the generic sums
-    V = sum_d p(d) pi(d) d + mu_w and I = the mutual information of d and
-    the promotion decision. Agent i's utility is weight_i times its
-    promotion probability, less cost_i when it works high; costs default
-    to (cost_C, cost_C) and weights to (1, 1).
+    V = mu_w + (p(1) pi(1) - p(-1) pi(-1)) and the mutual information
+    I = sum_d p(d) D(pi(d) || pi_bar); a d with pi(d) = pi_bar, or a sure
+    pi_bar of 0 or 1, costs nothing. pi_bar must be the prior mean of the
+    conditionals to 1e-12 (ValueError otherwise). Agent i's utility is
+    weight_i times its promotion probability, less cost_i when it works
+    high; costs default to (cost_C, cost_C) and weights to (1, 1).
     """
-    if optimal:
-        pb = profit(params, profile)
-        V, I = pb.V, pb.I
-    else:
-        prior, q = state_distribution(params, profile), signal.as_tuple()
-        V = sum(p * qd * d for p, qd, d in zip(prior, q, (-1.0, 0.0, 1.0))) + params.mu(profile[1])
-        I = ri_core.mutual_information(prior, q)
+    e_m, e_w = profile
+    mu_m, mu_w = params.mu(e_m), params.mu(e_w)
+    p_plus, p_minus = mu_m * (1.0 - mu_w), mu_w * (1.0 - mu_m)
+    p_zero = 1.0 - p_plus - p_minus
+    q_minus, q_zero, q_plus, pi_bar = signal
+    mean = p_minus * q_minus + p_zero * q_zero + p_plus * q_plus
+    if abs(pi_bar - mean) > 1e-12:
+        raise ValueError(f"signal pi_bar={pi_bar!r} is not the prior mean {mean!r} of its conditionals")
+    V = mu_w + (p_plus * q_plus - p_minus * q_minus)
+    # by the check above, the conditionals of a sure decision differ from it by rounding only
+    I = 0.0 if pi_bar in (0.0, 1.0) else (p_minus * _divergence(q_minus, pi_bar)
+        + p_zero * _divergence(q_zero, pi_bar) + p_plus * _divergence(q_plus, pi_bar))
     cost_m, cost_w = (params.cost_C, params.cost_C) if costs is None else costs
     du_m, du_w = (1.0, 1.0) if weights is None else weights
-    e_m, e_w = profile
     return EquilibriumRecord(
         profile=profile,
         signal=signal,
@@ -468,8 +468,8 @@ def evaluate(
         revenue=V,
         info_cost=I,
         profit=V - params.lam * I,
-        utility_m=du_m * signal.pi_bar - (cost_m if e_m == HI else 0.0),
-        utility_w=du_w * (1.0 - signal.pi_bar) - (cost_w if e_w == HI else 0.0),
+        utility_m=du_m * pi_bar - (cost_m if e_m == HI else 0.0),
+        utility_w=du_w * (1.0 - pi_bar) - (cost_w if e_w == HI else 0.0),
     )
 
 
@@ -484,7 +484,7 @@ def equilibrium_set(params: GameParams) -> list:
     for profile in PROFILES:
         signal = optimal_signal(params, profile)
         if supports_profile(params, signal, profile):
-            found.append(evaluate(params, profile, signal, optimal=True))
+            found.append(evaluate(params, profile, signal))
     return found
 
 

@@ -62,6 +62,10 @@ def _parse_triple(text: str) -> tuple:
 
 
 def _game(args) -> bg.GameParams:
+    flags = {"--mu-hi": args.mu_hi, "--mu-lo": args.mu_lo, "--lambda": args.lam}
+    missing = ", ".join(flag for flag, value in flags.items() if value is None)
+    if missing:  # only where the parser leaves them optional
+        raise ValueError(f"the following arguments are required: {missing}")
     return bg.GameParams(args.mu_hi, args.mu_lo, args.cost, args.lam)
 
 
@@ -146,7 +150,7 @@ def cmd_signal(args) -> int:
     game = _game(args)
     profile = _parse_profile(args.profile)
     dist = bg.state_distribution(game, profile)
-    rec = bg.evaluate(game, profile, bg.optimal_signal(game, profile), optimal=True)
+    rec = bg.evaluate(game, profile, bg.optimal_signal(game, profile))
     signal = rec.signal
     lines = [f"profile ({profile[0]}, {profile[1]})  mu=({game.mu_hi:g}, {game.mu_lo:g})  lambda={game.lam:g}"]
     lines.append("d         1     0    -1")
@@ -364,7 +368,7 @@ def cmd_multitask(args) -> int:
 
 
 def cmd_variants(args) -> int:
-    game = _game(args)
+    game = None if args.which == "continuous" else _game(args)  # the effort grid reads no game
     lines = []
     if args.which == "heterogeneous":
         het = va.HeterogeneousParams(args.cost_m, args.cost_w, args.du_m, args.du_w)
@@ -504,13 +508,10 @@ def _golden_checks() -> list:
         gamma = game.A / game.B + 0.2 + i * 2.0
         lam = 1.0 / math.log(gamma)
         g_l = bg.GameParams(0.8, 0.6, 0.07, lam)
-        dv1 = bg.profit(g_l, (bg.HI, bg.HI)).V - bg.profit(g_l, (bg.HI, bg.LO)).V
-        dv2 = bg.profit(g_l, (bg.HI, bg.LO)).V - bg.profit(g_l, (bg.LO, bg.LO)).V
-        ident = dv1 - dv2 + (gamma - 1.0) * game.delta_mu**2 / (gamma + 1.0)
+        hh, hl, ll = (bg.profit(g_l, p) for p in ((bg.HI, bg.HI), (bg.HI, bg.LO), (bg.LO, bg.LO)))
+        ident = (hh.V - hl.V) - (hl.V - ll.V) + (gamma - 1.0) * game.delta_mu**2 / (gamma + 1.0)
         worst_id = max(worst_id, abs(ident))
-        di1 = bg.profit(g_l, (bg.HI, bg.HI)).I - bg.profit(g_l, (bg.HI, bg.LO)).I
-        di2 = bg.profit(g_l, (bg.HI, bg.LO)).I - bg.profit(g_l, (bg.LO, bg.LO)).I
-        order_ok = order_ok and di1 > di2
+        order_ok = order_ok and hh.I - hl.I > hl.I - ll.I
     checks.append(
         ("task_split_inequalities", worst_id <= 1e-10 and order_ok, f"|identity|={worst_id:.2e}, dI ordered={order_ok}", "1e-10 / strict")
     )
@@ -556,19 +557,19 @@ def cmd_reproduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _req(cfg: dict, dest: str) -> dict:
-    """required=True unless the config file already supplies the value."""
-    if dest in cfg:
-        return {"default": cfg[dest]}
+def _req(cfg: dict, dest: str, required: bool = True) -> dict:
+    """required=True if asked for, unless the config file already supplies the value."""
+    if dest in cfg or not required:
+        return {"default": cfg.get(dest)}
     return {"required": True}
 
 
-def _add_game_args(sub, cfg, lam_default=None):
-    sub.add_argument("--mu-hi", type=float, dest="mu_hi", **_req(cfg, "mu_hi"))
-    sub.add_argument("--mu-lo", type=float, dest="mu_lo", **_req(cfg, "mu_lo"))
+def _add_game_args(sub, cfg, lam_default=None, required=True):
+    sub.add_argument("--mu-hi", type=float, dest="mu_hi", **_req(cfg, "mu_hi", required))
+    sub.add_argument("--mu-lo", type=float, dest="mu_lo", **_req(cfg, "mu_lo", required))
     sub.add_argument("--cost", type=float, default=cfg.get("cost", 0.07))
     if lam_default is None:
-        sub.add_argument("--lambda", type=float, dest="lam", **_req(cfg, "lam"))
+        sub.add_argument("--lambda", type=float, dest="lam", **_req(cfg, "lam", required))
     else:
         sub.add_argument("--lambda", type=float, default=cfg.get("lam", lam_default), dest="lam")
 
@@ -668,7 +669,7 @@ def _multitask_args(p, cfg):
 
 
 def _variants_args(p, cfg):
-    _add_game_args(p, cfg)
+    _add_game_args(p, cfg, required=False)  # the continuous grid reads no game
     p.add_argument(
         "--which",
         choices=("heterogeneous", "commitment", "prior-invariant", "mixed", "continuous"),

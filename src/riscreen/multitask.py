@@ -18,8 +18,8 @@ from .baseline_game import (
     LO,
     PROFILES,
     GameParams,
+    evaluate,
     optimal_signal,
-    profit,
     supports_profile,
 )
 from .ri_core import _Validated
@@ -114,7 +114,8 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
         {pair: supports_profile(task_game, signals[pair], pair) for pair in PROFILES}
         for task_game in games
     ]
-    profits = {pair: profit(game, pair).profit for pair in PROFILES}
+    profits = {pair: evaluate(game, pair, signals[pair]).profit for pair in PROFILES if pair != (LO, HI)}
+    profits[(LO, HI)] = profits[(HI, LO)]  # the mirror pair earns the same, bit for bit, as in profit
     found = []
     for m1 in _EFFORTS:
         for m2 in _EFFORTS:

@@ -31,11 +31,10 @@ QUOTA_TOL = 1e-9
 
 
 class QuotaSolution(NamedTuple):
-    """Multiplier nu, the signal it induces, and whether the quota binds."""
+    """Multiplier nu and the signal it induces."""
 
     nu: float
     signal: PromotionSignal
-    binding: bool
 
 
 def subsidized_signal(params: GameParams, profile: tuple, nu: float) -> PromotionSignal:
@@ -77,7 +76,7 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     """
     e_m, e_w = profile
     if e_m == e_w:
-        return QuotaSolution(0.0, optimal_signal(params, profile), True)
+        return QuotaSolution(0.0, optimal_signal(params, profile))
     prior = state_distribution(params, profile)
     nu = ri_core.find_root(
         lambda nu: _binding_rule(prior, params.lam, nu)[1] - 0.5, -1.0, 1.0, xtol=1e-15
@@ -85,7 +84,7 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     q, pi_bar = _binding_rule(prior, params.lam, nu)
     if abs(pi_bar - 0.5) > QUOTA_TOL:
         raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
-    return QuotaSolution(nu, PromotionSignal(*q, pi_bar), True)
+    return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 
 
 def quota_equilibrium_set(params: GameParams) -> list:
@@ -95,9 +94,8 @@ def quota_equilibrium_set(params: GameParams) -> list:
     quota-constrained signal for an asymmetric profile has X > Y > 0, and
     with mu_hi + mu_lo > 1 such a signal cannot satisfy the worker's and the
     shirker's incentive constraints at once. The case mu_hi + mu_lo <= 1 is
-    not characterized and is refused. A symmetric profile's quota signal
-    is its optimal_signal, valued as :func:`baseline_game.equilibrium_set`
-    values it; any other quota signal gets :func:`evaluate`'s generic sums.
+    not characterized and is refused. A symmetric profile's quota signal is
+    its optimal_signal, so its record equals equilibrium_set's.
     """
     if not params.mu_hi + params.mu_lo > 1.0:
         raise ValueError(
@@ -108,6 +106,6 @@ def quota_equilibrium_set(params: GameParams) -> list:
     for profile in PROFILES:
         solution = find_multiplier(params, profile)
         if supports_profile(params, solution.signal, profile):
-            found.append(evaluate(params, profile, solution.signal, optimal=profile[0] == profile[1]))
+            found.append(evaluate(params, profile, solution.signal))
     return found
 

@@ -85,7 +85,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     for profile in PROFILES:
         signal = optimal_signal(game, profile)
         if supports_profile(game, signal, profile, c_m, c_w):
-            found.append(evaluate(game, profile, signal, optimal=True,
+            found.append(evaluate(game, profile, signal,
                                   costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w)))
     return found
 
@@ -129,9 +129,8 @@ def bind_high_effort(game: GameParams) -> Optional[BindingHighSolution]:
     McKay 2015). It meets both constraints with equality at
     pi = (1/2 - c, 1/2, 1/2 + c), so (1 + nu/s)/lam = ln gamma* with
     gamma* = (1 + 2c)/(1 - 2c), and nu = s (lam ln gamma* - 1): positive
-    above lambda_star, where the unpriced rule gives X = g(gamma) < c. The
-    rule is valued by :func:`evaluate`'s generic sums. Returns None when
-    c >= 1/2, which no interior rule reaches.
+    above lambda_star, where the unpriced rule gives X = g(gamma) < c.
+    Returns None when c >= 1/2, which no interior rule reaches.
     """
     c = game.c
     if not c < 0.5:
@@ -153,15 +152,15 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     unconstrained (lo, lo) rule. All three are closed forms.
     """
     if game.lam <= lambda_star(game) + 1e-15:
-        rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)), optimal=True)
+        rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)))
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
-    rec = evaluate(game, (LO, LO), optimal_signal(game, (LO, LO)), optimal=True)
+    rec = evaluate(game, (LO, LO), optimal_signal(game, (LO, LO)))
     candidates = {(LO, LO): rec.profit}
     best = ((LO, LO), rec.signal, rec.profit, 0.0, None)
 
     disc_signal = optimal_signal(game, (HI, LO))
     if supports_profile(game, disc_signal, (HI, LO)):
-        rec = evaluate(game, (HI, LO), disc_signal, optimal=True)
+        rec = evaluate(game, (HI, LO), disc_signal)
         candidates[(HI, LO)] = rec.profit
         if rec.profit > best[2]:
             best = ((HI, LO), disc_signal, rec.profit, 0.0, None)

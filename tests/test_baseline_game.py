@@ -16,16 +16,19 @@ from riscreen import (
     LO,
     PROFILES,
     GameParams,
+    bind_high_effort,
     equilibrium_set,
     evaluate,
     f_func,
     f_inverse,
+    find_multiplier,
     g_func,
     g_inverse,
     incentive_gain,
     most_profitable,
     optimal_signal,
     profit,
+    ri_core,
     state_distribution,
     thresholds,
     welfare_ordering,
@@ -447,32 +450,45 @@ class TestProfit:
         assert pb.V == GAME.mu_hi
         assert pb.I == 0.0
 
-    def test_profit_agrees_with_signal_recomputation(self):
-        # the closed forms against evaluate's generic sums at the same signal
-        for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 3.0, 1e2, 1e4):
-            game = GAME._replace(lam=lam)
-            for profile in PROFILES:
-                pb = profit(game, profile)
-                rec = evaluate(game, profile, optimal_signal(game, profile))
-                assert pb.V == pytest.approx(rec.revenue, abs=1e-8)
-                assert pb.I == pytest.approx(rec.info_cost, abs=1e-8)
-                assert pb.profit == pytest.approx(rec.profit, abs=1e-8)
-
-    def test_profit_solves_no_signal(self, monkeypatch):
-        # the (hi, lo) and (lo, hi) bills read signal_from_odds, never optimal_signal
+    def test_evaluate_solves_no_signal(self, monkeypatch):
+        # evaluate values the signal it is given: no signal formula, no generic bill
         import riscreen.baseline_game as bg
+        from riscreen import ri_core
 
         games = [GAME._replace(lam=lam) for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4)]
         held = {(game, p): optimal_signal(game, p) for game in games for p in PROFILES}
+        held.update({(game, (HI, HI)): bind_high_effort(game).signal for game in games})
+        held.update({(game, (HI, LO)): find_multiplier(game, (HI, LO)).signal for game in games})
+        calls = []
+        for module, name in ((bg, "optimal_signal"), (bg, "signal_from_odds"), (ri_core, "mutual_information")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
+        for (game, profile), signal in held.items():
+            evaluate(game, profile, signal)
+        assert calls == []
+
+    def test_profit_solves_one_signal(self, monkeypatch):
+        # profit is evaluate at optimal_signal; (lo, hi) is valued as (hi, lo)
+        import riscreen.baseline_game as bg
+
         calls = []
         real = bg.optimal_signal
         monkeypatch.setattr(bg, "optimal_signal", lambda *args: calls.append(args) or real(*args))
-        for (game, profile), signal in held.items():
-            pb = profit(game, profile)
-            assert evaluate(game, profile, signal, optimal=True).profit == pb.profit
-            if profile == (LO, HI):
-                assert pb == profit(game, (HI, LO))
-        assert calls == []
+        for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4):
+            game = GAME._replace(lam=lam)
+            for profile in PROFILES:
+                calls.clear()
+                pb = profit(game, profile)
+                assert len(calls) == 1
+                assert tuple(pb) == evaluate(game, calls[0][1], real(*calls[0]))[3:6]
+            assert profit(game, (LO, HI)) == profit(game, (HI, LO))
+
+    def test_evaluate_refuses_an_inconsistent_pi_bar(self):
+        signal = optimal_signal(GAME, (HI, LO))
+        with pytest.raises(ValueError, match="is not the prior mean"):
+            evaluate(GAME, (HI, LO), signal._replace(pi_bar=signal.pi_bar + 1e-9))
+        # a pi_bar off by rounding only is accepted
+        assert evaluate(GAME, (HI, LO), signal._replace(pi_bar=signal.pi_bar + 1e-13)).profit > 0.0
 
     def test_difference_derivatives_match_finite_differences(self):
         # d/dgamma of the revenue and information gaps across profiles
@@ -503,6 +519,102 @@ class TestProfit:
             assert di2 == pytest.approx(
                 dmu * (1 - 2 * GAME.mu_lo) * math.log(gamma) / (gamma + 1) ** 2, rel=1e-5
             )
+
+
+EPS = 2.0**-52
+
+
+def decimal_valuation(params, profile, signal, digits=50):
+    """(V, I, profit) of a float signal in `digits`-digit decimal.
+
+    The prior comes from the float mus and I = sum_d p(d) D(pi(d) || m) is
+    taken at the exact prior mean m of the float conditionals.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mu_m, mu_w = (Decimal(params.mu(e)) for e in profile)
+        p_plus, p_minus = mu_m * (1 - mu_w), mu_w * (1 - mu_m)
+        prior = (p_minus, 1 - p_plus - p_minus, p_plus)
+        q = [Decimal(x) for x in signal.as_tuple()]
+        mean = sum(p * x for p, x in zip(prior, q))
+        info = Decimal(0)
+        if 0 < mean < 1:
+            for p, a in zip(prior, q):
+                if a > 0:
+                    info += p * a * (a / mean).ln()
+                if a < 1:
+                    info += p * (1 - a) * ((1 - a) / (1 - mean)).ln()
+        V = mu_w + p_plus * q[2] - p_minus * q[0]
+        return V, info, V - Decimal(params.lam) * info
+
+
+def divergence_terms(signal):
+    """sum_d |pi ln(pi/pi_bar)| + |(1 - pi) ln((1 - pi)/(1 - pi_bar))|, the size
+    of the terms the bill adds up (0 for a sure decision)."""
+    b, total = signal.pi_bar, 0.0
+    if 0.0 < b < 1.0:
+        for a in signal.as_tuple():
+            if 0.0 < a:
+                total += abs(a * math.log(a / b))
+            if a < 1.0:
+                total += abs((1.0 - a) * math.log((1.0 - a) / (1.0 - b)))
+    return total
+
+
+def valued_signals(params):
+    """Every kind of signal the package values: the four optimal signals, both
+    asymmetric quota signals and the bound (hi, hi) rule."""
+    out = [(p, optimal_signal(params, p)) for p in PROFILES]
+    out += [(p, find_multiplier(params, p).signal) for p in ((HI, LO), (LO, HI))]
+    bound = bind_high_effort(params)
+    if bound is not None:
+        out.append(((HI, HI), bound.signal))
+    return out
+
+
+#: the (lo, lo) row at lambda = 1000 + 9000 * 20/39 of
+#: `regimes --mu-hi .8 --mu-lo .6 --cost .07 --lambda-range 1000 10000 --lambda-steps 40`
+LARGE_LAM = GameParams(0.8, 0.6, 0.07, 1000.0 + 9000.0 * 20 / 39)
+
+
+@given(params=helpers.domain_games())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(params=LARGE_LAM)
+@example(params=GameParams(0.8, 0.6, 0.07, 2.0))  # degenerate (hi, lo) signal
+# just below lambda_breve: pi_bar rounds to 1 while pi(-1) = 1 - 6e-16
+@example(params=GameParams(0.7653730981678712, 0.19577267848062543, 0.01, 0.38531271033885767))
+def test_evaluate_matches_a_50_digit_valuation(params):
+    # V to 1e-15 relative; I and profit to 4 eps of the size of the terms they add up
+    for profile, signal in valued_signals(params):
+        rec = evaluate(params, profile, signal)
+        V, info, value = decimal_valuation(params, profile, signal)
+        terms = divergence_terms(signal)
+        sure = signal.pi_bar in (0.0, 1.0)
+        assert float(abs(Decimal(rec.revenue) - V) / V) <= 1e-15, (params, profile)
+        if sure:  # conditionals within rounding of a sure decision carry no bill
+            assert rec.info_cost == 0.0 and info <= Decimal(1e-14), (params, profile)
+        else:
+            assert float(abs(Decimal(rec.info_cost) - info)) <= 4 * EPS * terms, (params, profile)
+        slack = 4 * EPS * (float(V) + params.lam * terms) + (params.lam * float(info) if sure else 0.0)
+        assert float(abs(Decimal(rec.profit) - value)) <= slack, (params, profile)
+        # the generic solver's oracle agrees to its own rounding
+        mi = ri_core.mutual_information(state_distribution(params, profile), signal.as_tuple())
+        assert abs(rec.info_cost - mi) <= 1e-14, (params, profile)
+    # the mirror records differ by rounding only, and profit makes them equal
+    hi_lo, lo_hi = (evaluate(params, p, optimal_signal(params, p)) for p in ((HI, LO), (LO, HI)))
+    terms = divergence_terms(hi_lo.signal)
+    assert abs(lo_hi.revenue - hi_lo.revenue) <= 4e-16 * hi_lo.revenue
+    assert abs(lo_hi.info_cost - hi_lo.info_cost) <= 8 * EPS * terms
+    assert abs(lo_hi.profit - hi_lo.profit) <= 4e-16 * (hi_lo.revenue + params.lam * terms)
+    assert profit(params, (LO, HI)) == profit(params, (HI, LO))
+
+
+def test_large_lambda_profit_has_its_exact_digits():
+    # the closed forms printed 0.600010684932 in this sweep row
+    assert f"{LARGE_LAM.lam:.12g}" == "5615.38461538"
+    value = profit(LARGE_LAM, (LO, LO)).profit
+    exact = decimal_valuation(LARGE_LAM, (LO, LO), optimal_signal(LARGE_LAM, (LO, LO)))[2]
+    assert f"{value:.12g}" == f"{float(exact):.12g}" == "0.600010684931"
 
 
 class TestWelfareAndSelection:

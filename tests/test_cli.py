@@ -278,6 +278,28 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip()
 
+    def test_continuous_variant_needs_no_game(self, capsys):
+        argv = ["variants", "--which", "continuous", "--kappa", ".65",
+                "--lambda-range", ".1", "5", "--lambda-steps", "3"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("lam=0.1000 fixed_points=")
+        # the game flags are still accepted, and change nothing
+        assert run([*argv, *CANON, "--lambda", ".3"], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("which, extra", [
+        ("heterogeneous", []),
+        ("commitment", []),
+        ("prior-invariant", ["--ref-prior", "0.2,0.5,0.3"]),
+        ("mixed", []),
+    ])
+    def test_game_variants_name_the_missing_flags(self, which, extra, capsys):
+        code, out, err = run(["variants", "--which", which, *extra], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: the following arguments are required: --mu-hi, --mu-lo, --lambda\n"
+        code, out, err = run(["variants", "--which", which, "--mu-lo", ".6", "--lambda", ".3", *extra], capsys)
+        assert (code, out, err) == (2, "", "error: the following arguments are required: --mu-hi\n")
+
     def test_prior_invariant_requires_reference(self, capsys):
         code, _, err = run(["variants", *CANON, "--lambda", ".4", "--which", "prior-invariant"], capsys)
         assert code == 2

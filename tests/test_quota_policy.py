@@ -55,7 +55,6 @@ class TestFindMultiplier:
         for profile in ((HI, HI), (LO, LO)):
             sol = find_multiplier(GAME, profile)
             assert sol.nu == 0.0
-            assert sol.binding
             assert sol.signal.pi_bar == pytest.approx(0.5, abs=1e-12)
 
     def test_asymmetric_profile_binds(self):

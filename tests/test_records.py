@@ -26,9 +26,9 @@ def test_reprs_name_every_field():
     assert repr(ChoiceRule([0, 1], 0.5, False, 0.25)) == (
         "ChoiceRule(conditional=(0.0, 1.0), unconditional=0.5, degenerate=False, info_cost=0.25)"
     )
-    assert repr(QuotaSolution(0.0, PromotionSignal(0.25, 0.5, 0.75, 0.5), False)) == (
+    assert repr(QuotaSolution(0.0, PromotionSignal(0.25, 0.5, 0.75, 0.5))) == (
         "QuotaSolution(nu=0.0, signal=PromotionSignal(pi_minus=0.25, pi_zero=0.5, pi_plus=0.75, "
-        "pi_bar=0.5), binding=False)"
+        "pi_bar=0.5))"
     )
     assert repr(TaskParams(0.5, 1.0, 0.02)) == "TaskParams(alpha=0.5, beta=1.0, cost_C=0.02)"
     assert repr(HeterogeneousParams(0.07, 0.08)) == (
