@@ -5,19 +5,22 @@ principal screens with advantage d - nu instead of d, where nu is the
 multiplier of the quota constraint. nu is zero when efforts are symmetric,
 positive when m works harder, negative in the mirror case. The binding
 signal is then the closed-form logit rule at nu (Matejka & McKay 2015),
-pi(d) = sigmoid((d - nu)/lam), so no RI problem is solved on this path.
-The quota kills exactly the discriminatory equilibria and leaves the
-impartial ones alone.
+pi(d) = sigmoid((d - nu)/lam), so no RI problem is solved on this path,
+and nu itself is the positive root of a cubic in exp(nu/lam), taken in
+closed form: no root is searched either. The quota kills exactly the
+discriminatory equilibria and leaves the impartial ones alone.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import ri_core
 from .baseline_game import (
     PROFILES,
     BracketError,
+    LO,
     GameParams,
     PromotionSignal,
     evaluate,
@@ -50,14 +53,100 @@ def subsidized_signal(params: GameParams, profile: tuple, nu: float) -> Promotio
     return PromotionSignal(q[0], q[1], q[2], rule.unconditional)
 
 
-def _binding_rule(prior: tuple, lam: float, nu: float) -> tuple:
-    """Conditionals sigmoid((d - nu)/lam) for d = -1, 0, 1, and their average.
+def _positive_root(a: float, b: float, c: float, reverse: bool = True) -> float:
+    """The positive root of z^3 + a z^2 + b z + c (c <= 0), without cancellation.
 
-    The average is taken under prior = (p(-1), p(0), p(1)); it is the
-    pi_bar of the taxed logit rule, 1/2 when nu is the quota multiplier.
+    Numerical Recipes §5.6, on the cubic scaled so that its coefficients are
+    at most 1. One root is taken where it is exact to rounding: the
+    trigonometric root whose two terms share a sign when all three roots
+    are real, Cardano's root otherwise, or, when Cardano's root is positive
+    but smaller in modulus than the complex pair, the reciprocal of the
+    reversed cubic's root. A negative root z leaves the quadratic with
+    product -c/z and sum (b + c/z)/z, whose positive root the citardauq
+    pair gives. Returns 0 when the cubic has no positive root in floating
+    point.
     """
-    q = tuple(ri_core._sigmoid((d - nu) / lam) for d in (-1.0, 0.0, 1.0))
-    return q, sum(p * qd for p, qd in zip(prior, q))
+    k = max(abs(a), math.sqrt(abs(b)), (-c) ** (1.0 / 3.0))
+    a, b, c = a / k, b / k / k, c / k / k / k
+    Q = (a * a - 3.0 * b) / 9.0
+    R = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 54.0
+    if R * R < Q * Q * Q:
+        sq = math.sqrt(Q)
+        theta = math.acos(max(-1.0, min(1.0, R / (Q * sq))))
+        z = -2.0 * sq * math.cos((theta + (2.0 * math.pi if a < 0.0 else 0.0)) / 3.0) - a / 3.0
+    else:
+        S = -math.copysign((abs(R) + math.sqrt(R * R - Q * Q * Q)) ** (1.0 / 3.0), R)
+        z = S + (Q / S if S != 0.0 else 0.0) - a / 3.0
+        if reverse and 0.0 < z and z * z * z < -c:
+            return k / _positive_root(b / c, a / c, 1.0 / c, reverse=False)
+    if z > 0.0:
+        return k * z
+    prod, tot = (b, -a) if z == 0.0 else (-c / z, (b + c / z) / z)
+    d = math.sqrt(max(0.0, tot * tot - 4.0 * prod))
+    return k * max(0.0, (tot + d) / 2.0 if tot >= 0.0 else 2.0 * prod / (tot - d))
+
+
+def _tilt(p_minus: float, p_zero: float, p_plus: float, delta: float, lam: float) -> tuple:
+    """(s, y) with nu = s + lam y the multiplier of a prior with p(1) > p(-1).
+
+    delta = p(1) - p(-1) > 0, so nu lies in (0, 1). With r = exp(-1/lam),
+    u = exp(nu/lam) and the conditionals p(-1) r/(r+u), p(0)/(1+u) and
+    p(1)/(1+ru), clearing denominators turns pi_bar = 1/2 into the cubic
+    r u^3 + c2 u^2 + c1 u - r = 0 with one positive root. It is solved in a
+    variable whose root stays O(1), with coefficients built from
+    e = 1 - r = -expm1(-1/lam) and delta, which carry no cancellation:
+
+    - nu <= 1/2 (s = 0): u = 1 + e w, y = nu/lam = log1p(e w), where 1/w is
+      the positive root of the reversed cubic
+      c0 z^3 + c1 z^2 + e c2 z + e^2 r, c0 = -2 (1 + r) delta,
+      c1 = b + delta (4 - 10e + 3e^2), c2 = b + delta (4 - 6e + e^2) and
+      b = 8 r p(-1) + (1 + r)^2 p(0); w tends to nu as lam grows.
+    - nu > 1/2 (s = 1, only when p(1) > 1/2): v = r u = exp(y),
+      y = (nu - 1)/lam, the positive root of v^3 + k2 v^2 + k1 v - r^3,
+      k2 = m - (1 - r - r^2) delta, k1 = -r (m + (1 + r - r^2) delta),
+      m = 2 r p(-1) + (1 - r + r^2) p(0); as lam -> 0, v -> 2 p(1) - 1
+      while u overflows and r underflows.
+
+    The side of 1/2 is the sign of the residual at nu = 1/2. A zero there
+    makes 1/2 the root (s = 1/2, y = 0), and so does a cubic without a
+    positive root in floating point, which happens only where p(1) is
+    within rounding of 1/2 and r underflows. One Newton step on the residual
+    sum_d p(d) T(d), T(d) = tanh((d - nu)/(2 lam)), then takes y to full
+    precision; it is skipped where that residual is too flat to move y by
+    less than 1. The residual is written
+    delta T(1) + p(0) T(0) - 4 r p(-1) sinh(x)/(1 + r^2 + 2 r cosh(x)),
+    x = nu/lam, which keeps the digits of a small nu, and is evaluated in
+    r e^x and expm1(-2x), so nothing overflows.
+    """
+    r = math.exp(-1.0 / lam)
+    s = 0
+    if p_plus > 0.5:
+        h = 0.25 / lam
+        half = p_plus * math.tanh(h) - p_zero * math.tanh(h) - p_minus * math.tanh(3.0 * h)
+        if half == 0.0:
+            return 0.5, 0.0
+        s = int(half > 0.0)
+    if s == 0:
+        e = -math.expm1(-1.0 / lam)
+        b = 8.0 * r * p_minus + (1.0 + r) ** 2 * p_zero
+        c0 = -2.0 * (1.0 + r) * delta
+        c1 = b + delta * (4.0 - 10.0 * e + 3.0 * e * e)
+        c2 = b + delta * (4.0 - 6.0 * e + e * e)
+        root = _positive_root(c1 / c0, e * c2 / c0, e * e * r / c0)
+    else:
+        m = 2.0 * r * p_minus + (1.0 - r + r * r) * p_zero
+        k2 = m - (1.0 - r - r * r) * delta
+        root = _positive_root(k2, -r * (m + (1.0 + r - r * r) * delta), -r ** 3)
+    if root == 0.0:
+        return 0.5, 0.0
+    y = math.log1p(e / root) if s == 0 else math.log(root)
+    t_minus, t_zero, t_plus = (math.tanh(((d - s) / lam - y) / 2.0) for d in (-1, 0, 1))
+    ru, em = math.exp(y + (s - 1) / lam), math.expm1(-2.0 * (y + s / lam))
+    resid = delta * t_plus + p_zero * t_zero + 2.0 * p_minus * ru * em / (1.0 + r * r + ru * (2.0 + em))
+    slope = (p_minus * (1.0 - t_minus**2) + p_zero * (1.0 - t_zero**2) + p_plus * (1.0 - t_plus**2)) / 2.0
+    if abs(resid) < slope:
+        y += resid / slope
+    return s, y
 
 
 def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
@@ -66,23 +155,28 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     Symmetric profiles need no subsidy (complementary slackness: nu = 0).
     Otherwise the binding rule has unconditional probability exactly 1/2
     and conditionals sigmoid((d - nu)/lam), so nu solves the single
-    consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2, whose left
-    side is strictly decreasing in nu. It is found with
-    :func:`ri_core.find_root` on [-1, 1]: every d - nu is >= 0 at nu = -1
-    and <= 0 at nu = 1, so the residual changes sign on that bracket. The
-    returned signal is the closed-form logit rule at nu,
-    pi(d) = sigmoid((d - nu)/lam), with pi_bar = sum_d p(d) pi(d) computed,
-    not assumed, and checked against the quota to QUOTA_TOL.
+    consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2, a cubic in
+    exp(nu/lam) with one positive root. :func:`_tilt` takes nu from that
+    cubic in closed form for the profile in which m works (nu > 0); the
+    mirror profile has the mirror prior and -nu. No root is searched. The
+    returned signal is the logit rule at nu, with pi_bar = sum_d p(d) pi(d)
+    computed, not assumed, and checked against the quota to QUOTA_TOL
+    (BracketError otherwise).
     """
     e_m, e_w = profile
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile))
-    prior = state_distribution(params, profile)
-    nu = ri_core.find_root(
-        lambda nu: _binding_rule(prior, params.lam, nu)[1] - 0.5, -1.0, 1.0, xtol=1e-15
-    )
-    q, pi_bar = _binding_rule(prior, params.lam, nu)
-    if abs(pi_bar - 0.5) > QUOTA_TOL:
+    p_minus, p_zero, p_plus = state_distribution(params, profile)
+    lam = params.lam
+    if e_m == LO:  # the mirror image of (hi, lo)
+        s, y = _tilt(p_plus, p_zero, p_minus, params.delta_mu, lam)
+        nu, t = -s - lam * y, (y - (1.0 - s) / lam, y + s / lam, y + (1.0 + s) / lam)
+    else:
+        s, y = _tilt(p_minus, p_zero, p_plus, params.delta_mu, lam)
+        nu, t = s + lam * y, (-(1.0 + s) / lam - y, -s / lam - y, (1.0 - s) / lam - y)
+    q = tuple(map(ri_core._sigmoid, t))
+    pi_bar = p_minus * q[0] + p_zero * q[1] + p_plus * q[2]
+    if not abs(pi_bar - 0.5) <= QUOTA_TOL:
         raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 

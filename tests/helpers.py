@@ -7,7 +7,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from riscreen import GameParams, g_func, thresholds
+from riscreen import GameParams, g_func, ri_core, thresholds
 from riscreen.ri_core import BinaryRIProblem
 
 # canonical parameter point used across the suite
@@ -117,6 +117,40 @@ def grid_search_value(problem: BinaryRIProblem, step: float = 1e-4) -> tuple:
     values = cond @ (p * v) - problem.lam * np.maximum(info, 0.0)
     best = int(np.argmax(values))
     return float(values[best]), float(qs[best])
+
+
+def _binding_rule(prior: tuple, lam: float, nu: float) -> tuple:
+    """Conditionals sigmoid((d - nu)/lam) for d = -1, 0, 1, and their average.
+
+    The average is taken under prior = (p(-1), p(0), p(1)); it is the
+    pi_bar of the taxed logit rule, 1/2 when nu is the quota multiplier.
+    """
+    q = tuple(ri_core._sigmoid((d - nu) / lam) for d in (-1.0, 0.0, 1.0))
+    return q, sum(p * qd for p, qd in zip(prior, q))
+
+
+def quota_multiplier_by_root(params: GameParams, profile: tuple):
+    """The quota multiplier by a root search, the oracle of
+    :func:`riscreen.find_multiplier`.
+
+    nu solves sum_d p(d) sigmoid((d - nu)/lam) = 1/2 with
+    :func:`ri_core.find_root` on [-1, 1] (xtol 1e-15): every d - nu is >= 0
+    at nu = -1 and <= 0 at nu = 1, so the residual changes sign there.
+    """
+    from riscreen import BracketError, PromotionSignal, QuotaSolution, optimal_signal, state_distribution
+    from riscreen.quota_policy import QUOTA_TOL
+
+    e_m, e_w = profile
+    if e_m == e_w:
+        return QuotaSolution(0.0, optimal_signal(params, profile))
+    prior = state_distribution(params, profile)
+    nu = ri_core.find_root(
+        lambda nu: _binding_rule(prior, params.lam, nu)[1] - 0.5, -1.0, 1.0, xtol=1e-15
+    )
+    q, pi_bar = _binding_rule(prior, params.lam, nu)
+    if abs(pi_bar - 0.5) > QUOTA_TOL:
+        raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
+    return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 
 
 def signal_win_probability_w(signal, mu_m: float, mu_w: float) -> float:

@@ -595,6 +595,8 @@ def test_evaluate_matches_a_50_digit_valuation(params):
             assert rec.info_cost == 0.0 and info <= Decimal(1e-14), (params, profile)
         else:
             assert float(abs(Decimal(rec.info_cost) - info)) <= 4 * EPS * terms, (params, profile)
+            # and relative accuracy: the divergence kernel has no cancellation near pi_bar
+            assert float(abs(Decimal(rec.info_cost) - info)) <= 1e-14 * float(info), (params, profile)
         slack = 4 * EPS * (float(V) + params.lam * terms) + (params.lam * float(info) if sure else 0.0)
         assert float(abs(Decimal(rec.profit) - value)) <= slack, (params, profile)
         # the generic solver's oracle agrees to its own rounding
@@ -607,6 +609,27 @@ def test_evaluate_matches_a_50_digit_valuation(params):
     assert abs(lo_hi.info_cost - hi_lo.info_cost) <= 8 * EPS * terms
     assert abs(lo_hi.profit - hi_lo.profit) <= 4e-16 * (hi_lo.revenue + params.lam * terms)
     assert profit(params, (LO, HI)) == profit(params, (HI, LO))
+
+
+#: mu_m and mu_w at opposite edges, where 1 - p(1) - p(-1) kept p(0) to 1e-12 only
+EDGE_GAME = GameParams(0.999991, 4.65e-5, 1e-3, 0.3)
+
+
+def test_prior_at_opposite_edges_has_its_digits():
+    for profile in ((HI, LO), (LO, HI)):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            mu_m, mu_w = (Decimal(EDGE_GAME.mu(e)) for e in profile)
+            exact = mu_m * mu_w + (1 - mu_m) * (1 - mu_w)
+        p_zero = state_distribution(EDGE_GAME, profile).p_zero
+        assert float(abs(Decimal(p_zero) - exact) / exact) <= EPS, profile
+        # the quota bill reads that prior inline
+        for lam in (1e-4, 0.3, 1e4):
+            game = EDGE_GAME._replace(lam=lam)
+            signal = find_multiplier(game, profile).signal
+            info = decimal_valuation(game, profile, signal)[1]
+            bill = evaluate(game, profile, signal).info_cost
+            assert float(abs(Decimal(bill) - info) / info) <= 4 * EPS, (profile, lam)
 
 
 def test_large_lambda_profit_has_its_exact_digits():

@@ -1,6 +1,7 @@
 """Tests for the equal-promotion quota analysis."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -98,6 +99,35 @@ class TestFindMultiplier:
             # X/Y of the logit rule at nu, (e^((nu+1)/lam) + 1) / (e^(1/lam) + e^(nu/lam))
             ratio = (math.exp((sol.nu + 1.0) / lam) + 1.0) / (math.exp(1.0 / lam) + math.exp(sol.nu / lam))
             assert sig.X / sig.Y == pytest.approx(ratio, abs=1e-8)
+
+    def test_find_multiplier_makes_no_root_search(self, monkeypatch):
+        from riscreen import ri_core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_root called")
+
+        monkeypatch.setattr(ri_core, "find_root", refuse)
+        games = [GAME._replace(lam=lam) for lam in (1e-4, 0.01, 0.3, 2.0, 1e4)]
+        games += [GameParams(0.999, 0.0011, 0.07, lam) for lam in (1e-4, 0.01, 0.3, 1e4)]
+        for game in games:
+            for profile in PROFILES:
+                assert find_multiplier(game, profile).signal.pi_bar == pytest.approx(0.5, abs=1e-12)
+
+    def test_edge_branches(self):
+        # nu -> 1 as lam -> 0 once p(1) > 1/2, through 1 + lam ln(2 p(1) - 1)
+        game = GameParams(0.999, 0.0011, 0.07, 1e-4)
+        p_plus = state_distribution(game, (HI, LO)).p_plus
+        limit = 1.0 + game.lam * math.log(2.0 * p_plus - 1.0)
+        for profile, sign in (((HI, LO), 1.0), ((LO, HI), -1.0)):
+            assert find_multiplier(game, profile).nu == pytest.approx(sign * limit, rel=1e-12)
+        # nu -> p(1) - p(-1) = mu_hi - mu_lo as lam grows
+        wide = GAME._replace(lam=1e4)
+        assert find_multiplier(wide, (HI, LO)).nu == pytest.approx(0.2, rel=1e-4)
+        # p(1) rounds to 1/2: the residual at nu = 1/2 is 0 in floating point, so 1/2 is the root
+        flat = GameParams(0.75, 1.0 / 3.0, 0.07, 1e-4)
+        assert state_distribution(flat, (HI, LO)).p_plus == 0.5
+        sol = find_multiplier(flat, (HI, LO))
+        assert sol.nu == 0.5 and sol.signal.pi_bar == 0.5
 
     def test_prior_is_built_once(self, monkeypatch):
         from riscreen import quota_policy
@@ -263,3 +293,42 @@ def test_shared_impartial_records_are_equal(game):
     baseline = {r.profile: r for r in equilibrium_set(game)}
     for rec in quota_equilibrium_set(game):
         assert rec == baseline[rec.profile]
+
+
+def decimal_multiplier(params, profile, start, digits=50):
+    """nu solving sum_d p(d) sigmoid((d - nu)/lam) = 1/2 in `digits`-digit
+    decimal, by Newton's method from `start`, for the exact prior of the
+    float mus (which sums to 1)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mu_m, mu_w = (Decimal(params.mu(e)) for e in profile)
+        p_plus, p_minus = mu_m * (1 - mu_w), mu_w * (1 - mu_m)
+        prior = ((p_minus, -1), (1 - p_plus - p_minus, 0), (p_plus, 1))
+        lam, nu, half = Decimal(params.lam), Decimal(start), Decimal(1) / 2
+        for _ in range(50):
+            value, slope = -half, Decimal(0)
+            for p, d in prior:
+                e = ((nu - d) / lam).exp()
+                value += p / (1 + e)
+                slope -= p * e / (lam * (1 + e) ** 2)
+            step = value / slope
+            nu -= step
+            if abs(step) <= abs(nu) * Decimal(10) ** (20 - digits):
+                return nu
+        raise AssertionError(f"no convergence from {start!r}")
+
+
+@given(game=quota_games())
+@example(game=GameParams(0.999, 0.0011, 0.07, 1e-4))  # nu -> 1: the shifted branch
+@example(game=GameParams(0.999, 0.0011, 0.07, 1e4))
+@example(game=GameParams(0.8, 0.6, 0.07, 1e-4))
+@example(game=GameParams(0.8, 0.6, 0.07, 1e4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_find_multiplier_agrees_with_the_root_search(game):
+    # to the oracle's xtol, or closer than the oracle to a 50-digit root
+    for profile in ((HI, LO), (LO, HI)):
+        nu = find_multiplier(game, profile).nu
+        oracle = helpers.quota_multiplier_by_root(game, profile).nu
+        if not math.isclose(nu, oracle, rel_tol=1e-12, abs_tol=1e-15):
+            exact = decimal_multiplier(game, profile, nu)
+            assert abs(Decimal(nu) - exact) <= abs(Decimal(oracle) - exact), (game, profile, nu, oracle)
