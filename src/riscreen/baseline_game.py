@@ -259,16 +259,12 @@ def f_func(params: GameParams, gamma: float) -> float:
     infinite gamma returns exactly. Evaluated in r = 1/gamma, which keeps
     huge gammas finite.
     """
-    if gamma < params.A / params.B:
-        raise ValueError(f"f_func needs gamma >= A/B = {params.A / params.B!r}, got {gamma!r}")
-    if math.isinf(gamma):
-        return params.B / (params.A + params.B)
-    return _f_of_r(params, 1.0 / gamma)
-
-
-def _f_of_r(params: GameParams, r: float) -> float:
-    """f at gamma = 1/r; decreasing from B/(A+B) at r = 0 to 0 at r = B/A."""
     A, B = params.A, params.B
+    if gamma < A / B:
+        raise ValueError(f"f_func needs gamma >= A/B = {A / B!r}, got {gamma!r}")
+    if math.isinf(gamma):
+        return B / (A + B)
+    r = 1.0 / gamma
     return (A - r * B) * (B - r * A) / ((1.0 - r * r) * (A + B) * A)
 
 
@@ -286,24 +282,21 @@ def f_inverse(params: GameParams, x: float) -> float:
 
     f(gamma) = x is quadratic in gamma:
     (AB - k) gamma^2 - (A^2 + B^2) gamma + (AB + k) = 0 with k = x(A+B)A,
-    and the root above A/B takes the plus branch. When the leading
-    coefficient nearly vanishes (x close to the supremum) the root is found
-    in r = 1/gamma instead, on the bracket [0, B/A]. Near the cap the loss
-    of relative accuracy is the problem's conditioning, not the formula's:
-    the result is backward stable (f(gamma) is within a few ulps of x), so
-    its relative error stays below eps x / (B/(A+B) - x).
+    and the root above A/B takes the plus branch, +inf where the leading
+    coefficient is not positive (x within rounding of the cap). Near the
+    cap the loss of relative accuracy is the problem's conditioning, not
+    the formula's: the result is backward stable (f(gamma) is within a few
+    ulps of x), so its relative error stays below eps x / (B/(A+B) - x).
     """
     A, B = params.A, params.B
     if x < 0.0:
         raise ValueError(f"f_inverse needs x >= 0, got {x!r}")
-    if x >= B / (A + B):
-        return math.inf
     k = x * (A + B) * A
     lead = A * B - k
-    if abs(lead) >= 1e-14:
-        disc = (A * A - B * B) ** 2 + 4.0 * k * k
-        return ((A * A + B * B) + math.sqrt(disc)) / (2.0 * lead)
-    return 1.0 / ri_core.find_root(lambda r: _f_of_r(params, r) - x, 0.0, B / A)
+    if x >= B / (A + B) or not lead > 0.0:
+        return math.inf
+    disc = (A * A - B * B) ** 2 + 4.0 * k * k
+    return ((A * A + B * B) + math.sqrt(disc)) / (2.0 * lead)
 
 
 def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
@@ -345,6 +338,38 @@ def signal_from_odds(A, B, r):
     pi_plus = (A - r * B) / ((1.0 - r * r) * A)
     pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
     return pi_minus, pi_bar, pi_plus
+
+
+def _cubic_roots(a: float, b: float, c: float, reverse: bool = True) -> list:
+    """Real roots of z^3 + a z^2 + b z + c without cancellation (Numerical
+    Recipes §5.6, on the cubic scaled so that its coefficients are at most 1).
+
+    First the root that is exact to rounding: the trigonometric root whose
+    two terms share a sign when all three roots are real, else Cardano's,
+    or, where that is smaller than the complex pair, the reciprocal of the
+    reversed cubic's; then the real roots of the quadratic left by
+    deflating it, z^2 - tot z + prod, as the citardauq pair
+    q = (tot + sign(tot) d)/2 and prod/q, neither of which cancels.
+    """
+    k = max(abs(a), math.sqrt(abs(b)), abs(c) ** (1.0 / 3.0)) or 1.0
+    a, b, c = a / k, b / k / k, c / k / k / k
+    Q = (a * a - 3.0 * b) / 9.0
+    R = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 54.0
+    if R * R < Q * Q * Q:
+        sq = math.sqrt(Q)
+        theta = math.acos(max(-1.0, min(1.0, R / (Q * sq))))
+        z = -2.0 * sq * math.cos((theta + (2.0 * math.pi if a < 0.0 else 0.0)) / 3.0) - a / 3.0
+    else:
+        S = -math.copysign((abs(R) + math.sqrt(R * R - Q * Q * Q)) ** (1.0 / 3.0), R)
+        z = S + (Q / S if S != 0.0 else 0.0) - a / 3.0
+        if reverse and z * c < 0.0 and abs(z * z * z) < abs(c):
+            return [k / x for x in _cubic_roots(b / c, a / c, 1.0 / c, reverse=False) if x]
+    prod, tot = (b, -a) if z == 0.0 else (-c / z, (b + c / z) / z)
+    disc = tot * tot - 4.0 * prod
+    if disc < 0.0:
+        return [k * z]
+    q = (tot + math.sqrt(disc) if tot >= 0.0 else tot - math.sqrt(disc)) / 2.0
+    return [k * z, k * q, k * (prod / q if q else 0.0)]
 
 
 def ri_problem(params: GameParams, profile: tuple) -> ri_core.BinaryRIProblem:

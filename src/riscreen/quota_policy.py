@@ -7,8 +7,9 @@ positive when m works harder, negative in the mirror case. The binding
 signal is then the closed-form logit rule at nu (Matejka & McKay 2015),
 pi(d) = sigmoid((d - nu)/lam), so no RI problem is solved on this path,
 and nu itself is the positive root of a cubic in exp(nu/lam), taken in
-closed form: no root is searched either. The quota kills exactly the
-discriminatory equilibria and leaves the impartial ones alone.
+closed form by baseline_game._cubic_roots: no root is searched either.
+The quota kills exactly the discriminatory equilibria and leaves the
+impartial ones alone.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .baseline_game import (
     LO,
     GameParams,
     PromotionSignal,
+    _cubic_roots,
     evaluate,
     optimal_signal,
     state_distribution,
@@ -53,47 +55,14 @@ def subsidized_signal(params: GameParams, profile: tuple, nu: float) -> Promotio
     return PromotionSignal(q[0], q[1], q[2], rule.unconditional)
 
 
-def _positive_root(a: float, b: float, c: float, reverse: bool = True) -> float:
-    """The positive root of z^3 + a z^2 + b z + c (c <= 0), without cancellation.
-
-    Numerical Recipes §5.6, on the cubic scaled so that its coefficients are
-    at most 1. One root is taken where it is exact to rounding: the
-    trigonometric root whose two terms share a sign when all three roots
-    are real, Cardano's root otherwise, or, when Cardano's root is positive
-    but smaller in modulus than the complex pair, the reciprocal of the
-    reversed cubic's root. A negative root z leaves the quadratic with
-    product -c/z and sum (b + c/z)/z, whose positive root the citardauq
-    pair gives. Returns 0 when the cubic has no positive root in floating
-    point.
-    """
-    k = max(abs(a), math.sqrt(abs(b)), (-c) ** (1.0 / 3.0))
-    a, b, c = a / k, b / k / k, c / k / k / k
-    Q = (a * a - 3.0 * b) / 9.0
-    R = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 54.0
-    if R * R < Q * Q * Q:
-        sq = math.sqrt(Q)
-        theta = math.acos(max(-1.0, min(1.0, R / (Q * sq))))
-        z = -2.0 * sq * math.cos((theta + (2.0 * math.pi if a < 0.0 else 0.0)) / 3.0) - a / 3.0
-    else:
-        S = -math.copysign((abs(R) + math.sqrt(R * R - Q * Q * Q)) ** (1.0 / 3.0), R)
-        z = S + (Q / S if S != 0.0 else 0.0) - a / 3.0
-        if reverse and 0.0 < z and z * z * z < -c:
-            return k / _positive_root(b / c, a / c, 1.0 / c, reverse=False)
-    if z > 0.0:
-        return k * z
-    prod, tot = (b, -a) if z == 0.0 else (-c / z, (b + c / z) / z)
-    d = math.sqrt(max(0.0, tot * tot - 4.0 * prod))
-    return k * max(0.0, (tot + d) / 2.0 if tot >= 0.0 else 2.0 * prod / (tot - d))
-
-
 def _tilt(p_minus: float, p_zero: float, p_plus: float, delta: float, lam: float) -> tuple:
     """(s, y) with nu = s + lam y the multiplier of a prior with p(1) > p(-1).
 
     delta = p(1) - p(-1) > 0, so nu lies in (0, 1). With r = exp(-1/lam),
     u = exp(nu/lam) and the conditionals p(-1) r/(r+u), p(0)/(1+u) and
     p(1)/(1+ru), clearing denominators turns pi_bar = 1/2 into the cubic
-    r u^3 + c2 u^2 + c1 u - r = 0 with one positive root. It is solved in a
-    variable whose root stays O(1), with coefficients built from
+    r u^3 + c2 u^2 + c1 u - r = 0 with one positive root. _cubic_roots takes
+    it in a variable whose root stays O(1), with coefficients built from
     e = 1 - r = -expm1(-1/lam) and delta, which carry no cancellation:
 
     - nu <= 1/2 (s = 0): u = 1 + e w, y = nu/lam = log1p(e w), where 1/w is
@@ -132,12 +101,13 @@ def _tilt(p_minus: float, p_zero: float, p_plus: float, delta: float, lam: float
         c0 = -2.0 * (1.0 + r) * delta
         c1 = b + delta * (4.0 - 10.0 * e + 3.0 * e * e)
         c2 = b + delta * (4.0 - 6.0 * e + e * e)
-        root = _positive_root(c1 / c0, e * c2 / c0, e * e * r / c0)
+        roots = _cubic_roots(c1 / c0, e * c2 / c0, e * e * r / c0)
     else:
         m = 2.0 * r * p_minus + (1.0 - r + r * r) * p_zero
         k2 = m - (1.0 - r - r * r) * delta
-        root = _positive_root(k2, -r * (m + (1.0 + r - r * r) * delta), -r ** 3)
-    if root == 0.0:
+        roots = _cubic_roots(k2, -r * (m + (1.0 + r - r * r) * delta), -r ** 3)
+    root = max(roots)  # the one positive root, if any survives rounding
+    if not root > 0.0:
         return 0.5, 0.0
     y = math.log1p(e / root) if s == 0 else math.log(root)
     t_minus, t_zero, t_plus = (math.tanh(((d - s) / lam - y) / 2.0) for d in (-1, 0, 1))

@@ -17,7 +17,8 @@ with q_bar pinned down by consistency with the prior,
 sum_s p(s) q(s) = q_bar. The consistency equation has a unique interior
 root, which we locate in the log-odds b = logit(q_bar) with
 :func:`find_root`, a safeguarded bracketing root finder (Brent's method)
-that the closed forms in the rest of the package share. Everything here
+and the package's only root search: the closed forms elsewhere search for
+none, so this solver stays their independent oracle. Everything here
 works in natural logarithms; information is measured in nats.
 
 All values are immutable after construction and every function is pure, so

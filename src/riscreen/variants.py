@@ -24,6 +24,7 @@ from .baseline_game import (
     PROFILES,
     GameParams,
     PromotionSignal,
+    _cubic_roots,
     _log_gamma_star,
     evaluate,
     lambda_star,
@@ -321,29 +322,30 @@ def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> O
 def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:
     """Roots in [lo, hi], increasing, of P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho).
 
-    [lo, hi] is clipped to (r, 1/r), outside which P < 0. The roots of the
-    quadratic P' (the stable pair q/a, c/q) split it into pieces on which P
-    is monotone, and :func:`ri_core.find_root` refines each sign change on
-    P in this factored form.
+    The real roots of P/(-r w_y) from :func:`baseline_game._cubic_roots`.
+    Where r w_y hi <= eps |c2| (r = 0 included) the cubic term is below P's
+    rounding on [lo, hi], and the roots are those of the quadratic left,
+    c2 rho^2 + c1 rho - r w_x, taken as the roots of rho times it over c2
+    (the extra root 0 lies below lo). Each gets one Newton step on P in
+    this factored form, kept where it lowers |P|: the expanded
+    coefficients lose digits as r nears 1.
     """
     def P(rho: float) -> float:
         return (rho - r) * (1.0 - r * rho) * (w_x + w_y * rho) - k * rho * (1.0 + rho)
 
-    lo, hi = max(lo, r), min(hi, 1.0 / r) if r else hi
-    if not lo < hi:
-        return []
-    # P'(rho) = a rho^2 + b rho + c; with no real roots, any split point is harmless
-    a = -3.0 * r * w_y
-    b = 2.0 * ((1.0 + r * r) * w_y - r * w_x - k)
-    c = (1.0 + r * r) * w_x - r * w_y - k
-    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
-    cuts = ([c / q] if q else []) + ([q / a] if a else [])
-    xs = [lo, *sorted(x for x in cuts if lo < x < hi), hi]
-    vals = [P(x) for x in xs]
-    roots = [x for x, v in zip(xs, vals) if v == 0.0]
-    for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
-        if v0 * v1 < 0.0:
-            roots.append(ri_core.find_root(P, x0, x1, v0, v1))
+    c2 = (1.0 + r * r) * w_y - r * w_x - k
+    c1 = (1.0 + r * r) * w_x - r * w_y - k
+    if r * w_y * hi > sys.float_info.epsilon * abs(c2):
+        candidates = _cubic_roots(-c2 / (r * w_y), -c1 / (r * w_y), w_x / w_y)
+    else:
+        candidates = _cubic_roots(c1 / c2, -r * w_x / c2, 0.0) if c2 else ()
+    roots = []
+    for rho in candidates:
+        p, slope = P(rho), (2.0 * c2 - 3.0 * r * w_y * rho) * rho + c1
+        if slope and abs(P(rho - p / slope)) < abs(p):
+            rho -= p / slope
+        if lo <= rho <= hi:
+            roots.append(rho)
     return sorted(roots)
 
 
@@ -365,9 +367,9 @@ def mixed_equilibria(game: GameParams) -> list:
     * m mixing against a shirking w (w_x = 1-mu_lo, w_y = mu_lo; rho rises
       with sigma), kept when w indeed prefers to shirk, and the mirror with
       w mixing against a working m (w_x = mu_hi, w_y = 1-mu_hi; rho falls).
-      The gap has the sign of the cubic P of :func:`_odds_roots`, negative
-      at 0, r and 1/r, so at most two roots lie in (r, 1/r). The m <-> w
-      relabelings are omitted as symmetric duplicates.
+      The gap has the sign of the cubic P of :func:`_odds_roots` (roots by
+      :func:`baseline_game._cubic_roots`), < 0 at 0, r and 1/r: at most two
+      lie in (r, 1/r). m <-> w relabelings are symmetric duplicates.
 
     Away from lam = lambda_star every returned signal is discriminatory.
     """
@@ -405,19 +407,17 @@ def mixed_equilibria(game: GameParams) -> list:
     nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
     rho_m = [nu * (1.0 - mu_lo) / (mu_lo * (1.0 - nu)) for nu in nu_edges]
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
-        sigma = (rho * mu_lo / (1.0 - mu_lo + rho * mu_lo) - mu_lo) / delta_mu
-        nu_m = mu_lo + sigma * delta_mu
+        nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
         if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + IC_TOL:
-            keep(sigma, 0.0, sig)
+            keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
     rho_w = [mu_hi * (1.0 - nu) / (nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
-        sigma = (mu_hi / (mu_hi + rho * (1.0 - mu_hi)) - mu_lo) / delta_mu
-        nu_w = mu_lo + sigma * delta_mu
+        nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
         sig = _signal_for_success_probs(game, mu_hi, nu_w)
         if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - IC_TOL:
-            keep(1.0, sigma, sig)
+            keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
 
     return found
 

@@ -153,6 +153,36 @@ def quota_multiplier_by_root(params: GameParams, profile: tuple):
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 
 
+def odds_roots_by_search(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:
+    """Roots in [lo, hi], increasing, of P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho)
+    by a root search, the oracle of :func:`riscreen.variants._odds_roots`.
+
+    [lo, hi] is clipped to (r, 1/r), outside which P < 0. The roots of the
+    quadratic P' (the stable pair q/a, c/q) split it into pieces on which P
+    is monotone, and :func:`ri_core.find_root` refines each sign change on
+    P in this factored form.
+    """
+    def P(rho: float) -> float:
+        return (rho - r) * (1.0 - r * rho) * (w_x + w_y * rho) - k * rho * (1.0 + rho)
+
+    lo, hi = max(lo, r), min(hi, 1.0 / r) if r else hi
+    if not lo < hi:
+        return []
+    # P'(rho) = a rho^2 + b rho + c; with no real roots, any split point is harmless
+    a = -3.0 * r * w_y
+    b = 2.0 * ((1.0 + r * r) * w_y - r * w_x - k)
+    c = (1.0 + r * r) * w_x - r * w_y - k
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    cuts = ([c / q] if q else []) + ([q / a] if a else [])
+    xs = [lo, *sorted(x for x in cuts if lo < x < hi), hi]
+    vals = [P(x) for x in xs]
+    roots = [x for x, v in zip(xs, vals) if v == 0.0]
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+        if v0 * v1 < 0.0:
+            roots.append(ri_core.find_root(P, x0, x1, v0, v1))
+    return sorted(roots)
+
+
 def signal_win_probability_w(signal, mu_m: float, mu_w: float) -> float:
     """w's winning probability against a fixed signal, by state enumeration."""
     p_plus = mu_m * (1.0 - mu_w)

@@ -33,7 +33,7 @@ from riscreen import (
     thresholds,
     welfare_ordering,
 )
-from riscreen.baseline_game import most_profitable_among, signal_oracle_residual
+from riscreen.baseline_game import _cubic_roots, most_profitable_among, signal_oracle_residual
 
 import helpers
 
@@ -147,16 +147,18 @@ class TestCurves:
         assert g_inverse(0.5) == math.inf
         assert f_inverse(GAME, GAME.B / (GAME.A + GAME.B)) == math.inf
 
-    @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.2), (0.55, 0.5), (0.999, 0.001)])
+    # at the last pair's nextafter(cap, 0), AB - k rounds to 0 and gamma is +inf
+    @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.2), (0.55, 0.5), (0.999, 0.001),
+                                     (0.7406087119000457, 0.049551753165835107)])
     def test_inverse_near_cap_is_as_accurate_as_its_conditioning(self, mus):
-        # backward error a few ulps; forward error within eps times the
-        # condition number x / (cap - x), against the quadratic in 60 digits
+        # backward error a few ulps; forward error of r = 1/gamma (0 at the
+        # cap, where gamma may be +inf) within eps times the condition
+        # number x / (cap - x), against the quadratic in 60 digits
         game = GameParams(*mus, 0.01, 1.0)
         A, B = game.A, game.B
         cap = B / (A + B)
         eps = np.finfo(float).eps
-        for e in range(4, 15):
-            x = cap * (1.0 - 10.0**-e)
+        for x in [cap * (1.0 - 10.0**-e) for e in range(4, 15)] + [math.nextafter(cap, 0.0)]:
             gamma = f_inverse(game, x)
             assert abs(f_func(game, gamma) - x) <= 4.0 * eps * x
             with localcontext() as ctx:
@@ -165,7 +167,7 @@ class TestCurves:
                 k = xd * (a + b) * a
                 disc = (a * a - b * b) ** 2 + 4 * k * k
                 exact = ((a * a + b * b) + disc.sqrt()) / (2 * (a * b - k))
-                rel = float(abs(Decimal(gamma) - exact) / exact)
+                rel = float(abs(1 / Decimal(gamma) - 1 / exact) * exact)
             assert rel <= eps * x / (cap - x)
 
     def test_quadratic_inverse_agrees_with_bisection(self):
@@ -336,6 +338,40 @@ class TestThresholds:
         for params in games:
             assert thresholds(params).gamma_hat is not None
         assert calls == []
+
+    def test_inverse_near_the_cap_makes_no_root_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_root called")
+
+        monkeypatch.setattr(ri_core, "find_root", refuse)
+        for mus in ((0.8, 0.6), (0.999, 0.001), (0.7406087119000457, 0.049551753165835107)):
+            game = GameParams(*mus, 0.01, 1.0)
+            cap = game.B / (game.A + game.B)
+            for x in (cap * (1.0 - 1e-13), cap * (1.0 - 1e-15), math.nextafter(cap, 0.0)):
+                assert f_inverse(game, x) > game.A / game.B
+        # X_high of this game is within an ulp of the cap: lambda_low is 0 (gamma = +inf)
+        game = GameParams(0.7406087119000457, 0.049551753165835107, 0.18521755123136274, 1.0)
+        assert thresholds(game).lambda_low == 0.0
+
+
+def test_cubic_roots_recover_known_roots():
+    # cubics built from their roots, which span 16 decades: three real roots,
+    # or one real root and a complex pair, the real root as small as 1e-8
+    # times the pair (Cardano's root cancels there, so the reversed cubic's
+    # root is taken, whatever the sign of c)
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        z1 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0)
+        re, im = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.5:
+            p, q = -2.0 * re, re * re + im * im
+            coefs, truth = (p - z1, q - z1 * p, -z1 * q), [z1]
+        else:
+            z2, z3 = re, rng.choice([-1.0, 1.0]) * im
+            coefs, truth = (-(z1 + z2 + z3), z1 * z2 + z1 * z3 + z2 * z3, -z1 * z2 * z3), [z1, z2, z3]
+        got = _cubic_roots(*coefs)
+        assert len(got) == len(truth), (coefs, got, truth)
+        assert all(min(abs(g - t) for g in got) <= 1e-9 * abs(t) for t in truth), (coefs, got, truth)
 
 
 def gamma_hat_reference(params, digits=50):

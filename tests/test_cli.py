@@ -242,6 +242,16 @@ class TestOtherCommands:
         assert code == 0
         assert "lambda_star=0.5765" in out
 
+    @pytest.mark.parametrize(
+        "command, cost", [("thresholds", "0.18521755123136274"), ("regimes", "0.04540727445786066")]
+    )
+    def test_bonus_bound_at_the_cap_of_f(self, command, cost, capsys):
+        # X_high (thresholds) or X_low (regimes) is within an ulp of B/(A+B), the
+        # cap of f, where r = 1/gamma is 0 and the cutpoint is lam = 0
+        game = ["--mu-hi", "0.7406087119000457", "--mu-lo", "0.049551753165835107", "--cost", cost]
+        code, out, err = run([command, *game], capsys)
+        assert code == 0 and out and "Traceback" not in err
+
     def test_equilibria_marks_most_profitable(self, capsys):
         code, out, _ = run(["equilibria", *CANON, "--lambda", ".3"], capsys)
         assert code == 0

@@ -1,9 +1,10 @@
 """The shared closed-form signal kernel and the root isolation of mixed_equilibria.
 
 mixed_equilibria finds the roots of each indifference condition without a
-grid: in closed form on the balanced branch (nu_m + nu_w = 1) and between
-the critical points of a cubic in the outcome odds rho = A/B on the two
-branches where one agent mixes. It is held to three oracles written here:
+grid or a root search: in closed form on the balanced branch
+(nu_m + nu_w = 1), and as the roots of a cubic in the outcome odds
+rho = A/B on the two branches where one agent mixes. It is held to three
+oracles written here:
 
 * the 400-point scalar scan it replaced: every root the scan finds must be
   returned, to 1e-10 in sigma and with the same label (the scan can only
@@ -15,13 +16,18 @@ branches where one agent mixes. It is held to three oracles written here:
 
 A game on which the 400-point scan misses a pair of roots inside one grid
 cell is pinned as a regression; games at lam = lambda_star and where r
-underflows to 0 are explicit examples of the property test.
+underflows to 0 are explicit examples of the property test. The cubic's
+roots are also held to the Brent search it replaced
+(``helpers.odds_roots_by_search``) and, where the two differ, to a
+50-digit root.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from riscreen import (
@@ -35,8 +41,11 @@ from riscreen import (
     mixed_equilibria,
     optimal_signal,
     ri_core,
+    variants,
 )
 from riscreen.baseline_game import lambda_star, signal_from_odds
+
+import helpers
 
 _SIGMA_EDGE = 1e-6
 _IC_TOL = 1e-12
@@ -232,6 +241,94 @@ def test_pair_inside_one_scan_cell_is_found():
     assert math.isclose(a, d, rel_tol=1e-12) and math.isclose(b, c, rel_tol=1e-12)
     assert round(a, 5) == 0.59271 and round(b, 5) == 0.59282
     assert round(got[2].profile.sigma_w, 5) == 0.9999
+
+
+# the two traps of the closed-form cubic: at large lam (r near 1) the expanded
+# coefficients put the root 2.5e-11 off; at r = 6.5e-290 the monic cubic's roots
+# span more than the float range; and r = exp(-1/lam) underflowing to 0
+LARGE_LAMBDA = GameParams(0.5625, 0.501953125, 0.00070953369140625, 21.32942651096404)
+TINY_R = GameParams(0.9360937099164971, 0.6245296784819083, 0.03907889662273058, 0.0015017652823926325)
+ZERO_R = GameParams(0.8, 0.3, 0.2, 1e-3)
+
+
+@pytest.mark.parametrize("game", [LARGE_LAMBDA, TINY_R, ZERO_R])
+def test_cubic_traps_match_scalar_scan(game):
+    check_against_oracles(game)
+
+
+def odds_roots_calls(game):
+    """mixed_equilibria(game), and (arguments, roots) of each _odds_roots call it made."""
+    calls = []
+    real = variants._odds_roots
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variants, "_odds_roots", spy)
+        return mixed_equilibria(game), calls
+
+
+def decimal_odds_root(args, rho, digits=50):
+    """The root of P near rho in `digits` digits: Newton's method at the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        r, k, w_x, w_y = (Decimal(v) for v in args[:4])
+        x = Decimal(rho)
+        for _ in range(30):
+            p = (x - r) * (1 - r * x) * (w_x + w_y * x) - k * x * (1 + x)
+            dp = ((1 - r * x) * (w_x + w_y * x) - r * (x - r) * (w_x + w_y * x)
+                  + w_y * (x - r) * (1 - r * x) - k * (1 + 2 * x))
+            x -= p / dp
+        return x
+
+
+@st.composite
+def edge_games(draw):
+    """helpers.domain_games with lam redrawn log-uniform in [1e-4, 2e-3] (r
+    underflows to 0 below about 1/745) or in [10, 1e4], or within a factor e
+    of lambda_star, where mixed equilibria are common."""
+    game = draw(helpers.domain_games())
+    lam = draw(st.one_of(
+        st.floats(-4.0, math.log10(2e-3)).map(lambda e: 10.0**e),
+        st.floats(1.0, 4.0).map(lambda e: 10.0**e),
+        st.floats(-1.0, 1.0).map(lambda e: lambda_star(game) * math.exp(e)),
+    ))
+    return game._replace(lam=lam) if 0.0 < lam < math.inf else game
+
+
+@given(game=edge_games())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(game=LARGE_LAMBDA)
+@example(game=TINY_R)
+@example(game=ZERO_R)
+def test_odds_roots_match_the_root_search(game):
+    # the closed form and the Brent search it replaced find the same roots,
+    # to 1e-12 relative, or the closed form's is the nearer to a 50-digit root
+    found, calls = odds_roots_calls(game)
+    for args, got in calls:
+        want = helpers.odds_roots_by_search(*args)
+        assert len(got) == len(want), (game, args, got, want)
+        for a, b in zip(got, want):
+            if abs(a - b) > 1e-12 * b:
+                exact = decimal_odds_root(args, b)
+                bound = max(abs(Decimal(b) - exact), Decimal(1e-12) * exact)
+                assert abs(Decimal(a) - exact) <= bound, (game, args, a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variants, "_odds_roots", helpers.odds_roots_by_search)
+        assert len(mixed_equilibria(game)) == len(found)
+
+
+@given(game=st.one_of(helpers.domain_games(), edge_games()))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mixed_equilibria_make_no_root_search(game):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_root called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ri_core, "find_root", refuse)
+        mixed_equilibria(game)
 
 
 def test_signal_from_odds_arrays_match_floats_bit_for_bit():
