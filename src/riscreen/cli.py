@@ -10,6 +10,7 @@ truncates at 2 decimals.
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import functools
 import io
@@ -591,6 +592,11 @@ def _add_output_args(sub, cfg):
     sub.add_argument("--seed", type=int, default=cfg.get("seed", 0))
 
 
+#: serializes the deferred builds of subcommand parsers shared across threads
+#: (``_thread``: ``threading`` is not loaded at start-up under ``python -S``)
+_BUILD_LOCK = _thread.allocate_lock()
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser that is built when it first parses.
 
@@ -599,20 +605,26 @@ class _CommandParser(argparse.ArgumentParser):
     subcommand runs ``ArgumentParser.__init__`` (its ``-h`` included) and its
     argument code: each ``add_argument`` formats through a HelpFormatter,
     which asks for the terminal size. argparse reaches a subcommand's parser
-    through ``parse_known_args`` only.
+    through ``parse_known_args`` only. :func:`main` shares parsers between
+    calls, so the build runs under a lock and ``_built`` is set only once
+    the parser is complete: no thread parses with a half-built parser.
     """
 
     def __init__(self, *, add_arguments, **kwargs):
         self._pending = (add_arguments, kwargs)
+        self._built = False
 
     def build(self) -> None:
         """Run the deferred ``ArgumentParser.__init__`` and argument code, once."""
-        if self._pending is None:
+        if self._built:
             return
-        add_arguments, kwargs = self._pending
-        self._pending = None
-        super().__init__(**kwargs)
-        add_arguments(self)
+        with _BUILD_LOCK:
+            if self._built:
+                return
+            add_arguments, kwargs = self._pending
+            super().__init__(**kwargs)
+            add_arguments(self)
+            self._built = True
 
     def parse_known_args(self, args=None, namespace=None):
         self.build()
@@ -720,15 +732,25 @@ def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# --config belongs to the top-level parser: look for it before the subcommand only
+_PROBE = argparse.ArgumentParser(add_help=False)
+_PROBE.add_argument("--config", default=None)
+_PROBE.add_argument("command", nargs=argparse.REMAINDER)
+
+#: the top-level parser of :func:`main` without --config, built on first use
+#: and assigned only once complete; a --config run builds its own parser
+_PARSER = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config belongs to the top-level parser: look for it before the subcommand only
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    probe.add_argument("command", nargs=argparse.REMAINDER)
-    known, _ = probe.parse_known_args(argv)
-    cfg = None
-    if known.config is not None:
+    known, _ = _PROBE.parse_known_args(argv)
+    if known.config is None:
+        parser = _PARSER
+        if parser is None:
+            parser = _PARSER = build_parser()
+    else:
         import json
         try:
             with open(known.config) as fh:
@@ -739,7 +761,7 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             print(f"error: config {known.config!r} must hold a JSON object", file=sys.stderr)
             return 2
-    parser = build_parser(cfg)
+        parser = build_parser(cfg)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

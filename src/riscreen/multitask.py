@@ -87,11 +87,13 @@ def task_games(game: GameParams, tasks: tuple) -> tuple:
     )
 
 
+_SPLIT = frozenset({((HI, LO), (LO, HI)), ((LO, HI), (HI, LO))})
+
+
 def _classify(inv_m: tuple, inv_w: tuple) -> str:
     if inv_m == inv_w:
         return NON_SPECIALIZED
-    split = {((HI, LO), (LO, HI)), ((LO, HI), (HI, LO))}
-    if (inv_m, inv_w) in split:
+    if (inv_m, inv_w) in _SPLIT:
         return SPECIALIZED
     return HYBRID
 
@@ -116,25 +118,26 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     ]
     profits = {pair: evaluate(game, pair, signals[pair]).profit for pair in PROFILES if pair != (LO, HI)}
     profits[(LO, HI)] = profits[(HI, LO)]  # the mirror pair earns the same, bit for bit, as in profit
+    alpha1, alpha2 = tasks[0].alpha, tasks[1].alpha
     found = []
     for m1 in _EFFORTS:
         for m2 in _EFFORTS:
             for w1 in _EFFORTS:
+                pair1 = (m1, w1)
+                if not supported[0][pair1]:
+                    continue
                 for w2 in _EFFORTS:
-                    inv_m, inv_w = (m1, m2), (w1, w2)
-                    profiles = ((m1, w1), (m2, w2))
-                    if not all(supported[t][profiles[t]] for t in range(2)):
+                    pair2 = (m2, w2)
+                    if not supported[1][pair2]:
                         continue
-                    payoff = sum(
-                        tasks[t].alpha * profits[profiles[t]] for t in range(2)
-                    )
+                    inv_m, inv_w = (m1, m2), (w1, w2)
                     found.append(
                         MultitaskRecord(
                             investment_m=inv_m,
                             investment_w=inv_w,
                             classification=_classify(inv_m, inv_w),
-                            payoff=payoff,
-                            signals=tuple(signals[p] for p in profiles),
+                            payoff=sum((alpha1 * profits[pair1], alpha2 * profits[pair2])),
+                            signals=(signals[pair1], signals[pair2]),
                         )
                     )
     return found

@@ -319,6 +319,12 @@ def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> O
     return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
 
 
+def _odds(num: float, den: float) -> float:
+    """num / den for num > 0; inf where den underflows to 0 (mu_lo near the
+    smallest subnormal), since the odds are then past the float range."""
+    return num / den if den else math.inf
+
+
 def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:
     """Roots in [lo, hi], increasing, of P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho).
 
@@ -405,14 +411,14 @@ def mixed_equilibria(game: GameParams) -> list:
 
     # the sigma range in rho: m's odds rise with sigma, w's fall (roots reversed)
     nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
-    rho_m = [nu * (1.0 - mu_lo) / (mu_lo * (1.0 - nu)) for nu in nu_edges]
+    rho_m = [_odds(nu * (1.0 - mu_lo), mu_lo * (1.0 - nu)) for nu in nu_edges]
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
         if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + IC_TOL:
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
-    rho_w = [mu_hi * (1.0 - nu) / (nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
+    rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
         sig = _signal_for_success_probs(game, mu_hi, nu_w)

@@ -310,6 +310,14 @@ class TestOtherCommands:
         code, out, err = run(["variants", "--which", which, "--mu-lo", ".6", "--lambda", ".3", *extra], capsys)
         assert (code, out, err) == (2, "", "error: the following arguments are required: --mu-hi\n")
 
+    def test_mixed_with_a_subnormal_mu_lo(self, capsys):
+        # mu_lo * (1 - nu) underflows to 0 in the odds edges of m's branch
+        argv = ["variants", "--which", "mixed", "--mu-hi", "0.7", "--mu-lo", "5e-324", "--cost", "0.01"]
+        assert run([*argv, "--lambda", "0.3"], capsys) == (0, "no mixed equilibria\n", "")
+        code, out, err = run([*argv, "--lambda", "1.0"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run([*argv[:6], "1e-300", *argv[7:], "--lambda", "1.0"], capsys)[1]
+
     def test_prior_invariant_requires_reference(self, capsys):
         code, _, err = run(["variants", *CANON, "--lambda", ".4", "--which", "prior-invariant"], capsys)
         assert code == 2

@@ -1,7 +1,12 @@
-"""The CLI's lazily built subcommand parsers and its indented-JSON writer."""
+"""The CLI's lazily built, shared subcommand parsers and its indented-JSON writer."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,11 +26,23 @@ def outcome(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_lazy_parser_matches_the_parser_built_up_front(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+@pytest.fixture
+def uncached_parsers(monkeypatch):
+    """Drop the shared parser of cli.main before each call: every call builds its parsers anew."""
+    main = cli.main
+    monkeypatch.setattr(cli, "_PARSER", None)
+
+    def fresh_main(argv):
+        cli._PARSER = None
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", fresh_main)
+
+
+def byte_identity_cases(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}))
-    cases = [
+    return [
         ["--help"],
         *([name, "--help"] for name in COMMANDS),
         [],
@@ -37,6 +54,11 @@ def test_lazy_parser_matches_the_parser_built_up_front(tmp_path, capsys, monkeyp
         ["--config", str(cfg), "signal"],
         ["--config", str(cfg), "signal", "--lambda", ".5", "--profile", "hi,hi"],
     ]
+
+
+def test_lazy_parser_matches_the_parser_built_up_front(tmp_path, capsys, monkeypatch, uncached_parsers):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = byte_identity_cases(tmp_path)
     lazy = [outcome(argv, capsys) for argv in cases]
 
     built = []
@@ -58,7 +80,7 @@ def test_lazy_parser_matches_the_parser_built_up_front(tmp_path, capsys, monkeyp
     assert all(out.startswith("usage: riscreen ") for argv, (_, out, _) in zip(cases, lazy) if "--help" in argv)
 
 
-def test_a_run_adds_arguments_for_its_subcommand_only(capsys, monkeypatch):
+def test_a_run_adds_arguments_for_its_subcommand_only(capsys, monkeypatch, uncached_parsers):
     added = []
     real = cli._CommandParser.add_argument
 
@@ -72,6 +94,109 @@ def test_a_run_adds_arguments_for_its_subcommand_only(capsys, monkeypatch):
     assert {prog for prog, _ in added} == {"riscreen regimes"}
     assert added[0] == ("riscreen regimes", "-h")
     assert len(added) == 14
+
+
+def test_shared_parsers_give_the_output_of_fresh_ones(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = byte_identity_cases(tmp_path)
+    fresh = []
+    for argv in cases:
+        cli._PARSER = None
+        fresh.append(outcome(argv, capsys))
+    cli._PARSER = None
+    assert [outcome(argv, capsys) for argv in cases] == fresh  # builds the shared parser
+    shared = cli._PARSER
+    assert shared is not None
+    assert [outcome(argv, capsys) for argv in cases] == fresh  # only reuses it
+    assert cli._PARSER is shared  # the --config runs built their own
+
+
+def test_an_edited_config_takes_effect_in_the_same_process(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}))
+    first = outcome(["--config", str(cfg), "signal"], capsys)
+    cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.5}))
+    second = outcome(["--config", str(cfg), "signal"], capsys)
+    assert first == outcome(["signal", *CANON, "--lambda", ".3"], capsys)
+    assert second == outcome(["signal", *CANON, "--lambda", ".5"], capsys)
+    assert first != second
+
+
+def _env():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_runs_without_config_load_no_json():
+    script = (
+        "import contextlib, io, sys\n"
+        "from riscreen import cli\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['thresholds', '--mu-hi', '.8', '--mu-lo', '.6']) == 0\n"
+        "assert 'json' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_alternating_configs_match_fresh_processes(tmp_path, capsys):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    one.write_text(json.dumps({"mu_hi": 0.9, "mu_lo": 0.55, "cost": 0.05, "lam": 0.4}))
+    two.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "lam": 0.3, "profile": "hi,hi"}))
+    runs = {
+        "none": ["signal", *CANON, "--lambda", ".7"],
+        "one": ["--config", str(one), "signal"],
+        "two": ["--config", str(two), "signal"],
+    }
+    fresh = {}
+    for name, argv in runs.items():
+        done = subprocess.run([sys.executable, "-m", "riscreen", *argv], env=_env(), capture_output=True, text=True)
+        fresh[name] = (done.returncode, done.stdout, done.stderr)
+    assert len(set(fresh.values())) == 3
+    cli._PARSER = None
+    for name in ("none", "one", "two", "one", "none", "two", "two", "none", "one"):
+        assert outcome(runs[name], capsys) == fresh[name], name
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["four-commands", "one-command"])
+def test_threads_share_parsers_safely(tmp_path, capsys, same):
+    game = [*CANON, "--lambda", ".3"]
+    argvs = [
+        ["signal", *game],
+        ["thresholds", *game],
+        ["equilibria", *game],
+        ["quota", *game],
+    ]
+    if same:
+        argvs = [argvs[0]] * 4
+    serial = []
+    for argv in argvs:
+        cli._PARSER = None
+        serial.append(outcome(argv, capsys)[1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the parser builds too
+    try:
+        for round_ in range(30):
+            cli._PARSER = None
+            outs = [tmp_path / f"out-{round_}-{i}.txt" for i in range(len(argvs))]
+            codes = [None] * len(argvs)
+            start = threading.Barrier(len(argvs), timeout=60)
+
+            def run(i):
+                start.wait()
+                codes[i] = cli.main([*argvs[i], "--out", str(outs[i])])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(argvs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert codes == [0] * len(argvs)
+            assert [out.read_text() for out in outs] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _SCALARS = st.one_of(

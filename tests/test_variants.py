@@ -474,6 +474,35 @@ class TestMixed:
                 mixing_gain = nu_m * sig.X + (1 - nu_m) * sig.Y
             assert mixing_gain == pytest.approx(GAME.c, abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [1e-4, 0.3, 1.0, 3.0, 1e4])
+    @pytest.mark.parametrize(
+        "edge, near",
+        [
+            # mu_lo (1 - nu) underflows to 0 in the odds edges of m's branch
+            (GameParams(0.7, 5e-324, 0.01, 1.0), GameParams(0.7, 1e-300, 0.01, 1.0)),
+            # the mirror: mu_hi within an ulp of 1
+            (GameParams(0.9999999999999999, 0.3, 0.01, 1.0), GameParams(1.0 - 1e-12, 0.3, 0.01, 1.0)),
+        ],
+        ids=["mu-lo-subnormal", "mu-hi-near-one"],
+    )
+    def test_mu_at_the_float_edges(self, edge, near, lam):
+        edge, near = edge._replace(lam=lam), near._replace(lam=lam)
+        got = mixed_equilibria(edge)
+        want = mixed_equilibria(near)
+        assert [e.classification for e in got] == [e.classification for e in want]
+        for eq, ref in zip(got, want):
+            assert eq.profile.sigma_m == pytest.approx(ref.profile.sigma_m, abs=1e-9)
+            assert eq.profile.sigma_w == pytest.approx(ref.profile.sigma_w, abs=1e-9)
+            assert all(0.0 <= p <= 1.0 for p in eq.signal.as_tuple())
+            nu_m, nu_w = eq.profile.nu(edge, AGENT_M), eq.profile.nu(edge, AGENT_W)
+            sig = _signal_for_success_probs(edge, nu_m, nu_w)
+            gain_m = (1 - nu_w) * sig.X + nu_w * sig.Y
+            gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
+            if 0 < eq.profile.sigma_m < 1:
+                assert gain_m == pytest.approx(edge.c, abs=1e-8)
+            if 0 < eq.profile.sigma_w < 1:
+                assert gain_w == pytest.approx(edge.c, abs=1e-8)
+
     def test_balanced_branch_when_low_effort_is_weak(self):
         # mu_lo < 1/2 opens the branch with nu_m + nu_w = 1
         game = GameParams(0.8, 0.4, 0.14, 0.5)
