@@ -317,13 +317,10 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     if e_m == e_w:
         pi_plus = 1.0 / (1.0 + r)
         return PromotionSignal(1.0 - pi_plus, 0.5, pi_plus, 0.5)
-    if profile == (LO, HI):
-        return optimal_signal(params, (HI, LO)).mirrored()
     A, B = params.A, params.B
-    if r >= B / A:
-        return PromotionSignal(1.0, 1.0, 1.0, 1.0)
-    pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
-    return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    pi_minus, pi_bar, pi_plus = (1.0, 1.0, 1.0) if r >= B / A else signal_from_odds(A, B, r)
+    signal = PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    return signal.mirrored() if e_m == LO else signal
 
 
 def signal_from_odds(A, B, r):
@@ -393,6 +390,11 @@ def signal_oracle_residual(params: GameParams, profile: tuple) -> float:
 # incentives and equilibrium enumeration
 # ---------------------------------------------------------------------------
 
+def _gains(mu_m: float, mu_w: float, X: float, Y: float) -> tuple:
+    """(m's gain, w's gain) from working high at bonus X and penalty Y."""
+    return (1.0 - mu_w) * X + mu_w * Y, mu_m * X + (1.0 - mu_m) * Y
+
+
 def incentive_gain(params: GameParams, signal: PromotionSignal, agent: str, other_effort: str) -> float:
     """Promotion-probability gain from working high, per unit of delta_mu.
 
@@ -401,11 +403,10 @@ def incentive_gain(params: GameParams, signal: PromotionSignal, agent: str, othe
     compatible exactly when the gain weakly exceeds c = cost_C / delta_mu.
     """
     mu_other = params.mu(other_effort)
-    if agent == AGENT_M:
-        return (1.0 - mu_other) * signal.X + mu_other * signal.Y
-    if agent == AGENT_W:
-        return mu_other * signal.X + (1.0 - mu_other) * signal.Y
-    raise ValueError(f"agent must be {AGENT_M!r} or {AGENT_W!r}, got {agent!r}")
+    if agent != AGENT_M and agent != AGENT_W:
+        raise ValueError(f"agent must be {AGENT_M!r} or {AGENT_W!r}, got {agent!r}")
+    gain_m, gain_w = _gains(mu_other, mu_other, signal.X, signal.Y)
+    return gain_m if agent == AGENT_M else gain_w
 
 
 def supports_profile(
@@ -421,11 +422,15 @@ def supports_profile(
     agents cannot observe, and hence cannot react to, the screening rule).
     Per-agent effective costs default to the common c.
     """
-    c_m = params.c if c_m is None else c_m
-    c_w = params.c if c_w is None else c_w
+    mu_hi, mu_lo, cost_C, _ = params
     e_m, e_w = profile
-    gain_m = incentive_gain(params, signal, AGENT_M, e_w)
-    gain_w = incentive_gain(params, signal, AGENT_W, e_m)
+    if e_w not in (HI, LO) or e_m not in (HI, LO):
+        params.mu(e_w), params.mu(e_m)  # the ValueError that names the label
+    X, Y = signal.pi_plus - signal.pi_zero, signal.pi_zero - signal.pi_minus
+    gain_m, gain_w = _gains(mu_hi if e_m == HI else mu_lo, mu_hi if e_w == HI else mu_lo, X, Y)
+    c = cost_C / (mu_hi - mu_lo)
+    c_m = c if c_m is None else c_m
+    c_w = c if c_w is None else c_w
     ok_m = gain_m >= c_m - IC_TOL if e_m == HI else gain_m <= c_m + IC_TOL
     ok_w = gain_w >= c_w - IC_TOL if e_w == HI else gain_w <= c_w + IC_TOL
     return ok_m and ok_w

@@ -103,44 +103,55 @@ def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
 
 
 def _rows_to_json(header: list, rows: list, meta: dict) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "meta": meta,
-        "rows": [
-            {k: (_g(v) if isinstance(v, float) else v) for k, v in zip(header, row)}
-            for row in rows
-        ],
-    }
-    return _json_text(payload)
+    rows = [{k: (_g(v) if isinstance(v, float) else v) for k, v in zip(header, row)} for row in rows]
+    return _json_text({"schema": SCHEMA_VERSION, "meta": meta, "rows": rows})
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, for string-keyed dicts.
-
-    With ``indent`` set, ``json`` runs its pure-Python encoder. Here each
-    dict or list whose members are all scalars is one C-encoder call, with
-    the line break and indentation as its item separator, so only the
-    nesting above those runs in Python.
-    """
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, for string-keyed dicts."""
     return _indented(obj, 1) + "\n"
 
 
-_CONTAINERS = (dict, list, tuple)
+#: json's text where repr's is not JSON: the three constants and the non-finite floats
+_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _indented(obj, depth: int) -> str:
+    """The JSON text of obj, its members indented by 2 * depth spaces.
+
+    Scalars are written as ``json`` writes them, with no encoder built: through
+    ``float.__repr__``, ``int.__repr__`` and _WORDS, strings and keys through
+    ``encode_basestring_ascii``.
+    """
     import json
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return json.dumps(obj)
-    pad = "\n" + "  " * depth
-    members = obj.values() if isinstance(obj, dict) else obj
-    if not any([isinstance(m, _CONTAINERS) for m in members]):
-        text = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))
-        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+    quote = json.encoder.encode_basestring_ascii
     if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_indented(v, depth + 1)}" for k, v in sorted(obj.items())]
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    return "[" + pad + ("," + pad).join([_indented(v, depth + 1) for v in obj]) + pad[:-2] + "]"
+        items = sorted(obj.items())
+        values = [v for _, v in items]
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    elif isinstance(obj, str):
+        return quote(obj)
+    elif obj is None or isinstance(obj, bool):
+        return _WORDS[repr(obj)]
+    elif isinstance(obj, (int, float)):
+        text = (int.__repr__ if isinstance(obj, int) else float.__repr__)(obj)
+        return _WORDS.get(text, text)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    words = _WORDS.get
+    texts = [  # exact floats, ints and strings in line, the rest by recursion
+        words(text := repr(v), text) if v.__class__ is float
+        else repr(v) if v.__class__ is int
+        else quote(v) if v.__class__ is str
+        else _indented(v, depth + 1)
+        for v in values
+    ]
+    pad = "\n" + "  " * depth if values else ""  # an empty container is {} or []
+    if isinstance(obj, dict):
+        texts = [f"{quote(k)}: {text}" for (k, _), text in zip(items, texts)]
+        return "{" + pad + ("," + pad).join(texts) + pad[:-2] + "}"
+    return "[" + pad + ("," + pad).join(texts) + pad[:-2] + "]"
 
 
 # ---------------------------------------------------------------------------

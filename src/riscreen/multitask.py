@@ -105,10 +105,10 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     additively separable), so the check is per task: the task-t effort pair
     must survive both incentive constraints of the task-t game. A task game
     differs from game only in cost_C, and signals and profits do not depend
-    on the cost, so each effort pair's signal and profit are computed once
-    and checked against both task games; the 16 joint profiles are combined
-    from those results. The principal's payoff adds the per-task profits
-    weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
+    on the cost, so each effort pair's signal is solved once for both task
+    games, and each pair some joint equilibrium uses is valued once. The
+    principal's payoff adds the per-task profits weighted by arrivals,
+    sum_t alpha^t (V_t - lam I_t).
     """
     games = task_games(game, tasks)
     signals = {pair: optimal_signal(game, pair) for pair in PROFILES}
@@ -116,8 +116,10 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
         {pair: supports_profile(task_game, signals[pair], pair) for pair in PROFILES}
         for task_game in games
     ]
-    profits = {pair: evaluate(game, pair, signals[pair]).profit for pair in PROFILES if pair != (LO, HI)}
-    profits[(LO, HI)] = profits[(HI, LO)]  # the mirror pair earns the same, bit for bit, as in profit
+    used = {(HI, LO) if pair == (LO, HI) else pair  # valued as (hi, lo), bit for bit, as in profit
+            for t in (0, 1) if any(supported[1 - t].values()) for pair in PROFILES if supported[t][pair]}
+    profits = {pair: evaluate(game, pair, signals[pair]).profit for pair in used}
+    profits[(LO, HI)] = profits.get((HI, LO))
     alpha1, alpha2 = tasks[0].alpha, tasks[1].alpha
     found = []
     for m1 in _EFFORTS:

@@ -25,6 +25,7 @@ from .baseline_game import (
     GameParams,
     PromotionSignal,
     _cubic_roots,
+    _gains,
     _log_gamma_star,
     evaluate,
     lambda_star,
@@ -415,14 +416,14 @@ def mixed_equilibria(game: GameParams) -> list:
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
-        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + IC_TOL:
+        if sig is not None and _gains(nu_m, mu_lo, sig.X, sig.Y)[1] <= c + IC_TOL:
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
     rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
         sig = _signal_for_success_probs(game, mu_hi, nu_w)
-        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - IC_TOL:
+        if sig is not None and _gains(mu_hi, nu_w, sig.X, sig.Y)[0] >= c - IC_TOL:
             keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
 
     return found
@@ -498,8 +499,8 @@ def continuous_effort_equilibria(
         for i, j, nu_m, nu_w, A, B in pairs:
             if A > r * B and B > r * A:
                 pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
-                X, Y = pi_plus - pi_bar, pi_bar - pi_minus
-                if best_response((1.0 - nu_w) * X + nu_w * Y) == i and best_response(nu_m * X + (1.0 - nu_m) * Y) == j:
+                gain_m, gain_w = _gains(nu_m, nu_w, pi_plus - pi_bar, pi_bar - pi_minus)
+                if best_response(gain_m) == i and best_response(gain_w) == j:
                     points.append((nu_m, nu_w))
         results.append(EffortGridResult(float(lam), tuple(points)))
     return results

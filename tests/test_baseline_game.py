@@ -33,7 +33,13 @@ from riscreen import (
     thresholds,
     welfare_ordering,
 )
-from riscreen.baseline_game import _cubic_roots, most_profitable_among, signal_oracle_residual
+from riscreen.baseline_game import (
+    IC_TOL,
+    _cubic_roots,
+    most_profitable_among,
+    signal_oracle_residual,
+    supports_profile,
+)
 
 import helpers
 
@@ -216,6 +222,8 @@ class TestOptimalSignal:
         lohi = optimal_signal(GAME, (LO, HI))
         assert lohi.pi_plus == pytest.approx(1.0 - hilo.pi_minus, abs=1e-15)
         assert lohi.pi_bar == pytest.approx(1.0 - hilo.pi_bar, abs=1e-15)
+        assert lohi == hilo.mirrored()
+        assert optimal_signal(GAME, [LO, HI]) == lohi  # any sequence of labels, not only the tuple
 
     def test_matches_generic_solver_on_small_grid(self):
         worst = 0.0
@@ -276,6 +284,68 @@ class TestIncentives:
         for agent in (AGENT_M, AGENT_W):
             for other in (HI, LO):
                 assert incentive_gain(GAME, sig, agent, other) == pytest.approx(c, abs=1e-15)
+
+
+EFFORT_ERROR = "effort must be 'hi' or 'lo', got 'mid'"
+
+
+class TestLabels:
+    """Unknown effort and agent labels raise ValueError naming the label."""
+
+    SIG = optimal_signal(GAME, (HI, LO))
+
+    @pytest.mark.parametrize("profile", [(HI, "mid"), ("mid", HI), ("mid", LO), (LO, "mid"), ("mid", "mid")])
+    def test_unknown_effort(self, profile):
+        for call in (
+            lambda: supports_profile(GAME, self.SIG, profile),
+            lambda: supports_profile(GAME, self.SIG, profile, 0.1, 0.2),
+            lambda: optimal_signal(GAME, profile),
+            lambda: evaluate(GAME, profile, self.SIG),
+            lambda: state_distribution(GAME, profile),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == EFFORT_ERROR
+
+    @pytest.mark.parametrize("profile", [("bad", "mid"), ("mid", "bad")])
+    def test_supports_profile_names_w_first(self, profile):
+        with pytest.raises(ValueError) as info:
+            supports_profile(GAME, self.SIG, profile)
+        assert str(info.value) == f"effort must be 'hi' or 'lo', got {profile[1]!r}"
+
+    def test_incentive_gain_labels(self):
+        for agent in (AGENT_M, AGENT_W, "x"):
+            with pytest.raises(ValueError) as info:
+                incentive_gain(GAME, self.SIG, agent, "mid")
+            assert str(info.value) == EFFORT_ERROR
+        for other in (HI, LO):
+            with pytest.raises(ValueError) as info:
+                incentive_gain(GAME, self.SIG, "x", other)
+            assert str(info.value) == "agent must be 'm' or 'w', got 'x'"
+
+
+@given(params=helpers.domain_games())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_gains_keep_their_operand_order(params):
+    # m's gain is (1 - mu_w) X + mu_w Y and w's is mu_m X + (1 - mu_m) Y, bit for bit
+    for profile in PROFILES:
+        sig = optimal_signal(params, profile)
+        mu_m, mu_w = params.mu(profile[0]), params.mu(profile[1])
+        X, Y = sig.pi_plus - sig.pi_zero, sig.pi_zero - sig.pi_minus
+        gain_m, gain_w = (1.0 - mu_w) * X + mu_w * Y, mu_m * X + (1.0 - mu_m) * Y
+        assert incentive_gain(params, sig, AGENT_M, profile[1]).hex() == gain_m.hex()
+        assert incentive_gain(params, sig, AGENT_W, profile[0]).hex() == gain_w.hex()
+        # costs a few ulps either side of where m's constraint flips: a gain
+        # off by one ulp would flip it at another cost
+        ok_w = gain_w >= params.c - IC_TOL if profile[1] == HI else gain_w <= params.c + IC_TOL
+        for edge in (gain_m + IC_TOL, gain_m - IC_TOL):
+            c_m = edge
+            for _ in range(3):
+                c_m = math.nextafter(c_m, -math.inf)
+            for _ in range(7):
+                ok_m = gain_m >= c_m - IC_TOL if profile[0] == HI else gain_m <= c_m + IC_TOL
+                assert supports_profile(params, sig, profile, c_m=c_m) == (ok_m and ok_w)
+                c_m = math.nextafter(c_m, math.inf)
 
 
 class TestThresholds:

@@ -226,6 +226,48 @@ def test_json_writer_equals_indented_dumps(payload):
     assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+class _Tagged(int):
+    """An int whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return f"_Tagged({int(self)})"
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        # round up across a power of ten at 12 significant digits
+        999999999999.5, 9.9999999999995e-5, -99999999999.95, 9.99999999999999e22,
+    ]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.booleans(),
+    st.text(alphabet=st.sampled_from('ab"\\/é€😀\n\t\x00\x1f\x7f'), max_size=8),
+)
+
+
+@given(
+    header=st.lists(st.text(alphabet=st.sampled_from('ab_"\\é😀\n'), max_size=4), min_size=1, max_size=6),
+    cells=st.lists(st.lists(_CELLS, min_size=6, max_size=6), max_size=5),
+    meta=st.dictionaries(st.text(alphabet=st.sampled_from('mk"\\é'), max_size=3), _CELLS, max_size=3),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@example(header=["lam", "x"], cells=[[999999999999.5, 9.9999999999995e-5, 0, 0, 0, 0]], meta={})
+@example(header=["n", "flag"], cells=[[_Tagged(3), _Tagged(-2**70), 0, 0, 0, 0]], meta={"k": _Tagged(1)})
+def test_sweep_writer_equals_dumps_of_the_rounded_rows(header, cells, meta):
+    rows = [row[: len(header)] for row in cells]
+    payload = {
+        "schema": cli.SCHEMA_VERSION,
+        "meta": meta,
+        "rows": [
+            {k: (float(f"{v:.12g}") if isinstance(v, float) else v) for k, v in zip(header, row)}
+            for row in rows
+        ],
+    }
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli._rows_to_json(header, rows, meta) == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [

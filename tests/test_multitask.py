@@ -18,6 +18,7 @@ from riscreen import (
     profit,
     thresholds,
 )
+from riscreen.baseline_game import evaluate
 from riscreen.multitask import task_games
 
 import helpers
@@ -329,7 +330,35 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     game = GAME._replace(lam=0.5 * (cuts.lambda_low + cuts.lambda_high))
     records = multitask_equilibrium_set(game, tasks)
     assert len(records) >= 2
-    assert counts == {"optimal_signal": 4, "evaluate": 3}
+    # (lo, lo) is in no joint equilibrium here, so only (hi, hi) and (hi, lo) are valued
+    assert counts == {"optimal_signal": 4, "evaluate": 2}
+
+
+@given(case=multitask_games())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_only_the_pairs_in_use_are_valued(case):
+    # one valuation per distinct effort pair of some joint equilibrium, (lo, hi) as (hi, lo)
+    from riscreen import multitask
+
+    game, tasks = case
+    valued = []
+
+    def counted(params, profile, signal, **kwargs):
+        valued.append(profile)
+        return evaluate(params, profile, signal, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multitask, "evaluate", counted)
+        records = multitask_equilibrium_set(game, tasks)
+    used = {
+        (HI, LO) if pair == (LO, HI) else pair
+        for r in records
+        for pair in zip(r.investment_m, r.investment_w)
+    }
+    assert sorted(valued) == sorted(used)
+    expected = reference_equilibrium_set(game, tasks)
+    assert records == expected
+    assert [r.payoff.hex() for r in records] == [r.payoff.hex() for r in expected]
 
 
 def test_regimes_sweep_refuses_unequal_arrivals(capsys):
