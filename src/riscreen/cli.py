@@ -3,9 +3,10 @@
 Subcommands: signal, thresholds, equilibria, regimes, quota, multitask,
 variants, reproduce. Exit codes: 0 on success, 1 when a reproduce check
 fails, 2 on usage errors. Machine output (csv/json) carries 12 significant
-digits and is byte-deterministic for a fixed configuration; human tables
-show 4 decimals, except the compact probability table of `signal`, which
-truncates at 2 decimals.
+digits and is byte-deterministic for a fixed configuration: a JSON sweep
+float is the shortest repr of the value rounded to 12 significant digits, so
+it equals float() of the CSV cell. Human tables show 4 decimals, except the
+compact probability table of `signal`, which truncates at 2 decimals.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ SCHEMA_VERSION = "riscreen.regimes.v1"
 
 _TABLE1_SIGNAL = (0.093977614213083, 0.744088048450016, 0.987879461288866)
 _TABLE1_PRINT = (0.09, 0.74, 0.98)
-
-
-def _g(x: float) -> float:
-    """12-significant-digit float for machine output."""
-    return float(f"{x:.12g}")
 
 
 def _fmt4(x: float) -> str:
@@ -103,55 +99,75 @@ def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
 
 
 def _rows_to_json(header: list, rows: list, meta: dict) -> str:
-    rows = [{k: (_g(v) if isinstance(v, float) else v) for k, v in zip(header, row)} for row in rows]
-    return _json_text({"schema": SCHEMA_VERSION, "meta": meta, "rows": rows})
+    """``_json_text`` of the sweep, its rows as dicts of header names, floats at 12 digits.
+
+    Every row holds a cell for each header column. The header is sorted into
+    key order once; a repeated name keeps its last column, as in a dict. A
+    float is formatted once: its ``.12g`` text with a point and no exponent is
+    already its ``repr`` (a decimal of at most 12 digits is the shortest repr
+    of its double, and repr writes [1e-4, 1e16) positionally). Any other
+    float, a float subclass included, is written as ``repr(float(text))``.
+    """
+    import json
+    quote = json.encoder.encode_basestring_ascii
+    columns = [("\n      " + quote(k) + ": ", i) for k, i in sorted({k: i for i, k in enumerate(header)}.items())]
+    texts = []
+    for row in rows:
+        cells = []
+        for key, i in columns:
+            v = row[i]
+            if isinstance(v, float):
+                text = f"{v:.12g}"
+                if "." not in text or "e" in text or v.__class__ is not float:
+                    text = _scalar(float(text), quote)
+            else:
+                text = _scalar(v, quote)
+            cells.append(key + text)
+        texts.append("{" + ",".join(cells) + "\n    }" if cells else "{}")
+    body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    return f'{{\n  "meta": {_indented(meta, 2, quote)},\n  "rows": {body},\n  "schema": {quote(SCHEMA_VERSION)}\n}}\n'
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, for string-keyed dicts."""
-    return _indented(obj, 1) + "\n"
+    import json
+    return _indented(obj, 1, json.encoder.encode_basestring_ascii) + "\n"
 
 
 #: json's text where repr's is not JSON: the three constants and the non-finite floats
 _WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _indented(obj, depth: int) -> str:
-    """The JSON text of obj, its members indented by 2 * depth spaces.
+def _scalar(obj, quote) -> str:
+    """The JSON text of a scalar as ``json`` writes it, with no encoder built.
 
-    Scalars are written as ``json`` writes them, with no encoder built: through
-    ``float.__repr__``, ``int.__repr__`` and _WORDS, strings and keys through
-    ``encode_basestring_ascii``.
+    ``float.__repr__``, ``int.__repr__`` and _WORDS; strings through ``quote``
+    (``json.encoder.encode_basestring_ascii``).
     """
-    import json
-    quote = json.encoder.encode_basestring_ascii
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        values = [v for _, v in items]
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    elif isinstance(obj, str):
+    if isinstance(obj, str):
         return quote(obj)
-    elif obj is None or isinstance(obj, bool):
+    if obj is None or isinstance(obj, bool):
         return _WORDS[repr(obj)]
-    elif isinstance(obj, (int, float)):
-        text = (int.__repr__ if isinstance(obj, int) else float.__repr__)(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
         return _WORDS.get(text, text)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    words = _WORDS.get
-    texts = [  # exact floats, ints and strings in line, the rest by recursion
-        words(text := repr(v), text) if v.__class__ is float
-        else repr(v) if v.__class__ is int
-        else quote(v) if v.__class__ is str
-        else _indented(v, depth + 1)
-        for v in values
-    ]
-    pad = "\n" + "  " * depth if values else ""  # an empty container is {} or []
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _indented(obj, depth: int, quote) -> str:
+    """The JSON text of obj, its members indented by 2 * depth spaces; scalars through _scalar."""
     if isinstance(obj, dict):
-        texts = [f"{quote(k)}: {text}" for (k, _), text in zip(items, texts)]
-        return "{" + pad + ("," + pad).join(texts) + pad[:-2] + "}"
-    return "[" + pad + ("," + pad).join(texts) + pad[:-2] + "]"
+        texts = [f"{quote(k)}: {_indented(v, depth + 1, quote)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        texts = [_indented(v, depth + 1, quote) for v in obj]
+        brackets = "[]"
+    else:
+        return _scalar(obj, quote)
+    pad = "\n" + "  " * depth if texts else ""  # an empty container is {} or []
+    return brackets[0] + pad + ("," + pad).join(texts) + pad[:-2] + brackets[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The CLI's lazily built, shared subcommand parsers and its indented-JSON writer."""
+"""The CLI's lazily built, shared subcommand parsers, its indented-JSON writer, and JSON sweeps against CSV."""
 
+import csv
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import threading
@@ -233,6 +236,24 @@ class _Tagged(int):
         return f"_Tagged({int(self)})"
 
 
+class _Padded(float):
+    """A float whose repr and .12g text are not its JSON text."""
+
+    def __repr__(self):
+        return f"_Padded({float(self)!r})"
+
+    def __format__(self, spec):
+        text = float.__format__(self, spec)
+        return text + "0" if "." in text and "e" not in text else text
+
+
+def _around(x: float) -> list:
+    """x, the floats an ulp and two ulps either side, and a 12-digit round-up onto x."""
+    below = math.nextafter(x, 0.0)
+    above = math.nextafter(x, math.inf)
+    return [math.nextafter(below, 0.0), below, x, above, math.nextafter(above, math.inf), x * (1.0 - 4e-13)]
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([
@@ -254,6 +275,14 @@ _CELLS = st.one_of(
 @settings(max_examples=50, deadline=None, derandomize=True)
 @example(header=["lam", "x"], cells=[[999999999999.5, 9.9999999999995e-5, 0, 0, 0, 0]], meta={})
 @example(header=["n", "flag"], cells=[[_Tagged(3), _Tagged(-2**70), 0, 0, 0, 0]], meta={"k": _Tagged(1)})
+# where .12g and repr switch to exponent form, and an ulp either side
+@example(header=list("abcdef"), cells=[_around(1e-4), _around(1e12), _around(1e16)], meta={})
+@example(header=list("abcdef"), cells=[[-x for x in _around(1e-4)], [-x for x in _around(1e12)]], meta={})
+@example(header=list("abcdef"), cells=[[3.0, -0.0, 5e-324, math.nan, math.inf, -math.inf], [1e15, 2.0**60, -7.0, 0.0, 1e300, 1.0]], meta={})
+@example(header=list("abcdef"), cells=[[_Padded(0.25), _Padded(3.0), _Padded(1e-7), _Padded(math.nan), 0.25, 1]], meta={"p": _Padded(0.5)})
+@example(header=["a", "b", "a", "a", "c", "b"], cells=[[1.5, 2, "x", 0.1, None, True], [0.0, 1, "y", 2.5, False, 3.0]], meta={})
+@example(header=[], cells=[[1.5, 2, "x", 0.1, None, True], [0.0, 1, "y", 2.5, False, 3.0]], meta={})
+@example(header=[], cells=[], meta={})
 def test_sweep_writer_equals_dumps_of_the_rounded_rows(header, cells, meta):
     rows = [row[: len(header)] for row in cells]
     payload = {
@@ -266,6 +295,70 @@ def test_sweep_writer_equals_dumps_of_the_rounded_rows(header, cells, meta):
     }
     expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert cli._rows_to_json(header, rows, meta) == expected
+
+
+def _cell_text(v) -> str:
+    """The text of v in a one-column sweep row."""
+    text = cli._rows_to_json(["x"], [[v]], {})
+    return text.split('\n      "x": ', 1)[1].split("\n", 1)[0]
+
+
+def _draw_double(rng) -> float:
+    """Any bit pattern, a 17-digit decimal anywhere in the double range, or a
+    decimal of 1 to 17 digits near the switches to exponent form."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+    digits = 17 if kind == 1 else rng.randint(1, 17)
+    exponent = rng.randint(-346, 292) if kind == 1 else rng.randint(-6, 18) - digits
+    return float(f"{rng.choice('+-')}{rng.randrange(10 ** (digits - 1), 10**digits)}e{exponent}")
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_one_pass_cell_is_repr_of_the_rounded_float(seed):
+    rng = random.Random(seed)
+    for v in (_draw_double(rng) for _ in range(500)):
+        text = repr(float(f"{v:.12g}"))
+        assert _cell_text(v) == cli._WORDS.get(text, text), v
+
+
+def _csv_table(text: str) -> tuple:
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    header, *rows = list(csv.reader(lines))
+    return header, rows
+
+
+@pytest.mark.parametrize("analysis", ["baseline", "quota", "multitask", "variants"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        # condition 5 fails: lambda_star lies above lambda_high
+        ["--mu-hi", ".9", "--mu-lo", ".35", "--cost", ".04", "--lambda-range", "0.14", "4.3",
+         "--task1", "0.5,1.0,0.018", "--task2", "0.5,1.0,0.02"],
+        # condition 5 holds: lambda_star lies between lambda_low and lambda_high
+        ["--mu-hi", ".7", "--mu-lo", ".59", "--cost", ".0473", "--lambda-range", "0.13", "2.6",
+         "--task1", "0.5,1.0,0.0213", "--task2", "0.5,1.0,0.0237"],
+    ],
+    ids=["condition5-fails", "condition5-holds"],
+)
+def test_json_sweep_cells_equal_the_csv_cells(point, analysis, capsys):
+    argv = ["regimes", "--analysis", analysis, *point, "--lambda-steps", "12"]
+    code, out, _ = outcome([*argv, "--format", "json"], capsys)
+    assert code == 0
+    json_rows = json.loads(out)["rows"]
+    code, out, _ = outcome([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    header, csv_rows = _csv_table(out)
+    assert len(json_rows) == len(csv_rows) == 12
+    for json_row, csv_row in zip(json_rows, csv_rows):
+        assert sorted(json_row) == sorted(header)
+        for key, cell in zip(header, csv_row):
+            value = json_row[key]
+            if isinstance(value, float):
+                assert float(cell) == value or (math.isnan(value) and math.isnan(float(cell))), (key, cell, value)
+            else:
+                assert isinstance(value, (int, str)) and str(value) == cell, (key, cell, value)
 
 
 @pytest.mark.parametrize(
