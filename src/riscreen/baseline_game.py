@@ -163,12 +163,8 @@ class PromotionSignal(NamedTuple):
 
     def mirrored(self) -> "PromotionSignal":
         """The same screening rule with the agents' roles swapped."""
-        return PromotionSignal(
-            pi_minus=1.0 - self.pi_plus,
-            pi_zero=1.0 - self.pi_zero,
-            pi_plus=1.0 - self.pi_minus,
-            pi_bar=1.0 - self.pi_bar,
-        )
+        q_minus, q_zero, q_plus, pi_bar = self
+        return PromotionSignal(1.0 - q_plus, 1.0 - q_zero, 1.0 - q_minus, 1.0 - pi_bar)
 
 
 class ThresholdSet(NamedTuple):
@@ -429,11 +425,13 @@ def supports_profile(
     X, Y = signal.pi_plus - signal.pi_zero, signal.pi_zero - signal.pi_minus
     gain_m, gain_w = _gains(mu_hi if e_m == HI else mu_lo, mu_hi if e_w == HI else mu_lo, X, Y)
     c = cost_C / (mu_hi - mu_lo)
-    c_m = c if c_m is None else c_m
-    c_w = c if c_w is None else c_w
-    ok_m = gain_m >= c_m - IC_TOL if e_m == HI else gain_m <= c_m + IC_TOL
-    ok_w = gain_w >= c_w - IC_TOL if e_w == HI else gain_w <= c_w + IC_TOL
-    return ok_m and ok_w
+    return _holds(e_m, e_w, gain_m, gain_w, c if c_m is None else c_m, c if c_w is None else c_w)
+
+
+def _holds(e_m: str, e_w: str, gain_m: float, gain_w: float, c_m: float, c_w: float) -> bool:
+    """Both incentive constraints of (e_m, e_w) at these gains and effective costs."""
+    return ((gain_m >= c_m - IC_TOL if e_m == HI else gain_m <= c_m + IC_TOL)
+            and (gain_w >= c_w - IC_TOL if e_w == HI else gain_w <= c_w + IC_TOL))
 
 
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
@@ -498,8 +496,11 @@ def evaluate(
     weight_i times its promotion probability, less cost_i when it works
     high; costs default to (cost_C, cost_C) and weights to (1, 1).
     """
+    mu_hi, mu_lo, cost_C, lam = params
     e_m, e_w = profile
-    mu_m, mu_w = params.mu(e_m), params.mu(e_w)
+    if e_m not in (HI, LO) or e_w not in (HI, LO):
+        params.mu(e_m), params.mu(e_w)  # the ValueError that names the label
+    mu_m, mu_w = mu_hi if e_m == HI else mu_lo, mu_hi if e_w == HI else mu_lo
     p_plus, p_minus = mu_m * (1.0 - mu_w), mu_w * (1.0 - mu_m)
     p_zero = mu_m * mu_w + (1.0 - mu_m) * (1.0 - mu_w)
     q_minus, q_zero, q_plus, pi_bar = signal
@@ -510,18 +511,20 @@ def evaluate(
     # by the check above, the conditionals of a sure decision differ from it by rounding only
     I = 0.0 if pi_bar in (0.0, 1.0) else (p_minus * _divergence(q_minus, pi_bar)
         + p_zero * _divergence(q_zero, pi_bar) + p_plus * _divergence(q_plus, pi_bar))
-    cost_m, cost_w = (params.cost_C, params.cost_C) if costs is None else costs
+    cost_m, cost_w = (cost_C, cost_C) if costs is None else costs
     du_m, du_w = (1.0, 1.0) if weights is None else weights
     return EquilibriumRecord(
-        profile=profile,
-        signal=signal,
-        classification=IMPARTIAL if signal.impartial else DISCRIMINATORY,
-        revenue=V,
-        info_cost=I,
-        profit=V - params.lam * I,
-        utility_m=du_m * pi_bar - (cost_m if e_m == HI else 0.0),
-        utility_w=du_w * (1.0 - pi_bar) - (cost_w if e_w == HI else 0.0),
+        profile, signal, IMPARTIAL if signal.impartial else DISCRIMINATORY, V, I, V - lam * I,
+        du_m * pi_bar - (cost_m if e_m == HI else 0.0),
+        du_w * (1.0 - pi_bar) - (cost_w if e_w == HI else 0.0),
     )
+
+
+def _profile_signals(params: GameParams) -> tuple:
+    """optimal_signal of each profile in PROFILES order, from two kernels: (lo, lo)
+    shares the impartial signal of (hi, hi) and (lo, hi) mirrors (hi, lo)."""
+    impartial, tilted = optimal_signal(params, (HI, HI)), optimal_signal(params, (HI, LO))
+    return impartial, tilted, tilted.mirrored(), impartial
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -532,8 +535,7 @@ def equilibrium_set(params: GameParams) -> list:
     profile in both adjacent regimes.
     """
     found = []
-    for profile in PROFILES:
-        signal = optimal_signal(params, profile)
+    for profile, signal in zip(PROFILES, _profile_signals(params)):
         if supports_profile(params, signal, profile):
             found.append(evaluate(params, profile, signal))
     return found

@@ -18,9 +18,10 @@ from .baseline_game import (
     LO,
     PROFILES,
     GameParams,
+    _gains,
+    _holds,
+    _profile_signals,
     evaluate,
-    optimal_signal,
-    supports_profile,
 )
 from .ri_core import _Validated
 
@@ -104,18 +105,17 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     One-step deviations are all that need deterring (task payoffs are
     additively separable), so the check is per task: the task-t effort pair
     must survive both incentive constraints of the task-t game. A task game
-    differs from game only in cost_C, and signals and profits do not depend
-    on the cost, so each effort pair's signal is solved once for both task
-    games, and each pair some joint equilibrium uses is valued once. The
-    principal's payoff adds the per-task profits weighted by arrivals,
-    sum_t alpha^t (V_t - lam I_t).
+    differs from game only in cost_C, and signals, gains and profits do not
+    depend on the cost, so each effort pair's gains are taken once and
+    compared with both task games' c, and each pair some joint equilibrium
+    uses is valued once. The principal's payoff adds the per-task profits
+    weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
     """
-    games = task_games(game, tasks)
-    signals = {pair: optimal_signal(game, pair) for pair in PROFILES}
-    supported = [
-        {pair: supports_profile(task_game, signals[pair], pair) for pair in PROFILES}
-        for task_game in games
-    ]
+    mu = {HI: game.mu_hi, LO: game.mu_lo}
+    costs = [task_game.cost_C / (game.mu_hi - game.mu_lo) for task_game in task_games(game, tasks)]
+    signals = dict(zip(PROFILES, _profile_signals(game)))
+    gains = {(e_m, e_w): _gains(mu[e_m], mu[e_w], s.X, s.Y) for (e_m, e_w), s in signals.items()}
+    supported = [{pair: _holds(*pair, *gains[pair], c, c) for pair in PROFILES} for c in costs]
     used = {(HI, LO) if pair == (LO, HI) else pair  # valued as (hi, lo), bit for bit, as in profit
             for t in (0, 1) if any(supported[1 - t].values()) for pair in PROFILES if supported[t][pair]}
     profits = {pair: evaluate(game, pair, signals[pair]).profit for pair in used}

@@ -21,6 +21,7 @@ from . import ri_core
 from .baseline_game import (
     PROFILES,
     BracketError,
+    HI,
     LO,
     GameParams,
     PromotionSignal,
@@ -136,16 +137,18 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     e_m, e_w = profile
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile))
-    p_minus, p_zero, p_plus = state_distribution(params, profile)
-    lam = params.lam
-    if e_m == LO:  # the mirror image of (hi, lo)
-        s, y = _tilt(p_plus, p_zero, p_minus, params.delta_mu, lam)
-        nu, t = -s - lam * y, (y - (1.0 - s) / lam, y + s / lam, y + (1.0 + s) / lam)
-    else:
-        s, y = _tilt(p_minus, p_zero, p_plus, params.delta_mu, lam)
-        nu, t = s + lam * y, (-(1.0 + s) / lam - y, -s / lam - y, (1.0 - s) / lam - y)
+    prior = state_distribution(params, profile)
+    s, y = _tilt(*(prior[::-1] if e_m == LO else prior), params.delta_mu, params.lam)
+    return _quota_solution(prior, s, y, params.lam, e_m == LO)
+
+
+def _quota_solution(prior: tuple, s: float, y: float, lam: float, mirror: bool) -> QuotaSolution:
+    """find_multiplier's rule at the tilt (s, y); mirror for the profile where w works."""
+    nu, t = s + lam * y, (-(1.0 + s) / lam - y, -s / lam - y, (1.0 - s) / lam - y)
+    if mirror:  # a - b is -(b - a) exactly
+        nu, t = -nu, (-t[2], -t[1], -t[0])
     q = tuple(map(ri_core._sigmoid, t))
-    pi_bar = p_minus * q[0] + p_zero * q[1] + p_plus * q[2]
+    pi_bar = prior[0] * q[0] + prior[1] * q[1] + prior[2] * q[2]
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
         raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
@@ -159,17 +162,21 @@ def quota_equilibrium_set(params: GameParams) -> list:
     with mu_hi + mu_lo > 1 such a signal cannot satisfy the worker's and the
     shirker's incentive constraints at once. The case mu_hi + mu_lo <= 1 is
     not characterized and is refused. A symmetric profile's quota signal is
-    its optimal_signal, so its record equals equilibrium_set's.
+    its optimal_signal, so its record equals equilibrium_set's. (lo, hi) has
+    the prior of (hi, lo) reversed, so both take their nu from one tilt.
     """
     if not params.mu_hi + params.mu_lo > 1.0:
         raise ValueError(
             "quota analysis requires mu_hi + mu_lo > 1 "
             f"(got {params.mu_hi + params.mu_lo!r})"
         )
+    impartial = optimal_signal(params, (HI, HI))
+    prior = state_distribution(params, (HI, LO))
+    s, y = _tilt(*prior, params.delta_mu, params.lam)
+    signals = (impartial, _quota_solution(prior, s, y, params.lam, False).signal,
+               _quota_solution(prior[::-1], s, y, params.lam, True).signal, impartial)
     found = []
-    for profile in PROFILES:
-        solution = find_multiplier(params, profile)
-        if supports_profile(params, solution.signal, profile):
-            found.append(evaluate(params, profile, solution.signal))
+    for profile, signal in zip(PROFILES, signals):
+        if supports_profile(params, signal, profile):
+            found.append(evaluate(params, profile, signal))
     return found
-

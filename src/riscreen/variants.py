@@ -27,6 +27,7 @@ from .baseline_game import (
     _cubic_roots,
     _gains,
     _log_gamma_star,
+    _profile_signals,
     evaluate,
     lambda_star,
     optimal_signal,
@@ -84,8 +85,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     """
     c_m, c_w = het.effective_costs(game.delta_mu)
     found = []
-    for profile in PROFILES:
-        signal = optimal_signal(game, profile)
+    for profile, signal in zip(PROFILES, _profile_signals(game)):
         if supports_profile(game, signal, profile, c_m, c_w):
             found.append(evaluate(game, profile, signal,
                                   costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w)))
@@ -335,7 +335,9 @@ def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float
     c2 rho^2 + c1 rho - r w_x, taken as the roots of rho times it over c2
     (the extra root 0 lies below lo). Each gets one Newton step on P in
     this factored form, kept where it lowers |P|: the expanded
-    coefficients lose digits as r nears 1.
+    coefficients lose digits as r nears 1. A step moves a candidate by its
+    error, under eps^(1/3) relative even at a triple root, so only those
+    within 1e-3 relative of [lo, hi] are polished.
     """
     def P(rho: float) -> float:
         return (rho - r) * (1.0 - r * rho) * (w_x + w_y * rho) - k * rho * (1.0 + rho)
@@ -348,6 +350,8 @@ def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float
         candidates = _cubic_roots(c1 / c2, -r * w_x / c2, 0.0) if c2 else ()
     roots = []
     for rho in candidates:
+        if not lo * (1.0 - 1e-3) <= rho <= hi * (1.0 + 1e-3):
+            continue
         p, slope = P(rho), (2.0 * c2 - 3.0 * r * w_y * rho) * rho + c1
         if slope and abs(P(rho - p / slope)) < abs(p):
             rho -= p / slope

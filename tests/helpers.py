@@ -153,6 +153,25 @@ def quota_multiplier_by_root(params: GameParams, profile: tuple):
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 
 
+def reference_quota_equilibrium_set(params: GameParams) -> list:
+    """:func:`riscreen.quota_equilibrium_set` profile by profile, its reference:
+    find_multiplier, supports_profile and evaluate for each of PROFILES, with
+    one tilt solved per asymmetric profile."""
+    from riscreen import PROFILES, evaluate, find_multiplier
+    from riscreen.baseline_game import supports_profile
+
+    if not params.mu_hi + params.mu_lo > 1.0:
+        raise ValueError(
+            f"quota analysis requires mu_hi + mu_lo > 1 (got {params.mu_hi + params.mu_lo!r})"
+        )
+    found = []
+    for profile in PROFILES:
+        signal = find_multiplier(params, profile).signal
+        if supports_profile(params, signal, profile):
+            found.append(evaluate(params, profile, signal))
+    return found
+
+
 def odds_roots_by_search(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:
     """Roots in [lo, hi], increasing, of P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho)
     by a root search, the oracle of :func:`riscreen.variants._odds_roots`.
