@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Optional
 
 from . import ri_core
 from .ri_core import BracketError
@@ -82,18 +81,6 @@ class GameParams(ri_core._Validated, namedtuple("GameParams", "mu_hi mu_lo cost_
         return self.mu_lo * (1.0 - self.mu_hi)
 
     @property
-    def gamma(self) -> float:
-        """exp(1/lam), or +inf where that overflows (lam below about 1/710).
-
-        g_func, f_func and f_inverse read an infinite gamma as the costless
-        limit. Internal closed forms work in 1/gamma, which stays finite.
-        """
-        try:
-            return math.exp(1.0 / self.lam)
-        except OverflowError:
-            return math.inf
-
-    @property
     def assumption1(self) -> bool:
         """Regularity: mu_hi + mu_lo > 1 and c < mu_hi(1-mu_hi)/(A+B)."""
         return (
@@ -123,7 +110,7 @@ class StateDistribution(ri_core._Validated, namedtuple("StateDistribution", "p_m
         return tuple.__new__(cls, (p_minus, p_zero, p_plus))
 
 
-class PromotionSignal(NamedTuple):
+class PromotionSignal(namedtuple("PromotionSignal", "pi_minus pi_zero pi_plus pi_bar")):
     """Promotion probabilities for m conditional on the productivity difference.
 
     pi_bar is the average promotion probability under the distribution the
@@ -131,10 +118,7 @@ class PromotionSignal(NamedTuple):
     outperforming, Y = pi(0) - pi(-1) the penalty for underperforming.
     """
 
-    pi_minus: float
-    pi_zero: float
-    pi_plus: float
-    pi_bar: float
+    __slots__ = ()
 
     def as_tuple(self) -> tuple:
         """(pi(-1), pi(0), pi(1))."""
@@ -167,7 +151,9 @@ class PromotionSignal(NamedTuple):
         return PromotionSignal(1.0 - q_plus, 1.0 - q_zero, 1.0 - q_minus, 1.0 - pi_bar)
 
 
-class ThresholdSet(NamedTuple):
+class ThresholdSet(namedtuple(
+    "ThresholdSet", "lambda_breve lambda_star lambda_low lambda_high gamma_hat X_low X_high condition5 assumption1"
+)):
     """Cutpoints of the attention-cost axis.
 
     lambda_breve: above it the signal for (hi, lo) collapses to always-promote-m
@@ -182,15 +168,7 @@ class ThresholdSet(NamedTuple):
     silent NaN.
     """
 
-    lambda_breve: float
-    lambda_star: float
-    lambda_low: float
-    lambda_high: float
-    gamma_hat: Optional[float]
-    X_low: float
-    X_high: float
-    condition5: bool
-    assumption1: bool
+    __slots__ = ()
 
     @property
     def regular(self) -> bool:
@@ -200,23 +178,18 @@ class ThresholdSet(NamedTuple):
         )
 
 
-class ProfitBreakdown(NamedTuple):
+class ProfitBreakdown(namedtuple("ProfitBreakdown", "V I profit")):
     """Expected revenue V, information bill I (nats), and profit V - lam * I."""
 
-    V: float
-    I: float
-    profit: float
+    __slots__ = ()
 
 
-class EquilibriumRecord(NamedTuple):
-    profile: tuple
-    signal: PromotionSignal
-    classification: str
-    revenue: float
-    info_cost: float
-    profit: float
-    utility_m: float
-    utility_w: float
+class EquilibriumRecord(namedtuple(
+    "EquilibriumRecord", "profile signal classification revenue info_cost profit utility_m utility_w"
+)):
+    """An effort profile and its signal, valued by :func:`evaluate`: V, I, profit and utilities."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +382,8 @@ def supports_profile(
     params: GameParams,
     signal: PromotionSignal,
     profile: tuple,
-    c_m: Optional[float] = None,
-    c_w: Optional[float] = None,
+    c_m: float | None = None,
+    c_w: float | None = None,
 ) -> bool:
     """Do both incentive constraints hold for this profile at a fixed signal?
 
@@ -430,8 +403,12 @@ def supports_profile(
 
 def _holds(e_m: str, e_w: str, gain_m: float, gain_w: float, c_m: float, c_w: float) -> bool:
     """Both incentive constraints of (e_m, e_w) at these gains and effective costs."""
-    return ((gain_m >= c_m - IC_TOL if e_m == HI else gain_m <= c_m + IC_TOL)
-            and (gain_w >= c_w - IC_TOL if e_w == HI else gain_w <= c_w + IC_TOL))
+    return _incentive_holds(e_m, gain_m, c_m) and _incentive_holds(e_w, gain_w, c_w)
+
+
+def _incentive_holds(effort: str, gain: float, c: float) -> bool:
+    """One agent's incentive constraint, to IC_TOL: gain >= c if it works high, gain <= c if low."""
+    return gain >= c - IC_TOL if effort == HI else gain <= c + IC_TOL
 
 
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
@@ -484,8 +461,8 @@ def evaluate(
     profile: tuple,
     signal: PromotionSignal,
     *,
-    costs: Optional[tuple] = None,
-    weights: Optional[tuple] = None,
+    costs: tuple | None = None,
+    weights: tuple | None = None,
 ) -> EquilibriumRecord:
     """Value a signal at an effort profile: V, I, profit V - lam I, utilities.
 
@@ -527,6 +504,13 @@ def _profile_signals(params: GameParams) -> tuple:
     return impartial, tilted, tilted.mirrored(), impartial
 
 
+def _equilibria(params: GameParams, signals: tuple, c_m=None, c_w=None, costs=None, weights=None) -> list:
+    """The enumeration of every pure analysis: each profile whose signal (in PROFILES order) passes
+    :func:`supports_profile` at (c_m, c_w), valued by :func:`evaluate` at these costs and weights."""
+    return [evaluate(params, profile, signal, costs=costs, weights=weights)
+            for profile, signal in zip(PROFILES, signals) if supports_profile(params, signal, profile, c_m, c_w)]
+
+
 def equilibrium_set(params: GameParams) -> list:
     """All pure-strategy equilibria, in the fixed order of PROFILES.
 
@@ -534,11 +518,7 @@ def equilibrium_set(params: GameParams) -> list:
     agents' incentive constraints. Knife-edge parameter values keep a
     profile in both adjacent regimes.
     """
-    found = []
-    for profile, signal in zip(PROFILES, _profile_signals(params)):
-        if supports_profile(params, signal, profile):
-            found.append(evaluate(params, profile, signal))
-    return found
+    return _equilibria(params, _profile_signals(params))
 
 
 def most_profitable(params: GameParams) -> list:
@@ -558,8 +538,13 @@ def most_profitable_among(records: list) -> list:
     """
     if not records:
         raise ValueError("no equilibrium records to rank")
-    best = max(r.profit for r in records)
-    return [r for r in records if r.profit >= best - 1e-12]
+    return _ties_at_best(records, [r.profit for r in records])
+
+
+def _ties_at_best(records: list, values: list) -> list:
+    """The records whose value is within 1e-12 of the highest: the tie rule of every ranking."""
+    best = max(values, default=0.0)
+    return [r for r, v in zip(records, values) if v >= best - 1e-12]
 
 
 def welfare_ordering(records: list) -> list:

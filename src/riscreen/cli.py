@@ -17,7 +17,6 @@ import functools
 import io
 import math
 import sys
-from typing import Optional
 
 from . import baseline_game as bg
 from . import multitask as mt
@@ -74,7 +73,7 @@ def _lam_grid(args) -> list:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -388,7 +387,7 @@ def cmd_multitask(args) -> int:
             f" w=({rec.investment_w[0]},{rec.investment_w[1]})"
             f" {rec.classification:15s} payoff={_fmt4(rec.payoff)}"
         )
-    if abs(tasks[0].alpha - tasks[1].alpha) <= 1e-12 and records:
+    if mt._equal_arrivals(tasks) and records:
         winners = mt.most_profitable_among(records, tasks)
         lines.append("most profitable: " + ", ".join(sorted({w.classification for w in winners})))
     _emit("\n".join(lines) + "\n", args.out)
@@ -746,7 +745,7 @@ _COMMANDS = (
 )
 
 
-def build_parser(cfg: Optional[dict] = None) -> argparse.ArgumentParser:
+def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     cfg = cfg or {}
     parser = argparse.ArgumentParser(
         prog="riscreen",

@@ -11,7 +11,6 @@ task's effort pair is an equilibrium of its own per-task game.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .baseline_game import (
     HI,
@@ -21,6 +20,7 @@ from .baseline_game import (
     _gains,
     _holds,
     _profile_signals,
+    _ties_at_best,
     evaluate,
 )
 from .ri_core import _Validated
@@ -51,14 +51,10 @@ class TaskParams(_Validated, namedtuple("TaskParams", "alpha beta cost_C")):
         return self.cost_C / (self.alpha * self.beta * delta_mu)
 
 
-class MultitaskRecord(NamedTuple):
+class MultitaskRecord(namedtuple("MultitaskRecord", "investment_m investment_w classification payoff signals")):
     """A joint equilibrium: per-agent investment vectors, one entry per task."""
 
-    investment_m: tuple
-    investment_w: tuple
-    classification: str
-    payoff: float
-    signals: tuple
+    __slots__ = ()
 
 
 def _validate(game: GameParams, tasks: tuple) -> tuple:
@@ -166,12 +162,14 @@ def most_profitable_among(records: list, tasks: tuple) -> list:
     """
     _check_equal_arrivals(tasks)
     ranked = [r for r in records if r.classification in (SPECIALIZED, NON_SPECIALIZED)]
-    if not ranked:
-        return []
-    best = max(r.payoff for r in ranked)
-    return [r for r in ranked if r.payoff >= best - 1e-12]
+    return _ties_at_best(ranked, [r.payoff for r in ranked])
+
+
+def _equal_arrivals(tasks: tuple) -> bool:
+    """alpha1 = alpha2 to 1e-12, which the profitability ranking requires."""
+    return abs(tasks[0].alpha - tasks[1].alpha) <= 1e-12
 
 
 def _check_equal_arrivals(tasks: tuple) -> None:
-    if abs(tasks[0].alpha - tasks[1].alpha) > 1e-12:
+    if not _equal_arrivals(tasks):
         raise ValueError("profitability ranking requires alpha1 = alpha2")

@@ -15,32 +15,29 @@ impartial ones alone.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import ri_core
 from .baseline_game import (
-    PROFILES,
     BracketError,
     HI,
     LO,
     GameParams,
     PromotionSignal,
     _cubic_roots,
-    evaluate,
+    _equilibria,
     optimal_signal,
     state_distribution,
-    supports_profile,
 )
 
 #: |pi_bar - 1/2| at the returned multiplier must be below this
 QUOTA_TOL = 1e-9
 
 
-class QuotaSolution(NamedTuple):
+class QuotaSolution(namedtuple("QuotaSolution", "nu signal")):
     """Multiplier nu and the signal it induces."""
 
-    nu: float
-    signal: PromotionSignal
+    __slots__ = ()
 
 
 def subsidized_signal(params: GameParams, profile: tuple, nu: float) -> PromotionSignal:
@@ -175,8 +172,4 @@ def quota_equilibrium_set(params: GameParams) -> list:
     s, y = _tilt(*prior, params.delta_mu, params.lam)
     signals = (impartial, _quota_solution(prior, s, y, params.lam, False).signal,
                _quota_solution(prior[::-1], s, y, params.lam, True).signal, impartial)
-    found = []
-    for profile, signal in zip(PROFILES, signals):
-        if supports_profile(params, signal, profile):
-            found.append(evaluate(params, profile, signal))
-    return found
+    return _equilibria(params, signals)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 ALWAYS_ACT1 = "always_act1"
 ALWAYS_ACT0 = "always_act0"
@@ -92,8 +92,8 @@ def find_root(
     func,
     lo: float,
     hi: float,
-    f_lo: Optional[float] = None,
-    f_hi: Optional[float] = None,
+    f_lo: float | None = None,
+    f_hi: float | None = None,
     xtol: float = 0.0,
     max_evals: int = MAX_STEPS,
 ) -> float:
@@ -245,7 +245,7 @@ class ChoiceRule(_Validated, namedtuple("ChoiceRule", "conditional unconditional
         return tuple.__new__(cls, (conditional, unconditional, degenerate, info_cost))
 
 
-def mutual_information(prior: Sequence[float], rule: Union["ChoiceRule", Sequence[float]]) -> float:
+def mutual_information(prior: Sequence[float], rule: ChoiceRule | Sequence[float]) -> float:
     """Mutual information, in nats, between the state and the action.
 
     Equals sum_s p(s) h(q(s)) - h(q_bar) with h = :func:`neg_entropy` and
@@ -373,7 +373,7 @@ def solve_binary_ri(problem: BinaryRIProblem, max_steps: int = MAX_STEPS) -> Cho
     return ChoiceRule(cond, q_bar, False, mutual_information(problem.prior, cond))
 
 
-def objective_value(problem: BinaryRIProblem, rule: Union["ChoiceRule", Sequence[float]]) -> float:
+def objective_value(problem: BinaryRIProblem, rule: ChoiceRule | Sequence[float]) -> float:
     """Expected gain net of information cost, E[q(s) v(s)] - lam * I."""
     cond = rule.conditional if isinstance(rule, ChoiceRule) else rule
     gain = sum(p * q * v for p, q, v in zip(problem.prior, cond, problem.advantage))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple, Optional, Sequence
+from collections.abc import Sequence
 
 from . import ri_core
 from .baseline_game import (
@@ -18,14 +18,14 @@ from .baseline_game import (
     AGENT_W,
     DISCRIMINATORY,
     HI,
-    IC_TOL,
     IMPARTIAL,
     LO,
-    PROFILES,
     GameParams,
     PromotionSignal,
     _cubic_roots,
+    _equilibria,
     _gains,
+    _incentive_holds,
     _log_gamma_star,
     _profile_signals,
     evaluate,
@@ -83,45 +83,35 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
-    c_m, c_w = het.effective_costs(game.delta_mu)
-    found = []
-    for profile, signal in zip(PROFILES, _profile_signals(game)):
-        if supports_profile(game, signal, profile, c_m, c_w):
-            found.append(evaluate(game, profile, signal,
-                                  costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w)))
-    return found
+    return _equilibria(game, _profile_signals(game), *het.effective_costs(game.delta_mu),
+                       costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w))
 
 
 # ---------------------------------------------------------------------------
 # commitment to the screening rule
 # ---------------------------------------------------------------------------
 
-class CommitmentSolution(NamedTuple):
+class CommitmentSolution(namedtuple(
+    "CommitmentSolution", "nu_m signal induced_profile profit binding_agent candidates"
+)):
     """Best committed screening rule and the effort profile it induces.
 
     nu_m is the multiplier on the binding incentive constraints (zero when
     none binds), binding_agent names whose constraints bind ("m,w" for the
-    bound (hi, hi) rule), and candidates maps each feasible induced outcome
-    to its profit.
+    bound (hi, hi) rule, None when none binds), and candidates maps each
+    feasible induced outcome to its profit.
     """
 
-    nu_m: float
-    signal: PromotionSignal
-    induced_profile: tuple
-    profit: float
-    binding_agent: Optional[str]
-    candidates: dict
+    __slots__ = ()
 
 
-class BindingHighSolution(NamedTuple):
+class BindingHighSolution(namedtuple("BindingHighSolution", "nu signal profit")):
     """The rule holding (hi, hi) with both incentive constraints binding at multiplier nu."""
 
-    nu: float
-    signal: PromotionSignal
-    profit: float
+    __slots__ = ()
 
 
-def bind_high_effort(game: GameParams) -> Optional[BindingHighSolution]:
+def bind_high_effort(game: GameParams) -> BindingHighSolution | None:
     """The impartial rule with X = Y = c: both agents' gains equal c under (hi, hi).
 
     The (hi, hi) prior is symmetric, p(1) = p(-1) = s = mu_hi (1 - mu_hi).
@@ -209,12 +199,10 @@ class ReferencePriorProblem(
         return tuple.__new__(cls, (true_prior, reference_prior, lam))
 
 
-class PriorInvariantResult(NamedTuple):
+class PriorInvariantResult(namedtuple("PriorInvariantResult", "pi_bar_q interior signal")):
     """pi_bar_q is the reference-prior average; signal is None off the interior."""
 
-    pi_bar_q: float
-    interior: bool
-    signal: Optional[PromotionSignal]
+    __slots__ = ()
 
 
 def _phi(x: float) -> float:
@@ -285,27 +273,26 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
 # mixed strategies
 # ---------------------------------------------------------------------------
 
-class MixedProfile(NamedTuple):
+class MixedProfile(namedtuple("MixedProfile", "sigma_m sigma_w")):
     """Probabilities of high effort; nu_m, nu_w are the success probabilities."""
 
-    sigma_m: float
-    sigma_w: float
+    __slots__ = ()
 
     def nu(self, params: GameParams, which: str) -> float:
         sigma = self.sigma_m if which == AGENT_M else self.sigma_w
         return params.mu_lo + sigma * params.delta_mu
 
 
-class MixedEquilibrium(NamedTuple):
-    profile: MixedProfile
-    signal: PromotionSignal
-    classification: str
+class MixedEquilibrium(namedtuple("MixedEquilibrium", "profile signal classification")):
+    """A mixed profile, the signal optimal against it, and that signal's classification."""
+
+    __slots__ = ()
 
 
 _SIGMA_EDGE = 1e-6
 
 
-def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> Optional[PromotionSignal]:
+def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> PromotionSignal | None:
     """Closed-form optimal signal when success probabilities are (nu_m, nu_w).
 
     :func:`signal_from_odds` at A = nu_m (1 - nu_w), B = nu_w (1 - nu_m); None
@@ -420,14 +407,14 @@ def mixed_equilibria(game: GameParams) -> list:
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
-        if sig is not None and _gains(nu_m, mu_lo, sig.X, sig.Y)[1] <= c + IC_TOL:
+        if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig.X, sig.Y)[1], c):
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
     rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
         sig = _signal_for_success_probs(game, mu_hi, nu_w)
-        if sig is not None and _gains(mu_hi, nu_w, sig.X, sig.Y)[0] >= c - IC_TOL:
+        if sig is not None and _incentive_holds(HI, _gains(mu_hi, nu_w, sig.X, sig.Y)[0], c):
             keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
 
     return found
@@ -437,11 +424,10 @@ def mixed_equilibria(game: GameParams) -> list:
 # continuous effort on a grid
 # ---------------------------------------------------------------------------
 
-class EffortGridResult(NamedTuple):
+class EffortGridResult(namedtuple("EffortGridResult", "lam fixed_points")):
     """Pure fixed points of the effort best-response map at one lam."""
 
-    lam: float
-    fixed_points: tuple
+    __slots__ = ()
 
     @property
     def symmetric(self) -> tuple:

@@ -59,7 +59,6 @@ class TestGameParams:
         assert GAME.c == pytest.approx(0.35)
         assert GAME.A == pytest.approx(0.32)
         assert GAME.B == pytest.approx(0.12)
-        assert GAME.gamma == pytest.approx(math.exp(10.0 / 3.0), rel=1e-15)
         assert GAME.assumption1
 
     @pytest.mark.parametrize(
@@ -83,11 +82,12 @@ class TestGameParams:
     @pytest.mark.parametrize("lam", [1e-3, 1e-4])
     @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.35), (0.7, 0.59)])
     def test_gamma_past_overflow_is_the_costless_limit(self, lam, mus):
-        # exp(1/lam) overflows here; gamma is +inf and the curves take their limits
+        # exp(1/lam) overflows here; at gamma = +inf the curves take their limits
         p = GameParams(*mus, 0.07, lam)
-        assert p.gamma == math.inf
-        assert g_func(p.gamma) == 0.5
-        assert f_func(p, p.gamma) == p.B / (p.A + p.B)
+        with pytest.raises(OverflowError):
+            math.exp(1.0 / lam)
+        assert g_func(math.inf) == 0.5
+        assert f_func(p, math.inf) == p.B / (p.A + p.B)
 
     def test_assumption1_fails_for_large_cost(self):
         bound = GAME.mu_hi * (1 - GAME.mu_hi) / (GAME.A + GAME.B)
@@ -124,10 +124,11 @@ class TestCurves:
         assert f_func(GAME, GAME.A / GAME.B) == pytest.approx(0.0, abs=1e-15)
 
     def test_f_value_is_table1_bonus(self):
-        assert f_func(GAME, GAME.gamma) == pytest.approx(0.243791412838850, abs=1e-12)
+        gamma = math.exp(1.0 / GAME.lam)
+        assert f_func(GAME, gamma) == pytest.approx(0.243791412838850, abs=1e-12)
         # equals pi(1) - pi(0) from the generic solver
         sig = optimal_signal(GAME, (HI, LO))
-        assert f_func(GAME, GAME.gamma) == pytest.approx(sig.X, abs=1e-12)
+        assert f_func(GAME, gamma) == pytest.approx(sig.X, abs=1e-12)
 
     def test_f_increasing_to_limit(self):
         gammas = np.linspace(GAME.A / GAME.B, 1e4, 200)

@@ -369,6 +369,15 @@ def test_cli_never_loads_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_never_loads_typing():
+    # -S skips site, whose startup hooks can load typing on their own
+    src = str(Path(riscreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = "import sys, riscreen.cli\nassert 'typing' not in sys.modules, 'import riscreen.cli loaded typing'\n"
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):
     src = str(Path(riscreen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -2,23 +2,62 @@
 
 import pytest
 
+import riscreen
 from riscreen import (
     HI,
+    IMPARTIAL,
     LO,
+    NON_SPECIALIZED,
     BinaryRIProblem,
     ChoiceRule,
+    EffortGridResult,
     GameParams,
     HeterogeneousParams,
+    MixedEquilibrium,
     MixedProfile,
+    MultitaskRecord,
     PromotionSignal,
     QuotaSolution,
     ReferencePriorProblem,
     StateDistribution,
     TaskParams,
+    bind_high_effort,
+    commitment_solve,
+    equilibrium_set,
+    find_multiplier,
     optimal_signal,
+    prior_invariant_signal,
+    profit,
+    solve_binary_ri,
+    thresholds,
 )
 
 GAME = GameParams(0.8, 0.6, 0.07, 0.3)
+REF = ReferencePriorProblem((0.2, 0.5, 0.3), (0.3, 0.4, 0.3), 0.3)
+SIGNAL = PromotionSignal(0.1, 0.5, 0.9, 0.5)
+PROBLEM = BinaryRIProblem((-1, 0, 1), (0.2, 0.5, 0.3), (-1.0, 0.0, 1.0), 0.3)
+#: one instance of every record the package exports, the first five as before
+RECORDS = [
+    GAME,
+    SIGNAL,
+    TaskParams(0.5, 1.0, 0.02),
+    REF,
+    MixedProfile(0.25, 0.5),
+    StateDistribution(0.2, 0.5, 0.3),
+    thresholds(GAME),
+    profit(GAME, (HI, LO)),
+    equilibrium_set(GAME)[0],
+    PROBLEM,
+    solve_binary_ri(PROBLEM),
+    find_multiplier(GAME, (HI, LO)),
+    MultitaskRecord((HI, LO), (LO, HI), NON_SPECIALIZED, 0.5, (SIGNAL, SIGNAL)),
+    HeterogeneousParams(0.07, 0.08),
+    commitment_solve(GAME),
+    bind_high_effort(GAME),
+    prior_invariant_signal(REF),
+    MixedEquilibrium(MixedProfile(0.5, 0.5), SIGNAL, IMPARTIAL),
+    EffortGridResult(0.3, ((0.0, 0.0),)),
+]
 
 
 def test_reprs_name_every_field():
@@ -49,19 +88,22 @@ def test_equality_and_hash_follow_the_fields():
     assert GAME._fields == ("mu_hi", "mu_lo", "cost_C", "lam")
 
 
-@pytest.mark.parametrize("record", [
-    GAME,
-    PromotionSignal(0.1, 0.5, 0.9, 0.5),
-    TaskParams(0.5, 1.0, 0.02),
-    ReferencePriorProblem((0.2, 0.5, 0.3), (0.3, 0.4, 0.3), 0.3),
-    MixedProfile(0.25, 0.5),
-])
+@pytest.mark.parametrize("record", RECORDS)
 def test_records_are_immutable(record):
     name = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, name, 0.0)
     with pytest.raises(AttributeError):
         record.extra = 1.0
+
+
+def test_every_exported_record_is_a_collections_namedtuple():
+    exported = {v for v in vars(riscreen).values() if isinstance(v, type) and issubclass(v, tuple)}
+    assert exported == {type(r) for r in RECORDS}
+    for cls in exported:
+        base = cls.__mro__[-3]  # the class collections.namedtuple made, right above tuple
+        assert base is not cls and base._fields == cls._fields, cls
+        assert "__annotations__" not in vars(base) and vars(cls)["__slots__"] == (), cls
 
 
 def test_replace_revalidates():

@@ -14,6 +14,9 @@ oracles written here:
   fractions.Fraction at the float r = exp(-1/lam);
 * a 20,000-point scan of the same gaps: the counts agree.
 
+Near lambda_star both scans also sample the balanced gap at geometric
+offsets from nu_m = 1/2, which its two roots straddle there.
+
 A game on which the 400-point scan misses a pair of roots inside one grid
 cell is pinned as a regression; games at lam = lambda_star and where r
 underflows to 0 are explicit examples of the property test. The cubic's
@@ -102,9 +105,9 @@ def exact_gap(game, branch, sigma):
     return w_x * K / A + w_y * K / B - c
 
 
-def reference_scan(gap, lo, hi, samples):
-    """Zero samples and refined sign changes of gap on `samples` uniform points."""
-    xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+def reference_scan(gap, lo, hi, samples, extra=()):
+    """Zero samples and refined sign changes of gap on `samples` uniform points and `extra`."""
+    xs = np.union1d(lo + (hi - lo) * np.arange(samples) / (samples - 1), extra)
     vals = gap(xs)
     roots = []
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
@@ -119,8 +122,20 @@ def _label(sig):
     return IMPARTIAL if sig.impartial else DISCRIMINATORY
 
 
+#: offsets from nu_m = 1/2 added to the balanced scan near lambda_star, where
+#: its two roots straddle 1/2 closer than a uniform grid resolves; at 1e-7 the
+#: gap at lam = lambda_star is still hundreds of ulps from 0, so rounding makes
+#: no sign change there
+_NEAR_HALF = np.geomspace(1e-7, 1e-3, 200)
+
+
 def reference_mixed_equilibria(game, samples=400):
-    """mixed_equilibria as a grid scan of each branch's gap."""
+    """mixed_equilibria as a grid scan of each branch's gap.
+
+    Within 1e-6 relative of lambda_star the balanced scan also samples
+    nu_m = 1/2 +- _NEAR_HALF, so it resolves a root pair down to about 1e-7
+    either side of 1/2.
+    """
     c, mu_lo, delta_mu = game.c, game.mu_lo, game.delta_mu
     found = []
 
@@ -135,7 +150,9 @@ def reference_mixed_equilibria(game, samples=400):
             def balanced(nu_m):
                 return reference_gap(game, "balanced", (nu_m - mu_lo) / delta_mu)
 
-            for nu_m in reference_scan(balanced, lo, hi, samples):
+            near = np.concatenate((0.5 - _NEAR_HALF, 0.5 + _NEAR_HALF))
+            near = near[(lo < near) & (near < hi)] if abs(game.lam / lambda_star(game) - 1.0) <= 1e-6 else ()
+            for nu_m in reference_scan(balanced, lo, hi, samples, near):
                 sig = reference_signal(game, nu_m, 1.0 - nu_m)
                 sigma_m = (nu_m - mu_lo) / delta_mu
                 sigma_w = (1.0 - nu_m - mu_lo) / delta_mu
@@ -213,6 +230,8 @@ def games(draw):
 @example(game=GameParams(0.889626626266012, 0.08700055843059516, 0.1718723373731984, 0.00015899821749638233))
 # m's indifference has two roots, split at the critical point of the cubic
 @example(game=GameParams(0.9368641636882881, 0.6938578056329902, 0.07941401136421603, 0.6495333980073986))
+# 3.4e-11 below lambda_star: the balanced roots lie 1.5e-6 either side of sigma = 1/2
+@example(game=GameParams(0.75, 0.25, 0.125, 0.9102392265930936))
 def test_mixed_equilibria_match_scalar_scan(game):
     check_against_oracles(game)
 
