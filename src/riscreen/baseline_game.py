@@ -35,7 +35,8 @@ PROFILES = ((HI, HI), (HI, LO), (LO, HI), (LO, LO))
 IMPARTIAL = "impartial"
 DISCRIMINATORY = "discriminatory"
 
-#: absolute slack for incentive comparisons; keeps knife-edge profiles in
+#: slack for incentive comparisons, IC_TOL min(1, c): relative to a cost below
+#: 1, so a zero gain never meets a positive c; keeps knife-edge profiles in
 #: both adjacent regimes, matching the closed/half-open regime intervals
 IC_TOL = 1e-12
 #: tolerance of the impartiality predicate pi(d) = 1 - pi(-d)
@@ -203,9 +204,14 @@ def state_distribution(params: GameParams, profile: tuple) -> StateDistribution:
     complement 1 - p(1) - p(-1) cancels when mu_m and mu_w sit at
     opposite edges.
     """
-    mu_m, mu_w = params.mu(profile[0]), params.mu(profile[1])
-    p_zero = mu_m * mu_w + (1.0 - mu_m) * (1.0 - mu_w)
-    return StateDistribution(mu_w * (1.0 - mu_m), p_zero, mu_m * (1.0 - mu_w))
+    params.mu(profile[0]), params.mu(profile[1])
+    return StateDistribution(*_profile_prior(params.mu_hi, params.mu_lo, profile)[3:])
+
+
+def _profile_prior(mu_hi: float, mu_lo: float, profile: tuple) -> tuple:
+    """(profile, mu_m, mu_w, p(-1), p(0), p(1)) of a profile whose labels are valid."""
+    mu_m, mu_w = mu_hi if profile[0] == HI else mu_lo, mu_hi if profile[1] == HI else mu_lo
+    return profile, mu_m, mu_w, mu_w * (1.0 - mu_m), mu_m * mu_w + (1.0 - mu_m) * (1.0 - mu_w), mu_m * (1.0 - mu_w)
 
 
 def g_func(gamma: float) -> float:
@@ -395,20 +401,22 @@ def supports_profile(
     e_m, e_w = profile
     if e_w not in (HI, LO) or e_m not in (HI, LO):
         params.mu(e_w), params.mu(e_m)  # the ValueError that names the label
-    X, Y = signal.pi_plus - signal.pi_zero, signal.pi_zero - signal.pi_minus
-    gain_m, gain_w = _gains(mu_hi if e_m == HI else mu_lo, mu_hi if e_w == HI else mu_lo, X, Y)
     c = cost_C / (mu_hi - mu_lo)
-    return _holds(e_m, e_w, gain_m, gain_w, c if c_m is None else c_m, c if c_w is None else c_w)
+    return _supports(_profile_prior(mu_hi, mu_lo, profile), signal, c if c_m is None else c_m, c if c_w is None else c_w)
 
 
-def _holds(e_m: str, e_w: str, gain_m: float, gain_w: float, c_m: float, c_w: float) -> bool:
-    """Both incentive constraints of (e_m, e_w) at these gains and effective costs."""
+def _supports(prior: tuple, signal: PromotionSignal, c_m: float, c_w: float) -> bool:
+    """supports_profile at a profile's prior (from _profile_prior)."""
+    (e_m, e_w), mu_m, mu_w = prior[:3]
+    X, Y = signal.pi_plus - signal.pi_zero, signal.pi_zero - signal.pi_minus
+    gain_m, gain_w = _gains(mu_m, mu_w, X, Y)
     return _incentive_holds(e_m, gain_m, c_m) and _incentive_holds(e_w, gain_w, c_w)
 
 
 def _incentive_holds(effort: str, gain: float, c: float) -> bool:
-    """One agent's incentive constraint, to IC_TOL: gain >= c if it works high, gain <= c if low."""
-    return gain >= c - IC_TOL if effort == HI else gain <= c + IC_TOL
+    """One agent's incentive constraint, to IC_TOL min(1, c): gain >= c if it works high, gain <= c if low."""
+    tol = IC_TOL * c if c < 1.0 else IC_TOL
+    return gain >= c - tol if effort == HI else gain <= c + tol
 
 
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
@@ -477,9 +485,13 @@ def evaluate(
     e_m, e_w = profile
     if e_m not in (HI, LO) or e_w not in (HI, LO):
         params.mu(e_m), params.mu(e_w)  # the ValueError that names the label
-    mu_m, mu_w = mu_hi if e_m == HI else mu_lo, mu_hi if e_w == HI else mu_lo
-    p_plus, p_minus = mu_m * (1.0 - mu_w), mu_w * (1.0 - mu_m)
-    p_zero = mu_m * mu_w + (1.0 - mu_m) * (1.0 - mu_w)
+    return _value(_profile_prior(mu_hi, mu_lo, profile), signal, lam,
+                  (cost_C, cost_C) if costs is None else costs, (1.0, 1.0) if weights is None else weights)
+
+
+def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weights: tuple) -> EquilibriumRecord:
+    """evaluate at a profile's prior (from _profile_prior)."""
+    (e_m, e_w), _, mu_w, p_minus, p_zero, p_plus = prior
     q_minus, q_zero, q_plus, pi_bar = signal
     mean = p_minus * q_minus + p_zero * q_zero + p_plus * q_plus
     if abs(pi_bar - mean) > 1e-12:
@@ -488,13 +500,23 @@ def evaluate(
     # by the check above, the conditionals of a sure decision differ from it by rounding only
     I = 0.0 if pi_bar in (0.0, 1.0) else (p_minus * _divergence(q_minus, pi_bar)
         + p_zero * _divergence(q_zero, pi_bar) + p_plus * _divergence(q_plus, pi_bar))
-    cost_m, cost_w = (cost_C, cost_C) if costs is None else costs
-    du_m, du_w = (1.0, 1.0) if weights is None else weights
+    (cost_m, cost_w), (du_m, du_w) = costs, weights
     return EquilibriumRecord(
-        profile, signal, IMPARTIAL if signal.impartial else DISCRIMINATORY, V, I, V - lam * I,
+        prior[0], signal, IMPARTIAL if signal.impartial else DISCRIMINATORY, V, I, V - lam * I,
         du_m * pi_bar - (cost_m if e_m == HI else 0.0),
         du_w * (1.0 - pi_bar) - (cost_w if e_w == HI else 0.0),
     )
+
+
+#: the lambda-independent part of a game's pure analyses: c, (cost_C, cost_C)
+#: and each profile's _profile_prior in PROFILES order
+_Game = namedtuple("_Game", "c costs priors")
+
+
+def _game(params: GameParams) -> _Game:
+    """The _Game of params, whose lam it ignores."""
+    mu_hi, mu_lo, cost_C, _ = params
+    return _Game(cost_C / (mu_hi - mu_lo), (cost_C, cost_C), tuple(_profile_prior(mu_hi, mu_lo, p) for p in PROFILES))
 
 
 def _profile_signals(params: GameParams) -> tuple:
@@ -504,11 +526,16 @@ def _profile_signals(params: GameParams) -> tuple:
     return impartial, tilted, tilted.mirrored(), impartial
 
 
-def _equilibria(params: GameParams, signals: tuple, c_m=None, c_w=None, costs=None, weights=None) -> list:
+def _equilibria(game: _Game, lam: float, signals: tuple, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
     """The enumeration of every pure analysis: each profile whose signal (in PROFILES order) passes
     :func:`supports_profile` at (c_m, c_w), valued by :func:`evaluate` at these costs and weights."""
-    return [evaluate(params, profile, signal, costs=costs, weights=weights)
-            for profile, signal in zip(PROFILES, signals) if supports_profile(params, signal, profile, c_m, c_w)]
+    return [_value(prior, signal, lam, costs, weights)
+            for prior, signal in zip(game.priors, signals) if _supports(prior, signal, c_m, c_w)]
+
+
+def _pure_equilibria(game: _Game, params: GameParams) -> list:
+    """equilibrium_set of params, whose lambda-independent part is game (from _game)."""
+    return _equilibria(game, params.lam, _profile_signals(params), game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -518,7 +545,7 @@ def equilibrium_set(params: GameParams) -> list:
     agents' incentive constraints. Knife-edge parameter values keep a
     profile in both adjacent regimes.
     """
-    return _equilibria(params, _profile_signals(params))
+    return _pure_equilibria(_game(params), params)
 
 
 def most_profitable(params: GameParams) -> list:

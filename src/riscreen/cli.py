@@ -26,9 +26,6 @@ from . import variants as va
 
 SCHEMA_VERSION = "riscreen.regimes.v1"
 
-_TABLE1_SIGNAL = (0.093977614213083, 0.744088048450016, 0.987879461288866)
-_TABLE1_PRINT = (0.09, 0.74, 0.98)
-
 
 def _fmt4(x: float) -> str:
     return f"{x:.4f}"
@@ -220,8 +217,8 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def _profile_tag(profile: tuple) -> str:
-    return f"{profile[0]},{profile[1]}"
+#: the text of each effort profile in tables and sweep cells, "hi,lo" and so on
+_TAGS = {profile: f"{profile[0]},{profile[1]}" for profile in bg.PROFILES}
 
 
 def cmd_equilibria(args) -> int:
@@ -232,7 +229,7 @@ def cmd_equilibria(args) -> int:
     for rec in records:
         star = " *" if rec.profile in best else ""
         lines.append(
-            f"({_profile_tag(rec.profile)}) {rec.classification:15s}"
+            f"({_TAGS[rec.profile]}) {rec.classification:15s}"
             f" profit={_fmt4(rec.profit)} V={_fmt4(rec.revenue)} I={_fmt4(rec.info_cost)}"
             f" u_m={_fmt4(rec.utility_m)} u_w={_fmt4(rec.utility_w)}{star}"
         )
@@ -257,25 +254,13 @@ _REGIME_HEADER = [
 ]
 
 
-def _regime_row(game: bg.GameParams, cuts: bg.ThresholdSet, quota: bool) -> list:
-    records = qp.quota_equilibrium_set(game) if quota else bg.equilibrium_set(game)
+def _regime_row(lam: float, records: list, cut_cells: list) -> list:
+    """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells."""
     present = {r.profile for r in records}
     ties = bg.most_profitable_among(records)
-    welfare = bg.welfare_ordering(records)
-    return [
-        game.lam,
-        int((bg.HI, bg.HI) in present),
-        int((bg.HI, bg.LO) in present),
-        int((bg.LO, bg.HI) in present),
-        int((bg.LO, bg.LO) in present),
-        "|".join(sorted(_profile_tag(r.profile) for r in ties)),
-        max(r.profit for r in ties),
-        ">".join(_profile_tag(r.profile) for r in welfare),
-        cuts.lambda_low,
-        cuts.lambda_star,
-        cuts.lambda_high,
-        int(cuts.condition5),
-    ]
+    welfare = ">".join([_TAGS[r.profile] for r in bg.welfare_ordering(records)])
+    return [lam, *[int(profile in present) for profile in bg.PROFILES],
+            "|".join(sorted([_TAGS[r.profile] for r in ties])), max([r.profit for r in ties]), welfare, *cut_cells]
 
 
 def _regime_svg(rows: list) -> str:
@@ -318,35 +303,33 @@ def cmd_regimes(args) -> int:
         "cost": f"{args.cost:.12g}",
         "seed": str(args.seed),
     }
+    if args.analysis == "multitask":
+        tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
+    point = functools.partial(bg.GameParams, args.mu_hi, args.mu_lo, args.cost)
+    first = point(grid[0])  # the lambda-independent work is done once, after the first lambda is validated
     rows = []
     header = list(_REGIME_HEADER)
     if args.analysis in ("baseline", "quota"):
-        for lam in grid:
-            game = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, lam)
-            rows.append(_regime_row(game, cuts, quota=args.analysis == "quota"))
+        quota = args.analysis == "quota"
+        game = qp._quota_game(first) if quota else bg._game(first)
+        solve = qp._quota_equilibria if quota else bg._pure_equilibria
+        cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
+        rows = [_regime_row(lam, solve(game, point(lam)), cut_cells) for lam in grid]
     elif args.analysis == "multitask":
-        tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
         header = ["lam", "n_equilibria", "most_profitable", "best_payoff"]
+        game = mt._multitask_game(first, tasks)
         for lam in grid:
-            game = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, lam)
-            records = mt.multitask_equilibrium_set(game, tasks)
+            records = mt._multitask_equilibria(game, point(lam))
             winners = mt.most_profitable_among(records, tasks)
-            rows.append(
-                [
-                    lam,
-                    len(records),
-                    "|".join(sorted({w.classification for w in winners})),
-                    winners[0].payoff if winners else math.nan,
-                ]
-            )
+            classes = "|".join(sorted({w.classification for w in winners}))
+            rows.append([lam, len(records), classes, winners[0].payoff if winners else math.nan])
     else:  # variants
         header = ["lam", "commitment_profile", "commitment_profit", "n_mixed"]
+        game = va._variants_game(first)
         for lam in grid:
-            game = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, lam)
-            sol = va.commitment_solve(game)
-            rows.append(
-                [lam, _profile_tag(sol.induced_profile), sol.profit, len(va.mixed_equilibria(game))]
-            )
+            params = point(lam)
+            sol = va._commitment(game, params)
+            rows.append([lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, params))])
     text = (
         _rows_to_json(header, rows, meta)
         if args.format == "json"
@@ -364,13 +347,13 @@ def cmd_quota(args) -> int:
     for profile in bg.PROFILES:
         sol = qp.find_multiplier(game, profile)
         lines.append(
-            f"({_profile_tag(profile)}) nu={_fmt4(sol.nu)} pi_bar={_fmt4(sol.signal.pi_bar)}"
+            f"({_TAGS[profile]}) nu={_fmt4(sol.nu)} pi_bar={_fmt4(sol.signal.pi_bar)}"
             f" X={_fmt4(sol.signal.X)} Y={_fmt4(sol.signal.Y)}"
         )
     records = qp.quota_equilibrium_set(game)
     lines.append(
         "quota equilibria: "
-        + (", ".join(f"({_profile_tag(r.profile)})" for r in records) or "none")
+        + (", ".join(f"({_TAGS[r.profile]})" for r in records) or "none")
     )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -401,18 +384,18 @@ def cmd_variants(args) -> int:
         het = va.HeterogeneousParams(args.cost_m, args.cost_w, args.du_m, args.du_w)
         for rec in va.heterogeneous_equilibrium_set(game, het):
             lines.append(
-                f"({_profile_tag(rec.profile)}) {rec.classification:15s}"
+                f"({_TAGS[rec.profile]}) {rec.classification:15s}"
                 f" profit={_fmt4(rec.profit)} u_m={_fmt4(rec.utility_m)} u_w={_fmt4(rec.utility_w)}"
             )
     elif args.which == "commitment":
         sol = va.commitment_solve(game)
         lines.append(
-            f"induced=({_profile_tag(sol.induced_profile)}) profit={_fmt4(sol.profit)}"
+            f"induced=({_TAGS[sol.induced_profile]}) profit={_fmt4(sol.profit)}"
             f" nu_m={_fmt4(sol.nu_m)} binding={sol.binding_agent or '-'}"
             f" impartial={sol.signal.impartial}"
         )
         for profile in sorted(sol.candidates):
-            lines.append(f"  candidate ({_profile_tag(profile)}) profit={_fmt4(sol.candidates[profile])}")
+            lines.append(f"  candidate ({_TAGS[profile]}) profit={_fmt4(sol.candidates[profile])}")
     elif args.which == "prior-invariant":
         if args.ref_prior is None:
             raise ValueError("--ref-prior is required for the prior-invariant variant")
@@ -448,118 +431,10 @@ def cmd_variants(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# golden checks
-# ---------------------------------------------------------------------------
-
-def _golden_checks() -> list:
-    """(name, passed, measured, tolerance) for every golden check."""
-    game = bg.GameParams(0.8, 0.6, 0.07, 0.3)
-    checks = []
-
-    dist = bg.state_distribution(game, (bg.HI, bg.LO))
-    delta = max(
-        abs(dist.p_plus - 0.32), abs(dist.p_zero - 0.56), abs(dist.p_minus - 0.12)
-    )
-    checks.append(("table1_state_distribution", delta <= 1e-12, f"max|dp|={delta:.2e}", "1e-12"))
-
-    signal = bg.optimal_signal(game, (bg.HI, bg.LO))
-    delta = max(abs(a - b) for a, b in zip(signal.as_tuple(), _TABLE1_SIGNAL))
-    printed = tuple(float(_trunc2(p)) for p in signal.as_tuple())
-    ok = delta <= 5e-3 and printed == _TABLE1_PRINT
-    checks.append(("table1_signal", ok, f"max|dpi|={delta:.2e}, 2dp={printed}", "5e-3 and 2dp match"))
-
-    pb = bg.profit(game, (bg.HI, bg.LO))
-    checks.append(
-        ("revenue_lambda_0.3", abs(pb.V - 0.9048) <= 5e-3, f"V={pb.V:.6f}", "0.9048 +/- 5e-3")
-    )
-
-    bench = 1.0 - (1.0 - game.mu_hi) * (1.0 - game.mu_lo)
-    v_small = bg.profit(bg.GameParams(0.8, 0.6, 0.07, 0.01), (bg.HI, bg.LO)).V
-    ok = abs(bench - 0.92) <= 1e-12 and abs(v_small - bench) <= 1e-9
-    checks.append(("revenue_costless_benchmark", ok, f"benchmark={bench:.6f}, V(lam=.01)={v_small:.6f}", "exact / 1e-9"))
-
-    gain_m = game.delta_mu * bg.incentive_gain(game, signal, bg.AGENT_M, bg.LO)
-    checks.append(
-        ("deviation_loss_m", abs(gain_m - 0.098) <= 1e-3, f"dmu*gain_m={gain_m:.6f}", "0.098 +/- 1e-3")
-    )
-
-    gain_w = game.delta_mu * bg.incentive_gain(game, signal, bg.AGENT_W, bg.HI)
-    brute = _win_probability(game, signal, game.mu_hi, game.mu_hi) - _win_probability(
-        game, signal, game.mu_hi, game.mu_lo
-    )
-    ok = abs(gain_w - brute) <= 1e-6 and abs(gain_w - 0.0650) <= 5e-4
-    checks.append(
-        ("deviation_gain_w_oracle", ok, f"dmu*gain_w={gain_w:.6f}, brute={brute:.6f}", "1e-6 vs oracle")
-    )
-
-    cuts = bg.thresholds(game)
-    ok = 0.0 < cuts.lambda_low < cuts.lambda_star and cuts.lambda_low < cuts.lambda_high < cuts.lambda_breve
-    checks.append(
-        (
-            "threshold_ordering",
-            ok,
-            f"low={cuts.lambda_low:.4f} star={cuts.lambda_star:.4f} high={cuts.lambda_high:.4f} breve={cuts.lambda_breve:.4f}",
-            "low < star, low < high < breve",
-        )
-    )
-
-    g_res = abs(bg.g_func(g_inv := bg.g_inverse(game.c)) - game.c)
-    f_res = max(
-        abs(bg.f_func(game, bg.f_inverse(game, cuts.X_high)) - cuts.X_high),
-        abs(bg.f_func(game, bg.f_inverse(game, cuts.X_low)) - cuts.X_low),
-    )
-    ok = g_res <= 1e-9 and f_res <= 1e-9 and math.isfinite(g_inv)
-    checks.append(
-        ("threshold_inverse_consistency", ok, f"|g(g^-1(c))-c|={g_res:.2e}, f residual={f_res:.2e}", "1e-9")
-    )
-
-    worst = 0.0
-    for profile in bg.PROFILES:
-        worst = max(worst, bg.signal_oracle_residual(game, profile))
-    checks.append(("signal_oracle", worst <= 1e-8, f"sup residual={worst:.2e}", "1e-8"))
-
-    mismatches = 0
-    for i in range(10):
-        lam = 0.1 + 1.1 * i / 9
-        g_l = bg.GameParams(0.8, 0.6, 0.07, lam)
-        quota_profiles = [r.profile for r in qp.quota_equilibrium_set(g_l)]
-        impartial = [r.profile for r in bg.equilibrium_set(g_l) if r.classification == bg.IMPARTIAL]
-        if quota_profiles != impartial:
-            mismatches += 1
-    checks.append(("quota_equivalence", mismatches == 0, f"mismatches={mismatches}/10", "exact"))
-
-    worst_id = 0.0
-    order_ok = True
-    for i in range(40):
-        gamma = game.A / game.B + 0.2 + i * 2.0
-        lam = 1.0 / math.log(gamma)
-        g_l = bg.GameParams(0.8, 0.6, 0.07, lam)
-        hh, hl, ll = (bg.profit(g_l, p) for p in ((bg.HI, bg.HI), (bg.HI, bg.LO), (bg.LO, bg.LO)))
-        ident = (hh.V - hl.V) - (hl.V - ll.V) + (gamma - 1.0) * game.delta_mu**2 / (gamma + 1.0)
-        worst_id = max(worst_id, abs(ident))
-        order_ok = order_ok and hh.I - hl.I > hl.I - ll.I
-    checks.append(
-        ("task_split_inequalities", worst_id <= 1e-10 and order_ok, f"|identity|={worst_id:.2e}, dI ordered={order_ok}", "1e-10 / strict")
-    )
-
-    return checks
-
-
-def _win_probability(game: bg.GameParams, signal, mu_m: float, mu_w: float) -> float:
-    """w's winning probability at a fixed signal, by direct enumeration."""
-    p_plus = mu_m * (1.0 - mu_w)
-    p_minus = mu_w * (1.0 - mu_m)
-    p_zero = 1.0 - p_plus - p_minus
-    return (
-        p_plus * (1.0 - signal.pi_plus)
-        + p_zero * (1.0 - signal.pi_zero)
-        + p_minus * (1.0 - signal.pi_minus)
-    )
-
-
 def cmd_reproduce(args) -> int:
-    checks = _golden_checks()
+    from ._golden import golden_checks  # only reproduce compiles the checks
+
+    checks = golden_checks()
     failed = [c for c in checks if not c[1]]
     if args.json:
         payload = {

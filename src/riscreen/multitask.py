@@ -17,8 +17,9 @@ from .baseline_game import (
     LO,
     PROFILES,
     GameParams,
+    _game,
     _gains,
-    _holds,
+    _incentive_holds,
     _profile_signals,
     _ties_at_best,
     evaluate,
@@ -84,15 +85,15 @@ def task_games(game: GameParams, tasks: tuple) -> tuple:
     )
 
 
-_SPLIT = frozenset({((HI, LO), (LO, HI)), ((LO, HI), (HI, LO))})
-
-
 def _classify(inv_m: tuple, inv_w: tuple) -> str:
-    if inv_m == inv_w:
-        return NON_SPECIALIZED
-    if (inv_m, inv_w) in _SPLIT:
-        return SPECIALIZED
-    return HYBRID
+    """Specialized when each agent invests in the one task the other skips."""
+    return NON_SPECIALIZED if inv_m == inv_w else SPECIALIZED if inv_m == inv_w[::-1] else HYBRID
+
+
+#: (index in PROFILES of the task-1 pair, of the task-2 pair, investment_m,
+#: investment_w, classification) of the 16 joint profiles, in enumeration order
+_JOINT = tuple((PROFILES.index((m1, w1)), PROFILES.index((m2, w2)), (m1, m2), (w1, w2), _classify((m1, m2), (w1, w2)))
+               for m1 in _EFFORTS for m2 in _EFFORTS for w1 in _EFFORTS for w2 in _EFFORTS)
 
 
 def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
@@ -107,38 +108,31 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     uses is valued once. The principal's payoff adds the per-task profits
     weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
     """
-    mu = {HI: game.mu_hi, LO: game.mu_lo}
+    return _multitask_equilibria(_multitask_game(game, tasks), game)
+
+
+def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
+    """The lambda-independent part of multitask_equilibrium_set: the task checks,
+    then (the _game, each task game's c, alpha1, alpha2)."""
     costs = [task_game.cost_C / (game.mu_hi - game.mu_lo) for task_game in task_games(game, tasks)]
-    signals = dict(zip(PROFILES, _profile_signals(game)))
-    gains = {(e_m, e_w): _gains(mu[e_m], mu[e_w], s.X, s.Y) for (e_m, e_w), s in signals.items()}
-    supported = [{pair: _holds(*pair, *gains[pair], c, c) for pair in PROFILES} for c in costs]
-    used = {(HI, LO) if pair == (LO, HI) else pair  # valued as (hi, lo), bit for bit, as in profit
-            for t in (0, 1) if any(supported[1 - t].values()) for pair in PROFILES if supported[t][pair]}
-    profits = {pair: evaluate(game, pair, signals[pair]).profit for pair in used}
-    profits[(LO, HI)] = profits.get((HI, LO))
-    alpha1, alpha2 = tasks[0].alpha, tasks[1].alpha
-    found = []
-    for m1 in _EFFORTS:
-        for m2 in _EFFORTS:
-            for w1 in _EFFORTS:
-                pair1 = (m1, w1)
-                if not supported[0][pair1]:
-                    continue
-                for w2 in _EFFORTS:
-                    pair2 = (m2, w2)
-                    if not supported[1][pair2]:
-                        continue
-                    inv_m, inv_w = (m1, m2), (w1, w2)
-                    found.append(
-                        MultitaskRecord(
-                            investment_m=inv_m,
-                            investment_w=inv_w,
-                            classification=_classify(inv_m, inv_w),
-                            payoff=sum((alpha1 * profits[pair1], alpha2 * profits[pair2])),
-                            signals=(signals[pair1], signals[pair2]),
-                        )
-                    )
-    return found
+    return _game(game), costs, tasks[0].alpha, tasks[1].alpha
+
+
+def _multitask_equilibria(multitask_game: tuple, params: GameParams) -> list:
+    """multitask_equilibrium_set of params, whose lambda-independent part is multitask_game."""
+    game, costs, alpha1, alpha2 = multitask_game
+    signals = _profile_signals(params)
+    gains = [_gains(prior[1], prior[2], s.X, s.Y) for prior, s in zip(game.priors, signals)]
+    supported = [[_incentive_holds(e_m, gain_m, c) and _incentive_holds(e_w, gain_w, c)
+                  for (e_m, e_w), (gain_m, gain_w) in zip(PROFILES, gains)] for c in costs]
+    profits = [None] * 4
+    if any(supported[0]) and any(supported[1]):
+        for i in {1 if i == 2 else i for ok in supported for i in range(4) if ok[i]}:
+            # (lo, hi) is valued as (hi, lo), bit for bit, as in profit
+            profits[i] = evaluate(params, PROFILES[i], signals[i]).profit
+        profits[2] = profits[1]
+    return [MultitaskRecord(inv_m, inv_w, label, sum((alpha1 * profits[i], alpha2 * profits[j])), (signals[i], signals[j]))
+            for i, j, inv_m, inv_w, label in _JOINT if supported[0][i] and supported[1][j]]
 
 
 def multitask_most_profitable(game: GameParams, tasks: tuple) -> list:

@@ -26,6 +26,7 @@ from .baseline_game import (
     PromotionSignal,
     _cubic_roots,
     _equilibria,
+    _game,
     optimal_signal,
     state_distribution,
 )
@@ -162,14 +163,22 @@ def quota_equilibrium_set(params: GameParams) -> list:
     its optimal_signal, so its record equals equilibrium_set's. (lo, hi) has
     the prior of (hi, lo) reversed, so both take their nu from one tilt.
     """
+    return _quota_equilibria(_quota_game(params), params)
+
+
+def _quota_game(params: GameParams) -> tuple:
+    """The lambda-independent part of quota_equilibrium_set: the refusal of
+    mu_hi + mu_lo <= 1, then (the _game, the (hi, lo) prior, delta_mu)."""
     if not params.mu_hi + params.mu_lo > 1.0:
-        raise ValueError(
-            "quota analysis requires mu_hi + mu_lo > 1 "
-            f"(got {params.mu_hi + params.mu_lo!r})"
-        )
+        raise ValueError(f"quota analysis requires mu_hi + mu_lo > 1 (got {params.mu_hi + params.mu_lo!r})")
+    return _game(params), state_distribution(params, (HI, LO)), params.delta_mu
+
+
+def _quota_equilibria(quota_game: tuple, params: GameParams) -> list:
+    """quota_equilibrium_set of params, whose lambda-independent part is quota_game."""
+    (game, prior, delta_mu), lam = quota_game, params.lam
     impartial = optimal_signal(params, (HI, HI))
-    prior = state_distribution(params, (HI, LO))
-    s, y = _tilt(*prior, params.delta_mu, params.lam)
-    signals = (impartial, _quota_solution(prior, s, y, params.lam, False).signal,
-               _quota_solution(prior[::-1], s, y, params.lam, True).signal, impartial)
-    return _equilibria(params, signals)
+    s, y = _tilt(*prior, delta_mu, lam)
+    signals = (impartial, _quota_solution(prior, s, y, lam, False).signal,
+               _quota_solution(prior[::-1], s, y, lam, True).signal, impartial)
+    return _equilibria(game, lam, signals, game.c, game.c, game.costs, (1.0, 1.0))

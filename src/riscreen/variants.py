@@ -24,15 +24,16 @@ from .baseline_game import (
     PromotionSignal,
     _cubic_roots,
     _equilibria,
+    _game,
     _gains,
     _incentive_holds,
     _log_gamma_star,
     _profile_signals,
-    evaluate,
+    _supports,
+    _value,
     lambda_star,
     optimal_signal,
     signal_from_odds,
-    supports_profile,
 )
 
 
@@ -83,8 +84,8 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
-    return _equilibria(game, _profile_signals(game), *het.effective_costs(game.delta_mu),
-                       costs=(het.cost_m, het.cost_w), weights=(het.du_m, het.du_w))
+    return _equilibria(_game(game), game.lam, _profile_signals(game), *het.effective_costs(game.delta_mu),
+                       (het.cost_m, het.cost_w), (het.du_m, het.du_w))
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +125,19 @@ def bind_high_effort(game: GameParams) -> BindingHighSolution | None:
     above lambda_star, where the unpriced rule gives X = g(gamma) < c.
     Returns None when c >= 1/2, which no interior rule reaches.
     """
-    c = game.c
+    return _bind_high_effort(_variants_game(game), game)
+
+
+def _bind_high_effort(variants_game: tuple, game: GameParams) -> BindingHighSolution | None:
+    """bind_high_effort of game, whose lambda-independent part is variants_game."""
+    base, _, log_gamma_star = variants_game[:3]
+    c = base.c
     if not c < 0.5:
         return None
     s = game.mu_hi * (1.0 - game.mu_hi)
-    nu = s * (game.lam * _log_gamma_star(c) - 1.0)
+    nu = s * (game.lam * log_gamma_star - 1.0)
     signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5)
-    return BindingHighSolution(nu, signal, evaluate(game, (HI, HI), signal).profit)
+    return BindingHighSolution(nu, signal, _value(base.priors[0], signal, game.lam, base.costs, (1.0, 1.0)).profit)
 
 
 def commitment_solve(game: GameParams) -> CommitmentSolution:
@@ -143,21 +150,28 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     the discriminatory (hi, lo) rule when it is self-enforcing, and the
     unconstrained (lo, lo) rule. All three are closed forms.
     """
-    if game.lam <= lambda_star(game) + 1e-15:
-        rec = evaluate(game, (HI, HI), optimal_signal(game, (HI, HI)))
+    return _commitment(_variants_game(game), game)
+
+
+def _commitment(variants_game: tuple, game: GameParams) -> CommitmentSolution:
+    """commitment_solve of game, whose lambda-independent part is variants_game."""
+    (base, lam_star), lam = variants_game[:2], game.lam
+    priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
+    if lam <= lam_star + 1e-15:
+        rec = _value(priors[0], optimal_signal(game, (HI, HI)), lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
-    rec = evaluate(game, (LO, LO), optimal_signal(game, (LO, LO)))
+    rec = _value(priors[3], optimal_signal(game, (LO, LO)), lam, costs, weights)
     candidates = {(LO, LO): rec.profit}
     best = ((LO, LO), rec.signal, rec.profit, 0.0, None)
 
     disc_signal = optimal_signal(game, (HI, LO))
-    if supports_profile(game, disc_signal, (HI, LO)):
-        rec = evaluate(game, (HI, LO), disc_signal)
+    if _supports(priors[1], disc_signal, base.c, base.c):
+        rec = _value(priors[1], disc_signal, lam, costs, weights)
         candidates[(HI, LO)] = rec.profit
         if rec.profit > best[2]:
             best = ((HI, LO), disc_signal, rec.profit, 0.0, None)
 
-    bound = bind_high_effort(game)
+    bound = _bind_high_effort(variants_game, game)
     if bound is not None:
         candidates[(HI, HI)] = bound.profit
         if bound.profit > best[2]:
@@ -361,7 +375,8 @@ def mixed_equilibria(game: GameParams) -> list:
       s = nu_m/nu_w and k = c(1-r^2) the gap's numerator (s^2-r)(1-r s^2) -
       k s(1+s^2) is a palindromic quartic, so u = s + 1/s solves
       r u^2 + k u - (1+r)^2 = 0; its positive root (1/k when r underflows to
-      0) gives the roots s and 1/s in closed form when u > 2;
+      0) gives the roots s and 1/s in closed form when u > 2, with
+      u - 2 = e (e - 2c(1+r))/(r (u+2) + k), e = 1 - r, free of cancellation;
     * m mixing against a shirking w (w_x = 1-mu_lo, w_y = mu_lo; rho rises
       with sigma), kept when w indeed prefers to shirk, and the mirror with
       w mixing against a working m (w_x = mu_hi, w_y = 1-mu_hi; rho falls).
@@ -371,9 +386,28 @@ def mixed_equilibria(game: GameParams) -> list:
 
     Away from lam = lambda_star every returned signal is discriminatory.
     """
-    c = game.c
+    return _mixed(_variants_game(game), game)
+
+
+def _variants_game(game: GameParams) -> tuple:
+    """The lambda-independent part of commitment_solve, bind_high_effort and mixed_equilibria: (the
+    _game, lambda_star, ln gamma*, the balanced branch's nu_m window or None, and the odds of m's
+    and of w's branch at the sigma edges)."""
     mu_lo, mu_hi, delta_mu = game.mu_lo, game.mu_hi, game.delta_mu
-    r = math.exp(-1.0 / game.lam)
+    lo, hi = max(mu_lo, 1.0 - mu_hi) + 1e-9, min(mu_hi, 1.0 - mu_lo) - 1e-9
+    # the sigma range in rho: m's odds rise with sigma, w's fall (roots reversed)
+    nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
+    rho_m = [_odds(nu * (1.0 - mu_lo), mu_lo * (1.0 - nu)) for nu in nu_edges]
+    rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
+    return (_game(game), lambda_star(game), _log_gamma_star(game.c),
+            (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
+
+
+def _mixed(variants_game: tuple, game: GameParams) -> list:
+    """mixed_equilibria of game, whose lambda-independent part is variants_game."""
+    (base, lam_star, _, window, rho_m, rho_w), lam = variants_game, game.lam
+    c, mu_lo, mu_hi, delta_mu = base.c, game.mu_lo, game.mu_hi, game.delta_mu
+    r = math.exp(-1.0 / lam)
     k = c * (1.0 - r * r)
     found = []
 
@@ -381,17 +415,18 @@ def mixed_equilibria(game: GameParams) -> list:
         label = IMPARTIAL if sig.impartial else DISCRIMINATORY
         found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, label))
 
-    if abs(game.lam - lambda_star(game)) <= 1e-9:
+    if abs(lam - lam_star) <= 1e-9:
         keep(0.5, 0.5, optimal_signal(game, (HI, HI)))
 
-    if mu_lo < 0.5:
-        lo = max(mu_lo, 1.0 - mu_hi) + 1e-9
-        hi = min(mu_hi, 1.0 - mu_lo) - 1e-9
+    if window is not None:
+        lo, hi = window
         u = 2.0 * (1.0 + r) ** 2 / (k + math.sqrt(k * k + 4.0 * r * (1.0 + r) ** 2))
         # within its few ulps of rounding, u = 2 is the double root s = 1 (at
         # lam = lambda_star): a tangency, not a pair of sign changes
-        if lo < hi and u > 2.0 * (1.0 + 4.0 * sys.float_info.epsilon):
-            s = 0.5 * (u + math.sqrt((u - 2.0) * (u + 2.0)))
+        if u > 2.0 * (1.0 + 4.0 * sys.float_info.epsilon):
+            e = -math.expm1(-1.0 / lam)
+            u_minus_2 = e * (e - 2.0 * c * (1.0 + r)) / (r * (u + 2.0) + k)
+            s = 0.5 * (u + math.sqrt(u_minus_2 * (u + 2.0)))
             for nu_m in (1.0 / (1.0 + s), s / (1.0 + s)):
                 sig = _signal_for_success_probs(game, nu_m, 1.0 - nu_m)
                 if sig is None or not lo <= nu_m <= hi:
@@ -401,16 +436,12 @@ def mixed_equilibria(game: GameParams) -> list:
                 if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
                     keep(sigma_m, sigma_w, sig)
 
-    # the sigma range in rho: m's odds rise with sigma, w's fall (roots reversed)
-    nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
-    rho_m = [_odds(nu * (1.0 - mu_lo), mu_lo * (1.0 - nu)) for nu in nu_edges]
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
         sig = _signal_for_success_probs(game, nu_m, mu_lo)
         if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig.X, sig.Y)[1], c):
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
-    rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
         sig = _signal_for_success_probs(game, mu_hi, nu_w)

@@ -1,6 +1,7 @@
 """Tests for the closed-form promotion game analysis."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -337,16 +338,43 @@ def test_gains_keep_their_operand_order(params):
         assert incentive_gain(params, sig, AGENT_M, profile[1]).hex() == gain_m.hex()
         assert incentive_gain(params, sig, AGENT_W, profile[0]).hex() == gain_w.hex()
         # costs a few ulps either side of where m's constraint flips: a gain
-        # off by one ulp would flip it at another cost
-        ok_w = gain_w >= params.c - IC_TOL if profile[1] == HI else gain_w <= params.c + IC_TOL
-        for edge in (gain_m + IC_TOL, gain_m - IC_TOL):
+        # off by one ulp would flip it at another cost; the slack is IC_TOL min(1, c),
+        # so the flips sit within an ulp of gain_m (1 +- IC_TOL) below 1
+        def holds(effort, gain, c):
+            tol = IC_TOL * min(1.0, c)
+            return gain >= c - tol if effort == HI else gain <= c + tol
+
+        ok_w = holds(profile[1], gain_w, params.c)
+        band = IC_TOL * min(1.0, gain_m)
+        for edge in (gain_m + band, gain_m - band):
             c_m = edge
             for _ in range(3):
                 c_m = math.nextafter(c_m, -math.inf)
             for _ in range(7):
-                ok_m = gain_m >= c_m - IC_TOL if profile[0] == HI else gain_m <= c_m + IC_TOL
+                ok_m = holds(profile[0], gain_m, c_m)
                 assert supports_profile(params, sig, profile, c_m=c_m) == (ok_m and ok_w)
                 c_m = math.nextafter(c_m, math.inf)
+
+
+def test_a_zero_gain_never_meets_a_cost_below_the_slack(capsys):
+    # the incentive slack is IC_TOL min(1, c): with an absolute IC_TOL, a cost
+    # c < IC_TOL let the zero gains of an always-promote signal pass the
+    # high-effort test, so (hi, lo) and (lo, hi) were listed above lambda_high
+    from riscreen import cli
+
+    assert cli.main(["equilibria", "--mu-hi", ".8", "--mu-lo", ".6", "--cost", "1e-13", "--lambda", "50"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()] == ["(hi,hi)", "*"]
+    # derandomized games with cost_C in [1e-16, 1e-12] against the enumeration of
+    # win probabilities, whose slack is the same IC_TOL c in utility
+    rng = random.Random(1612)
+    for _ in range(300):
+        mu_a, mu_b = (rng.choice((rng.uniform(1e-6, 1e-3), rng.uniform(1.0 - 1e-3, 1.0 - 1e-6),
+                                  rng.uniform(1e-3, 1.0 - 1e-3))) for _ in range(2))
+        game = GameParams(max(mu_a, mu_b), min(mu_a, mu_b), 10.0 ** rng.uniform(-16.0, -12.0),
+                          10.0 ** rng.uniform(-4.0, 4.0))
+        want = helpers.direct_ic_equilibria(game, tol=IC_TOL * game.cost_C)
+        assert [r.profile for r in equilibrium_set(game)] == want, game
 
 
 class TestThresholds:

@@ -10,6 +10,7 @@ import pytest
 
 import riscreen
 
+from riscreen import _golden
 from riscreen import baseline_game as bg
 from riscreen import cli
 
@@ -219,7 +220,7 @@ class TestReproduce:
         code, out, _ = run(["reproduce"], capsys)
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == len(cli._golden_checks())
+        assert out.count("PASS") == len(_golden.golden_checks())
 
     def test_json_report(self, capsys):
         code, out, _ = run(["reproduce", "--json"], capsys)

@@ -123,17 +123,17 @@ def _label(sig):
 
 
 #: offsets from nu_m = 1/2 added to the balanced scan near lambda_star, where
-#: its two roots straddle 1/2 closer than a uniform grid resolves; at 1e-7 the
-#: gap at lam = lambda_star is still hundreds of ulps from 0, so rounding makes
-#: no sign change there
-_NEAR_HALF = np.geomspace(1e-7, 1e-3, 200)
+#: its two roots straddle 1/2 closer than a uniform grid resolves; at 1e-8 the
+#: gap at lam = lambda_star is still about 80 ulps of c from 0 (at the first
+#: example below), so rounding makes no sign change there
+_NEAR_HALF = np.geomspace(1e-8, 1e-3, 200)
 
 
 def reference_mixed_equilibria(game, samples=400):
     """mixed_equilibria as a grid scan of each branch's gap.
 
     Within 1e-6 relative of lambda_star the balanced scan also samples
-    nu_m = 1/2 +- _NEAR_HALF, so it resolves a root pair down to about 1e-7
+    nu_m = 1/2 +- _NEAR_HALF, so it resolves a root pair down to about 1e-8
     either side of 1/2.
     """
     c, mu_lo, delta_mu = game.c, game.mu_lo, game.delta_mu
@@ -162,13 +162,13 @@ def reference_mixed_equilibria(game, samples=400):
     for sigma in reference_scan(lambda s: reference_gap(game, "m", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
         nu_m = mu_lo + sigma * delta_mu
         sig = reference_signal(game, nu_m, mu_lo)
-        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL:
+        if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL * min(1.0, c):
             found.append(MixedEquilibrium(MixedProfile(sigma, 0.0), sig, _label(sig)))
 
     for sigma in reference_scan(lambda s: reference_gap(game, "w", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
         nu_w = mu_lo + sigma * delta_mu
         sig = reference_signal(game, game.mu_hi, nu_w)
-        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL:
+        if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL * min(1.0, c):
             found.append(MixedEquilibrium(MixedProfile(1.0, sigma), sig, _label(sig)))
 
     return found
@@ -232,6 +232,10 @@ def games(draw):
 @example(game=GameParams(0.9368641636882881, 0.6938578056329902, 0.07941401136421603, 0.6495333980073986))
 # 3.4e-11 below lambda_star: the balanced roots lie 1.5e-6 either side of sigma = 1/2
 @example(game=GameParams(0.75, 0.25, 0.125, 0.9102392265930936))
+# 5.9e-11 below lambda_star at r = 0.954 and near it at r = 0.79: a u - 2 formed by
+# subtraction put the balanced sigma 2.8e-10 and 1.8e-10 off
+@example(game=GameParams(0.75, 0.25, 0.005859375, 21.32942650971451))
+@example(game=GameParams(0.5010808493470605, 0.3179167529378243, 0.01066504072394105, 4.2740833939723055))
 def test_mixed_equilibria_match_scalar_scan(game):
     check_against_oracles(game)
 
