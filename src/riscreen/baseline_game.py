@@ -58,9 +58,7 @@ class GameParams(ri_core._Validated, namedtuple("GameParams", "mu_hi mu_lo cost_
             raise ValueError(f"need 0 < mu_lo < mu_hi < 1, got mu_lo={mu_lo!r}, mu_hi={mu_hi!r}")
         if not (cost_C > 0.0 and math.isfinite(cost_C)):
             raise ValueError(f"cost_C must be positive and finite, got {cost_C!r}")
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValueError(f"lam must be positive and finite, got {lam!r}")
-        return tuple.__new__(cls, (mu_hi, mu_lo, cost_C, lam))
+        return tuple.__new__(cls, (mu_hi, mu_lo, cost_C, _checked_lam(lam)))
 
     @property
     def delta_mu(self) -> float:
@@ -95,6 +93,13 @@ class GameParams(ri_core._Validated, namedtuple("GameParams", "mu_hi mu_lo cost_
         if effort == LO:
             return self.mu_lo
         raise ValueError(f"effort must be {HI!r} or {LO!r}, got {effort!r}")
+
+
+def _checked_lam(lam: float) -> float:
+    """lam itself, if it is positive and finite: the lambda rule of GameParams and of every sweep point."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    return lam
 
 
 class StateDistribution(ri_core._Validated, namedtuple("StateDistribution", "p_minus p_zero p_plus")):
@@ -282,20 +287,31 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     once gamma <= A/B (lam >= lambda_breve), and otherwise the tilted
     interior signal with pi_bar = pi(0) = (gamma A - B)/((gamma - 1)(A + B)),
     X = f(gamma) and Y = (A/B) f(gamma). The (lo, hi) profile is the mirror
-    image.
+    image. The labels are checked here; the signal is the profile's entry
+    of :func:`_profile_signals`.
     """
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
+    return _profile_signals(params, params.lam)[PROFILES.index((e_m, e_w))]
+
+
+def _impartial_signal(r: float) -> PromotionSignal:
+    """The optimal signal of a symmetric profile at r = exp(-1/lam): pi(1) = 1/(1 + r)."""
+    pi_plus = 1.0 / (1.0 + r)
+    return PromotionSignal(1.0 - pi_plus, 0.5, pi_plus, 0.5)
+
+
+def _profile_signals(game, lam: float) -> tuple:
+    """The optimal signal of each profile in PROFILES order at lam, for a game with A and B
+    (a GameParams or a _Game), from two kernels: (lo, lo) shares the impartial signal of
+    (hi, hi) and (lo, hi) mirrors (hi, lo)."""
     # everything is evaluated in r = 1/gamma = exp(-1/lam), which stays in
     # (0, 1] for every lam > 0 and underflows harmlessly to the costless limit
-    r = math.exp(-1.0 / params.lam)
-    if e_m == e_w:
-        pi_plus = 1.0 / (1.0 + r)
-        return PromotionSignal(1.0 - pi_plus, 0.5, pi_plus, 0.5)
-    A, B = params.A, params.B
+    r = math.exp(-1.0 / lam)
+    A, B = game.A, game.B
     pi_minus, pi_bar, pi_plus = (1.0, 1.0, 1.0) if r >= B / A else signal_from_odds(A, B, r)
-    signal = PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
-    return signal.mirrored() if e_m == LO else signal
+    impartial, tilted = _impartial_signal(r), PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    return impartial, tilted, tilted.mirrored(), impartial
 
 
 def signal_from_odds(A, B, r):
@@ -508,22 +524,16 @@ def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weig
     )
 
 
-#: the lambda-independent part of a game's pure analyses: c, (cost_C, cost_C)
-#: and each profile's _profile_prior in PROFILES order
-_Game = namedtuple("_Game", "c costs priors")
+#: the lambda-independent part of a game's analyses: mu_hi, mu_lo, A, B, c,
+#: (cost_C, cost_C) and each profile's _profile_prior in PROFILES order
+_Game = namedtuple("_Game", "mu_hi mu_lo A B c costs priors")
 
 
 def _game(params: GameParams) -> _Game:
     """The _Game of params, whose lam it ignores."""
     mu_hi, mu_lo, cost_C, _ = params
-    return _Game(cost_C / (mu_hi - mu_lo), (cost_C, cost_C), tuple(_profile_prior(mu_hi, mu_lo, p) for p in PROFILES))
-
-
-def _profile_signals(params: GameParams) -> tuple:
-    """optimal_signal of each profile in PROFILES order, from two kernels: (lo, lo)
-    shares the impartial signal of (hi, hi) and (lo, hi) mirrors (hi, lo)."""
-    impartial, tilted = optimal_signal(params, (HI, HI)), optimal_signal(params, (HI, LO))
-    return impartial, tilted, tilted.mirrored(), impartial
+    return _Game(mu_hi, mu_lo, params.A, params.B, cost_C / (mu_hi - mu_lo), (cost_C, cost_C),
+                 tuple(_profile_prior(mu_hi, mu_lo, p) for p in PROFILES))
 
 
 def _equilibria(game: _Game, lam: float, signals: tuple, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
@@ -533,9 +543,9 @@ def _equilibria(game: _Game, lam: float, signals: tuple, c_m: float, c_w: float,
             for prior, signal in zip(game.priors, signals) if _supports(prior, signal, c_m, c_w)]
 
 
-def _pure_equilibria(game: _Game, params: GameParams) -> list:
-    """equilibrium_set of params, whose lambda-independent part is game (from _game)."""
-    return _equilibria(game, params.lam, _profile_signals(params), game.c, game.c, game.costs, (1.0, 1.0))
+def _pure_equilibria(game: _Game, lam: float) -> list:
+    """equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
+    return _equilibria(game, lam, _profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -545,7 +555,7 @@ def equilibrium_set(params: GameParams) -> list:
     agents' incentive constraints. Knife-edge parameter values keep a
     profile in both adjacent regimes.
     """
-    return _pure_equilibria(_game(params), params)
+    return _pure_equilibria(_game(params), params.lam)
 
 
 def most_profitable(params: GameParams) -> list:

@@ -95,7 +95,8 @@ def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
 
 
 def _rows_to_json(header: list, rows: list, meta: dict) -> str:
-    """``_json_text`` of the sweep, its rows as dicts of header names, floats at 12 digits.
+    """``json.dumps(sweep, sort_keys=True, indent=2)`` and a newline: the rows as dicts of
+    header names, floats at 12 digits, and the flat meta dict, scalars through _scalar.
 
     Every row holds a cell for each header column. The header is sorted into
     key order once; a repeated name keeps its last column, as in a dict. A
@@ -121,13 +122,8 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
             cells.append(key + text)
         texts.append("{" + ",".join(cells) + "\n    }" if cells else "{}")
     body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
-    return f'{{\n  "meta": {_indented(meta, 2, quote)},\n  "rows": {body},\n  "schema": {quote(SCHEMA_VERSION)}\n}}\n'
-
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, for string-keyed dicts."""
-    import json
-    return _indented(obj, 1, json.encoder.encode_basestring_ascii) + "\n"
+    head = "{" + ",".join(f"\n    {quote(k)}: {_scalar(v, quote)}" for k, v in sorted(meta.items())) + ("\n  }" if meta else "}")
+    return f'{{\n  "meta": {head},\n  "rows": {body},\n  "schema": {quote(SCHEMA_VERSION)}\n}}\n'
 
 
 #: json's text where repr's is not JSON: the three constants and the non-finite floats
@@ -150,20 +146,6 @@ def _scalar(obj, quote) -> str:
         text = float.__repr__(obj)
         return _WORDS.get(text, text)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _indented(obj, depth: int, quote) -> str:
-    """The JSON text of obj, its members indented by 2 * depth spaces; scalars through _scalar."""
-    if isinstance(obj, dict):
-        texts = [f"{quote(k)}: {_indented(v, depth + 1, quote)}" for k, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        texts = [_indented(v, depth + 1, quote) for v in obj]
-        brackets = "[]"
-    else:
-        return _scalar(obj, quote)
-    pad = "\n" + "  " * depth if texts else ""  # an empty container is {} or []
-    return brackets[0] + pad + ("," + pad).join(texts) + pad[:-2] + brackets[1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,31 +287,31 @@ def cmd_regimes(args) -> int:
     }
     if args.analysis == "multitask":
         tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
-    point = functools.partial(bg.GameParams, args.mu_hi, args.mu_lo, args.cost)
-    first = point(grid[0])  # the lambda-independent work is done once, after the first lambda is validated
+    # prepare once, after the first lambda is checked; each point checks its own with GameParams' rule
+    check = bg._checked_lam
+    check(grid[0])
     rows = []
     header = list(_REGIME_HEADER)
     if args.analysis in ("baseline", "quota"):
         quota = args.analysis == "quota"
-        game = qp._quota_game(first) if quota else bg._game(first)
+        game = qp._quota_game(base) if quota else bg._game(base)
         solve = qp._quota_equilibria if quota else bg._pure_equilibria
         cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
-        rows = [_regime_row(lam, solve(game, point(lam)), cut_cells) for lam in grid]
+        rows = [_regime_row(lam, solve(game, check(lam)), cut_cells) for lam in grid]
     elif args.analysis == "multitask":
         header = ["lam", "n_equilibria", "most_profitable", "best_payoff"]
-        game = mt._multitask_game(first, tasks)
+        game = mt._multitask_game(base, tasks)
         for lam in grid:
-            records = mt._multitask_equilibria(game, point(lam))
+            records = mt._multitask_equilibria(game, check(lam))
             winners = mt.most_profitable_among(records, tasks)
             classes = "|".join(sorted({w.classification for w in winners}))
             rows.append([lam, len(records), classes, winners[0].payoff if winners else math.nan])
     else:  # variants
         header = ["lam", "commitment_profile", "commitment_profit", "n_mixed"]
-        game = va._variants_game(first)
+        game = va._variants_game(base)
         for lam in grid:
-            params = point(lam)
-            sol = va._commitment(game, params)
-            rows.append([lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, params))])
+            sol = va._commitment(game, check(lam))
+            rows.append([lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, lam))])
     text = (
         _rows_to_json(header, rows, meta)
         if args.format == "json"
@@ -445,7 +427,8 @@ def cmd_reproduce(args) -> int:
             ],
             "passed": not failed,
         }
-        _emit(_json_text(payload), args.out)
+        import json
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         lines = []
         for name, ok, measured, tol in checks:

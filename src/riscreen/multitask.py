@@ -22,7 +22,7 @@ from .baseline_game import (
     _incentive_holds,
     _profile_signals,
     _ties_at_best,
-    evaluate,
+    _value,
 )
 from .ri_core import _Validated
 
@@ -108,7 +108,7 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     uses is valued once. The principal's payoff adds the per-task profits
     weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
     """
-    return _multitask_equilibria(_multitask_game(game, tasks), game)
+    return _multitask_equilibria(_multitask_game(game, tasks), game.lam)
 
 
 def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
@@ -118,10 +118,10 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
     return _game(game), costs, tasks[0].alpha, tasks[1].alpha
 
 
-def _multitask_equilibria(multitask_game: tuple, params: GameParams) -> list:
-    """multitask_equilibrium_set of params, whose lambda-independent part is multitask_game."""
+def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
+    """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
     game, costs, alpha1, alpha2 = multitask_game
-    signals = _profile_signals(params)
+    signals = _profile_signals(game, lam)
     gains = [_gains(prior[1], prior[2], s.X, s.Y) for prior, s in zip(game.priors, signals)]
     supported = [[_incentive_holds(e_m, gain_m, c) and _incentive_holds(e_w, gain_w, c)
                   for (e_m, e_w), (gain_m, gain_w) in zip(PROFILES, gains)] for c in costs]
@@ -129,7 +129,7 @@ def _multitask_equilibria(multitask_game: tuple, params: GameParams) -> list:
     if any(supported[0]) and any(supported[1]):
         for i in {1 if i == 2 else i for ok in supported for i in range(4) if ok[i]}:
             # (lo, hi) is valued as (hi, lo), bit for bit, as in profit
-            profits[i] = evaluate(params, PROFILES[i], signals[i]).profit
+            profits[i] = _value(game.priors[i], signals[i], lam, game.costs, (1.0, 1.0)).profit
         profits[2] = profits[1]
     return [MultitaskRecord(inv_m, inv_w, label, sum((alpha1 * profits[i], alpha2 * profits[j])), (signals[i], signals[j]))
             for i, j, inv_m, inv_w, label in _JOINT if supported[0][i] and supported[1][j]]

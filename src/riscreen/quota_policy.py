@@ -20,13 +20,14 @@ from collections import namedtuple
 from . import ri_core
 from .baseline_game import (
     BracketError,
-    HI,
     LO,
     GameParams,
     PromotionSignal,
+    _Game,
     _cubic_roots,
     _equilibria,
     _game,
+    _impartial_signal,
     optimal_signal,
     state_distribution,
 )
@@ -163,22 +164,22 @@ def quota_equilibrium_set(params: GameParams) -> list:
     its optimal_signal, so its record equals equilibrium_set's. (lo, hi) has
     the prior of (hi, lo) reversed, so both take their nu from one tilt.
     """
-    return _quota_equilibria(_quota_game(params), params)
+    return _quota_equilibria(_quota_game(params), params.lam)
 
 
-def _quota_game(params: GameParams) -> tuple:
+def _quota_game(params: GameParams) -> _Game:
     """The lambda-independent part of quota_equilibrium_set: the refusal of
-    mu_hi + mu_lo <= 1, then (the _game, the (hi, lo) prior, delta_mu)."""
+    mu_hi + mu_lo <= 1, then the _game."""
     if not params.mu_hi + params.mu_lo > 1.0:
         raise ValueError(f"quota analysis requires mu_hi + mu_lo > 1 (got {params.mu_hi + params.mu_lo!r})")
-    return _game(params), state_distribution(params, (HI, LO)), params.delta_mu
+    return _game(params)
 
 
-def _quota_equilibria(quota_game: tuple, params: GameParams) -> list:
-    """quota_equilibrium_set of params, whose lambda-independent part is quota_game."""
-    (game, prior, delta_mu), lam = quota_game, params.lam
-    impartial = optimal_signal(params, (HI, HI))
-    s, y = _tilt(*prior, delta_mu, lam)
+def _quota_equilibria(game: _Game, lam: float) -> list:
+    """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _quota_game)."""
+    prior = game.priors[1][3:]  # (p(-1), p(0), p(1)) of (hi, lo)
+    impartial = _impartial_signal(math.exp(-1.0 / lam))
+    s, y = _tilt(*prior, game.mu_hi - game.mu_lo, lam)
     signals = (impartial, _quota_solution(prior, s, y, lam, False).signal,
                _quota_solution(prior[::-1], s, y, lam, True).signal, impartial)
     return _equilibria(game, lam, signals, game.c, game.c, game.costs, (1.0, 1.0))

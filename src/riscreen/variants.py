@@ -26,13 +26,13 @@ from .baseline_game import (
     _equilibria,
     _game,
     _gains,
+    _impartial_signal,
     _incentive_holds,
     _log_gamma_star,
     _profile_signals,
     _supports,
     _value,
     lambda_star,
-    optimal_signal,
     signal_from_odds,
 )
 
@@ -84,7 +84,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
-    return _equilibria(_game(game), game.lam, _profile_signals(game), *het.effective_costs(game.delta_mu),
+    return _equilibria(_game(game), game.lam, _profile_signals(game, game.lam), *het.effective_costs(game.delta_mu),
                        (het.cost_m, het.cost_w), (het.du_m, het.du_w))
 
 
@@ -125,19 +125,18 @@ def bind_high_effort(game: GameParams) -> BindingHighSolution | None:
     above lambda_star, where the unpriced rule gives X = g(gamma) < c.
     Returns None when c >= 1/2, which no interior rule reaches.
     """
-    return _bind_high_effort(_variants_game(game), game)
+    return _bind_high_effort(_variants_game(game), game.lam)
 
 
-def _bind_high_effort(variants_game: tuple, game: GameParams) -> BindingHighSolution | None:
-    """bind_high_effort of game, whose lambda-independent part is variants_game."""
-    base, _, log_gamma_star = variants_game[:3]
-    c = base.c
+def _bind_high_effort(variants: _Variants, lam: float) -> BindingHighSolution | None:
+    """bind_high_effort at lam of the game whose lambda-independent part is variants."""
+    base, c = variants.base, variants.base.c
     if not c < 0.5:
         return None
-    s = game.mu_hi * (1.0 - game.mu_hi)
-    nu = s * (game.lam * log_gamma_star - 1.0)
+    s = base.mu_hi * (1.0 - base.mu_hi)
+    nu = s * (lam * variants.log_gamma_star - 1.0)
     signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5)
-    return BindingHighSolution(nu, signal, _value(base.priors[0], signal, game.lam, base.costs, (1.0, 1.0)).profit)
+    return BindingHighSolution(nu, signal, _value(base.priors[0], signal, lam, base.costs, (1.0, 1.0)).profit)
 
 
 def commitment_solve(game: GameParams) -> CommitmentSolution:
@@ -150,28 +149,28 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     the discriminatory (hi, lo) rule when it is self-enforcing, and the
     unconstrained (lo, lo) rule. All three are closed forms.
     """
-    return _commitment(_variants_game(game), game)
+    return _commitment(_variants_game(game), game.lam)
 
 
-def _commitment(variants_game: tuple, game: GameParams) -> CommitmentSolution:
-    """commitment_solve of game, whose lambda-independent part is variants_game."""
-    (base, lam_star), lam = variants_game[:2], game.lam
+def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
+    """commitment_solve at lam of the game whose lambda-independent part is variants."""
+    base = variants.base
     priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
-    if lam <= lam_star + 1e-15:
-        rec = _value(priors[0], optimal_signal(game, (HI, HI)), lam, costs, weights)
+    impartial, disc_signal, _, _ = _profile_signals(base, lam)
+    if lam <= variants.lam_star + 1e-15:
+        rec = _value(priors[0], impartial, lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
-    rec = _value(priors[3], optimal_signal(game, (LO, LO)), lam, costs, weights)
+    rec = _value(priors[3], impartial, lam, costs, weights)
     candidates = {(LO, LO): rec.profit}
     best = ((LO, LO), rec.signal, rec.profit, 0.0, None)
 
-    disc_signal = optimal_signal(game, (HI, LO))
     if _supports(priors[1], disc_signal, base.c, base.c):
         rec = _value(priors[1], disc_signal, lam, costs, weights)
         candidates[(HI, LO)] = rec.profit
         if rec.profit > best[2]:
             best = ((HI, LO), disc_signal, rec.profit, 0.0, None)
 
-    bound = _bind_high_effort(variants_game, game)
+    bound = _bind_high_effort(variants, lam)
     if bound is not None:
         candidates[(HI, HI)] = bound.profit
         if bound.profit > best[2]:
@@ -306,13 +305,12 @@ class MixedEquilibrium(namedtuple("MixedEquilibrium", "profile signal classifica
 _SIGMA_EDGE = 1e-6
 
 
-def _signal_for_success_probs(params: GameParams, nu_m: float, nu_w: float) -> PromotionSignal | None:
-    """Closed-form optimal signal when success probabilities are (nu_m, nu_w).
+def _signal_for_success_probs(r: float, nu_m: float, nu_w: float) -> PromotionSignal | None:
+    """Closed-form optimal signal when success probabilities are (nu_m, nu_w), at r = exp(-1/lam).
 
     :func:`signal_from_odds` at A = nu_m (1 - nu_w), B = nu_w (1 - nu_m); None
     when degenerate (no incentives, so no indifference condition can hold).
     """
-    r = math.exp(-1.0 / params.lam)
     A = nu_m * (1.0 - nu_w)
     B = nu_w * (1.0 - nu_m)
     if A <= r * B or B <= r * A:
@@ -386,27 +384,31 @@ def mixed_equilibria(game: GameParams) -> list:
 
     Away from lam = lambda_star every returned signal is discriminatory.
     """
-    return _mixed(_variants_game(game), game)
+    return _mixed(_variants_game(game), game.lam)
 
 
-def _variants_game(game: GameParams) -> tuple:
-    """The lambda-independent part of commitment_solve, bind_high_effort and mixed_equilibria: (the
-    _game, lambda_star, ln gamma*, the balanced branch's nu_m window or None, and the odds of m's
-    and of w's branch at the sigma edges)."""
+#: the lambda-independent part of commitment_solve, bind_high_effort and mixed_equilibria: the
+#: _game, lambda_star, ln gamma*, the balanced branch's nu_m window or None, and the odds of m's
+#: and of w's branch at the sigma edges
+_Variants = namedtuple("_Variants", "base lam_star log_gamma_star window rho_m rho_w")
+
+
+def _variants_game(game: GameParams) -> _Variants:
+    """The _Variants of game, whose lam it ignores."""
     mu_lo, mu_hi, delta_mu = game.mu_lo, game.mu_hi, game.delta_mu
     lo, hi = max(mu_lo, 1.0 - mu_hi) + 1e-9, min(mu_hi, 1.0 - mu_lo) - 1e-9
     # the sigma range in rho: m's odds rise with sigma, w's fall (roots reversed)
     nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
     rho_m = [_odds(nu * (1.0 - mu_lo), mu_lo * (1.0 - nu)) for nu in nu_edges]
     rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
-    return (_game(game), lambda_star(game), _log_gamma_star(game.c),
-            (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
+    return _Variants(_game(game), lambda_star(game), _log_gamma_star(game.c),
+                     (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
 
 
-def _mixed(variants_game: tuple, game: GameParams) -> list:
-    """mixed_equilibria of game, whose lambda-independent part is variants_game."""
-    (base, lam_star, _, window, rho_m, rho_w), lam = variants_game, game.lam
-    c, mu_lo, mu_hi, delta_mu = base.c, game.mu_lo, game.mu_hi, game.delta_mu
+def _mixed(variants: _Variants, lam: float) -> list:
+    """mixed_equilibria at lam of the game whose lambda-independent part is variants."""
+    base, window = variants.base, variants.window
+    c, mu_lo, mu_hi, delta_mu = base.c, base.mu_lo, base.mu_hi, base.mu_hi - base.mu_lo
     r = math.exp(-1.0 / lam)
     k = c * (1.0 - r * r)
     found = []
@@ -415,8 +417,8 @@ def _mixed(variants_game: tuple, game: GameParams) -> list:
         label = IMPARTIAL if sig.impartial else DISCRIMINATORY
         found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, label))
 
-    if abs(lam - lam_star) <= 1e-9:
-        keep(0.5, 0.5, optimal_signal(game, (HI, HI)))
+    if abs(lam - variants.lam_star) <= 1e-9:
+        keep(0.5, 0.5, _impartial_signal(r))
 
     if window is not None:
         lo, hi = window
@@ -428,7 +430,7 @@ def _mixed(variants_game: tuple, game: GameParams) -> list:
             u_minus_2 = e * (e - 2.0 * c * (1.0 + r)) / (r * (u + 2.0) + k)
             s = 0.5 * (u + math.sqrt(u_minus_2 * (u + 2.0)))
             for nu_m in (1.0 / (1.0 + s), s / (1.0 + s)):
-                sig = _signal_for_success_probs(game, nu_m, 1.0 - nu_m)
+                sig = _signal_for_success_probs(r, nu_m, 1.0 - nu_m)
                 if sig is None or not lo <= nu_m <= hi:
                     continue
                 sigma_m = (nu_m - mu_lo) / delta_mu
@@ -436,15 +438,15 @@ def _mixed(variants_game: tuple, game: GameParams) -> list:
                 if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
                     keep(sigma_m, sigma_w, sig)
 
-    for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *rho_m):
+    for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *variants.rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
-        sig = _signal_for_success_probs(game, nu_m, mu_lo)
+        sig = _signal_for_success_probs(r, nu_m, mu_lo)
         if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig.X, sig.Y)[1], c):
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
-    for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *rho_w)):
+    for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *variants.rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
-        sig = _signal_for_success_probs(game, mu_hi, nu_w)
+        sig = _signal_for_success_probs(r, mu_hi, nu_w)
         if sig is not None and _incentive_holds(HI, _gains(mu_hi, nu_w, sig.X, sig.Y)[0], c):
             keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
 

@@ -374,7 +374,12 @@ def test_cli_never_loads_typing():
     # -S skips site, whose startup hooks can load typing on their own
     src = str(Path(riscreen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    script = "import sys, riscreen.cli\nassert 'typing' not in sys.modules, 'import riscreen.cli loaded typing'\n"
+    script = (
+        "import sys, riscreen.cli\nassert 'typing' not in sys.modules, 'import riscreen.cli loaded typing'\n"
+        # the golden checks are compiled by reproduce only, never on a cold single-point run
+        "assert riscreen.cli.main(['equilibria', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3']) == 0\n"
+        "assert 'riscreen._golden' not in sys.modules, 'equilibria loaded riscreen._golden'\n"
+    )
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -202,33 +202,6 @@ def test_threads_share_parsers_safely(tmp_path, capsys, same):
         sys.setswitchinterval(interval)
 
 
-_SCALARS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300]),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.booleans(),
-    st.none(),
-    st.text(alphabet=st.sampled_from('ab"\\/é€😀\n\t\x00'), max_size=8),
-)
-_KEYS = st.text(alphabet=st.sampled_from('kz"\\é😀 '), max_size=5)
-_FLAT = st.dictionaries(_KEYS, _SCALARS, max_size=6)
-_PAYLOADS = st.dictionaries(
-    _KEYS,
-    st.one_of(_SCALARS, _FLAT, st.lists(_FLAT, max_size=4), st.lists(_SCALARS, max_size=4)),
-    max_size=6,
-)
-
-
-@given(payload=_PAYLOADS)
-@settings(max_examples=300, deadline=None, derandomize=True)
-@example(payload={"rows": [], "meta": {}, "schema": "riscreen.regimes.v1"})
-@example(payload={"checks": [{"name": "x", "passed": True, "measured": "1e-9", "tolerance": "1e-8"}],
-                  "passed": False, "schema": 'q"\\é'})
-@example(payload={"x": [-0.0, math.nan, math.inf, -math.inf, 3, True]})
-def test_json_writer_equals_indented_dumps(payload):
-    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 class _Tagged(int):
     """An int whose repr is not its JSON text."""
 

@@ -18,7 +18,6 @@ from riscreen import (
     profit,
     thresholds,
 )
-from riscreen.baseline_game import evaluate
 from riscreen.multitask import task_games
 
 import helpers
@@ -314,7 +313,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     # share one valuation
     from riscreen import baseline_game, multitask
 
-    counts = {"optimal_signal": 0, "evaluate": 0}
+    counts = {"_impartial_signal": 0, "signal_from_odds": 0, "_value": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -323,8 +322,9 @@ def test_each_task_pair_is_solved_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(baseline_game, "optimal_signal", counted("optimal_signal", baseline_game.optimal_signal))
-    monkeypatch.setattr(multitask, "evaluate", counted("evaluate", multitask.evaluate))
+    for name in ("_impartial_signal", "signal_from_odds"):
+        monkeypatch.setattr(baseline_game, name, counted(name, getattr(baseline_game, name)))
+    monkeypatch.setattr(multitask, "_value", counted("_value", multitask._value))
     tasks = equal_tasks(0.35)
     g1, _ = task_games(GAME, tasks)
     cuts = thresholds(g1)
@@ -332,7 +332,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     records = multitask_equilibrium_set(game, tasks)
     assert len(records) >= 2
     # (lo, lo) is in no joint equilibrium here, so only (hi, hi) and (hi, lo) are valued
-    assert counts == {"optimal_signal": 2, "evaluate": 2}
+    assert counts == {"_impartial_signal": 1, "signal_from_odds": 1, "_value": 2}
 
 
 @given(case=multitask_games())
@@ -342,14 +342,14 @@ def test_only_the_pairs_in_use_are_valued(case):
     from riscreen import multitask
 
     game, tasks = case
-    valued = []
+    valued, real = [], multitask._value
 
-    def counted(params, profile, signal, **kwargs):
-        valued.append(profile)
-        return evaluate(params, profile, signal, **kwargs)
+    def counted(prior, signal, lam, costs, weights):
+        valued.append(prior[0])  # the profile
+        return real(prior, signal, lam, costs, weights)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multitask, "evaluate", counted)
+        mp.setattr(multitask, "_value", counted)
         records = multitask_equilibrium_set(game, tasks)
     used = {
         (HI, LO) if pair == (LO, HI) else pair

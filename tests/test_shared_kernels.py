@@ -34,7 +34,7 @@ def outcome(f, *args):
 @given(game=helpers.domain_games())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_shared_signals_and_tilt_equal_the_per_profile_solves(game):
-    assert hexed(_profile_signals(game)) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
+    assert hexed(_profile_signals(game, game.lam)) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
     # the quota refuses mu_hi + mu_lo <= 1; mu -> 1 - mu flips the sum across 1
     games = [game]
     if 1.0 - game.mu_hi < 1.0 - game.mu_lo:

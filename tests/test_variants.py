@@ -467,7 +467,7 @@ class TestMixed:
         for eq in eqs:
             nu_m = eq.profile.nu(GAME, AGENT_M)
             nu_w = eq.profile.nu(GAME, AGENT_W)
-            sig = _signal_for_success_probs(GAME, nu_m, nu_w)
+            sig = _signal_for_success_probs(math.exp(-1.0 / GAME.lam), nu_m, nu_w)
             if 0 < eq.profile.sigma_m < 1:
                 mixing_gain = (1 - nu_w) * sig.X + nu_w * sig.Y
             else:
@@ -495,7 +495,7 @@ class TestMixed:
             assert eq.profile.sigma_w == pytest.approx(ref.profile.sigma_w, abs=1e-9)
             assert all(0.0 <= p <= 1.0 for p in eq.signal.as_tuple())
             nu_m, nu_w = eq.profile.nu(edge, AGENT_M), eq.profile.nu(edge, AGENT_W)
-            sig = _signal_for_success_probs(edge, nu_m, nu_w)
+            sig = _signal_for_success_probs(math.exp(-1.0 / edge.lam), nu_m, nu_w)
             gain_m = (1 - nu_w) * sig.X + nu_w * sig.Y
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
             if 0 < eq.profile.sigma_m < 1:
@@ -517,7 +517,7 @@ class TestMixed:
             assert eq.classification == DISCRIMINATORY
             # both agents indifferent at the supporting signal
             nu_m = eq.profile.nu(game, AGENT_M)
-            sig = _signal_for_success_probs(game, nu_m, 1.0 - nu_m)
+            sig = _signal_for_success_probs(math.exp(-1.0 / game.lam), nu_m, 1.0 - nu_m)
             gain_m = (1 - (1 - nu_m)) * sig.X + (1 - nu_m) * sig.Y
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
             assert gain_m == pytest.approx(game.c, abs=1e-8)
