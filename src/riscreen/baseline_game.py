@@ -58,7 +58,7 @@ class GameParams(ri_core._Validated, namedtuple("GameParams", "mu_hi mu_lo cost_
             raise ValueError(f"need 0 < mu_lo < mu_hi < 1, got mu_lo={mu_lo!r}, mu_hi={mu_hi!r}")
         if not (cost_C > 0.0 and math.isfinite(cost_C)):
             raise ValueError(f"cost_C must be positive and finite, got {cost_C!r}")
-        return tuple.__new__(cls, (mu_hi, mu_lo, cost_C, _checked_lam(lam)))
+        return tuple.__new__(cls, (mu_hi, mu_lo, cost_C, ri_core._checked_lam(lam)))
 
     @property
     def delta_mu(self) -> float:
@@ -93,13 +93,6 @@ class GameParams(ri_core._Validated, namedtuple("GameParams", "mu_hi mu_lo cost_
         if effort == LO:
             return self.mu_lo
         raise ValueError(f"effort must be {HI!r} or {LO!r}, got {effort!r}")
-
-
-def _checked_lam(lam: float) -> float:
-    """lam itself, if it is positive and finite: the lambda rule of GameParams and of every sweep point."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    return lam
 
 
 class StateDistribution(ri_core._Validated, namedtuple("StateDistribution", "p_minus p_zero p_plus")):
@@ -240,8 +233,9 @@ def f_func(params: GameParams, gamma: float) -> float:
     huge gammas finite.
     """
     A, B = params.A, params.B
-    if gamma < A / B:
-        raise ValueError(f"f_func needs gamma >= A/B = {A / B!r}, got {gamma!r}")
+    odds = A / B if B else math.inf  # B underflows to 0: degenerate at every finite gamma
+    if gamma < odds:
+        raise ValueError(f"f_func needs gamma >= A/B = {odds!r}, got {gamma!r}")
     if math.isinf(gamma):
         return B / (A + B)
     r = 1.0 / gamma
@@ -308,24 +302,25 @@ def _profile_signals(game, lam: float) -> tuple:
     # everything is evaluated in r = 1/gamma = exp(-1/lam), which stays in
     # (0, 1] for every lam > 0 and underflows harmlessly to the costless limit
     r = math.exp(-1.0 / lam)
-    A, B = game.A, game.B
-    pi_minus, pi_bar, pi_plus = (1.0, 1.0, 1.0) if r >= B / A else signal_from_odds(A, B, r)
+    # the (hi, lo) corner always promotes m: A >= B
+    pi_minus, pi_bar, pi_plus = signal_from_odds(game.A, game.B, r) or (1.0, 1.0, 1.0)
     impartial, tilted = _impartial_signal(r), PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
     return impartial, tilted, tilted.mirrored(), impartial
 
 
-def signal_from_odds(A, B, r):
-    """(pi(-1), pi_bar, pi(1)) of the interior signal at outcome odds A : B.
+def signal_from_odds(A: float, B: float, r: float) -> tuple | None:
+    """(pi(-1), pi_bar, pi(1)) of the optimal signal at outcome odds A : B, or None at a corner.
 
     A = P(d = 1) and B = P(d = -1) under the effort profile, r = exp(-1/lam);
-    pi(0) = pi_bar. Plain arithmetic, so it also works elementwise on arrays.
-    No degeneracy test: the result is only meaningful where r < A/B < 1/r,
-    which each caller checks in its own way.
+    pi(0) = pi_bar. The signal is interior exactly when r < A/B < 1/r, tested
+    as products, so B = 0 and r = 1 are corners too; at a corner the
+    principal always promotes one agent, m when A > B. This is the one
+    interior-vs-corner decision of every closed-form signal.
     """
-    pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
-    pi_plus = (A - r * B) / ((1.0 - r * r) * A)
-    pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
-    return pi_minus, pi_bar, pi_plus
+    if A <= r * B or B <= r * A:
+        return None
+    a, q = A - r * B, 1.0 - r * r
+    return r * a / (q * B), a / ((1.0 - r) * (A + B)), a / (q * A)
 
 
 def _cubic_roots(a: float, b: float, c: float, reverse: bool = True) -> list:
@@ -638,7 +633,8 @@ def thresholds(params: GameParams) -> ThresholdSet:
     lambda_star < lambda_high.
     """
     c = params.c
-    lambda_breve = 1.0 / math.log1p(params.delta_mu / params.B)  # A/B = 1 + delta_mu/B
+    # A/B = 1 + delta_mu/B; at B = 0 the (hi, lo) signal is degenerate at every lam
+    lambda_breve = 1.0 / math.log1p(params.delta_mu / params.B) if params.B else 0.0
     X_high = c * params.mu_lo / params.mu_hi
     X_low = c * (1.0 - params.mu_hi) / (1.0 - params.mu_lo)
     lambda_low = _lam_of_gamma(f_inverse(params, X_high))

@@ -277,7 +277,6 @@ def cmd_regimes(args) -> int:
     grid = _lam_grid(args)
     if args.svg is not None and args.analysis not in ("baseline", "quota"):
         raise ValueError("the regime strip chart is defined for baseline/quota sweeps")
-    cuts = bg.thresholds(base)
     meta = {
         "analysis": args.analysis,
         "mu_hi": f"{args.mu_hi:.12g}",
@@ -287,8 +286,8 @@ def cmd_regimes(args) -> int:
     }
     if args.analysis == "multitask":
         tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
-    # prepare once, after the first lambda is checked; each point checks its own with GameParams' rule
-    check = bg._checked_lam
+    # prepare once, after the first lambda is checked; each point checks its own by the one lambda rule
+    check = ri_core._checked_lam
     check(grid[0])
     rows = []
     header = list(_REGIME_HEADER)
@@ -296,6 +295,7 @@ def cmd_regimes(args) -> int:
         quota = args.analysis == "quota"
         game = qp._quota_game(base) if quota else bg._game(base)
         solve = qp._quota_equilibria if quota else bg._pure_equilibria
+        cuts = bg.thresholds(base)
         cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
         rows = [_regime_row(lam, solve(game, check(lam)), cut_cells) for lam in grid]
     elif args.analysis == "multitask":

@@ -179,6 +179,13 @@ def neg_entropy(x: float) -> float:
     return x * math.log(x) + (1.0 - x) * math.log1p(-x)
 
 
+def _checked_lam(lam: float) -> float:
+    """lam itself, if it is positive and finite: the one lambda rule of every record and sweep point."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    return lam
+
+
 class _Validated:
     """Mixin for a named-tuple record whose ``__new__`` validates: ``_replace`` goes through it."""
 
@@ -195,7 +202,7 @@ class BinaryRIProblem(_Validated, namedtuple("BinaryRIProblem", "states prior ad
     states:    ordered labels, kept only for reporting
     prior:     probability of each state, sums to one
     advantage: payoff gain of action 1 over action 0, per state
-    lam:       price of information in utils per nat, strictly positive
+    lam:       price of information in utils per nat, positive and finite
     """
 
     __slots__ = ()
@@ -217,9 +224,7 @@ class BinaryRIProblem(_Validated, namedtuple("BinaryRIProblem", "states prior ad
         for v in advantage:
             if not math.isfinite(v):
                 raise ValueError(f"advantage must be finite, got {v!r}")
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise ValueError(f"lam must be strictly positive, got {lam!r}")
-        return tuple.__new__(cls, (states, prior, advantage, lam))
+        return tuple.__new__(cls, (states, prior, advantage, _checked_lam(lam)))
 
 
 class ChoiceRule(_Validated, namedtuple("ChoiceRule", "conditional unconditional degenerate info_cost")):

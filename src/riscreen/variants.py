@@ -207,9 +207,7 @@ class ReferencePriorProblem(
                 raise ValueError(f"invalid distribution {dist!r}")
         if min(reference_prior) <= 0.0:
             raise ValueError("reference prior must have full support")
-        if not lam > 0.0:
-            raise ValueError("lam must be positive")
-        return tuple.__new__(cls, (true_prior, reference_prior, lam))
+        return tuple.__new__(cls, (true_prior, reference_prior, ri_core._checked_lam(lam)))
 
 
 class PriorInvariantResult(namedtuple("PriorInvariantResult", "pi_bar_q interior signal")):
@@ -311,12 +309,8 @@ def _signal_for_success_probs(r: float, nu_m: float, nu_w: float) -> PromotionSi
     :func:`signal_from_odds` at A = nu_m (1 - nu_w), B = nu_w (1 - nu_m); None
     when degenerate (no incentives, so no indifference condition can hold).
     """
-    A = nu_m * (1.0 - nu_w)
-    B = nu_w * (1.0 - nu_m)
-    if A <= r * B or B <= r * A:
-        return None
-    pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
-    return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    interior = signal_from_odds(nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m), r)
+    return None if interior is None else PromotionSignal(*interior, interior[1])
 
 
 def _odds(num: float, den: float) -> float:
@@ -374,7 +368,9 @@ def mixed_equilibria(game: GameParams) -> list:
       k s(1+s^2) is a palindromic quartic, so u = s + 1/s solves
       r u^2 + k u - (1+r)^2 = 0; its positive root (1/k when r underflows to
       0) gives the roots s and 1/s in closed form when u > 2, with
-      u - 2 = e (e - 2c(1+r))/(r (u+2) + k), e = 1 - r, free of cancellation;
+      u - 2 = e (e - 2c(1+r))/(r (u+2) + k), e = 1 - r, free of cancellation
+      (e - 2c(1+r) is (1 - 2c) - r(1 + 2c) once 2c >= 1/2, so r <= 1/3 near
+      lambda_star, where 1 - 2c is exact);
     * m mixing against a shirking w (w_x = 1-mu_lo, w_y = mu_lo; rho rises
       with sigma), kept when w indeed prefers to shirk, and the mirror with
       w mixing against a working m (w_x = mu_hi, w_y = 1-mu_hi; rho falls).
@@ -427,7 +423,8 @@ def _mixed(variants: _Variants, lam: float) -> list:
         # lam = lambda_star): a tangency, not a pair of sign changes
         if u > 2.0 * (1.0 + 4.0 * sys.float_info.epsilon):
             e = -math.expm1(-1.0 / lam)
-            u_minus_2 = e * (e - 2.0 * c * (1.0 + r)) / (r * (u + 2.0) + k)
+            gap = (1.0 - 2.0 * c) - r * (1.0 + 2.0 * c) if c >= 0.25 else e - 2.0 * c * (1.0 + r)
+            u_minus_2 = e * gap / (r * (u + 2.0) + k)
             s = 0.5 * (u + math.sqrt(u_minus_2 * (u + 2.0)))
             for nu_m in (1.0 / (1.0 + s), s / (1.0 + s)):
                 sig = _signal_for_success_probs(r, nu_m, 1.0 - nu_m)
@@ -520,8 +517,9 @@ def continuous_effort_equilibria(
         r = math.exp(-1.0 / lam)
         points = [(0.0, 0.0)]
         for i, j, nu_m, nu_w, A, B in pairs:
-            if A > r * B and B > r * A:
-                pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+            interior = signal_from_odds(A, B, r)
+            if interior is not None:
+                pi_minus, pi_bar, pi_plus = interior
                 gain_m, gain_w = _gains(nu_m, nu_w, pi_plus - pi_bar, pi_bar - pi_minus)
                 if best_response(gain_m) == i and best_response(gain_w) == j:
                     points.append((nu_m, nu_w))

@@ -252,8 +252,9 @@ def direct_ic_equilibria(params: GameParams, tol: float = 1e-12) -> list:
 
 def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> list:
     """The exhaustive numpy scan of every grid_size^2 effort pair, the oracle
-    of :func:`riscreen.variants.continuous_effort_equilibria`."""
-    from riscreen.baseline_game import signal_from_odds
+    of :func:`riscreen.variants.continuous_effort_equilibria`. The interior
+    signal is written out here, so the scan shares no code with the library's
+    kernel."""
     from riscreen.variants import EffortGridResult
 
     grid = np.linspace(0.0, 1.0, grid_size)
@@ -266,7 +267,9 @@ def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> li
         r = math.exp(-1.0 / lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             interior = (A > r * B) & (B > r * A)
-            pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+            pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
+            pi_plus = (A - r * B) / ((1.0 - r * r) * A)
+            pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
             X = np.where(interior, pi_plus - pi_bar, 0.0)
             Y = np.where(interior, pi_bar - pi_minus, 0.0)
         gain_m = (1.0 - nu_w) * X + nu_w * Y

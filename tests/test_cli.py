@@ -253,6 +253,27 @@ class TestOtherCommands:
         code, out, err = run([command, *game], capsys)
         assert code == 0 and out and "Traceback" not in err
 
+    #: B = mu_lo (1 - mu_hi) underflows to 0: the (hi, lo) signal is degenerate at every lam
+    UNDERFLOW = ["--mu-hi", "0.9999999999999999", "--mu-lo", "5e-324", "--cost", "0.07"]
+
+    @pytest.mark.parametrize("argv", [
+        ["signal", "--lambda", ".3", "--profile", "hi,lo", "--oracle"],
+        ["thresholds"],
+        ["equilibria", "--lambda", ".3"],
+        *(["regimes", "--analysis", a, "--lambda-steps", "4"] for a in ("baseline", "quota", "multitask", "variants")),
+        ["quota", "--lambda", ".3"],
+        ["multitask", "--lambda", ".3", "--task1", "0.5,1.0,0.028", "--task2", "0.5,1.0,0.03"],
+        *(["variants", "--which", which, "--lambda", ".3", "--ref-prior", "0.2,0.5,0.3"]
+          for which in ("heterogeneous", "commitment", "prior-invariant", "mixed", "continuous")),
+    ])
+    def test_every_subcommand_where_B_underflows(self, argv, capsys):
+        # an exception out of main fails the test; exit 2 only with the quota's domain error
+        code, out, err = run([*argv, *self.UNDERFLOW], capsys)
+        quota = "quota" in argv
+        assert (code, err) == ((2, "error: quota analysis requires mu_hi + mu_lo > 1 (got 0.9999999999999999)\n")
+                               if quota else (0, ""))
+        assert bool(out) is not quota
+
     def test_equilibria_marks_most_profitable(self, capsys):
         code, out, _ = run(["equilibria", *CANON, "--lambda", ".3"], capsys)
         assert code == 0

@@ -1,5 +1,8 @@
 """Records are immutable named tuples: their repr, equality, hashing and validation."""
 
+import math
+import re
+
 import pytest
 
 import riscreen
@@ -132,3 +135,14 @@ def test_sequence_inputs_become_float_tuples():
     assert all(type(v) is float for v in ref.true_prior)
     with pytest.raises(ValueError, match="invalid distribution"):
         ref._replace(reference_prior=[1, 2, 1])
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_every_record_with_a_lam_checks_it_by_one_rule(lam):
+    message = re.escape(f"lam must be positive and finite, got {lam!r}")
+    with pytest.raises(ValueError, match=message):
+        GAME._replace(lam=lam)
+    with pytest.raises(ValueError, match=message):
+        PROBLEM._replace(lam=lam)
+    with pytest.raises(ValueError, match=message):
+        REF._replace(lam=lam)

@@ -8,7 +8,7 @@ shared results must equal the per-profile ones bit for bit.
 import pytest
 from hypothesis import given, settings
 
-from riscreen import PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set, thresholds
+from riscreen import PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
 from riscreen.baseline_game import _profile_signals
 
 import helpers
@@ -62,5 +62,5 @@ def test_one_tilt_and_one_tilted_kernel_per_enumeration(monkeypatch, lam):
     quota_equilibrium_set(game)
     assert counts == {"_tilt": 1, "signal_from_odds": 0}
     equilibrium_set(game)
-    # the (hi, lo) kernel is interior only below lambda_breve
-    assert counts == {"_tilt": 1, "signal_from_odds": int(lam < thresholds(game).lambda_breve)}
+    # the (hi, lo) kernel decides interior vs corner itself, at every lam
+    assert counts == {"_tilt": 1, "signal_from_odds": 1}

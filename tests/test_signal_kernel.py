@@ -15,7 +15,9 @@ oracles written here:
 * a 20,000-point scan of the same gaps: the counts agree.
 
 Near lambda_star both scans also sample the balanced gap at geometric
-offsets from nu_m = 1/2, which its two roots straddle there.
+offsets from nu_m = 1/2, which its two roots straddle there, and refine
+those roots in exact arithmetic, since rounding moves a float root of the
+nearly tangent gap by up to about 3e-10.
 
 A game on which the 400-point scan misses a pair of roots inside one grid
 cell is pinned as a regression; games at lam = lambda_star and where r
@@ -46,7 +48,7 @@ from riscreen import (
     ri_core,
     variants,
 )
-from riscreen.baseline_game import lambda_star, signal_from_odds
+from riscreen.baseline_game import lambda_star
 
 import helpers
 
@@ -83,13 +85,18 @@ def branch_odds(game, branch, sigma, num=float):
 
 
 def reference_gap(game, branch, sigma):
-    """The gap on a numpy array of sigma values, -c where the signal is degenerate."""
+    """The gap on a numpy array of sigma values, -c where the signal is degenerate.
+
+    The interior signal is written out here, so the scan shares no code with
+    the library's kernel."""
     r = math.exp(-1.0 / game.lam)
     nu_m, nu_w, w_x, w_y = branch_odds(game, branch, np.asarray(sigma, dtype=float))
     A = nu_m * (1.0 - nu_w)
     B = nu_w * (1.0 - nu_m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi_minus, pi_bar, pi_plus = signal_from_odds(A, B, r)
+        pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
+        pi_plus = (A - r * B) / ((1.0 - r * r) * A)
+        pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
         gap = w_x * (pi_plus - pi_bar) + w_y * (pi_bar - pi_minus) - game.c
     return np.where((A <= r * B) | (B <= r * A), -game.c, gap)
 
@@ -103,6 +110,19 @@ def exact_gap(game, branch, sigma):
         return -c
     K = (A - r * B) * (B - r * A) / ((1 - r * r) * (A + B))
     return w_x * K / A + w_y * K / B - c
+
+
+def exact_root(game, branch, sigma, width=1e-9, steps=24):
+    """sigma moved to the sign change of exact_gap within sigma +- width, by
+    bisection down to 2 width / 2**steps; sigma itself where there is none."""
+    lo, hi = Fraction(sigma) - Fraction(width), Fraction(sigma) + Fraction(width)
+    below = exact_gap(game, branch, lo) > 0
+    if below == (exact_gap(game, branch, hi) > 0):
+        return sigma
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (exact_gap(game, branch, mid) > 0) == below else (lo, mid)
+    return float((lo + hi) / 2)
 
 
 def reference_scan(gap, lo, hi, samples, extra=()):
@@ -134,7 +154,9 @@ def reference_mixed_equilibria(game, samples=400):
 
     Within 1e-6 relative of lambda_star the balanced scan also samples
     nu_m = 1/2 +- _NEAR_HALF, so it resolves a root pair down to about 1e-8
-    either side of 1/2.
+    either side of 1/2. There the balanced gap is nearly tangent to 0, and its
+    rounding moves a float root by up to about 3e-10, so each root is refined
+    with :func:`exact_root`.
     """
     c, mu_lo, delta_mu = game.c, game.mu_lo, game.delta_mu
     found = []
@@ -150,9 +172,12 @@ def reference_mixed_equilibria(game, samples=400):
             def balanced(nu_m):
                 return reference_gap(game, "balanced", (nu_m - mu_lo) / delta_mu)
 
+            tangent = abs(game.lam / lambda_star(game) - 1.0) <= 1e-6
             near = np.concatenate((0.5 - _NEAR_HALF, 0.5 + _NEAR_HALF))
-            near = near[(lo < near) & (near < hi)] if abs(game.lam / lambda_star(game) - 1.0) <= 1e-6 else ()
+            near = near[(lo < near) & (near < hi)] if tangent else ()
             for nu_m in reference_scan(balanced, lo, hi, samples, near):
+                if tangent:
+                    nu_m = mu_lo + exact_root(game, "balanced", (nu_m - mu_lo) / delta_mu) * delta_mu
                 sig = reference_signal(game, nu_m, 1.0 - nu_m)
                 sigma_m = (nu_m - mu_lo) / delta_mu
                 sigma_w = (1.0 - nu_m - mu_lo) / delta_mu
@@ -236,6 +261,9 @@ def games(draw):
 # subtraction put the balanced sigma 2.8e-10 and 1.8e-10 off
 @example(game=GameParams(0.75, 0.25, 0.005859375, 21.32942650971451))
 @example(game=GameParams(0.5010808493470605, 0.3179167529378243, 0.01066504072394105, 4.2740833939723055))
+# 1.4e-13 below lambda_star at r = 0.029 (2c >= 1/2): an e - 2c(1 + r) formed by
+# subtraction put the balanced sigma 5.3e-10 off
+@example(game=GameParams(0.7182399803446649, 0.4931375835895383, 0.10626623731596745, 0.2816839431148405))
 def test_mixed_equilibria_match_scalar_scan(game):
     check_against_oracles(game)
 
@@ -352,15 +380,3 @@ def test_mixed_equilibria_make_no_root_search(game):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ri_core, "find_root", refuse)
         mixed_equilibria(game)
-
-
-def test_signal_from_odds_arrays_match_floats_bit_for_bit():
-    rng = np.random.default_rng(11)
-    A = rng.uniform(1e-6, 1.0, size=300)
-    B = rng.uniform(1e-6, 1.0, size=300)
-    for r in (0.0, 1e-300, 0.03, 0.5, 0.97, 1.0 - 1e-12):
-        arrays = signal_from_odds(A, B, r)
-        floats = [signal_from_odds(float(a), float(b), r) for a, b in zip(A, B)]
-        for k in range(3):
-            assert all(isinstance(f[k], float) for f in floats)
-            assert arrays[k].tobytes() == np.array([f[k] for f in floats]).tobytes()
