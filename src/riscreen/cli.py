@@ -99,28 +99,38 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
     header names, floats at 12 digits, and the flat meta dict, scalars through _scalar.
 
     Every row holds a cell for each header column. The header is sorted into
-    key order once; a repeated name keeps its last column, as in a dict. A
-    float is formatted once: its ``.12g`` text with a point and no exponent is
-    already its ``repr`` (a decimal of at most 12 digits is the shortest repr
-    of its double, and repr writes [1e-4, 1e16) positionally). Any other
-    float, a float subclass included, is written as ``repr(float(text))``.
+    key order once; a repeated name keeps its last column, as in a dict. The
+    rows are written column by column into one row template: a column that
+    holds the same object on every row (by identity, so -0.0 and 0.0 or two
+    nans never merge) is formatted once into the template, and each row is
+    ``template % cells`` of the other columns. An all-``float`` column takes
+    ``.12g`` in one pass, whose text with a point and no exponent is already
+    its ``repr`` (a decimal of at most 12 digits is the shortest repr of its
+    double, and repr writes [1e-4, 1e16) positionally); other floats, a float
+    subclass included, are written as ``repr(float(text))`` (see _cell).
     """
     import json
     quote = json.encoder.encode_basestring_ascii
-    columns = [("\n      " + quote(k) + ": ", i) for k, i in sorted({k: i for i, k in enumerate(header)}.items())]
-    texts = []
-    for row in rows:
-        cells = []
-        for key, i in columns:
-            v = row[i]
-            if isinstance(v, float):
-                text = f"{v:.12g}"
-                if "." not in text or "e" in text or v.__class__ is not float:
-                    text = _scalar(float(text), quote)
-            else:
-                text = _scalar(v, quote)
-            cells.append(key + text)
-        texts.append("{" + ",".join(cells) + "\n    }" if cells else "{}")
+    pieces, columns = [], []
+    for name, i in sorted({k: i for i, k in enumerate(header)}.items()):
+        cells = [row[i] for row in rows]
+        key = "\n      " + quote(name) + ": "
+        if rows and all(v is cells[0] for v in cells):
+            pieces.append((key + _cell(cells[0], quote)).replace("%", "%%"))
+            continue
+        pieces.append(key.replace("%", "%%") + "%s")
+        kinds = {v.__class__ for v in cells}
+        if kinds == {float}:
+            columns.append([t if "." in t and "e" not in t else _scalar(float(t), quote)
+                            for t in [f"{v:.12g}" for v in cells]])
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, cells))
+        elif kinds == {str}:
+            columns.append(map(quote, cells))
+        else:
+            columns.append([_cell(v, quote) for v in cells])
+    template = "{" + ",".join(pieces) + "\n    }" if pieces else "{}"
+    texts = [template % cells for cells in (zip(*columns) if columns else [()] * len(rows))]
     body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
     head = "{" + ",".join(f"\n    {quote(k)}: {_scalar(v, quote)}" for k, v in sorted(meta.items())) + ("\n  }" if meta else "}")
     return f'{{\n  "meta": {head},\n  "rows": {body},\n  "schema": {quote(SCHEMA_VERSION)}\n}}\n'
@@ -128,6 +138,14 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
 
 #: json's text where repr's is not JSON: the three constants and the non-finite floats
 _WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cell(v, quote) -> str:
+    """The JSON text of one sweep cell: a float at 12 digits, any other scalar through _scalar."""
+    if not isinstance(v, float):
+        return _scalar(v, quote)
+    text = f"{v:.12g}"
+    return text if "." in text and "e" not in text and v.__class__ is float else _scalar(float(text), quote)
 
 
 def _scalar(obj, quote) -> str:
@@ -489,7 +507,8 @@ class _CommandParser(argparse.ArgumentParser):
     subcommand runs ``ArgumentParser.__init__`` (its ``-h`` included) and its
     argument code: each ``add_argument`` formats through a HelpFormatter,
     which asks for the terminal size. argparse reaches a subcommand's parser
-    through ``parse_known_args`` only. :func:`main` shares parsers between
+    through ``parse_known_args`` only, and so does :func:`main` when argv
+    starts with the subcommand's name. :func:`main` shares parsers between
     calls, so the build runs under a lock and ``_built`` is set only once
     the parser is complete: no thread parses with a half-built parser.
     """
@@ -604,7 +623,11 @@ _COMMANDS = (
 
 
 def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
-    cfg = cfg or {}
+    return _build_parser(cfg or {})[0]
+
+
+def _build_parser(cfg: dict) -> tuple:
+    """build_parser(cfg) and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="riscreen",
         description="Promotion-game analysis under mutual-information attention costs.",
@@ -613,7 +636,7 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, help_text, add_arguments in _COMMANDS:
         sub.add_parser(name, help=help_text, add_arguments=functools.partial(add_arguments, cfg=cfg))
-    return parser
+    return parser, sub.choices
 
 
 # --config belongs to the top-level parser: look for it before the subcommand only
@@ -621,32 +644,49 @@ _PROBE = argparse.ArgumentParser(add_help=False)
 _PROBE.add_argument("--config", default=None)
 _PROBE.add_argument("command", nargs=argparse.REMAINDER)
 
-#: the top-level parser of :func:`main` without --config, built on first use
-#: and assigned only once complete; a --config run builds its own parser
+#: the subcommand names that :func:`main` hands straight to their parsers
+_NAMES = frozenset(name for name, _, _ in _COMMANDS)
+
+#: the top-level parser of :func:`main` without --config and its subcommand parsers by
+#: name, built on first use and assigned only once complete; a --config run builds its own
 _PARSER = None
 
 
 def main(argv=None) -> int:
+    """Run the command line on argv (default ``sys.argv[1:]``) and return its exit code.
+
+    A leading subcommand name is parsed by that subcommand's parser alone. That
+    is ``parse_args(argv)`` of the top-level parser, field for field: argparse
+    hands every token after the name to the subcommand's parser unchanged, and
+    --config is read only before the name. Leftover tokens go back through the
+    top-level parser, which reports them. Any other argv (an option first, an
+    unknown command, none) takes the --config probe and the top-level parse.
+    """
     global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
-    known, _ = _PROBE.parse_known_args(argv)
-    if known.config is None:
-        parser = _PARSER
-        if parser is None:
-            parser = _PARSER = build_parser()
+    direct = bool(argv) and argv[0] in _NAMES
+    config = None if direct else _PROBE.parse_known_args(argv)[0].config
+    if config is None:
+        shared = _PARSER
+        if shared is None:
+            shared = _PARSER = _build_parser({})
+        parser, commands = shared
     else:
         import json
         try:
-            with open(known.config) as fh:
+            with open(config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {known.config!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot read config {config!r}: {exc}", file=sys.stderr)
             return 2
         if not isinstance(cfg, dict):
-            print(f"error: config {known.config!r} must hold a JSON object", file=sys.stderr)
+            print(f"error: config {config!r} must hold a JSON object", file=sys.stderr)
             return 2
         parser = build_parser(cfg)
-    args = parser.parse_args(argv)
+    if direct:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(config=None, command=argv[0]))
+    if not direct or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, bg.BracketError, ri_core.ConvergenceError) as exc:

@@ -130,13 +130,11 @@ def bind_high_effort(game: GameParams) -> BindingHighSolution | None:
 
 def _bind_high_effort(variants: _Variants, lam: float) -> BindingHighSolution | None:
     """bind_high_effort at lam of the game whose lambda-independent part is variants."""
-    base, c = variants.base, variants.base.c
-    if not c < 0.5:
+    if variants.bound is None:
         return None
-    s = base.mu_hi * (1.0 - base.mu_hi)
-    nu = s * (lam * variants.log_gamma_star - 1.0)
-    signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5)
-    return BindingHighSolution(nu, signal, _value(base.priors[0], signal, lam, base.costs, (1.0, 1.0)).profit)
+    signal, V, I = variants.bound
+    s = variants.base.mu_hi * (1.0 - variants.base.mu_hi)
+    return BindingHighSolution(s * (lam * variants.log_gamma_star - 1.0), signal, V - lam * I)
 
 
 def commitment_solve(game: GameParams) -> CommitmentSolution:
@@ -384,9 +382,10 @@ def mixed_equilibria(game: GameParams) -> list:
 
 
 #: the lambda-independent part of commitment_solve, bind_high_effort and mixed_equilibria: the
-#: _game, lambda_star, ln gamma*, the balanced branch's nu_m window or None, and the odds of m's
-#: and of w's branch at the sigma edges
-_Variants = namedtuple("_Variants", "base lam_star log_gamma_star window rho_m rho_w")
+#: _game, lambda_star, ln gamma*, the bound rule's signal, V and I at (hi, hi) or None when
+#: c >= 1/2, the balanced branch's nu_m window or None, and the odds of m's and of w's branch
+#: at the sigma edges
+_Variants = namedtuple("_Variants", "base lam_star log_gamma_star bound window rho_m rho_w")
 
 
 def _variants_game(game: GameParams) -> _Variants:
@@ -397,7 +396,13 @@ def _variants_game(game: GameParams) -> _Variants:
     nu_edges = (mu_lo + _SIGMA_EDGE * delta_mu, mu_lo + (1.0 - _SIGMA_EDGE) * delta_mu)
     rho_m = [_odds(nu * (1.0 - mu_lo), mu_lo * (1.0 - nu)) for nu in nu_edges]
     rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
-    return _Variants(_game(game), lambda_star(game), _log_gamma_star(game.c),
+    base = _game(game)
+    c = base.c
+    bound = None
+    if c < 0.5:  # the bound rule reads no lam; its profit at lam is V - lam I, as _value forms it
+        rec = _value(base.priors[0], PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5), 1.0, base.costs, (1.0, 1.0))
+        bound = rec.signal, rec.revenue, rec.info_cost
+    return _Variants(base, lambda_star(game), _log_gamma_star(c), bound,
                      (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
 
 

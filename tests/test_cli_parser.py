@@ -125,6 +125,63 @@ def test_an_edited_config_takes_effect_in_the_same_process(tmp_path, capsys):
     assert first != second
 
 
+def dispatch_cases(cfg_path) -> list:
+    """(argv, the config that --config loads or None): a leading subcommand and every other shape of argv."""
+    game = [*CANON, "--lambda", ".3"]
+    cfg = {"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}
+    cfg_path.write_text(json.dumps(cfg))
+    path = str(cfg_path)
+    argvs = [
+        ["signal", *game, "--profile", "hi,hi"],
+        ["thresholds", *CANON],
+        ["equilibria", *game],
+        ["regimes", *CANON, "--lambda-steps", "3", "--format", "json"],
+        ["quota", *game],
+        ["multitask", *game, "--task1", "0.5,1.0,0.028", "--task2", "0.5,1.0,0.03"],
+        ["variants", "--which", "commitment", *game],
+        ["reproduce"],
+        *([name, "-h"] for name in COMMANDS),
+        ["regimes", *CANON, "stray"],
+        ["equilibria", *game, "--"],
+        ["equilibria", "--", *game],
+        ["equilibria", *CANON, "--", "--lambda", ".3"],
+        ["equilibria", *CANON, "--lam", ".3"],  # a unique prefix of --lambda
+        ["equilibria", "--mu", ".8", "--mu-lo", ".6", "--lambda", ".3"],  # --mu-hi or --mu-lo
+        ["equilibria", "--mu-hi", "x", "--mu-lo", ".6", "--lambda", ".3"],
+        ["regimes", *CANON, "--format", "xml"],
+        ["equilibria", "--mu-hi", ".8"],
+        ["equilibria", "--config", path],
+        ["equilibria", *game, "--config", path],
+        [],
+        [""],
+        ["-x", "equilibria"],
+    ]
+    return [(argv, None) for argv in argvs] + [(["--config", path, "equilibria"], cfg), (["--conf", path, "equilibria"], cfg)]
+
+
+def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, capsys, monkeypatch, uncached_parsers):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []  # the Namespace of each run that reached its subcommand
+    for name in COMMANDS:
+        real = getattr(cli, f"cmd_{name}")
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args, real=real: seen.append(args) or real(args))
+
+    def reference(argv, cfg):
+        try:
+            args = cli.build_parser(cfg).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+        return args.func(args)
+
+    for argv, cfg in dispatch_cases(tmp_path / "cfg.json"):
+        got = outcome(list(argv), capsys), seen[:]
+        seen.clear()
+        want = (reference(list(argv), cfg), *capsys.readouterr()), seen[:]
+        seen.clear()
+        assert got == want, argv
+        assert len(got[1]) == (got[0][0] == 0 and "-h" not in argv), argv
+
+
 def _env():
     src = str(Path(cli.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -227,6 +284,11 @@ def _around(x: float) -> list:
     return [math.nextafter(below, 0.0), below, x, above, math.nextafter(above, math.inf), x * (1.0 - 4e-13)]
 
 
+def _down(v) -> dict:
+    """A three-row sweep whose column "x" holds the object v on every row."""
+    return {"header": ["lam", "x"], "cells": [[0.5 * i, v] for i in range(3)], "meta": {}}
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([
@@ -256,6 +318,21 @@ _CELLS = st.one_of(
 @example(header=["a", "b", "a", "a", "c", "b"], cells=[[1.5, 2, "x", 0.1, None, True], [0.0, 1, "y", 2.5, False, 3.0]], meta={})
 @example(header=[], cells=[[1.5, 2, "x", 0.1, None, True], [0.0, 1, "y", 2.5, False, 3.0]], meta={})
 @example(header=[], cells=[], meta={})
+# one object down a column is formatted once, into the row template
+@example(**_down(0.1 + 0.2))
+@example(**_down(math.nan))
+@example(**_down(-0.0))
+@example(**_down(_Padded(0.25)))
+@example(**_down(2**70))
+@example(**_down(True))
+@example(**_down(None))
+@example(**_down("hi,lo"))
+@example(header=["%", "%s", "%%", "%(x)s"], cells=[["%", "%s", "%%", "%(x)s"], ["%(x)s", "%s", "%", "%%"]], meta={"%s": "%(x)s"})
+@example(header=list("abc"), cells=[[1e-7, "%s", None]] * 3, meta={})
+@example(header=list("abcdef"), cells=[[1.5, 2, "x%", 0.1, None, True]], meta={})
+@example(header=["a", "b", "a"], cells=[[1.0, 2, -0.0], [3.0, 4, -0.0]], meta={})
+# equal cells that are not one object keep their own texts
+@example(header=["x", "y"], cells=[[0.0, 1], [-0.0, True]], meta={})
 def test_sweep_writer_equals_dumps_of_the_rounded_rows(header, cells, meta):
     rows = [row[: len(header)] for row in cells]
     payload = {

@@ -178,6 +178,19 @@ class TestCommitment:
             bound.signal.as_tuple(), optimal_signal(game, (HI, HI)).as_tuple(), rtol=0.0, atol=1e-12
         )
 
+    def test_profit_is_the_evaluated_bound_rule(self):
+        # the bound rule is valued once per game: its profit at each lam is evaluate's, bit for bit
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            mu_hi = float(rng.uniform(0.52, 0.99))
+            mu_lo = float(rng.uniform(0.01, mu_hi - 0.01))
+            c = 0.5 - float(10.0 ** rng.uniform(-12.0, -1.0))
+            base = GameParams(mu_hi, mu_lo, c * (mu_hi - mu_lo), 1.0)
+            for factor in (0.5, 0.999, 1.001, 3.0):
+                game = base._replace(lam=lambda_star(base) * factor)
+                bound = bind_high_effort(game)
+                assert bound.profit.hex() == evaluate(game, (HI, HI), bound.signal).profit.hex()
+
     def test_priced_constraints_keep_impartiality(self):
         game = GAME._replace(lam=lambda_star(GAME) * 1.02)
         sol = bind_high_effort(game)
