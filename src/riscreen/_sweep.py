@@ -1,0 +1,205 @@
+"""The regimes sweep: its rows, its CSV and JSON writers and its SVG strip chart.
+
+A deferred module: ``import riscreen`` registers it, and ``cli.cmd_regimes``
+runs its body on first use, so no other command compiles it. Machine output carries 12 significant digits and
+is byte-deterministic for a fixed configuration (see ``cli``).
+"""
+
+from __future__ import annotations
+
+import io
+import math
+
+from . import baseline_game as bg
+from . import multitask as mt
+from . import quota_policy as qp
+from . import ri_core
+from . import variants as va
+from .cli import _TAGS, SCHEMA_VERSION, _emit, _lam_grid, _parse_triple
+
+_REGIME_HEADER = [
+    "lam",
+    "eq_hi_hi",
+    "eq_hi_lo",
+    "eq_lo_hi",
+    "eq_lo_lo",
+    "most_profitable",
+    "best_profit",
+    "welfare_order",
+    "lambda_low",
+    "lambda_star",
+    "lambda_high",
+    "condition5",
+]
+
+
+def _regime_row(lam: float, records: list, cut_cells: list) -> list:
+    """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells."""
+    present = {r.profile for r in records}
+    ties = bg.most_profitable_among(records)
+    welfare = ">".join([_TAGS[r.profile] for r in bg.welfare_ordering(records)])
+    return [lam, *[int(profile in present) for profile in bg.PROFILES],
+            "|".join(sorted([_TAGS[r.profile] for r in ties])), max([r.profit for r in ties]), welfare, *cut_cells]
+
+
+def _regime_svg(rows: list) -> str:
+    colors = {
+        (1, 0, 0, 0): "#2166ac",  # impartial high only
+        (1, 1, 1, 0): "#92c5de",  # high + discriminatory
+        (1, 1, 1, 1): "#f4a582",  # all four
+        (0, 1, 1, 1): "#d6604d",  # low + discriminatory
+        (0, 0, 0, 1): "#b2182b",  # impartial low only
+    }
+    width, height = 800.0, 60.0
+    n = len(rows)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height + 30:g}">'
+    ]
+    for i, row in enumerate(rows):
+        key = (row[1], row[2], row[3], row[4])
+        color = colors.get(key, "#999999")
+        x = width * i / n
+        parts.append(
+            f'<rect x="{x:.2f}" y="0" width="{width / n:.2f}" height="{height:g}" fill="{color}"/>'
+        )
+    parts.append(
+        f'<text x="0" y="{height + 20:g}" font-size="12">lambda from {rows[0][0]:.12g} to {rows[-1][0]:.12g}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def regimes(args) -> int:
+    base = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, 1.0)
+    grid = _lam_grid(args)
+    if args.svg is not None and args.analysis not in ("baseline", "quota"):
+        raise ValueError("the regime strip chart is defined for baseline/quota sweeps")
+    meta = {
+        "analysis": args.analysis,
+        "mu_hi": f"{args.mu_hi:.12g}",
+        "mu_lo": f"{args.mu_lo:.12g}",
+        "cost": f"{args.cost:.12g}",
+        "seed": str(args.seed),
+    }
+    if args.analysis == "multitask":
+        tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
+    # prepare once, after the first lambda is checked; each point checks its own by the one lambda rule
+    check = ri_core._checked_lam
+    check(grid[0])
+    rows = []
+    header = list(_REGIME_HEADER)
+    if args.analysis in ("baseline", "quota"):
+        quota = args.analysis == "quota"
+        game = qp._quota_game(base) if quota else bg._game(base)
+        solve = qp._quota_equilibria if quota else bg._pure_equilibria
+        cuts = bg.thresholds(base)
+        cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
+        rows = [_regime_row(lam, solve(game, check(lam)), cut_cells) for lam in grid]
+    elif args.analysis == "multitask":
+        header = ["lam", "n_equilibria", "most_profitable", "best_payoff"]
+        game = mt._multitask_game(base, tasks)
+        for lam in grid:
+            records = mt._multitask_equilibria(game, check(lam))
+            winners = mt.most_profitable_among(records, tasks)
+            classes = "|".join(sorted({w.classification for w in winners}))
+            rows.append([lam, len(records), classes, winners[0].payoff if winners else math.nan])
+    else:  # variants
+        header = ["lam", "commitment_profile", "commitment_profit", "n_mixed"]
+        game = va._variants_game(base)
+        for lam in grid:
+            sol = va._commitment(game, check(lam))
+            rows.append([lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, lam))])
+    text = (
+        _rows_to_json(header, rows, meta)
+        if args.format == "json"
+        else _rows_to_csv(header, rows, meta)
+    )
+    _emit(text, args.out)
+    if args.svg is not None:
+        _emit(_regime_svg(rows), args.svg)
+    return 0
+
+
+def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
+    import csv
+    buf = io.StringIO()
+    buf.write(f"# schema={SCHEMA_VERSION}\n")
+    for key in sorted(meta):
+        buf.write(f"# {key}={meta[key]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def _rows_to_json(header: list, rows: list, meta: dict) -> str:
+    """``json.dumps(sweep, sort_keys=True, indent=2)`` and a newline: the rows as dicts of
+    header names, floats at 12 digits, and the flat meta dict, scalars through _scalar.
+
+    Every row holds a cell for each header column. The header is sorted into
+    key order once; a repeated name keeps its last column, as in a dict. The
+    rows are written column by column into one row template: a column that
+    holds the same object on every row (by identity, so -0.0 and 0.0 or two
+    nans never merge) is formatted once into the template, and each row is
+    ``template % cells`` of the other columns. An all-``float`` column takes
+    ``.12g`` in one pass, whose text with a point and no exponent is already
+    its ``repr`` (a decimal of at most 12 digits is the shortest repr of its
+    double, and repr writes [1e-4, 1e16) positionally); other floats, a float
+    subclass included, are written as ``repr(float(text))`` (see _cell).
+    """
+    import json
+    quote = json.encoder.encode_basestring_ascii
+    pieces, columns = [], []
+    for name, i in sorted({k: i for i, k in enumerate(header)}.items()):
+        cells = [row[i] for row in rows]
+        key = "\n      " + quote(name) + ": "
+        if rows and all(v is cells[0] for v in cells):
+            pieces.append((key + _cell(cells[0], quote)).replace("%", "%%"))
+            continue
+        pieces.append(key.replace("%", "%%") + "%s")
+        kinds = {v.__class__ for v in cells}
+        if kinds == {float}:
+            columns.append([t if "." in t and "e" not in t else _scalar(float(t), quote)
+                            for t in [f"{v:.12g}" for v in cells]])
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, cells))
+        elif kinds == {str}:
+            columns.append(map(quote, cells))
+        else:
+            columns.append([_cell(v, quote) for v in cells])
+    template = "{" + ",".join(pieces) + "\n    }" if pieces else "{}"
+    texts = [template % cells for cells in (zip(*columns) if columns else [()] * len(rows))]
+    body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    head = "{" + ",".join(f"\n    {quote(k)}: {_scalar(v, quote)}" for k, v in sorted(meta.items())) + ("\n  }" if meta else "}")
+    return f'{{\n  "meta": {head},\n  "rows": {body},\n  "schema": {quote(SCHEMA_VERSION)}\n}}\n'
+
+
+#: json's text where repr's is not JSON: the three constants and the non-finite floats
+_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cell(v, quote) -> str:
+    """The JSON text of one sweep cell: a float at 12 digits, any other scalar through _scalar."""
+    if not isinstance(v, float):
+        return _scalar(v, quote)
+    text = f"{v:.12g}"
+    return text if "." in text and "e" not in text and v.__class__ is float else _scalar(float(text), quote)
+
+
+def _scalar(obj, quote) -> str:
+    """The JSON text of a scalar as ``json`` writes it, with no encoder built.
+
+    ``float.__repr__``, ``int.__repr__`` and _WORDS; strings through ``quote``
+    (``json.encoder.encode_basestring_ascii``).
+    """
+    if isinstance(obj, str):
+        return quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return _WORDS[repr(obj)]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _WORDS.get(text, text)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

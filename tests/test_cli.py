@@ -405,6 +405,42 @@ def test_cli_never_loads_typing():
     assert done.returncode == 0, done.stderr
 
 
+_GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
+_HET = ["--cost-m", ".07", "--cost-w", ".07"]
+
+
+@pytest.mark.parametrize("argv, bodies", [
+    (["reproduce", "--json"], {"ri_core", "baseline_game", "quota_policy"}),
+    (["signal", *_GAME, "--profile", "hi,lo", "--oracle"], {"ri_core", "baseline_game"}),
+    (["equilibria", *_GAME], {"ri_core", "baseline_game"}),
+    (["quota", *_GAME], {"ri_core", "baseline_game", "quota_policy"}),
+    (["regimes", "--analysis", "baseline", *_GAME[:6], "--lambda-steps", "8", "--format", "json"],
+     {"ri_core", "baseline_game", "_sweep"}),
+    (["variants", "--which", "continuous", *_GAME, "--kappa", ".65", "--lambda-range", ".1", "5", "--lambda-steps", "12"],
+     {"ri_core", "baseline_game", "variants"}),
+    (["variants", "--which", "heterogeneous", *_GAME, *_HET], {"ri_core", "baseline_game", "variants"}),
+    (["variants", "--which", "heterogeneous", *_GAME[:6], "--lambda", "0.001", *_HET],
+     {"ri_core", "baseline_game", "variants"}),
+], ids=["reproduce", "signal", "equilibria", "quota", "regimes", "continuous", "heterogeneous", "tiny-lambda"])
+def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
+    # the benchmark's cold commands; a deferred module's class is ModuleType once its body
+    # has run (reading its vars() would run it)
+    src = str(Path(riscreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "import io, sys, types, riscreen.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        f"code = riscreen.cli.main({argv!r})\n"
+        "sys.stdout = sys.__stdout__\n"
+        "deferred = ('ri_core', 'baseline_game', 'quota_policy', 'multitask', 'variants', '_sweep')\n"
+        "print(code, *(m for m in deferred if type(sys.modules['riscreen.' + m]) is types.ModuleType))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, *ran = done.stdout.split()
+    assert (code, set(ran)) == ("0", bodies)
+
+
 def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):
     src = str(Path(riscreen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riscreen import cli
+from riscreen import _sweep, cli
 
 COMMANDS = [name for name, _, _ in cli._COMMANDS]
 CANON = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07"]
@@ -344,12 +344,12 @@ def test_sweep_writer_equals_dumps_of_the_rounded_rows(header, cells, meta):
         ],
     }
     expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    assert cli._rows_to_json(header, rows, meta) == expected
+    assert _sweep._rows_to_json(header, rows, meta) == expected
 
 
 def _cell_text(v) -> str:
     """The text of v in a one-column sweep row."""
-    text = cli._rows_to_json(["x"], [[v]], {})
+    text = _sweep._rows_to_json(["x"], [[v]], {})
     return text.split('\n      "x": ', 1)[1].split("\n", 1)[0]
 
 
@@ -370,7 +370,7 @@ def test_one_pass_cell_is_repr_of_the_rounded_float(seed):
     rng = random.Random(seed)
     for v in (_draw_double(rng) for _ in range(500)):
         text = repr(float(f"{v:.12g}"))
-        assert _cell_text(v) == cli._WORDS.get(text, text), v
+        assert _cell_text(v) == _sweep._WORDS.get(text, text), v
 
 
 def _csv_table(text: str) -> tuple:

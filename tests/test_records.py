@@ -101,7 +101,7 @@ def test_records_are_immutable(record):
 
 
 def test_every_exported_record_is_a_collections_namedtuple():
-    exported = {v for v in vars(riscreen).values() if isinstance(v, type) and issubclass(v, tuple)}
+    exported = {v for v in (getattr(riscreen, name) for name in riscreen.__all__) if isinstance(v, type) and issubclass(v, tuple)}
     assert exported == {type(r) for r in RECORDS}
     for cls in exported:
         base = cls.__mro__[-3]  # the class collections.namedtuple made, right above tuple

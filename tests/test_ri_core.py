@@ -222,7 +222,7 @@ class TestSolverInvariants:
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_conditionals_monotone_in_advantage(data):
     """States with a larger action-1 advantage get a weakly larger conditional."""
     n = data.draw(st.integers(3, 5))
@@ -246,7 +246,7 @@ def test_conditionals_monotone_in_advantage(data):
     p_hi=st.floats(0.55, 0.95, allow_nan=False),
     lam=st.floats(0.05, 5.0, allow_nan=False),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_symmetric_prior_yields_even_split(p_hi, lam):
     s = p_hi * (1.0 - p_hi)
     prob = BinaryRIProblem((-1, 0, 1), (s, 1.0 - 2.0 * s, s), (-1.0, 0.0, 1.0), lam)

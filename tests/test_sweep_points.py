@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from riscreen import GameParams, cli, thresholds
+from riscreen import GameParams, _sweep, cli, thresholds
 from riscreen import baseline_game as bg
 from riscreen import multitask as mt
 from riscreen import quota_policy as qp
@@ -69,8 +69,8 @@ def points_outcome(analysis, mu_hi, mu_lo, cost, grid, tasks):
 def sweep_outcome(argv, monkeypatch):
     """(0, rows) the sweep writes, or (exit code, stderr) of a sweep that fails."""
     written = []
-    real = cli._rows_to_csv
-    monkeypatch.setattr(cli, "_rows_to_csv", lambda header, rows, meta: written.append(rows) or real(header, rows, meta))
+    real = _sweep._rows_to_csv
+    monkeypatch.setattr(_sweep, "_rows_to_csv", lambda header, rows, meta: written.append(rows) or real(header, rows, meta))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
