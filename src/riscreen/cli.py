@@ -11,9 +11,7 @@ compact probability table of `signal`, which truncates at 2 decimals.
 
 from __future__ import annotations
 
-import _thread
 import argparse
-import functools
 import math
 import sys
 
@@ -310,46 +308,6 @@ def _add_output_args(sub, cfg):
     sub.add_argument("--seed", type=int, default=cfg.get("seed", 0))
 
 
-#: serializes the deferred builds of subcommand parsers shared across threads
-#: (``_thread``: ``threading`` is not loaded at start-up under ``python -S``)
-_BUILD_LOCK = _thread.allocate_lock()
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that is built when it first parses.
-
-    :func:`build_parser` registers all eight subcommands, so the top-level
-    help and the invalid-choice message list every one. Only the chosen
-    subcommand runs ``ArgumentParser.__init__`` (its ``-h`` included) and its
-    argument code: each ``add_argument`` formats through a HelpFormatter,
-    which asks for the terminal size. argparse reaches a subcommand's parser
-    through ``parse_known_args`` only, and so does :func:`main` when argv
-    starts with the subcommand's name. :func:`main` shares parsers between
-    calls, so the build runs under a lock and ``_built`` is set only once
-    the parser is complete: no thread parses with a half-built parser.
-    """
-
-    def __init__(self, *, add_arguments, **kwargs):
-        self._pending = (add_arguments, kwargs)
-        self._built = False
-
-    def build(self) -> None:
-        """Run the deferred ``ArgumentParser.__init__`` and argument code, once."""
-        if self._built:
-            return
-        with _BUILD_LOCK:
-            if self._built:
-                return
-            add_arguments, kwargs = self._pending
-            super().__init__(**kwargs)
-            add_arguments(self)
-            self._built = True
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.build()
-        return super().parse_known_args(args, namespace)
-
-
 def _signal_args(p, cfg):
     _add_game_args(p, cfg)
     p.add_argument("--profile", default=cfg.get("profile", "hi,lo"))
@@ -439,20 +397,32 @@ _COMMANDS = (
 
 
 def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
-    return _build_parser(cfg or {})[0]
-
-
-def _build_parser(cfg: dict) -> tuple:
-    """build_parser(cfg) and its subcommand parsers by name."""
+    """The top-level parser with all eight subcommands, their defaults taken from cfg."""
     parser = argparse.ArgumentParser(
         prog="riscreen",
         description="Promotion-game analysis under mutual-information attention costs.",
     )
     parser.add_argument("--config", default=None, help="JSON file with default option values")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _COMMANDS:
-        sub.add_parser(name, help=help_text, add_arguments=functools.partial(add_arguments, cfg=cfg))
-    return parser, sub.choices
+        add_arguments(sub.add_parser(name, help=help_text), cfg or {})
+    return parser
+
+
+#: each subcommand's parser by name, stored once complete (racing threads each build a whole one)
+_COMMAND_PARSERS = {}
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser | None:
+    """The parser of subcommand ``name`` (no --config), built on first use; None for any other name."""
+    parser = _COMMAND_PARSERS.get(name)
+    if parser is None:
+        for command, _, add_arguments in _COMMANDS:
+            if command == name:
+                parser = argparse.ArgumentParser(prog=f"riscreen {name}")
+                add_arguments(parser, {})
+                _COMMAND_PARSERS[name] = parser
+    return parser
 
 
 # --config belongs to the top-level parser: look for it before the subcommand only
@@ -460,49 +430,34 @@ _PROBE = argparse.ArgumentParser(add_help=False)
 _PROBE.add_argument("--config", default=None)
 _PROBE.add_argument("command", nargs=argparse.REMAINDER)
 
-#: the subcommand names that :func:`main` hands straight to their parsers
-_NAMES = frozenset(name for name, _, _ in _COMMANDS)
-
-#: the top-level parser of :func:`main` without --config and its subcommand parsers by
-#: name, built on first use and assigned only once complete; a --config run builds its own
-_PARSER = None
-
 
 def main(argv=None) -> int:
     """Run the command line on argv (default ``sys.argv[1:]``) and return its exit code.
 
-    A leading subcommand name is parsed by that subcommand's parser alone. That
-    is ``parse_args(argv)`` of the top-level parser, field for field: argparse
-    hands every token after the name to the subcommand's parser unchanged, and
-    --config is read only before the name. Leftover tokens go back through the
-    top-level parser, which reports them. Any other argv (an option first, an
-    unknown command, none) takes the --config probe and the top-level parse.
+    A leading subcommand name is parsed by that subcommand's parser alone, built
+    on first use and kept: that is ``parse_args(argv)`` of the top-level parser,
+    field for field, as --config is read only before the name. Every other argv,
+    and a subcommand's leftover tokens, go through the full :func:`build_parser`.
     """
-    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
-    direct = bool(argv) and argv[0] in _NAMES
-    config = None if direct else _PROBE.parse_known_args(argv)[0].config
-    if config is None:
-        shared = _PARSER
-        if shared is None:
-            shared = _PARSER = _build_parser({})
-        parser, commands = shared
-    else:
-        import json
-        try:
-            with open(config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {config!r}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(cfg, dict):
-            print(f"error: config {config!r} must hold a JSON object", file=sys.stderr)
-            return 2
-        parser = build_parser(cfg)
-    if direct:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(config=None, command=argv[0]))
-    if not direct or extras:
-        args = parser.parse_args(argv)
+    command = _command_parser(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(config=None, command=argv[0]))
+    if command is None or extras:
+        config = None if command is not None else _PROBE.parse_known_args(argv)[0].config
+        cfg = {}
+        if config is not None:
+            import json
+            try:
+                with open(config) as fh:
+                    cfg = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                print(f"error: cannot read config {config!r}: {exc}", file=sys.stderr)
+                return 2
+            if not isinstance(cfg, dict):
+                print(f"error: config {config!r} must hold a JSON object", file=sys.stderr)
+                return 2
+        args = build_parser(cfg).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, bg.BracketError, ri_core.ConvergenceError) as exc:

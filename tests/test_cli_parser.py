@@ -1,5 +1,6 @@
-"""The CLI's lazily built, shared subcommand parsers, its indented-JSON writer, and JSON sweeps against CSV."""
+"""The CLI's subcommand parsers, built on first use and shared, its indented-JSON writer, and JSON sweeps against CSV."""
 
+import argparse
 import csv
 import json
 import math
@@ -31,12 +32,12 @@ def outcome(argv, capsys):
 
 @pytest.fixture
 def uncached_parsers(monkeypatch):
-    """Drop the shared parser of cli.main before each call: every call builds its parsers anew."""
+    """Drop the kept subcommand parsers of cli.main before each call: every call builds its parsers anew."""
     main = cli.main
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_COMMAND_PARSERS", {})
 
     def fresh_main(argv):
-        cli._PARSER = None
+        cli._COMMAND_PARSERS.clear()
         return main(argv)
 
     monkeypatch.setattr(cli, "main", fresh_main)
@@ -59,59 +60,54 @@ def byte_identity_cases(tmp_path):
     ]
 
 
-def test_lazy_parser_matches_the_parser_built_up_front(tmp_path, capsys, monkeypatch, uncached_parsers):
+def test_a_subcommand_parser_matches_the_full_parser(tmp_path, capsys, monkeypatch, uncached_parsers):
     monkeypatch.setenv("COLUMNS", "80")
     cases = byte_identity_cases(tmp_path)
-    lazy = [outcome(argv, capsys) for argv in cases]
-
-    built = []
-    lazy_init = cli._CommandParser.__init__
-
-    def eager_init(self, **kwargs):
-        lazy_init(self, **kwargs)
-        self.build()
-        built.append(self.prog)
-
-    monkeypatch.setattr(cli._CommandParser, "__init__", eager_init)
-    eager = [outcome(argv, capsys) for argv in cases]
-
-    assert len(built) == len(cases) * len(COMMANDS)
-    for argv, got, want in zip(cases, lazy, eager):
+    direct = [outcome(argv, capsys) for argv in cases]
+    monkeypatch.setattr(cli, "_command_parser", lambda name: None)  # every argv through build_parser
+    full = [outcome(argv, capsys) for argv in cases]
+    for argv, got, want in zip(cases, direct, full):
         assert got == want, argv
     # every case reached argparse's output or a run, not an exception
-    assert {code for code, _, _ in lazy} == {0, 2}
-    assert all(out.startswith("usage: riscreen ") for argv, (_, out, _) in zip(cases, lazy) if "--help" in argv)
+    assert {code for code, _, _ in direct} == {0, 2}
+    assert all(out.startswith("usage: riscreen ") for argv, (_, out, _) in zip(cases, direct) if "--help" in argv)
 
 
 def test_a_run_adds_arguments_for_its_subcommand_only(capsys, monkeypatch, uncached_parsers):
     added = []
-    real = cli._CommandParser.add_argument
+    real = argparse.ArgumentParser.add_argument
 
     def counted(self, *args, **kwargs):
         added.append((self.prog, args[0]))
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._CommandParser, "add_argument", counted)
+    full = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda cfg=None: full.append(cfg) or build_parser(cfg))
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
     code, _, _ = outcome(["regimes", *CANON, "--lambda-steps", "3"], capsys)
     assert code == 0
     assert {prog for prog, _ in added} == {"riscreen regimes"}
     assert added[0] == ("riscreen regimes", "-h")
     assert len(added) == 14
+    assert full == []  # no leftover tokens: the full parser is never built
 
 
 def test_shared_parsers_give_the_output_of_fresh_ones(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_COMMAND_PARSERS", {})
     cases = byte_identity_cases(tmp_path)
     fresh = []
     for argv in cases:
-        cli._PARSER = None
+        cli._COMMAND_PARSERS.clear()
         fresh.append(outcome(argv, capsys))
-    cli._PARSER = None
-    assert [outcome(argv, capsys) for argv in cases] == fresh  # builds the shared parser
-    shared = cli._PARSER
-    assert shared is not None
-    assert [outcome(argv, capsys) for argv in cases] == fresh  # only reuses it
-    assert cli._PARSER is shared  # the --config runs built their own
+    cli._COMMAND_PARSERS.clear()
+    assert [outcome(argv, capsys) for argv in cases] == fresh  # builds the shared parsers
+    shared = dict(cli._COMMAND_PARSERS)
+    assert sorted(shared) == sorted(COMMANDS)  # `name --help` led with each subcommand
+    assert [outcome(argv, capsys) for argv in cases] == fresh  # only reuses them
+    assert len(cli._COMMAND_PARSERS) == len(shared)
+    assert all(cli._COMMAND_PARSERS[name] is parser for name, parser in shared.items())
 
 
 def test_an_edited_config_takes_effect_in_the_same_process(tmp_path, capsys):
@@ -214,7 +210,7 @@ def test_alternating_configs_match_fresh_processes(tmp_path, capsys):
         done = subprocess.run([sys.executable, "-m", "riscreen", *argv], env=_env(), capture_output=True, text=True)
         fresh[name] = (done.returncode, done.stdout, done.stderr)
     assert len(set(fresh.values())) == 3
-    cli._PARSER = None
+    cli._COMMAND_PARSERS.clear()
     for name in ("none", "one", "two", "one", "none", "two", "two", "none", "one"):
         assert outcome(runs[name], capsys) == fresh[name], name
 
@@ -232,13 +228,13 @@ def test_threads_share_parsers_safely(tmp_path, capsys, same):
         argvs = [argvs[0]] * 4
     serial = []
     for argv in argvs:
-        cli._PARSER = None
+        cli._COMMAND_PARSERS.clear()
         serial.append(outcome(argv, capsys)[1])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the parser builds too
     try:
         for round_ in range(30):
-            cli._PARSER = None
+            cli._COMMAND_PARSERS.clear()
             outs = [tmp_path / f"out-{round_}-{i}.txt" for i in range(len(argvs))]
             codes = [None] * len(argvs)
             start = threading.Barrier(len(argvs), timeout=60)
