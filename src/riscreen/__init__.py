@@ -5,7 +5,7 @@ through an endogenously chosen, costly signal: optimal signals, equilibrium
 enumeration with closed-form regime cutpoints, profit and welfare ranking,
 an equal-promotion quota, a two-task extension, and several model variants.
 
-``import riscreen`` runs no submodule. It registers each one in
+``import riscreen`` runs no submodule. It registers each public one in
 ``sys.modules`` as a deferred module whose body runs on its first attribute
 access, so a CLI command compiles only the modules it runs. The public names
 below are served from their submodules on first use (PEP 562).
@@ -65,7 +65,7 @@ class _Deferred(ModuleType):
         return ModuleType.__getattribute__(self, attr)
 
 
-for _name in (*_PUBLIC, "_sweep"):  # _sweep: the regimes rows and writers
+for _name in _PUBLIC:
     _module = sys.modules.get(f"{__name__}.{_name}")
     if _module is None:  # a reload keeps the modules already registered
         _module = sys.modules[f"{__name__}.{_name}"] = module_from_spec(find_spec(f"{__name__}.{_name}"))

@@ -1,8 +1,8 @@
 """The regimes sweep: its rows, its CSV and JSON writers and its SVG strip chart.
 
-A deferred module: ``import riscreen`` registers it, and ``cli.cmd_regimes``
-runs its body on first use, so no other command compiles it. Machine output carries 12 significant digits and
-is byte-deterministic for a fixed configuration (see ``cli``).
+``cli.cmd_regimes`` imports it on first use, so no other command compiles it.
+Machine output carries 12 significant digits and is byte-deterministic for a
+fixed configuration (see ``cli``).
 """
 
 from __future__ import annotations
@@ -135,71 +135,51 @@ def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
 
 def _rows_to_json(header: list, rows: list, meta: dict) -> str:
     """``json.dumps(sweep, sort_keys=True, indent=2)`` and a newline: the rows as dicts of
-    header names, floats at 12 digits, and the flat meta dict, scalars through _scalar.
+    header names, floats at 12 digits, and the flat meta dict of strings.
 
-    Every row holds a cell for each header column. The header is sorted into
-    key order once; a repeated name keeps its last column, as in a dict. The
-    rows are written column by column into one row template: a column that
-    holds the same object on every row (by identity, so -0.0 and 0.0 or two
-    nans never merge) is formatted once into the template, and each row is
-    ``template % cells`` of the other columns. An all-``float`` column takes
-    ``.12g`` in one pass, whose text with a point and no exponent is already
-    its ``repr`` (a decimal of at most 12 digits is the shortest repr of its
-    double, and repr writes [1e-4, 1e16) positionally); other floats, a float
-    subclass included, are written as ``repr(float(text))`` (see _cell).
+    A column holds only ``float``, only ``int`` or only ``str``; any other
+    column (``None``, a bool, a subclass, a mix) raises ``TypeError`` naming
+    it. The header is sorted into key order once; a repeated name keeps its
+    last column, as in a dict. The rows are written column by column into one
+    row template: a column that holds the same object on every row (by
+    identity, so -0.0 and 0.0 or two nans never merge) is formatted once into
+    the template, and each row is ``template % cells`` of the other columns.
+    A float is its ``.12g`` text when that has a point and no exponent, which
+    is then its repr (a decimal of at most 12 digits is the shortest repr of
+    its double, and repr writes [1e-4, 1e16) positionally), and otherwise the
+    repr of that text's value, or its _WORDS word. Strings go through
+    ``json.encoder.encode_basestring_ascii``.
     """
-    import json
-    quote = json.encoder.encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as quote
     pieces, columns = [], []
     for name, i in sorted({k: i for i, k in enumerate(header)}.items()):
         cells = [row[i] for row in rows]
         key = "\n      " + quote(name) + ": "
-        if rows and all(v is cells[0] for v in cells):
-            pieces.append((key + _cell(cells[0], quote)).replace("%", "%%"))
-            continue
-        pieces.append(key.replace("%", "%%") + "%s")
+        once = rows and all(v is cells[0] for v in cells)
+        if once:
+            cells = cells[:1]
         kinds = {v.__class__ for v in cells}
         if kinds == {float}:
-            columns.append([t if "." in t and "e" not in t else _scalar(float(t), quote)
-                            for t in [f"{v:.12g}" for v in cells]])
+            texts = [t if "." in t and "e" not in t else _WORDS.get(t) or repr(float(t))
+                     for t in [f"{v:.12g}" for v in cells]]
         elif kinds == {int}:
-            columns.append(map(int.__repr__, cells))
-        elif kinds == {str}:
-            columns.append(map(quote, cells))
+            texts = list(map(int.__repr__, cells))
+        elif kinds <= {str}:  # no rows: no kind
+            texts = list(map(quote, cells))
         else:
-            columns.append([_cell(v, quote) for v in cells])
+            held = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise TypeError(f"sweep column {name!r} holds {held}; a column holds only float, only int or only str")
+        if once:
+            pieces.append((key + texts[0]).replace("%", "%%"))
+        else:
+            pieces.append(key.replace("%", "%%") + "%s")
+            columns.append(texts)
     template = "{" + ",".join(pieces) + "\n    }" if pieces else "{}"
     texts = [template % cells for cells in (zip(*columns) if columns else [()] * len(rows))]
     body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
-    head = "{" + ",".join(f"\n    {quote(k)}: {_scalar(v, quote)}" for k, v in sorted(meta.items())) + ("\n  }" if meta else "}")
+    head = "{" + ",".join(f"\n    {quote(k)}: {quote(v)}" for k, v in sorted(meta.items())) + ("\n  }" if meta else "}")
     return f'{{\n  "meta": {head},\n  "rows": {body},\n  "schema": {quote(SCHEMA_VERSION)}\n}}\n'
 
 
-#: json's text where repr's is not JSON: the three constants and the non-finite floats
-_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _cell(v, quote) -> str:
-    """The JSON text of one sweep cell: a float at 12 digits, any other scalar through _scalar."""
-    if not isinstance(v, float):
-        return _scalar(v, quote)
-    text = f"{v:.12g}"
-    return text if "." in text and "e" not in text and v.__class__ is float else _scalar(float(text), quote)
-
-
-def _scalar(obj, quote) -> str:
-    """The JSON text of a scalar as ``json`` writes it, with no encoder built.
-
-    ``float.__repr__``, ``int.__repr__`` and _WORDS; strings through ``quote``
-    (``json.encoder.encode_basestring_ascii``).
-    """
-    if isinstance(obj, str):
-        return quote(obj)
-    if obj is None or isinstance(obj, bool):
-        return _WORDS[repr(obj)]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _WORDS.get(text, text)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+#: json's text of the non-finite floats by their ``.12g`` text, which is also their repr
+_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

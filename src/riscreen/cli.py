@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 
-from . import _sweep
 from . import baseline_game as bg
 from . import multitask as mt
 from . import quota_policy as qp
@@ -152,7 +151,9 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_regimes(args) -> int:
-    return _sweep.regimes(args)  # the first call runs the deferred body of riscreen._sweep
+    from ._sweep import regimes  # only regimes compiles the sweep
+
+    return regimes(args)
 
 
 def cmd_quota(args) -> int:

@@ -114,8 +114,7 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
 def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
     """The lambda-independent part of multitask_equilibrium_set: the task checks,
     then (the _game, each task game's c, alpha1, alpha2)."""
-    costs = [task_game.cost_C / (game.mu_hi - game.mu_lo) for task_game in task_games(game, tasks)]
-    return _game(game), costs, tasks[0].alpha, tasks[1].alpha
+    return _game(game), _validate(game, tasks), tasks[0].alpha, tasks[1].alpha
 
 
 def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:

@@ -32,7 +32,6 @@ from .baseline_game import (
     _profile_signals,
     _supports,
     _value,
-    lambda_star,
     signal_from_odds,
 )
 
@@ -402,7 +401,8 @@ def _variants_game(game: GameParams) -> _Variants:
     if c < 0.5:  # the bound rule reads no lam; its profit at lam is V - lam I, as _value forms it
         rec = _value(base.priors[0], PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5), 1.0, base.costs, (1.0, 1.0))
         bound = rec.signal, rec.revenue, rec.info_cost
-    return _Variants(base, lambda_star(game), _log_gamma_star(c), bound,
+    log_gamma_star = _log_gamma_star(c)
+    return _Variants(base, 1.0 / log_gamma_star, log_gamma_star, bound,
                      (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
 
 

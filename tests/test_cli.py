@@ -424,7 +424,8 @@ _HET = ["--cost-m", ".07", "--cost-w", ".07"]
 ], ids=["reproduce", "signal", "equilibria", "quota", "regimes", "continuous", "heterogeneous", "tiny-lambda"])
 def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
     # the benchmark's cold commands; a deferred module's class is ModuleType once its body
-    # has run (reading its vars() would run it)
+    # has run (reading its vars() would run it), and _sweep, imported by regimes on first
+    # use, has not run while it is absent from sys.modules
     src = str(Path(riscreen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
@@ -433,7 +434,7 @@ def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
         f"code = riscreen.cli.main({argv!r})\n"
         "sys.stdout = sys.__stdout__\n"
         "deferred = ('ri_core', 'baseline_game', 'quota_policy', 'multitask', 'variants', '_sweep')\n"
-        "print(code, *(m for m in deferred if type(sys.modules['riscreen.' + m]) is types.ModuleType))\n"
+        "print(code, *(m for m in deferred if type(sys.modules.get('riscreen.' + m)) is types.ModuleType))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

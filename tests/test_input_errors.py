@@ -1,0 +1,54 @@
+"""Input errors: each bad CLI input exits 2 with one error line, each bad library input raises ValueError."""
+
+import math
+import re
+
+import pytest
+
+from riscreen import (
+    BinaryRIProblem,
+    ChoiceRule,
+    GameParams,
+    ReferencePriorProblem,
+    cli,
+    f_inverse,
+    g_inverse,
+    mutual_information,
+)
+
+GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
+TASK = ["--task2", "0.5,1.0,0.03"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["signal", *GAME, "--profile", "hi,mid"], "profile must look like 'hi,lo', got 'hi,mid'"),
+    (["multitask", *GAME, "--task1", "0.5,1.0", *TASK], "expected three comma-separated numbers, got '0.5,1.0'"),
+    (["multitask", *GAME, "--task1", "0.5,1.0,-0.01", *TASK], "cost_C must be positive, got -0.01"),
+    (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
+    (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
+], ids=["profile", "task-triple", "task-cost", "out-dir", "config-list"])
+def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: " + message.format(tmp=tmp_path))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BinaryRIProblem(["s"], [1.0], [0.5], 0.3), "need at least two states"),
+    (lambda: BinaryRIProblem(["a", "b"], [0.5, 0.5], [0.1, 0.2, 0.3], 0.3),
+     "states, prior and advantage must have equal length"),
+    (lambda: ChoiceRule([0.2, 1.5], 0.5, False, 0.1), "conditional outside [0, 1]: 1.5"),
+    (lambda: ChoiceRule([0.2, 0.8], 0.5, False, -0.1), "info_cost must be nonnegative"),
+    (lambda: mutual_information([0.5, 0.5], [0.2, 0.4, 0.8]), "prior and conditional must have equal length"),
+    (lambda: ReferencePriorProblem([0.5, 0.5], [0.2, 0.5, 0.3], 0.3), "priors live on the three differences (-1, 0, 1)"),
+    (lambda: g_inverse(-0.01), "g_inverse needs x >= 0, got -0.01"),
+    (lambda: f_inverse(GameParams(0.8, 0.6, 0.07, 0.3), -math.ulp(0.0)), "f_inverse needs x >= 0, got -5e-324"),
+], ids=["one-state", "unequal-lengths", "conditional", "info-cost", "mi-lengths", "two-entry-prior",
+        "g-inverse", "f-inverse"])
+def test_a_bad_library_input_raises_value_error(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
