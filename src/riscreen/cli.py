@@ -275,112 +275,90 @@ def cmd_reproduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _req(cfg: dict, dest: str, required: bool = True) -> dict:
-    """required=True if asked for, unless the config file already supplies the value."""
-    if dest in cfg or not required:
-        return {"default": cfg.get(dest)}
-    return {"required": True}
+def _add_game_args(sub, lam_default=None, required=True):
+    sub.add_argument("--mu-hi", type=float, dest="mu_hi", required=required)
+    sub.add_argument("--mu-lo", type=float, dest="mu_lo", required=required)
+    sub.add_argument("--cost", type=float, default=0.07)
+    sub.add_argument("--lambda", type=float, default=lam_default, dest="lam", required=required and lam_default is None)
 
 
-def _add_game_args(sub, cfg, lam_default=None, required=True):
-    sub.add_argument("--mu-hi", type=float, dest="mu_hi", **_req(cfg, "mu_hi", required))
-    sub.add_argument("--mu-lo", type=float, dest="mu_lo", **_req(cfg, "mu_lo", required))
-    sub.add_argument("--cost", type=float, default=cfg.get("cost", 0.07))
-    if lam_default is None:
-        sub.add_argument("--lambda", type=float, dest="lam", **_req(cfg, "lam", required))
-    else:
-        sub.add_argument("--lambda", type=float, default=cfg.get("lam", lam_default), dest="lam")
+def _add_sweep_args(sub):
+    sub.add_argument("--lambda-range", type=float, nargs=2, default=(0.05, 2.0), metavar=("LO", "HI"))
+    sub.add_argument("--lambda-steps", type=int, default=40)
 
 
-def _add_sweep_args(sub, cfg):
-    sub.add_argument(
-        "--lambda-range",
-        type=float,
-        nargs=2,
-        default=cfg.get("lambda_range", (0.05, 2.0)),
-        metavar=("LO", "HI"),
-    )
-    sub.add_argument("--lambda-steps", type=int, default=cfg.get("lambda_steps", 40))
+def _add_output_args(sub):
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--out")
+    sub.add_argument("--seed", type=int, default=0)
 
 
-def _add_output_args(sub, cfg):
-    sub.add_argument("--format", choices=("csv", "json"), default=cfg.get("format", "csv"))
-    sub.add_argument("--out", default=cfg.get("out"))
-    sub.add_argument("--seed", type=int, default=cfg.get("seed", 0))
-
-
-def _signal_args(p, cfg):
-    _add_game_args(p, cfg)
-    p.add_argument("--profile", default=cfg.get("profile", "hi,lo"))
+def _signal_args(p):
+    _add_game_args(p)
+    p.add_argument("--profile", default="hi,lo")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--out", default=cfg.get("out"))
+    p.add_argument("--out")
     p.set_defaults(func=cmd_signal)
 
 
-def _thresholds_args(p, cfg):
-    _add_game_args(p, cfg, lam_default=1.0)
-    p.add_argument("--out", default=cfg.get("out"))
+def _thresholds_args(p):
+    _add_game_args(p, lam_default=1.0)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_thresholds)
 
 
-def _equilibria_args(p, cfg):
-    _add_game_args(p, cfg)
-    p.add_argument("--out", default=cfg.get("out"))
+def _equilibria_args(p):
+    _add_game_args(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_equilibria)
 
 
-def _regimes_args(p, cfg):
-    _add_game_args(p, cfg, lam_default=1.0)
-    _add_sweep_args(p, cfg)
-    _add_output_args(p, cfg)
-    p.add_argument(
-        "--analysis",
-        choices=("baseline", "quota", "multitask", "variants"),
-        default=cfg.get("analysis", "baseline"),
-    )
-    p.add_argument("--task1", default=cfg.get("task1", "0.5,1.0,0.05"), help="alpha,beta,cost of task 1")
-    p.add_argument("--task2", default=cfg.get("task2", "0.5,1.0,0.05"), help="alpha,beta,cost of task 2")
-    p.add_argument("--svg", default=cfg.get("svg"), help="also write an SVG regime strip chart")
+def _regimes_args(p):
+    _add_game_args(p, lam_default=1.0)
+    _add_sweep_args(p)
+    _add_output_args(p)
+    p.add_argument("--analysis", choices=("baseline", "quota", "multitask", "variants"), default="baseline")
+    p.add_argument("--task1", default="0.5,1.0,0.05", help="alpha,beta,cost of task 1")
+    p.add_argument("--task2", default="0.5,1.0,0.05", help="alpha,beta,cost of task 2")
+    p.add_argument("--svg", help="also write an SVG regime strip chart")
     p.set_defaults(func=cmd_regimes)
 
 
-def _quota_args(p, cfg):
-    _add_game_args(p, cfg)
-    p.add_argument("--out", default=cfg.get("out"))
+def _quota_args(p):
+    _add_game_args(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_quota)
 
 
-def _multitask_args(p, cfg):
-    _add_game_args(p, cfg)
-    p.add_argument("--task1", help="alpha,beta,cost of task 1", **_req(cfg, "task1"))
-    p.add_argument("--task2", help="alpha,beta,cost of task 2", **_req(cfg, "task2"))
-    p.add_argument("--out", default=cfg.get("out"))
+def _multitask_args(p):
+    _add_game_args(p)
+    p.add_argument("--task1", required=True, help="alpha,beta,cost of task 1")
+    p.add_argument("--task2", required=True, help="alpha,beta,cost of task 2")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_multitask)
 
 
-def _variants_args(p, cfg):
-    _add_game_args(p, cfg, required=False)  # the continuous grid reads no game
+def _variants_args(p):
+    _add_game_args(p, required=False)  # the continuous grid reads no game
     p.add_argument(
-        "--which",
-        choices=("heterogeneous", "commitment", "prior-invariant", "mixed", "continuous"),
-        **_req(cfg, "which"),
+        "--which", required=True, choices=("heterogeneous", "commitment", "prior-invariant", "mixed", "continuous")
     )
-    p.add_argument("--cost-m", type=float, default=cfg.get("cost_m", 0.07), dest="cost_m")
-    p.add_argument("--cost-w", type=float, default=cfg.get("cost_w", 0.07), dest="cost_w")
-    p.add_argument("--du-m", type=float, default=cfg.get("du_m", 1.0), dest="du_m")
-    p.add_argument("--du-w", type=float, default=cfg.get("du_w", 1.0), dest="du_w")
-    p.add_argument("--profile", default=cfg.get("profile", "hi,lo"))
-    p.add_argument("--ref-prior", default=cfg.get("ref_prior"), dest="ref_prior", help="q(-1),q(0),q(1)")
-    p.add_argument("--kappa", type=float, default=cfg.get("kappa", 0.65))
-    p.add_argument("--grid-size", type=int, default=cfg.get("grid_size", 100), dest="grid_size")
-    _add_sweep_args(p, cfg)
-    p.add_argument("--out", default=cfg.get("out"))
+    p.add_argument("--cost-m", type=float, default=0.07, dest="cost_m")
+    p.add_argument("--cost-w", type=float, default=0.07, dest="cost_w")
+    p.add_argument("--du-m", type=float, default=1.0, dest="du_m")
+    p.add_argument("--du-w", type=float, default=1.0, dest="du_w")
+    p.add_argument("--profile", default="hi,lo")
+    p.add_argument("--ref-prior", dest="ref_prior", help="q(-1),q(0),q(1)")
+    p.add_argument("--kappa", type=float, default=0.65)
+    p.add_argument("--grid-size", type=int, default=100, dest="grid_size")
+    _add_sweep_args(p)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_variants)
 
 
-def _reproduce_args(p, cfg):
+def _reproduce_args(p):
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=cfg.get("out"))
+    p.add_argument("--out")
     p.set_defaults(func=cmd_reproduce)
 
 
@@ -398,7 +376,12 @@ _COMMANDS = (
 
 
 def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with all eight subcommands, their defaults taken from cfg."""
+    """The top-level parser with all eight subcommands.
+
+    A cfg value becomes the default of every subcommand option with that
+    dest, and an option it supplies is no longer required.
+    """
+    cfg = cfg or {}
     parser = argparse.ArgumentParser(
         prog="riscreen",
         description="Promotion-game analysis under mutual-information attention costs.",
@@ -406,7 +389,11 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _COMMANDS:
-        add_arguments(sub.add_parser(name, help=help_text), cfg or {})
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        for action in command._actions:
+            if action.dest in cfg:
+                action.default, action.required = cfg[action.dest], False
     return parser
 
 
@@ -421,7 +408,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser | None:
         for command, _, add_arguments in _COMMANDS:
             if command == name:
                 parser = argparse.ArgumentParser(prog=f"riscreen {name}")
-                add_arguments(parser, {})
+                add_arguments(parser)
                 _COMMAND_PARSERS[name] = parser
     return parser
 

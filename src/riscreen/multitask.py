@@ -10,6 +10,7 @@ task's effort pair is an equilibrium of its own per-task game.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .baseline_game import (
@@ -41,10 +42,9 @@ class TaskParams(_Validated, namedtuple("TaskParams", "alpha beta cost_C")):
     def __new__(cls, alpha: float, beta: float, cost_C: float):
         if not 0.0 < alpha <= 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2], got {alpha!r}")
-        if not beta > 0.0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
-        if not cost_C > 0.0:
-            raise ValueError(f"cost_C must be positive, got {cost_C!r}")
+        for name, value in (("beta", beta), ("cost_C", cost_C)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         return tuple.__new__(cls, (alpha, beta, cost_C))
 
     def effective_cost(self, delta_mu: float) -> float:

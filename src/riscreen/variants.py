@@ -54,8 +54,8 @@ class HeterogeneousParams(ri_core._Validated, namedtuple("HeterogeneousParams", 
     def __new__(cls, cost_m: float, cost_w: float, du_m: float = 1.0, du_w: float = 1.0):
         self = tuple.__new__(cls, (cost_m, cost_w, du_m, du_w))
         for name, value in zip(self._fields, self):
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         return self
 
     def effective_costs(self, delta_mu: float) -> tuple:
@@ -197,13 +197,13 @@ class ReferencePriorProblem(
     def __new__(cls, true_prior: Sequence[float], reference_prior: Sequence[float], lam: float):
         true_prior = tuple(float(p) for p in true_prior)
         reference_prior = tuple(float(q) for q in reference_prior)
+        if len(true_prior) != 3 or len(reference_prior) != 3:
+            raise ValueError("priors live on the three differences (-1, 0, 1)")
+        if not all(q > 0.0 and math.isfinite(q) for q in reference_prior):
+            raise ValueError(f"reference prior entries must be positive and finite, got {reference_prior!r}")
         for dist in (true_prior, reference_prior):
-            if len(dist) != 3:
-                raise ValueError("priors live on the three differences (-1, 0, 1)")
-            if any(p < 0.0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
+            if not all(p >= 0.0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
                 raise ValueError(f"invalid distribution {dist!r}")
-        if min(reference_prior) <= 0.0:
-            raise ValueError("reference prior must have full support")
         return tuple.__new__(cls, (true_prior, reference_prior, ri_core._checked_lam(lam)))
 
 
@@ -502,8 +502,8 @@ def continuous_effort_equilibria(
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     n, inner, slack = grid_size, range(1, grid_size - 1), grid_size * sys.float_info.epsilon / kappa
     grid = [i * (1.0 / (n - 1)) for i in range(n - 1)] + [1.0]
     lo = {i: grid[i] * (1.0 - grid[i]) * grid[i - 1] * (1.0 - 1e-12) - slack for i in inner}
@@ -519,7 +519,7 @@ def continuous_effort_equilibria(
 
     results = []
     for lam in lam_values:
-        r = math.exp(-1.0 / lam)
+        r = math.exp(-1.0 / ri_core._checked_lam(lam))
         points = [(0.0, 0.0)]
         for i, j, nu_m, nu_w, A, B in pairs:
             interior = signal_from_odds(A, B, r)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from riscreen import GameParams, g_func, ri_core, thresholds
 from riscreen.ri_core import BinaryRIProblem
 
+import exact
+
 # canonical parameter point used across the suite
 CANONICAL = dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=0.3)
 
@@ -252,9 +254,9 @@ def direct_ic_equilibria(params: GameParams, tol: float = 1e-12) -> list:
 
 def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> list:
     """The exhaustive numpy scan of every grid_size^2 effort pair, the oracle
-    of :func:`riscreen.variants.continuous_effort_equilibria`. The interior
-    signal is written out here, so the scan shares no code with the library's
-    kernel."""
+    of :func:`riscreen.variants.continuous_effort_equilibria`. The bonuses
+    come from the kernel of :mod:`exact` on arrays, which rounds as the
+    library's does but shares no code with it."""
     from riscreen.variants import EffortGridResult
 
     grid = np.linspace(0.0, 1.0, grid_size)
@@ -266,12 +268,7 @@ def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> li
     for lam in lam_values:
         r = math.exp(-1.0 / lam)
         with np.errstate(divide="ignore", invalid="ignore"):
-            interior = (A > r * B) & (B > r * A)
-            pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
-            pi_plus = (A - r * B) / ((1.0 - r * r) * A)
-            pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
-            X = np.where(interior, pi_plus - pi_bar, 0.0)
-            Y = np.where(interior, pi_bar - pi_minus, 0.0)
+            X, Y = (np.where(exact.interior(A, B, r), bonus, 0.0) for bonus in exact.bonuses(A, B, r))
         gain_m = (1.0 - nu_w) * X + nu_w * Y
         gain_w = nu_m * X + (1.0 - nu_m) * Y
         br_m = _grid_best_response(grid, gain_m, kappa)

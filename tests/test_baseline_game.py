@@ -2,7 +2,7 @@
 
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -42,6 +42,7 @@ from riscreen.baseline_game import (
     supports_profile,
 )
 
+import exact
 import helpers
 
 GAME = helpers.canonical()
@@ -169,13 +170,9 @@ class TestCurves:
         for x in [cap * (1.0 - 10.0**-e) for e in range(4, 15)] + [math.nextafter(cap, 0.0)]:
             gamma = f_inverse(game, x)
             assert abs(f_func(game, gamma) - x) <= 4.0 * eps * x
-            with localcontext() as ctx:
-                ctx.prec = 60
-                a, b, xd = Decimal(A), Decimal(B), Decimal(x)
-                k = xd * (a + b) * a
-                disc = (a * a - b * b) ** 2 + 4 * k * k
-                exact = ((a * a + b * b) + disc.sqrt()) / (2 * (a * b - k))
-                rel = float(abs(1 / Decimal(gamma) - 1 / exact) * exact)
+            with exact.digits(60):
+                want = exact.f_inverse(A, B, x)
+                rel = float(abs(1 / Decimal(gamma) - 1 / want) * want)
             assert rel <= eps * x / (cap - x)
 
     def test_quadratic_inverse_agrees_with_bisection(self):
@@ -473,24 +470,14 @@ def test_cubic_roots_recover_known_roots():
         assert all(min(abs(g - t) for g in got) <= 1e-9 * abs(t) for t in truth), (coefs, got, truth)
 
 
-def gamma_hat_reference(params, digits=50):
-    """Root above A/B of (gamma - 1)^2 (A + B) s = 2 (gamma A - B)(gamma B - A) in `digits` digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        hi, lo = Decimal(params.mu_hi), Decimal(params.mu_lo)
-        A, B, s = hi * (1 - lo), lo * (1 - hi), hi * (1 - hi)
-        c0 = (A + B) * s - 2 * A * B  # coefficient of gamma^2 and of gamma^0
-        c1 = 2 * (A * A + B * B) - 2 * (A + B) * s
-        return (c1 + (c1 * c1 - 4 * c0 * c0).sqrt()) / (-2 * c0)
+def gamma_hat_reference(params):
+    with exact.digits(60):
+        return exact.gamma_hat(params.mu_hi, params.mu_lo)
 
 
-def cutpoint_references(params, digits=60):
-    """(lambda_star, lambda_breve) = (1/ln((1+2c)/(1-2c)), 0 when c >= 1/2; 1/ln(A/B)) in `digits` digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        c, hi, lo = Decimal(params.c), Decimal(params.mu_hi), Decimal(params.mu_lo)
-        star = 1 / ((1 + 2 * c) / (1 - 2 * c)).ln() if 2 * c < 1 else Decimal(0)
-        return star, 1 / (hi * (1 - lo) / (lo * (1 - hi))).ln()
+def cutpoint_references(params):
+    with exact.digits(60):
+        return exact.lambda_star(params.c), exact.lambda_breve(params.mu_hi, params.mu_lo)
 
 
 @st.composite
@@ -659,28 +646,9 @@ class TestProfit:
 EPS = 2.0**-52
 
 
-def decimal_valuation(params, profile, signal, digits=50):
-    """(V, I, profit) of a float signal in `digits`-digit decimal.
-
-    The prior comes from the float mus and I = sum_d p(d) D(pi(d) || m) is
-    taken at the exact prior mean m of the float conditionals.
-    """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        mu_m, mu_w = (Decimal(params.mu(e)) for e in profile)
-        p_plus, p_minus = mu_m * (1 - mu_w), mu_w * (1 - mu_m)
-        prior = (p_minus, 1 - p_plus - p_minus, p_plus)
-        q = [Decimal(x) for x in signal.as_tuple()]
-        mean = sum(p * x for p, x in zip(prior, q))
-        info = Decimal(0)
-        if 0 < mean < 1:
-            for p, a in zip(prior, q):
-                if a > 0:
-                    info += p * a * (a / mean).ln()
-                if a < 1:
-                    info += p * (1 - a) * ((1 - a) / (1 - mean)).ln()
-        V = mu_w + p_plus * q[2] - p_minus * q[0]
-        return V, info, V - Decimal(params.lam) * info
+def decimal_valuation(params, profile, signal):
+    with exact.digits(60):
+        return exact.valuation(*(params.mu(e) for e in profile), signal.as_tuple(), params.lam)
 
 
 def divergence_terms(signal):
@@ -752,12 +720,10 @@ EDGE_GAME = GameParams(0.999991, 4.65e-5, 1e-3, 0.3)
 
 def test_prior_at_opposite_edges_has_its_digits():
     for profile in ((HI, LO), (LO, HI)):
-        with localcontext() as ctx:
-            ctx.prec = 50
-            mu_m, mu_w = (Decimal(EDGE_GAME.mu(e)) for e in profile)
-            exact = mu_m * mu_w + (1 - mu_m) * (1 - mu_w)
+        with exact.digits(60):
+            want = exact.prior(*(Decimal(EDGE_GAME.mu(e)) for e in profile))[1]
         p_zero = state_distribution(EDGE_GAME, profile).p_zero
-        assert float(abs(Decimal(p_zero) - exact) / exact) <= EPS, profile
+        assert float(abs(Decimal(p_zero) - want) / want) <= EPS, profile
         # the quota bill reads that prior inline
         for lam in (1e-4, 0.3, 1e4):
             game = EDGE_GAME._replace(lam=lam)
@@ -771,8 +737,8 @@ def test_large_lambda_profit_has_its_exact_digits():
     # the closed forms printed 0.600010684932 in this sweep row
     assert f"{LARGE_LAM.lam:.12g}" == "5615.38461538"
     value = profit(LARGE_LAM, (LO, LO)).profit
-    exact = decimal_valuation(LARGE_LAM, (LO, LO), optimal_signal(LARGE_LAM, (LO, LO)))[2]
-    assert f"{value:.12g}" == f"{float(exact):.12g}" == "0.600010684931"
+    want = decimal_valuation(LARGE_LAM, (LO, LO), optimal_signal(LARGE_LAM, (LO, LO)))[2]
+    assert f"{value:.12g}" == f"{float(want):.12g}" == "0.600010684931"
 
 
 class TestWelfareAndSelection:

@@ -9,8 +9,11 @@ from riscreen import (
     BinaryRIProblem,
     ChoiceRule,
     GameParams,
+    HeterogeneousParams,
     ReferencePriorProblem,
+    TaskParams,
     cli,
+    continuous_effort_equilibria,
     f_inverse,
     g_inverse,
     mutual_information,
@@ -23,10 +26,17 @@ TASK = ["--task2", "0.5,1.0,0.03"]
 @pytest.mark.parametrize("argv, message", [
     (["signal", *GAME, "--profile", "hi,mid"], "profile must look like 'hi,lo', got 'hi,mid'"),
     (["multitask", *GAME, "--task1", "0.5,1.0", *TASK], "expected three comma-separated numbers, got '0.5,1.0'"),
-    (["multitask", *GAME, "--task1", "0.5,1.0,-0.01", *TASK], "cost_C must be positive, got -0.01"),
+    (["multitask", *GAME, "--task1", "0.5,1.0,-0.01", *TASK], "cost_C must be positive and finite, got -0.01"),
+    (["multitask", *GAME, "--task1", "0.5,inf,0.05", *TASK], "beta must be positive and finite, got inf"),
+    (["variants", "--which", "heterogeneous", *GAME, "--du-m", "inf"], "du_m must be positive and finite, got inf"),
+    (["variants", "--which", "prior-invariant", *GAME, "--ref-prior", "nan,0.5,0.5"],
+     "reference prior entries must be positive and finite, got (nan, 0.5, 0.5)"),
+    (["variants", "--which", "continuous", "--kappa", "inf"], "kappa must be positive and finite, got inf"),
+    (["variants", "--which", "continuous", "--lambda-range", "0.1", "inf"], "lam must be positive and finite, got nan"),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
-], ids=["profile", "task-triple", "task-cost", "out-dir", "config-list"])
+], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "ref-prior", "kappa", "continuous-lam",
+        "out-dir", "config-list"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -47,8 +57,11 @@ def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, ca
     (lambda: ReferencePriorProblem([0.5, 0.5], [0.2, 0.5, 0.3], 0.3), "priors live on the three differences (-1, 0, 1)"),
     (lambda: g_inverse(-0.01), "g_inverse needs x >= 0, got -0.01"),
     (lambda: f_inverse(GameParams(0.8, 0.6, 0.07, 0.3), -math.ulp(0.0)), "f_inverse needs x >= 0, got -5e-324"),
+    (lambda: TaskParams(0.5, 1.0, math.inf), "cost_C must be positive and finite, got inf"),
+    (lambda: HeterogeneousParams(0.07, math.nan), "cost_w must be positive and finite, got nan"),
+    (lambda: continuous_effort_equilibria(0.65, [0.3, 0.0]), "lam must be positive and finite, got 0.0"),
 ], ids=["one-state", "unequal-lengths", "conditional", "info-cost", "mi-lengths", "two-entry-prior",
-        "g-inverse", "f-inverse"])
+        "g-inverse", "f-inverse", "task-cost-inf", "cost-w-nan", "continuous-lam-zero"])
 def test_a_bad_library_input_raises_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -1,7 +1,7 @@
 """Tests for the equal-promotion quota analysis."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from riscreen import (
     state_distribution,
 )
 
+import exact
 import helpers
 
 GAME = helpers.canonical()
@@ -295,27 +296,9 @@ def test_shared_impartial_records_are_equal(game):
         assert rec == baseline[rec.profile]
 
 
-def decimal_multiplier(params, profile, start, digits=50):
-    """nu solving sum_d p(d) sigmoid((d - nu)/lam) = 1/2 in `digits`-digit
-    decimal, by Newton's method from `start`, for the exact prior of the
-    float mus (which sums to 1)."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        mu_m, mu_w = (Decimal(params.mu(e)) for e in profile)
-        p_plus, p_minus = mu_m * (1 - mu_w), mu_w * (1 - mu_m)
-        prior = ((p_minus, -1), (1 - p_plus - p_minus, 0), (p_plus, 1))
-        lam, nu, half = Decimal(params.lam), Decimal(start), Decimal(1) / 2
-        for _ in range(50):
-            value, slope = -half, Decimal(0)
-            for p, d in prior:
-                e = ((nu - d) / lam).exp()
-                value += p / (1 + e)
-                slope -= p * e / (lam * (1 + e) ** 2)
-            step = value / slope
-            nu -= step
-            if abs(step) <= abs(nu) * Decimal(10) ** (20 - digits):
-                return nu
-        raise AssertionError(f"no convergence from {start!r}")
+def decimal_multiplier(params, profile, start):
+    with exact.digits(60):
+        return exact.quota_multiplier(*(params.mu(e) for e in profile), params.lam, start)
 
 
 @given(game=quota_games())
@@ -325,7 +308,7 @@ def decimal_multiplier(params, profile, start, digits=50):
 @example(game=GameParams(0.8, 0.6, 0.07, 1e4))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_find_multiplier_agrees_with_the_root_search(game):
-    # to the oracle's xtol, or closer than the oracle to a 50-digit root
+    # to the oracle's xtol, or closer than the oracle to a 60-digit root
     for profile in ((HI, LO), (LO, HI)):
         nu = find_multiplier(game, profile).nu
         oracle = helpers.quota_multiplier_by_root(game, profile).nu

@@ -2,7 +2,6 @@
 
 import ast
 import math
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from riscreen.ri_core import (
     solve_binary_ri,
 )
 
+import exact
 import helpers
 
 # prior over the productivity differences (-1, 0, 1) when m works and w shirks
@@ -255,38 +255,9 @@ def test_symmetric_prior_yields_even_split(p_hi, lam):
     assert rule.conditional[0] + rule.conditional[2] == pytest.approx(1.0, abs=1e-10)
 
 
-def decimal_rule(problem, digits=400):
-    """(conditionals, q_bar) of an interior problem in 400-digit arithmetic.
-
-    Bisects the odds t = q_bar / (1 - q_bar) geometrically on
-    [exp(-max|z| - 200), exp(max|z| + 200)] until hi/lo < 1 + 1e-15. The
-    residual sum_s p(s) (q(s) - q_bar), divided by q_bar > 0, is
-    sum_s p(s) (e^z - 1) / (1 + t e^z), which keeps its digits however close
-    q_bar gets to 0 or 1. Independent of ri_core beyond reading the problem.
-    """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
-        one = Decimal(1)
-        lam = Decimal(problem.lam)
-        z = [Decimal(v) / lam for v in problem.advantage]
-        ez = [zs.exp() for zs in z]
-        prior = [Decimal(p) for p in problem.prior]
-
-        def residual(t):
-            return sum(p * (e - one) / (one + t * e) for p, e in zip(prior, ez))
-
-        span = max(abs(zs) for zs in z) + 200
-        lo, hi = (-span).exp(), span.exp()
-        while hi / lo - one > Decimal("1e-15"):
-            with localcontext() as coarse:  # the midpoint need not be exact
-                coarse.prec = 30
-                mid = +(lo * hi).sqrt()
-            if residual(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return [float(lo * e / (one + lo * e)) for e in ez], float(lo / (one + lo))
+def decimal_rule(problem):
+    with exact.digits(400):
+        return exact.binary_ri_rule(problem.prior, problem.advantage, problem.lam)
 
 
 class TestCornerDefects:
@@ -471,5 +442,14 @@ def test_imports_nothing_from_the_closed_forms():
         if isinstance(node, ast.ImportFrom):
             assert node.level == 0, f"relative import of {node.module!r}"
             assert not (node.module or "").startswith("riscreen")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "riscreen" for a in node.names)
+
+
+def test_the_exact_model_imports_nothing_from_riscreen():
+    # the tests' exact model is the library's reference, so it must share no code with it
+    for node in ast.walk(ast.parse(open(exact.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("riscreen"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "riscreen" for a in node.names)

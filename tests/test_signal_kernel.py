@@ -24,11 +24,11 @@ cell is pinned as a regression; games at lam = lambda_star and where r
 underflows to 0 are explicit examples of the property test. The cubic's
 roots are also held to the Brent search it replaced
 (``helpers.odds_roots_by_search``) and, where the two differ, to a
-50-digit root.
+60-digit root.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +50,7 @@ from riscreen import (
 )
 from riscreen.baseline_game import lambda_star
 
+import exact
 import helpers
 
 _SIGMA_EDGE = 1e-6
@@ -57,15 +58,11 @@ _IC_TOL = 1e-12
 
 
 def reference_signal(params, nu_m, nu_w):
-    r = math.exp(-1.0 / params.lam)
-    A = nu_m * (1.0 - nu_w)
-    B = nu_w * (1.0 - nu_m)
-    if A <= r * B or B <= r * A:
-        return None
-    pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
-    pi_plus = (A - r * B) / ((1.0 - r * r) * A)
-    pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
-    return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    """The optimal signal at success probabilities nu_m, nu_w by the exact kernel; None at a corner."""
+    r, A, B = math.exp(-1.0 / params.lam), nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m)
+    if exact.interior(A, B, r):
+        pi_minus, pi_bar, pi_plus = exact.kernel(A, B, r)
+        return PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
 
 
 def branch_odds(game, branch, sigma, num=float):
@@ -84,44 +81,32 @@ def branch_odds(game, branch, sigma, num=float):
     return nu_m, 1 - nu_m, nu_m, 1 - nu_m
 
 
-def reference_gap(game, branch, sigma):
-    """The gap on a numpy array of sigma values, -c where the signal is degenerate.
-
-    The interior signal is written out here, so the scan shares no code with
-    the library's kernel."""
-    r = math.exp(-1.0 / game.lam)
-    nu_m, nu_w, w_x, w_y = branch_odds(game, branch, np.asarray(sigma, dtype=float))
-    A = nu_m * (1.0 - nu_w)
-    B = nu_w * (1.0 - nu_m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi_bar = (A - r * B) / ((1.0 - r) * (A + B))
-        pi_plus = (A - r * B) / ((1.0 - r * r) * A)
-        pi_minus = r * (A - r * B) / ((1.0 - r * r) * B)
-        gap = w_x * (pi_plus - pi_bar) + w_y * (pi_bar - pi_minus) - game.c
-    return np.where((A <= r * B) | (B <= r * A), -game.c, gap)
-
-
-def exact_gap(game, branch, sigma):
-    """The gap at a Fraction sigma in exact rational arithmetic at the float r."""
-    r, c = Fraction(math.exp(-1.0 / game.lam)), Fraction(game.c)
-    nu_m, nu_w, w_x, w_y = branch_odds(game, branch, sigma, Fraction)
+def gap(game, branch, sigma, num=float):
+    """A branch's gap, -c where the signal is degenerate, by the exact model's
+    kernel at the float r: on numpy arrays of sigma (num=float), or at one
+    Fraction sigma in exact rational arithmetic (num=Fraction)."""
+    r, c = num(math.exp(-1.0 / game.lam)), num(game.c)
+    sigma = np.asarray(sigma, dtype=float) if num is float else sigma
+    nu_m, nu_w, w_x, w_y = branch_odds(game, branch, sigma, num)
     A, B = nu_m * (1 - nu_w), nu_w * (1 - nu_m)
-    if A <= r * B or B <= r * A:
-        return -c
-    K = (A - r * B) * (B - r * A) / ((1 - r * r) * (A + B))
-    return w_x * K / A + w_y * K / B - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X, Y = exact.bonuses(A, B, r)
+    value, inside = w_x * X + w_y * Y - c, exact.interior(A, B, r)
+    if num is float:
+        return np.where(inside, value, -c)
+    return value if inside else -c
 
 
 def exact_root(game, branch, sigma, width=1e-9, steps=24):
-    """sigma moved to the sign change of exact_gap within sigma +- width, by
+    """sigma moved to the sign change of the exact gap within sigma +- width, by
     bisection down to 2 width / 2**steps; sigma itself where there is none."""
     lo, hi = Fraction(sigma) - Fraction(width), Fraction(sigma) + Fraction(width)
-    below = exact_gap(game, branch, lo) > 0
-    if below == (exact_gap(game, branch, hi) > 0):
+    below = gap(game, branch, lo, Fraction) > 0
+    if below == (gap(game, branch, hi, Fraction) > 0):
         return sigma
     for _ in range(steps):
         mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if (exact_gap(game, branch, mid) > 0) == below else (lo, mid)
+        lo, hi = (mid, hi) if (gap(game, branch, mid, Fraction) > 0) == below else (lo, mid)
     return float((lo + hi) / 2)
 
 
@@ -170,7 +155,7 @@ def reference_mixed_equilibria(game, samples=400):
         hi = min(game.mu_hi, 1.0 - mu_lo) - 1e-9
         if lo < hi:
             def balanced(nu_m):
-                return reference_gap(game, "balanced", (nu_m - mu_lo) / delta_mu)
+                return gap(game, "balanced", (nu_m - mu_lo) / delta_mu)
 
             tangent = abs(game.lam / lambda_star(game) - 1.0) <= 1e-6
             near = np.concatenate((0.5 - _NEAR_HALF, 0.5 + _NEAR_HALF))
@@ -184,13 +169,13 @@ def reference_mixed_equilibria(game, samples=400):
                 if sig is not None and all(_SIGMA_EDGE < s < 1.0 - _SIGMA_EDGE for s in (sigma_m, sigma_w)):
                     found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, _label(sig)))
 
-    for sigma in reference_scan(lambda s: reference_gap(game, "m", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
+    for sigma in reference_scan(lambda s: gap(game, "m", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
         nu_m = mu_lo + sigma * delta_mu
         sig = reference_signal(game, nu_m, mu_lo)
         if sig is not None and nu_m * sig.X + (1.0 - nu_m) * sig.Y <= c + _IC_TOL * min(1.0, c):
             found.append(MixedEquilibrium(MixedProfile(sigma, 0.0), sig, _label(sig)))
 
-    for sigma in reference_scan(lambda s: reference_gap(game, "w", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
+    for sigma in reference_scan(lambda s: gap(game, "w", s), _SIGMA_EDGE, 1.0 - _SIGMA_EDGE, samples):
         nu_w = mu_lo + sigma * delta_mu
         sig = reference_signal(game, game.mu_hi, nu_w)
         if sig is not None and (1.0 - nu_w) * sig.X + nu_w * sig.Y >= c - _IC_TOL * min(1.0, c):
@@ -221,8 +206,8 @@ def check_against_oracles(game):
             continue  # the representative of the symmetric family, not a root
         branch = branch_of(eq)
         sigma = eq.profile.sigma_w if branch == "w" else eq.profile.sigma_m
-        below = exact_gap(game, branch, Fraction(sigma) - step)
-        above = exact_gap(game, branch, Fraction(sigma) + step)
+        below = gap(game, branch, Fraction(sigma) - step, Fraction)
+        above = gap(game, branch, Fraction(sigma) + step, Fraction)
         assert below * above <= 0, (game, eq, float(below), float(above))
         order.append((("balanced", "m", "w").index(branch), sigma))
     assert order == sorted(order), (game, got)  # the scan's order: by branch, then sigma
@@ -321,18 +306,9 @@ def odds_roots_calls(game):
         return mixed_equilibria(game), calls
 
 
-def decimal_odds_root(args, rho, digits=50):
-    """The root of P near rho in `digits` digits: Newton's method at the float inputs."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        r, k, w_x, w_y = (Decimal(v) for v in args[:4])
-        x = Decimal(rho)
-        for _ in range(30):
-            p = (x - r) * (1 - r * x) * (w_x + w_y * x) - k * x * (1 + x)
-            dp = ((1 - r * x) * (w_x + w_y * x) - r * (x - r) * (w_x + w_y * x)
-                  + w_y * (x - r) * (1 - r * x) - k * (1 + 2 * x))
-            x -= p / dp
-        return x
+def decimal_odds_root(args, rho):
+    with exact.digits(60):
+        return exact.odds_root(*args[:4], rho)
 
 
 @st.composite
@@ -356,7 +332,7 @@ def edge_games(draw):
 @example(game=ZERO_R)
 def test_odds_roots_match_the_root_search(game):
     # the closed form and the Brent search it replaced find the same roots,
-    # to 1e-12 relative, or the closed form's is the nearer to a 50-digit root
+    # to 1e-12 relative, or the closed form's is the nearer to a 60-digit root
     found, calls = odds_roots_calls(game)
     for args, got in calls:
         want = helpers.odds_roots_by_search(*args)

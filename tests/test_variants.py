@@ -1,7 +1,6 @@
 """Tests for the model variants."""
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from riscreen.baseline_game import lambda_star, supports_profile
 from riscreen.ri_core import BracketError, ConvergenceError
 from riscreen.variants import _signal_for_success_probs
 
+import exact
 import helpers
 
 GAME = helpers.canonical()
@@ -402,22 +402,8 @@ def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
 
 
 def _prior_invariant_reference(p: tuple, q: tuple, lam: float):
-    """(pi_bar_q, pi(-1), pi(1)) of the closed form up / (up + down) in 60-digit decimal.
-
-    up = q(1)/(1 - e^-b) - q(-1)/(e^a - 1) and down, its mirror image, are
-    taken as written; None when either is not positive (no interior optimum).
-    """
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
-        one = Decimal(1)
-        q_m, q_p, lam = Decimal(q[0]), Decimal(q[2]), Decimal(lam)
-        a, b = Decimal(p[2]) / q_p / lam, Decimal(p[0]) / q_m / lam
-        up = q_p / (one - (-b).exp()) - q_m / (a.exp() - one)
-        down = q_m / (one - (-a).exp()) - q_p / (b.exp() - one)
-        if up <= 0 or down <= 0:
-            return None
-        base = (up / down).ln()
-        return up / (up + down), one / (one + (b - base).exp()), one / (one + (-base - a).exp())
+    with exact.digits(60):
+        return exact.prior_invariant(p, q, lam)
 
 
 @given(
