@@ -4,8 +4,6 @@ The prior, the kernel and the bonuses are plain arithmetic: on floats and
 numpy arrays they round as the library does, on Fractions they are exact.
 The rest read float arguments as exact Decimals in the current context,
 which ``digits(n)`` sets: 60 digits for every reference, 400 for the rule.
-Test modules call it through adapters named as their derandomized tests
-call them, since Hypothesis seeds such a test from its source.
 """
 
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext

@@ -1,13 +1,19 @@
-"""Shared samplers and brute-force oracles for the test suite."""
+"""Shared samplers and brute-force oracles for the test suite.
+
+A sampler is a plain function of one ``random.Random``; :func:`draws` runs a
+property test on a seeded stream of them.
+"""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
-from hypothesis import strategies as st
 
 from riscreen import GameParams, g_func, ri_core, thresholds
+from riscreen.baseline_game import lambda_star
+from riscreen.multitask import TaskParams, task_games
 from riscreen.ri_core import BinaryRIProblem
 
 import exact
@@ -20,20 +26,157 @@ def canonical(lam: float = 0.3) -> GameParams:
     return GameParams(0.8, 0.6, 0.07, lam)
 
 
-# mu within 1e-3 of either edge, or anywhere between
-EDGE_MU = st.one_of(st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6), st.floats(1e-3, 1.0 - 1e-3))
+def draws(n: int, seed: int, cases=(), **samplers):
+    """Run the decorated test on each explicit case, a dict of its arguments,
+    then on n draws from random.Random(seed), each argument drawn by its
+    sampler in the order given.
+
+    A failure is re-raised as an AssertionError that names the case, or the
+    seed and the draw index, with the arguments; the error itself is its
+    cause.
+    """
+    def decorate(test):
+        def run(*self):  # self, for a method
+            def check(where, kwargs):
+                try:
+                    test(*self, **kwargs)
+                except Exception as exc:
+                    raise AssertionError(f"{test.__name__} failed at {where}: {kwargs!r}") from exc
+
+            for i, case in enumerate(cases):
+                check(f"explicit case {i}", case)
+            rng = random.Random(seed)
+            for i in range(n):
+                check(f"seed {seed}, draw {i} of {n}", {name: sample(rng) for name, sample in samplers.items()})
+
+        run.__name__, run.__qualname__, run.__doc__ = test.__name__, test.__qualname__, test.__doc__
+        return run
+
+    return decorate
 
 
-@st.composite
-def domain_games(draw):
-    """Games over the documented domain: lam log-uniform in [1e-4, 1e4], mu
-    near the edges, cost_C log-uniform in [1e-6, 1]."""
-    mu_a, mu_b = draw(EDGE_MU), draw(EDGE_MU)
+def edge_mu(rng: random.Random) -> float:
+    """mu in [1e-6, 1e-3] or [1 - 1e-3, 1 - 1e-6], within 1e-3 of an edge, or in [1e-3, 1 - 1e-3]."""
+    lo, hi = rng.choice(((1e-6, 1e-3), (1.0 - 1e-3, 1.0 - 1e-6), (1e-3, 1.0 - 1e-3)))
+    return rng.uniform(lo, hi)
+
+
+def domain_game(rng: random.Random) -> GameParams:
+    """A game over the documented domain: both mu from :func:`edge_mu` (mu_lo
+    halved if they tie), cost_C log-uniform in [1e-6, 1] and lam log-uniform
+    in [1e-4, 1e4]."""
+    mu_a, mu_b = edge_mu(rng), edge_mu(rng)
     if mu_a == mu_b:
         mu_b = mu_a / 2.0
-    cost = 10.0 ** draw(st.floats(-6.0, 0.0))
-    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    cost = 10.0 ** rng.uniform(-6.0, 0.0)
+    lam = 10.0 ** rng.uniform(-4.0, 4.0)
     return GameParams(max(mu_a, mu_b), min(mu_a, mu_b), cost, lam)
+
+
+def near_half_game(rng: random.Random) -> GameParams:
+    """A game with mu_lo within 1e-6 of 1/2, where gamma_hat is huge or absent:
+    mu_hi in [1/2 + 2e-6, 1 - 1e-3] or [1 - 1e-3, 1 - 1e-6], cost_C and lam as
+    in :func:`domain_game`."""
+    mu_lo = 0.5 + rng.uniform(-1e-6, 1e-6)
+    mu_hi = rng.uniform(*rng.choice(((0.5 + 2e-6, 1.0 - 1e-3), (1.0 - 1e-3, 1.0 - 1e-6))))
+    return GameParams(mu_hi, mu_lo, 10.0 ** rng.uniform(-6.0, 0.0), 10.0 ** rng.uniform(-4.0, 4.0))
+
+
+def quota_game(rng: random.Random) -> GameParams:
+    """A game the quota can bind: mu_hi in [0.501, 0.999] and mu_lo in
+    (1 - mu_hi, mu_hi), redrawn until mu_hi + mu_lo > 1 and mu_lo < mu_hi, so
+    mu stays at least 1e-3 from the edges; cost_C and lam as in
+    :func:`domain_game`."""
+    while True:
+        mu_hi = rng.uniform(0.501, 0.999)
+        mu_lo = rng.uniform(1.0 - mu_hi, mu_hi)
+        if mu_hi + mu_lo > 1.0 and mu_lo < mu_hi:
+            break
+    return GameParams(mu_hi, mu_lo, 10.0 ** rng.uniform(-6.0, 0.0), 10.0 ** rng.uniform(-4.0, 4.0))
+
+
+def near_star_game(rng: random.Random) -> GameParams:
+    """A game with mu_lo in [0.03, 0.499] or [0.501, 0.95], mu_hi in
+    [mu_lo + 0.02, 0.99], c = cost_C / delta_mu in [0.01, 0.49], and lam
+    lambda_star times 1, 1 + [-1e-10, 1e-10], [0.9, 1.1] or exp([-3, 3])."""
+    mu_lo = rng.uniform(*rng.choice(((0.03, 0.499), (0.501, 0.95))))
+    mu_hi = rng.uniform(mu_lo + 0.02, 0.99)
+    cost = rng.uniform(0.02, 0.98) * 0.5 * (mu_hi - mu_lo)
+    lam_star = lambda_star(GameParams(mu_hi, mu_lo, cost, 1.0))
+    factor = rng.choice((
+        lambda: 1.0,
+        lambda: 1.0 + rng.uniform(-1e-10, 1e-10),
+        lambda: rng.uniform(0.9, 1.1),
+        lambda: math.exp(rng.uniform(-3.0, 3.0)),
+    ))()
+    return GameParams(mu_hi, mu_lo, cost, lam_star * factor)
+
+
+def edge_game(rng: random.Random) -> GameParams:
+    """:func:`domain_game` with lam redrawn log-uniform in [1e-4, 2e-3] (r
+    underflows to 0 below about 1/745) or in [10, 1e4], or lambda_star times
+    exp([-1, 1]), where mixed equilibria are common; a lambda_star of 0 or inf
+    keeps the domain_game's lam."""
+    game = domain_game(rng)
+    lam = rng.choice((
+        lambda: 10.0 ** rng.uniform(-4.0, math.log10(2e-3)),
+        lambda: 10.0 ** rng.uniform(1.0, 4.0),
+        lambda: lambda_star(game) * math.exp(rng.uniform(-1.0, 1.0)),
+    ))()
+    return game._replace(lam=lam) if 0.0 < lam < math.inf else game
+
+
+def multitask_game(rng: random.Random) -> tuple:
+    """A regular game and two tasks, the cheaper first: mu_hi in [0.55, 0.97],
+    mu_lo in [max(1 - mu_hi, 0.05) + 0.005, mu_hi - 0.01], alpha in [0.2, 0.5]
+    (equal for both tasks half the time), beta in [0.5, 2], each task's c
+    below the regularity bound, and lam around both task games' cutpoints or
+    in one's discriminatory window."""
+    mu_hi = rng.uniform(0.55, 0.97)
+    mu_lo = rng.uniform(max(1.0 - mu_hi, 0.05) + 0.005, mu_hi - 0.01)
+    game = GameParams(mu_hi, mu_lo, 0.07, 1.0)
+    bound = mu_hi * (1.0 - mu_hi) / (game.A + game.B)
+    alpha1 = rng.uniform(0.2, 0.5)
+    alpha2 = alpha1 if rng.random() < 0.5 else rng.uniform(0.2, 0.5)
+    beta = rng.uniform(0.5, 2.0)
+    c1 = bound * rng.uniform(0.3, 0.98)
+    c2 = min(c1 * rng.uniform(1.0, 1.3), 0.99 * bound)
+    tasks = (
+        TaskParams(alpha1, beta, c1 * alpha1 * beta * game.delta_mu),
+        TaskParams(alpha2, beta, c2 * alpha2 * beta * game.delta_mu),
+    )
+    if tasks[0].effective_cost(game.delta_mu) > tasks[1].effective_cost(game.delta_mu):
+        tasks = tasks[::-1]
+    cuts = [thresholds(g) for g in task_games(game, tasks)]
+    window = rng.choice(cuts + [None])
+    if window is None:  # anywhere around the cutpoints of both tasks
+        ends = [v for k in cuts for v in (k.lambda_low, k.lambda_star, k.lambda_high) if 0.0 < v < math.inf]
+        lam = rng.uniform(0.5 * min(ends), 1.25 * max(ends))
+    else:  # inside one task's discriminatory window
+        lam = rng.uniform(window.lambda_low, window.lambda_high)
+    return game._replace(lam=lam), tasks
+
+
+def ordered_problem(rng: random.Random) -> BinaryRIProblem:
+    """3-5 states with prior weights in [0.05, 1] normalized, advantages in
+    [-2, 2] sorted ascending, lam in [0.05, 5]."""
+    n = rng.randint(3, 5)
+    weights = [rng.uniform(0.05, 1.0) for _ in range(n)]
+    adv = sorted(rng.uniform(-2.0, 2.0) for _ in range(n))
+    lam = rng.uniform(0.05, 5.0)
+    total = sum(weights)
+    return BinaryRIProblem(tuple(range(n)), tuple(w / total for w in weights), tuple(adv), lam)
+
+
+def wide_problem(rng: random.Random) -> BinaryRIProblem:
+    """2-6 states, prior weights log-uniform in [1e-25, 1] normalized, |v|
+    log-uniform in [1e-2, 1e2] of either sign, lam log-uniform in [1e-4, 1e4]."""
+    n = rng.randint(2, 6)
+    weights = [10.0 ** rng.uniform(-25.0, 0.0) for _ in range(n)]
+    total = sum(weights)
+    adv = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.0) for _ in range(n)]
+    lam = 10.0 ** rng.uniform(-4.0, 4.0)
+    return BinaryRIProblem(tuple(range(n)), tuple(w / total for w in weights), tuple(adv), lam)
 
 
 def sample_assumption1(rng: np.random.Generator, lam: float = 1.0) -> GameParams:
@@ -135,9 +278,11 @@ def quota_multiplier_by_root(params: GameParams, profile: tuple):
     """The quota multiplier by a root search, the oracle of
     :func:`riscreen.find_multiplier`.
 
-    nu solves sum_d p(d) sigmoid((d - nu)/lam) = 1/2 with
-    :func:`ri_core.find_root` on [-1, 1] (xtol 1e-15): every d - nu is >= 0
-    at nu = -1 and <= 0 at nu = 1, so the residual changes sign there.
+    nu solves sum_d p(d) sigmoid((d - nu)/lam) = 1/2, that is sum_d p(d)
+    tanh((d - nu)/(2 lam)) = 0, a residual that keeps the digits pi_bar - 1/2
+    cancels, with :func:`ri_core.find_root` on [-1, 1] to a tolerance
+    relative to the root: every d - nu is >= 0 at nu = -1 and <= 0 at nu = 1,
+    so the residual changes sign there.
     """
     from riscreen import BracketError, PromotionSignal, QuotaSolution, optimal_signal, state_distribution
     from riscreen.quota_policy import QUOTA_TOL
@@ -147,7 +292,9 @@ def quota_multiplier_by_root(params: GameParams, profile: tuple):
         return QuotaSolution(0.0, optimal_signal(params, profile))
     prior = state_distribution(params, profile)
     nu = ri_core.find_root(
-        lambda nu: _binding_rule(prior, params.lam, nu)[1] - 0.5, -1.0, 1.0, xtol=1e-15
+        lambda nu: sum(p * math.tanh((d - nu) / (2.0 * params.lam)) for p, d in zip(prior, (-1.0, 0.0, 1.0))),
+        -1.0,
+        1.0,
     )
     q, pi_bar = _binding_rule(prior, params.lam, nu)
     if abs(pi_bar - 0.5) > QUOTA_TOL:

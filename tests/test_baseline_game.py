@@ -6,7 +6,6 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from riscreen import (
     AGENT_M,
@@ -323,8 +322,7 @@ class TestLabels:
             assert str(info.value) == "agent must be 'm' or 'w', got 'x'"
 
 
-@given(params=helpers.domain_games())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@helpers.draws(60, seed=31001, params=helpers.domain_game)
 def test_gains_keep_their_operand_order(params):
     # m's gain is (1 - mu_w) X + mu_w Y and w's is mu_m X + (1 - mu_m) Y, bit for bit
     for profile in PROFILES:
@@ -470,43 +468,31 @@ def test_cubic_roots_recover_known_roots():
         assert all(min(abs(g - t) for g in got) <= 1e-9 * abs(t) for t in truth), (coefs, got, truth)
 
 
-def gamma_hat_reference(params):
-    with exact.digits(60):
-        return exact.gamma_hat(params.mu_hi, params.mu_lo)
-
-
-def cutpoint_references(params):
-    with exact.digits(60):
-        return exact.lambda_star(params.c), exact.lambda_breve(params.mu_hi, params.mu_lo)
-
-
-@st.composite
-def near_half_games(draw):
-    """Games with mu_lo within 1e-6 of 1/2, where gamma_hat is huge or absent."""
-    mu_lo = 0.5 + draw(st.floats(-1e-6, 1e-6))
-    mu_hi = draw(st.one_of(st.floats(0.5 + 2e-6, 1.0 - 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6)))
-    cost = 10.0 ** draw(st.floats(-6.0, 0.0))
-    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
-    return GameParams(mu_hi, mu_lo, cost, lam)
-
-
-@given(params=st.one_of(helpers.domain_games(), near_half_games()))
-@settings(max_examples=200, deadline=None, derandomize=True)
-@example(params=GameParams(0.8, 0.5, 0.07, 0.3))
-@example(params=GameParams(1.0 - 1e-6, 0.5 + 2.0**-53, 1e-6, 1e4))
-@example(params=GameParams(0.8, 0.6, 0.2e-6, 0.3))  # c = 1e-6
-@example(params=GameParams(0.6 + 1e-6, 0.6, 1e-3, 0.3))  # delta_mu = 1e-6
+@helpers.draws(
+    200,
+    seed=31002,
+    cases=[
+        dict(params=GameParams(0.8, 0.5, 0.07, 0.3)),
+        dict(params=GameParams(1.0 - 1e-6, 0.5 + 2.0**-53, 1e-6, 1e4)),
+        dict(params=GameParams(0.8, 0.6, 0.2e-6, 0.3)),  # c = 1e-6
+        dict(params=GameParams(0.6 + 1e-6, 0.6, 1e-3, 0.3)),  # delta_mu = 1e-6
+    ],
+    params=lambda rng: rng.choice((helpers.domain_game, helpers.near_half_game))(rng),
+)
 def test_thresholds_on_the_whole_domain(params):
     cuts = thresholds(params)
     values = [getattr(cuts, name) for name in cuts._fields if name != "gamma_hat"]
     assert all(math.isfinite(v) for v in values), cuts
-    for got, exact in zip((cuts.lambda_star, cuts.lambda_breve), cutpoint_references(params)):
-        assert float(abs(Decimal(got) - exact)) <= 1e-14 * float(exact), (params, got)
+    with exact.digits(60):
+        wants = exact.lambda_star(params.c), exact.lambda_breve(params.mu_hi, params.mu_lo)
+    for got, want in zip((cuts.lambda_star, cuts.lambda_breve), wants):
+        assert float(abs(Decimal(got) - want)) <= 1e-14 * float(want), (params, got)
     assert (cuts.gamma_hat is None) == (params.mu_lo <= 0.5)
     if cuts.gamma_hat is not None:
-        exact = gamma_hat_reference(params)
+        with exact.digits(60):
+            gamma_hat = exact.gamma_hat(params.mu_hi, params.mu_lo)
         assert math.isfinite(cuts.gamma_hat) and cuts.gamma_hat > params.A / params.B
-        assert float(abs(Decimal(cuts.gamma_hat) - exact) / exact) <= 1e-14, (params, cuts.gamma_hat)
+        assert float(abs(Decimal(cuts.gamma_hat) - gamma_hat) / gamma_hat) <= 1e-14, (params, cuts.gamma_hat)
 
 
 class TestEquilibria:
@@ -680,12 +666,17 @@ def valued_signals(params):
 LARGE_LAM = GameParams(0.8, 0.6, 0.07, 1000.0 + 9000.0 * 20 / 39)
 
 
-@given(params=helpers.domain_games())
-@settings(max_examples=200, deadline=None, derandomize=True)
-@example(params=LARGE_LAM)
-@example(params=GameParams(0.8, 0.6, 0.07, 2.0))  # degenerate (hi, lo) signal
-# just below lambda_breve: pi_bar rounds to 1 while pi(-1) = 1 - 6e-16
-@example(params=GameParams(0.7653730981678712, 0.19577267848062543, 0.01, 0.38531271033885767))
+@helpers.draws(
+    200,
+    seed=31003,
+    cases=[
+        dict(params=LARGE_LAM),
+        dict(params=GameParams(0.8, 0.6, 0.07, 2.0)),  # degenerate (hi, lo) signal
+        # just below lambda_breve: pi_bar rounds to 1 while pi(-1) = 1 - 6e-16
+        dict(params=GameParams(0.7653730981678712, 0.19577267848062543, 0.01, 0.38531271033885767)),
+    ],
+    params=helpers.domain_game,
+)
 def test_evaluate_matches_a_50_digit_valuation(params):
     # V to 1e-15 relative; I and profit to 4 eps of the size of the terms they add up
     for profile, signal in valued_signals(params):

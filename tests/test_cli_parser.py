@@ -13,9 +13,10 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from riscreen import _sweep, cli
+
+import helpers
 
 COMMANDS = [name for name, _, _ in cli._COMMANDS]
 CANON = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07"]
@@ -285,54 +286,94 @@ def _down(v) -> dict:
     return {"header": ["lam", "x"], "cells": [[0.5 * i, v] for i in range(3)], "meta": {}}
 
 
+#: special floats, and floats that round up across a power of ten at 12 significant digits
+_SPECIAL_FLOATS = (
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    999999999999.5, 9.9999999999995e-5, -99999999999.95, 9.99999999999999e22,
+)
+_CELL_CHARS, _HEADER_CHARS, _META_CHARS = 'ab"\\/é€😀\n\t\x00\x1f\x7f', 'ab_"\\é😀\n', 'mk"\\é'
+
+
+def _text(rng, alphabet: str, max_size: int) -> str:
+    """Up to max_size characters of alphabet."""
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_size)))
+
+
+def _float_cell(rng) -> float:
+    """A float of any bit pattern, or one of _SPECIAL_FLOATS."""
+    if rng.random() < 0.5:
+        return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+    return rng.choice(_SPECIAL_FLOATS)
+
+
 #: the three kinds of sweep cell, each column holding one of them
 _KINDS = (
-    st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.sampled_from([
-            math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-            # round up across a power of ten at 12 significant digits
-            999999999999.5, 9.9999999999995e-5, -99999999999.95, 9.99999999999999e22,
-        ]),
-    ),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    st.text(alphabet=st.sampled_from('ab"\\/é€😀\n\t\x00\x1f\x7f'), max_size=8),
+    _float_cell,
+    lambda rng: rng.randint(-(2**80), 2**80),
+    lambda rng: _text(rng, _CELL_CHARS, 8),
 )
 
 
-@st.composite
-def _one_kind_rows(draw):
+def _header(rng) -> list:
+    """One to six column names of up to four characters."""
+    return [_text(rng, _HEADER_CHARS, 4) for _ in range(rng.randint(1, 6))]
+
+
+def _one_kind_rows(rng) -> list:
     """Up to five rows of six cells, each column of one kind of _KINDS."""
-    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=6, max_size=6))
-    return draw(st.lists(st.tuples(*kinds).map(list), max_size=5))
+    kinds = [rng.choice(_KINDS) for _ in range(6)]
+    return [[kind(rng) for kind in kinds] for _ in range(rng.randint(0, 5))]
 
 
-@given(
-    header=st.lists(st.text(alphabet=st.sampled_from('ab_"\\é😀\n'), max_size=4), min_size=1, max_size=6),
-    cells=_one_kind_rows(),
-    meta=st.dictionaries(st.text(alphabet=st.sampled_from('mk"\\é'), max_size=3), _KINDS[2], max_size=3),
+def _meta(rng) -> dict:
+    """Up to three keys of up to three characters, each with a text of _KINDS."""
+    return {_text(rng, _META_CHARS, 3): _KINDS[2](rng) for _ in range(rng.randint(0, 3))}
+
+
+def test_cell_samplers_stay_in_their_boxes():
+    rng = random.Random(31023)
+    for _ in range(300):
+        header, rows, meta = _header(rng), _one_kind_rows(rng), _meta(rng)
+        assert 1 <= len(header) <= 6 and all(len(name) <= 4 and set(name) <= set(_HEADER_CHARS) for name in header)
+        assert len(rows) <= 5 and all(len(row) == 6 for row in rows)
+        for column in zip(*rows):
+            kinds = {float if isinstance(v, float) else int if isinstance(v, int) else str for v in column}
+            assert len(kinds) == 1, column
+            assert all(abs(v) <= 2**80 for v in column if isinstance(v, int))
+            assert all(len(v) <= 8 and set(v) <= set(_CELL_CHARS) for v in column if isinstance(v, str))
+        assert len(meta) <= 3 and all(set(k) <= set(_META_CHARS) and len(k) <= 3 for k in meta)
+        assert all(isinstance(v, str) and len(v) <= 8 and set(v) <= set(_CELL_CHARS) for v in meta.values())
+
+
+@helpers.draws(
+    50,
+    seed=31004,
+    cases=[
+        dict(header=["lam", "x"], cells=[[999999999999.5, 9.9999999999995e-5, 0, 0, 0, 0]], meta={}),
+        # where .12g and repr switch to exponent form, and an ulp either side
+        dict(header=list("abcdef"), cells=[_around(1e-4), _around(1e12), _around(1e16)], meta={}),
+        dict(header=list("abcdef"), cells=[[-x for x in _around(1e-4)], [-x for x in _around(1e12)]], meta={}),
+        dict(header=list("abcdef"), cells=[[3.0, -0.0, 5e-324, math.nan, math.inf, -math.inf], [1e15, 2.0**60, -7.0, 0.0, 1e300, 1.0]], meta={}),
+        dict(header=[], cells=[[1.5, 2, "x", 0.1, None, True], [0.0, 1, "y", 2.5, False, 3.0]], meta={}),
+        dict(header=[], cells=[], meta={}),
+        # one object down a column is formatted once, into the row template
+        _down(0.1 + 0.2),
+        _down(math.nan),
+        _down(-0.0),
+        _down(2**70),
+        _down("hi,lo"),
+        dict(header=["%", "%s", "%%", "%(x)s"], cells=[["%", "%s", "%%", "%(x)s"], ["%(x)s", "%s", "%", "%%"]], meta={"%s": "%(x)s"}),
+        dict(header=list("ab"), cells=[[1e-7, "%s"]] * 3, meta={}),
+        dict(header=list("abcdef"), cells=[[1.5, 2, "x%", 0.1, "%", 7]], meta={}),
+        dict(header=["a", "b", "a"], cells=[[1.0, 2, -0.0], [3.0, 4, -0.0]], meta={}),
+        dict(header=["a", "b", "a", "a", "c", "b"], cells=[[1.5, 2, "x", 0.1, "", 7], [0.0, 1, "y", 2.5, "%", 3]], meta={}),
+        # equal cells that are not one object keep their own texts
+        dict(header=["x", "y"], cells=[[0.0, 1], [-0.0, 1]], meta={}),
+    ],
+    header=_header,
+    cells=_one_kind_rows,
+    meta=_meta,
 )
-@settings(max_examples=50, deadline=None, derandomize=True)
-@example(header=["lam", "x"], cells=[[999999999999.5, 9.9999999999995e-5, 0, 0, 0, 0]], meta={})
-# where .12g and repr switch to exponent form, and an ulp either side
-@example(header=list("abcdef"), cells=[_around(1e-4), _around(1e12), _around(1e16)], meta={})
-@example(header=list("abcdef"), cells=[[-x for x in _around(1e-4)], [-x for x in _around(1e12)]], meta={})
-@example(header=list("abcdef"), cells=[[3.0, -0.0, 5e-324, math.nan, math.inf, -math.inf], [1e15, 2.0**60, -7.0, 0.0, 1e300, 1.0]], meta={})
-@example(header=[], cells=[[1.5, 2, "x", 0.1, None, True], [0.0, 1, "y", 2.5, False, 3.0]], meta={})
-@example(header=[], cells=[], meta={})
-# one object down a column is formatted once, into the row template
-@example(**_down(0.1 + 0.2))
-@example(**_down(math.nan))
-@example(**_down(-0.0))
-@example(**_down(2**70))
-@example(**_down("hi,lo"))
-@example(header=["%", "%s", "%%", "%(x)s"], cells=[["%", "%s", "%%", "%(x)s"], ["%(x)s", "%s", "%", "%%"]], meta={"%s": "%(x)s"})
-@example(header=list("ab"), cells=[[1e-7, "%s"]] * 3, meta={})
-@example(header=list("abcdef"), cells=[[1.5, 2, "x%", 0.1, "%", 7]], meta={})
-@example(header=["a", "b", "a"], cells=[[1.0, 2, -0.0], [3.0, 4, -0.0]], meta={})
-@example(header=["a", "b", "a", "a", "c", "b"], cells=[[1.5, 2, "x", 0.1, "", 7], [0.0, 1, "y", 2.5, "%", 3]], meta={})
-# equal cells that are not one object keep their own texts
-@example(header=["x", "y"], cells=[[0.0, 1], [-0.0, 1]], meta={})
 def test_sweep_writer_equals_dumps_of_the_rounded_rows(header, cells, meta):
     rows = [row[: len(header)] for row in cells]
     payload = {
@@ -381,10 +422,9 @@ def _draw_double(rng) -> float:
     return float(f"{rng.choice('+-')}{rng.randrange(10 ** (digits - 1), 10**digits)}e{exponent}")
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=20, deadline=None, derandomize=True)
-def test_one_pass_cell_is_repr_of_the_rounded_float(seed):
-    rng = random.Random(seed)
+@helpers.draws(20, seed=31005, stream=lambda rng: rng.randrange(2**32))
+def test_one_pass_cell_is_repr_of_the_rounded_float(stream):
+    rng = random.Random(stream)
     for v in (_draw_double(rng) for _ in range(500)):
         text = repr(float(f"{v:.12g}"))
         assert _cell_text(v) == _sweep._WORDS.get(text, text), v

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from riscreen import (
     HI,
@@ -257,42 +256,7 @@ def reference_equilibrium_set(game, tasks):
     return found
 
 
-@st.composite
-def multitask_games(draw):
-    """Regular games, lam around both task games' cutpoints or in one's
-    discriminatory window."""
-    mu_hi = draw(st.floats(0.55, 0.97))
-    mu_lo = draw(st.floats(max(1.0 - mu_hi, 0.05) + 0.005, mu_hi - 0.01))
-    game = GameParams(mu_hi, mu_lo, 0.07, 1.0)
-    bound = mu_hi * (1.0 - mu_hi) / (game.A + game.B)
-    alpha1 = draw(st.floats(0.2, 0.5))
-    alpha2 = alpha1 if draw(st.booleans()) else draw(st.floats(0.2, 0.5))
-    beta = draw(st.floats(0.5, 2.0))
-    c1 = bound * draw(st.floats(0.3, 0.98))
-    c2 = min(c1 * draw(st.floats(1.0, 1.3)), 0.99 * bound)
-    tasks = (
-        TaskParams(alpha1, beta, c1 * alpha1 * beta * game.delta_mu),
-        TaskParams(alpha2, beta, c2 * alpha2 * beta * game.delta_mu),
-    )
-    if tasks[0].effective_cost(game.delta_mu) > tasks[1].effective_cost(game.delta_mu):
-        tasks = tasks[::-1]
-    cuts = [thresholds(g) for g in task_games(game, tasks)]
-    window = draw(st.sampled_from(cuts + [None]))
-    if window is None:  # anywhere around the cutpoints of both tasks
-        ends = [
-            v
-            for k in cuts
-            for v in (k.lambda_low, k.lambda_star, k.lambda_high)
-            if 0.0 < v < math.inf
-        ]
-        lam = draw(st.floats(0.5 * min(ends), 1.25 * max(ends)))
-    else:  # inside one task's discriminatory window
-        lam = draw(st.floats(window.lambda_low, window.lambda_high))
-    return game._replace(lam=lam), tasks
-
-
-@given(case=multitask_games())
-@settings(max_examples=200, deadline=None, derandomize=True)
+@helpers.draws(200, seed=31006, case=helpers.multitask_game)
 def test_equilibrium_set_matches_reference(case):
     game, tasks = case
     expected = reference_equilibrium_set(game, tasks)
@@ -335,8 +299,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     assert counts == {"_impartial_signal": 1, "signal_from_odds": 1, "_value": 2}
 
 
-@given(case=multitask_games())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@helpers.draws(60, seed=31007, case=helpers.multitask_game)
 def test_only_the_pairs_in_use_are_valued(case):
     # one valuation per distinct effort pair of some joint equilibrium, (lo, hi) as (hi, lo)
     from riscreen import multitask

@@ -5,7 +5,6 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from riscreen import (
     HI,
@@ -260,22 +259,16 @@ class TestClosedFormBindingSignal:
             assert find_multiplier(GAME, profile).signal.pi_bar == pytest.approx(0.5, abs=1e-12)
 
 
-@st.composite
-def quota_games(draw):
-    """lam log-uniform in [1e-4, 1e4], mu up to 1e-3 from the edges, costs over six decades."""
-    mu_hi = draw(st.floats(0.501, 0.999))
-    mu_lo = draw(st.floats(1.0 - mu_hi, mu_hi, exclude_min=True, exclude_max=True))
-    assume(mu_hi + mu_lo > 1.0 and mu_lo < mu_hi)
-    cost = 10.0 ** draw(st.floats(-6.0, 0.0))
-    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
-    return GameParams(mu_hi, mu_lo, cost, lam)
-
-
-@given(game=quota_games())
-@example(game=GameParams(0.8, 0.6, 0.07, 5000.0))
-@example(game=GameParams(0.999, 0.998, 1e-6, 1e4))
-@example(game=GameParams(0.999, 0.001 + 1e-9, 1.0, 1e-4))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@helpers.draws(
+    300,
+    seed=31008,
+    cases=[
+        dict(game=GameParams(0.8, 0.6, 0.07, 5000.0)),
+        dict(game=GameParams(0.999, 0.998, 1e-6, 1e4)),
+        dict(game=GameParams(0.999, 0.001 + 1e-9, 1.0, 1e-4)),
+    ],
+    game=helpers.quota_game,
+)
 def test_quota_equilibria_are_the_impartial_ones(game):
     quota = quota_equilibrium_set(game)
     impartial = [r.profile for r in equilibrium_set(game) if r.classification == IMPARTIAL]
@@ -283,10 +276,15 @@ def test_quota_equilibria_are_the_impartial_ones(game):
     assert all(r.classification == IMPARTIAL for r in quota)
 
 
-@given(game=quota_games())
-@example(game=GameParams(0.7352835494332178, 0.5124275134332898, 1.3550873596748262e-06, 355.85635386923724))
-@example(game=GameParams(0.9391453249292385, 0.13701941881382593, 0.0010696936521694754, 3217.749153833079))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@helpers.draws(
+    200,
+    seed=31009,
+    cases=[
+        dict(game=GameParams(0.7352835494332178, 0.5124275134332898, 1.3550873596748262e-06, 355.85635386923724)),
+        dict(game=GameParams(0.9391453249292385, 0.13701941881382593, 0.0010696936521694754, 3217.749153833079)),
+    ],
+    game=helpers.quota_game,
+)
 def test_shared_impartial_records_are_equal(game):
     # the quota game's symmetric records hold optimal_signal, so they are
     # valued as equilibrium_set values them (the generic sums printed other
@@ -296,22 +294,35 @@ def test_shared_impartial_records_are_equal(game):
         assert rec == baseline[rec.profile]
 
 
-def decimal_multiplier(params, profile, start):
-    with exact.digits(60):
-        return exact.quota_multiplier(*(params.mu(e) for e in profile), params.lam, start)
-
-
-@given(game=quota_games())
-@example(game=GameParams(0.999, 0.0011, 0.07, 1e-4))  # nu -> 1: the shifted branch
-@example(game=GameParams(0.999, 0.0011, 0.07, 1e4))
-@example(game=GameParams(0.8, 0.6, 0.07, 1e-4))
-@example(game=GameParams(0.8, 0.6, 0.07, 1e4))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@helpers.draws(
+    300,
+    seed=31010,
+    cases=[
+        dict(game=GameParams(0.999, 0.0011, 0.07, 1e-4)),  # nu -> 1: the shifted branch
+        dict(game=GameParams(0.999, 0.0011, 0.07, 1e4)),
+        dict(game=GameParams(0.8, 0.6, 0.07, 1e-4)),
+        dict(game=GameParams(0.8, 0.6, 0.07, 1e4)),
+        # the multiplier is 1.1e-16 for (hi, lo): a residual pi_bar - 1/2 gave the oracle -6.2e-13
+        dict(game=GameParams(0.6375755851878737, 0.6375755851878736, 1.0, 5623.413251903491)),
+    ],
+    game=helpers.quota_game,
+)
 def test_find_multiplier_agrees_with_the_root_search(game):
-    # to the oracle's xtol, or closer than the oracle to a 60-digit root
+    # to 1e-12 relative or 1e-15, or closer than the oracle to a 60-digit root
     for profile in ((HI, LO), (LO, HI)):
         nu = find_multiplier(game, profile).nu
         oracle = helpers.quota_multiplier_by_root(game, profile).nu
         if not math.isclose(nu, oracle, rel_tol=1e-12, abs_tol=1e-15):
-            exact = decimal_multiplier(game, profile, nu)
-            assert abs(Decimal(nu) - exact) <= abs(Decimal(oracle) - exact), (game, profile, nu, oracle)
+            with exact.digits(60):
+                root = exact.quota_multiplier(*(game.mu(e) for e in profile), game.lam, nu)
+            assert abs(Decimal(nu) - root) <= abs(Decimal(oracle) - root), (game, profile, nu, oracle)
+
+
+def test_root_search_keeps_the_sign_of_a_tiny_multiplier():
+    # pi_bar - 1/2 is rounding noise 1e-12 wide in nu here; the tanh residual is not
+    game = GameParams(0.6375755851878737, 0.6375755851878736, 1.0, 5623.413251903491)
+    for profile, sign in (((HI, LO), 1.0), ((LO, HI), -1.0)):
+        with exact.digits(60):
+            root = exact.quota_multiplier(*(game.mu(e) for e in profile), game.lam, sign * 1e-16)
+        assert math.isclose(float(root), sign * 1.1102230257557554e-16, rel_tol=1e-15)
+        assert math.isclose(helpers.quota_multiplier_by_root(game, profile).nu, float(root), rel_tol=1e-8)

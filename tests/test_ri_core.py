@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from riscreen import PROFILES, GameParams, commitment_solve, ri_core
 from riscreen.baseline_game import lambda_star, ri_problem
@@ -221,32 +220,16 @@ class TestSolverInvariants:
             assert abs(mean - rule.unconditional) <= 1e-10
 
 
-@given(data=st.data())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_conditionals_monotone_in_advantage(data):
+@helpers.draws(150, seed=31011, prob=helpers.ordered_problem)
+def test_conditionals_monotone_in_advantage(prob):
     """States with a larger action-1 advantage get a weakly larger conditional."""
-    n = data.draw(st.integers(3, 5))
-    weights = data.draw(
-        st.lists(st.floats(0.05, 1.0, allow_nan=False), min_size=n, max_size=n)
-    )
-    adv = sorted(
-        data.draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=n, max_size=n))
-    )
-    lam = data.draw(st.floats(0.05, 5.0, allow_nan=False))
-    total = sum(weights)
-    prior = tuple(w / total for w in weights)
-    prob = BinaryRIProblem(tuple(range(n)), prior, tuple(adv), lam)
     rule = solve_binary_ri(prob)
     for lo, hi in zip(rule.conditional, rule.conditional[1:]):
         assert hi >= lo - 1e-12
     assert all(0.0 <= q <= 1.0 for q in rule.conditional)
 
 
-@given(
-    p_hi=st.floats(0.55, 0.95, allow_nan=False),
-    lam=st.floats(0.05, 5.0, allow_nan=False),
-)
-@settings(max_examples=100, deadline=None, derandomize=True)
+@helpers.draws(100, seed=31012, p_hi=lambda rng: rng.uniform(0.55, 0.95), lam=lambda rng: rng.uniform(0.05, 5.0))
 def test_symmetric_prior_yields_even_split(p_hi, lam):
     s = p_hi * (1.0 - p_hi)
     prob = BinaryRIProblem((-1, 0, 1), (s, 1.0 - 2.0 * s, s), (-1.0, 0.0, 1.0), lam)
@@ -328,22 +311,7 @@ class TestCornerDefects:
         assert rule.conditional[1] == pytest.approx(1.5939058e-24, rel=1e-7)
 
 
-@st.composite
-def wide_problems(draw):
-    """2-6 states, prior entries down to 1e-25, |v| in [1e-2, 1e2], lam in [1e-4, 1e4]."""
-    n = draw(st.integers(2, 6))
-    weights = [10.0 ** draw(st.floats(-25.0, 0.0)) for _ in range(n)]
-    total = sum(weights)
-    adv = [
-        draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-2.0, 2.0))
-        for _ in range(n)
-    ]
-    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
-    return BinaryRIProblem(tuple(range(n)), tuple(w / total for w in weights), tuple(adv), lam)
-
-
-@given(problem=wide_problems())
-@settings(max_examples=250, deadline=None, derandomize=True)
+@helpers.draws(250, seed=31013, problem=helpers.wide_problem)
 def test_interior_rules_match_high_precision_reference(problem):
     rule = solve_binary_ri(problem)
     if degeneracy_check(problem) != INTERIOR:

@@ -6,7 +6,6 @@ shared results must equal the per-profile ones bit for bit.
 """
 
 import pytest
-from hypothesis import given, settings
 
 from riscreen import PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
 from riscreen.baseline_game import _profile_signals
@@ -31,8 +30,7 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-@given(game=helpers.domain_games())
-@settings(max_examples=200, deadline=None, derandomize=True)
+@helpers.draws(200, seed=31014, game=helpers.domain_game)
 def test_shared_signals_and_tilt_equal_the_per_profile_solves(game):
     assert hexed(_profile_signals(game, game.lam)) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
     # the quota refuses mu_hi + mu_lo <= 1; mu -> 1 - mu flips the sum across 1

@@ -33,7 +33,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from riscreen import (
     DISCRIMINATORY,
@@ -215,40 +214,28 @@ def check_against_oracles(game):
     return got
 
 
-@st.composite
-def games(draw):
-    """Games with mu_lo on both sides of 1/2 and lam near and away from lambda_star."""
-    mu_lo = draw(st.one_of(st.floats(0.03, 0.499), st.floats(0.501, 0.95)))
-    mu_hi = draw(st.floats(mu_lo + 0.02, 0.99)) if mu_lo + 0.02 < 0.99 else 0.99
-    share = draw(st.floats(0.02, 0.98))
-    cost = share * 0.5 * (mu_hi - mu_lo)
-    lam_star = lambda_star(GameParams(mu_hi, mu_lo, cost, 1.0))
-    factor = draw(st.one_of(
-        st.just(1.0),
-        st.floats(-1e-10, 1e-10).map(lambda e: 1.0 + e),
-        st.floats(0.9, 1.1),
-        st.floats(-3.0, 3.0).map(math.exp),
-    ))
-    return GameParams(mu_hi, mu_lo, cost, lam_star * factor)
-
-
-@given(game=games())
-@settings(max_examples=200, deadline=None, derandomize=True)
-# lam = lambda_star: u = 2, the balanced gap only touches 0 at nu = 1/2
-@example(game=GameParams(0.75, 0.25, 0.08275317458487116, 1.453635679629572))
-# exp(-1/lam) underflows to 0 (lam below about 1/745): the quartic's u is 1/k
-@example(game=GameParams(0.889626626266012, 0.08700055843059516, 0.1718723373731984, 0.00015899821749638233))
-# m's indifference has two roots, split at the critical point of the cubic
-@example(game=GameParams(0.9368641636882881, 0.6938578056329902, 0.07941401136421603, 0.6495333980073986))
-# 3.4e-11 below lambda_star: the balanced roots lie 1.5e-6 either side of sigma = 1/2
-@example(game=GameParams(0.75, 0.25, 0.125, 0.9102392265930936))
-# 5.9e-11 below lambda_star at r = 0.954 and near it at r = 0.79: a u - 2 formed by
-# subtraction put the balanced sigma 2.8e-10 and 1.8e-10 off
-@example(game=GameParams(0.75, 0.25, 0.005859375, 21.32942650971451))
-@example(game=GameParams(0.5010808493470605, 0.3179167529378243, 0.01066504072394105, 4.2740833939723055))
-# 1.4e-13 below lambda_star at r = 0.029 (2c >= 1/2): an e - 2c(1 + r) formed by
-# subtraction put the balanced sigma 5.3e-10 off
-@example(game=GameParams(0.7182399803446649, 0.4931375835895383, 0.10626623731596745, 0.2816839431148405))
+@helpers.draws(
+    200,
+    seed=31015,
+    cases=[
+        # lam = lambda_star: u = 2, the balanced gap only touches 0 at nu = 1/2
+        dict(game=GameParams(0.75, 0.25, 0.08275317458487116, 1.453635679629572)),
+        # exp(-1/lam) underflows to 0 (lam below about 1/745): the quartic's u is 1/k
+        dict(game=GameParams(0.889626626266012, 0.08700055843059516, 0.1718723373731984, 0.00015899821749638233)),
+        # m's indifference has two roots, split at the critical point of the cubic
+        dict(game=GameParams(0.9368641636882881, 0.6938578056329902, 0.07941401136421603, 0.6495333980073986)),
+        # 3.4e-11 below lambda_star: the balanced roots lie 1.5e-6 either side of sigma = 1/2
+        dict(game=GameParams(0.75, 0.25, 0.125, 0.9102392265930936)),
+        # 5.9e-11 below lambda_star at r = 0.954 and near it at r = 0.79: a u - 2 formed by
+        # subtraction put the balanced sigma 2.8e-10 and 1.8e-10 off
+        dict(game=GameParams(0.75, 0.25, 0.005859375, 21.32942650971451)),
+        dict(game=GameParams(0.5010808493470605, 0.3179167529378243, 0.01066504072394105, 4.2740833939723055)),
+        # 1.4e-13 below lambda_star at r = 0.029 (2c >= 1/2): an e - 2c(1 + r) formed by
+        # subtraction put the balanced sigma 5.3e-10 off
+        dict(game=GameParams(0.7182399803446649, 0.4931375835895383, 0.10626623731596745, 0.2816839431148405)),
+    ],
+    game=helpers.near_star_game,
+)
 def test_mixed_equilibria_match_scalar_scan(game):
     check_against_oracles(game)
 
@@ -306,30 +293,12 @@ def odds_roots_calls(game):
         return mixed_equilibria(game), calls
 
 
-def decimal_odds_root(args, rho):
-    with exact.digits(60):
-        return exact.odds_root(*args[:4], rho)
-
-
-@st.composite
-def edge_games(draw):
-    """helpers.domain_games with lam redrawn log-uniform in [1e-4, 2e-3] (r
-    underflows to 0 below about 1/745) or in [10, 1e4], or within a factor e
-    of lambda_star, where mixed equilibria are common."""
-    game = draw(helpers.domain_games())
-    lam = draw(st.one_of(
-        st.floats(-4.0, math.log10(2e-3)).map(lambda e: 10.0**e),
-        st.floats(1.0, 4.0).map(lambda e: 10.0**e),
-        st.floats(-1.0, 1.0).map(lambda e: lambda_star(game) * math.exp(e)),
-    ))
-    return game._replace(lam=lam) if 0.0 < lam < math.inf else game
-
-
-@given(game=edge_games())
-@settings(max_examples=300, deadline=None, derandomize=True)
-@example(game=LARGE_LAMBDA)
-@example(game=TINY_R)
-@example(game=ZERO_R)
+@helpers.draws(
+    300,
+    seed=31016,
+    cases=[dict(game=LARGE_LAMBDA), dict(game=TINY_R), dict(game=ZERO_R)],
+    game=helpers.edge_game,
+)
 def test_odds_roots_match_the_root_search(game):
     # the closed form and the Brent search it replaced find the same roots,
     # to 1e-12 relative, or the closed form's is the nearer to a 60-digit root
@@ -339,16 +308,16 @@ def test_odds_roots_match_the_root_search(game):
         assert len(got) == len(want), (game, args, got, want)
         for a, b in zip(got, want):
             if abs(a - b) > 1e-12 * b:
-                exact = decimal_odds_root(args, b)
-                bound = max(abs(Decimal(b) - exact), Decimal(1e-12) * exact)
-                assert abs(Decimal(a) - exact) <= bound, (game, args, a, b)
+                with exact.digits(60):
+                    root = exact.odds_root(*args[:4], b)
+                bound = max(abs(Decimal(b) - root), Decimal(1e-12) * root)
+                assert abs(Decimal(a) - root) <= bound, (game, args, a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variants, "_odds_roots", helpers.odds_roots_by_search)
         assert len(mixed_equilibria(game)) == len(found)
 
 
-@given(game=st.one_of(helpers.domain_games(), edge_games()))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@helpers.draws(200, seed=31017, game=lambda rng: rng.choice((helpers.domain_game, helpers.edge_game))(rng))
 def test_mixed_equilibria_make_no_root_search(game):
     def refuse(*args, **kwargs):
         raise AssertionError("find_root called")

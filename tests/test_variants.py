@@ -1,11 +1,10 @@
 """Tests for the model variants."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from riscreen import (
     AGENT_M,
@@ -277,8 +276,7 @@ class TestCommitment:
                         assert evaluate(game, (HI, HI), trial).profit <= sol.profit + 1e-12
 
 
-@given(game=helpers.domain_games())
-@settings(max_examples=200, deadline=None, derandomize=True)
+@helpers.draws(200, seed=31018, game=helpers.domain_game)
 def test_commitment_on_the_whole_domain(game):
     try:
         sol = commitment_solve(game)
@@ -297,8 +295,13 @@ def test_commitment_on_the_whole_domain(game):
             assert abs(incentive_gain(game, bound.signal, agent, HI) - game.c) <= 1e-12
 
 
-@given(game=helpers.domain_games(), log_ratio=st.floats(0.0, 3.0), log_du=st.floats(-0.3, 0.3))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@helpers.draws(
+    200,
+    seed=31019,
+    game=helpers.domain_game,
+    log_ratio=lambda rng: rng.uniform(0.0, 3.0),
+    log_du=lambda rng: rng.uniform(-0.3, 0.3),
+)
 def test_equilibrium_sets_on_the_whole_domain(game, log_ratio, log_du):
     # c_w / c_m = 10**log_ratio >= 1, so m is the agent with the lower effective cost
     du_m, du_w = 10.0**log_du, 10.0**-log_du
@@ -370,13 +373,25 @@ class TestPriorInvariant:
         assert capsys.readouterr().out == "pi=(0.0000, 0.5000, 1.0000) pi_bar_q=0.5000 impartial=True\n"
 
 
-@given(
-    game=helpers.domain_games(),
-    profile=st.sampled_from(PROFILES),
-    log_weights=st.tuples(st.floats(-12.0, 0.0), st.floats(-12.0, 0.0), st.floats(-12.0, 0.0)),
+def _log_weights(rng) -> tuple:
+    """Three log10 weights of a reference prior, each in [-12, 0]."""
+    return tuple(rng.uniform(-12.0, 0.0) for _ in range(3))
+
+
+def test_log_weights_stay_in_their_box():
+    rng = random.Random(31024)
+    draws = [_log_weights(rng) for _ in range(300)]
+    assert all(len(w) == 3 and all(-12.0 <= x <= 0.0 for x in w) for w in draws)
+
+
+@helpers.draws(
+    300,
+    seed=31020,
+    cases=[dict(game=GameParams(0.8, 0.6, 0.07, 1e-3), profile=(HI, LO), log_weights=(0.0, math.log10(4.0 / 3.0), 0.0))],
+    game=helpers.domain_game,
+    profile=lambda rng: rng.choice(PROFILES),
+    log_weights=_log_weights,
 )
-@settings(max_examples=300, deadline=None, derandomize=True)
-@example(game=GameParams(0.8, 0.6, 0.07, 1e-3), profile=(HI, LO), log_weights=(0.0, math.log10(4.0 / 3.0), 0.0))
 def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
     weights = [10.0 ** w for w in log_weights]
     ref = tuple(w / sum(weights) for w in weights)
@@ -401,21 +416,19 @@ def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
     np.testing.assert_allclose((*flipped.as_tuple(), flipped.pi_bar), values, rtol=0.0, atol=1e-12)
 
 
-def _prior_invariant_reference(p: tuple, q: tuple, lam: float):
-    with exact.digits(60):
-        return exact.prior_invariant(p, q, lam)
-
-
-@given(
-    game=helpers.domain_games(),
-    profile=st.sampled_from(PROFILES),
-    log_weights=st.tuples(st.floats(-12.0, 0.0), st.floats(-12.0, 0.0), st.floats(-12.0, 0.0)),
-    symmetric_reference=st.booleans(),
+@helpers.draws(
+    300,
+    seed=31021,
+    cases=[
+        # a symmetric true prior at lam = 1e4: up and down are each about lam q(1) q(-1) / p(d)
+        dict(game=GameParams(0.99, 0.5, 0.05, 1e4), profile=(HI, HI),
+             log_weights=(0.0, -1.0, math.log10(3.0)), symmetric_reference=False),
+    ],
+    game=helpers.domain_game,
+    profile=lambda rng: rng.choice(PROFILES),
+    log_weights=_log_weights,
+    symmetric_reference=lambda rng: rng.random() < 0.5,
 )
-@settings(max_examples=300, deadline=None, derandomize=True)
-# a symmetric true prior at lam = 1e4: up and down are each about lam q(1) q(-1) / p(d)
-@example(game=GameParams(0.99, 0.5, 0.05, 1e4), profile=(HI, HI),
-         log_weights=(0.0, -1.0, math.log10(3.0)), symmetric_reference=False)
 def test_prior_invariant_matches_a_60_digit_reference(game, profile, log_weights, symmetric_reference):
     weights = [10.0 ** w for w in log_weights]
     if symmetric_reference:
@@ -428,9 +441,10 @@ def test_prior_invariant_matches_a_60_digit_reference(game, profile, log_weights
         return
     if not result.interior:
         return
-    exact = _prior_invariant_reference(dist, ref, game.lam)
-    assert exact is not None
-    pi_bar_q, pi_minus, pi_plus = (float(v) for v in exact)
+    with exact.digits(60):
+        want = exact.prior_invariant(dist, ref, game.lam)
+    assert want is not None
+    pi_bar_q, pi_minus, pi_plus = (float(v) for v in want)
     assert abs(result.pi_bar_q - pi_bar_q) <= 1e-12 * pi_bar_q, (result.pi_bar_q, pi_bar_q)
     assert abs(result.signal.pi_minus - pi_minus) <= 1e-12, (result.signal.pi_minus, pi_minus)
     assert abs(result.signal.pi_plus - pi_plus) <= 1e-12, (result.signal.pi_plus, pi_plus)
@@ -575,14 +589,17 @@ class TestContinuousEffort:
         got = {(round(a, 12), round(b, 12)) for a, b in res.fixed_points}
         assert got == fixed
 
-    @given(
-        log_kappa=st.floats(-2.0, 2.0),
-        log_lams=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
-        grid_size=st.integers(2, 200),
+    @helpers.draws(
+        60,
+        seed=31022,
+        cases=[
+            dict(log_kappa=0.0, log_lams=[0.0], grid_size=2),
+            dict(log_kappa=0.0, log_lams=[-4.0, 4.0], grid_size=3),
+        ],
+        log_kappa=lambda rng: rng.uniform(-2.0, 2.0),
+        log_lams=lambda rng: [rng.uniform(-4.0, 4.0) for _ in range(rng.randint(1, 4))],
+        grid_size=lambda rng: rng.randint(2, 200),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @example(log_kappa=0.0, log_lams=[0.0], grid_size=2)
-    @example(log_kappa=0.0, log_lams=[-4.0, 4.0], grid_size=3)
     def test_equals_the_exhaustive_scan(self, log_kappa, log_lams, grid_size):
         kappa, lams = 10.0**log_kappa, [10.0**x for x in log_lams]
         got = continuous_effort_equilibria(kappa, lams, grid_size)
