@@ -2,11 +2,14 @@
 
 Subcommands: signal, thresholds, equilibria, regimes, quota, multitask,
 variants, reproduce. Exit codes: 0 on success, 1 when a reproduce check
-fails, 2 on usage errors. Machine output (csv/json) carries 12 significant
-digits and is byte-deterministic for a fixed configuration: a JSON sweep
-float is the shortest repr of the value rounded to 12 significant digits, so
-it equals float() of the CSV cell. Human tables show 4 decimals, except the
-compact probability table of `signal`, which truncates at 2 decimals.
+fails, and 2 on a usage error (argparse's usage message) or on an input the
+model rejects: a ValueError, BracketError or ConvergenceError, reported on
+one `error:` line with no traceback, as is an unreadable config. Machine
+output (csv/json) carries 12 significant digits and is byte-deterministic
+for a fixed configuration: a JSON sweep float is the shortest repr of the
+value rounded to 12 significant digits, so it equals float() of the CSV
+cell. Human tables show 4 decimals, except the compact probability table of
+`signal`, which truncates at 2 decimals.
 """
 
 from __future__ import annotations

@@ -322,6 +322,21 @@ class TestLabels:
             assert str(info.value) == "agent must be 'm' or 'w', got 'x'"
 
 
+@helpers.draws(1000, seed=32001, domain=helpers.domain_game, near_half=helpers.near_half_game)
+def test_a_tie_promotes_the_majority(domain, near_half):
+    # the principal "ignores minorities unless they surprise him": in (hi, lo), m is the
+    # majority, and a tie (d = 0) promotes m with pi(0) = pi_bar > 1/2, as
+    # 2 pi_bar - 1 = (1 + r)(A - B)/((1 - r)(A + B)); the minority w needs d = -1
+    for params in (domain, near_half):
+        if params.A > params.B:
+            tilted = optimal_signal(params, (HI, LO))
+            assert tilted.pi_zero == tilted.pi_bar > 0.5, params
+            assert optimal_signal(params, (LO, HI)).pi_zero < 0.5, params
+        for record in equilibrium_set(params):
+            if record.profile == (HI, LO):
+                assert record.signal.pi_zero > 0.5, params
+
+
 @helpers.draws(60, seed=31001, params=helpers.domain_game)
 def test_gains_keep_their_operand_order(params):
     # m's gain is (1 - mu_w) X + mu_w Y and w's is mu_m X + (1 - mu_m) Y, bit for bit

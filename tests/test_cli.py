@@ -22,6 +22,25 @@ def run(args, capsys):
 
 
 CANON = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07"]
+COMMANDS = ["signal", "thresholds", "equilibria", "regimes", "quota", "multitask", "variants", "reproduce"]
+
+
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.startswith("    ") and line[4] != " "] == COMMANDS
+
+
+def test_an_unknown_subcommand_gets_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: riscreen [-h] [--config CONFIG]")
+    assert "invalid choice: 'bogus'" in err
 
 
 class TestSignalCommand:
@@ -117,20 +136,25 @@ class TestRegimesCommand:
             assert cells[2] == "0" and cells[3] == "0"
 
     def test_json_matches_shipped_schema(self, capsys):
-        code, out, _ = run(
-            ["regimes", *CANON, "--format", "json", "--lambda-steps", "5",
-             "--lambda-range", "0.1", "1.0"],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(out)
+        payloads = []
+        for analysis in ("baseline", "quota", "multitask", "variants"):
+            code, out, _ = run(
+                ["regimes", *CANON, "--analysis", analysis, "--format", "json", "--lambda-steps", "5",
+                 "--lambda-range", "0.1", "1.0"],
+                capsys,
+            )
+            assert code == 0, analysis
+            payloads.append(json.loads(out))
+            # the sweep writer formats every scalar itself, yet writes what json.dumps writes
+            assert out == json.dumps(payloads[-1], sort_keys=True, indent=2) + "\n", analysis
         import importlib.resources as resources
 
         schema = json.loads(
             resources.files("riscreen").joinpath("schemas/regimes.schema.json").read_text()
         )
         jsonschema = pytest.importorskip("jsonschema")
-        jsonschema.validate(payload, schema)
+        for payload in payloads:
+            jsonschema.validate(payload, schema)
 
     def test_multitask_mode(self, capsys):
         code, out, _ = run(
@@ -353,11 +377,19 @@ class TestOtherCommands:
         assert "pi_bar=0.7441" in target.read_text()
 
 
+def _env():
+    src = str(Path(riscreen.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _mixed(mu_hi, mu_lo, cost, lam):
+    return ["variants", "--which", "mixed", "--mu-hi", mu_hi, "--mu-lo", mu_lo, "--cost", cost, "--lambda", lam]
+
+
 def test_cli_never_loads_numpy(tmp_path):
     # numpy is only a test dependency: every subcommand must run with it unimportable
-    src = str(Path(riscreen.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     game = ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3"]
+    quota = ["quota", "--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda"]
     sweep = ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda-steps", "8"]
     commands = [
         ["signal", *game, "--profile", "hi,lo", "--oracle"],
@@ -366,11 +398,24 @@ def test_cli_never_loads_numpy(tmp_path):
         *(["regimes", "--analysis", a, *sweep] for a in ("baseline", "quota", "multitask", "variants")),
         ["regimes", *sweep, "--format", "json", "--svg", str(tmp_path / "strip.svg")],
         ["quota", *game],
+        # both edge branches of the closed-form quota multiplier, and mu near both edges
+        [*quota, "0.0001"],
+        [*quota, "10000"],
+        ["quota", "--mu-hi", ".999", "--mu-lo", ".0011", "--cost", ".07", "--lambda", ".3"],
         ["multitask", *game, "--task1", "0.5,1.0,0.028", "--task2", "0.5,1.0,0.03"],
         ["variants", "--which", "heterogeneous", *game, "--cost-m", "0.06", "--cost-w", "0.08"],
         ["variants", "--which", "commitment", *game],
         ["variants", "--which", "prior-invariant", *game, "--ref-prior", "0.2,0.5,0.3"],
         ["variants", "--which", "mixed", *game],
+        # the mixed-equilibrium cubic near r = 1, at r = 6.5e-290 and at r = 0
+        _mixed("0.5625", "0.501953125", "0.00070953369140625", "21.32942651096404"),
+        _mixed("0.9360937099164971", "0.6245296784819083", "0.03907889662273058", "0.0015017652823926325"),
+        _mixed(".8", ".3", ".2", "0.001"),
+        # the balanced branch 5.9e-11 below lambda_star, its u - 2 taken without cancellation
+        _mixed("0.75", "0.25", "0.005859375", "21.32942650971451"),
+        # the balanced branch 1.4e-13 below lambda_star at r = 0.029, where 2c >= 1/2 takes
+        # e - 2c(1 + r) as (1 - 2c) - r(1 + 2c)
+        _mixed("0.7182399803446649", "0.4931375835895383", "0.10626623731596745", "0.2816839431148405"),
         ["variants", "--which", "continuous", *game, "--lambda-steps", "3", "--grid-size", "40"],
         ["reproduce"],
         ["reproduce", "--json"],
@@ -387,21 +432,19 @@ def test_cli_never_loads_numpy(tmp_path):
         "        code = cli.main(argv)\n"
         "    assert code == 0, (argv, code)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
 def test_cli_never_loads_typing():
     # -S skips site, whose startup hooks can load typing on their own
-    src = str(Path(riscreen.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
         "import sys, riscreen.cli\nassert 'typing' not in sys.modules, 'import riscreen.cli loaded typing'\n"
         # the golden checks are compiled by reproduce only, never on a cold single-point run
         "assert riscreen.cli.main(['equilibria', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3']) == 0\n"
         "assert 'riscreen._golden' not in sys.modules, 'equilibria loaded riscreen._golden'\n"
     )
-    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -426,8 +469,6 @@ def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
     # the benchmark's cold commands; a deferred module's class is ModuleType once its body
     # has run (reading its vars() would run it), and _sweep, imported by regimes on first
     # use, has not run while it is absent from sys.modules
-    src = str(Path(riscreen.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
         "import io, sys, types, riscreen.cli\n"
         "sys.stdout = io.StringIO()\n"
@@ -436,15 +477,13 @@ def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
         "deferred = ('ri_core', 'baseline_game', 'quota_policy', 'multitask', 'variants', '_sweep')\n"
         "print(code, *(m for m in deferred if type(sys.modules.get('riscreen.' + m)) is types.ModuleType))\n"
     )
-    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     code, *ran = done.stdout.split()
     assert (code, set(ran)) == ("0", bodies)
 
 
 def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):
-    src = str(Path(riscreen.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu_hi": 0.9, "mu_lo": 0.55, "cost": 0.05, "lam": 0.4}))
     default = ["equilibria", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3"]
@@ -452,7 +491,7 @@ def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):
 
     def fresh(argv):
         done = subprocess.run(
-            [sys.executable, "-m", "riscreen", *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-m", "riscreen", *argv], env=_env(), capture_output=True, text=True
         )
         return done.returncode, done.stdout
 
