@@ -15,6 +15,7 @@ from collections import namedtuple
 
 from .baseline_game import (
     HI,
+    IC_TOL,
     LO,
     PROFILES,
     GameParams,
@@ -62,11 +63,9 @@ def _validate(game: GameParams, tasks: tuple) -> tuple:
     if len(tasks) != 2:
         raise ValueError("exactly two tasks are supported")
     t1, t2 = tasks
-    if t1.alpha + t2.alpha > 1.0 + 1e-12:
-        raise ValueError("arrival probabilities must satisfy alpha1 + alpha2 <= 1")
     c1 = t1.effective_cost(game.delta_mu)
     c2 = t2.effective_cost(game.delta_mu)
-    if c1 > c2 + 1e-12:
+    if c1 > c2 + IC_TOL * min(1.0, c2):
         raise ValueError(
             f"tasks must be ordered by effective cost, got c1={c1!r} > c2={c2!r}"
         )

@@ -18,6 +18,7 @@ from .baseline_game import (
     AGENT_W,
     DISCRIMINATORY,
     HI,
+    IC_TOL,
     IMPARTIAL,
     LO,
     GameParams,
@@ -61,7 +62,7 @@ class HeterogeneousParams(ri_core._Validated, namedtuple("HeterogeneousParams", 
     def effective_costs(self, delta_mu: float) -> tuple:
         c_m = self.cost_m / delta_mu / self.du_m
         c_w = self.cost_w / delta_mu / self.du_w
-        if c_m > c_w + 1e-12:
+        if c_m > c_w + IC_TOL * min(1.0, c_w):
             raise ValueError(
                 f"label agents so the effective cost of m is lower, got "
                 f"c_m={c_m!r} > c_w={c_w!r}"

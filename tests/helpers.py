@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
+import pytest
 
 from riscreen import GameParams, g_func, ri_core, thresholds
 from riscreen.baseline_game import lambda_star
@@ -24,6 +24,18 @@ CANONICAL = dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=0.3)
 
 def canonical(lam: float = 0.3) -> GameParams:
     return GameParams(0.8, 0.6, 0.07, lam)
+
+
+def linspace(lo: float, hi: float, n: int) -> list:
+    """n evenly spaced floats from lo to hi, both ends included: lo + i step, as numpy.linspace rounds."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def geomspace(lo: float, hi: float, n: int) -> list:
+    """n floats from lo to hi, both ends included, evenly spaced in log10."""
+    a, b = math.log10(lo), math.log10(hi)
+    return [lo] + [10.0 ** x for x in linspace(a, b, n)[1:-1]] + [hi]
 
 
 def draws(n: int, seed: int, cases=(), **samplers):
@@ -179,14 +191,14 @@ def wide_problem(rng: random.Random) -> BinaryRIProblem:
     return BinaryRIProblem(tuple(range(n)), tuple(w / total for w in weights), tuple(adv), lam)
 
 
-def sample_assumption1(rng: np.random.Generator, lam: float = 1.0) -> GameParams:
-    """Random parameters satisfying the regularity condition."""
+def sample_assumption1(rng: random.Random, lam: float = 1.0) -> GameParams:
+    """A regular game: mu_hi in [0.52, 0.97], mu_lo in [max(1 - mu_hi + 0.01,
+    0.05), mu_hi - 0.01], c in [0.05, 0.95] times the regularity bound
+    mu_hi (1 - mu_hi) / (A + B), and the given lam; redrawn until assumption1
+    holds."""
     while True:
         mu_hi = rng.uniform(0.52, 0.97)
-        lo_min = max(1.0 - mu_hi + 0.01, 0.05)
-        if lo_min >= mu_hi - 0.01:
-            continue
-        mu_lo = rng.uniform(lo_min, mu_hi - 0.01)
+        mu_lo = rng.uniform(max(1.0 - mu_hi + 0.01, 0.05), mu_hi - 0.01)
         A = mu_hi * (1.0 - mu_lo)
         B = mu_lo * (1.0 - mu_hi)
         bound = mu_hi * (1.0 - mu_hi) / (A + B)
@@ -196,12 +208,13 @@ def sample_assumption1(rng: np.random.Generator, lam: float = 1.0) -> GameParams
             return params
 
 
-def sample_condition5(rng: np.random.Generator, lam: float = 1.0) -> GameParams:
-    """Random regular parameters for which lambda_star < lambda_high."""
+def sample_condition5(rng: random.Random, lam: float = 1.0) -> GameParams:
+    """A regular game with lambda_star < lambda_high: mu_hi in [0.55, 0.95],
+    mu_lo in [0.505, mu_hi - 0.02], c inside the middle 96% of (g(gamma_hat),
+    bound), bound the regularity bound of :func:`sample_assumption1`, and the
+    given lam; redrawn until assumption1 and condition5 hold."""
     while True:
         mu_hi = rng.uniform(0.55, 0.95)
-        if mu_hi - 0.02 <= 0.505:
-            continue
         mu_lo = rng.uniform(0.505, mu_hi - 0.02)
         A = mu_hi * (1.0 - mu_lo)
         B = mu_lo * (1.0 - mu_hi)
@@ -220,25 +233,23 @@ def sample_condition5(rng: np.random.Generator, lam: float = 1.0) -> GameParams:
             return params
 
 
-def random_interior_problem(rng: np.random.Generator) -> BinaryRIProblem:
-    """Random interior problem with 3-5 states, |advantage| <= 2, lam in [.05, 5]."""
-    from riscreen.ri_core import INTERIOR, degeneracy_check
+def random_problem(rng: random.Random, min_states: int = 2, alpha: float = 1.0) -> BinaryRIProblem:
+    """min_states to 5 states with a Dirichlet(alpha) prior (normalized gamma
+    variates), advantages uniform in [-2, 2], lam uniform in [0.05, 5]."""
+    n = rng.randint(min_states, 5)
+    raw = [rng.gammavariate(alpha, 1.0) for _ in range(n)]
+    total = sum(raw)
+    adv = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    return BinaryRIProblem(tuple(range(n)), tuple(x / total for x in raw), tuple(adv), rng.uniform(0.05, 5.0))
 
+
+def random_interior_problem(rng: random.Random) -> BinaryRIProblem:
+    """:func:`random_problem` with 3-5 states and a Dirichlet(2) prior,
+    redrawn until its rule is interior."""
     while True:
-        n = int(rng.integers(3, 6))
-        raw = rng.dirichlet(np.ones(n) * 2.0)
-        prior = raw / raw.sum()
-        adv = rng.uniform(-2.0, 2.0, size=n)
-        lam = rng.uniform(0.05, 5.0)
-        problem = BinaryRIProblem(tuple(range(n)), tuple(prior), tuple(adv), lam)
-        if degeneracy_check(problem) == INTERIOR:
+        problem = random_problem(rng, 3, 2.0)
+        if ri_core.degeneracy_check(problem) == ri_core.INTERIOR:
             return problem
-
-
-def _h(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = x * np.log(x) + (1.0 - x) * np.log1p(-x)
-    return np.where((x > 0.0) & (x < 1.0), out, 0.0)
 
 
 def grid_search_value(problem: BinaryRIProblem, step: float = 1e-4) -> tuple:
@@ -246,8 +257,16 @@ def grid_search_value(problem: BinaryRIProblem, step: float = 1e-4) -> tuple:
 
     Independent of the fixed-point solver: candidate rules are evaluated
     directly through E[q v] - lam * I, with I computed from the candidate's
-    own (generally inconsistent) unconditional probability.
+    own (generally inconsistent) unconditional probability. An array oracle:
+    the calling test skips where numpy is absent.
     """
+    np = pytest.importorskip("numpy")
+
+    def h(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = x * np.log(x) + (1.0 - x) * np.log1p(-x)
+        return np.where((x > 0.0) & (x < 1.0), out, 0.0)
+
     qs = np.arange(0.0, 1.0 + step / 2.0, step)
     p = np.asarray(problem.prior)
     v = np.asarray(problem.advantage)
@@ -258,7 +277,7 @@ def grid_search_value(problem: BinaryRIProblem, step: float = 1e-4) -> tuple:
     cond[0, :] = 0.0
     cond[-1, :] = 1.0
     ubar = cond @ p
-    info = _h(cond) @ p - _h(ubar)
+    info = h(cond) @ p - h(ubar)
     values = cond @ (p * v) - problem.lam * np.maximum(info, 0.0)
     best = int(np.argmax(values))
     return float(values[best]), float(qs[best])
@@ -351,50 +370,36 @@ def odds_roots_by_search(r: float, k: float, w_x: float, w_y: float, lo: float, 
     return sorted(roots)
 
 
-def signal_win_probability_w(signal, mu_m: float, mu_w: float) -> float:
-    """w's winning probability against a fixed signal, by state enumeration."""
+def win_probabilities(signal, mu_m: float, mu_w: float) -> tuple:
+    """m's and w's winning probabilities against a fixed signal, by state enumeration."""
     p_plus = mu_m * (1.0 - mu_w)
     p_minus = mu_w * (1.0 - mu_m)
     p_zero = 1.0 - p_plus - p_minus
     return (
-        p_plus * (1.0 - signal.pi_plus)
-        + p_zero * (1.0 - signal.pi_zero)
-        + p_minus * (1.0 - signal.pi_minus)
+        p_plus * signal.pi_plus + p_zero * signal.pi_zero + p_minus * signal.pi_minus,
+        p_plus * (1.0 - signal.pi_plus) + p_zero * (1.0 - signal.pi_zero) + p_minus * (1.0 - signal.pi_minus),
     )
 
 
-def _win_probability_m(signal, mu_m: float, mu_w: float) -> float:
-    p_plus = mu_m * (1.0 - mu_w)
-    p_minus = mu_w * (1.0 - mu_m)
-    p_zero = 1.0 - p_plus - p_minus
-    return p_plus * signal.pi_plus + p_zero * signal.pi_zero + p_minus * signal.pi_minus
-
-
-def direct_ic_equilibria(params: GameParams, tol: float = 1e-12) -> list:
+def direct_ic_equilibria(params: GameParams, tol: float = 1e-12, costs: tuple | None = None) -> list:
     """Profiles surviving a from-scratch incentive check at their optimal signals.
 
     The check enumerates each agent's winning probability at both own effort
     levels directly over the three states, bypassing the X/Y algebra, and
-    compares the utility difference against the effort cost.
+    compares the utility difference against the effort cost, to tol in
+    utility: costs = (cost of m, cost of w), both params.cost_C by default.
     """
     from riscreen import HI, LO, PROFILES, optimal_signal
 
     mu = {HI: params.mu_hi, LO: params.mu_lo}
+    cost_m, cost_w = costs or (params.cost_C, params.cost_C)
     out = []
     for profile in PROFILES:
         sig = optimal_signal(params, profile)
         e_m, e_w = profile
-        util_m = {
-            e: _win_probability_m(sig, mu[e], mu[e_w]) - (params.cost_C if e == HI else 0.0)
-            for e in (HI, LO)
-        }
-        util_w = {
-            e: signal_win_probability_w(sig, mu[e_m], mu[e]) - (params.cost_C if e == HI else 0.0)
-            for e in (HI, LO)
-        }
-        if util_m[e_m] >= util_m[(LO if e_m == HI else HI)] - tol and util_w[e_w] >= util_w[
-            (LO if e_w == HI else HI)
-        ] - tol:
+        util_m = {e: win_probabilities(sig, mu[e], mu[e_w])[0] - (cost_m if e == HI else 0.0) for e in (HI, LO)}
+        util_w = {e: win_probabilities(sig, mu[e_m], mu[e])[1] - (cost_w if e == HI else 0.0) for e in (HI, LO)}
+        if all(u[e] >= u[LO if e == HI else HI] - tol for u, e in ((util_m, e_m), (util_w, e_w))):
             out.append(profile)
     return out
 
@@ -403,8 +408,11 @@ def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> li
     """The exhaustive numpy scan of every grid_size^2 effort pair, the oracle
     of :func:`riscreen.variants.continuous_effort_equilibria`. The bonuses
     come from the kernel of :mod:`exact` on arrays, which rounds as the
-    library's does but shares no code with it."""
+    library's does but shares no code with it. An array oracle: the calling
+    test skips where numpy is absent."""
     from riscreen.variants import EffortGridResult
+
+    np = pytest.importorskip("numpy")
 
     grid = np.linspace(0.0, 1.0, grid_size)
     nu_m = grid[:, None]
@@ -435,6 +443,7 @@ def _grid_best_response(grid, gain, kappa: float):
     The objective is concave in mu, so the grid argmax sits next to the
     unconstrained optimum gain/kappa; only the two neighbors are compared.
     """
+    np = pytest.importorskip("numpy")
     n = grid.size
     target = np.clip(gain / kappa, 0.0, 1.0)
     i_lo = np.clip(np.floor(target * (n - 1)).astype(int), 0, n - 1)

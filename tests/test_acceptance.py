@@ -5,10 +5,8 @@ lines; every tolerance is fixed here, nothing is calibrated at runtime.
 """
 
 import math
+import random
 import time
-
-import numpy as np
-import pytest
 
 from riscreen import (
     AGENT_M,
@@ -35,7 +33,7 @@ from riscreen import (
     state_distribution,
     thresholds,
 )
-from riscreen.baseline_game import signal_oracle_residual
+from riscreen.baseline_game import most_profitable_among, signal_oracle_residual
 
 import helpers
 
@@ -94,9 +92,8 @@ def test_criterion_03_incentive_checks():
     signal = optimal_signal(CANON, (HI, LO))
     loss_m = CANON.delta_mu * incentive_gain(CANON, signal, AGENT_M, LO)
     gain_w = CANON.delta_mu * incentive_gain(CANON, signal, AGENT_W, HI)
-    brute = helpers.signal_win_probability_w(
-        signal, CANON.mu_hi, CANON.mu_hi
-    ) - helpers.signal_win_probability_w(signal, CANON.mu_hi, CANON.mu_lo)
+    brute = (helpers.win_probabilities(signal, CANON.mu_hi, CANON.mu_hi)[1]
+             - helpers.win_probabilities(signal, CANON.mu_hi, CANON.mu_lo)[1])
     ok = abs(loss_m - 0.098) <= 1e-3 and abs(gain_w - brute) <= 1e-6 and abs(gain_w - 0.0650) <= 5e-4
     _report(
         3,
@@ -109,14 +106,14 @@ def test_criterion_03_incentive_checks():
 def test_criterion_04_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
-    mus = np.linspace(0.02, 0.98, 50)
-    lams = np.linspace(0.05, 5.0, 20)
+    mus = helpers.linspace(0.02, 0.98, 50)
+    lams = helpers.linspace(0.05, 5.0, 20)
     for mu_hi in mus:
         for mu_lo in mus:
             if mu_lo >= mu_hi:
                 continue
             for lam in lams:
-                game = GameParams(float(mu_hi), float(mu_lo), 0.05, float(lam))
+                game = GameParams(mu_hi, mu_lo, 0.05, lam)
                 for profile in PROFILES:
                     worst = max(worst, signal_oracle_residual(game, profile))
     elapsed = time.perf_counter() - t0
@@ -130,7 +127,7 @@ def test_criterion_04_oracle_equivalence():
 
 
 def test_criterion_05_threshold_properties():
-    rng = np.random.default_rng(20260808)
+    rng = random.Random(33001)
     order_violations = 0
     cond5_mismatches = 0
     bad_values = 0
@@ -147,8 +144,8 @@ def test_criterion_05_threshold_properties():
             for v in (cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, cuts.lambda_breve)
         ):
             bad_values += 1
-        for lam in rng.uniform(0.05, 2.5, size=20):
-            game = base._replace(lam=float(lam))
+        for lam in (rng.uniform(0.05, 2.5) for _ in range(20)):
+            game = base._replace(lam=lam)
             got = [r.profile for r in equilibrium_set(game)]
             predicted = []
             if lam <= cuts.lambda_star + 1e-12:
@@ -170,52 +167,58 @@ def test_criterion_05_threshold_properties():
 
 
 def test_criterion_06_most_profitable_ranking():
-    rng = np.random.default_rng(606)
+    rng = random.Random(33002)
     checked_upper = checked_lower = 0
     min_margin_upper = min_margin_lower = math.inf
+    winner_errors = 0
     for _ in range(40):
         base = helpers.sample_condition5(rng)
         cuts = thresholds(base)
-        for frac in rng.uniform(0.02, 1.0, size=5):
+        for frac in (rng.uniform(0.02, 1.0) for _ in range(5)):
             lam = cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)
-            game = base._replace(lam=float(lam))
-            records = {r.profile: r for r in equilibrium_set(game)}
+            found = equilibrium_set(base._replace(lam=lam))
+            records = {r.profile: r for r in found}
             margin = records[(HI, LO)].profit - records[(LO, LO)].profit
             min_margin_upper = min(min_margin_upper, margin)
+            # the winners are the two mirror discriminatory records
+            winners = most_profitable_among(found)
+            winner_errors += {r.profile for r in winners} != {(HI, LO), (LO, HI)} or any(
+                r.classification != DISCRIMINATORY for r in winners
+            )
             checked_upper += 1
-        for frac in rng.uniform(0.02, 0.98, size=5):
+        for frac in (rng.uniform(0.02, 0.98) for _ in range(5)):
             lam = cuts.lambda_low + frac * (min(cuts.lambda_star, cuts.lambda_high) - cuts.lambda_low)
-            game = base._replace(lam=float(lam))
-            records = {r.profile: r for r in equilibrium_set(game)}
+            records = {r.profile: r for r in equilibrium_set(base._replace(lam=lam))}
             margin = records[(HI, HI)].profit - records[(HI, LO)].profit
             min_margin_lower = min(min_margin_lower, margin)
             checked_lower += 1
-    ok = min_margin_upper > 1e-10 and min_margin_lower > 1e-10
+    ok = min_margin_upper > 1e-10 and min_margin_lower > 1e-10 and winner_errors == 0
     _report(
         6,
         ok,
         f"discriminatory beats low-impartial on (lambda*, lambda_high]: min margin "
-        f"{min_margin_upper:.2e} over {checked_upper} points; high-impartial beats "
+        f"{min_margin_upper:.2e} over {checked_upper} points, most profitable not the two "
+        f"discriminatory records at {winner_errors}; high-impartial beats "
         f"discriminatory on [lambda_low, lambda*]: min margin {min_margin_lower:.2e} "
         f"over {checked_lower} points (both > 1e-10)",
     )
 
 
 def test_criterion_07_quota_equivalence():
-    rng = np.random.default_rng(707)
+    rng = random.Random(33003)
     disagreements = 0
     shape_failures = 0
     points = 0
     for _ in range(200):
         base = helpers.sample_assumption1(rng)
-        for lam in rng.uniform(0.05, 2.5, size=20):
-            game = base._replace(lam=float(lam))
-            quota = [r.profile for r in quota_equilibrium_set(game)]
+        for lam in (rng.uniform(0.05, 2.5) for _ in range(20)):
+            game = base._replace(lam=lam)
+            quota = quota_equilibrium_set(game)
             impartial = [r.profile for r in equilibrium_set(game) if r.classification == IMPARTIAL]
             points += 1
-            if quota != impartial:
+            if [r.profile for r in quota] != impartial or any(r.classification != IMPARTIAL for r in quota):
                 disagreements += 1
-        sol = find_multiplier(base._replace(lam=float(rng.uniform(0.1, 1.5))), (HI, LO))
+        sol = find_multiplier(base._replace(lam=rng.uniform(0.1, 1.5)), (HI, LO))
         if sol.nu > 0 and abs(sol.signal.pi_bar - 0.5) <= 1e-9:
             sig = sol.signal
             if not (sig.pi_zero < 0.5 and sig.X > sig.Y > 0):
@@ -224,8 +227,8 @@ def test_criterion_07_quota_equivalence():
     _report(
         7,
         ok,
-        f"quota set vs impartial subset: {disagreements} disagreements over {points} "
-        f"draw/lambda points; binding-signal shape (pi(0)<1/2, X>Y>0) failures: {shape_failures}",
+        f"quota set vs impartial subset (every quota record impartial): {disagreements} disagreements "
+        f"over {points} draw/lambda points; binding-signal shape (pi(0)<1/2, X>Y>0) failures: {shape_failures}",
     )
 
 
@@ -233,8 +236,8 @@ def test_criterion_08_task_split_inequalities():
     game = CANON
     worst_identity = 0.0
     ordering_ok = True
-    for gamma in np.geomspace(game.A / game.B + 1e-3, 1e6, 60):
-        g = game._replace(lam=1.0 / math.log(float(gamma)))
+    for gamma in helpers.geomspace(game.A / game.B + 1e-3, 1e6, 60):
+        g = game._replace(lam=1.0 / math.log(gamma))
         dv1 = profit(g, (HI, HI)).V - profit(g, (HI, LO)).V
         dv2 = profit(g, (HI, LO)).V - profit(g, (LO, LO)).V
         worst_identity = max(
@@ -285,14 +288,14 @@ def test_criterion_08_task_split_inequalities():
 
 
 def test_criterion_09_variants():
-    rng = np.random.default_rng(909)
+    rng = random.Random(33004)
     reduction_mismatch = 0
     for _ in range(200):
         base = helpers.sample_assumption1(rng)
-        game = base._replace(lam=float(rng.uniform(0.05, 2.0)))
+        game = base._replace(lam=rng.uniform(0.05, 2.0))
         het = HeterogeneousParams(game.cost_C, game.cost_C)
-        a = [r.profile for r in heterogeneous_equilibrium_set(game, het)]
-        b = [r.profile for r in equilibrium_set(game)]
+        a = [(r.profile, r.classification) for r in heterogeneous_equilibrium_set(game, het)]
+        b = [(r.profile, r.classification) for r in equilibrium_set(game)]
         reduction_mismatch += a != b
 
     worst_prior = 0.0
@@ -313,17 +316,18 @@ def test_criterion_09_variants():
 
     mixed_exceptions = 0
     star = thresholds(CANON).lambda_star
-    for lam in np.linspace(0.12, 1.4, 30):
-        if abs(float(lam) - star) < 1e-6:
+    for lam in helpers.linspace(0.12, 1.4, 30):
+        if abs(lam - star) < 1e-6:
             continue
-        for eq in mixed_equilibria(helpers.canonical(float(lam))):
+        for eq in mixed_equilibria(helpers.canonical(lam)):
             if eq.classification != DISCRIMINATORY:
                 mixed_exceptions += 1
 
     commit_slack = math.inf
-    grids = [helpers.canonical(float(l)) for l in np.linspace(0.08, 2.0, 15)]
     cond5 = helpers.sample_condition5(rng)
-    grids += [cond5._replace(lam=float(l)) for l in np.linspace(0.1, 1.6, 10)]
+    canon_lams = sorted({*helpers.linspace(0.08, 2.0, 15), *helpers.linspace(0.08, 2.2, 12)})
+    cond5_lams = sorted({*helpers.linspace(0.1, 1.6, 10), *helpers.linspace(0.1, 1.5, 10)})
+    grids = [helpers.canonical(l) for l in canon_lams] + [cond5._replace(lam=l) for l in cond5_lams]
     for game in grids:
         best = max(r.profit for r in equilibrium_set(game))
         commit_slack = min(commit_slack, commitment_solve(game).profit - best)
@@ -338,16 +342,16 @@ def test_criterion_09_variants():
     _report(
         9,
         ok,
-        f"homogeneous reduction mismatches: {reduction_mismatch}/200; reference-prior "
-        f"q=p residual {worst_prior:.1e} (tol 1e-9, corner-flag errors "
+        f"homogeneous reduction (profile, classification) mismatches: {reduction_mismatch}/200; "
+        f"reference-prior q=p residual {worst_prior:.1e} (tol 1e-9, corner-flag errors "
         f"{prior_flag_errors}); mixed classification exceptions: {mixed_exceptions}; "
-        f"commitment profit slack vs best baseline: {commit_slack:.2e} (>= -1e-9)",
+        f"commitment profit slack vs best baseline over {len(grids)} games: {commit_slack:.2e} (>= -1e-9)",
     )
 
 
 def test_criterion_10_continuous_effort():
     t0 = time.perf_counter()
-    lams = [float(x) for x in np.linspace(0.1, 5.0, 100)]
+    lams = helpers.linspace(0.1, 5.0, 100)
     results = continuous_effort_equilibria(0.65, lams, 100)
     elapsed = time.perf_counter() - t0
     missing = [r.lam for r in results if not r.symmetric]

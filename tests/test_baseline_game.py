@@ -4,7 +4,6 @@ import math
 import random
 from decimal import Decimal
 
-import numpy as np
 import pytest
 
 from riscreen import (
@@ -52,6 +51,7 @@ LAM_STAR = 0.576501436392967
 LAM_LOW = 0.227906268271863
 LAM_HIGH = 0.483555215271755
 LAM_BREVE = 1.019545447823266
+EPS = 2.0**-52
 
 
 class TestGameParams:
@@ -116,7 +116,7 @@ class TestCurves:
         assert g_func(1.0) == 0.0
 
     def test_g_increasing_to_half(self):
-        gammas = np.linspace(1.0, 400.0, 200)
+        gammas = helpers.linspace(1.0, 400.0, 200)
         vals = [g_func(g) for g in gammas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert g_func(1e12) == pytest.approx(0.5, abs=1e-10)
@@ -132,7 +132,7 @@ class TestCurves:
         assert f_func(GAME, gamma) == pytest.approx(sig.X, abs=1e-12)
 
     def test_f_increasing_to_limit(self):
-        gammas = np.linspace(GAME.A / GAME.B, 1e4, 200)
+        gammas = helpers.linspace(GAME.A / GAME.B, 1e4, 200)
         vals = [f_func(GAME, g) for g in gammas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert f_func(GAME, 1e14) == pytest.approx(GAME.B / (GAME.A + GAME.B), abs=1e-9)
@@ -165,7 +165,7 @@ class TestCurves:
         game = GameParams(*mus, 0.01, 1.0)
         A, B = game.A, game.B
         cap = B / (A + B)
-        eps = np.finfo(float).eps
+        eps = EPS
         for x in [cap * (1.0 - 10.0**-e) for e in range(4, 15)] + [math.nextafter(cap, 0.0)]:
             gamma = f_inverse(game, x)
             assert abs(f_func(game, gamma) - x) <= 4.0 * eps * x
@@ -190,7 +190,7 @@ class TestCurves:
 class TestOptimalSignal:
     def test_table1(self):
         sig = optimal_signal(GAME, (HI, LO))
-        np.testing.assert_allclose(sig.as_tuple(), TABLE1, atol=1e-12)
+        assert sig.as_tuple() == pytest.approx(TABLE1, abs=1e-12)
         assert sig.pi_bar == pytest.approx(0.744088048450016, abs=1e-12)
         assert sig.pi_zero == sig.pi_bar
         assert not sig.impartial
@@ -248,10 +248,9 @@ class TestOptimalSignal:
         assert limit.as_tuple() == (0.0, GAME.A / (GAME.A + GAME.B), 1.0)
 
     def test_bonuses_shrink_with_lambda(self):
-        lams = np.linspace(0.15, 1.0, 30)
         xs, ys = [], []
-        for lam in lams:
-            sig = optimal_signal(GAME._replace(lam=float(lam)), (HI, LO))
+        for lam in helpers.linspace(0.15, 1.0, 30):
+            sig = optimal_signal(GAME._replace(lam=lam), (HI, LO))
             xs.append(sig.X)
             ys.append(sig.Y)
         assert all(b < a for a, b in zip(xs, xs[1:]))
@@ -268,9 +267,8 @@ class TestIncentives:
     def test_w_gain_matches_win_probability_oracle(self):
         sig = optimal_signal(GAME, (HI, LO))
         gain = GAME.delta_mu * incentive_gain(GAME, sig, AGENT_W, HI)
-        brute = helpers.signal_win_probability_w(
-            sig, GAME.mu_hi, GAME.mu_hi
-        ) - helpers.signal_win_probability_w(sig, GAME.mu_hi, GAME.mu_lo)
+        brute = (helpers.win_probabilities(sig, GAME.mu_hi, GAME.mu_hi)[1]
+                 - helpers.win_probabilities(sig, GAME.mu_hi, GAME.mu_lo)[1])
         assert gain == pytest.approx(brute, abs=1e-6)
         assert gain == pytest.approx(0.0650, abs=5e-4)
 
@@ -419,28 +417,18 @@ class TestThresholds:
         assert not cuts.assumption1
         assert not cuts.regular
 
-    def test_condition5_matches_star_below_high(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            params = helpers.sample_assumption1(rng)
-            cuts = thresholds(params)
-            assert cuts.lambda_low < cuts.lambda_star
-            assert (cuts.lambda_star < cuts.lambda_high) == cuts.condition5
-
-    def test_gamma_hat_is_crossing(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            params = helpers.sample_condition5(rng)
-            cuts = thresholds(params)
-            assert cuts.gamma_hat is not None
-            psi = f_func(params, cuts.gamma_hat) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
-            assert g_func(cuts.gamma_hat) == pytest.approx(psi, abs=1e-9)
+    @helpers.draws(50, seed=33005, params=helpers.sample_condition5)
+    def test_gamma_hat_is_crossing(self, params):
+        cuts = thresholds(params)
+        assert cuts.gamma_hat is not None
+        psi = f_func(params, cuts.gamma_hat) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
+        assert g_func(cuts.gamma_hat) == pytest.approx(psi, abs=1e-9)
 
     def test_no_root_search(self, monkeypatch):
         # every cutpoint of these games is a closed form, gamma_hat included
         from riscreen import ri_core
 
-        games = (GAME, helpers.sample_condition5(np.random.default_rng(3)))
+        games = (GAME, helpers.sample_condition5(random.Random(33006)))
         calls = []
         real = ri_core.find_root
         monkeypatch.setattr(ri_core, "find_root", lambda *a, **k: calls.append(a) or real(*a, **k))
@@ -463,24 +451,28 @@ class TestThresholds:
         assert thresholds(game).lambda_low == 0.0
 
 
-def test_cubic_roots_recover_known_roots():
+@helpers.draws(
+    2000,
+    seed=33007,
+    z1=lambda rng: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 8.0),
+    re=lambda rng: rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0),
+    im=lambda rng: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0),
+    complex_pair=lambda rng: rng.random() < 0.5,
+)
+def test_cubic_roots_recover_known_roots(z1, re, im, complex_pair):
     # cubics built from their roots, which span 16 decades: three real roots,
-    # or one real root and a complex pair, the real root as small as 1e-8
-    # times the pair (Cardano's root cancels there, so the reversed cubic's
-    # root is taken, whatever the sign of c)
-    rng = np.random.default_rng(17)
-    for _ in range(2000):
-        z1 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0)
-        re, im = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
-        if rng.random() < 0.5:
-            p, q = -2.0 * re, re * re + im * im
-            coefs, truth = (p - z1, q - z1 * p, -z1 * q), [z1]
-        else:
-            z2, z3 = re, rng.choice([-1.0, 1.0]) * im
-            coefs, truth = (-(z1 + z2 + z3), z1 * z2 + z1 * z3 + z2 * z3, -z1 * z2 * z3), [z1, z2, z3]
-        got = _cubic_roots(*coefs)
-        assert len(got) == len(truth), (coefs, got, truth)
-        assert all(min(abs(g - t) for g in got) <= 1e-9 * abs(t) for t in truth), (coefs, got, truth)
+    # or one real root and a complex pair re +- i im, the real root as small as
+    # 1e-8 times the pair (Cardano's root cancels there, so the reversed
+    # cubic's root is taken, whatever the sign of c)
+    if complex_pair:
+        p, q = -2.0 * re, re * re + im * im
+        coefs, truth = (p - z1, q - z1 * p, -z1 * q), [z1]
+    else:
+        z2, z3 = re, im
+        coefs, truth = (-(z1 + z2 + z3), z1 * z2 + z1 * z3 + z2 * z3, -z1 * z2 * z3), [z1, z2, z3]
+    got = _cubic_roots(*coefs)
+    assert len(got) == len(truth), (coefs, got, truth)
+    assert all(min(abs(g - t) for g in got) <= 1e-9 * abs(t) for t in truth), (coefs, got, truth)
 
 
 @helpers.draws(
@@ -537,23 +529,26 @@ class TestEquilibria:
                 expected = IMPARTIAL if rec.profile[0] == rec.profile[1] else DISCRIMINATORY
                 assert rec.classification == expected
 
-    def test_matches_interval_prediction_and_brute_force(self):
-        rng = np.random.default_rng(77)
-        for _ in range(60):
-            base = helpers.sample_assumption1(rng)
-            cuts = thresholds(base)
-            for lam in rng.uniform(0.05, 2.0, size=8):
-                game = base._replace(lam=float(lam))
-                got = [r.profile for r in equilibrium_set(game)]
-                assert got == helpers.direct_ic_equilibria(game)
-                predicted = []
-                if lam <= cuts.lambda_star + 1e-12:
-                    predicted.append((HI, HI))
-                if cuts.lambda_low - 1e-12 <= lam <= cuts.lambda_high + 1e-12:
-                    predicted.extend([(HI, LO), (LO, HI)])
-                if lam >= cuts.lambda_star - 1e-12:
-                    predicted.append((LO, LO))
-                assert got == predicted
+    @helpers.draws(
+        60,
+        seed=33008,
+        base=helpers.sample_assumption1,
+        lams=lambda rng: [rng.uniform(0.05, 2.0) for _ in range(8)],
+    )
+    def test_matches_interval_prediction_and_brute_force(self, base, lams):
+        cuts = thresholds(base)
+        for lam in lams:
+            game = base._replace(lam=lam)
+            got = [r.profile for r in equilibrium_set(game)]
+            assert got == helpers.direct_ic_equilibria(game), lam
+            predicted = []
+            if lam <= cuts.lambda_star + 1e-12:
+                predicted.append((HI, HI))
+            if cuts.lambda_low - 1e-12 <= lam <= cuts.lambda_high + 1e-12:
+                predicted.extend([(HI, LO), (LO, HI)])
+            if lam >= cuts.lambda_star - 1e-12:
+                predicted.append((LO, LO))
+            assert got == predicted, lam
 
 
 class TestProfit:
@@ -642,9 +637,6 @@ class TestProfit:
             assert di2 == pytest.approx(
                 dmu * (1 - 2 * GAME.mu_lo) * math.log(gamma) / (gamma + 1) ** 2, rel=1e-5
             )
-
-
-EPS = 2.0**-52
 
 
 def decimal_valuation(params, profile, signal):
@@ -762,21 +754,18 @@ class TestWelfareAndSelection:
         assert rec.utility_w == pytest.approx(0.255911951549984, abs=1e-9)
         assert rec.utility_m > rec.utility_w  # the working agent is better off
 
-    def test_welfare_ordering_when_all_coexist(self):
-        rng = np.random.default_rng(101)
-        for _ in range(25):
-            base = helpers.sample_condition5(rng)
-            cuts = thresholds(base)
-            lam = 0.5 * (max(cuts.lambda_low, cuts.lambda_star * 0.99) + cuts.lambda_star)
-            game = base._replace(lam=float(lam))
-            records = equilibrium_set(game)
-            if len(records) < 3:
-                continue
-            ranked = welfare_ordering(records)
-            joint = [r.utility_m + r.utility_w for r in ranked]
-            assert joint == sorted(joint, reverse=True)
-            assert ranked[0].profile == (LO, LO) or ranked[0].classification == DISCRIMINATORY
-            assert ranked[-1].profile == (HI, HI)
+    @helpers.draws(25, seed=33009, base=helpers.sample_condition5)
+    def test_welfare_ordering_when_all_coexist(self, base):
+        cuts = thresholds(base)
+        lam = 0.5 * (max(cuts.lambda_low, cuts.lambda_star * 0.99) + cuts.lambda_star)
+        records = equilibrium_set(base._replace(lam=lam))
+        if len(records) < 3:
+            return
+        ranked = welfare_ordering(records)
+        joint = [r.utility_m + r.utility_w for r in ranked]
+        assert joint == sorted(joint, reverse=True)
+        assert ranked[0].profile == (LO, LO) or ranked[0].classification == DISCRIMINATORY
+        assert ranked[-1].profile == (HI, HI)
 
     def test_most_profitable_regimes(self):
         # below both cutpoints the impartial high-effort record wins
@@ -789,13 +778,3 @@ class TestWelfareAndSelection:
     def test_ranking_no_records_raises(self):
         with pytest.raises(ValueError, match="no equilibrium records to rank"):
             most_profitable_among([])
-
-    def test_most_profitable_discriminatory_under_condition5(self):
-        rng = np.random.default_rng(55)
-        for _ in range(20):
-            base = helpers.sample_condition5(rng)
-            cuts = thresholds(base)
-            lam = cuts.lambda_star + 0.5 * (cuts.lambda_high - cuts.lambda_star)
-            winners = most_profitable(base._replace(lam=float(lam)))
-            assert {r.profile for r in winners} == {(HI, LO), (LO, HI)}
-            assert all(r.classification == DISCRIMINATORY for r in winners)

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from riscreen import g_func, thresholds
 from riscreen.baseline_game import lambda_star
+from riscreen.ri_core import INTERIOR, degeneracy_check
 
 import helpers
 
@@ -137,3 +139,38 @@ def test_wide_problem_stays_in_its_box():
         assert 2 <= len(problem.states) <= 6 and abs(sum(problem.prior) - 1.0) <= 1e-12, problem
         assert all(_within(abs(v), 1e-2, 1e2) for v in problem.advantage) and _within(problem.lam, 1e-4, 1e4), problem
     assert min(min(p.prior) for p in problems) < 1e-20
+
+
+def _regularity_bound(game) -> float:
+    return game.mu_hi * (1.0 - game.mu_hi) / (game.A + game.B)
+
+
+def test_sample_assumption1_stays_in_its_box():
+    for game in _sample(helpers.sample_assumption1, 10):
+        assert 0.52 <= game.mu_hi <= 0.97 and max(1.0 - game.mu_hi + 0.01, 0.05) <= game.mu_lo, game
+        assert game.mu_lo <= game.mu_hi - 0.01 and game.lam == 1.0 and game.assumption1, game
+        assert _within(game.c / _regularity_bound(game), 0.05, 0.95), game
+
+
+def test_sample_condition5_stays_in_its_box():
+    for game in _sample(helpers.sample_condition5, 11, n=100):
+        assert 0.55 <= game.mu_hi <= 0.95 and 0.505 <= game.mu_lo <= game.mu_hi - 0.02, game
+        cuts = thresholds(game)
+        assert game.lam == 1.0 and game.assumption1 and cuts.condition5, game
+        floor, bound = g_func(cuts.gamma_hat), _regularity_bound(game)
+        assert _within(game.c, floor + 0.02 * (bound - floor), bound - 0.02 * (bound - floor)), game
+
+
+def test_random_problem_stays_in_its_box():
+    problems = _sample(helpers.random_problem, 12)
+    for problem in problems:
+        assert 2 <= len(problem.states) <= 5 and abs(sum(problem.prior) - 1.0) <= 1e-12, problem
+        assert all(-2.0 <= v <= 2.0 for v in problem.advantage) and 0.05 <= problem.lam <= 5.0, problem
+    assert {len(p.states) for p in problems} == {2, 3, 4, 5}
+
+
+def test_random_interior_problem_stays_in_its_box():
+    for problem in _sample(helpers.random_interior_problem, 13):
+        assert 3 <= len(problem.states) <= 5 and abs(sum(problem.prior) - 1.0) <= 1e-12, problem
+        assert all(-2.0 <= v <= 2.0 for v in problem.advantage) and 0.05 <= problem.lam <= 5.0, problem
+        assert degeneracy_check(problem) == INTERIOR, problem

@@ -16,6 +16,7 @@ from riscreen import (
     continuous_effort_equilibria,
     f_inverse,
     g_inverse,
+    multitask_equilibrium_set,
     mutual_information,
 )
 
@@ -29,14 +30,18 @@ TASK = ["--task2", "0.5,1.0,0.03"]
     (["multitask", *GAME, "--task1", "0.5,1.0,-0.01", *TASK], "cost_C must be positive and finite, got -0.01"),
     (["multitask", *GAME, "--task1", "0.5,inf,0.05", *TASK], "beta must be positive and finite, got inf"),
     (["variants", "--which", "heterogeneous", *GAME, "--du-m", "inf"], "du_m must be positive and finite, got inf"),
+    # the cost ordering's slack scales with the costs, so a 2:1 ratio is refused at any scale
+    (["variants", "--which", "heterogeneous", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3",
+      "--cost-m", "2e-13", "--cost-w", "1e-13"],
+     "label agents so the effective cost of m is lower, got c_m=9.999999999999998e-13 > c_w=4.999999999999999e-13"),
     (["variants", "--which", "prior-invariant", *GAME, "--ref-prior", "nan,0.5,0.5"],
      "reference prior entries must be positive and finite, got (nan, 0.5, 0.5)"),
     (["variants", "--which", "continuous", "--kappa", "inf"], "kappa must be positive and finite, got inf"),
     (["variants", "--which", "continuous", "--lambda-range", "0.1", "inf"], "lam must be positive and finite, got nan"),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
-], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "ref-prior", "kappa", "continuous-lam",
-        "out-dir", "config-list"])
+], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "tiny-cost-order", "ref-prior", "kappa",
+        "continuous-lam", "out-dir", "config-list"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -59,9 +64,15 @@ def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, ca
     (lambda: f_inverse(GameParams(0.8, 0.6, 0.07, 0.3), -math.ulp(0.0)), "f_inverse needs x >= 0, got -5e-324"),
     (lambda: TaskParams(0.5, 1.0, math.inf), "cost_C must be positive and finite, got inf"),
     (lambda: HeterogeneousParams(0.07, math.nan), "cost_w must be positive and finite, got nan"),
+    (lambda: HeterogeneousParams(2e-13, 1e-13).effective_costs(1.0),
+     "label agents so the effective cost of m is lower, got c_m=2e-13 > c_w=1e-13"),
+    (lambda: multitask_equilibrium_set(GameParams(0.75, 0.25, 0.07, 0.3),
+                                       (TaskParams(0.5, 1.0, 2e-14), TaskParams(0.5, 1.0, 1e-14))),
+     "tasks must be ordered by effective cost, got c1=8e-14 > c2=4e-14"),
     (lambda: continuous_effort_equilibria(0.65, [0.3, 0.0]), "lam must be positive and finite, got 0.0"),
 ], ids=["one-state", "unequal-lengths", "conditional", "info-cost", "mi-lengths", "two-entry-prior",
-        "g-inverse", "f-inverse", "task-cost-inf", "cost-w-nan", "continuous-lam-zero"])
+        "g-inverse", "f-inverse", "task-cost-inf", "cost-w-nan", "tiny-cost-order", "tiny-task-order",
+        "continuous-lam-zero"])
 def test_a_bad_library_input_raises_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from riscreen import (
@@ -96,8 +95,8 @@ class TestEquilibriumSet:
                 assert any(r.classification == SPECIALIZED for r in recs)
             else:
                 # window empty: no lam can support specialization
-                for lam in np.linspace(0.05, 2.0, 15):
-                    recs = multitask_equilibrium_set(GAME._replace(lam=float(lam)), tasks)
+                for lam in helpers.linspace(0.05, 2.0, 15):
+                    recs = multitask_equilibrium_set(GAME._replace(lam=lam), tasks)
                     assert not any(r.classification == SPECIALIZED for r in recs)
 
     def test_all_lo_when_lambda_large(self):
@@ -143,14 +142,14 @@ def _gaps(game, gamma):
 class TestTaskSplitAlgebra:
     def test_revenue_gap_identity(self):
         # dV1 - dV2 = -(gamma-1) dmu^2 / (gamma+1), exactly
-        for gamma in np.geomspace(GAME.A / GAME.B + 0.05, 1e5, 40):
-            dv1, dv2, _, _ = _gaps(GAME, float(gamma))
+        for gamma in helpers.geomspace(GAME.A / GAME.B + 0.05, 1e5, 40):
+            dv1, dv2, _, _ = _gaps(GAME, gamma)
             target = -(gamma - 1.0) * GAME.delta_mu**2 / (gamma + 1.0)
             assert dv1 - dv2 == pytest.approx(target, abs=1e-10)
 
     def test_information_gap_ordering(self):
-        for gamma in np.geomspace(GAME.A / GAME.B, 1e6, 50):
-            _, _, di1, di2 = _gaps(GAME, float(gamma))
+        for gamma in helpers.geomspace(GAME.A / GAME.B, 1e6, 50):
+            _, _, di1, di2 = _gaps(GAME, gamma)
             assert di1 > di2
 
     def test_information_gap_limit(self):

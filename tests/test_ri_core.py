@@ -3,7 +3,6 @@
 import ast
 import math
 
-import numpy as np
 import pytest
 
 from riscreen import PROFILES, GameParams, commitment_solve, ri_core
@@ -96,18 +95,12 @@ class TestDegeneracyCheck:
         prob = BinaryRIProblem((-1, 0, 1), (0.32, 0.56, 0.12), (-1.0, 0.0, 1.0), 1.2)
         assert degeneracy_check(prob) == ALWAYS_ACT0
 
-    def test_matches_exponential_moment_form(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            prior = rng.dirichlet(np.ones(n))
-            adv = rng.uniform(-2, 2, n)
-            lam = rng.uniform(0.05, 5.0)
-            prob = BinaryRIProblem(tuple(range(n)), tuple(prior), tuple(adv), lam)
-            down = float(np.dot(prior, np.exp(-adv / lam)))
-            up = float(np.dot(prior, np.exp(adv / lam)))
-            expected = ALWAYS_ACT1 if down <= 1 else (ALWAYS_ACT0 if up <= 1 else INTERIOR)
-            assert degeneracy_check(prob) == expected
+    @helpers.draws(200, seed=33011, prob=helpers.random_problem)
+    def test_matches_exponential_moment_form(self, prob):
+        down = math.fsum(p * math.exp(-v / prob.lam) for p, v in zip(prob.prior, prob.advantage))
+        up = math.fsum(p * math.exp(v / prob.lam) for p, v in zip(prob.prior, prob.advantage))
+        expected = ALWAYS_ACT1 if down <= 1 else (ALWAYS_ACT0 if up <= 1 else INTERIOR)
+        assert degeneracy_check(prob) == expected
 
     def test_boundary_located_by_bisection(self):
         # the interior/degenerate flip in lam sits at 1/ln(8/3)
@@ -121,8 +114,8 @@ class TestDegeneracyCheck:
         assert 0.5 * (lo + hi) == pytest.approx(LAMBDA_BREVE, abs=1e-9)
         flips = 0
         prev = degeneracy_check(hilo_problem(0.5))
-        for lam in np.linspace(0.5, 2.0, 400):
-            cur = degeneracy_check(hilo_problem(float(lam)))
+        for lam in helpers.linspace(0.5, 2.0, 400):
+            cur = degeneracy_check(hilo_problem(lam))
             flips += cur != prev
             prev = cur
         assert flips == 1
@@ -132,7 +125,7 @@ class TestSolve:
     def test_promotion_example(self):
         rule = solve_binary_ri(hilo_problem(0.3))
         assert not rule.degenerate
-        np.testing.assert_allclose(rule.conditional, TABLE1_CONDITIONAL, atol=1e-9)
+        assert rule.conditional == pytest.approx(TABLE1_CONDITIONAL, abs=1e-9)
         assert rule.unconditional == pytest.approx(0.744088048450016, abs=1e-9)
 
     def test_symmetric_prior_splits_evenly(self):
@@ -191,33 +184,22 @@ class TestMutualInformation:
         assert rule.info_cost == pytest.approx(closed, abs=1e-8)
         assert rule.info_cost == pytest.approx(0.191876468668156, abs=1e-9)
 
-    def test_nonnegative_on_random_rules(self):
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            n = int(rng.integers(2, 6))
-            prior = tuple(rng.dirichlet(np.ones(n)))
-            cond = tuple(rng.uniform(0, 1, n))
-            assert mutual_information(prior, cond) >= 0.0
+    @helpers.draws(500, seed=33012, prob=helpers.random_problem, rule=lambda rng: [rng.random() for _ in range(5)])
+    def test_nonnegative_on_random_rules(self, prob, rule):
+        assert mutual_information(prob.prior, rule[: len(prob.prior)]) >= 0.0
 
 
 class TestSolverInvariants:
-    def test_objective_within_grid_oracle(self):
-        rng = np.random.default_rng(2024)
-        worst = 0.0
-        for _ in range(1000):
-            prob = helpers.random_interior_problem(rng)
-            rule = solve_binary_ri(prob)
-            grid_val, _ = helpers.grid_search_value(prob)
-            worst = max(worst, abs(objective_value(prob, rule) - grid_val))
-        assert worst <= 1e-7
+    @helpers.draws(1000, seed=33013, prob=helpers.random_interior_problem)
+    def test_objective_within_grid_oracle(self, prob):
+        grid_val, _ = helpers.grid_search_value(prob)
+        assert abs(objective_value(prob, solve_binary_ri(prob)) - grid_val) <= 1e-7
 
-    def test_unconditional_is_prior_mean(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            prob = helpers.random_interior_problem(rng)
-            rule = solve_binary_ri(prob)
-            mean = sum(p * q for p, q in zip(prob.prior, rule.conditional))
-            assert abs(mean - rule.unconditional) <= 1e-10
+    @helpers.draws(200, seed=33014, prob=helpers.random_interior_problem)
+    def test_unconditional_is_prior_mean(self, prob):
+        rule = solve_binary_ri(prob)
+        mean = sum(p * q for p, q in zip(prob.prior, rule.conditional))
+        assert abs(mean - rule.unconditional) <= 1e-10
 
 
 @helpers.draws(150, seed=31011, prob=helpers.ordered_problem)

@@ -27,11 +27,11 @@ roots are also held to the Brent search it replaced
 60-digit root.
 """
 
+import contextlib
 import math
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from riscreen import (
@@ -82,13 +82,17 @@ def branch_odds(game, branch, sigma, num=float):
 
 def gap(game, branch, sigma, num=float):
     """A branch's gap, -c where the signal is degenerate, by the exact model's
-    kernel at the float r: on numpy arrays of sigma (num=float), or at one
+    kernel at the float r: on numpy arrays of sigma (num=float, the array
+    scan, which skips the calling test where numpy is absent), or at one
     Fraction sigma in exact rational arithmetic (num=Fraction)."""
     r, c = num(math.exp(-1.0 / game.lam)), num(game.c)
-    sigma = np.asarray(sigma, dtype=float) if num is float else sigma
+    errstate = contextlib.nullcontext()
+    if num is float:
+        np = pytest.importorskip("numpy")
+        sigma, errstate = np.asarray(sigma, dtype=float), np.errstate(divide="ignore", invalid="ignore")
     nu_m, nu_w, w_x, w_y = branch_odds(game, branch, sigma, num)
     A, B = nu_m * (1 - nu_w), nu_w * (1 - nu_m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with errstate:
         X, Y = exact.bonuses(A, B, r)
     value, inside = w_x * X + w_y * Y - c, exact.interior(A, B, r)
     if num is float:
@@ -110,7 +114,9 @@ def exact_root(game, branch, sigma, width=1e-9, steps=24):
 
 
 def reference_scan(gap, lo, hi, samples, extra=()):
-    """Zero samples and refined sign changes of gap on `samples` uniform points and `extra`."""
+    """Zero samples and refined sign changes of gap on `samples` uniform points
+    and `extra`: the array scan, which skips the calling test where numpy is absent."""
+    np = pytest.importorskip("numpy")
     xs = np.union1d(lo + (hi - lo) * np.arange(samples) / (samples - 1), extra)
     vals = gap(xs)
     roots = []
@@ -130,7 +136,7 @@ def _label(sig):
 #: its two roots straddle 1/2 closer than a uniform grid resolves; at 1e-8 the
 #: gap at lam = lambda_star is still about 80 ulps of c from 0 (at the first
 #: example below), so rounding makes no sign change there
-_NEAR_HALF = np.geomspace(1e-8, 1e-3, 200)
+_NEAR_HALF = helpers.geomspace(1e-8, 1e-3, 200)
 
 
 def reference_mixed_equilibria(game, samples=400):
@@ -157,8 +163,7 @@ def reference_mixed_equilibria(game, samples=400):
                 return gap(game, "balanced", (nu_m - mu_lo) / delta_mu)
 
             tangent = abs(game.lam / lambda_star(game) - 1.0) <= 1e-6
-            near = np.concatenate((0.5 - _NEAR_HALF, 0.5 + _NEAR_HALF))
-            near = near[(lo < near) & (near < hi)] if tangent else ()
+            near = [x for d in _NEAR_HALF for x in (0.5 - d, 0.5 + d) if lo < x < hi] if tangent else ()
             for nu_m in reference_scan(balanced, lo, hi, samples, near):
                 if tangent:
                     nu_m = mu_lo + exact_root(game, "balanced", (nu_m - mu_lo) / delta_mu) * delta_mu
@@ -242,14 +247,24 @@ def test_mixed_equilibria_match_scalar_scan(game):
 
 def test_mixed_equilibria_match_scalar_scan_on_mixing_games():
     # a fixed set that finds equilibria on all three branches
-    rng = np.random.default_rng(5)
     branches = set()
-    for _ in range(40):
-        mu_lo = float(rng.uniform(0.1, 0.9))
-        mu_hi = float(rng.uniform(mu_lo + 0.05, 0.99)) if mu_lo < 0.94 else 0.99
-        cost = float(rng.uniform(0.2, 0.9)) * 0.5 * (mu_hi - mu_lo)
-        lam = lambda_star(GameParams(mu_hi, mu_lo, cost, 1.0)) * float(rng.uniform(0.5, 2.0))
-        branches |= {branch_of(eq) for eq in check_against_oracles(GameParams(mu_hi, mu_lo, cost, lam))}
+
+    @helpers.draws(
+        40,
+        seed=33015,
+        mu_lo=lambda rng: rng.uniform(0.1, 0.9),
+        hi_frac=lambda rng: rng.random(),
+        cost_frac=lambda rng: rng.uniform(0.2, 0.9),
+        lam_factor=lambda rng: rng.uniform(0.5, 2.0),
+    )
+    def check(mu_lo, hi_frac, cost_frac, lam_factor):
+        # mu_hi uniform in [mu_lo + 0.05, 0.99], c = cost_frac / 2, lam = lambda_star times lam_factor
+        mu_hi = mu_lo + 0.05 + hi_frac * (0.94 - mu_lo)
+        cost = cost_frac * 0.5 * (mu_hi - mu_lo)
+        lam = lambda_star(GameParams(mu_hi, mu_lo, cost, 1.0)) * lam_factor
+        branches.update(branch_of(eq) for eq in check_against_oracles(GameParams(mu_hi, mu_lo, cost, lam)))
+
+    check()
     assert branches == {"m", "w", "balanced"}
 
 

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from riscreen import (
@@ -42,21 +41,8 @@ import exact
 import helpers
 
 GAME = helpers.canonical()
-
-
-def het_direct_ic(game, c_m, c_w):
-    """Profiles surviving per-agent incentive checks at their optimal signals."""
-    out = []
-    for profile in ((HI, HI), (HI, LO), (LO, HI), (LO, LO)):
-        sig = optimal_signal(game, profile)
-        e_m, e_w = profile
-        gain_m = incentive_gain(game, sig, AGENT_M, e_w)
-        gain_w = incentive_gain(game, sig, AGENT_W, e_m)
-        ok_m = gain_m >= c_m - 1e-12 if e_m == HI else gain_m <= c_m + 1e-12
-        ok_w = gain_w >= c_w - 1e-12 if e_w == HI else gain_w <= c_w + 1e-12
-        if ok_m and ok_w:
-            out.append(profile)
-    return out
+#: attention costs at which exp(1/lam) overflows a double
+TINY_LAMS = (1.0 / 720.0, 1e-3, 1e-4)
 
 
 class TestHeterogeneous:
@@ -68,27 +54,22 @@ class TestHeterogeneous:
         c_m, c_w = ok.effective_costs(0.2)
         assert c_m < c_w
 
-    def test_homogeneous_reduction_matches_baseline(self):
-        rng = np.random.default_rng(17)
-        for _ in range(60):
-            base = helpers.sample_assumption1(rng)
-            game = base._replace(lam=float(rng.uniform(0.05, 2.0)))
-            het = HeterogeneousParams(game.cost_C, game.cost_C)
-            got = [(r.profile, r.classification) for r in heterogeneous_equilibrium_set(game, het)]
-            want = [(r.profile, r.classification) for r in equilibrium_set(game)]
-            assert got == want
-
-    def test_agrees_with_direct_ic_enumeration(self):
-        rng = np.random.default_rng(23)
-        for _ in range(40):
-            base = helpers.sample_assumption1(rng)
-            c_m = base.c * float(rng.uniform(0.5, 1.0))
-            c_w = base.c * float(rng.uniform(1.0, 1.6))
-            het = HeterogeneousParams(c_m * base.delta_mu, c_w * base.delta_mu)
-            for lam in rng.uniform(0.05, 2.0, size=6):
-                game = base._replace(lam=float(lam))
-                got = [r.profile for r in heterogeneous_equilibrium_set(game, het)]
-                assert got == het_direct_ic(game, c_m, c_w)
+    @helpers.draws(
+        40,
+        seed=33016,
+        base=helpers.sample_assumption1,
+        m_scale=lambda rng: rng.uniform(0.5, 1.0),
+        w_scale=lambda rng: rng.uniform(1.0, 1.6),
+        lams=lambda rng: [rng.uniform(0.05, 2.0) for _ in range(6)],
+    )
+    def test_agrees_with_direct_ic_enumeration(self, base, m_scale, w_scale, lams):
+        # a gain slack of 1e-12 is a utility slack of 1e-12 delta_mu
+        het = HeterogeneousParams(base.cost_C * m_scale, base.cost_C * w_scale)
+        for lam in lams:
+            game = base._replace(lam=lam)
+            got = [r.profile for r in heterogeneous_equilibrium_set(game, het)]
+            want = helpers.direct_ic_equilibria(game, 1e-12 * game.delta_mu, (het.cost_m, het.cost_w))
+            assert got == want, lam
 
     def test_disjoint_impartial_regimes(self):
         # with c_m < c_w < 1/2 there is a gap holding no impartial equilibrium
@@ -114,7 +95,8 @@ class TestHeterogeneous:
         lam = 1.0 / math.log(0.5 * (lo + hi))
         profiles = [r.profile for r in heterogeneous_equilibrium_set(game._replace(lam=lam), het)]
         assert (HI, LO) in profiles
-        assert (HI, LO) in het_direct_ic(game._replace(lam=lam), 0.1, 0.15)
+        assert (HI, LO) in helpers.direct_ic_equilibria(game._replace(lam=lam), 1e-12 * game.delta_mu,
+                                                        (het.cost_m, het.cost_w))
         # but not when the cost ratio sits below the bound
         het_close = HeterogeneousParams(0.1 * 0.3, 0.105 * 0.3)
         lo2 = f_inverse(game, 0.1 * (1.0 - game.mu_hi) / (1.0 - game.mu_lo))
@@ -140,22 +122,24 @@ class TestHeterogeneous:
                 assert (rec.revenue, rec.info_cost, rec.profit) == (base.revenue, base.info_cost, base.profit)
         assert seen == {(HI, HI), (HI, LO), (LO, LO)}
 
-    @pytest.mark.parametrize("lam", [1.0 / 720.0, 1e-3, 1e-4])
+    @pytest.mark.parametrize("lam", TINY_LAMS)
     def test_tiny_lambda_matches_baseline(self, lam, capsys):
         # exp(1/lam) overflows a double here; the regimes are read in exp(-1/lam)
         from riscreen import cli
 
-        rng = np.random.default_rng(29)
-        games = [GAME._replace(lam=lam)]
-        games += [helpers.sample_assumption1(rng)._replace(lam=lam) for _ in range(20)]
-        games += [GameParams(0.6, 0.3, 0.03, lam), GameParams(0.9, 0.2, 0.3, lam)]
-        for game in games:
+        for game in (GAME._replace(lam=lam), GameParams(0.6, 0.3, 0.03, lam), GameParams(0.9, 0.2, 0.3, lam)):
             het = HeterogeneousParams(game.cost_C, game.cost_C)
             assert heterogeneous_equilibrium_set(game, het) == equilibrium_set(game)
         code = cli.main(["variants", "--which", "heterogeneous", "--mu-hi", ".8", "--mu-lo", ".6",
                          "--lambda", repr(lam), "--cost-m", ".07", "--cost-w", ".07"])
         assert code == 0
         assert capsys.readouterr().out.startswith("(hi,hi) impartial")
+
+    @helpers.draws(20, seed=33017, base=helpers.sample_assumption1)
+    def test_tiny_lambda_matches_baseline_on_random_games(self, base):
+        for game in (base._replace(lam=lam) for lam in TINY_LAMS):
+            het = HeterogeneousParams(game.cost_C, game.cost_C)
+            assert heterogeneous_equilibrium_set(game, het) == equilibrium_set(game), game.lam
 
 
 class TestCommitment:
@@ -173,22 +157,24 @@ class TestCommitment:
         game = GAME._replace(lam=lambda_star(GAME))
         bound = bind_high_effort(game)
         assert abs(bound.nu) <= 1e-12
-        np.testing.assert_allclose(
-            bound.signal.as_tuple(), optimal_signal(game, (HI, HI)).as_tuple(), rtol=0.0, atol=1e-12
-        )
+        assert bound.signal.as_tuple() == pytest.approx(optimal_signal(game, (HI, HI)).as_tuple(), rel=0.0, abs=1e-12)
 
-    def test_profit_is_the_evaluated_bound_rule(self):
-        # the bound rule is valued once per game: its profit at each lam is evaluate's, bit for bit
-        rng = np.random.default_rng(43)
-        for _ in range(40):
-            mu_hi = float(rng.uniform(0.52, 0.99))
-            mu_lo = float(rng.uniform(0.01, mu_hi - 0.01))
-            c = 0.5 - float(10.0 ** rng.uniform(-12.0, -1.0))
-            base = GameParams(mu_hi, mu_lo, c * (mu_hi - mu_lo), 1.0)
-            for factor in (0.5, 0.999, 1.001, 3.0):
-                game = base._replace(lam=lambda_star(base) * factor)
-                bound = bind_high_effort(game)
-                assert bound.profit.hex() == evaluate(game, (HI, HI), bound.signal).profit.hex()
+    @helpers.draws(
+        40,
+        seed=33018,
+        mu_hi=lambda rng: rng.uniform(0.52, 0.99),
+        lo_frac=lambda rng: rng.random(),
+        log_gap=lambda rng: rng.uniform(-12.0, -1.0),
+    )
+    def test_profit_is_the_evaluated_bound_rule(self, mu_hi, lo_frac, log_gap):
+        # the bound rule is valued once per game: its profit at each lam is evaluate's, bit for bit;
+        # mu_lo uniform in [0.01, mu_hi - 0.01] and c = 1/2 - 10**log_gap
+        mu_lo = 0.01 + lo_frac * (mu_hi - 0.02)
+        base = GameParams(mu_hi, mu_lo, (0.5 - 10.0**log_gap) * (mu_hi - mu_lo), 1.0)
+        for factor in (0.5, 0.999, 1.001, 3.0):
+            game = base._replace(lam=lambda_star(base) * factor)
+            bound = bind_high_effort(game)
+            assert bound.profit.hex() == evaluate(game, (HI, HI), bound.signal).profit.hex(), factor
 
     def test_priced_constraints_keep_impartiality(self):
         game = GAME._replace(lam=lambda_star(GAME) * 1.02)
@@ -206,31 +192,26 @@ class TestCommitment:
         for agent in (AGENT_M, AGENT_W):
             assert abs(incentive_gain(game, sol.signal, agent, HI) - game.c) <= 1e-12
 
-    def test_high_profile_is_a_candidate_above_lambda_star(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            base = helpers.sample_assumption1(rng)
-            for factor in (1.01, 1.5, 4.0):
-                game = base._replace(lam=lambda_star(base) * factor)
-                sol = commitment_solve(game)
-                assert (HI, HI) in sol.candidates
-                assert sol.profit == max(sol.candidates.values())
+    @helpers.draws(20, seed=33019, base=helpers.sample_assumption1)
+    def test_high_profile_is_a_candidate_above_lambda_star(self, base):
+        for factor in (1.01, 1.5, 4.0):
+            sol = commitment_solve(base._replace(lam=lambda_star(base) * factor))
+            assert (HI, HI) in sol.candidates, factor
+            assert sol.profit == max(sol.candidates.values()), factor
 
-    def test_rule_is_the_logit_optimum_at_the_reported_tilt(self):
+    @helpers.draws(20, seed=33020, base=helpers.sample_assumption1, factor=lambda rng: rng.uniform(1.001, 6.0))
+    def test_rule_is_the_logit_optimum_at_the_reported_tilt(self, base, factor):
         # the tilt +-(1 + nu/s) prices both constraints; the generic solver's
         # optimum there must be the committed rule
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            base = helpers.sample_assumption1(rng)
-            game = base._replace(lam=lambda_star(base) * float(rng.uniform(1.001, 6.0)))
-            bound, sol = bind_high_effort(game), commitment_solve(game)
-            if sol.induced_profile == (HI, HI):
-                assert (sol.nu_m, sol.signal) == (bound.nu, bound.signal)
-            tilt = 1.0 + bound.nu / (game.mu_hi * (1.0 - game.mu_hi))
-            prior = tuple(state_distribution(game, (HI, HI)))
-            rule = ri_core.solve_binary_ri(ri_core.BinaryRIProblem((-1, 0, 1), prior, (-tilt, 0.0, tilt), game.lam))
-            got = (*bound.signal.as_tuple(), bound.signal.pi_bar)
-            np.testing.assert_allclose((*rule.conditional, rule.unconditional), got, rtol=0.0, atol=1e-10)
+        game = base._replace(lam=lambda_star(base) * factor)
+        bound, sol = bind_high_effort(game), commitment_solve(game)
+        if sol.induced_profile == (HI, HI):
+            assert (sol.nu_m, sol.signal) == (bound.nu, bound.signal)
+        tilt = 1.0 + bound.nu / (game.mu_hi * (1.0 - game.mu_hi))
+        prior = tuple(state_distribution(game, (HI, HI)))
+        rule = ri_core.solve_binary_ri(ri_core.BinaryRIProblem((-1, 0, 1), prior, (-tilt, 0.0, tilt), game.lam))
+        got = (*bound.signal.as_tuple(), bound.signal.pi_bar)
+        assert (*rule.conditional, rule.unconditional) == pytest.approx(got, rel=0.0, abs=1e-10)
 
     def test_makes_no_root_search(self, monkeypatch):
         calls = []
@@ -241,39 +222,30 @@ class TestCommitment:
             return find_root(*args, **kwargs)
 
         monkeypatch.setattr(ri_core, "find_root", counted)
-        for lam in np.linspace(0.1, 3.0, 30):
-            commitment_solve(helpers.canonical(float(lam)))
+        for lam in helpers.linspace(0.1, 3.0, 30):
+            commitment_solve(helpers.canonical(lam))
         assert calls == []
 
-    def test_beats_every_baseline_equilibrium(self):
-        rng = np.random.default_rng(29)
-        games = [helpers.canonical(lam) for lam in np.linspace(0.08, 2.2, 12)]
-        base = helpers.sample_condition5(rng)
-        games += [base._replace(lam=float(lam)) for lam in np.linspace(0.1, 1.5, 10)]
-        for game in games:
-            sol = commitment_solve(game)
-            best = max(r.profit for r in equilibrium_set(game))
-            assert sol.profit >= best - 1e-9
-
-    def test_condition5_band_prefers_discrimination(self):
+    @helpers.draws(5, seed=33021, base=helpers.sample_condition5, noise_seed=lambda rng: rng.getrandbits(32))
+    def test_condition5_band_prefers_discrimination(self, base, noise_seed):
         # between lambda_star and lambda_high the best equilibrium discriminates,
         # but a committed principal does better with the impartial X = c rule,
-        # and no feasible rule near it earns more
-        for seed in range(31, 36):
-            rng = np.random.default_rng(seed)
-            base = helpers.sample_condition5(rng)
-            cuts = thresholds(base)
-            for frac in (0.25, 0.75):
-                game = base._replace(lam=float(cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star)))
-                assert most_profitable(game)[0].classification == DISCRIMINATORY
-                sol = commitment_solve(game)
-                assert sol.induced_profile == (HI, HI) and sol.signal.impartial
-                assert sol.profit > sol.candidates[(HI, LO)]
-                for _ in range(200):
-                    pi = np.clip(np.array(sol.signal.as_tuple()) + rng.normal(0.0, 0.02, 3), 0.0, 1.0)
-                    trial = PromotionSignal(*pi, float(np.dot(tuple(state_distribution(game, (HI, HI))), pi)))
-                    if supports_profile(game, trial, (HI, HI)):
-                        assert evaluate(game, (HI, HI), trial).profit <= sol.profit + 1e-12
+        # and no feasible rule near it earns more: 200 perturbations by N(0, 0.02)
+        # in each conditional, clipped to [0, 1]
+        noise = random.Random(noise_seed)
+        cuts = thresholds(base)
+        for frac in (0.25, 0.75):
+            game = base._replace(lam=cuts.lambda_star + frac * (cuts.lambda_high - cuts.lambda_star))
+            assert most_profitable(game)[0].classification == DISCRIMINATORY
+            sol = commitment_solve(game)
+            assert sol.induced_profile == (HI, HI) and sol.signal.impartial
+            assert sol.profit > sol.candidates[(HI, LO)]
+            prior = tuple(state_distribution(game, (HI, HI)))
+            for _ in range(200):
+                pi = [min(max(p + noise.gauss(0.0, 0.02), 0.0), 1.0) for p in sol.signal.as_tuple()]
+                trial = PromotionSignal(*pi, sum(q * p for q, p in zip(prior, pi)))
+                if supports_profile(game, trial, (HI, HI)):
+                    assert evaluate(game, (HI, HI), trial).profit <= sol.profit + 1e-12, (frac, trial)
 
 
 @helpers.draws(200, seed=31018, game=helpers.domain_game)
@@ -413,7 +385,7 @@ def test_prior_invariant_on_the_whole_domain(game, profile, log_weights):
     residual = sum(q * pi for q, pi in zip(ref, sig.as_tuple())) - sig.pi_bar
     assert abs(residual) <= 1e-10
     flipped = mirror.signal.mirrored()
-    np.testing.assert_allclose((*flipped.as_tuple(), flipped.pi_bar), values, rtol=0.0, atol=1e-12)
+    assert (*flipped.as_tuple(), flipped.pi_bar) == pytest.approx(values, rel=0.0, abs=1e-12)
 
 
 @helpers.draws(
@@ -465,14 +437,6 @@ class TestMixed:
         sig = both[0].signal
         assert sig.impartial
         assert sig.X == pytest.approx(GAME.c, abs=1e-9)
-
-    def test_discriminatory_away_from_star(self):
-        for lam in np.linspace(0.15, 1.3, 12):
-            game = helpers.canonical(float(lam))
-            if abs(game.lam - 0.576501436392967) < 1e-3:
-                continue
-            for eq in mixed_equilibria(game):
-                assert eq.classification == DISCRIMINATORY
 
     def test_one_sided_solutions_verify_indifference(self):
         eqs = mixed_equilibria(helpers.canonical(0.3))
@@ -539,8 +503,7 @@ class TestMixed:
 
 class TestContinuousEffort:
     def test_symmetric_fixed_point_everywhere(self):
-        lams = np.linspace(0.1, 5.0, 25)
-        results = continuous_effort_equilibria(0.65, [float(x) for x in lams], 100)
+        results = continuous_effort_equilibria(0.65, helpers.linspace(0.1, 5.0, 25), 100)
         assert all(r.symmetric for r in results)
 
     def test_large_lambda_drives_effort_to_zero(self):
@@ -554,8 +517,7 @@ class TestContinuousEffort:
         for lam in (0.3, 0.8, 2.0):
             (res,) = continuous_effort_equilibria(0.65, [lam], 100)
             target = g_func(math.exp(1.0 / lam)) / 0.65
-            grid = np.linspace(0.0, 1.0, 100)
-            nearest = float(grid[np.argmin(np.abs(grid - target))])
+            nearest = min(helpers.linspace(0.0, 1.0, 100), key=lambda x: abs(x - target))
             assert any(fp == (nearest, nearest) for fp in res.symmetric)
 
     def test_matches_scalar_recomputation_on_small_grid(self):
@@ -564,7 +526,7 @@ class TestContinuousEffort:
 
         lam, kappa, n = 0.4, 0.65, 21
         (res,) = continuous_effort_equilibria(kappa, [lam], n)
-        grid = np.linspace(0.0, 1.0, n)
+        grid = helpers.linspace(0.0, 1.0, n)
         fixed = set()
         for i, mu_m in enumerate(grid):
             for j, mu_w in enumerate(grid):
@@ -609,7 +571,7 @@ class TestContinuousEffort:
         "lams",
         [
             [0.1 + (5.0 - 0.1) * i / 11 for i in range(12)],  # the CLI grid of the benchmark's sweep
-            [float(x) for x in np.linspace(0.1, 5.0, 100)],
+            helpers.linspace(0.1, 5.0, 100),
         ],
     )
     def test_equals_the_exhaustive_scan_on_the_sweeps(self, lams):
