@@ -13,7 +13,6 @@ import math
 from . import baseline_game as bg
 from . import multitask as mt
 from . import quota_policy as qp
-from . import ri_core
 from . import variants as va
 from .cli import _TAGS, SCHEMA_VERSION, _emit, _lam_grid, _parse_triple
 
@@ -84,7 +83,7 @@ def regimes(args) -> int:
     if args.analysis == "multitask":
         tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
     # prepare once, after the first lambda is checked; each point checks its own by the one lambda rule
-    check = ri_core._checked_lam
+    check = bg._checked_lam
     check(grid[0])
     rows = []
     header = list(_REGIME_HEADER)

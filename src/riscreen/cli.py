@@ -451,7 +451,7 @@ def main(argv=None) -> int:
         args = build_parser(cfg).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, bg.BracketError, ri_core.ConvergenceError) as exc:
+    except (ValueError, bg.BracketError, ri_core.ConvergenceError) as exc:  # read on an error only: loads ri_core
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,9 @@ from .baseline_game import (
     _incentive_holds,
     _profile_signals,
     _ties_at_best,
+    _Validated,
     _value,
 )
-from .ri_core import _Validated
 
 NON_SPECIALIZED = "non-specialized"
 SPECIALIZED = "specialized"

@@ -19,7 +19,6 @@ from collections import namedtuple
 
 from . import ri_core
 from .baseline_game import (
-    BracketError,
     LO,
     GameParams,
     PromotionSignal,
@@ -28,6 +27,7 @@ from .baseline_game import (
     _equilibria,
     _game,
     _impartial_signal,
+    _sigmoid,
     optimal_signal,
     state_distribution,
 )
@@ -146,10 +146,10 @@ def _quota_solution(prior: tuple, s: float, y: float, lam: float, mirror: bool) 
     nu, t = s + lam * y, (-(1.0 + s) / lam - y, -s / lam - y, (1.0 - s) / lam - y)
     if mirror:  # a - b is -(b - a) exactly
         nu, t = -nu, (-t[2], -t[1], -t[0])
-    q = tuple(map(ri_core._sigmoid, t))
+    q = tuple(map(_sigmoid, t))
     pi_bar = prior[0] * q[0] + prior[1] * q[1] + prior[2] * q[2]
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
-        raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
+        raise ri_core.BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 
 

@@ -23,6 +23,7 @@ from .baseline_game import (
     LO,
     GameParams,
     PromotionSignal,
+    _checked_lam,
     _cubic_roots,
     _equilibria,
     _game,
@@ -31,7 +32,9 @@ from .baseline_game import (
     _incentive_holds,
     _log_gamma_star,
     _profile_signals,
+    _sigmoid,
     _supports,
+    _Validated,
     _value,
     signal_from_odds,
 )
@@ -41,7 +44,7 @@ from .baseline_game import (
 # heterogeneous effort costs and risk aversion
 # ---------------------------------------------------------------------------
 
-class HeterogeneousParams(ri_core._Validated, namedtuple("HeterogeneousParams", "cost_m cost_w du_m du_w")):
+class HeterogeneousParams(_Validated, namedtuple("HeterogeneousParams", "cost_m cost_w du_m du_w")):
     """Per-agent effort costs and promotion utility gains.
 
     Risk aversion enters only through the utility gain du_i = u_i(1) - u_i(0)
@@ -182,9 +185,7 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
 # prior-invariant attention cost
 # ---------------------------------------------------------------------------
 
-class ReferencePriorProblem(
-    ri_core._Validated, namedtuple("ReferencePriorProblem", "true_prior reference_prior lam")
-):
+class ReferencePriorProblem(_Validated, namedtuple("ReferencePriorProblem", "true_prior reference_prior lam")):
     """Screening with the information bill charged against a fixed reference prior.
 
     true_prior and reference_prior are distributions over d in (-1, 0, 1),
@@ -205,7 +206,7 @@ class ReferencePriorProblem(
         for dist in (true_prior, reference_prior):
             if not all(p >= 0.0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
                 raise ValueError(f"invalid distribution {dist!r}")
-        return tuple.__new__(cls, (true_prior, reference_prior, ri_core._checked_lam(lam)))
+        return tuple.__new__(cls, (true_prior, reference_prior, _checked_lam(lam)))
 
 
 class PriorInvariantResult(namedtuple("PriorInvariantResult", "pi_bar_q interior signal")):
@@ -269,8 +270,8 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     if not (up > 0.0 and down > 0.0):
         return PriorInvariantResult(pi_bar_q, False, None)
     base = math.log(up / down)
-    pi_p = ri_core._sigmoid(base + a)
-    pi_m = ri_core._sigmoid(base - b)
+    pi_p = _sigmoid(base + a)
+    pi_m = _sigmoid(base - b)
     signal = PromotionSignal(pi_m, pi_bar_q, pi_p, pi_bar_q)
     residual = q_m * pi_m + q_0 * pi_bar_q + q_p * pi_p - pi_bar_q
     if not abs(residual) <= 1e-10:
@@ -520,7 +521,7 @@ def continuous_effort_equilibria(
 
     results = []
     for lam in lam_values:
-        r = math.exp(-1.0 / ri_core._checked_lam(lam))
+        r = math.exp(-1.0 / _checked_lam(lam))
         points = [(0.0, 0.0)]
         for i, j, nu_m, nu_w, A, B in pairs:
             interior = signal_from_odds(A, B, r)

@@ -132,6 +132,7 @@ def test_criterion_05_threshold_properties():
     cond5_mismatches = 0
     bad_values = 0
     regime_mismatches = 0
+    brute_mismatches = 0
     for _ in range(500):
         base = helpers.sample_assumption1(rng)
         cuts = thresholds(base)
@@ -147,6 +148,7 @@ def test_criterion_05_threshold_properties():
         for lam in (rng.uniform(0.05, 2.5) for _ in range(20)):
             game = base._replace(lam=lam)
             got = [r.profile for r in equilibrium_set(game)]
+            brute_mismatches += got != helpers.direct_ic_equilibria(game)
             predicted = []
             if lam <= cuts.lambda_star + 1e-12:
                 predicted.append((HI, HI))
@@ -156,13 +158,13 @@ def test_criterion_05_threshold_properties():
                 predicted.append((LO, LO))
             if got != predicted:
                 regime_mismatches += 1
-    ok = order_violations == cond5_mismatches == bad_values == regime_mismatches == 0
+    ok = order_violations == cond5_mismatches == bad_values == regime_mismatches == brute_mismatches == 0
     _report(
         5,
         ok,
         "500 draws: lambda_low<lambda_star violations=%d; condition5 mismatches=%d; "
-        "non-finite thresholds=%d; regime/IC disagreements=%d (10000 grid points)"
-        % (order_violations, cond5_mismatches, bad_values, regime_mismatches),
+        "non-finite thresholds=%d; regime/IC disagreements=%d; brute-force IC disagreements=%d "
+        "(10000 grid points)" % (order_violations, cond5_mismatches, bad_values, regime_mismatches, brute_mismatches),
     )
 
 

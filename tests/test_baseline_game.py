@@ -529,27 +529,6 @@ class TestEquilibria:
                 expected = IMPARTIAL if rec.profile[0] == rec.profile[1] else DISCRIMINATORY
                 assert rec.classification == expected
 
-    @helpers.draws(
-        60,
-        seed=33008,
-        base=helpers.sample_assumption1,
-        lams=lambda rng: [rng.uniform(0.05, 2.0) for _ in range(8)],
-    )
-    def test_matches_interval_prediction_and_brute_force(self, base, lams):
-        cuts = thresholds(base)
-        for lam in lams:
-            game = base._replace(lam=lam)
-            got = [r.profile for r in equilibrium_set(game)]
-            assert got == helpers.direct_ic_equilibria(game), lam
-            predicted = []
-            if lam <= cuts.lambda_star + 1e-12:
-                predicted.append((HI, HI))
-            if cuts.lambda_low - 1e-12 <= lam <= cuts.lambda_high + 1e-12:
-                predicted.extend([(HI, LO), (LO, HI)])
-            if lam >= cuts.lambda_star - 1e-12:
-                predicted.append((LO, LO))
-            assert got == predicted, lam
-
 
 class TestProfit:
     def test_table1_revenue(self):

@@ -455,18 +455,21 @@ _HET = ["--cost-m", ".07", "--cost-w", ".07"]
 @pytest.mark.parametrize("argv, bodies", [
     (["reproduce", "--json"], {"ri_core", "baseline_game", "quota_policy"}),
     (["signal", *_GAME, "--profile", "hi,lo", "--oracle"], {"ri_core", "baseline_game"}),
-    (["equilibria", *_GAME], {"ri_core", "baseline_game"}),
-    (["quota", *_GAME], {"ri_core", "baseline_game", "quota_policy"}),
+    (["signal", *_GAME, "--profile", "hi,lo"], {"baseline_game"}),
+    (["thresholds", *_GAME[:6]], {"baseline_game"}),
+    (["equilibria", *_GAME], {"baseline_game"}),
+    (["quota", *_GAME], {"baseline_game", "quota_policy"}),
     (["regimes", "--analysis", "baseline", *_GAME[:6], "--lambda-steps", "8", "--format", "json"],
-     {"ri_core", "baseline_game", "_sweep"}),
+     {"baseline_game", "_sweep"}),
     (["variants", "--which", "continuous", *_GAME, "--kappa", ".65", "--lambda-range", ".1", "5", "--lambda-steps", "12"],
-     {"ri_core", "baseline_game", "variants"}),
-    (["variants", "--which", "heterogeneous", *_GAME, *_HET], {"ri_core", "baseline_game", "variants"}),
-    (["variants", "--which", "heterogeneous", *_GAME[:6], "--lambda", "0.001", *_HET],
-     {"ri_core", "baseline_game", "variants"}),
-], ids=["reproduce", "signal", "equilibria", "quota", "regimes", "continuous", "heterogeneous", "tiny-lambda"])
+     {"baseline_game", "variants"}),
+    (["variants", "--which", "heterogeneous", *_GAME, *_HET], {"baseline_game", "variants"}),
+    (["variants", "--which", "heterogeneous", *_GAME[:6], "--lambda", "0.001", *_HET], {"baseline_game", "variants"}),
+], ids=["reproduce", "signal", "signal-closed-form", "thresholds", "equilibria", "quota", "regimes", "continuous",
+        "heterogeneous", "tiny-lambda"])
 def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
-    # the benchmark's cold commands; a deferred module's class is ModuleType once its body
+    # the benchmark's cold commands, plus signal without --oracle and thresholds: only reproduce
+    # and the oracle run ri_core's body. A deferred module's class is ModuleType once its body
     # has run (reading its vars() would run it), and _sweep, imported by regimes on first
     # use, has not run while it is absent from sys.modules
     script = (

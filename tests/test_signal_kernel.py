@@ -268,17 +268,23 @@ def test_mixed_equilibria_match_scalar_scan_on_mixing_games():
     assert branches == {"m", "w", "balanced"}
 
 
+# at lam near 7,600 the balanced roots lie 1e-4 apart in sigma, inside one
+# cell of the 400-point scan, which therefore reports only the w branch
+SCAN_CELL_PAIR = GameParams(0.6236792197440802, 0.3199750795940246, 7.382364218763797e-07, 7597.416805125792)
+
+
 def test_pair_inside_one_scan_cell_is_found():
-    # at lam near 7,600 the balanced roots lie 1e-4 apart in sigma, inside one
-    # cell of the 400-point scan, which therefore reports only the w branch
-    game = GameParams(0.6236792197440802, 0.3199750795940246, 7.382364218763797e-07, 7597.416805125792)
-    got = check_against_oracles(game)
-    assert len(reference_mixed_equilibria(game)) == 1
+    got = mixed_equilibria(SCAN_CELL_PAIR)
     assert [branch_of(eq) for eq in got] == ["balanced", "balanced", "w"]
     (a, b), (c, d) = [(eq.profile.sigma_m, eq.profile.sigma_w) for eq in got[:2]]
     assert math.isclose(a, d, rel_tol=1e-12) and math.isclose(b, c, rel_tol=1e-12)
     assert round(a, 5) == 0.59271 and round(b, 5) == 0.59282
     assert round(got[2].profile.sigma_w, 5) == 0.9999
+
+
+def test_pair_inside_one_scan_cell_meets_the_oracles():
+    check_against_oracles(SCAN_CELL_PAIR)
+    assert len(reference_mixed_equilibria(SCAN_CELL_PAIR)) == 1
 
 
 # the two traps of the closed-form cubic: at large lam (r near 1) the expanded
