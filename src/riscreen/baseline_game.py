@@ -23,6 +23,7 @@ import math
 from collections import namedtuple
 
 from . import ri_core
+from ._primitives import BracketError, ConvergenceError, _positive, _Validated
 
 HI = "hi"
 LO = "lo"
@@ -42,38 +43,6 @@ IC_TOL = 1e-12
 IMPARTIAL_TOL = 1e-9
 
 
-def __getattr__(name):
-    # BracketError is the oracle's, so ri_core's body runs only when it is asked for
-    if name == "BracketError":
-        return ri_core.BracketError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _checked_lam(lam: float) -> float:
-    """lam itself, if it is positive and finite: the lambda rule of every record and sweep point, as ri_core's."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    return lam
-
-
-def _sigmoid(t: float) -> float:
-    """Numerically stable 1 / (1 + exp(-t))."""
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-class _Validated:
-    """Mixin for a named-tuple record whose ``__new__`` validates: ``_replace`` goes through it."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class GameParams(_Validated, namedtuple("GameParams", "mu_hi mu_lo cost_C lam")):
     """Primitives of the promotion game.
 
@@ -87,9 +56,7 @@ class GameParams(_Validated, namedtuple("GameParams", "mu_hi mu_lo cost_C lam"))
     def __new__(cls, mu_hi: float, mu_lo: float, cost_C: float, lam: float):
         if not 0.0 < mu_lo < mu_hi < 1.0:
             raise ValueError(f"need 0 < mu_lo < mu_hi < 1, got mu_lo={mu_lo!r}, mu_hi={mu_hi!r}")
-        if not (cost_C > 0.0 and math.isfinite(cost_C)):
-            raise ValueError(f"cost_C must be positive and finite, got {cost_C!r}")
-        return tuple.__new__(cls, (mu_hi, mu_lo, cost_C, _checked_lam(lam)))
+        return tuple.__new__(cls, (mu_hi, mu_lo, _positive("cost_C", cost_C), _positive("lam", lam)))
 
     @property
     def delta_mu(self) -> float:

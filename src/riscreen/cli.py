@@ -4,7 +4,9 @@ Subcommands: signal, thresholds, equilibria, regimes, quota, multitask,
 variants, reproduce. Exit codes: 0 on success, 1 when a reproduce check
 fails, and 2 on a usage error (argparse's usage message) or on an input the
 model rejects: a ValueError, BracketError or ConvergenceError, reported on
-one `error:` line with no traceback, as is an unreadable config. Machine
+one `error:` line with no traceback, as is an unreadable config. The two
+error types come from the leaf ``riscreen._primitives``, so an error exit
+does not run the oracle ``ri_core``. Machine
 output (csv/json) carries 12 significant digits and is byte-deterministic
 for a fixed configuration: a JSON sweep float is the shortest repr of the
 value rounded to 12 significant digits, so it equals float() of the CSV
@@ -21,8 +23,8 @@ import sys
 from . import baseline_game as bg
 from . import multitask as mt
 from . import quota_policy as qp
-from . import ri_core
 from . import variants as va
+from ._primitives import BracketError, ConvergenceError
 
 SCHEMA_VERSION = "riscreen.regimes.v1"
 
@@ -451,7 +453,7 @@ def main(argv=None) -> int:
         args = build_parser(cfg).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, bg.BracketError, ri_core.ConvergenceError) as exc:  # read on an error only: loads ri_core
+    except (ValueError, BracketError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ task's effort pair is an equilibrium of its own per-task game.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .baseline_game import (
@@ -24,9 +23,9 @@ from .baseline_game import (
     _incentive_holds,
     _profile_signals,
     _ties_at_best,
-    _Validated,
     _value,
 )
+from ._primitives import _positive, _Validated
 
 NON_SPECIALIZED = "non-specialized"
 SPECIALIZED = "specialized"
@@ -43,10 +42,7 @@ class TaskParams(_Validated, namedtuple("TaskParams", "alpha beta cost_C")):
     def __new__(cls, alpha: float, beta: float, cost_C: float):
         if not 0.0 < alpha <= 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2], got {alpha!r}")
-        for name, value in (("beta", beta), ("cost_C", cost_C)):
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        return tuple.__new__(cls, (alpha, beta, cost_C))
+        return tuple.__new__(cls, (alpha, _positive("beta", beta), _positive("cost_C", cost_C)))
 
     def effective_cost(self, delta_mu: float) -> float:
         """c^t = C^t / (alpha^t beta^t delta_mu), the per-task analog of c."""

@@ -27,10 +27,10 @@ from .baseline_game import (
     _equilibria,
     _game,
     _impartial_signal,
-    _sigmoid,
     optimal_signal,
     state_distribution,
 )
+from ._primitives import BracketError, _sigmoid
 
 #: |pi_bar - 1/2| at the returned multiplier must be below this
 QUOTA_TOL = 1e-9
@@ -149,7 +149,7 @@ def _quota_solution(prior: tuple, s: float, y: float, lam: float, mirror: bool) 
     q = tuple(map(_sigmoid, t))
     pi_bar = prior[0] * q[0] + prior[1] * q[1] + prior[2] * q[2]
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
-        raise ri_core.BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
+        raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
     return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
 
 

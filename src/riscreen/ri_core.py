@@ -32,6 +32,8 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
+from ._primitives import BracketError, ConvergenceError, _positive, _sigmoid, _Validated
+
 ALWAYS_ACT1 = "always_act1"
 ALWAYS_ACT0 = "always_act0"
 INTERIOR = "interior"
@@ -49,28 +51,12 @@ _FLAT = 40.0
 _Z_MAX = 1e300
 
 
-class ConvergenceError(RuntimeError):
-    """A root search ran out of budget; the message reports the residual."""
-
-
-class BracketError(RuntimeError):
-    """A root search failed to bracket a sign change."""
-
-
 def _exp(z: float) -> float:
     """exp that saturates to +inf instead of raising on overflow."""
     try:
         return math.exp(z)
     except OverflowError:
         return math.inf
-
-
-def _sigmoid(t: float) -> float:
-    """Numerically stable 1 / (1 + exp(-t))."""
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
 
 
 def _softplus(t: float) -> float:
@@ -179,23 +165,6 @@ def neg_entropy(x: float) -> float:
     return x * math.log(x) + (1.0 - x) * math.log1p(-x)
 
 
-def _checked_lam(lam: float) -> float:
-    """lam itself, if it is positive and finite: the one lambda rule of every record and sweep point."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    return lam
-
-
-class _Validated:
-    """Mixin for a named-tuple record whose ``__new__`` validates: ``_replace`` goes through it."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class BinaryRIProblem(_Validated, namedtuple("BinaryRIProblem", "states prior advantage lam")):
     """A finite-state decision problem with two actions and a mutual-information cost.
 
@@ -224,7 +193,7 @@ class BinaryRIProblem(_Validated, namedtuple("BinaryRIProblem", "states prior ad
         for v in advantage:
             if not math.isfinite(v):
                 raise ValueError(f"advantage must be finite, got {v!r}")
-        return tuple.__new__(cls, (states, prior, advantage, _checked_lam(lam)))
+        return tuple.__new__(cls, (states, prior, advantage, _positive("lam", lam)))
 
 
 class ChoiceRule(_Validated, namedtuple("ChoiceRule", "conditional unconditional degenerate info_cost")):

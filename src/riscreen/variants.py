@@ -12,7 +12,6 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import ri_core
 from .baseline_game import (
     AGENT_M,
     AGENT_W,
@@ -23,7 +22,6 @@ from .baseline_game import (
     LO,
     GameParams,
     PromotionSignal,
-    _checked_lam,
     _cubic_roots,
     _equilibria,
     _game,
@@ -32,12 +30,11 @@ from .baseline_game import (
     _incentive_holds,
     _log_gamma_star,
     _profile_signals,
-    _sigmoid,
     _supports,
-    _Validated,
     _value,
     signal_from_odds,
 )
+from ._primitives import ConvergenceError, _positive, _sigmoid, _Validated
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +55,7 @@ class HeterogeneousParams(_Validated, namedtuple("HeterogeneousParams", "cost_m 
     def __new__(cls, cost_m: float, cost_w: float, du_m: float = 1.0, du_w: float = 1.0):
         self = tuple.__new__(cls, (cost_m, cost_w, du_m, du_w))
         for name, value in zip(self._fields, self):
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _positive(name, value)
         return self
 
     def effective_costs(self, delta_mu: float) -> tuple:
@@ -206,7 +202,7 @@ class ReferencePriorProblem(_Validated, namedtuple("ReferencePriorProblem", "tru
         for dist in (true_prior, reference_prior):
             if not all(p >= 0.0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
                 raise ValueError(f"invalid distribution {dist!r}")
-        return tuple.__new__(cls, (true_prior, reference_prior, _checked_lam(lam)))
+        return tuple.__new__(cls, (true_prior, reference_prior, _positive("lam", lam)))
 
 
 class PriorInvariantResult(namedtuple("PriorInvariantResult", "pi_bar_q interior signal")):
@@ -250,7 +246,7 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     logit base ln(up/down) keeps its digits near 0 and 1. An
     up or down <= 0 (or a vanishing tilt) means the optimum is not interior;
     that case is flagged rather than guessed. Raises
-    :class:`ri_core.ConvergenceError` when the reference-prior consistency
+    :class:`ConvergenceError` when the reference-prior consistency
     residual exceeds 1e-10.
     """
     q_m, q_0, q_p = problem.reference_prior
@@ -275,7 +271,7 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     signal = PromotionSignal(pi_m, pi_bar_q, pi_p, pi_bar_q)
     residual = q_m * pi_m + q_0 * pi_bar_q + q_p * pi_p - pi_bar_q
     if not abs(residual) <= 1e-10:
-        raise ri_core.ConvergenceError(f"reference-prior consistency residual {residual!r} above 1e-10")
+        raise ConvergenceError(f"reference-prior consistency residual {residual!r} above 1e-10")
     return PriorInvariantResult(pi_bar_q, True, signal)
 
 
@@ -504,8 +500,7 @@ def continuous_effort_equilibria(
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    _positive("kappa", kappa)
     n, inner, slack = grid_size, range(1, grid_size - 1), grid_size * sys.float_info.epsilon / kappa
     grid = [i * (1.0 / (n - 1)) for i in range(n - 1)] + [1.0]
     lo = {i: grid[i] * (1.0 - grid[i]) * grid[i - 1] * (1.0 - 1e-12) - slack for i in inner}
@@ -521,7 +516,7 @@ def continuous_effort_equilibria(
 
     results = []
     for lam in lam_values:
-        r = math.exp(-1.0 / _checked_lam(lam))
+        r = math.exp(-1.0 / _positive("lam", lam))
         points = [(0.0, 0.0)]
         for i, j, nu_m, nu_w, A, B in pairs:
             interior = signal_from_odds(A, B, r)

@@ -452,24 +452,28 @@ _GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
 _HET = ["--cost-m", ".07", "--cost-w", ".07"]
 
 
-@pytest.mark.parametrize("argv, bodies", [
-    (["reproduce", "--json"], {"ri_core", "baseline_game", "quota_policy"}),
-    (["signal", *_GAME, "--profile", "hi,lo", "--oracle"], {"ri_core", "baseline_game"}),
-    (["signal", *_GAME, "--profile", "hi,lo"], {"baseline_game"}),
-    (["thresholds", *_GAME[:6]], {"baseline_game"}),
-    (["equilibria", *_GAME], {"baseline_game"}),
-    (["quota", *_GAME], {"baseline_game", "quota_policy"}),
+@pytest.mark.parametrize("argv, code, bodies", [
+    (["reproduce", "--json"], "0", {"ri_core", "baseline_game", "quota_policy"}),
+    (["signal", *_GAME, "--profile", "hi,lo", "--oracle"], "0", {"ri_core", "baseline_game"}),
+    (["signal", *_GAME, "--profile", "hi,lo"], "0", {"baseline_game"}),
+    (["thresholds", *_GAME[:6]], "0", {"baseline_game"}),
+    (["equilibria", *_GAME], "0", {"baseline_game"}),
+    (["quota", *_GAME], "0", {"baseline_game", "quota_policy"}),
     (["regimes", "--analysis", "baseline", *_GAME[:6], "--lambda-steps", "8", "--format", "json"],
-     {"baseline_game", "_sweep"}),
+     "0", {"baseline_game", "_sweep"}),
     (["variants", "--which", "continuous", *_GAME, "--kappa", ".65", "--lambda-range", ".1", "5", "--lambda-steps", "12"],
-     {"baseline_game", "variants"}),
-    (["variants", "--which", "heterogeneous", *_GAME, *_HET], {"baseline_game", "variants"}),
-    (["variants", "--which", "heterogeneous", *_GAME[:6], "--lambda", "0.001", *_HET], {"baseline_game", "variants"}),
+     "0", {"baseline_game", "variants"}),
+    (["variants", "--which", "heterogeneous", *_GAME, *_HET], "0", {"baseline_game", "variants"}),
+    (["variants", "--which", "heterogeneous", *_GAME[:6], "--lambda", "0.001", *_HET], "0", {"baseline_game", "variants"}),
+    (["equilibria", "--mu-hi", ".6", "--mu-lo", ".8", *_GAME[4:]], "2", {"baseline_game"}),
+    (["variants", "--which", "heterogeneous", *_GAME, "--cost-m", ".08", "--cost-w", ".07"],
+     "2", {"baseline_game", "variants"}),
 ], ids=["reproduce", "signal", "signal-closed-form", "thresholds", "equilibria", "quota", "regimes", "continuous",
-        "heterogeneous", "tiny-lambda"])
-def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
+        "heterogeneous", "tiny-lambda", "rejected-game", "rejected-cost-order"])
+def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, code, bodies):
     # the benchmark's cold commands, plus signal without --oracle and thresholds: only reproduce
-    # and the oracle run ri_core's body. A deferred module's class is ModuleType once its body
+    # and the oracle run ri_core's body; an error exit matches the error types of riscreen._primitives
+    # without running it either. A deferred module's class is ModuleType once its body
     # has run (reading its vars() would run it), and _sweep, imported by regimes on first
     # use, has not run while it is absent from sys.modules
     script = (
@@ -482,8 +486,8 @@ def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, bodies):
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], env=_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    code, *ran = done.stdout.split()
-    assert (code, set(ran)) == ("0", bodies)
+    exit_code, *ran = done.stdout.split()
+    assert (exit_code, set(ran)) == (code, bodies)
 
 
 def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):

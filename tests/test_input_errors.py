@@ -70,9 +70,13 @@ def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, ca
                                        (TaskParams(0.5, 1.0, 2e-14), TaskParams(0.5, 1.0, 1e-14))),
      "tasks must be ordered by effective cost, got c1=8e-14 > c2=4e-14"),
     (lambda: continuous_effort_equilibria(0.65, [0.3, 0.0]), "lam must be positive and finite, got 0.0"),
+    (lambda: GameParams(0.8, 0.6, math.nan, 0.3), "cost_C must be positive and finite, got nan"),
+    (lambda: GameParams(0.8, 0.6, 0.0, 0.3), "cost_C must be positive and finite, got 0.0"),
+    (lambda: continuous_effort_equilibria(-0.0, [0.3]), "kappa must be positive and finite, got -0.0"),
+    (lambda: HeterogeneousParams(0.07, 0.08, math.inf), "du_m must be positive and finite, got inf"),
 ], ids=["one-state", "unequal-lengths", "conditional", "info-cost", "mi-lengths", "two-entry-prior",
         "g-inverse", "f-inverse", "task-cost-inf", "cost-w-nan", "tiny-cost-order", "tiny-task-order",
-        "continuous-lam-zero"])
+        "continuous-lam-zero", "cost-c-nan", "cost-c-zero", "kappa-minus-zero", "du-m-inf"])
 def test_a_bad_library_input_raises_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -5,6 +5,7 @@ body on the first attribute access. The public names are served from the
 submodules, and the first loads are safe when threads race for them.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,6 +59,23 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'riscreen' has no attribute 'no_such_name'"):
         riscreen.no_such_name
     assert not hasattr(riscreen, "solve")
+
+
+def test_the_error_types_are_one_object_in_every_module():
+    # ri_core and baseline_game re-export the errors of the leaf riscreen._primitives
+    from riscreen import _primitives
+
+    for name in ("BracketError", "ConvergenceError"):
+        assert getattr(riscreen, name) is getattr(riscreen.baseline_game, name) is getattr(riscreen.ri_core, name), name
+        assert getattr(riscreen, name) is getattr(_primitives, name), name
+
+
+def test_only_the_package_defines_a_module_getattr():
+    # CPython does not specialize attribute loads from a module that has a __getattr__
+    for path in sorted(Path(riscreen.__file__).parent.glob("*.py")):
+        defined = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.FunctionDef)}
+        assert ("__getattr__" in defined) == (path.name == "__init__.py"), path.name
 
 
 def _env():
