@@ -19,7 +19,7 @@ from types import ModuleType
 #: the public names, by the submodule that defines them
 _PUBLIC = {
     "ri_core": ("ALWAYS_ACT0", "ALWAYS_ACT1", "INTERIOR", "BinaryRIProblem", "ChoiceRule", "ConvergenceError",
-                "degeneracy_check", "mutual_information", "neg_entropy", "objective_value", "solve_binary_ri"),
+                "mutual_information", "neg_entropy", "solve_binary_ri"),
     "baseline_game": ("AGENT_M", "AGENT_W", "DISCRIMINATORY", "HI", "IMPARTIAL", "LO", "PROFILES", "BracketError",
                       "EquilibriumRecord", "GameParams", "ProfitBreakdown", "PromotionSignal", "StateDistribution",
                       "ThresholdSet", "equilibrium_set", "evaluate", "f_func", "f_inverse", "g_func", "g_inverse",

@@ -393,29 +393,22 @@ def incentive_gain(params: GameParams, signal: PromotionSignal, agent: str, othe
     return gain_m if agent == AGENT_M else gain_w
 
 
-def supports_profile(
-    params: GameParams,
-    signal: PromotionSignal,
-    profile: tuple,
-    c_m: float | None = None,
-    c_w: float | None = None,
-) -> bool:
+def supports_profile(params: GameParams, signal: PromotionSignal, profile: tuple) -> bool:
     """Do both incentive constraints hold for this profile at a fixed signal?
 
     Deviations are evaluated against the given signal (simultaneous moves:
     agents cannot observe, and hence cannot react to, the screening rule).
-    Per-agent effective costs default to the common c.
     """
     mu_hi, mu_lo, cost_C, _ = params
     e_m, e_w = profile
     if e_w not in (HI, LO) or e_m not in (HI, LO):
         params.mu(e_w), params.mu(e_m)  # the ValueError that names the label
     c = cost_C / (mu_hi - mu_lo)
-    return _supports(_profile_prior(mu_hi, mu_lo, profile), signal, c if c_m is None else c_m, c if c_w is None else c_w)
+    return _supports(_profile_prior(mu_hi, mu_lo, profile), signal, c, c)
 
 
 def _supports(prior: tuple, signal: PromotionSignal, c_m: float, c_w: float) -> bool:
-    """supports_profile at a profile's prior (from _profile_prior)."""
+    """supports_profile at a profile's prior (from _profile_prior), at per-agent effective costs c_m and c_w."""
     (e_m, e_w), mu_m, mu_w = prior[:3]
     X, Y = signal.pi_plus - signal.pi_zero, signal.pi_zero - signal.pi_minus
     gain_m, gain_w = _gains(mu_m, mu_w, X, Y)
@@ -473,33 +466,25 @@ def _divergence(a: float, b: float) -> float:
     return _phi_term(a, b, a - b) + _phi_term(1.0 - a, 1.0 - b, b - a)
 
 
-def evaluate(
-    params: GameParams,
-    profile: tuple,
-    signal: PromotionSignal,
-    *,
-    costs: tuple | None = None,
-    weights: tuple | None = None,
-) -> EquilibriumRecord:
+def evaluate(params: GameParams, profile: tuple, signal: PromotionSignal) -> EquilibriumRecord:
     """Value a signal at an effort profile: V, I, profit V - lam I, utilities.
 
     V = mu_w + (p(1) pi(1) - p(-1) pi(-1)) and the mutual information
     I = sum_d p(d) D(pi(d) || pi_bar); a d with pi(d) = pi_bar, or a sure
     pi_bar of 0 or 1, costs nothing. pi_bar must be the prior mean of the
-    conditionals to 1e-12 (ValueError otherwise). Agent i's utility is
-    weight_i times its promotion probability, less cost_i when it works
-    high; costs default to (cost_C, cost_C) and weights to (1, 1).
+    conditionals to 1e-12 (ValueError otherwise). Each agent's utility is
+    its promotion probability, less cost_C when it works high.
     """
     mu_hi, mu_lo, cost_C, lam = params
     e_m, e_w = profile
     if e_m not in (HI, LO) or e_w not in (HI, LO):
         params.mu(e_m), params.mu(e_w)  # the ValueError that names the label
-    return _value(_profile_prior(mu_hi, mu_lo, profile), signal, lam,
-                  (cost_C, cost_C) if costs is None else costs, (1.0, 1.0) if weights is None else weights)
+    return _value(_profile_prior(mu_hi, mu_lo, profile), signal, lam, (cost_C, cost_C), (1.0, 1.0))
 
 
 def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weights: tuple) -> EquilibriumRecord:
-    """evaluate at a profile's prior (from _profile_prior)."""
+    """evaluate at a profile's prior (from _profile_prior), with agent i's utility weight_i times its
+    promotion probability, less cost_i when it works high."""
     (e_m, e_w), _, mu_w, p_minus, p_zero, p_plus = prior
     q_minus, q_zero, q_plus, pi_bar = signal
     mean = p_minus * q_minus + p_zero * q_zero + p_plus * q_plus
@@ -531,7 +516,7 @@ def _game(params: GameParams) -> _Game:
 
 def _equilibria(game: _Game, lam: float, signals: tuple, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
     """The enumeration of every pure analysis: each profile whose signal (in PROFILES order) passes
-    :func:`supports_profile` at (c_m, c_w), valued by :func:`evaluate` at these costs and weights."""
+    :func:`_supports` at (c_m, c_w), valued by :func:`_value` at these costs and weights."""
     return [_value(prior, signal, lam, costs, weights)
             for prior, signal in zip(game.priors, signals) if _supports(prior, signal, c_m, c_w)]
 

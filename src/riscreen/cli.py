@@ -67,7 +67,7 @@ def _game(args) -> bg.GameParams:
 def _lam_grid(args) -> list:
     lo, hi = args.lambda_range
     n = args.lambda_steps
-    if not (lo > 0.0 and hi > lo and n >= 2):
+    if not (0.0 < lo < hi < math.inf and n >= 2):
         raise ValueError("need 0 < lo < hi and at least two steps in the lambda grid")
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 

@@ -261,11 +261,6 @@ def classify(prior: Sequence[float], z: Sequence[float]) -> str:
     return INTERIOR
 
 
-def degeneracy_check(problem: BinaryRIProblem) -> str:
-    """Classify the optimum as a corner or an interior rule (see :func:`classify`)."""
-    return classify(problem.prior, [v / problem.lam for v in problem.advantage])
-
-
 def _consistency_residual(pos: tuple, neg: tuple, b: float) -> float:
     """Scale-free consistency residual S(b) at the log-odds b = logit(q_bar).
 
@@ -345,10 +340,3 @@ def solve_binary_ri(problem: BinaryRIProblem, max_steps: int = MAX_STEPS) -> Cho
             f"at the log-odds root (lam={problem.lam!r})"
         )
     return ChoiceRule(cond, q_bar, False, mutual_information(problem.prior, cond))
-
-
-def objective_value(problem: BinaryRIProblem, rule: ChoiceRule | Sequence[float]) -> float:
-    """Expected gain net of information cost, E[q(s) v(s)] - lam * I."""
-    cond = rule.conditional if isinstance(rule, ChoiceRule) else rule
-    gain = sum(p * q * v for p, q, v in zip(problem.prior, cond, problem.advantage))
-    return gain - problem.lam * mutual_information(problem.prior, cond)

@@ -74,7 +74,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
 
     Cost asymmetry leaves the principal's screening problem untouched and
     only shifts the incentive constraints, so a profile is an equilibrium
-    when its baseline optimal signal passes :func:`supports_profile` at the
+    when its baseline optimal signal meets both incentive constraints at the
     per-agent effective costs (c_m, c_w). The impartial regimes then split:
     (hi, hi) needs g(gamma) >= c_w and (lo, lo) needs g(gamma) <= c_m.
 
@@ -280,13 +280,9 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
 # ---------------------------------------------------------------------------
 
 class MixedProfile(namedtuple("MixedProfile", "sigma_m sigma_w")):
-    """Probabilities of high effort; nu_m, nu_w are the success probabilities."""
+    """Probabilities of high effort; agent i succeeds with nu_i = mu_lo + sigma_i delta_mu."""
 
     __slots__ = ()
-
-    def nu(self, params: GameParams, which: str) -> float:
-        sigma = self.sigma_m if which == AGENT_M else self.sigma_w
-        return params.mu_lo + sigma * params.delta_mu
 
 
 class MixedEquilibrium(namedtuple("MixedEquilibrium", "profile signal classification")):

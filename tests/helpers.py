@@ -243,12 +243,17 @@ def random_problem(rng: random.Random, min_states: int = 2, alpha: float = 1.0) 
     return BinaryRIProblem(tuple(range(n)), tuple(x / total for x in raw), tuple(adv), rng.uniform(0.05, 5.0))
 
 
+def classification(problem: BinaryRIProblem) -> str:
+    """Corner or interior optimum of problem: ri_core.classify at the scaled advantages v/lam."""
+    return ri_core.classify(problem.prior, [v / problem.lam for v in problem.advantage])
+
+
 def random_interior_problem(rng: random.Random) -> BinaryRIProblem:
     """:func:`random_problem` with 3-5 states and a Dirichlet(2) prior,
     redrawn until its rule is interior."""
     while True:
         problem = random_problem(rng, 3, 2.0)
-        if ri_core.degeneracy_check(problem) == ri_core.INTERIOR:
+        if classification(problem) == ri_core.INTERIOR:
             return problem
 
 

@@ -35,6 +35,8 @@ from riscreen import (
 from riscreen.baseline_game import (
     IC_TOL,
     _cubic_roots,
+    _profile_prior,
+    _supports,
     most_profitable_among,
     signal_oracle_residual,
     supports_profile,
@@ -294,7 +296,6 @@ class TestLabels:
     def test_unknown_effort(self, profile):
         for call in (
             lambda: supports_profile(GAME, self.SIG, profile),
-            lambda: supports_profile(GAME, self.SIG, profile, 0.1, 0.2),
             lambda: optimal_signal(GAME, profile),
             lambda: evaluate(GAME, profile, self.SIG),
             lambda: state_distribution(GAME, profile),
@@ -353,6 +354,7 @@ def test_gains_keep_their_operand_order(params):
             return gain >= c - tol if effort == HI else gain <= c + tol
 
         ok_w = holds(profile[1], gain_w, params.c)
+        prior = _profile_prior(params.mu_hi, params.mu_lo, profile)
         band = IC_TOL * min(1.0, gain_m)
         for edge in (gain_m + band, gain_m - band):
             c_m = edge
@@ -360,7 +362,7 @@ def test_gains_keep_their_operand_order(params):
                 c_m = math.nextafter(c_m, -math.inf)
             for _ in range(7):
                 ok_m = holds(profile[0], gain_m, c_m)
-                assert supports_profile(params, sig, profile, c_m=c_m) == (ok_m and ok_w)
+                assert _supports(prior, sig, c_m, params.c) == (ok_m and ok_w)
                 c_m = math.nextafter(c_m, math.inf)
 
 

@@ -250,6 +250,7 @@ class TestReproduce:
         code, out, _ = run(["reproduce", "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert payload["passed"] is True
         assert all(set(c) == {"name", "passed", "measured", "tolerance"} for c in payload["checks"])
 

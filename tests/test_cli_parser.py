@@ -466,10 +466,3 @@ def test_json_sweep_cells_equal_the_csv_cells(point, analysis, capsys):
                 assert float(cell) == value or (math.isnan(value) and math.isnan(float(cell))), (key, cell, value)
             else:
                 assert isinstance(value, (int, str)) and str(value) == cell, (key, cell, value)
-
-
-@pytest.mark.parametrize("argv", [["reproduce", "--json"]])
-def test_json_output_is_indented_dumps(argv, capsys):
-    code, out, _ = outcome(argv, capsys)
-    assert code == 0
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

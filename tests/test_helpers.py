@@ -7,7 +7,7 @@ import pytest
 
 from riscreen import g_func, thresholds
 from riscreen.baseline_game import lambda_star
-from riscreen.ri_core import INTERIOR, degeneracy_check
+from riscreen.ri_core import INTERIOR
 
 import helpers
 
@@ -173,4 +173,4 @@ def test_random_interior_problem_stays_in_its_box():
     for problem in _sample(helpers.random_interior_problem, 13):
         assert 3 <= len(problem.states) <= 5 and abs(sum(problem.prior) - 1.0) <= 1e-12, problem
         assert all(-2.0 <= v <= 2.0 for v in problem.advantage) and 0.05 <= problem.lam <= 5.0, problem
-        assert degeneracy_check(problem) == INTERIOR, problem
+        assert helpers.classification(problem) == INTERIOR, problem

@@ -22,6 +22,7 @@ from riscreen import (
 
 GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
 TASK = ["--task2", "0.5,1.0,0.03"]
+LAM_GRID_ERROR = "need 0 < lo < hi and at least two steps in the lambda grid"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -37,11 +38,14 @@ TASK = ["--task2", "0.5,1.0,0.03"]
     (["variants", "--which", "prior-invariant", *GAME, "--ref-prior", "nan,0.5,0.5"],
      "reference prior entries must be positive and finite, got (nan, 0.5, 0.5)"),
     (["variants", "--which", "continuous", "--kappa", "inf"], "kappa must be positive and finite, got inf"),
-    (["variants", "--which", "continuous", "--lambda-range", "0.1", "inf"], "lam must be positive and finite, got nan"),
+    # an infinite hi would put 0.1 + inf*0 = nan first on the grid
+    (["variants", "--which", "continuous", "--lambda-range", "0.1", "inf"], LAM_GRID_ERROR),
+    (["regimes", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda-range", "0.1", "inf", "--lambda-steps", "3"],
+     LAM_GRID_ERROR),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
 ], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "tiny-cost-order", "ref-prior", "kappa",
-        "continuous-lam", "out-dir", "config-list"])
+        "continuous-lam", "regimes-lam-inf", "out-dir", "config-list"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -2,6 +2,7 @@
 
 import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +16,9 @@ from riscreen.ri_core import (
     BracketError,
     ChoiceRule,
     ConvergenceError,
-    degeneracy_check,
     find_root,
     mutual_information,
     neg_entropy,
-    objective_value,
     solve_binary_ri,
 )
 
@@ -37,6 +36,12 @@ TABLE1_CONDITIONAL = (0.093977614213083, 0.744088048450016, 0.987879461288866)
 
 def hilo_problem(lam):
     return BinaryRIProblem((-1, 0, 1), HILO_PRIOR, (-1.0, 0.0, 1.0), lam)
+
+
+def objective(problem, cond):
+    """Expected gain net of information cost, E[q(s) v(s)] - lam * I, of the conditionals cond."""
+    gain = sum(p * q * v for p, q, v in zip(problem.prior, cond, problem.advantage))
+    return gain - problem.lam * mutual_information(problem.prior, cond)
 
 
 class TestNegEntropy:
@@ -81,41 +86,41 @@ class TestProblemValidation:
 class TestDegeneracyCheck:
     def test_high_lambda_promotes_unconditionally(self):
         # p(1)/p(-1) = 8/3 while gamma = exp(1/1.2) ~ 2.30
-        assert degeneracy_check(hilo_problem(1.2)) == ALWAYS_ACT1
+        assert helpers.classification(hilo_problem(1.2)) == ALWAYS_ACT1
 
     def test_low_lambda_interior(self):
-        assert degeneracy_check(hilo_problem(0.3)) == INTERIOR
+        assert helpers.classification(hilo_problem(0.3)) == INTERIOR
 
     def test_symmetric_prior_always_interior(self):
         for lam in (0.05, 0.5, 5.0, 50.0):
             prob = BinaryRIProblem((-1, 0, 1), (0.16, 0.68, 0.16), (-1.0, 0.0, 1.0), lam)
-            assert degeneracy_check(prob) == INTERIOR
+            assert helpers.classification(prob) == INTERIOR
 
     def test_mirror_problem_act0(self):
         prob = BinaryRIProblem((-1, 0, 1), (0.32, 0.56, 0.12), (-1.0, 0.0, 1.0), 1.2)
-        assert degeneracy_check(prob) == ALWAYS_ACT0
+        assert helpers.classification(prob) == ALWAYS_ACT0
 
     @helpers.draws(200, seed=33011, prob=helpers.random_problem)
     def test_matches_exponential_moment_form(self, prob):
         down = math.fsum(p * math.exp(-v / prob.lam) for p, v in zip(prob.prior, prob.advantage))
         up = math.fsum(p * math.exp(v / prob.lam) for p, v in zip(prob.prior, prob.advantage))
         expected = ALWAYS_ACT1 if down <= 1 else (ALWAYS_ACT0 if up <= 1 else INTERIOR)
-        assert degeneracy_check(prob) == expected
+        assert helpers.classification(prob) == expected
 
     def test_boundary_located_by_bisection(self):
         # the interior/degenerate flip in lam sits at 1/ln(8/3)
         lo, hi = 0.5, 2.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if degeneracy_check(hilo_problem(mid)) == INTERIOR:
+            if helpers.classification(hilo_problem(mid)) == INTERIOR:
                 lo = mid
             else:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(LAMBDA_BREVE, abs=1e-9)
         flips = 0
-        prev = degeneracy_check(hilo_problem(0.5))
+        prev = helpers.classification(hilo_problem(0.5))
         for lam in helpers.linspace(0.5, 2.0, 400):
-            cur = degeneracy_check(hilo_problem(lam))
+            cur = helpers.classification(hilo_problem(lam))
             flips += cur != prev
             prev = cur
         assert flips == 1
@@ -146,7 +151,7 @@ class TestSolve:
         prob = BinaryRIProblem((-1, 0, 1), HILO_PRIOR, adv, 0.3)
         rule = solve_binary_ri(prob)
         grid_val, grid_q = helpers.grid_search_value(prob)
-        assert objective_value(prob, rule) == pytest.approx(grid_val, abs=1e-7)
+        assert objective(prob, rule.conditional) == pytest.approx(grid_val, abs=1e-7)
         assert rule.unconditional == pytest.approx(grid_q, abs=2e-4)
 
     def test_residual_below_tolerance(self):
@@ -193,7 +198,7 @@ class TestSolverInvariants:
     @helpers.draws(1000, seed=33013, prob=helpers.random_interior_problem)
     def test_objective_within_grid_oracle(self, prob):
         grid_val, _ = helpers.grid_search_value(prob)
-        assert abs(objective_value(prob, solve_binary_ri(prob)) - grid_val) <= 1e-7
+        assert abs(objective(prob, solve_binary_ri(prob).conditional) - grid_val) <= 1e-7
 
     @helpers.draws(200, seed=33014, prob=helpers.random_interior_problem)
     def test_unconditional_is_prior_mean(self, prob):
@@ -257,7 +262,7 @@ class TestCornerDefects:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_high_precision_reference(self, case):
         problem, q_bar = self.CASES[case]
-        assert degeneracy_check(problem) == INTERIOR
+        assert helpers.classification(problem) == INTERIOR
         rule = solve_binary_ri(problem)
         cond, ref_q_bar = decimal_rule(problem)
         assert max(abs(a - b) for a, b in zip(rule.conditional, cond)) <= 1e-9
@@ -269,7 +274,7 @@ class TestCornerDefects:
         weights = (0.5, 0.5, 0.5, 0.08124215965661577, 0.5)
         prior = tuple(w / sum(weights) for w in weights)
         problem = BinaryRIProblem(range(5), prior, (0.0,) * 5, 1.0)
-        assert sum(prior) > 1.0 and degeneracy_check(problem) == ALWAYS_ACT1
+        assert sum(prior) > 1.0 and helpers.classification(problem) == ALWAYS_ACT1
         rule = solve_binary_ri(problem)
         assert rule.degenerate and rule.conditional == (1.0,) * 5
 
@@ -296,7 +301,7 @@ class TestCornerDefects:
 @helpers.draws(250, seed=31013, problem=helpers.wide_problem)
 def test_interior_rules_match_high_precision_reference(problem):
     rule = solve_binary_ri(problem)
-    if degeneracy_check(problem) != INTERIOR:
+    if helpers.classification(problem) != INTERIOR:
         assert rule.degenerate
         return
     cond, _ = decimal_rule(problem)
@@ -378,7 +383,7 @@ class TestWorkCounts:
             game = GameParams(0.8, 0.6, 0.07, 0.05 * 1.2**k)
             for profile in PROFILES:
                 problem = ri_problem(game, profile)
-                if degeneracy_check(problem) == INTERIOR:
+                if helpers.classification(problem) == INTERIOR:
                     solve_binary_ri(problem)
                     solves += 1
         assert solves > 0
@@ -390,7 +395,7 @@ def test_imports_nothing_from_the_closed_forms():
     # import is the leaf riscreen._primitives, which imports nothing from riscreen
     def riscreen_imports(module):
         found = []
-        for node in ast.walk(ast.parse(open(module.__file__, encoding="utf-8").read())):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "riscreen"):
                 found.append((node.level, node.module))
             elif isinstance(node, ast.Import):
@@ -403,7 +408,7 @@ def test_imports_nothing_from_the_closed_forms():
 
 def test_the_exact_model_imports_nothing_from_riscreen():
     # the tests' exact model is the library's reference, so it must share no code with it
-    for node in ast.walk(ast.parse(open(exact.__file__, encoding="utf-8").read())):
+    for node in ast.walk(ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             assert node.level == 0 and not (node.module or "").startswith("riscreen"), node.module
         elif isinstance(node, ast.Import):

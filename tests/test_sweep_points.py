@@ -118,7 +118,8 @@ def test_every_sweep_row_equals_its_point(monkeypatch):
 @pytest.mark.parametrize(
     "sweep, message",
     [
-        (["--lambda-range", "0.1", "inf"], "lam must be positive and finite, got nan"),
+        # an infinite hi is refused with the grid: 0.1 + inf*0 would put nan first
+        (["--lambda-range", "0.1", "inf"], "need 0 < lo < hi and at least two steps in the lambda grid"),
         (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], "lam must be positive and finite, got inf"),
         (["--lambda-range", "nan", "1"], "need 0 < lo < hi and at least two steps in the lambda grid"),
     ],
@@ -132,8 +133,8 @@ def test_invalid_grids_keep_their_errors(analysis, sweep, message, capsys):
     "sweep, message",
     [
         ([], f"quota analysis requires mu_hi + mu_lo > 1 (got {0.6 + 0.3!r})"),
-        # the first lambda is validated before the quota's refusal, a later one after it
-        (["--lambda-range", "0.1", "inf"], "lam must be positive and finite, got nan"),
+        # the grid is checked before the quota's refusal, a later lambda after it
+        (["--lambda-range", "0.1", "inf"], "need 0 < lo < hi and at least two steps in the lambda grid"),
         (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], f"quota analysis requires mu_hi + mu_lo > 1 (got {0.6 + 0.3!r})"),
     ],
 )

@@ -442,8 +442,8 @@ class TestMixed:
         eqs = mixed_equilibria(helpers.canonical(0.3))
         assert eqs
         for eq in eqs:
-            nu_m = eq.profile.nu(GAME, AGENT_M)
-            nu_w = eq.profile.nu(GAME, AGENT_W)
+            nu_m = GAME.mu_lo + eq.profile.sigma_m * GAME.delta_mu
+            nu_w = GAME.mu_lo + eq.profile.sigma_w * GAME.delta_mu
             sig = _signal_for_success_probs(math.exp(-1.0 / GAME.lam), nu_m, nu_w)
             if 0 < eq.profile.sigma_m < 1:
                 mixing_gain = (1 - nu_w) * sig.X + nu_w * sig.Y
@@ -471,7 +471,8 @@ class TestMixed:
             assert eq.profile.sigma_m == pytest.approx(ref.profile.sigma_m, abs=1e-9)
             assert eq.profile.sigma_w == pytest.approx(ref.profile.sigma_w, abs=1e-9)
             assert all(0.0 <= p <= 1.0 for p in eq.signal.as_tuple())
-            nu_m, nu_w = eq.profile.nu(edge, AGENT_M), eq.profile.nu(edge, AGENT_W)
+            nu_m = edge.mu_lo + eq.profile.sigma_m * edge.delta_mu
+            nu_w = edge.mu_lo + eq.profile.sigma_w * edge.delta_mu
             sig = _signal_for_success_probs(math.exp(-1.0 / edge.lam), nu_m, nu_w)
             gain_m = (1 - nu_w) * sig.X + nu_w * sig.Y
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
@@ -489,11 +490,11 @@ class TestMixed:
         ]
         assert balanced
         for eq in balanced:
-            nu_sum = eq.profile.nu(game, AGENT_M) + eq.profile.nu(game, AGENT_W)
-            assert nu_sum == pytest.approx(1.0, abs=1e-7)
+            nu_m = game.mu_lo + eq.profile.sigma_m * game.delta_mu
+            nu_w = game.mu_lo + eq.profile.sigma_w * game.delta_mu
+            assert nu_m + nu_w == pytest.approx(1.0, abs=1e-7)
             assert eq.classification == DISCRIMINATORY
             # both agents indifferent at the supporting signal
-            nu_m = eq.profile.nu(game, AGENT_M)
             sig = _signal_for_success_probs(math.exp(-1.0 / game.lam), nu_m, 1.0 - nu_m)
             gain_m = (1 - (1 - nu_m)) * sig.X + (1 - nu_m) * sig.Y
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
