@@ -374,8 +374,10 @@ def signal_oracle_residual(params: GameParams, profile: tuple) -> float:
 # incentives and equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def _gains(mu_m: float, mu_w: float, X: float, Y: float) -> tuple:
-    """(m's gain, w's gain) from working high at bonus X and penalty Y."""
+def _gains(mu_m: float, mu_w: float, signal: tuple) -> tuple:
+    """(m's gain, w's gain) from working high at bonus X = pi(1) - pi(0) and penalty Y = pi(0) - pi(-1),
+    from the first three entries of a PromotionSignal or of signal_from_odds' (pi(-1), pi_bar, pi(1))."""
+    X, Y = signal[2] - signal[1], signal[1] - signal[0]
     return (1.0 - mu_w) * X + mu_w * Y, mu_m * X + (1.0 - mu_m) * Y
 
 
@@ -389,7 +391,7 @@ def incentive_gain(params: GameParams, signal: PromotionSignal, agent: str, othe
     mu_other = params.mu(other_effort)
     if agent != AGENT_M and agent != AGENT_W:
         raise ValueError(f"agent must be {AGENT_M!r} or {AGENT_W!r}, got {agent!r}")
-    gain_m, gain_w = _gains(mu_other, mu_other, signal.X, signal.Y)
+    gain_m, gain_w = _gains(mu_other, mu_other, signal)
     return gain_m if agent == AGENT_M else gain_w
 
 
@@ -410,8 +412,7 @@ def supports_profile(params: GameParams, signal: PromotionSignal, profile: tuple
 def _supports(prior: tuple, signal: PromotionSignal, c_m: float, c_w: float) -> bool:
     """supports_profile at a profile's prior (from _profile_prior), at per-agent effective costs c_m and c_w."""
     (e_m, e_w), mu_m, mu_w = prior[:3]
-    X, Y = signal.pi_plus - signal.pi_zero, signal.pi_zero - signal.pi_minus
-    gain_m, gain_w = _gains(mu_m, mu_w, X, Y)
+    gain_m, gain_w = _gains(mu_m, mu_w, signal)
     return _incentive_holds(e_m, gain_m, c_m) and _incentive_holds(e_w, gain_w, c_w)
 
 

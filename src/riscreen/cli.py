@@ -69,6 +69,8 @@ def _lam_grid(args) -> list:
     n = args.lambda_steps
     if not (0.0 < lo < hi < math.inf and n >= 2):
         raise ValueError("need 0 < lo < hi and at least two steps in the lambda grid")
+    if not math.isfinite((hi - lo) * (n - 1)):
+        raise ValueError("the lambda grid overflows: (hi - lo) * (steps - 1) must be finite")
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

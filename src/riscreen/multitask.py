@@ -116,7 +116,7 @@ def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
     game, costs, alpha1, alpha2 = multitask_game
     signals = _profile_signals(game, lam)
-    gains = [_gains(prior[1], prior[2], s.X, s.Y) for prior, s in zip(game.priors, signals)]
+    gains = [_gains(prior[1], prior[2], s) for prior, s in zip(game.priors, signals)]
     supported = [[_incentive_holds(e_m, gain_m, c) and _incentive_holds(e_w, gain_w, c)
                   for (e_m, e_w), (gain_m, gain_w) in zip(PROFILES, gains)] for c in costs]
     profits = [None] * 4

@@ -437,13 +437,13 @@ def _mixed(variants: _Variants, lam: float) -> list:
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *variants.rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
         sig = _signal_for_success_probs(r, nu_m, mu_lo)
-        if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig.X, sig.Y)[1], c):
+        if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig)[1], c):
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *variants.rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
         sig = _signal_for_success_probs(r, mu_hi, nu_w)
-        if sig is not None and _incentive_holds(HI, _gains(mu_hi, nu_w, sig.X, sig.Y)[0], c):
+        if sig is not None and _incentive_holds(HI, _gains(mu_hi, nu_w, sig)[0], c):
             keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
 
     return found
@@ -517,8 +517,7 @@ def continuous_effort_equilibria(
         for i, j, nu_m, nu_w, A, B in pairs:
             interior = signal_from_odds(A, B, r)
             if interior is not None:
-                pi_minus, pi_bar, pi_plus = interior
-                gain_m, gain_w = _gains(nu_m, nu_w, pi_plus - pi_bar, pi_bar - pi_minus)
+                gain_m, gain_w = _gains(nu_m, nu_w, interior)
                 if best_response(gain_m) == i and best_response(gain_w) == j:
                     points.append((nu_m, nu_w))
         results.append(EffortGridResult(float(lam), tuple(points)))

@@ -23,6 +23,7 @@ from riscreen import (
 GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
 TASK = ["--task2", "0.5,1.0,0.03"]
 LAM_GRID_ERROR = "need 0 < lo < hi and at least two steps in the lambda grid"
+GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) must be finite"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -42,10 +43,15 @@ LAM_GRID_ERROR = "need 0 < lo < hi and at least two steps in the lambda grid"
     (["variants", "--which", "continuous", "--lambda-range", "0.1", "inf"], LAM_GRID_ERROR),
     (["regimes", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda-range", "0.1", "inf", "--lambda-steps", "3"],
      LAM_GRID_ERROR),
+    # a finite hi whose (hi - lo) * i overflows would put inf on the grid
+    (["regimes", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda-range", "0.1", "1e308", "--lambda-steps", "4"],
+     GRID_OVERFLOW),
+    (["variants", "--which", "continuous", "--lambda-range", "0.1", "1e308", "--lambda-steps", "3"], GRID_OVERFLOW),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
 ], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "tiny-cost-order", "ref-prior", "kappa",
-        "continuous-lam", "regimes-lam-inf", "out-dir", "config-list"])
+        "continuous-lam", "regimes-lam-inf", "regimes-grid-overflow", "continuous-grid-overflow", "out-dir",
+        "config-list"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.format(tmp=tmp_path) for arg in argv]

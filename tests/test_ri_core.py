@@ -406,6 +406,49 @@ def test_imports_nothing_from_the_closed_forms():
     assert riscreen_imports(_primitives) == []
 
 
+#: the names through which code reaches the oracle
+ORACLE_NAMES = {"ri_core", "find_root", "solve_binary_ri", "BinaryRIProblem", "ri_problem",
+                "signal_oracle_residual", "subsidized_signal"}
+#: (module, top-level function) of the only code that may name them: the problem recast
+#: for the oracle, the oracle residual of `signal --oracle` and `reproduce`, and the quota
+#: signal the oracle solves with a tax
+ORACLE_PATHS = {("baseline_game", "ri_problem"), ("baseline_game", "signal_oracle_residual"),
+                ("quota_policy", "subsidized_signal"), ("cli", "cmd_signal"), ("_golden", "golden_checks")}
+
+
+def test_no_closed_form_reaches_the_oracle():
+    # the closed forms are checked against ri_core, so none may call it: outside ri_core.py,
+    # only baseline_game and quota_policy import it, and the oracle's names appear in code
+    # only inside ORACLE_PATHS (docstrings and import lines are not code here)
+    importers, users = set(), set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.ImportFrom):  # from . or riscreen import ri_core, from .ri_core import ...
+            package = (node.level, node.module) in ((1, None), (0, "riscreen"))
+            imported = {a.name for a in node.names} if package else {(node.module or "").removeprefix("riscreen.")}
+            if any(name.split(".")[0] == "ri_core" for name in imported):
+                importers.add(module)
+            return
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("riscreen.ri_core") for a in node.names):
+                importers.add(module)
+            return
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in ORACLE_NAMES:
+            users.add((module, owner, name))
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(ri_core.__file__).parent.glob("*.py")):
+        if path.stem != "ri_core":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+
+    assert importers == {"baseline_game", "quota_policy"}
+    assert {(module, owner) for module, owner, _ in users} == ORACLE_PATHS, sorted(users, key=str)
+
+
 def test_the_exact_model_imports_nothing_from_riscreen():
     # the tests' exact model is the library's reference, so it must share no code with it
     for node in ast.walk(ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))):

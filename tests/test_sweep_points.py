@@ -24,6 +24,7 @@ from riscreen import quota_policy as qp
 from riscreen import variants as va
 
 ANALYSES = ("baseline", "quota", "multitask", "variants")
+GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) must be finite"
 
 
 def hexed(obj):
@@ -120,7 +121,8 @@ def test_every_sweep_row_equals_its_point(monkeypatch):
     [
         # an infinite hi is refused with the grid: 0.1 + inf*0 would put nan first
         (["--lambda-range", "0.1", "inf"], "need 0 < lo < hi and at least two steps in the lambda grid"),
-        (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], "lam must be positive and finite, got inf"),
+        # (hi - lo) * i would overflow to an inf grid point past the second step
+        (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], GRID_OVERFLOW),
         (["--lambda-range", "nan", "1"], "need 0 < lo < hi and at least two steps in the lambda grid"),
     ],
 )
@@ -133,9 +135,9 @@ def test_invalid_grids_keep_their_errors(analysis, sweep, message, capsys):
     "sweep, message",
     [
         ([], f"quota analysis requires mu_hi + mu_lo > 1 (got {0.6 + 0.3!r})"),
-        # the grid is checked before the quota's refusal, a later lambda after it
+        # the grid, its overflow included, is checked before the quota's refusal
         (["--lambda-range", "0.1", "inf"], "need 0 < lo < hi and at least two steps in the lambda grid"),
-        (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], f"quota analysis requires mu_hi + mu_lo > 1 (got {0.6 + 0.3!r})"),
+        (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], GRID_OVERFLOW),
     ],
 )
 def test_the_quota_refusal_keeps_its_place(sweep, message, capsys):

@@ -213,19 +213,6 @@ class TestCommitment:
         got = (*bound.signal.as_tuple(), bound.signal.pi_bar)
         assert (*rule.conditional, rule.unconditional) == pytest.approx(got, rel=0.0, abs=1e-10)
 
-    def test_makes_no_root_search(self, monkeypatch):
-        calls = []
-        find_root = ri_core.find_root
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return find_root(*args, **kwargs)
-
-        monkeypatch.setattr(ri_core, "find_root", counted)
-        for lam in helpers.linspace(0.1, 3.0, 30):
-            commitment_solve(helpers.canonical(lam))
-        assert calls == []
-
     @helpers.draws(5, seed=33021, base=helpers.sample_condition5, noise_seed=lambda rng: rng.getrandbits(32))
     def test_condition5_band_prefers_discrimination(self, base, noise_seed):
         # between lambda_star and lambda_high the best equilibrium discriminates,
