@@ -14,7 +14,6 @@ from . import baseline_game as bg
 from . import multitask as mt
 from . import quota_policy as qp
 from . import variants as va
-from ._primitives import _positive
 from .cli import _TAGS, SCHEMA_VERSION, _emit, _lam_grid, _parse_triple
 
 _REGIME_HEADER = [
@@ -83,8 +82,6 @@ def regimes(args) -> int:
     }
     if args.analysis == "multitask":
         tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
-    # prepare once, after the first lambda is checked; each point checks its own by the one lambda rule
-    _positive("lam", grid[0])
     rows = []
     header = list(_REGIME_HEADER)
     if args.analysis in ("baseline", "quota"):
@@ -93,12 +90,12 @@ def regimes(args) -> int:
         solve = qp._quota_equilibria if quota else bg._pure_equilibria
         cuts = bg.thresholds(base)
         cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
-        rows = [_regime_row(lam, solve(game, _positive("lam", lam)), cut_cells) for lam in grid]
+        rows = [_regime_row(lam, solve(game, lam), cut_cells) for lam in grid]
     elif args.analysis == "multitask":
         header = ["lam", "n_equilibria", "most_profitable", "best_payoff"]
         game = mt._multitask_game(base, tasks)
         for lam in grid:
-            records = mt._multitask_equilibria(game, _positive("lam", lam))
+            records = mt._multitask_equilibria(game, lam)
             winners = mt.most_profitable_among(records, tasks)
             classes = "|".join(sorted({w.classification for w in winners}))
             rows.append([lam, len(records), classes, winners[0].payoff if winners else math.nan])
@@ -106,7 +103,7 @@ def regimes(args) -> int:
         header = ["lam", "commitment_profile", "commitment_profit", "n_mixed"]
         game = va._variants_game(base)
         for lam in grid:
-            sol = va._commitment(game, _positive("lam", lam))
+            sol = va._commitment(game, lam)
             rows.append([lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, lam))])
     text = (
         _rows_to_json(header, rows, meta)

@@ -65,12 +65,19 @@ def _game(args) -> bg.GameParams:
 
 
 def _lam_grid(args) -> list:
+    """The sweep's lambda grid and the one check of its points: they never decrease from
+    lo > 0, so a finite last point, by the grid's own formula, makes all positive and finite."""
     lo, hi = args.lambda_range
     n = args.lambda_steps
     if not (0.0 < lo < hi < math.inf and n >= 2):
         raise ValueError("need 0 < lo < hi and at least two steps in the lambda grid")
-    if not math.isfinite((hi - lo) * (n - 1)):
-        raise ValueError("the lambda grid overflows: (hi - lo) * (steps - 1) must be finite")
+    try:
+        last = lo + (hi - lo) * (n - 1) / (n - 1)
+    except OverflowError:  # a step count past the float range
+        last = math.inf
+    if not math.isfinite(last):
+        raise ValueError("the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1) + lo,"
+                         " its last point, must be finite")
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -14,7 +14,6 @@ from collections import namedtuple
 
 from .baseline_game import (
     HI,
-    IC_TOL,
     LO,
     PROFILES,
     GameParams,
@@ -61,7 +60,7 @@ def _validate(game: GameParams, tasks: tuple) -> tuple:
     t1, t2 = tasks
     c1 = t1.effective_cost(game.delta_mu)
     c2 = t2.effective_cost(game.delta_mu)
-    if c1 > c2 + IC_TOL * min(1.0, c2):
+    if not _incentive_holds(LO, c1, c2):  # c1 <= c2 + IC_TOL min(1, c2)
         raise ValueError(
             f"tasks must be ordered by effective cost, got c1={c1!r} > c2={c2!r}"
         )

@@ -17,7 +17,6 @@ from .baseline_game import (
     AGENT_W,
     DISCRIMINATORY,
     HI,
-    IC_TOL,
     IMPARTIAL,
     LO,
     GameParams,
@@ -61,7 +60,7 @@ class HeterogeneousParams(_Validated, namedtuple("HeterogeneousParams", "cost_m 
     def effective_costs(self, delta_mu: float) -> tuple:
         c_m = self.cost_m / delta_mu / self.du_m
         c_w = self.cost_w / delta_mu / self.du_w
-        if c_m > c_w + IC_TOL * min(1.0, c_w):
+        if not _incentive_holds(LO, c_m, c_w):  # c_m <= c_w + IC_TOL min(1, c_w)
             raise ValueError(
                 f"label agents so the effective cost of m is lower, got "
                 f"c_m={c_m!r} > c_w={c_w!r}"
@@ -158,23 +157,15 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
         rec = _value(priors[0], impartial, lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
     rec = _value(priors[3], impartial, lam, costs, weights)
-    candidates = {(LO, LO): rec.profit}
-    best = ((LO, LO), rec.signal, rec.profit, 0.0, None)
-
+    # each outcome is a CommitmentSolution's first five fields: nu, signal, profile, profit, agent
+    outcomes = [(0.0, rec.signal, (LO, LO), rec.profit, None)]
     if _supports(priors[1], disc_signal, base.c, base.c):
-        rec = _value(priors[1], disc_signal, lam, costs, weights)
-        candidates[(HI, LO)] = rec.profit
-        if rec.profit > best[2]:
-            best = ((HI, LO), disc_signal, rec.profit, 0.0, None)
-
+        outcomes.append((0.0, disc_signal, (HI, LO), _value(priors[1], disc_signal, lam, costs, weights).profit, None))
     bound = _bind_high_effort(variants, lam)
     if bound is not None:
-        candidates[(HI, HI)] = bound.profit
-        if bound.profit > best[2]:
-            best = ((HI, HI), bound.signal, bound.profit, bound.nu, f"{AGENT_M},{AGENT_W}")
-
-    profile, signal, value, nu, agent = best
-    return CommitmentSolution(nu, signal, profile, value, agent, candidates)
+        outcomes.append((bound.nu, bound.signal, (HI, HI), bound.profit, f"{AGENT_M},{AGENT_W}"))
+    # max keeps the first of equal profits
+    return CommitmentSolution(*max(outcomes, key=lambda o: o[3]), {o[2]: o[3] for o in outcomes})
 
 
 # ---------------------------------------------------------------------------

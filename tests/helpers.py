@@ -7,10 +7,13 @@ property test on a seeded stream of them.
 from __future__ import annotations
 
 import math
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import riscreen
 from riscreen import GameParams, g_func, ri_core, thresholds
 from riscreen.baseline_game import lambda_star
 from riscreen.multitask import TaskParams, task_games
@@ -24,6 +27,12 @@ CANONICAL = dict(mu_hi=0.8, mu_lo=0.6, cost_C=0.07, lam=0.3)
 
 def canonical(lam: float = 0.3) -> GameParams:
     return GameParams(0.8, 0.6, 0.07, lam)
+
+
+def child_env() -> dict:
+    """os.environ with the src/ that riscreen was imported from first on PYTHONPATH, for a child python."""
+    src = str(Path(riscreen.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def linspace(lo: float, hi: float, n: int) -> list:

@@ -1,18 +1,16 @@
 """CLI behavior: formats, determinism, exit codes, golden checks."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-
-import riscreen
 
 from riscreen import _golden
 from riscreen import baseline_game as bg
 from riscreen import cli
+
+import helpers
 
 
 def run(args, capsys):
@@ -378,11 +376,6 @@ class TestOtherCommands:
         assert "pi_bar=0.7441" in target.read_text()
 
 
-def _env():
-    src = str(Path(riscreen.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 def _mixed(mu_hi, mu_lo, cost, lam):
     return ["variants", "--which", "mixed", "--mu-hi", mu_hi, "--mu-lo", mu_lo, "--cost", cost, "--lambda", lam]
 
@@ -433,7 +426,7 @@ def test_cli_never_loads_numpy(tmp_path):
         "        code = cli.main(argv)\n"
         "    assert code == 0, (argv, code)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=helpers.child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -445,7 +438,7 @@ def test_cli_never_loads_typing():
         "assert riscreen.cli.main(['equilibria', '--mu-hi', '.8', '--mu-lo', '.6', '--lambda', '.3']) == 0\n"
         "assert 'riscreen._golden' not in sys.modules, 'equilibria loaded riscreen._golden'\n"
     )
-    done = subprocess.run([sys.executable, "-S", "-c", script], env=_env(), capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=helpers.child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -485,7 +478,7 @@ def test_a_cold_command_runs_only_the_module_bodies_it_needs(argv, code, bodies)
         "deferred = ('ri_core', 'baseline_game', 'quota_policy', 'multitask', 'variants', '_sweep')\n"
         "print(code, *(m for m in deferred if type(sys.modules.get('riscreen.' + m)) is types.ModuleType))\n"
     )
-    done = subprocess.run([sys.executable, "-S", "-c", script], env=_env(), capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=helpers.child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     exit_code, *ran = done.stdout.split()
     assert (exit_code, set(ran)) == (code, bodies)
@@ -499,7 +492,7 @@ def test_config_run_does_not_leak_into_later_runs(tmp_path, capsys):
 
     def fresh(argv):
         done = subprocess.run(
-            [sys.executable, "-m", "riscreen", *argv], env=_env(), capture_output=True, text=True
+            [sys.executable, "-m", "riscreen", *argv], env=helpers.child_env(), capture_output=True, text=True
         )
         return done.returncode, done.stdout
 

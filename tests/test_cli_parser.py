@@ -4,13 +4,11 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import struct
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -179,11 +177,6 @@ def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, cap
         assert len(got[1]) == (got[0][0] == 0 and "-h" not in argv), argv
 
 
-def _env():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 def test_runs_without_config_load_no_json():
     script = (
         "import contextlib, io, sys\n"
@@ -193,7 +186,7 @@ def test_runs_without_config_load_no_json():
         "        assert cli.main(['thresholds', '--mu-hi', '.8', '--mu-lo', '.6']) == 0\n"
         "assert 'json' not in sys.modules\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=helpers.child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -208,7 +201,8 @@ def test_alternating_configs_match_fresh_processes(tmp_path, capsys):
     }
     fresh = {}
     for name, argv in runs.items():
-        done = subprocess.run([sys.executable, "-m", "riscreen", *argv], env=_env(), capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", "riscreen", *argv], env=helpers.child_env(),
+                              capture_output=True, text=True)
         fresh[name] = (done.returncode, done.stdout, done.stderr)
     assert len(set(fresh.values())) == 3
     cli._COMMAND_PARSERS.clear()

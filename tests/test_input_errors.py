@@ -23,7 +23,7 @@ from riscreen import (
 GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
 TASK = ["--task2", "0.5,1.0,0.03"]
 LAM_GRID_ERROR = "need 0 < lo < hi and at least two steps in the lambda grid"
-GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) must be finite"
+GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1) + lo, its last point, must be finite"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -47,11 +47,20 @@ GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) must be fini
     (["regimes", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda-range", "0.1", "1e308", "--lambda-steps", "4"],
      GRID_OVERFLOW),
     (["variants", "--which", "continuous", "--lambda-range", "0.1", "1e308", "--lambda-steps", "3"], GRID_OVERFLOW),
+    # a finite (hi - lo) * (steps - 1) whose last point still rounds up to inf
+    (["regimes", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda-range", "6.835372912641875e+307", "1.7976931348623157e+308",
+      "--lambda-steps", "2"], GRID_OVERFLOW),
+    (["variants", "--which", "continuous", "--lambda-range", "6.835372912641875e+307", "1.7976931348623157e+308",
+      "--lambda-steps", "2"], GRID_OVERFLOW),
+    # a step count past the float range
+    (["regimes", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda-steps", "1" + "0" * 400], GRID_OVERFLOW),
+    (["variants", "--which", "continuous", "--lambda-steps", "1" + "0" * 400], GRID_OVERFLOW),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
 ], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "tiny-cost-order", "ref-prior", "kappa",
-        "continuous-lam", "regimes-lam-inf", "regimes-grid-overflow", "continuous-grid-overflow", "out-dir",
-        "config-list"])
+        "continuous-lam", "regimes-lam-inf", "regimes-grid-overflow", "continuous-grid-overflow",
+        "regimes-last-point-inf", "continuous-last-point-inf", "regimes-steps-overflow", "continuous-steps-overflow",
+        "out-dir", "config-list"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -84,9 +93,11 @@ def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, ca
     (lambda: GameParams(0.8, 0.6, 0.0, 0.3), "cost_C must be positive and finite, got 0.0"),
     (lambda: continuous_effort_equilibria(-0.0, [0.3]), "kappa must be positive and finite, got -0.0"),
     (lambda: HeterogeneousParams(0.07, 0.08, math.inf), "du_m must be positive and finite, got inf"),
+    (lambda: multitask_equilibrium_set(GameParams(0.75, 0.25, 0.07, 0.3), (TaskParams(0.5, 1.0, 0.03),) * 3),
+     "exactly two tasks are supported"),
 ], ids=["one-state", "unequal-lengths", "conditional", "info-cost", "mi-lengths", "two-entry-prior",
         "g-inverse", "f-inverse", "task-cost-inf", "cost-w-nan", "tiny-cost-order", "tiny-task-order",
-        "continuous-lam-zero", "cost-c-nan", "cost-c-zero", "kappa-minus-zero", "du-m-inf"])
+        "continuous-lam-zero", "cost-c-nan", "cost-c-zero", "kappa-minus-zero", "du-m-inf", "three-tasks"])
 def test_a_bad_library_input_raises_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -6,7 +6,6 @@ submodules, and the first loads are safe when threads race for them.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import riscreen
+
+import helpers
 
 #: the names riscreen exported when every submodule was imported eagerly, by module
 EXPORTS = {
@@ -78,11 +79,6 @@ def test_only_the_package_defines_a_module_getattr():
         assert ("__getattr__" in defined) == (path.name == "__init__.py"), path.name
 
 
-def _env():
-    src = str(Path(riscreen.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 def test_a_reload_keeps_the_registered_modules_and_loads_them_later():
     # in a fresh interpreter, so that variants is still deferred when the package reloads
     script = (
@@ -92,7 +88,8 @@ def test_a_reload_keeps_the_registered_modules_and_loads_them_later():
         "assert sys.modules['riscreen.variants'] is before is riscreen.variants\n"
         "assert riscreen.mixed_equilibria is before.mixed_equilibria\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", script], env=helpers.child_env(),
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 
 
@@ -191,5 +188,5 @@ sys.exit(1 if failures else 0)
 
 def test_racing_first_calls_return_their_serial_results(tmp_path):
     done = subprocess.run([sys.executable, "-c", RACE, "20", str(tmp_path / "out")],
-                          env=_env(), capture_output=True, text=True, timeout=300)
+                          env=helpers.child_env(), capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr

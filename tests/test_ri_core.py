@@ -325,6 +325,7 @@ class TestFindRoot:
 
     def test_zero_at_an_end(self):
         assert find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert find_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
 
     def test_same_sign_ends_raise(self):
         with pytest.raises(BracketError):

@@ -24,7 +24,7 @@ from riscreen import quota_policy as qp
 from riscreen import variants as va
 
 ANALYSES = ("baseline", "quota", "multitask", "variants")
-GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) must be finite"
+GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1) + lo, its last point, must be finite"
 
 
 def hexed(obj):
@@ -124,6 +124,8 @@ def test_every_sweep_row_equals_its_point(monkeypatch):
         # (hi - lo) * i would overflow to an inf grid point past the second step
         (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], GRID_OVERFLOW),
         (["--lambda-range", "nan", "1"], "need 0 < lo < hi and at least two steps in the lambda grid"),
+        # (hi - lo) * (steps - 1) is finite, but the last point rounds up to inf
+        (["--lambda-range", "6.835372912641875e+307", "1.7976931348623157e+308", "--lambda-steps", "2"], GRID_OVERFLOW),
     ],
 )
 def test_invalid_grids_keep_their_errors(analysis, sweep, message, capsys):
