@@ -33,12 +33,17 @@ _REGIME_HEADER = [
 
 
 def _regime_row(lam: float, records: list, cut_cells: list) -> list:
-    """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells."""
-    present = {r.profile for r in records}
-    ties = bg.most_profitable_among(records)
+    """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells.
+
+    The profits are listed once and ranked by most_profitable_among's tie rule;
+    the best profit, the highest of all, is also the highest among the ties.
+    """
+    if not records:
+        raise ValueError("no equilibrium records to rank")
+    tags, profits = [_TAGS[r.profile] for r in records], [r.profit for r in records]
     welfare = ">".join([_TAGS[r.profile] for r in bg.welfare_ordering(records)])
-    return [lam, *[int(profile in present) for profile in bg.PROFILES],
-            "|".join(sorted([_TAGS[r.profile] for r in ties])), max([r.profit for r in ties]), welfare, *cut_cells]
+    return [lam, *[int(tag in tags) for tag in _TAGS.values()],  # _TAGS is in PROFILES order
+            "|".join(sorted(bg._ties_at_best(tags, profits))), max(profits), welfare, *cut_cells]
 
 
 def _regime_svg(rows: list) -> str:

@@ -515,16 +515,17 @@ def _game(params: GameParams) -> _Game:
                  tuple(_profile_prior(mu_hi, mu_lo, p) for p in PROFILES))
 
 
-def _equilibria(game: _Game, lam: float, signals: tuple, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
-    """The enumeration of every pure analysis: each profile whose signal (in PROFILES order) passes
-    :func:`_supports` at (c_m, c_w), valued by :func:`_value` at these costs and weights."""
+def _equilibria(priors: tuple, lam: float, signals: tuple, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
+    """The enumeration of every pure analysis: each profile whose signal passes :func:`_supports` at
+    (c_m, c_w), valued by :func:`_value` at these costs and weights; priors are the profiles'
+    _profile_prior entries of a _Game (all four, or a subsequence), signals theirs in the same order."""
     return [_value(prior, signal, lam, costs, weights)
-            for prior, signal in zip(game.priors, signals) if _supports(prior, signal, c_m, c_w)]
+            for prior, signal in zip(priors, signals) if _supports(prior, signal, c_m, c_w)]
 
 
 def _pure_equilibria(game: _Game, lam: float) -> list:
     """equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
-    return _equilibria(game, lam, _profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
+    return _equilibria(game.priors, lam, _profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def equilibrium_set(params: GameParams) -> list:

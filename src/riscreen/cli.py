@@ -4,7 +4,8 @@ Subcommands: signal, thresholds, equilibria, regimes, quota, multitask,
 variants, reproduce. Exit codes: 0 on success, 1 when a reproduce check
 fails, and 2 on a usage error (argparse's usage message) or on an input the
 model rejects: a ValueError, BracketError or ConvergenceError, reported on
-one `error:` line with no traceback, as is an unreadable config. The two
+one `error:` line with no traceback, as is an unreadable config or a config
+value that does not fit its numeric option. The two
 error types come from the leaf ``riscreen._primitives``, so an error exit
 does not run the oracle ``ri_core``. Machine
 output (csv/json) carries 12 significant digits and is byte-deterministic
@@ -393,7 +394,8 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     """The top-level parser with all eight subcommands.
 
     A cfg value becomes the default of every subcommand option with that
-    dest, and an option it supplies is no longer required.
+    dest, and an option it supplies is no longer required. A value that
+    does not fit a numeric option raises ValueError (:func:`_config_default`).
     """
     cfg = cfg or {}
     parser = argparse.ArgumentParser(
@@ -407,8 +409,23 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         add_arguments(command)
         for action in command._actions:
             if action.dest in cfg:
-                action.default, action.required = cfg[action.dest], False
+                action.default, action.required = _config_default(action, cfg[action.dest]), False
     return parser
+
+
+def _config_default(action: argparse.Action, value):
+    """The config value of action's key as its default. An int or float option takes a JSON
+    number (an integer for an int option, never a bool) or a string, which argparse converts
+    as it would the flag's text, and an option of n values a list of n numbers; any other
+    value raises ValueError naming the key. Other options take value as it is."""
+    if action.type not in (int, float) or (action.nargs is None and isinstance(value, str)):
+        return value
+    items = [value] if action.nargs is None else value if isinstance(value, list) else []
+    kinds, one, many = (int, "an integer", "integers") if action.type is int else ((int, float), "a number", "numbers")
+    if len(items) != (action.nargs or 1) or any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
+        want = f"a list of {action.nargs} {many}" if action.nargs else one
+        raise ValueError(f"key {action.dest!r} must be {want}, got {value!r}")
+    return value
 
 
 #: each subcommand's parser by name, stored once complete (racing threads each build a whole one)
@@ -459,7 +476,12 @@ def main(argv=None) -> int:
             if not isinstance(cfg, dict):
                 print(f"error: config {config!r} must hold a JSON object", file=sys.stderr)
                 return 2
-        args = build_parser(cfg).parse_args(argv)
+        try:
+            parser = build_parser(cfg)
+        except ValueError as exc:
+            print(f"error: config {config!r} {exc}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, BracketError, ConvergenceError) as exc:

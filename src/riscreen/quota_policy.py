@@ -8,8 +8,9 @@ signal is then the closed-form logit rule at nu (Matejka & McKay 2015),
 pi(d) = sigmoid((d - nu)/lam), so no RI problem is solved on this path,
 and nu itself is the positive root of a cubic in exp(nu/lam), taken in
 closed form by baseline_game._cubic_roots: no root is searched either.
-The quota kills exactly the discriminatory equilibria and leaves the
-impartial ones alone.
+The quota keeps the impartial equilibria, and it removes the
+discriminatory ones except within rounding of mu_hi + mu_lo = 1 (see
+:func:`quota_equilibrium_set`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import namedtuple
 
 from . import ri_core
 from .baseline_game import (
+    HI,
     LO,
     GameParams,
     PromotionSignal,
@@ -27,6 +29,7 @@ from .baseline_game import (
     _equilibria,
     _game,
     _impartial_signal,
+    _incentive_holds,
     optimal_signal,
     state_distribution,
 )
@@ -34,6 +37,9 @@ from ._primitives import BracketError, _sigmoid
 
 #: |pi_bar - 1/2| at the returned multiplier must be below this
 QUOTA_TOL = 1e-9
+#: absolute rounding allowance on an incentive gain of a quota signal (8 eps):
+#: each gain is a sum of differences of conditionals in [0, 1]
+GAIN_ALLOWANCE = 2.0 ** -49
 
 
 class QuotaSolution(namedtuple("QuotaSolution", "nu signal")):
@@ -156,13 +162,24 @@ def _quota_solution(prior: tuple, s: float, y: float, lam: float, mirror: bool) 
 def quota_equilibrium_set(params: GameParams) -> list:
     """Equilibria of the game with the quota in force.
 
-    Coincides with the impartial equilibria of the unconstrained game: a
-    quota-constrained signal for an asymmetric profile has X > Y > 0, and
-    with mu_hi + mu_lo > 1 such a signal cannot satisfy the worker's and the
-    shirker's incentive constraints at once. The case mu_hi + mu_lo <= 1 is
-    not characterized and is refused. A symmetric profile's quota signal is
-    its optimal_signal, so its record equals equilibrium_set's. (lo, hi) has
-    the prior of (hi, lo) reversed, so both take their nu from one tilt.
+    A symmetric profile's quota signal is its optimal_signal, so its record
+    equals equilibrium_set's. An asymmetric profile binds at a multiplier nu
+    with 0 < |nu| < 1, and its signal has X > Y > 0 (X and Y swap for
+    (lo, hi)). The shirker's gain exceeds the worker's by only
+    (mu_hi + mu_lo - 1)(X - Y), so the quota leaves only the impartial
+    records except within rounding of mu_hi + mu_lo = 1, where both
+    constraints of an asymmetric profile can hold to IC_TOL min(1, c). At
+    GameParams(0.8885586675347767, 0.11144133246522533, 0.09972474181102377,
+    1.9056210918215344), where mu_hi + mu_lo - 1 = 2.0e-15, the quota keeps
+    (hi, lo), (lo, hi) and (lo, lo). The case mu_hi + mu_lo <= 1 is not
+    characterized and is refused.
+
+    The worker's gain is at most tanh(1/(4 lam)) and the shirker's at least
+    tanh(1/lam)/4 (:func:`_asymmetric_open`). Where either bound already
+    fails its constraint, the asymmetric profiles are out and no tilt is
+    solved, so find_multiplier's QUOTA_TOL check (a BracketError) is not
+    run there. Otherwise (lo, hi), whose prior is that of (hi, lo) reversed,
+    takes its nu from the one tilt of (hi, lo).
     """
     return _quota_equilibria(_quota_game(params), params.lam)
 
@@ -175,11 +192,28 @@ def _quota_game(params: GameParams) -> _Game:
     return _game(params)
 
 
+def _asymmetric_open(c: float, lam: float) -> bool:
+    """Can the quota signal of (hi, lo) or (lo, hi) meet both incentive constraints at lam?
+
+    The rule sigmoid((d - nu)/lam) rises over any window of width 1 in d by
+    at most tanh(1/(4 lam)), its rise over [-1/2, 1/2], so the worker's gain,
+    at most X, is at most that. With 0 < nu < 1 and mu_hi > 1/2, the shirker's gain is at
+    least (X + Y)/2, the rise over a window of width 2, which is smallest at
+    nu = 1: tanh(1/lam)/4. Each bound, widened by GAIN_ALLOWANCE, goes
+    through _incentive_holds, so a computed gain that passes its constraint
+    never meets a bound that fails it.
+    """
+    return (_incentive_holds(HI, math.tanh(0.25 / lam) + GAIN_ALLOWANCE, c)
+            and _incentive_holds(LO, math.tanh(1.0 / lam) / 4.0 - GAIN_ALLOWANCE, c))
+
+
 def _quota_equilibria(game: _Game, lam: float) -> list:
     """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _quota_game)."""
-    prior = game.priors[1][3:]  # (p(-1), p(0), p(1)) of (hi, lo)
     impartial = _impartial_signal(math.exp(-1.0 / lam))
-    s, y = _tilt(*prior, game.mu_hi - game.mu_lo, lam)
-    signals = (impartial, _quota_solution(prior, s, y, lam, False).signal,
-               _quota_solution(prior[::-1], s, y, lam, True).signal, impartial)
-    return _equilibria(game, lam, signals, game.c, game.c, game.costs, (1.0, 1.0))
+    priors, signals = game.priors[::3], (impartial, impartial)
+    if _asymmetric_open(game.c, lam):
+        prior = game.priors[1][3:]  # (p(-1), p(0), p(1)) of (hi, lo)
+        s, y = _tilt(*prior, game.mu_hi - game.mu_lo, lam)
+        priors, signals = game.priors, (impartial, _quota_solution(prior, s, y, lam, False).signal,
+                                        _quota_solution(prior[::-1], s, y, lam, True).signal, impartial)
+    return _equilibria(priors, lam, signals, game.c, game.c, game.costs, (1.0, 1.0))

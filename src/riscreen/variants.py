@@ -82,8 +82,8 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
-    return _equilibria(_game(game), game.lam, _profile_signals(game, game.lam), *het.effective_costs(game.delta_mu),
-                       (het.cost_m, het.cost_w), (het.du_m, het.du_w))
+    return _equilibria(_game(game).priors, game.lam, _profile_signals(game, game.lam),
+                       *het.effective_costs(game.delta_mu), (het.cost_m, het.cost_w), (het.du_m, het.du_w))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,62 @@ def quota_game(rng: random.Random) -> GameParams:
     return GameParams(mu_hi, mu_lo, 10.0 ** rng.uniform(-6.0, 0.0), 10.0 ** rng.uniform(-4.0, 4.0))
 
 
+def quota_gain_of_m(params: GameParams) -> float:
+    """m's incentive gain at the quota signal of (hi, lo), from find_multiplier."""
+    from riscreen import AGENT_M, HI, LO, find_multiplier, incentive_gain
+
+    return incentive_gain(params, find_multiplier(params, (HI, LO)).signal, AGENT_M, LO)
+
+
+def quota_knife_game(rng: random.Random) -> GameParams:
+    """A quota game near mu_hi + mu_lo = 1, where both constraints of an
+    asymmetric profile can hold at once: mu_hi in [0.501, 0.999] and
+    mu_hi + mu_lo - 1 log-uniform in [1e-16, 1e-2], redrawn until
+    mu_lo < mu_hi and the rounded sum exceeds 1. Then one of three lams:
+
+    - the crossing: c is m's quota (hi, lo) gain at lam0, log-uniform in
+      [1e-3, 1e3], and lam is bisected on [lam0/2, 2 lam0] to where that
+      gain equals the game's c, then moved k in [-3, 3] ulps;
+    - the edge of a gain bound of quota_policy._asymmetric_open, with c
+      log-uniform in [1e-6, 0.24]: the lam where the bound, widened by
+      GAIN_ALLOWANCE, meets c to IC_TOL min(1, c), times 1 + [-1e-12, 1e-12].
+    """
+    from riscreen.baseline_game import IC_TOL
+    from riscreen.quota_policy import GAIN_ALLOWANCE
+
+    while True:
+        mu_hi = rng.uniform(0.501, 0.999)
+        mu_lo = 1.0 - mu_hi + 10.0 ** rng.uniform(-16.0, -2.0)
+        if mu_lo < mu_hi and mu_hi + mu_lo > 1.0:
+            break
+    delta_mu = mu_hi - mu_lo
+    mode = rng.choice(("crossing", "m-edge", "w-edge"))
+    if mode != "crossing":
+        c = 10.0 ** rng.uniform(-6.0, math.log10(0.24))
+        slack = IC_TOL * min(1.0, c) + GAIN_ALLOWANCE
+        # m's gain is at most tanh(1/(4 lam)), w's at least tanh(1/lam)/4
+        edge = 0.25 / math.atanh(c - slack) if mode == "m-edge" else 1.0 / math.atanh(4.0 * (c + slack))
+        return GameParams(mu_hi, mu_lo, c * delta_mu, edge * (1.0 + rng.uniform(-1e-12, 1e-12)))
+    lam0 = 10.0 ** rng.uniform(-3.0, 3.0)
+    game = GameParams(mu_hi, mu_lo, quota_gain_of_m(GameParams(mu_hi, mu_lo, 1.0, lam0)) * delta_mu, lam0)
+    lo, hi = lam0 / 2.0, 2.0 * lam0
+    above = quota_gain_of_m(game._replace(lam=lo)) > game.c
+    if above != (quota_gain_of_m(game._replace(lam=hi)) > game.c):
+        while True:  # to adjacent floats
+            mid = lo + (hi - lo) / 2.0
+            if mid in (lo, hi):
+                break
+            if (quota_gain_of_m(game._replace(lam=mid)) > game.c) == above:
+                lo = mid
+            else:
+                hi = mid
+        lam0 = lo
+    lam, k = lam0, rng.randint(-3, 3)
+    for _ in range(abs(k)):
+        lam = math.nextafter(lam, math.copysign(math.inf, k))
+    return game._replace(lam=lam)
+
+
 def near_star_game(rng: random.Random) -> GameParams:
     """A game with mu_lo in [0.03, 0.499] or [0.501, 0.95], mu_hi in
     [mu_lo + 0.02, 0.99], c = cost_C / delta_mu in [0.01, 0.49], and lam

@@ -23,6 +23,7 @@ from riscreen import (
 GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
 TASK = ["--task2", "0.5,1.0,0.03"]
 LAM_GRID_ERROR = "need 0 < lo < hi and at least two steps in the lambda grid"
+CONFIGS = {"list.json": "[1, 2]", "steps.json": '{"lambda_steps": 2.5}', "range.json": '{"lambda_range": [0.1, "x"]}'}
 GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1) + lo, its last point, must be finite"
 
 
@@ -57,12 +58,18 @@ GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1
     (["variants", "--which", "continuous", "--lambda-steps", "1" + "0" * 400], GRID_OVERFLOW),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
+    # a config value is a default, which argparse does not convert unless it is a string
+    (["--config", "{tmp}/steps.json", "regimes", "--mu-hi", ".8", "--mu-lo", ".6"],
+     "config '{tmp}/steps.json' key 'lambda_steps' must be an integer, got 2.5"),
+    (["--config", "{tmp}/range.json", "regimes", "--mu-hi", ".8", "--mu-lo", ".6"],
+     "config '{tmp}/range.json' key 'lambda_range' must be a list of 2 numbers, got [0.1, 'x']"),
 ], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "tiny-cost-order", "ref-prior", "kappa",
         "continuous-lam", "regimes-lam-inf", "regimes-grid-overflow", "continuous-grid-overflow",
         "regimes-last-point-inf", "continuous-last-point-inf", "regimes-steps-overflow", "continuous-steps-overflow",
-        "out-dir", "config-list"])
+        "out-dir", "config-list", "config-steps", "config-range"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
-    (tmp_path / "list.json").write_text("[1, 2]")
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = cli.main(argv)
     captured = capsys.readouterr()

@@ -6,6 +6,8 @@ from decimal import Decimal
 import pytest
 
 from riscreen import (
+    AGENT_M,
+    AGENT_W,
     HI,
     IMPARTIAL,
     LO,
@@ -13,12 +15,15 @@ from riscreen import (
     GameParams,
     equilibrium_set,
     find_multiplier,
+    incentive_gain,
     mutual_information,
     optimal_signal,
     quota_equilibrium_set,
     subsidized_signal,
     state_distribution,
 )
+
+from riscreen.quota_policy import GAIN_ALLOWANCE
 
 import exact
 import helpers
@@ -284,6 +289,26 @@ def test_find_multiplier_agrees_with_the_root_search(game):
             with exact.digits(60):
                 root = exact.quota_multiplier(*(game.mu(e) for e in profile), game.lam, nu)
             assert abs(Decimal(nu) - root) <= abs(Decimal(oracle) - root), (game, profile, nu, oracle)
+
+
+def quota_side(rng):
+    """A game the quota analyses: a domain game, flipped by mu -> 1 - mu when
+    mu_hi + mu_lo <= 1, or a quota or knife-edge game."""
+    game = rng.choice((helpers.domain_game, helpers.quota_game, helpers.quota_knife_game))(rng)
+    if game.mu_hi + game.mu_lo > 1.0:
+        return game
+    return GameParams(1.0 - game.mu_lo, 1.0 - game.mu_hi, game.cost_C, game.lam)
+
+
+@helpers.draws(600, seed=39002, game=quota_side)
+def test_asymmetric_quota_gains_lie_within_the_gain_bounds(game):
+    # the bounds of quota_policy._asymmetric_open: the worker's gain at most
+    # tanh(1/(4 lam)), the shirker's at least tanh(1/lam)/4, to GAIN_ALLOWANCE
+    most, least = math.tanh(0.25 / game.lam), math.tanh(1.0 / game.lam) / 4.0
+    for profile, worker, shirker in (((HI, LO), AGENT_M, AGENT_W), ((LO, HI), AGENT_W, AGENT_M)):
+        signal = find_multiplier(game, profile).signal
+        assert incentive_gain(game, signal, worker, LO) <= most + GAIN_ALLOWANCE, profile
+        assert incentive_gain(game, signal, shirker, HI) >= least - GAIN_ALLOWANCE, profile
 
 
 def test_root_search_keeps_the_sign_of_a_tiny_multiplier():

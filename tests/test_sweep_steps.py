@@ -13,7 +13,7 @@ import io
 
 import pytest
 
-from riscreen import GameParams, cli
+from riscreen import GameParams, _sweep, cli
 from riscreen import baseline_game as bg
 from riscreen import multitask as mt
 from riscreen import quota_policy as qp
@@ -48,3 +48,8 @@ def counts(monkeypatch, analysis, steps):
 @pytest.mark.parametrize("analysis", ["baseline", "quota", "multitask", "variants"])
 def test_no_game_or_checked_signal_per_grid_point(monkeypatch, analysis):
     assert counts(monkeypatch, analysis, 8) == counts(monkeypatch, analysis, 64)
+
+
+def test_a_row_of_no_records_is_refused():
+    with pytest.raises(ValueError, match="^no equilibrium records to rank$"):
+        _sweep._regime_row(0.3, [], [])
