@@ -1,18 +1,19 @@
 """Command-line front end: single-point tables, regime sweeps, golden checks.
 
 Subcommands: signal, thresholds, equilibria, regimes, quota, multitask,
-variants, reproduce. Exit codes: 0 on success, 1 when a reproduce check
-fails, and 2 on a usage error (argparse's usage message) or on an input the
-model rejects: a ValueError, BracketError or ConvergenceError, reported on
-one `error:` line with no traceback, as is an unreadable config or a config
-value that does not fit its numeric option. The two
-error types come from the leaf ``riscreen._primitives``, so an error exit
-does not run the oracle ``ri_core``. Machine
-output (csv/json) carries 12 significant digits and is byte-deterministic
-for a fixed configuration: a JSON sweep float is the shortest repr of the
-value rounded to 12 significant digits, so it equals float() of the CSV
-cell. Human tables show 4 decimals, except the compact probability table of
-`signal`, which truncates at 2 decimals.
+variants, reproduce. Exit codes: 0 on success, 1 when a reproduce check fails,
+and 2 on a usage error (argparse's usage message) or on an input the model
+rejects: a ValueError, BracketError or ConvergenceError, reported on one
+`error:` line with no traceback, as is an unreadable config. A config value is
+parsed as its flag's text, typed before the command line's tokens: one its flag
+would refuse, even under a typed flag, gets the subcommand's usage error, and
+null leaves the option unset. The two error types come from the leaf
+``riscreen._primitives``, so an error exit does not run the oracle ``ri_core``.
+Machine output (csv/json) carries 12 significant digits and is
+byte-deterministic for a fixed configuration: a JSON sweep float is the
+shortest repr of the value rounded to 12 significant digits, so it equals
+float() of the CSV cell. Human tables show 4 decimals, except the compact
+probability table of `signal`, which truncates at 2 decimals.
 """
 
 from __future__ import annotations
@@ -390,14 +391,8 @@ _COMMANDS = (
 )
 
 
-def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with all eight subcommands.
-
-    A cfg value becomes the default of every subcommand option with that
-    dest, and an option it supplies is no longer required. A value that
-    does not fit a numeric option raises ValueError (:func:`_config_default`).
-    """
-    cfg = cfg or {}
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with all eight subcommands, for the top-level help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="riscreen",
         description="Promotion-game analysis under mutual-information attention costs.",
@@ -405,27 +400,8 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _COMMANDS:
-        command = sub.add_parser(name, help=help_text)
-        add_arguments(command)
-        for action in command._actions:
-            if action.dest in cfg:
-                action.default, action.required = _config_default(action, cfg[action.dest]), False
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
-
-
-def _config_default(action: argparse.Action, value):
-    """The config value of action's key as its default. An int or float option takes a JSON
-    number (an integer for an int option, never a bool) or a string, which argparse converts
-    as it would the flag's text, and an option of n values a list of n numbers; any other
-    value raises ValueError naming the key. Other options take value as it is."""
-    if action.type not in (int, float) or (action.nargs is None and isinstance(value, str)):
-        return value
-    items = [value] if action.nargs is None else value if isinstance(value, list) else []
-    kinds, one, many = (int, "an integer", "integers") if action.type is int else ((int, float), "a number", "numbers")
-    if len(items) != (action.nargs or 1) or any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
-        want = f"a list of {action.nargs} {many}" if action.nargs else one
-        raise ValueError(f"key {action.dest!r} must be {want}, got {value!r}")
-    return value
 
 
 #: each subcommand's parser by name, stored once complete (racing threads each build a whole one)
@@ -444,6 +420,29 @@ def _command_parser(name: str) -> argparse.ArgumentParser | None:
     return parser
 
 
+def _config_flags(parser: argparse.ArgumentParser, cfg: dict) -> list:
+    """cfg as command-line text for parser's options, keyed by dest; other keys, help and null give nothing.
+    A switch gives its flag for true and nothing for false; an n-value option given n items, the flag and
+    each item; any other value ``--flag=TEXT``, TEXT being a JSON string or another value's JSON text."""
+
+    def text(value) -> str:
+        import json
+        return value if isinstance(value, str) else json.dumps(value)
+
+    flags = []
+    for action in parser._actions:
+        value, flag = cfg.get(action.dest), action.option_strings[0]
+        if value is None or action.dest == "help":
+            continue
+        if action.nargs == 0 and isinstance(value, bool):
+            flags += [flag] if value else []
+        elif isinstance(value, list) and len(value) == action.nargs:  # no item spills past the option
+            flags += [flag, *map(text, value)]
+        else:
+            flags.append(f"{flag}={text(value)}")
+    return flags
+
+
 # --config belongs to the top-level parser: look for it before the subcommand only
 _PROBE = argparse.ArgumentParser(add_help=False)
 _PROBE.add_argument("--config", default=None)
@@ -453,36 +452,33 @@ _PROBE.add_argument("command", nargs=argparse.REMAINDER)
 def main(argv=None) -> int:
     """Run the command line on argv (default ``sys.argv[1:]``) and return its exit code.
 
-    A leading subcommand name is parsed by that subcommand's parser alone, built
-    on first use and kept: that is ``parse_args(argv)`` of the top-level parser,
-    field for field, as --config is read only before the name. Every other argv,
-    and a subcommand's leftover tokens, go through the full :func:`build_parser`.
+    The subcommand's parser alone, built on first use and kept, parses the text of a config
+    read before its name (:func:`_config_flags`) and then the tokens after it, so a typed flag
+    wins. Any other argv, and leftover tokens, get :func:`build_parser`'s help or usage error.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    command = _command_parser(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(config=None, command=argv[0]))
-    if command is None or extras:
-        config = None if command is not None else _PROBE.parse_known_args(argv)[0].config
+    rest, config = argv, None
+    if not argv or _command_parser(argv[0]) is None:
+        probe, unknown = _PROBE.parse_known_args(argv)
+        rest, config = [] if unknown else probe.command, probe.config
+    try:
         cfg = {}
         if config is not None:
             import json
             try:
                 with open(config) as fh:
                     cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read config {config!r}: {exc}", file=sys.stderr)
-                return 2
+            except (OSError, ValueError) as exc:  # ValueError: bad JSON, bytes or integer text
+                raise ValueError(f"cannot read config {config!r}: {exc}") from exc
             if not isinstance(cfg, dict):
-                print(f"error: config {config!r} must hold a JSON object", file=sys.stderr)
-                return 2
-        try:
-            parser = build_parser(cfg)
-        except ValueError as exc:
-            print(f"error: config {config!r} {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(argv)
-    try:
+                raise ValueError(f"config {config!r} must hold a JSON object")
+        command = _command_parser(rest[0]) if rest else None
+        if command is not None:
+            tokens = [*_config_flags(command, cfg), *rest[1:]]
+            args, extras = command.parse_known_args(tokens, argparse.Namespace(config=config, command=rest[0]))
+            argv = [*argv[: len(argv) - len(rest)], rest[0], *tokens]  # reread to report extras
+        if command is None or extras:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, BracketError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -171,7 +171,10 @@ def quota_equilibrium_set(params: GameParams) -> list:
     constraints of an asymmetric profile can hold to IC_TOL min(1, c). At
     GameParams(0.8885586675347767, 0.11144133246522533, 0.09972474181102377,
     1.9056210918215344), where mu_hi + mu_lo - 1 = 2.0e-15, the quota keeps
-    (hi, lo), (lo, hi) and (lo, lo). The case mu_hi + mu_lo <= 1 is not
+    (hi, lo), (lo, hi) and (lo, lo). The mirrors can split there, as
+    _sigmoid(-t) rounds unlike 1 - _sigmoid(t): at GameParams(0.8352000459997866,
+    0.1648019293130466, 0.00020554994269688886, 815.371222997398) the quota
+    keeps (lo, hi) but not (hi, lo). The case mu_hi + mu_lo <= 1 is not
     characterized and is refused.
 
     The worker's gain is at most tanh(1/(4 lam)) and the shirker's at least

@@ -203,6 +203,18 @@ def edge_game(rng: random.Random) -> GameParams:
     return game._replace(lam=lam) if 0.0 < lam < math.inf else game
 
 
+def assert_mirrored(records: list) -> None:
+    """records list (hi, lo) exactly when they list (lo, hi), the two with
+    profits equal to 1e-12 and u_m and u_w swapped to 1e-12."""
+    by_profile = {rec.profile: rec for rec in records}
+    hi_lo, lo_hi = by_profile.get((riscreen.HI, riscreen.LO)), by_profile.get((riscreen.LO, riscreen.HI))
+    assert (hi_lo is None) == (lo_hi is None), sorted(by_profile)
+    if hi_lo is not None:
+        assert abs(hi_lo.profit - lo_hi.profit) <= 1e-12, (hi_lo.profit, lo_hi.profit)
+        assert abs(hi_lo.utility_m - lo_hi.utility_w) <= 1e-12, (hi_lo.utility_m, lo_hi.utility_w)
+        assert abs(hi_lo.utility_w - lo_hi.utility_m) <= 1e-12, (hi_lo.utility_w, lo_hi.utility_m)
+
+
 def multitask_game(rng: random.Random) -> tuple:
     """A regular game and two tasks, the cheaper first: mu_hi in [0.55, 0.97],
     mu_lo in [max(1 - mu_hi, 0.05) + 0.005, mu_hi - 0.01], alpha in [0.2, 0.5]

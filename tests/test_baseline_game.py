@@ -516,6 +516,16 @@ class TestEquilibria:
                 assert rec.classification == expected
 
 
+def any_domain_game(rng: random.Random) -> GameParams:
+    """A draw of helpers.domain_game, edge_game, near_half_game or near_star_game."""
+    return rng.choice((helpers.domain_game, helpers.edge_game, helpers.near_half_game, helpers.near_star_game))(rng)
+
+
+@helpers.draws(10000, seed=40001, params=any_domain_game)
+def test_mirror_profiles_are_listed_together(params):
+    helpers.assert_mirrored(equilibrium_set(params))
+
+
 class TestProfit:
     def test_table1_revenue(self):
         pb = profit(GAME, (HI, LO))

@@ -61,7 +61,8 @@ def byte_identity_cases(tmp_path):
 
 def test_a_subcommand_parser_matches_the_full_parser(tmp_path, capsys, monkeypatch, uncached_parsers):
     monkeypatch.setenv("COLUMNS", "80")
-    cases = byte_identity_cases(tmp_path)
+    # the full parser reads no config: test_a_config_run_equals_its_flag_run checks config runs
+    cases = [argv for argv in byte_identity_cases(tmp_path) if "--config" not in argv]
     direct = [outcome(argv, capsys) for argv in cases]
     monkeypatch.setattr(cli, "_command_parser", lambda name: None)  # every argv through build_parser
     full = [outcome(argv, capsys) for argv in cases]
@@ -121,12 +122,11 @@ def test_an_edited_config_takes_effect_in_the_same_process(tmp_path, capsys):
 
 
 def dispatch_cases(cfg_path) -> list:
-    """(argv, the config that --config loads or None): a leading subcommand and every other shape of argv."""
+    """Argvs with a leading subcommand and every other shape of argv without a config."""
     game = [*CANON, "--lambda", ".3"]
-    cfg = {"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}))
     path = str(cfg_path)
-    argvs = [
+    return [
         ["signal", *game, "--profile", "hi,hi"],
         ["thresholds", *CANON],
         ["equilibria", *game],
@@ -151,7 +151,6 @@ def dispatch_cases(cfg_path) -> list:
         [""],
         ["-x", "equilibria"],
     ]
-    return [(argv, None) for argv in argvs] + [(["--config", path, "equilibria"], cfg), (["--conf", path, "equilibria"], cfg)]
 
 
 def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, capsys, monkeypatch, uncached_parsers):
@@ -161,20 +160,73 @@ def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, cap
         real = getattr(cli, f"cmd_{name}")
         monkeypatch.setattr(cli, f"cmd_{name}", lambda args, real=real: seen.append(args) or real(args))
 
-    def reference(argv, cfg):
+    def reference(argv):
         try:
-            args = cli.build_parser(cfg).parse_args(argv)
+            args = cli.build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code
         return args.func(args)
 
-    for argv, cfg in dispatch_cases(tmp_path / "cfg.json"):
+    # test_a_config_run_equals_its_flag_run checks --config and --conf runs against flag runs
+    for argv in dispatch_cases(tmp_path / "cfg.json"):
         got = outcome(list(argv), capsys), seen[:]
         seen.clear()
-        want = (reference(list(argv), cfg), *capsys.readouterr()), seen[:]
+        want = (reference(list(argv)), *capsys.readouterr()), seen[:]
         seen.clear()
         assert got == want, argv
         assert len(got[1]) == (got[0][0] == 0 and "-h" not in argv), argv
+
+
+#: (subcommand, a config, the flags that hold its values, flags typed after it that override one)
+CONFIG_RUNS = [
+    ("signal", {"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3, "profile": "hi,hi", "oracle": True},
+     [*CANON, "--lambda", ".3", "--profile", "hi,hi", "--oracle"], ["--lambda", ".5"]),
+    ("thresholds", {"mu_hi": 0.9, "mu_lo": 0.35, "cost": 0.04, "lam": 2},
+     ["--mu-hi", ".9", "--mu-lo", ".35", "--cost", ".04", "--lambda", "2"], ["--cost", ".05"]),
+    ("equilibria", {"mu_hi": 0.8, "mu_lo": 0.6, "lam": 0.3, "out": None, "unknown": 1, "help": True},
+     ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3"], ["--lambda", ".5"]),
+    ("regimes", {"mu_hi": 0.7, "mu_lo": 0.59, "cost": "0.0473", "lambda_range": [0.13, "2.6"], "lambda_steps": 3,
+                 "format": "json", "analysis": "quota", "seed": 2},
+     ["--mu-hi", ".7", "--mu-lo", ".59", "--cost", ".0473", "--lambda-range", "0.13", "2.6", "--lambda-steps", "3",
+      "--format", "json", "--analysis", "quota", "--seed", "2"], ["--lambda-range", "0.2", "0.8"]),
+    ("quota", {"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}, [*CANON, "--lambda", ".3"], ["--mu-lo", ".55"]),
+    ("multitask", {"mu_hi": 0.8, "mu_lo": 0.6, "lam": 0.45, "task1": "0.5,1.0,0.028", "task2": "0.5,1.0,0.03"},
+     ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".45", "--task1", "0.5,1.0,0.028", "--task2", "0.5,1.0,0.03"],
+     ["--lambda", ".3"]),
+    ("variants", {"which": "heterogeneous", "mu_hi": 0.8, "mu_lo": 0.6, "lam": 0.3, "cost_m": 0.06, "du_m": 1.25},
+     ["--which", "heterogeneous", "--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3", "--cost-m", ".06",
+      "--du-m", "1.25"], ["--which", "mixed"]),
+    ("reproduce", {"json": False}, [], ["--json"]),
+]
+
+
+@pytest.mark.parametrize("name, cfg, flags, override", CONFIG_RUNS, ids=[row[0] for row in CONFIG_RUNS])
+def test_a_config_run_equals_its_flag_run(name, cfg, flags, override, tmp_path, capsys, monkeypatch,
+                                          uncached_parsers):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    seen, added, full = [], [], []
+    real = getattr(cli, f"cmd_{name}")
+    monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or real(args))
+    build_parser, add_argument = cli.build_parser, argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(cli, "build_parser", lambda: full.append(1) or build_parser())
+
+    def counted(self, *args, **kwargs):
+        added.append(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    for typed in ([], override):
+        want = outcome([name, *flags, *typed], capsys)
+        assert want[0] == 0 and len(seen) == 1, typed
+        flag_args = vars(seen.pop())
+        for prefix in (["--config", str(path)], ["--conf", str(path)], [f"--config={path}"]):
+            added.clear()
+            assert outcome([*prefix, name, *typed], capsys) == want, (prefix, typed)
+            # the path is all the config leaves in the namespace; no full parser, no other subcommand's
+            assert vars(seen.pop()) == {**flag_args, "config": str(path)}, (prefix, typed)
+            assert set(added) == {f"riscreen {name}"} and full == [], (prefix, typed)
 
 
 def test_runs_without_config_load_no_json():

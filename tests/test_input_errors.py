@@ -1,5 +1,6 @@
 """Input errors: each bad CLI input exits 2 with one error line, each bad library input raises ValueError."""
 
+import json
 import math
 import re
 
@@ -23,7 +24,8 @@ from riscreen import (
 GAME = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", ".3"]
 TASK = ["--task2", "0.5,1.0,0.03"]
 LAM_GRID_ERROR = "need 0 < lo < hi and at least two steps in the lambda grid"
-CONFIGS = {"list.json": "[1, 2]", "steps.json": '{"lambda_steps": 2.5}', "range.json": '{"lambda_range": [0.1, "x"]}'}
+CONFIGS = {"list.json": b"[1, 2]", "profile.json": b'{"profile": 5}', "task.json": b'{"task1": 5}',
+           "bytes.json": b'\xff\xfe{"mu_hi": 0.8}'}
 GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1) + lo, its last point, must be finite"
 
 
@@ -58,24 +60,46 @@ GRID_OVERFLOW = "the lambda grid overflows: (hi - lo) * (steps - 1) / (steps - 1
     (["variants", "--which", "continuous", "--lambda-steps", "1" + "0" * 400], GRID_OVERFLOW),
     (["equilibria", *GAME, "--out", "{tmp}/missing/x"], "cannot write '{tmp}/missing/x': "),
     (["--config", "{tmp}/list.json", "equilibria"], "config '{tmp}/list.json' must hold a JSON object"),
-    # a config value is a default, which argparse does not convert unless it is a string
-    (["--config", "{tmp}/steps.json", "regimes", "--mu-hi", ".8", "--mu-lo", ".6"],
-     "config '{tmp}/steps.json' key 'lambda_steps' must be an integer, got 2.5"),
-    (["--config", "{tmp}/range.json", "regimes", "--mu-hi", ".8", "--mu-lo", ".6"],
-     "config '{tmp}/range.json' key 'lambda_range' must be a list of 2 numbers, got [0.1, 'x']"),
+    (["--config", "{tmp}/bytes.json", "equilibria"], "cannot read config '{tmp}/bytes.json': "),
+    # a config value is its flag's text: these the flag accepts, and the model refuses
+    (["--config", "{tmp}/profile.json", "signal", *GAME], "profile must look like 'hi,lo', got '5'"),
+    (["--config", "{tmp}/task.json", "multitask", *GAME, *TASK], "expected three comma-separated numbers, got '5'"),
 ], ids=["profile", "task-triple", "task-cost", "task-beta", "du-m", "tiny-cost-order", "ref-prior", "kappa",
         "continuous-lam", "regimes-lam-inf", "regimes-grid-overflow", "continuous-grid-overflow",
         "regimes-last-point-inf", "continuous-last-point-inf", "regimes-steps-overflow", "continuous-steps-overflow",
-        "out-dir", "config-list", "config-steps", "config-range"])
+        "out-dir", "config-list", "config-bytes", "config-profile", "config-task"])
 def test_a_bad_cli_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
-    for name, text in CONFIGS.items():
-        (tmp_path / name).write_text(text)
+    for name, data in CONFIGS.items():
+        (tmp_path / name).write_bytes(data)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: " + message.format(tmp=tmp_path))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("cfg, argv, message", [
+    ({"lambda_steps": 2.5}, ["regimes"], "argument --lambda-steps: invalid int value: '2.5'"),
+    ({"lambda_range": [0.1, "x"]}, ["regimes"], "argument --lambda-range: invalid float value: 'x'"),
+    # a list longer than the option's count stays one value, so no item is read as a flag
+    ({"lambda_range": [0.1, 2, "--lambda-steps", "3"]}, ["regimes"], "argument --lambda-range: expected 2 arguments"),
+    ({"analysis": 5}, ["regimes"], "argument --analysis: invalid choice: '5'"),
+    ({"format": "xml"}, ["regimes"], "argument --format: invalid choice: 'xml'"),
+    ({"oracle": "no"}, ["signal", "--lambda", ".3"], "argument --oracle: ignored explicit argument 'no'"),
+    ({"mu_hi": None}, ["equilibria", "--lambda", ".3"], "the following arguments are required: --mu-hi"),
+    # the config's text is parsed before the typed flag that overrides it
+    ({"lambda_steps": "x"}, ["regimes", "--lambda-steps", "3"], "argument --lambda-steps: invalid int value: 'x'"),
+], ids=["steps", "range", "long-range", "analysis", "format", "oracle", "null", "overridden-steps"])
+def test_a_config_value_its_flag_refuses_gets_the_usage_error(cfg, argv, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, **cfg}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(path), *argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith(f"usage: riscreen {argv[0]} ") and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(f"riscreen {argv[0]}: error: {message}")
 
 
 @pytest.mark.parametrize("build, message", [

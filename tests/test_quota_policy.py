@@ -311,6 +311,18 @@ def test_asymmetric_quota_gains_lie_within_the_gain_bounds(game):
         assert incentive_gain(game, signal, shirker, HI) >= least - GAIN_ALLOWANCE, profile
 
 
+@helpers.draws(5000, seed=40002, params=helpers.quota_game)
+def test_the_quota_lists_mirror_profiles_together(params):
+    """Mirror symmetry of quota_equilibrium_set on helpers.quota_game draws.
+
+    The knife band of helpers.quota_knife_game, where a shirker's gain meets
+    c to within rounding, is not sampled: the mirrored signal rounds apart
+    from the original there, so the mirrors can split, as the docstring of
+    quota_equilibrium_set records with an example.
+    """
+    helpers.assert_mirrored(quota_equilibrium_set(params))
+
+
 def test_root_search_keeps_the_sign_of_a_tiny_multiplier():
     # pi_bar - 1/2 is rounding noise 1e-12 wide in nu here; the tanh residual is not
     game = GameParams(0.6375755851878737, 0.6375755851878736, 1.0, 5623.413251903491)
