@@ -278,13 +278,16 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     X = Y = g(gamma). The (hi, lo) profile gets the always-promote-m signal
     once gamma <= A/B (lam >= lambda_breve), and otherwise the tilted
     interior signal with pi_bar = pi(0) = (gamma A - B)/((gamma - 1)(A + B)),
-    X = f(gamma) and Y = (A/B) f(gamma). The (lo, hi) profile is the mirror
-    image. The labels are checked here; the signal is the profile's entry
-    of :func:`_profile_signals`.
+    X = f(gamma) and Y = (A/B) f(gamma). It has pi(1) > pi(0) > 1/2, and
+    pi(-1) < 1/2 exactly while lam < 1/ln((A + sqrt((A - B)(A + B)))/B),
+    where 2 r (A - r B) < (1 - r^2) B: w is favored only after an
+    outstanding outcome (d = -1). (lo, hi) gets its mirror image. The labels
+    are checked here; both signals come from :func:`_profile_signals`.
     """
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
-    return _profile_signals(params, params.lam)[PROFILES.index((e_m, e_w))]
+    impartial, tilted = _profile_signals(params, params.lam)
+    return impartial if e_m == e_w else tilted if e_m == HI else tilted.mirrored()
 
 
 def _impartial_signal(r: float) -> PromotionSignal:
@@ -294,16 +297,14 @@ def _impartial_signal(r: float) -> PromotionSignal:
 
 
 def _profile_signals(game, lam: float) -> tuple:
-    """The optimal signal of each profile in PROFILES order at lam, for a game with A and B
-    (a GameParams or a _Game), from two kernels: (lo, lo) shares the impartial signal of
-    (hi, hi) and (lo, hi) mirrors (hi, lo)."""
+    """The two kernels at lam, for a game with A and B (a GameParams or a _Game): the impartial
+    signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors."""
     # everything is evaluated in r = 1/gamma = exp(-1/lam), which stays in
     # (0, 1] for every lam > 0 and underflows harmlessly to the costless limit
     r = math.exp(-1.0 / lam)
     # the (hi, lo) corner always promotes m: A >= B
     pi_minus, pi_bar, pi_plus = signal_from_odds(game.A, game.B, r) or (1.0, 1.0, 1.0)
-    impartial, tilted = _impartial_signal(r), PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
-    return impartial, tilted, tilted.mirrored(), impartial
+    return _impartial_signal(r), PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
 
 
 def signal_from_odds(A: float, B: float, r: float) -> tuple | None:
@@ -416,6 +417,16 @@ def _supports(prior: tuple, signal: PromotionSignal, c_m: float, c_w: float) -> 
     return _incentive_holds(e_m, gain_m, c_m) and _incentive_holds(e_w, gain_w, c_w)
 
 
+def _supported(priors: tuple, impartial: PromotionSignal, tilted, c_m: float, c_w: float) -> tuple:
+    """:func:`_supports` of each profile in PROFILES order at the four priors of a _Game, the impartial
+    signal and the (hi, lo) signal tilted (None: both asymmetric profiles are out). (lo, hi) is (hi, lo)
+    with the names swapped: it passes where (hi, lo) passes at the swapped costs (c_w, c_m)."""
+    return (_supports(priors[0], impartial, c_m, c_w),
+            tilted is not None and _supports(priors[1], tilted, c_m, c_w),
+            tilted is not None and _supports(priors[1], tilted, c_w, c_m),
+            _supports(priors[3], impartial, c_m, c_w))
+
+
 def _incentive_holds(effort: str, gain: float, c: float) -> bool:
     """One agent's incentive constraint, to IC_TOL min(1, c): gain >= c if it works high, gain <= c if low."""
     tol = IC_TOL * c if c < 1.0 else IC_TOL
@@ -515,17 +526,24 @@ def _game(params: GameParams) -> _Game:
                  tuple(_profile_prior(mu_hi, mu_lo, p) for p in PROFILES))
 
 
-def _equilibria(priors: tuple, lam: float, signals: tuple, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
-    """The enumeration of every pure analysis: each profile whose signal passes :func:`_supports` at
-    (c_m, c_w), valued by :func:`_value` at these costs and weights; priors are the profiles'
-    _profile_prior entries of a _Game (all four, or a subsequence), signals theirs in the same order."""
-    return [_value(prior, signal, lam, costs, weights)
-            for prior, signal in zip(priors, signals) if _supports(prior, signal, c_m, c_w)]
+def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
+    """The enumeration of every pure analysis: each profile that :func:`_supported` keeps at (c_m, c_w),
+    valued by :func:`_value` at these costs and weights. (lo, hi)'s record is (hi, lo)'s with the signal
+    mirrored and each agent's utility at its own cost and weight, u_m = du_m (1 - pi_bar) and
+    u_w = du_w pi_bar - cost_w. priors are the four of a _Game, impartial and tilted as in _supported."""
+    hi_hi, hi_lo, lo_hi, lo_lo = _supported(priors, impartial, tilted, c_m, c_w)
+    found = [_value(priors[0], impartial, lam, costs, weights)] if hi_hi else []
+    if hi_lo or lo_hi:
+        record, pi_bar = _value(priors[1], tilted, lam, costs, weights), tilted.pi_bar
+        found += [record] if hi_lo else []
+        found += [record._replace(profile=(LO, HI), signal=tilted.mirrored(), utility_m=weights[0] * (1.0 - pi_bar),
+                                  utility_w=weights[1] * pi_bar - costs[1])] if lo_hi else []
+    return found + ([_value(priors[3], impartial, lam, costs, weights)] if lo_lo else [])
 
 
 def _pure_equilibria(game: _Game, lam: float) -> list:
     """equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
-    return _equilibria(game.priors, lam, _profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
+    return _equilibria(game.priors, lam, *_profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -541,9 +559,9 @@ def equilibrium_set(params: GameParams) -> list:
 def most_profitable(params: GameParams) -> list:
     """Equilibrium records attaining the highest profit.
 
-    The two mirror discriminatory equilibria earn identical profits, so the
-    list has length two whenever a discriminatory equilibrium is on top, and
-    length one otherwise.
+    (lo, hi) is tested and valued as (hi, lo) with the names swapped, so the
+    two mirror discriminatory equilibria tie bit for bit: the list has length
+    two whenever a discriminatory equilibrium is on top, and one otherwise.
     """
     return most_profitable_among(equilibrium_set(params))
 

@@ -443,8 +443,9 @@ def _config_flags(parser: argparse.ArgumentParser, cfg: dict) -> list:
     return flags
 
 
-# --config belongs to the top-level parser: look for it before the subcommand only
+# --config belongs to the top-level parser: look for it before the subcommand only, with its usage error
 _PROBE = argparse.ArgumentParser(add_help=False)
+_PROBE.error = lambda message: build_parser().error(message)
 _PROBE.add_argument("--config", default=None)
 _PROBE.add_argument("command", nargs=argparse.REMAINDER)
 

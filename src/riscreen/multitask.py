@@ -18,9 +18,9 @@ from .baseline_game import (
     PROFILES,
     GameParams,
     _game,
-    _gains,
     _incentive_holds,
     _profile_signals,
+    _supported,
     _ties_at_best,
     _value,
 )
@@ -97,9 +97,9 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     additively separable), so the check is per task: the task-t effort pair
     must survive both incentive constraints of the task-t game. A task game
     differs from game only in cost_C, and signals, gains and profits do not
-    depend on the cost, so each effort pair's gains are taken once and
-    compared with both task games' c, and each pair some joint equilibrium
-    uses is valued once. The principal's payoff adds the per-task profits
+    depend on the cost, so the two signals are formed once and tested against
+    both task games' c, and each pair some joint equilibrium uses is valued
+    once, (lo, hi) as (hi, lo). The principal's payoff adds the per-task profits
     weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
     """
     return _multitask_equilibria(_multitask_game(game, tasks), game.lam)
@@ -114,10 +114,9 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
 def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
     game, costs, alpha1, alpha2 = multitask_game
-    signals = _profile_signals(game, lam)
-    gains = [_gains(prior[1], prior[2], s) for prior, s in zip(game.priors, signals)]
-    supported = [[_incentive_holds(e_m, gain_m, c) and _incentive_holds(e_w, gain_w, c)
-                  for (e_m, e_w), (gain_m, gain_w) in zip(PROFILES, gains)] for c in costs]
+    impartial, tilted = _profile_signals(game, lam)
+    signals = (impartial, tilted, tilted.mirrored(), impartial)
+    supported = [_supported(game.priors, impartial, tilted, c, c) for c in costs]
     profits = [None] * 4
     if any(supported[0]) and any(supported[1]):
         for i in {1 if i == 2 else i for ok in supported for i in range(4) if ok[i]}:

@@ -133,25 +133,25 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     and conditionals sigmoid((d - nu)/lam), so nu solves the single
     consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2, a cubic in
     exp(nu/lam) with one positive root. :func:`_tilt` takes nu from that
-    cubic in closed form for the profile in which m works (nu > 0); the
-    mirror profile has the mirror prior and -nu. No root is searched. The
-    returned signal is the logit rule at nu, with pi_bar = sum_d p(d) pi(d)
-    computed, not assumed, and checked against the quota to QUOTA_TOL
-    (BracketError otherwise).
+    cubic in closed form for (hi, lo), where m works (nu > 0). No root is
+    searched. The returned signal is the logit rule at nu, with
+    pi_bar = sum_d p(d) pi(d) computed, not assumed, and checked against
+    the quota to QUOTA_TOL (BracketError otherwise). (lo, hi) is (hi, lo)
+    with the names swapped: its solution is exactly -nu and the mirror of
+    the signal of (hi, lo).
     """
     e_m, e_w = profile
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile))
-    prior = state_distribution(params, profile)
-    s, y = _tilt(*(prior[::-1] if e_m == LO else prior), params.delta_mu, params.lam)
-    return _quota_solution(prior, s, y, params.lam, e_m == LO)
+    params.mu(e_m), params.mu(e_w)
+    prior = state_distribution(params, (HI, LO))
+    nu, signal = _quota_solution(prior, *_tilt(*prior, params.delta_mu, params.lam), params.lam)
+    return QuotaSolution(nu, signal) if e_m == HI else QuotaSolution(-nu, signal.mirrored())
 
 
-def _quota_solution(prior: tuple, s: float, y: float, lam: float, mirror: bool) -> QuotaSolution:
-    """find_multiplier's rule at the tilt (s, y); mirror for the profile where w works."""
+def _quota_solution(prior: tuple, s: float, y: float, lam: float) -> QuotaSolution:
+    """find_multiplier's rule for (hi, lo) at the tilt (s, y)."""
     nu, t = s + lam * y, (-(1.0 + s) / lam - y, -s / lam - y, (1.0 - s) / lam - y)
-    if mirror:  # a - b is -(b - a) exactly
-        nu, t = -nu, (-t[2], -t[1], -t[0])
     q = tuple(map(_sigmoid, t))
     pi_bar = prior[0] * q[0] + prior[1] * q[1] + prior[2] * q[2]
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
@@ -171,18 +171,17 @@ def quota_equilibrium_set(params: GameParams) -> list:
     constraints of an asymmetric profile can hold to IC_TOL min(1, c). At
     GameParams(0.8885586675347767, 0.11144133246522533, 0.09972474181102377,
     1.9056210918215344), where mu_hi + mu_lo - 1 = 2.0e-15, the quota keeps
-    (hi, lo), (lo, hi) and (lo, lo). The mirrors can split there, as
-    _sigmoid(-t) rounds unlike 1 - _sigmoid(t): at GameParams(0.8352000459997866,
-    0.1648019293130466, 0.00020554994269688886, 815.371222997398) the quota
-    keeps (lo, hi) but not (hi, lo). The case mu_hi + mu_lo <= 1 is not
+    (hi, lo), (lo, hi) and (lo, lo). The case mu_hi + mu_lo <= 1 is not
     characterized and is refused.
 
     The worker's gain is at most tanh(1/(4 lam)) and the shirker's at least
     tanh(1/lam)/4 (:func:`_asymmetric_open`). Where either bound already
     fails its constraint, the asymmetric profiles are out and no tilt is
     solved, so find_multiplier's QUOTA_TOL check (a BracketError) is not
-    run there. Otherwise (lo, hi), whose prior is that of (hi, lo) reversed,
-    takes its nu from the one tilt of (hi, lo).
+    run there. Otherwise the one tilt of (hi, lo) is solved, and (lo, hi)
+    is tested and valued as (hi, lo) with the names swapped, so the two are
+    listed together, with the same profit, bit for bit, even where a gain
+    meets c within rounding.
     """
     return _quota_equilibria(_quota_game(params), params.lam)
 
@@ -212,11 +211,9 @@ def _asymmetric_open(c: float, lam: float) -> bool:
 
 def _quota_equilibria(game: _Game, lam: float) -> list:
     """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _quota_game)."""
-    impartial = _impartial_signal(math.exp(-1.0 / lam))
-    priors, signals = game.priors[::3], (impartial, impartial)
+    tilted = None
     if _asymmetric_open(game.c, lam):
         prior = game.priors[1][3:]  # (p(-1), p(0), p(1)) of (hi, lo)
-        s, y = _tilt(*prior, game.mu_hi - game.mu_lo, lam)
-        priors, signals = game.priors, (impartial, _quota_solution(prior, s, y, lam, False).signal,
-                                        _quota_solution(prior[::-1], s, y, lam, True).signal, impartial)
-    return _equilibria(priors, lam, signals, game.c, game.c, game.costs, (1.0, 1.0))
+        tilted = _quota_solution(prior, *_tilt(*prior, game.mu_hi - game.mu_lo, lam), lam).signal
+    impartial = _impartial_signal(math.exp(-1.0 / lam))
+    return _equilibria(game.priors, lam, impartial, tilted, game.c, game.c, game.costs, (1.0, 1.0))

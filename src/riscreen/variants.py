@@ -82,7 +82,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
     """
-    return _equilibria(_game(game).priors, game.lam, _profile_signals(game, game.lam),
+    return _equilibria(_game(game).priors, game.lam, *_profile_signals(game, game.lam),
                        *het.effective_costs(game.delta_mu), (het.cost_m, het.cost_w), (het.du_m, het.du_w))
 
 
@@ -152,7 +152,7 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
     """commitment_solve at lam of the game whose lambda-independent part is variants."""
     base = variants.base
     priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
-    impartial, disc_signal, _, _ = _profile_signals(base, lam)
+    impartial, disc_signal = _profile_signals(base, lam)
     if lam <= variants.lam_star + 1e-15:
         rec = _value(priors[0], impartial, lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})

@@ -205,14 +205,15 @@ def edge_game(rng: random.Random) -> GameParams:
 
 def assert_mirrored(records: list) -> None:
     """records list (hi, lo) exactly when they list (lo, hi), the two with
-    profits equal to 1e-12 and u_m and u_w swapped to 1e-12."""
+    equal profit, revenue, info_cost and classification and u_m and u_w
+    swapped, all exactly."""
     by_profile = {rec.profile: rec for rec in records}
     hi_lo, lo_hi = by_profile.get((riscreen.HI, riscreen.LO)), by_profile.get((riscreen.LO, riscreen.HI))
     assert (hi_lo is None) == (lo_hi is None), sorted(by_profile)
     if hi_lo is not None:
-        assert abs(hi_lo.profit - lo_hi.profit) <= 1e-12, (hi_lo.profit, lo_hi.profit)
-        assert abs(hi_lo.utility_m - lo_hi.utility_w) <= 1e-12, (hi_lo.utility_m, lo_hi.utility_w)
-        assert abs(hi_lo.utility_w - lo_hi.utility_m) <= 1e-12, (hi_lo.utility_w, lo_hi.utility_m)
+        fields = ("profit", "revenue", "info_cost", "classification", "utility_m", "utility_w")
+        swapped = ("profit", "revenue", "info_cost", "classification", "utility_w", "utility_m")
+        assert [getattr(hi_lo, f) for f in fields] == [getattr(lo_hi, f) for f in swapped], (hi_lo, lo_hi)
 
 
 def multitask_game(rng: random.Random) -> tuple:
@@ -405,21 +406,30 @@ def quota_multiplier_by_root(params: GameParams, profile: tuple):
 
 def reference_quota_equilibrium_set(params: GameParams) -> list:
     """:func:`riscreen.quota_equilibrium_set` profile by profile, its reference:
-    find_multiplier, supports_profile and evaluate for each of PROFILES, with
-    one tilt solved per asymmetric profile."""
-    from riscreen import PROFILES, evaluate, find_multiplier
+    find_multiplier, supports_profile and evaluate for (hi, hi), (hi, lo) and
+    (lo, lo), each solved on its own. (lo, hi) is (hi, lo) with the names
+    swapped: its record is that of (hi, lo) with the signal mirrored and the
+    utilities swapped, once find_multiplier is checked to give it exactly
+    -nu and the mirrored signal of (hi, lo)."""
+    from riscreen import HI, LO, PROFILES, evaluate, find_multiplier
     from riscreen.baseline_game import supports_profile
 
     if not params.mu_hi + params.mu_lo > 1.0:
         raise ValueError(
             f"quota analysis requires mu_hi + mu_lo > 1 (got {params.mu_hi + params.mu_lo!r})"
         )
-    found = []
-    for profile in PROFILES:
+    found = {}
+    for profile in ((HI, HI), (HI, LO), (LO, LO)):
         signal = find_multiplier(params, profile).signal
         if supports_profile(params, signal, profile):
-            found.append(evaluate(params, profile, signal))
-    return found
+            found[profile] = evaluate(params, profile, signal)
+    hi_lo = find_multiplier(params, (HI, LO))
+    assert find_multiplier(params, (LO, HI)) == (-hi_lo.nu, hi_lo.signal.mirrored())
+    if (HI, LO) in found:
+        rec = found[HI, LO]
+        found[LO, HI] = rec._replace(profile=(LO, HI), signal=rec.signal.mirrored(),
+                                     utility_m=rec.utility_w, utility_w=rec.utility_m)
+    return [found[p] for p in PROFILES if p in found]
 
 
 def odds_roots_by_search(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:

@@ -38,6 +38,7 @@ from riscreen.baseline_game import (
     _profile_prior,
     _supports,
     most_profitable_among,
+    signal_from_odds,
     signal_oracle_residual,
     supports_profile,
 )
@@ -524,6 +525,22 @@ def any_domain_game(rng: random.Random) -> GameParams:
 @helpers.draws(10000, seed=40001, params=any_domain_game)
 def test_mirror_profiles_are_listed_together(params):
     helpers.assert_mirrored(equilibrium_set(params))
+
+
+@helpers.draws(20000, seed=41001, params=any_domain_game)
+def test_w_is_favored_only_after_an_outstanding_outcome(params):
+    """The paper's claim 2 on every interior (hi, lo) signal: pi(1) >= pi(0) > 1/2, and pi(-1) < 1/2
+    exactly when lam < 1/ln((A + sqrt((A - B)(A + B)))/B), where 2 r (A - r B) < (1 - r^2) B.
+    Draws within 1e-9 relative of that cutoff are skipped."""
+    A, B = params.A, params.B
+    if signal_from_odds(A, B, math.exp(-1.0 / params.lam)) is None:
+        return
+    sig = optimal_signal(params, (HI, LO))
+    assert sig.pi_plus >= sig.pi_zero > 0.5, sig
+    dmu = params.delta_mu  # A - B, without its cancellation
+    cutoff = 1.0 / math.log1p((dmu + math.sqrt(dmu * (A + B))) / B)
+    if abs(params.lam - cutoff) > 1e-9 * cutoff:
+        assert (sig.pi_minus < 0.5) == (params.lam < cutoff), (sig, cutoff)
 
 
 class TestProfit:

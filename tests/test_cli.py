@@ -41,6 +41,18 @@ def test_an_unknown_subcommand_gets_the_top_level_usage(capsys):
     assert "invalid choice: 'bogus'" in err
 
 
+@pytest.mark.parametrize("argv", [["--config"], ["--conf"]], ids=["config", "conf"])
+def test_a_config_without_a_path_gets_the_top_level_usage(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage wraps after [--config CONFIG]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[0] == "usage: riscreen [-h] [--config CONFIG]"
+    assert err.splitlines()[-1] == "riscreen: error: argument --config: expected one argument"
+    assert "Traceback" not in err
+
+
 class TestSignalCommand:
     def test_published_table_rows(self, capsys):
         code, out, _ = run(["signal", *CANON, "--lambda", ".3", "--profile", "hi,lo"], capsys)

@@ -71,7 +71,7 @@ class TestFindMultiplier:
     def test_mirror_multiplier_flips_sign(self):
         plus = find_multiplier(GAME, (HI, LO))
         minus = find_multiplier(GAME, (LO, HI))
-        assert minus.nu == pytest.approx(-plus.nu, abs=1e-9)
+        assert minus == (-plus.nu, plus.signal.mirrored())
 
     def test_bisection_from_two_brackets_agrees(self):
         # pi_bar - 1/2 of the binding logit rule sigmoid((d - nu)/lam), decreasing in nu
@@ -136,7 +136,7 @@ class TestFindMultiplier:
             for profile in ((HI, LO), (LO, HI)):
                 calls.clear()
                 find_multiplier(game, profile)
-                assert calls == [(game, profile)]
+                assert calls == [(game, (HI, LO))]  # (lo, hi) is solved as (hi, lo)
 
 
 class TestQuotaEquilibria:
@@ -311,16 +311,25 @@ def test_asymmetric_quota_gains_lie_within_the_gain_bounds(game):
         assert incentive_gain(game, signal, shirker, HI) >= least - GAIN_ALLOWANCE, profile
 
 
-@helpers.draws(5000, seed=40002, params=helpers.quota_game)
-def test_the_quota_lists_mirror_profiles_together(params):
-    """Mirror symmetry of quota_equilibrium_set on helpers.quota_game draws.
+def quota_or_knife_game(rng):
+    """A draw of helpers.quota_game or helpers.quota_knife_game."""
+    return rng.choice((helpers.quota_game, helpers.quota_knife_game))(rng)
 
-    The knife band of helpers.quota_knife_game, where a shirker's gain meets
-    c to within rounding, is not sampled: the mirrored signal rounds apart
-    from the original there, so the mirrors can split, as the docstring of
-    quota_equilibrium_set records with an example.
-    """
+
+@helpers.draws(5000, seed=40002, params=quota_or_knife_game)
+def test_the_quota_lists_mirror_profiles_together(params):
+    """Mirror symmetry of quota_equilibrium_set, also in the knife band of
+    helpers.quota_knife_game, where a shirker's gain meets c within rounding."""
     helpers.assert_mirrored(quota_equilibrium_set(params))
+
+
+def test_the_mirrors_do_not_split_at_the_knife_edge():
+    # a gain meets c within rounding here, so mirror signals formed apart (sigmoid(-t) against
+    # 1 - sigmoid(t)) would split the pair
+    game = GameParams(0.8352000459997866, 0.1648019293130466, 0.00020554994269688886, 815.371222997398)
+    records = quota_equilibrium_set(game)
+    helpers.assert_mirrored(records)
+    assert [r.profile for r in records] == [(HI, HI), (LO, LO)]
 
 
 def test_root_search_keeps_the_sign_of_a_tiny_multiplier():

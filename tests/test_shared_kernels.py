@@ -1,9 +1,11 @@
 """The enumerations solve two screening problems per lambda, not four.
 
-(lo, lo) shares the impartial signal of (hi, hi), (lo, hi) is the mirror of
-(hi, lo), and under the quota both asymmetric profiles bind at one tilt, which
-is solved only where the closed-form gain bounds leave them open. The shared
-results must equal the per-profile ones bit for bit.
+(lo, lo) shares the impartial signal of (hi, hi), and (lo, hi) is (hi, lo)
+with the agents' names swapped: it is tested with (hi, lo)'s gains swapped and
+valued as (hi, lo), its signal the mirror of (hi, lo)'s. Under the quota the
+one tilt of (hi, lo) is solved only where the closed-form gain bounds leave the
+asymmetric profiles open. The shared results must equal the per-profile ones
+bit for bit.
 """
 
 import pytest
@@ -34,7 +36,9 @@ def outcome(f, *args):
 
 @helpers.draws(200, seed=31014, game=helpers.domain_game)
 def test_shared_signals_and_tilt_equal_the_per_profile_solves(game):
-    assert hexed(_profile_signals(game, game.lam)) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
+    impartial, tilted = _profile_signals(game, game.lam)
+    per_profile = (impartial, tilted, tilted.mirrored(), impartial)
+    assert hexed(per_profile) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
     # the quota refuses mu_hi + mu_lo <= 1; mu -> 1 - mu flips the sum across 1
     games = [game]
     if 1.0 - game.mu_hi < 1.0 - game.mu_lo:
