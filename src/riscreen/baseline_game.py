@@ -107,27 +107,24 @@ class StateDistribution(_Validated, namedtuple("StateDistribution", "p_minus p_z
         return tuple.__new__(cls, (p_minus, p_zero, p_plus))
 
 
-class PromotionSignal(namedtuple("PromotionSignal", "pi_minus pi_zero pi_plus pi_bar")):
+class PromotionSignal(namedtuple("PromotionSignal", "pi_minus pi_zero pi_plus pi_bar X Y")):
     """Promotion probabilities for m conditional on the productivity difference.
 
     pi_bar is the average promotion probability under the distribution the
     signal was derived for. X = pi(1) - pi(0) is the promotion bonus for
-    outperforming, Y = pi(0) - pi(-1) the penalty for underperforming.
+    outperforming, Y = pi(0) - pi(-1) the penalty for underperforming: stored
+    by :func:`_logit_rule` without cancellation, or else taken as differences.
     """
 
     __slots__ = ()
 
+    def __new__(cls, pi_minus: float, pi_zero: float, pi_plus: float, pi_bar: float, X=None, Y=None):
+        X, Y = pi_plus - pi_zero if X is None else X, pi_zero - pi_minus if Y is None else Y
+        return tuple.__new__(cls, (pi_minus, pi_zero, pi_plus, pi_bar, X, Y))
+
     def as_tuple(self) -> tuple:
         """(pi(-1), pi(0), pi(1))."""
         return (self.pi_minus, self.pi_zero, self.pi_plus)
-
-    @property
-    def X(self) -> float:
-        return self.pi_plus - self.pi_zero
-
-    @property
-    def Y(self) -> float:
-        return self.pi_zero - self.pi_minus
 
     @property
     def impartial(self) -> bool:
@@ -143,9 +140,9 @@ class PromotionSignal(namedtuple("PromotionSignal", "pi_minus pi_zero pi_plus pi
         return all(p == 0.0 for p in probs) or all(p == 1.0 for p in probs)
 
     def mirrored(self) -> "PromotionSignal":
-        """The same screening rule with the agents' roles swapped."""
-        q_minus, q_zero, q_plus, pi_bar = self
-        return PromotionSignal(1.0 - q_plus, 1.0 - q_zero, 1.0 - q_minus, 1.0 - pi_bar)
+        """The same screening rule with the agents' roles swapped: X and Y trade places."""
+        q_minus, q_zero, q_plus, pi_bar, X, Y = self
+        return PromotionSignal(1.0 - q_plus, 1.0 - q_zero, 1.0 - q_minus, 1.0 - pi_bar, Y, X)
 
 
 class ThresholdSet(namedtuple(
@@ -272,17 +269,14 @@ def f_inverse(params: GameParams, x: float) -> float:
 
 
 def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
-    """The principal's optimal promotion signal for a fixed effort profile.
+    """The principal's optimal promotion signal for a fixed effort profile: a :func:`_logit_rule`.
 
-    Symmetric profiles get the impartial signal with pi(0) = pi_bar = 1/2 and
-    X = Y = g(gamma). The (hi, lo) profile gets the always-promote-m signal
-    once gamma <= A/B (lam >= lambda_breve), and otherwise the tilted
-    interior signal with pi_bar = pi(0) = (gamma A - B)/((gamma - 1)(A + B)),
-    X = f(gamma) and Y = (A/B) f(gamma). It has pi(1) > pi(0) > 1/2, and
-    pi(-1) < 1/2 exactly while lam < 1/ln((A + sqrt((A - B)(A + B)))/B),
-    where 2 r (A - r B) < (1 - r^2) B: w is favored only after an
-    outstanding outcome (d = -1). (lo, hi) gets its mirror image. The labels
-    are checked here; both signals come from :func:`_profile_signals`.
+    Symmetric profiles get the impartial signal, intercept s = 0 and X = Y = g(gamma). The (hi, lo)
+    profile gets the always-promote-m signal once gamma <= A/B (lam >= lambda_breve), and otherwise
+    that of :func:`signal_from_odds`, pi_bar = pi(0) = (gamma A - B)/((gamma - 1)(A + B)), X = f(gamma)
+    and Y = (A/B) f(gamma). It has pi(1) > pi(0) > 1/2, and pi(-1) < 1/2 exactly while
+    lam < 1/ln((A + sqrt((A - B)(A + B)))/B), where 2 r (A - r B) < (1 - r^2) B: w is favored only
+    after an outstanding outcome (d = -1). (lo, hi) gets its mirror image. The labels are checked here.
     """
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
@@ -290,36 +284,50 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     return impartial if e_m == e_w else tilted if e_m == HI else tilted.mirrored()
 
 
-def _impartial_signal(r: float) -> PromotionSignal:
-    """The optimal signal of a symmetric profile at r = exp(-1/lam): pi(1) = 1/(1 + r)."""
-    pi_plus = 1.0 / (1.0 + r)
-    return PromotionSignal(1.0 - pi_plus, 0.5, pi_plus, 0.5)
+def _logit_rule(s: float, lam: float) -> PromotionSignal:
+    """The logit rule logit pi(d) = s + d/lam (Matejka & McKay 2015), pi_bar = pi(0), with its bonuses.
+
+    Each conditional is sigmoid(t), t = s + d/lam, in [0, 1]. Each bonus is
+    sigmoid(a) - sigmoid(b), a - b = 1/lam, taken without cancellation as
+    sinh(1/(2 lam)) / (2 cosh(a/2) cosh(b/2)) = E (1 - e^(-1/lam)) / ((1 + e^-|a|) (1 + e^-|b|)),
+    where E = exp(min(0, a, -b)) is e^-|b| if b >= 0, e^-|a| if a <= 0 and 1 otherwise: the three
+    e^-|t| serve all five values. X at s is Y at -s, bit for bit.
+    """
+    inv = 1.0 / lam
+    t_minus, t_plus, k = s - inv, s + inv, -math.expm1(-inv)
+    e_minus, e_zero, e_plus = math.exp(-abs(t_minus)), math.exp(-abs(s)), math.exp(-abs(t_plus))
+    pi_zero = 1.0 / (1.0 + e_zero) if s >= 0.0 else e_zero / (1.0 + e_zero)
+    return tuple.__new__(PromotionSignal, (  # all six fields in hand: no defaults to fill
+        1.0 / (1.0 + e_minus) if t_minus >= 0.0 else e_minus / (1.0 + e_minus), pi_zero,
+        1.0 / (1.0 + e_plus) if t_plus >= 0.0 else e_plus / (1.0 + e_plus), pi_zero,
+        (e_zero if s >= 0.0 else e_plus if t_plus <= 0.0 else 1.0) * k / ((1.0 + e_plus) * (1.0 + e_zero)),
+        (e_minus if t_minus >= 0.0 else e_zero if s <= 0.0 else 1.0) * k / ((1.0 + e_zero) * (1.0 + e_minus))))
 
 
 def _profile_signals(game, lam: float) -> tuple:
     """The two kernels at lam, for a game with A and B (a GameParams or a _Game): the impartial
-    signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors."""
-    # everything is evaluated in r = 1/gamma = exp(-1/lam), which stays in
-    # (0, 1] for every lam > 0 and underflows harmlessly to the costless limit
-    r = math.exp(-1.0 / lam)
-    # the (hi, lo) corner always promotes m: A >= B
-    pi_minus, pi_bar, pi_plus = signal_from_odds(game.A, game.B, r) or (1.0, 1.0, 1.0)
-    return _impartial_signal(r), PromotionSignal(pi_minus, pi_bar, pi_plus, pi_bar)
+    signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors; at its corner
+    m is always promoted, as A >= B."""
+    return _logit_rule(0.0, lam), signal_from_odds(game.A, game.B, lam) or PromotionSignal(1.0, 1.0, 1.0, 1.0)
 
 
-def signal_from_odds(A: float, B: float, r: float) -> tuple | None:
-    """(pi(-1), pi_bar, pi(1)) of the optimal signal at outcome odds A : B, or None at a corner.
+def signal_from_odds(A: float, B: float, lam: float) -> PromotionSignal | None:
+    """The optimal signal at outcome odds A : B, or None at a corner.
 
-    A = P(d = 1) and B = P(d = -1) under the effort profile, r = exp(-1/lam);
-    pi(0) = pi_bar. The signal is interior exactly when r < A/B < 1/r, tested
-    as products, so B = 0 and r = 1 are corners too; at a corner the
-    principal always promotes one agent, m when A > B. This is the one
-    interior-vs-corner decision of every closed-form signal.
+    A = P(d = 1) and B = P(d = -1) under the effort profile, r = exp(-1/lam).
+    The signal is interior exactly when r < A/B < 1/r, tested as products, so
+    B = 0 and r = 1 are corners too; at a corner the principal always promotes
+    one agent, m when A > B. This is the one interior-vs-corner decision of
+    every closed-form signal. Inside, it is the logit rule of intercept
+    s = ln(a/b), a = A - rB = -A expm1(-L - 1/lam) and b = B - rA = -B expm1(L - 1/lam),
+    L = ln(A/B) taken as a log1p of the larger over the smaller; a b (or a) that rounds to 0 is a corner.
     """
+    inv, r = 1.0 / lam, math.exp(-1.0 / lam)
     if A <= r * B or B <= r * A:
         return None
-    a, q = A - r * B, 1.0 - r * r
-    return r * a / (q * B), a / ((1.0 - r) * (A + B)), a / (q * A)
+    L = math.log1p((A - B) / B) if A >= B else -math.log1p((B - A) / A)
+    a, b = -A * math.expm1(-L - inv), -B * math.expm1(L - inv)
+    return _logit_rule(math.log(a / b), lam) if a > 0.0 and b > 0.0 else None
 
 
 def _cubic_roots(a: float, b: float, c: float, reverse: bool = True) -> list:
@@ -375,10 +383,9 @@ def signal_oracle_residual(params: GameParams, profile: tuple) -> float:
 # incentives and equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def _gains(mu_m: float, mu_w: float, signal: tuple) -> tuple:
-    """(m's gain, w's gain) from working high at bonus X = pi(1) - pi(0) and penalty Y = pi(0) - pi(-1),
-    from the first three entries of a PromotionSignal or of signal_from_odds' (pi(-1), pi_bar, pi(1))."""
-    X, Y = signal[2] - signal[1], signal[1] - signal[0]
+def _gains(mu_m: float, mu_w: float, signal: PromotionSignal) -> tuple:
+    """(m's gain, w's gain) from working high at the signal's stored bonus X and penalty Y."""
+    X, Y = signal.X, signal.Y
     return (1.0 - mu_w) * X + mu_w * Y, mu_m * X + (1.0 - mu_m) * Y
 
 
@@ -418,13 +425,13 @@ def _supports(prior: tuple, signal: PromotionSignal, c_m: float, c_w: float) -> 
 
 
 def _supported(priors: tuple, impartial: PromotionSignal, tilted, c_m: float, c_w: float) -> tuple:
-    """:func:`_supports` of each profile in PROFILES order at the four priors of a _Game, the impartial
+    """:func:`_supports` of each profile in PROFILES order at the three priors of a _Game, the impartial
     signal and the (hi, lo) signal tilted (None: both asymmetric profiles are out). (lo, hi) is (hi, lo)
     with the names swapped: it passes where (hi, lo) passes at the swapped costs (c_w, c_m)."""
     return (_supports(priors[0], impartial, c_m, c_w),
             tilted is not None and _supports(priors[1], tilted, c_m, c_w),
             tilted is not None and _supports(priors[1], tilted, c_w, c_m),
-            _supports(priors[3], impartial, c_m, c_w))
+            _supports(priors[2], impartial, c_m, c_w))
 
 
 def _incentive_holds(effort: str, gain: float, c: float) -> bool:
@@ -498,7 +505,7 @@ def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weig
     """evaluate at a profile's prior (from _profile_prior), with agent i's utility weight_i times its
     promotion probability, less cost_i when it works high."""
     (e_m, e_w), _, mu_w, p_minus, p_zero, p_plus = prior
-    q_minus, q_zero, q_plus, pi_bar = signal
+    q_minus, q_zero, q_plus, pi_bar = signal[:4]
     mean = p_minus * q_minus + p_zero * q_zero + p_plus * q_plus
     if abs(pi_bar - mean) > 1e-12:
         raise ValueError(f"signal pi_bar={pi_bar!r} is not the prior mean {mean!r} of its conditionals")
@@ -514,8 +521,8 @@ def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weig
     )
 
 
-#: the lambda-independent part of a game's analyses: mu_hi, mu_lo, A, B, c,
-#: (cost_C, cost_C) and each profile's _profile_prior in PROFILES order
+#: the lambda-independent part of a game's analyses: mu_hi, mu_lo, A, B, c, (cost_C, cost_C)
+#: and the _profile_prior of (hi, hi), (hi, lo) and (lo, lo), as (lo, hi) is valued as (hi, lo)
 _Game = namedtuple("_Game", "mu_hi mu_lo A B c costs priors")
 
 
@@ -523,14 +530,14 @@ def _game(params: GameParams) -> _Game:
     """The _Game of params, whose lam it ignores."""
     mu_hi, mu_lo, cost_C, _ = params
     return _Game(mu_hi, mu_lo, params.A, params.B, cost_C / (mu_hi - mu_lo), (cost_C, cost_C),
-                 tuple(_profile_prior(mu_hi, mu_lo, p) for p in PROFILES))
+                 tuple(_profile_prior(mu_hi, mu_lo, p) for p in ((HI, HI), (HI, LO), (LO, LO))))
 
 
 def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
     """The enumeration of every pure analysis: each profile that :func:`_supported` keeps at (c_m, c_w),
     valued by :func:`_value` at these costs and weights. (lo, hi)'s record is (hi, lo)'s with the signal
     mirrored and each agent's utility at its own cost and weight, u_m = du_m (1 - pi_bar) and
-    u_w = du_w pi_bar - cost_w. priors are the four of a _Game, impartial and tilted as in _supported."""
+    u_w = du_w pi_bar - cost_w. priors are the three of a _Game, impartial and tilted as in _supported."""
     hi_hi, hi_lo, lo_hi, lo_lo = _supported(priors, impartial, tilted, c_m, c_w)
     found = [_value(priors[0], impartial, lam, costs, weights)] if hi_hi else []
     if hi_lo or lo_hi:
@@ -538,7 +545,7 @@ def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: f
         found += [record] if hi_lo else []
         found += [record._replace(profile=(LO, HI), signal=tilted.mirrored(), utility_m=weights[0] * (1.0 - pi_bar),
                                   utility_w=weights[1] * pi_bar - costs[1])] if lo_hi else []
-    return found + ([_value(priors[3], impartial, lam, costs, weights)] if lo_lo else [])
+    return found + ([_value(priors[2], impartial, lam, costs, weights)] if lo_lo else [])
 
 
 def _pure_equilibria(game: _Game, lam: float) -> list:

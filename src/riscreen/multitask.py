@@ -88,6 +88,8 @@ def _classify(inv_m: tuple, inv_w: tuple) -> str:
 #: investment_w, classification) of the 16 joint profiles, in enumeration order
 _JOINT = tuple((PROFILES.index((m1, w1)), PROFILES.index((m2, w2)), (m1, m2), (w1, w2), _classify((m1, m2), (w1, w2)))
                for m1 in _EFFORTS for m2 in _EFFORTS for w1 in _EFFORTS for w2 in _EFFORTS)
+#: the index in a _Game's priors of each profile in PROFILES order: (lo, hi) is valued as (hi, lo)
+_PRIOR = (0, 1, 1, 2)
 
 
 def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
@@ -115,16 +117,14 @@ def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
     game, costs, alpha1, alpha2 = multitask_game
     impartial, tilted = _profile_signals(game, lam)
-    signals = (impartial, tilted, tilted.mirrored(), impartial)
     supported = [_supported(game.priors, impartial, tilted, c, c) for c in costs]
-    profits = [None] * 4
-    if any(supported[0]) and any(supported[1]):
-        for i in {1 if i == 2 else i for ok in supported for i in range(4) if ok[i]}:
-            # (lo, hi) is valued as (hi, lo), bit for bit, as in profit
-            profits[i] = _value(game.priors[i], signals[i], lam, game.costs, (1.0, 1.0)).profit
-        profits[2] = profits[1]
-    return [MultitaskRecord(inv_m, inv_w, label, sum((alpha1 * profits[i], alpha2 * profits[j])), (signals[i], signals[j]))
-            for i, j, inv_m, inv_w, label in _JOINT if supported[0][i] and supported[1][j]]
+    joint = [row for row in _JOINT if supported[0][row[0]] and supported[1][row[1]]]
+    held = {i for row in joint for i in row[:2]}
+    signals = (impartial, tilted, tilted.mirrored() if 2 in held else None, impartial)
+    profits = {k: _value(game.priors[k], (impartial, tilted, impartial)[k], lam, game.costs, (1.0, 1.0)).profit
+               for k in {_PRIOR[i] for i in held}}
+    return [MultitaskRecord(inv_m, inv_w, label, sum((alpha1 * profits[_PRIOR[i]], alpha2 * profits[_PRIOR[j]])),
+                            (signals[i], signals[j])) for i, j, inv_m, inv_w, label in joint]
 
 
 def multitask_most_profitable(game: GameParams, tasks: tuple) -> list:

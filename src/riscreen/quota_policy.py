@@ -5,7 +5,8 @@ principal screens with advantage d - nu instead of d, where nu is the
 multiplier of the quota constraint. nu is zero when efforts are symmetric,
 positive when m works harder, negative in the mirror case. The binding
 signal is then the closed-form logit rule at nu (Matejka & McKay 2015),
-pi(d) = sigmoid((d - nu)/lam), so no RI problem is solved on this path,
+pi(d) = sigmoid((d - nu)/lam), baseline_game._logit_rule at the intercept
+-nu/lam, so no RI problem is solved on this path,
 and nu itself is the positive root of a cubic in exp(nu/lam), taken in
 closed form by baseline_game._cubic_roots: no root is searched either.
 The quota keeps the impartial equilibria, and it removes the
@@ -28,17 +29,17 @@ from .baseline_game import (
     _cubic_roots,
     _equilibria,
     _game,
-    _impartial_signal,
     _incentive_holds,
+    _logit_rule,
     optimal_signal,
     state_distribution,
 )
-from ._primitives import BracketError, _sigmoid
+from ._primitives import BracketError
 
 #: |pi_bar - 1/2| at the returned multiplier must be below this
 QUOTA_TOL = 1e-9
 #: absolute rounding allowance on an incentive gain of a quota signal (8 eps):
-#: each gain is a sum of differences of conditionals in [0, 1]
+#: each gain is a convex sum of the bonuses X and Y, each a few ulps from the model
 GAIN_ALLOWANCE = 2.0 ** -49
 
 
@@ -134,11 +135,11 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     consistency equation sum_d p(d) sigmoid((d - nu)/lam) = 1/2, a cubic in
     exp(nu/lam) with one positive root. :func:`_tilt` takes nu from that
     cubic in closed form for (hi, lo), where m works (nu > 0). No root is
-    searched. The returned signal is the logit rule at nu, with
-    pi_bar = sum_d p(d) pi(d) computed, not assumed, and checked against
-    the quota to QUOTA_TOL (BracketError otherwise). (lo, hi) is (hi, lo)
-    with the names swapped: its solution is exactly -nu and the mirror of
-    the signal of (hi, lo).
+    searched. The returned signal is the logit rule of intercept -nu/lam,
+    with pi_bar = sum_d p(d) pi(d) computed, not assumed, and checked
+    against the quota to QUOTA_TOL (BracketError otherwise). (lo, hi) is
+    (hi, lo) with the names swapped: its solution is exactly -nu and the
+    mirror of the signal of (hi, lo), its X and Y swapped.
     """
     e_m, e_w = profile
     if e_m == e_w:
@@ -150,13 +151,12 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
 
 
 def _quota_solution(prior: tuple, s: float, y: float, lam: float) -> QuotaSolution:
-    """find_multiplier's rule for (hi, lo) at the tilt (s, y)."""
-    nu, t = s + lam * y, (-(1.0 + s) / lam - y, -s / lam - y, (1.0 - s) / lam - y)
-    q = tuple(map(_sigmoid, t))
-    pi_bar = prior[0] * q[0] + prior[1] * q[1] + prior[2] * q[2]
+    """find_multiplier's rule for (hi, lo) at the tilt (s, y): the logit rule of intercept -nu/lam = -s/lam - y."""
+    nu, rule = s + lam * y, _logit_rule(-s / lam - y, lam)
+    pi_bar = prior[0] * rule.pi_minus + prior[1] * rule.pi_zero + prior[2] * rule.pi_plus
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
         raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
-    return QuotaSolution(nu, PromotionSignal(*q, pi_bar))
+    return QuotaSolution(nu, rule._replace(pi_bar=pi_bar))
 
 
 def quota_equilibrium_set(params: GameParams) -> list:
@@ -165,10 +165,10 @@ def quota_equilibrium_set(params: GameParams) -> list:
     A symmetric profile's quota signal is its optimal_signal, so its record
     equals equilibrium_set's. An asymmetric profile binds at a multiplier nu
     with 0 < |nu| < 1, and its signal has X > Y > 0 (X and Y swap for
-    (lo, hi)). The shirker's gain exceeds the worker's by only
-    (mu_hi + mu_lo - 1)(X - Y), so the quota leaves only the impartial
-    records except within rounding of mu_hi + mu_lo = 1, where both
-    constraints of an asymmetric profile can hold to IC_TOL min(1, c). At
+    (lo, hi)). The shirker's gain exceeds the worker's by only (mu_hi + mu_lo - 1)(X - Y),
+    so the quota leaves only the impartial records except where both constraints can hold to
+    IC_TOL min(1, c): within rounding of mu_hi + mu_lo = 1, or where lam is near lambda_star and
+    huge (c of about 1e-12 or less), as X - Y is O(1/lam^3) and c about 1/(4 lam). At
     GameParams(0.8885586675347767, 0.11144133246522533, 0.09972474181102377,
     1.9056210918215344), where mu_hi + mu_lo - 1 = 2.0e-15, the quota keeps
     (hi, lo), (lo, hi) and (lo, lo). The case mu_hi + mu_lo <= 1 is not
@@ -215,5 +215,4 @@ def _quota_equilibria(game: _Game, lam: float) -> list:
     if _asymmetric_open(game.c, lam):
         prior = game.priors[1][3:]  # (p(-1), p(0), p(1)) of (hi, lo)
         tilted = _quota_solution(prior, *_tilt(*prior, game.mu_hi - game.mu_lo, lam), lam).signal
-    impartial = _impartial_signal(math.exp(-1.0 / lam))
-    return _equilibria(game.priors, lam, impartial, tilted, game.c, game.c, game.costs, (1.0, 1.0))
+    return _equilibria(game.priors, lam, _logit_rule(0.0, lam), tilted, game.c, game.c, game.costs, (1.0, 1.0))

@@ -25,9 +25,9 @@ from .baseline_game import (
     _equilibria,
     _game,
     _gains,
-    _impartial_signal,
     _incentive_holds,
     _log_gamma_star,
+    _logit_rule,
     _profile_signals,
     _supports,
     _value,
@@ -156,7 +156,7 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
     if lam <= variants.lam_star + 1e-15:
         rec = _value(priors[0], impartial, lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
-    rec = _value(priors[3], impartial, lam, costs, weights)
+    rec = _value(priors[2], impartial, lam, costs, weights)
     # each outcome is a CommitmentSolution's first five fields: nu, signal, profile, profit, agent
     outcomes = [(0.0, rec.signal, (LO, LO), rec.profit, None)]
     if _supports(priors[1], disc_signal, base.c, base.c):
@@ -285,16 +285,6 @@ class MixedEquilibrium(namedtuple("MixedEquilibrium", "profile signal classifica
 _SIGMA_EDGE = 1e-6
 
 
-def _signal_for_success_probs(r: float, nu_m: float, nu_w: float) -> PromotionSignal | None:
-    """Closed-form optimal signal when success probabilities are (nu_m, nu_w), at r = exp(-1/lam).
-
-    :func:`signal_from_odds` at A = nu_m (1 - nu_w), B = nu_w (1 - nu_m); None
-    when degenerate (no incentives, so no indifference condition can hold).
-    """
-    interior = signal_from_odds(nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m), r)
-    return None if interior is None else PromotionSignal(*interior, interior[1])
-
-
 def _odds(num: float, den: float) -> float:
     """num / den for num > 0; inf where den underflows to 0 (mu_lo near the
     smallest subnormal), since the odds are then past the float range."""
@@ -384,7 +374,7 @@ def _variants_game(game: GameParams) -> _Variants:
     c = base.c
     bound = None
     if c < 0.5:  # the bound rule reads no lam; its profit at lam is V - lam I, as _value forms it
-        rec = _value(base.priors[0], PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5), 1.0, base.costs, (1.0, 1.0))
+        rec = _value(base.priors[0], PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5, c, c), 1.0, base.costs, (1.0, 1.0))
         bound = rec.signal, rec.revenue, rec.info_cost
     log_gamma_star = _log_gamma_star(c)
     return _Variants(base, 1.0 / log_gamma_star, log_gamma_star, bound,
@@ -404,7 +394,7 @@ def _mixed(variants: _Variants, lam: float) -> list:
         found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, label))
 
     if abs(lam - variants.lam_star) <= 1e-9:
-        keep(0.5, 0.5, _impartial_signal(r))
+        keep(0.5, 0.5, _logit_rule(0.0, lam))
 
     if window is not None:
         lo, hi = window
@@ -417,23 +407,24 @@ def _mixed(variants: _Variants, lam: float) -> list:
             u_minus_2 = e * gap / (r * (u + 2.0) + k)
             s = 0.5 * (u + math.sqrt(u_minus_2 * (u + 2.0)))
             for nu_m in (1.0 / (1.0 + s), s / (1.0 + s)):
-                sig = _signal_for_success_probs(r, nu_m, 1.0 - nu_m)
+                nu_w = 1.0 - nu_m
+                sig = signal_from_odds(nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m), lam)
                 if sig is None or not lo <= nu_m <= hi:
                     continue
                 sigma_m = (nu_m - mu_lo) / delta_mu
-                sigma_w = (1.0 - nu_m - mu_lo) / delta_mu
+                sigma_w = (nu_w - mu_lo) / delta_mu
                 if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
                     keep(sigma_m, sigma_w, sig)
 
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *variants.rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
-        sig = _signal_for_success_probs(r, nu_m, mu_lo)
+        sig = signal_from_odds(nu_m * (1.0 - mu_lo), mu_lo * (1.0 - nu_m), lam)
         if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig)[1], c):
             keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
 
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *variants.rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
-        sig = _signal_for_success_probs(r, mu_hi, nu_w)
+        sig = signal_from_odds(mu_hi * (1.0 - nu_w), nu_w * (1.0 - mu_hi), lam)
         if sig is not None and _incentive_holds(HI, _gains(mu_hi, nu_w, sig)[0], c):
             keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
 
@@ -479,11 +470,13 @@ def continuous_effort_equilibria(
     windows nu_i (1 - nu_i) [nu_(i-1), nu_(i+1)] meet are evaluated, with
     the float rule of an exhaustive scan. The windows are widened by
     1e-12 relative and n eps/kappa absolute. Off the diagonal, where they
-    differ, rounding moves each gain by at most (n + 16) u (u = eps/2)
-    absolute from K/(nu (1 - nu)), a factor common to both agents aside:
-    1 - r^2 loses the most, and 1/(1 - r) <= n - 1 there. With
-    nu (1 - nu) <= 1/4 that is below n eps/kappa in K/kappa; the floor, the
-    grid and the division add about 10 u relative.
+    differ, each computed gain is K'/(nu (1 - nu)), K' common to both agents,
+    to (4 ln(n - 1) + 16) u relative (u = eps/2): the intercept of
+    :func:`signal_from_odds` is exact at odds within (2 |ln(A/B)| + 8) u of
+    A/B, |ln(A/B)| <= 2 ln(n - 1) on the grid, and X, Y and the gains round
+    by under 8 u (8.4 u at most seen, every pair of grids of 20 to 300
+    points at 33 lams in [1e-4, 1e4]). n eps/kappa covers the floor, the
+    grid and the division, about 10 u relative.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -503,10 +496,10 @@ def continuous_effort_equilibria(
 
     results = []
     for lam in lam_values:
-        r = math.exp(-1.0 / _positive("lam", lam))
+        _positive("lam", lam)
         points = [(0.0, 0.0)]
         for i, j, nu_m, nu_w, A, B in pairs:
-            interior = signal_from_odds(A, B, r)
+            interior = signal_from_odds(A, B, lam)
             if interior is not None:
                 gain_m, gain_w = _gains(nu_m, nu_w, interior)
                 if best_response(gain_m) == i and best_response(gain_w) == j:

@@ -1,11 +1,15 @@
 """One exact model of the promotion game, the tests' reference; it imports nothing from riscreen.
 
-The prior, the kernel and the bonuses are plain arithmetic: on floats and
-numpy arrays they round as the library does, on Fractions they are exact.
-The rest read float arguments as exact Decimals in the current context,
-which ``digits(n)`` sets: 60 digits for every reference, 400 for the rule.
+The prior, the interior test, the kernel and the bonuses are plain
+arithmetic in r = exp(-1/lam): on Fractions they are exact, and on floats
+and numpy arrays they are the closed form in r, an oracle that rounds apart
+from the library's logit kernel. The rest read float arguments as exact
+Decimals in the current context, which ``digits(n)`` sets: 60 digits for
+every reference, 400 for the rule; :func:`within_backward_error` holds a
+float to such a reference at a lam moved by a few ulps.
 """
 
+import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 
@@ -34,6 +38,38 @@ def bonuses(A, B, r):
     """(X, Y) = (pi(1) - pi_bar, pi_bar - pi(-1)); in Fractions K/A and K/B, K = (A - rB)(B - rA)/((1 - r^2)(A + B))."""
     pi_minus, pi_bar, pi_plus = kernel(A, B, r)
     return pi_plus - pi_bar, pi_bar - pi_minus
+
+
+def logit_rule(s, lam):
+    """(pi(-1), pi(0), pi(1), X, Y) of the logit rule logit pi(d) = s + d/lam, X = pi(1) - pi(0) and
+    Y = pi(0) - pi(-1) each taken as sinh(h)/(2 cosh(a/2) cosh(b/2)), h = 1/(2 lam), a - b = 2h,
+    which does not cancel when the conditionals nearly tie."""
+    s, lam = Decimal(s), Decimal(lam)
+    root = [((s + d / lam) / 2).exp() for d in (-1, 0, 1)]  # e^(t/2) of each logit t
+    cosh = [(x + 1 / x) / 2 for x in root]
+    e_h = (1 / (2 * lam)).exp()
+    sinh = (e_h - 1 / e_h) / 2
+    return (*(x * x / (1 + x * x) for x in root), sinh / (2 * cosh[2] * cosh[1]), sinh / (2 * cosh[1] * cosh[0]))
+
+
+def intercept(A, B, lam):
+    """logit(pi_bar) = ln((A - rB)/(B - rA)), r = exp(-1/lam), of the optimal signal at odds A : B;
+    None at a corner, where A <= rB or B <= rA."""
+    A, B = Decimal(A), Decimal(B)
+    r = (-1 / Decimal(lam)).exp()
+    a, b = A - r * B, B - r * A
+    return (a / b).ln() if a > 0 and b > 0 else None
+
+
+def within_backward_error(value, model, lam, shift=0.0, rel=4, ulps=4):
+    """Whether the float value lies within `ulps` of its own ulps of model(lam', d) for some lam'
+    within rel ulps of lam and some intercept shift d in [-shift, shift]: model maps a Decimal lam
+    and a Decimal shift to a Decimal and is taken as monotone in each over that box, so only the
+    corners, edge midpoints and centre of the box are evaluated."""
+    step, shifts = Decimal(rel * math.ulp(lam)), (-Decimal(shift), Decimal(0), Decimal(shift))
+    ends = [model(Decimal(lam) + k * step, d) for k in (-1, 0, 1) for d in (shifts if shift else shifts[1:2])]
+    slack = ulps * Decimal(math.ulp(value))
+    return min(ends) - slack <= Decimal(value) <= max(ends) + slack
 
 
 def valuation(mu_m, mu_w, signal, lam):

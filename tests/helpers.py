@@ -203,6 +203,11 @@ def edge_game(rng: random.Random) -> GameParams:
     return game._replace(lam=lam) if 0.0 < lam < math.inf else game
 
 
+def any_domain_game(rng: random.Random) -> GameParams:
+    """A draw of :func:`domain_game`, :func:`edge_game`, :func:`near_half_game` or :func:`near_star_game`."""
+    return rng.choice((domain_game, edge_game, near_half_game, near_star_game))(rng)
+
+
 def assert_mirrored(records: list) -> None:
     """records list (hi, lo) exactly when they list (lo, hi), the two with
     equal profit, revenue, info_cost and classification and u_m and u_w
@@ -496,12 +501,36 @@ def direct_ic_equilibria(params: GameParams, tol: float = 1e-12, costs: tuple | 
     return out
 
 
+def logit_bonuses(A, B, lam: float, np):
+    """(X, Y) of the optimal signal at odds A : B on numpy arrays, 0 at a corner: the arithmetic of
+    :func:`riscreen.baseline_game.signal_from_odds` and ``_logit_rule``, written again. The intercept
+    is s = ln(a/b), a = -A expm1(-L - 1/lam), b = -B expm1(L - 1/lam), L = ln(A/B) as a log1p of the larger
+    of A and B over the smaller, and each
+    bonus E (1 - e^(-1/lam)) / ((1 + e^-|t|) (1 + e^-|t'|)) at its two logits t > t', with E = e^-|t'|
+    where t' >= 0, e^-|t| where t <= 0, and 1 otherwise."""
+    inv = 1.0 / lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.where(A >= B, np.log1p((A - B) / B), -np.log1p((B - A) / A))
+        a, b = -A * np.expm1(-L - inv), -B * np.expm1(L - inv)
+        inside = exact.interior(A, B, math.exp(-1.0 / lam)) & (a > 0.0) & (b > 0.0)
+        s = np.log(a / b)
+    t_minus, t_plus = s - inv, s + inv
+    e_minus, e_zero, e_plus = (np.exp(-np.abs(t)) for t in (t_minus, s, t_plus))
+    k = -math.expm1(-inv)
+    X = np.where(s >= 0.0, e_zero, np.where(t_plus <= 0.0, e_plus, 1.0)) * k / ((1.0 + e_plus) * (1.0 + e_zero))
+    Y = np.where(t_minus >= 0.0, e_minus, np.where(s <= 0.0, e_zero, 1.0)) * k / ((1.0 + e_zero) * (1.0 + e_minus))
+    return np.where(inside, X, 0.0), np.where(inside, Y, 0.0)
+
+
 def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> list:
     """The exhaustive numpy scan of every grid_size^2 effort pair, the oracle
     of :func:`riscreen.variants.continuous_effort_equilibria`. The bonuses
-    come from the kernel of :mod:`exact` on arrays, which rounds as the
-    library's does but shares no code with it. An array oracle: the calling
-    test skips where numpy is absent."""
+    come from :func:`logit_bonuses`, the library's arithmetic on arrays,
+    which shares no code with it; numpy's exp, expm1, log1p and log may
+    round a last bit apart from the math module's, which moves a fixed
+    point only where a gain lands within an ulp of a best-response
+    boundary. An array oracle: the calling test skips where numpy is
+    absent."""
     from riscreen.variants import EffortGridResult
 
     np = pytest.importorskip("numpy")
@@ -513,9 +542,7 @@ def continuous_effort_scan(kappa: float, lam_values, grid_size: int = 100) -> li
     B = nu_w * (1.0 - nu_m)
     results = []
     for lam in lam_values:
-        r = math.exp(-1.0 / lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            X, Y = (np.where(exact.interior(A, B, r), bonus, 0.0) for bonus in exact.bonuses(A, B, r))
+        X, Y = logit_bonuses(A, B, lam, np)
         gain_m = (1.0 - nu_w) * X + nu_w * Y
         gain_w = nu_m * X + (1.0 - nu_m) * Y
         br_m = _grid_best_response(grid, gain_m, kappa)

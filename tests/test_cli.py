@@ -288,6 +288,15 @@ class TestOtherCommands:
         code, out, err = run([command, *game], capsys)
         assert code == 0 and out and "Traceback" not in err
 
+    def test_the_discriminatory_window_next_to_lambda_breve(self, capsys):
+        # lam sits 1.3e-7 below lambda_breve, inside [lambda_low, lambda_high]: pi(1) of the (hi, lo)
+        # signal once rounded above 1, and the information bill printed "error: math domain error"
+        argv = ["equilibria", "--mu-hi", "0.9999980454318192", "--mu-lo", "0.07935060592402308",
+                "--cost", "1.7857e-07", "--lambda", "0.0641167"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()[:3]] == ["(hi,hi)", "(hi,lo)", "(lo,hi)"]
+
     #: B = mu_lo (1 - mu_hi) underflows to 0: the (hi, lo) signal is degenerate at every lam
     UNDERFLOW = ["--mu-hi", "0.9999999999999999", "--mu-lo", "5e-324", "--cost", "0.07"]
 

@@ -276,7 +276,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     # share one valuation
     from riscreen import baseline_game, multitask
 
-    counts = {"_impartial_signal": 0, "signal_from_odds": 0, "_value": 0}
+    counts = {"_logit_rule": 0, "signal_from_odds": 0, "_value": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -285,7 +285,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
 
         return wrapper
 
-    for name in ("_impartial_signal", "signal_from_odds"):
+    for name in ("_logit_rule", "signal_from_odds"):
         monkeypatch.setattr(baseline_game, name, counted(name, getattr(baseline_game, name)))
     monkeypatch.setattr(multitask, "_value", counted("_value", multitask._value))
     tasks = equal_tasks(0.35)
@@ -295,7 +295,8 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     records = multitask_equilibrium_set(game, tasks)
     assert len(records) >= 2
     # (lo, lo) is in no joint equilibrium here, so only (hi, hi) and (hi, lo) are valued
-    assert counts == {"_impartial_signal": 1, "signal_from_odds": 1, "_value": 2}
+    # one logit rule for the impartial signal and one inside signal_from_odds
+    assert counts == {"_logit_rule": 2, "signal_from_odds": 1, "_value": 2}
 
 
 @helpers.draws(60, seed=31007, case=helpers.multitask_game)

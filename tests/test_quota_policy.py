@@ -23,6 +23,7 @@ from riscreen import (
     state_distribution,
 )
 
+from riscreen.baseline_game import supports_profile
 from riscreen.quota_policy import GAIN_ALLOWANCE
 
 import exact
@@ -325,11 +326,25 @@ def test_the_quota_lists_mirror_profiles_together(params):
 
 def test_the_mirrors_do_not_split_at_the_knife_edge():
     # a gain meets c within rounding here, so mirror signals formed apart (sigmoid(-t) against
-    # 1 - sigmoid(t)) would split the pair
+    # 1 - sigmoid(t)) would split the pair; in the 60-digit model m's gain is 1.8e-17 below c
+    # and w's 2.0e-17 below c + IC_TOL c (3.1e-16): both constraints hold to IC_TOL c
     game = GameParams(0.8352000459997866, 0.1648019293130466, 0.00020554994269688886, 815.371222997398)
     records = quota_equilibrium_set(game)
     helpers.assert_mirrored(records)
-    assert [r.profile for r in records] == [(HI, HI), (LO, LO)]
+    assert [r.profile for r in records] == list(PROFILES)
+
+
+#: supports_profile on the mirrored signal of (lo, hi) said False here while the enumeration listed
+#: (lo, hi): the mirror's differences 1 - q rounded m's gain 0.2279348764555444 above c + IC_TOL c,
+#: where (hi, lo)'s shirker had 0.22793487645554433; the stored bonuses swap instead
+SUPPORT_EDGE = GameParams(0.5088518373618705, 0.49114816275985945, 0.0040352848832145, 1.0160944994304026)
+
+
+@helpers.draws(1000, seed=42201, cases=[dict(params=SUPPORT_EDGE)], params=helpers.quota_knife_game)
+def test_supports_profile_agrees_with_the_quota_enumeration(params):
+    listed = [r.profile for r in quota_equilibrium_set(params)]
+    supported = [p for p in PROFILES if supports_profile(params, find_multiplier(params, p).signal, p)]
+    assert supported == listed, params
 
 
 def test_root_search_keeps_the_sign_of_a_tiny_multiplier():

@@ -70,7 +70,7 @@ def test_reprs_name_every_field():
     )
     assert repr(QuotaSolution(0.0, PromotionSignal(0.25, 0.5, 0.75, 0.5))) == (
         "QuotaSolution(nu=0.0, signal=PromotionSignal(pi_minus=0.25, pi_zero=0.5, pi_plus=0.75, "
-        "pi_bar=0.5))"
+        "pi_bar=0.5, X=0.25, Y=0.25))"
     )
     assert repr(TaskParams(0.5, 1.0, 0.02)) == "TaskParams(alpha=0.5, beta=1.0, cost_C=0.02)"
     assert repr(HeterogeneousParams(0.07, 0.08)) == (

@@ -1,0 +1,113 @@
+"""The regime map on regular games: the cutpoints predict every equilibrium set.
+
+As a function of lam, equilibrium_set lists (hi, hi) for lam <= lambda_star,
+(hi, lo) and (lo, hi) for lambda_low <= lam <= lambda_high, and (lo, lo) for
+lam >= lambda_star; quota_equilibrium_set lists the impartial ones alone.
+Games are drawn with c = cost_C / delta_mu down to 1e-16 times the
+regularity bound mu_hi (1 - mu_hi)/(A + B), and lam at random or next to a
+cutpoint, within a few ulps of it or up to a factor e either side.
+
+The knife band: a constraint holds to IC_TOL min(1, c), so where the exact
+gain of a profile's signal (the 60-digit model of :mod:`exact`) lies within
+2 IC_TOL min(1, c) of c, rounding may list the profile or not, and the draw
+is left out. Outside the band the library's gains, a few ulps from the
+model, decide as the model does. For the quota the band also holds where
+both asymmetric constraints meet c to 2 IC_TOL min(1, c) in the model,
+which the quota's near-equal gains allow at tiny c.
+"""
+
+import math
+import random
+from decimal import Decimal
+
+from riscreen import HI, LO, GameParams, equilibrium_set, find_multiplier, quota_equilibrium_set, thresholds
+from riscreen.baseline_game import IC_TOL
+
+import exact
+import helpers
+
+#: c = 9.143e-16 and the impartial bonus tanh(1/(2 lam))/2 = 9.259e-16 > c: (hi, hi) alone, though
+#: pi(1) - 1/2 rounds to 8.882e-16 < c
+HUGE_LAM = GameParams(0.9999999952221139, 0.2516413759674337, 6.842489891370814e-16, 2.7e14)
+
+
+def regular_game(rng: random.Random) -> GameParams:
+    """mu_hi in [0.52, 0.97], mu_lo in [max(1 - mu_hi + 0.01, 0.05), mu_hi - 0.01], c log-uniform
+    in [1e-16, 0.98] times the regularity bound, and lam one of: log-uniform in [1e-4, 1e4]; a
+    cutpoint (lambda_star, lambda_low, lambda_high or lambda_breve) moved by up to 64 ulps; or a
+    cutpoint times exp([-1, 1]) or 1 + [-1e-9, 1e-9]."""
+    mu_hi = rng.uniform(0.52, 0.97)
+    mu_lo = rng.uniform(max(1.0 - mu_hi + 0.01, 0.05), mu_hi - 0.01)
+    probe = GameParams(mu_hi, mu_lo, 1.0, 1.0)
+    bound = mu_hi * (1.0 - mu_hi) / (probe.A + probe.B)
+    c = bound * 10.0 ** rng.uniform(-16.0, math.log10(0.98))
+    game = probe._replace(cost_C=c * probe.delta_mu)
+    cuts = thresholds(game)
+    cut = rng.choice((cuts.lambda_star, cuts.lambda_low, cuts.lambda_high, cuts.lambda_breve))
+    mode = rng.choice(("random", "ulps", "factor", "near"))
+    if mode == "random" or not 0.0 < cut < math.inf:
+        lam = 10.0 ** rng.uniform(-4.0, 4.0)
+    elif mode == "ulps":
+        lam = cut + rng.randint(-64, 64) * math.ulp(cut)
+    elif mode == "factor":
+        lam = cut * math.exp(rng.uniform(-1.0, 1.0))
+    else:
+        lam = cut * (1.0 + rng.uniform(-1e-9, 1e-9))
+    return game._replace(lam=lam)
+
+
+def in_band(game, profile, intercept, shift=0.0):
+    """Whether m's and whether w's gain of the profile's logit rule meets c within the knife band: within
+    2 IC_TOL min(1, c) of c, or on both sides of it, in the 60-digit model at some lam within 8 ulps of
+    game.lam and some intercept within shift of intercept(lam) (None: a corner, where both gains are 0)."""
+    c = Decimal(game.c)
+    tol, step = 2 * Decimal(IC_TOL) * Decimal(min(1.0, game.c)), 8 * Decimal(math.ulp(game.lam))
+    mu_m, mu_w = (Decimal(game.mu(e)) for e in profile)
+    gaps = [], []
+    for lam in (Decimal(game.lam) + k * step for k in (-1, 0, 1)):
+        s = intercept(lam)
+        for d in (-Decimal(shift), Decimal(0), Decimal(shift)):
+            X, Y = exact.logit_rule(s + d, lam)[3:] if s is not None else (0, 0)
+            gaps[0].append((1 - mu_w) * X + mu_w * Y - c)
+            gaps[1].append(mu_m * X + (1 - mu_m) * Y - c)
+    return tuple(min(g) <= tol and max(g) >= -tol for g in gaps)
+
+
+def predicted(game, cuts):
+    """The profiles the cutpoints predict for equilibrium_set, in PROFILES order."""
+    lam, out = game.lam, []
+    if lam <= cuts.lambda_star:
+        out.append((HI, HI))
+    if cuts.lambda_low <= lam <= cuts.lambda_high:
+        out += [(HI, LO), (LO, HI)]
+    if lam >= cuts.lambda_star:
+        out.append((LO, LO))
+    return out
+
+
+@helpers.draws(600, seed=42101, cases=[dict(game=HUGE_LAM)], game=regular_game)
+def test_the_enumeration_matches_the_cutpoints_outside_the_knife_band(game):
+    with exact.digits(60):
+        s = exact.intercept(game.A, game.B, game.lam)
+        shift = 2 * math.ulp(float(s)) if s is not None else 0.0
+        if any(in_band(game, (HI, HI), lambda lam: 0) + in_band(
+                game, (HI, LO), lambda lam: exact.intercept(game.A, game.B, lam), shift)):
+            return
+    cuts = thresholds(game)
+    assert [r.profile for r in equilibrium_set(game)] == predicted(game, cuts), (game, cuts)
+
+
+@helpers.draws(200, seed=42102, cases=[dict(game=HUGE_LAM)], game=regular_game)
+def test_the_quota_keeps_the_impartial_cutpoint_outside_the_knife_band(game):
+    nu = find_multiplier(game, (HI, LO)).nu
+    with exact.digits(60):
+        if any(in_band(game, (HI, HI), lambda lam: 0)) or all(in_band(
+                game, (HI, LO), lambda lam: -exact.quota_multiplier(game.mu_hi, game.mu_lo, lam, nu) / lam,
+                4 * math.ulp(nu / game.lam))):
+            return
+    want = [(HI, HI)] if game.lam <= thresholds(game).lambda_star else [(LO, LO)]
+    assert [r.profile for r in quota_equilibrium_set(game)] == want, game
+
+
+def test_the_huge_lam_game_lists_only_high_effort():
+    assert [r.profile for r in equilibrium_set(HUGE_LAM)] == [(HI, HI)]

@@ -33,14 +33,18 @@ from riscreen import (
     thresholds,
 )
 from riscreen import ri_core
-from riscreen.baseline_game import lambda_star, supports_profile
+from riscreen.baseline_game import lambda_star, signal_from_odds, supports_profile
 from riscreen.ri_core import BracketError, ConvergenceError
-from riscreen.variants import _signal_for_success_probs
 
 import exact
 import helpers
 
 GAME = helpers.canonical()
+
+
+def success_signal(lam, nu_m, nu_w):
+    """The optimal signal at success probabilities (nu_m, nu_w); None at a corner."""
+    return signal_from_odds(nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m), lam)
 #: attention costs at which exp(1/lam) overflows a double
 TINY_LAMS = (1.0 / 720.0, 1e-3, 1e-4)
 
@@ -431,7 +435,7 @@ class TestMixed:
         for eq in eqs:
             nu_m = GAME.mu_lo + eq.profile.sigma_m * GAME.delta_mu
             nu_w = GAME.mu_lo + eq.profile.sigma_w * GAME.delta_mu
-            sig = _signal_for_success_probs(math.exp(-1.0 / GAME.lam), nu_m, nu_w)
+            sig = success_signal(GAME.lam, nu_m, nu_w)
             if 0 < eq.profile.sigma_m < 1:
                 mixing_gain = (1 - nu_w) * sig.X + nu_w * sig.Y
             else:
@@ -460,7 +464,7 @@ class TestMixed:
             assert all(0.0 <= p <= 1.0 for p in eq.signal.as_tuple())
             nu_m = edge.mu_lo + eq.profile.sigma_m * edge.delta_mu
             nu_w = edge.mu_lo + eq.profile.sigma_w * edge.delta_mu
-            sig = _signal_for_success_probs(math.exp(-1.0 / edge.lam), nu_m, nu_w)
+            sig = success_signal(edge.lam, nu_m, nu_w)
             gain_m = (1 - nu_w) * sig.X + nu_w * sig.Y
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
             if 0 < eq.profile.sigma_m < 1:
@@ -482,7 +486,7 @@ class TestMixed:
             assert nu_m + nu_w == pytest.approx(1.0, abs=1e-7)
             assert eq.classification == DISCRIMINATORY
             # both agents indifferent at the supporting signal
-            sig = _signal_for_success_probs(math.exp(-1.0 / game.lam), nu_m, 1.0 - nu_m)
+            sig = success_signal(game.lam, nu_m, 1.0 - nu_m)
             gain_m = (1 - (1 - nu_m)) * sig.X + (1 - nu_m) * sig.Y
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
             assert gain_m == pytest.approx(game.c, abs=1e-8)
