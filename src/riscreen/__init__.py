@@ -22,9 +22,8 @@ _PUBLIC = {
                 "mutual_information", "neg_entropy", "solve_binary_ri"),
     "baseline_game": ("AGENT_M", "AGENT_W", "DISCRIMINATORY", "HI", "IMPARTIAL", "LO", "PROFILES", "BracketError",
                       "EquilibriumRecord", "GameParams", "ProfitBreakdown", "PromotionSignal", "StateDistribution",
-                      "ThresholdSet", "equilibrium_set", "evaluate", "f_func", "f_inverse", "g_func", "g_inverse",
-                      "incentive_gain", "most_profitable", "optimal_signal", "profit", "state_distribution",
-                      "thresholds", "welfare_ordering"),
+                      "ThresholdSet", "equilibrium_set", "evaluate", "incentive_gain", "most_profitable",
+                      "optimal_signal", "profit", "state_distribution", "thresholds", "welfare_ordering"),
     "quota_policy": ("QuotaSolution", "find_multiplier", "quota_equilibrium_set", "subsidized_signal"),
     "multitask": ("HYBRID", "NON_SPECIALIZED", "SPECIALIZED", "MultitaskRecord", "TaskParams",
                   "multitask_equilibrium_set", "multitask_most_profitable"),

@@ -48,13 +48,12 @@ def golden_checks() -> list:
     measured = f"low={cuts.lambda_low:.4f} star={cuts.lambda_star:.4f} high={cuts.lambda_high:.4f} breve={cuts.lambda_breve:.4f}"
     checks.append(("threshold_ordering", ok, measured, "low < star, low < high < breve"))
 
-    g_res = abs(bg.g_func(g_inv := bg.g_inverse(game.c)) - game.c)
-    f_res = max(
-        abs(bg.f_func(game, bg.f_inverse(game, cuts.X_high)) - cuts.X_high),
-        abs(bg.f_func(game, bg.f_inverse(game, cuts.X_low)) - cuts.X_low),
-    )
-    ok = g_res <= 1e-9 and f_res <= 1e-9 and math.isfinite(g_inv)
-    checks.append(("threshold_inverse_consistency", ok, f"|g(g^-1(c))-c|={g_res:.2e}, f residual={f_res:.2e}", "1e-9"))
+    # each cutpoint puts the bonus X of the enumerations' kernel at its bound
+    residuals = (bg.optimal_signal(game._replace(lam=cuts.lambda_star), (bg.HI, bg.HI)).X - game.c,
+                 bg.optimal_signal(game._replace(lam=cuts.lambda_low), (bg.HI, bg.LO)).X - cuts.X_high,
+                 bg.optimal_signal(game._replace(lam=cuts.lambda_high), (bg.HI, bg.LO)).X - cuts.X_low)
+    measured = "X-c at star={:.2e}, X-X_high at low={:.2e}, X-X_low at high={:.2e}".format(*residuals)
+    checks.append(("threshold_inverse_consistency", max(map(abs, residuals)) <= 1e-9, measured, "1e-9"))
 
     worst = 0.0
     for profile in bg.PROFILES:

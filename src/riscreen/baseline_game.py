@@ -4,8 +4,8 @@ Two agents, labeled m and w, simultaneously choose high or low effort. The
 principal screens them through a signal about the productivity difference
 d = theta_m - theta_w in {-1, 0, 1} and promotes one of them; pi(d) is the
 probability that m is promoted at difference d. Attention is priced at
-``lam`` utils per nat, and gamma = exp(1/lam) is the transform in which the
-closed forms below are polynomial.
+``lam`` utils per nat, and every signal below is a logit rule in lam
+(:func:`_logit_rule`); the paper writes its bonuses in gamma = exp(1/lam).
 
 The module exposes the full equilibrium analysis in closed form: optimal
 signal per effort profile, incentive gains, the cutpoints separating the
@@ -207,76 +207,16 @@ def _profile_prior(mu_hi: float, mu_lo: float, profile: tuple) -> tuple:
     return profile, mu_m, mu_w, mu_w * (1.0 - mu_m), mu_m * mu_w + (1.0 - mu_m) * (1.0 - mu_w), mu_m * (1.0 - mu_w)
 
 
-def g_func(gamma: float) -> float:
-    """Promotion bonus X = Y of the impartial signal, (gamma-1)/(2(gamma+1)).
-
-    Strictly increasing on [1, inf) with limit 1/2.
-    """
-    if gamma < 1.0:
-        raise ValueError(f"g_func needs gamma >= 1, got {gamma!r}")
-    if math.isinf(gamma):
-        return 0.5
-    return (gamma - 1.0) / (2.0 * (gamma + 1.0))
-
-
-def f_func(params: GameParams, gamma: float) -> float:
-    """Outperform bonus X of the (hi, lo) signal.
-
-    (gamma A - B)(gamma B - A) / ((gamma^2 - 1)(A + B) A); zero at
-    gamma = A/B, strictly increasing above, with limit B/(A+B), which an
-    infinite gamma returns exactly. Evaluated in r = 1/gamma, which keeps
-    huge gammas finite.
-    """
-    A, B = params.A, params.B
-    odds = A / B if B else math.inf  # B underflows to 0: degenerate at every finite gamma
-    if gamma < odds:
-        raise ValueError(f"f_func needs gamma >= A/B = {odds!r}, got {gamma!r}")
-    if math.isinf(gamma):
-        return B / (A + B)
-    r = 1.0 / gamma
-    return (A - r * B) * (B - r * A) / ((1.0 - r * r) * (A + B) * A)
-
-
-def g_inverse(x: float) -> float:
-    """gamma solving g(gamma) = x; +inf when x >= 1/2 (g is bounded by 1/2)."""
-    if x < 0.0:
-        raise ValueError(f"g_inverse needs x >= 0, got {x!r}")
-    if x >= 0.5:
-        return math.inf
-    return (1.0 + 2.0 * x) / (1.0 - 2.0 * x)
-
-
-def f_inverse(params: GameParams, x: float) -> float:
-    """gamma > A/B solving f(gamma) = x; +inf when x >= B/(A+B).
-
-    f(gamma) = x is quadratic in gamma:
-    (AB - k) gamma^2 - (A^2 + B^2) gamma + (AB + k) = 0 with k = x(A+B)A,
-    and the root above A/B takes the plus branch, +inf where the leading
-    coefficient is not positive (x within rounding of the cap). Near the
-    cap the loss of relative accuracy is the problem's conditioning, not
-    the formula's: the result is backward stable (f(gamma) is within a few
-    ulps of x), so its relative error stays below eps x / (B/(A+B) - x).
-    """
-    A, B = params.A, params.B
-    if x < 0.0:
-        raise ValueError(f"f_inverse needs x >= 0, got {x!r}")
-    k = x * (A + B) * A
-    lead = A * B - k
-    if x >= B / (A + B) or not lead > 0.0:
-        return math.inf
-    disc = (A * A - B * B) ** 2 + 4.0 * k * k
-    return ((A * A + B * B) + math.sqrt(disc)) / (2.0 * lead)
-
-
 def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     """The principal's optimal promotion signal for a fixed effort profile: a :func:`_logit_rule`.
 
-    Symmetric profiles get the impartial signal, intercept s = 0 and X = Y = g(gamma). The (hi, lo)
-    profile gets the always-promote-m signal once gamma <= A/B (lam >= lambda_breve), and otherwise
-    that of :func:`signal_from_odds`, pi_bar = pi(0) = (gamma A - B)/((gamma - 1)(A + B)), X = f(gamma)
-    and Y = (A/B) f(gamma). It has pi(1) > pi(0) > 1/2, and pi(-1) < 1/2 exactly while
-    lam < 1/ln((A + sqrt((A - B)(A + B)))/B), where 2 r (A - r B) < (1 - r^2) B: w is favored only
-    after an outstanding outcome (d = -1). (lo, hi) gets its mirror image. The labels are checked here.
+    Symmetric profiles get the impartial signal, intercept s = 0 and X = Y = tanh(1/(2 lam))/2, the
+    paper's g(gamma). The (hi, lo) profile gets the always-promote-m signal once lam >= lambda_breve,
+    and otherwise that of :func:`signal_from_odds`, pi_bar = pi(0) = (A - rB)/((1 - r)(A + B)) at
+    r = exp(-1/lam), X = f(gamma) and Y = (A/B) X. It has pi(1) > pi(0) > 1/2, and pi(-1) < 1/2
+    exactly while lam < 1/ln((A + sqrt((A - B)(A + B)))/B), where 2 r (A - r B) < (1 - r^2) B: w is
+    favored only after an outstanding outcome (d = -1). (lo, hi) gets its mirror image. The labels
+    are checked here.
     """
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
@@ -614,9 +554,22 @@ def _gamma_hat(params: GameParams) -> float:
     return 1.0 + (dmu + root) / (s * (2.0 * params.mu_lo - 1.0))
 
 
-def _lam_of_gamma(gamma: float) -> float:
-    """Inverse of gamma = exp(1/lam); an infinite gamma maps to lam = 0."""
-    return 0.0 if math.isinf(gamma) else 1.0 / math.log(gamma)
+def _lambda_at_bonus(A: float, B: float, x: float) -> float:
+    """lam at which the (hi, lo) bonus X = f(gamma) is x >= 0; 0 once x reaches B/(A+B), X's limit as lam -> 0.
+
+    f(gamma) = x is quadratic in gamma = exp(1/lam):
+    (AB - k) gamma^2 - (A^2 + B^2) gamma + (AB + k) = 0 with k = x(A+B)A,
+    and the root above A/B takes the plus branch, none where the leading
+    coefficient is not positive (x within rounding of the cap). Near the
+    cap the loss of relative accuracy is the problem's conditioning, not
+    the formula's: the root is backward stable (f there is within a few
+    ulps of x), so its relative error stays below eps x / (B/(A+B) - x).
+    """
+    k = x * (A + B) * A
+    lead = A * B - k
+    if x >= B / (A + B) or not lead > 0.0:
+        return 0.0
+    return 1.0 / math.log(((A * A + B * B) + math.sqrt((A * A - B * B) ** 2 + 4.0 * k * k)) / (2.0 * lead))
 
 
 def _log_gamma_star(c: float) -> float:
@@ -629,33 +582,32 @@ def _log_gamma_star(c: float) -> float:
 
 def lambda_star(params: GameParams) -> float:
     """Attention cost at which impartial equilibria switch from high to low
-    effort, 1/ln(gamma*) with gamma* = g^-1(c); independent of params.lam."""
+    effort, where the impartial bonus g(gamma) meets c; independent of params.lam."""
     return 1.0 / _log_gamma_star(params.c)
 
 
 def thresholds(params: GameParams) -> ThresholdSet:
     """All cutpoints of the game, with regularity flags.
 
-    gamma* = (1+2c)/(1-2c) inverts g in closed form. The discriminatory
-    bounds invert f at X_high = c mu_lo / mu_hi (w willing to shirk) and
+    lambda_star is where the impartial bonus g(gamma) = (gamma-1)/(2(gamma+1))
+    meets c, gamma* = (1+2c)/(1-2c). The discriminatory bounds are where the
+    (hi, lo) bonus f meets X_high = c mu_lo / mu_hi (w willing to shirk) and
     X_low = c (1-mu_hi)/(1-mu_lo) (m willing to work). condition5 holds when
     mu_lo > 1/2 and c > g(gamma_hat), and is exactly when
     lambda_star < lambda_high.
     """
-    c = params.c
+    c, A, B = params.c, params.A, params.B
     # A/B = 1 + delta_mu/B; at B = 0 the (hi, lo) signal is degenerate at every lam
-    lambda_breve = 1.0 / math.log1p(params.delta_mu / params.B) if params.B else 0.0
+    lambda_breve = 1.0 / math.log1p(params.delta_mu / B) if B else 0.0
     X_high = c * params.mu_lo / params.mu_hi
     X_low = c * (1.0 - params.mu_hi) / (1.0 - params.mu_lo)
-    lambda_low = _lam_of_gamma(f_inverse(params, X_high))
-    lambda_high = _lam_of_gamma(f_inverse(params, X_low))
     gamma_hat = _gamma_hat(params) if params.mu_lo > 0.5 else None
-    condition5 = gamma_hat is not None and c > g_func(gamma_hat)
+    condition5 = gamma_hat is not None and c > (gamma_hat - 1.0) / (2.0 * (gamma_hat + 1.0))
     return ThresholdSet(
         lambda_breve=lambda_breve,
         lambda_star=lambda_star(params),
-        lambda_low=lambda_low,
-        lambda_high=lambda_high,
+        lambda_low=_lambda_at_bonus(A, B, X_high),
+        lambda_high=_lambda_at_bonus(A, B, X_low),
         gamma_hat=gamma_hat,
         X_low=X_low,
         X_high=X_high,

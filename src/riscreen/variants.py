@@ -152,14 +152,16 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
     """commitment_solve at lam of the game whose lambda-independent part is variants."""
     base = variants.base
     priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
-    impartial, disc_signal = _profile_signals(base, lam)
+    impartial = _logit_rule(0.0, lam)
     if lam <= variants.lam_star + 1e-15:
         rec = _value(priors[0], impartial, lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
     rec = _value(priors[2], impartial, lam, costs, weights)
     # each outcome is a CommitmentSolution's first five fields: nu, signal, profile, profit, agent
     outcomes = [(0.0, rec.signal, (LO, LO), rec.profit, None)]
-    if _supports(priors[1], disc_signal, base.c, base.c):
+    # at a corner (None) m is always promoted: zero gains never meet c > 0
+    disc_signal = signal_from_odds(base.A, base.B, lam)
+    if disc_signal is not None and _supports(priors[1], disc_signal, base.c, base.c):
         outcomes.append((0.0, disc_signal, (HI, LO), _value(priors[1], disc_signal, lam, costs, weights).profit, None))
     bound = _bind_high_effort(variants, lam)
     if bound is not None:

@@ -1,7 +1,8 @@
 """One exact model of the promotion game, the tests' reference; it imports nothing from riscreen.
 
-The prior, the interior test, the kernel and the bonuses are plain
-arithmetic in r = exp(-1/lam): on Fractions they are exact, and on floats
+The prior, the interior test, the kernel, the bonuses and the paper's
+bonus curves f and g are plain arithmetic in r = exp(-1/lam) or in
+gamma = 1/r: on Fractions they are exact, and on floats
 and numpy arrays they are the closed form in r, an oracle that rounds apart
 from the library's logit kernel. The rest read float arguments as exact
 Decimals in the current context, which ``digits(n)`` sets: 60 digits for
@@ -107,6 +108,18 @@ def gamma_hat(mu_hi, mu_lo):
     c0 = (A + B) * s - 2 * A * B  # coefficient of gamma^2 and of gamma^0
     c1 = 2 * (A * A + B * B) - 2 * (A + B) * s
     return (c1 + (c1 * c1 - 4 * c0 * c0).sqrt()) / (-2 * c0)
+
+
+def g(gamma):
+    """The paper's g: the impartial bonus X = Y at gamma = exp(1/lam), (gamma - 1)/(2(gamma + 1))."""
+    return (gamma - 1) / (2 * (gamma + 1))
+
+
+def f(A, B, gamma):
+    """The paper's f: the (hi, lo) bonus X at gamma = exp(1/lam) >= A/B, (gamma A - B)(gamma B - A)
+    / ((gamma^2 - 1)(A + B) A), taken in r = 1/gamma, so an infinite gamma gives the limit B/(A + B)."""
+    r = 1 / gamma
+    return (A - r * B) * (B - r * A) / ((1 - r * r) * (A + B) * A)
 
 
 def f_inverse(A, B, x):

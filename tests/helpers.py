@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import riscreen
-from riscreen import GameParams, g_func, ri_core, thresholds
+from riscreen import GameParams, ri_core, thresholds
 from riscreen.baseline_game import lambda_star
 from riscreen.multitask import TaskParams, task_games
 from riscreen.ri_core import BinaryRIProblem
@@ -306,7 +306,7 @@ def sample_condition5(rng: random.Random, lam: float = 1.0) -> GameParams:
         cuts = thresholds(probe)
         if cuts.gamma_hat is None:
             continue
-        floor = g_func(cuts.gamma_hat)
+        floor = exact.g(cuts.gamma_hat)
         if floor >= 0.98 * bound:
             continue
         c = rng.uniform(floor + 0.02 * (bound - floor), bound - 0.02 * (bound - floor))

@@ -18,11 +18,7 @@ from riscreen import (
     bind_high_effort,
     equilibrium_set,
     evaluate,
-    f_func,
-    f_inverse,
     find_multiplier,
-    g_func,
-    g_inverse,
     incentive_gain,
     most_profitable,
     optimal_signal,
@@ -35,8 +31,10 @@ from riscreen import (
 from riscreen.baseline_game import (
     IC_TOL,
     _cubic_roots,
+    _lambda_at_bonus,
     _profile_prior,
     _supports,
+    lambda_star,
     most_profitable_among,
     signal_from_odds,
     signal_oracle_residual,
@@ -86,12 +84,12 @@ class TestGameParams:
     @pytest.mark.parametrize("lam", [1e-3, 1e-4])
     @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.35), (0.7, 0.59)])
     def test_gamma_past_overflow_is_the_costless_limit(self, lam, mus):
-        # exp(1/lam) overflows here; at gamma = +inf the curves take their limits
+        # exp(1/lam) overflows here; the kernel's bonuses take the gamma = +inf limits of g and f
         p = GameParams(*mus, 0.07, lam)
         with pytest.raises(OverflowError):
             math.exp(1.0 / lam)
-        assert g_func(math.inf) == 0.5
-        assert f_func(p, math.inf) == p.B / (p.A + p.B)
+        assert optimal_signal(p, (HI, HI)).X == 0.5
+        assert optimal_signal(p, (HI, LO)).X == pytest.approx(p.B / (p.A + p.B), rel=2.0**-52, abs=0.0)
 
     def test_assumption1_fails_for_large_cost(self):
         bound = GAME.mu_hi * (1 - GAME.mu_hi) / (GAME.A + GAME.B)
@@ -115,63 +113,80 @@ class TestStateDistribution:
 
 
 class TestCurves:
+    """The kernel's bonuses X as lam varies, the paper's g and f, and the quadratic that places the (hi, lo) X."""
+
     def test_g_at_one(self):
-        assert g_func(1.0) == 0.0
+        # g(1) = 0: as lam grows (gamma -> 1) the impartial bonus tanh(1/(2 lam))/2 vanishes as 1/(4 lam)
+        for lam in (1e6, 1e100, 1e300):
+            assert optimal_signal(GAME._replace(lam=lam), (HI, HI)).X == pytest.approx(0.25 / lam, rel=1e-12)
 
     def test_g_increasing_to_half(self):
-        gammas = helpers.linspace(1.0, 400.0, 200)
-        vals = [g_func(g) for g in gammas]
+        # the impartial bonus rises as lam falls, towards 1/2
+        vals = [optimal_signal(GAME._replace(lam=lam), (HI, HI)).X for lam in helpers.linspace(100.0, 0.17, 200)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert g_func(1e12) == pytest.approx(0.5, abs=1e-10)
+        assert optimal_signal(GAME._replace(lam=1.0 / math.log(1e12)), (HI, HI)).X == pytest.approx(0.5, abs=1e-10)
 
     def test_f_root_at_ratio(self):
-        assert f_func(GAME, GAME.A / GAME.B) == pytest.approx(0.0, abs=1e-15)
+        # the (hi, lo) bonus is 0 from lambda_breve = 1/ln(A/B) on
+        breve = thresholds(GAME).lambda_breve
+        assert optimal_signal(GAME._replace(lam=breve), (HI, LO)).X == pytest.approx(0.0, abs=1e-15)
+        assert optimal_signal(GAME._replace(lam=2.0 * breve), (HI, LO)).X == 0.0
 
     def test_f_value_is_table1_bonus(self):
         gamma = math.exp(1.0 / GAME.lam)
-        assert f_func(GAME, gamma) == pytest.approx(0.243791412838850, abs=1e-12)
-        # equals pi(1) - pi(0) from the generic solver
-        sig = optimal_signal(GAME, (HI, LO))
-        assert f_func(GAME, gamma) == pytest.approx(sig.X, abs=1e-12)
+        assert exact.f(GAME.A, GAME.B, gamma) == pytest.approx(0.243791412838850, abs=1e-12)
+        # equals pi(1) - pi(0) of the kernel
+        assert optimal_signal(GAME, (HI, LO)).X == pytest.approx(0.243791412838850, abs=1e-12)
 
     def test_f_increasing_to_limit(self):
-        gammas = helpers.linspace(GAME.A / GAME.B, 1e4, 200)
-        vals = [f_func(GAME, g) for g in gammas]
+        # the (hi, lo) bonus rises as lam falls, as f in gamma = exp(1/lam), towards B/(A+B)
+        A, B = GAME.A, GAME.B
+        gammas = helpers.linspace(A / B, 1e4, 200)
+        vals = [optimal_signal(GAME._replace(lam=1.0 / math.log(g)), (HI, LO)).X for g in gammas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert f_func(GAME, 1e14) == pytest.approx(GAME.B / (GAME.A + GAME.B), abs=1e-9)
+        assert vals == pytest.approx([exact.f(A, B, g) for g in gammas], abs=1e-12)
+        assert optimal_signal(GAME._replace(lam=1.0 / math.log(1e14)), (HI, LO)).X == pytest.approx(B / (A + B), abs=1e-9)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            g_func(0.99)
-        with pytest.raises(ValueError):
-            f_func(GAME, GAME.A / GAME.B - 1e-6)
+        # f's domain gamma >= A/B is lam <= lambda_breve: past it no interior (hi, lo) signal exists
+        breve = thresholds(GAME).lambda_breve
+        assert signal_from_odds(GAME.A, GAME.B, breve * (1.0 - 1e-9)) is not None
+        assert signal_from_odds(GAME.A, GAME.B, breve * (1.0 + 1e-9)) is None
+        # g's domain gamma > 1 is 0 < lam < inf, the lam GameParams accepts
+        for lam in (0.0, -0.3, math.inf):
+            with pytest.raises(ValueError, match=f"^lam must be positive and finite, got {lam!r}$"):
+                GAME._replace(lam=lam)
 
     def test_inverses_round_trip(self):
+        # at the cutpoint for a bound x, the kernel's bonus is x
         for x in (0.05, 0.2, 0.35, 0.49):
-            assert g_func(g_inverse(x)) == pytest.approx(x, abs=1e-14)
+            lam = lambda_star(GAME._replace(cost_C=x * GAME.delta_mu))
+            assert optimal_signal(GAME._replace(lam=lam), (HI, HI)).X == pytest.approx(x, abs=1e-14)
         cap = GAME.B / (GAME.A + GAME.B)
         for x in (0.01, 0.1, 0.2, cap * 0.999):
-            gamma = f_inverse(GAME, x)
-            assert f_func(GAME, gamma) == pytest.approx(x, abs=1e-12)
+            lam = _lambda_at_bonus(GAME.A, GAME.B, x)
+            assert optimal_signal(GAME._replace(lam=lam), (HI, LO)).X == pytest.approx(x, abs=1e-12)
 
     def test_inverse_caps(self):
-        assert g_inverse(0.5) == math.inf
-        assert f_inverse(GAME, GAME.B / (GAME.A + GAME.B)) == math.inf
+        # a bound the bonus never reaches is met only in the costless limit, lam = 0
+        assert lambda_star(GAME._replace(cost_C=0.5 * GAME.delta_mu)) == 0.0
+        assert _lambda_at_bonus(GAME.A, GAME.B, GAME.B / (GAME.A + GAME.B)) == 0.0
 
-    # at the last pair's nextafter(cap, 0), AB - k rounds to 0 and gamma is +inf
+    # at the last pair's nextafter(cap, 0), AB - k rounds to 0 and lam is 0
     @pytest.mark.parametrize("mus", [(0.8, 0.6), (0.9, 0.2), (0.55, 0.5), (0.999, 0.001),
                                      (0.7406087119000457, 0.049551753165835107)])
     def test_inverse_near_cap_is_as_accurate_as_its_conditioning(self, mus):
-        # backward error a few ulps; forward error of r = 1/gamma (0 at the
-        # cap, where gamma may be +inf) within eps times the condition
+        # backward error a few ulps; forward error of r = 1/gamma = exp(-1/lam) (0 at the
+        # cap, where lam may be 0) within eps times the condition
         # number x / (cap - x), against the quadratic in 60 digits
         game = GameParams(*mus, 0.01, 1.0)
         A, B = game.A, game.B
         cap = B / (A + B)
         eps = EPS
         for x in [cap * (1.0 - 10.0**-e) for e in range(4, 15)] + [math.nextafter(cap, 0.0)]:
-            gamma = f_inverse(game, x)
-            assert abs(f_func(game, gamma) - x) <= 4.0 * eps * x
+            lam = _lambda_at_bonus(A, B, x)
+            gamma = math.exp(1.0 / lam) if lam else math.inf
+            assert abs(exact.f(A, B, gamma) - x) <= 4.0 * eps * x
             with exact.digits(60):
                 want = exact.f_inverse(A, B, x)
                 rel = float(abs(1 / Decimal(gamma) - 1 / want) * want)
@@ -183,11 +198,11 @@ class TestCurves:
             lo, hi = GAME.A / GAME.B + 1e-12, 1e6
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                if f_func(GAME, mid) < x:
+                if exact.f(GAME.A, GAME.B, mid) < x:
                     lo = mid
                 else:
                     hi = mid
-            assert f_inverse(GAME, x) == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+            assert _lambda_at_bonus(GAME.A, GAME.B, x) == pytest.approx(1.0 / math.log(0.5 * (lo + hi)), rel=1e-9)
 
 
 class TestOptimalSignal:
@@ -405,7 +420,8 @@ class TestThresholds:
         assert math.exp(1.0 / cuts.lambda_high) == pytest.approx(7.909, abs=5e-4)
 
     def test_gamma_star_closed_form(self):
-        assert g_inverse(GAME.c) == pytest.approx((1 + 2 * GAME.c) / (1 - 2 * GAME.c), rel=1e-14)
+        # g(gamma*) = c at gamma* = (1 + 2c)/(1 - 2c)
+        assert lambda_star(GAME) == pytest.approx(1.0 / math.log((1 + 2 * GAME.c) / (1 - 2 * GAME.c)), rel=1e-14)
 
     def test_ordering_flags(self):
         cuts = thresholds(GAME)
@@ -426,16 +442,16 @@ class TestThresholds:
     def test_gamma_hat_is_crossing(self, params):
         cuts = thresholds(params)
         assert cuts.gamma_hat is not None
-        psi = f_func(params, cuts.gamma_hat) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
-        assert g_func(cuts.gamma_hat) == pytest.approx(psi, abs=1e-9)
+        psi = exact.f(params.A, params.B, cuts.gamma_hat) * params.A / (params.mu_hi * (1.0 - params.mu_hi))
+        assert exact.g(cuts.gamma_hat) == pytest.approx(psi, abs=1e-9)
 
     def test_inverse_near_the_cap_stays_above_the_odds(self):
         for mus in ((0.8, 0.6), (0.999, 0.001), (0.7406087119000457, 0.049551753165835107)):
             game = GameParams(*mus, 0.01, 1.0)
             cap = game.B / (game.A + game.B)
             for x in (cap * (1.0 - 1e-13), cap * (1.0 - 1e-15), math.nextafter(cap, 0.0)):
-                assert f_inverse(game, x) > game.A / game.B
-        # X_high of this game is within an ulp of the cap: lambda_low is 0 (gamma = +inf)
+                assert 0.0 <= _lambda_at_bonus(game.A, game.B, x) < thresholds(game).lambda_breve
+        # X_high of this game is within an ulp of the cap: lambda_low is 0
         game = GameParams(0.7406087119000457, 0.049551753165835107, 0.18521755123136274, 1.0)
         assert thresholds(game).lambda_low == 0.0
 

@@ -1,5 +1,7 @@
 """CLI behavior: formats, determinism, exit codes, golden checks."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -265,8 +267,9 @@ class TestReproduce:
         assert all(set(c) == {"name", "passed", "measured", "tolerance"} for c in payload["checks"])
 
     def test_tampered_constant_fails_named_check(self, capsys, monkeypatch):
-        real = bg.g_func
-        monkeypatch.setattr(bg, "g_func", lambda gamma: real(gamma) + 1e-3)
+        # thresholds looks lambda_star up by module name; the check reads the kernel's bonus there
+        real = bg.lambda_star
+        monkeypatch.setattr(bg, "lambda_star", lambda params: real(params) + 1e-3)
         code, out, _ = run(["reproduce"], capsys)
         assert code == 1
         assert any("FAIL threshold_inverse_consistency" in l for l in out.splitlines())
@@ -283,7 +286,7 @@ class TestOtherCommands:
     )
     def test_bonus_bound_at_the_cap_of_f(self, command, cost, capsys):
         # X_high (thresholds) or X_low (regimes) is within an ulp of B/(A+B), the
-        # cap of f, where r = 1/gamma is 0 and the cutpoint is lam = 0
+        # cap of the (hi, lo) bonus, met only at lam = 0, the cutpoint
         game = ["--mu-hi", "0.7406087119000457", "--mu-lo", "0.049551753165835107", "--cost", cost]
         code, out, err = run([command, *game], capsys)
         assert code == 0 and out and "Traceback" not in err
@@ -536,3 +539,38 @@ def test_equilibria_enumerates_once(capsys, monkeypatch):
     assert [l for l in out.splitlines() if l.endswith(" *")] == [
         l for l in out.splitlines() if l.startswith("(hi,hi)")
     ]
+
+
+#: the refusals a valid game may meet on the command line, each the start of its one error line
+DOMAIN_REFUSALS = ("error: quota analysis requires mu_hi + mu_lo > 1 (got ",)
+
+
+@helpers.draws(200, seed=43001, params=helpers.any_domain_game)
+def test_every_subcommand_exits_cleanly_on_the_whole_domain(params):
+    # each subcommand, run in-process at a game of the documented domain, exits 0, or exits 2
+    # with one error line that names a documented refusal: no traceback, no bare math error
+    game = ["--mu-hi", repr(params.mu_hi), "--mu-lo", repr(params.mu_lo), "--cost", repr(params.cost_C)]
+    at = [*game, "--lambda", repr(params.lam)]
+    sweep = [*game, "--lambda-range", repr(params.lam / 2.0), repr(params.lam * 2.0), "--lambda-steps", "3"]
+    commands = [
+        *(["signal", *at, "--profile", profile] for profile in ("hi,hi", "hi,lo", "lo,hi", "lo,lo")),
+        ["signal", *at, "--oracle"],
+        ["thresholds", *game],
+        ["equilibria", *at],
+        ["quota", *at],
+        ["variants", "--which", "mixed", *at],
+        ["variants", "--which", "commitment", *at],
+        ["variants", "--which", "heterogeneous", *at, "--cost-m", repr(params.cost_C),
+         "--cost-w", repr(1.5 * params.cost_C)],
+        *(["regimes", "--analysis", analysis, *sweep] for analysis in ("baseline", "quota", "variants")),
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and out.getvalue(), argv
+        else:
+            assert code == 2 and out.getvalue() == "", (argv, code)
+            assert len(lines) == 1 and lines[0].startswith(DOMAIN_REFUSALS), (argv, lines)

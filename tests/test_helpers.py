@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from riscreen import g_func, thresholds
+from riscreen import thresholds
 from riscreen.baseline_game import lambda_star
 from riscreen.ri_core import INTERIOR
 
+import exact
 import helpers
 
 
@@ -157,7 +158,7 @@ def test_sample_condition5_stays_in_its_box():
         assert 0.55 <= game.mu_hi <= 0.95 and 0.505 <= game.mu_lo <= game.mu_hi - 0.02, game
         cuts = thresholds(game)
         assert game.lam == 1.0 and game.assumption1 and cuts.condition5, game
-        floor, bound = g_func(cuts.gamma_hat), _regularity_bound(game)
+        floor, bound = exact.g(cuts.gamma_hat), _regularity_bound(game)
         assert _within(game.c, floor + 0.02 * (bound - floor), bound - 0.02 * (bound - floor)), game
 
 

@@ -15,8 +15,6 @@ from riscreen import (
     TaskParams,
     cli,
     continuous_effort_equilibria,
-    f_inverse,
-    g_inverse,
     multitask_equilibrium_set,
     mutual_information,
 )
@@ -110,8 +108,8 @@ def test_a_config_value_its_flag_refuses_gets_the_usage_error(cfg, argv, message
     (lambda: ChoiceRule([0.2, 0.8], 0.5, False, -0.1), "info_cost must be nonnegative"),
     (lambda: mutual_information([0.5, 0.5], [0.2, 0.4, 0.8]), "prior and conditional must have equal length"),
     (lambda: ReferencePriorProblem([0.5, 0.5], [0.2, 0.5, 0.3], 0.3), "priors live on the three differences (-1, 0, 1)"),
-    (lambda: g_inverse(-0.01), "g_inverse needs x >= 0, got -0.01"),
-    (lambda: f_inverse(GameParams(0.8, 0.6, 0.07, 0.3), -math.ulp(0.0)), "f_inverse needs x >= 0, got -5e-324"),
+    (lambda: GameParams(0.6, 0.8, 0.07, 0.3), "need 0 < mu_lo < mu_hi < 1, got mu_lo=0.8, mu_hi=0.6"),
+    (lambda: GameParams(0.8, 0.6, 0.07, math.inf), "lam must be positive and finite, got inf"),
     (lambda: TaskParams(0.5, 1.0, math.inf), "cost_C must be positive and finite, got inf"),
     (lambda: HeterogeneousParams(0.07, math.nan), "cost_w must be positive and finite, got nan"),
     (lambda: HeterogeneousParams(2e-13, 1e-13).effective_costs(1.0),
@@ -127,7 +125,7 @@ def test_a_config_value_its_flag_refuses_gets_the_usage_error(cfg, argv, message
     (lambda: multitask_equilibrium_set(GameParams(0.75, 0.25, 0.07, 0.3), (TaskParams(0.5, 1.0, 0.03),) * 3),
      "exactly two tasks are supported"),
 ], ids=["one-state", "unequal-lengths", "conditional", "info-cost", "mi-lengths", "two-entry-prior",
-        "g-inverse", "f-inverse", "task-cost-inf", "cost-w-nan", "tiny-cost-order", "tiny-task-order",
+        "mu-order", "game-lam-inf", "task-cost-inf", "cost-w-nan", "tiny-cost-order", "tiny-task-order",
         "continuous-lam-zero", "cost-c-nan", "cost-c-zero", "kappa-minus-zero", "du-m-inf", "three-tasks"])
 def test_a_bad_library_input_raises_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

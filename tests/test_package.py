@@ -22,9 +22,8 @@ EXPORTS = {
                 "mutual_information", "neg_entropy", "solve_binary_ri"],
     "baseline_game": ["AGENT_M", "AGENT_W", "DISCRIMINATORY", "HI", "IMPARTIAL", "LO", "PROFILES", "BracketError",
                       "EquilibriumRecord", "GameParams", "ProfitBreakdown", "PromotionSignal", "StateDistribution",
-                      "ThresholdSet", "equilibrium_set", "evaluate", "f_func", "f_inverse", "g_func", "g_inverse",
-                      "incentive_gain", "most_profitable", "optimal_signal", "profit", "state_distribution",
-                      "thresholds", "welfare_ordering"],
+                      "ThresholdSet", "equilibrium_set", "evaluate", "incentive_gain", "most_profitable",
+                      "optimal_signal", "profit", "state_distribution", "thresholds", "welfare_ordering"],
     "quota_policy": ["QuotaSolution", "find_multiplier", "quota_equilibrium_set", "subsidized_signal"],
     "multitask": ["HYBRID", "NON_SPECIALIZED", "SPECIALIZED", "MultitaskRecord", "TaskParams",
                   "multitask_equilibrium_set", "multitask_most_profitable"],
@@ -35,9 +34,9 @@ EXPORTS = {
 }
 
 
-def test_all_is_the_61_exported_names():
+def test_all_is_the_57_exported_names():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 61
+    assert len(names) == 57
     assert riscreen.__all__ == names
     assert set(names) <= set(dir(riscreen))
 

@@ -22,7 +22,6 @@ from riscreen import (
     continuous_effort_equilibria,
     equilibrium_set,
     evaluate,
-    f_inverse,
     heterogeneous_equilibrium_set,
     incentive_gain,
     mixed_equilibria,
@@ -77,12 +76,10 @@ class TestHeterogeneous:
 
     def test_disjoint_impartial_regimes(self):
         # with c_m < c_w < 1/2 there is a gap holding no impartial equilibrium
-        from riscreen import g_inverse
-
         c_m, c_w = 0.25, 0.40
         het = HeterogeneousParams(c_m * GAME.delta_mu, c_w * GAME.delta_mu)
-        lam_hi_edge = 1.0 / math.log(g_inverse(c_w))   # below: (hi, hi)
-        lam_lo_edge = 1.0 / math.log(g_inverse(c_m))   # above: (lo, lo)
+        lam_hi_edge = lambda_star(GAME._replace(cost_C=het.cost_w))   # below: (hi, hi)
+        lam_lo_edge = lambda_star(GAME._replace(cost_C=het.cost_m))   # above: (lo, lo)
         assert lam_hi_edge < lam_lo_edge
         lam = 0.5 * (lam_hi_edge + lam_lo_edge)
         profiles = [r.profile for r in heterogeneous_equilibrium_set(GAME._replace(lam=lam), het)]
@@ -92,20 +89,19 @@ class TestHeterogeneous:
         # mu_hi + mu_lo < 1 supports (hi, lo) when w's cost is enough higher
         game = GameParams(0.6, 0.3, 0.1 * 0.3, 1.0)
         het = HeterogeneousParams(0.1 * 0.3, 0.15 * 0.3)
-        # m works while X reaches c_m (1-mu_hi)/(1-mu_lo); w shirks while X stays below c_w mu_lo/mu_hi
-        lo = f_inverse(game, 0.1 * (1.0 - game.mu_hi) / (1.0 - game.mu_lo))
-        hi = f_inverse(game, 0.15 * game.mu_lo / game.mu_hi)
+        # m works while X reaches c_m (1-mu_hi)/(1-mu_lo), below lambda_high at c_m; w shirks while
+        # X stays below c_w mu_lo/mu_hi, above lambda_low at c_w
+        lo = thresholds(game._replace(cost_C=het.cost_w)).lambda_low
+        hi = thresholds(game._replace(cost_C=het.cost_m)).lambda_high
         assert lo < hi
-        lam = 1.0 / math.log(0.5 * (lo + hi))
+        lam = 0.5 * (lo + hi)
         profiles = [r.profile for r in heterogeneous_equilibrium_set(game._replace(lam=lam), het)]
         assert (HI, LO) in profiles
         assert (HI, LO) in helpers.direct_ic_equilibria(game._replace(lam=lam), 1e-12 * game.delta_mu,
                                                         (het.cost_m, het.cost_w))
         # but not when the cost ratio sits below the bound
         het_close = HeterogeneousParams(0.1 * 0.3, 0.105 * 0.3)
-        lo2 = f_inverse(game, 0.1 * (1.0 - game.mu_hi) / (1.0 - game.mu_lo))
-        hi2 = f_inverse(game, 0.105 * game.mu_lo / game.mu_hi)
-        assert lo2 > hi2
+        assert thresholds(game._replace(cost_C=het_close.cost_w)).lambda_low > hi
         assert (HI, LO) not in [r.profile for r in heterogeneous_equilibrium_set(game._replace(lam=lam), het_close)]
 
     def test_records_value_raw_costs_and_weights(self):
@@ -504,11 +500,9 @@ class TestContinuousEffort:
         assert min(fp[0] for fp in res.symmetric) == 0.0
 
     def test_interior_symmetric_effort_tracks_incentive(self):
-        from riscreen import g_func
-
         for lam in (0.3, 0.8, 2.0):
             (res,) = continuous_effort_equilibria(0.65, [lam], 100)
-            target = g_func(math.exp(1.0 / lam)) / 0.65
+            target = exact.g(math.exp(1.0 / lam)) / 0.65
             nearest = min(helpers.linspace(0.0, 1.0, 100), key=lambda x: abs(x - target))
             assert any(fp == (nearest, nearest) for fp in res.symmetric)
 
