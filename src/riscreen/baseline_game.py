@@ -41,6 +41,9 @@ DISCRIMINATORY = "discriminatory"
 IC_TOL = 1e-12
 #: tolerance of the impartiality predicate pi(d) = 1 - pi(-d)
 IMPARTIAL_TOL = 1e-9
+#: absolute rounding allowance on a computed incentive gain (8 eps): each gain
+#: is a convex sum of the bonuses X and Y, each a few ulps from the model
+GAIN_ALLOWANCE = 2.0 ** -49
 
 
 class GameParams(_Validated, namedtuple("GameParams", "mu_hi mu_lo cost_C lam")):
@@ -364,20 +367,42 @@ def _supports(prior: tuple, signal: PromotionSignal, c_m: float, c_w: float) -> 
     return _incentive_holds(e_m, gain_m, c_m) and _incentive_holds(e_w, gain_w, c_w)
 
 
-def _supported(priors: tuple, impartial: PromotionSignal, tilted, c_m: float, c_w: float) -> tuple:
-    """:func:`_supports` of each profile in PROFILES order at the three priors of a _Game, the impartial
-    signal and the (hi, lo) signal tilted (None: both asymmetric profiles are out). (lo, hi) is (hi, lo)
-    with the names swapped: it passes where (hi, lo) passes at the swapped costs (c_w, c_m)."""
-    return (_supports(priors[0], impartial, c_m, c_w),
-            tilted is not None and _supports(priors[1], tilted, c_m, c_w),
-            tilted is not None and _supports(priors[1], tilted, c_w, c_m),
-            _supports(priors[2], impartial, c_m, c_w))
+def _gain_table(priors: tuple, impartial: PromotionSignal, tilted) -> tuple:
+    """The (m, w) :func:`_gains` at (hi, hi), (hi, lo) and (lo, lo), at the three priors of a _Game, the
+    impartial signal and the (hi, lo) signal tilted; None for (hi, lo) when tilted is None (its corner)."""
+    hi_hi, hi_lo, lo_lo = priors
+    return (_gains(hi_hi[1], hi_hi[2], impartial), None if tilted is None else _gains(hi_lo[1], hi_lo[2], tilted),
+            _gains(lo_lo[1], lo_lo[2], impartial))
+
+
+def _supported(table: tuple, c_m: float, c_w: float) -> tuple:
+    """:func:`_supports` of each profile in PROFILES order, off a :func:`_gain_table`, at effective costs c_m and c_w.
+    (lo, hi) is (hi, lo) with the names swapped: it passes where (hi, lo) passes at the swapped costs (c_w, c_m)."""
+    (hh_m, hh_w), hl, (ll_m, ll_w) = table
+    (lo_m, hi_m), (lo_w, hi_w) = _band(c_m), _band(c_w)
+    return (hh_m >= lo_m and hh_w >= lo_w,
+            hl is not None and hl[0] >= lo_m and hl[1] <= hi_w,
+            hl is not None and hl[0] >= lo_w and hl[1] <= hi_m,
+            ll_m <= hi_m and ll_w <= hi_w)
+
+
+def _band(c: float) -> tuple:
+    """(c - tol, c + tol), tol = IC_TOL min(1, c): the slack of every incentive test, high effort above c - tol."""
+    tol = IC_TOL * c if c < 1.0 else IC_TOL
+    return c - tol, c + tol
 
 
 def _incentive_holds(effort: str, gain: float, c: float) -> bool:
-    """One agent's incentive constraint, to IC_TOL min(1, c): gain >= c if it works high, gain <= c if low."""
-    tol = IC_TOL * c if c < 1.0 else IC_TOL
-    return gain >= c - tol if effort == HI else gain <= c + tol
+    """One agent's incentive constraint, to :func:`_band`: gain >= c if it works high, gain <= c if low."""
+    low, high = _band(c)
+    return gain >= low if effort == HI else gain <= high
+
+
+def _gains_can_reach(c: float, lam: float) -> bool:
+    """The slope bound: can a gain meet c at lam? Each bonus sigmoid(a) - sigmoid(a - 1/lam) is at most
+    tanh(1/(4 lam)), and so is each gain, a convex sum of the two. Widened by GAIN_ALLOWANCE for rounding,
+    the bound goes through _incentive_holds: where it fails (lam a little above 1/(4 atanh c)), no gain passes."""
+    return _incentive_holds(HI, math.tanh(0.25 / lam) + GAIN_ALLOWANCE, c)
 
 
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
@@ -454,11 +479,11 @@ def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weig
     I = 0.0 if pi_bar in (0.0, 1.0) else (p_minus * _divergence(q_minus, pi_bar)
         + p_zero * _divergence(q_zero, pi_bar) + p_plus * _divergence(q_plus, pi_bar))
     (cost_m, cost_w), (du_m, du_w) = costs, weights
-    return EquilibriumRecord(
+    return tuple.__new__(EquilibriumRecord, (  # all eight fields in hand
         prior[0], signal, IMPARTIAL if signal.impartial else DISCRIMINATORY, V, I, V - lam * I,
         du_m * pi_bar - (cost_m if e_m == HI else 0.0),
         du_w * (1.0 - pi_bar) - (cost_w if e_w == HI else 0.0),
-    )
+    ))
 
 
 #: the lambda-independent part of a game's analyses: mu_hi, mu_lo, A, B, c, (cost_C, cost_C)
@@ -474,17 +499,17 @@ def _game(params: GameParams) -> _Game:
 
 
 def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
-    """The enumeration of every pure analysis: each profile that :func:`_supported` keeps at (c_m, c_w),
-    valued by :func:`_value` at these costs and weights. (lo, hi)'s record is (hi, lo)'s with the signal
-    mirrored and each agent's utility at its own cost and weight, u_m = du_m (1 - pi_bar) and
-    u_w = du_w pi_bar - cost_w. priors are the three of a _Game, impartial and tilted as in _supported."""
-    hi_hi, hi_lo, lo_hi, lo_lo = _supported(priors, impartial, tilted, c_m, c_w)
+    """The enumeration of every pure analysis: each profile that :func:`_supported` keeps at (c_m, c_w) on the
+    :func:`_gain_table` of the three priors of a _Game, impartial and tilted, valued by :func:`_value` at these
+    costs and weights. (lo, hi)'s record is (hi, lo)'s with the signal mirrored and each agent's utility at its
+    own cost and weight, u_m = du_m (1 - pi_bar) and u_w = du_w pi_bar - cost_w."""
+    hi_hi, hi_lo, lo_hi, lo_lo = _supported(_gain_table(priors, impartial, tilted), c_m, c_w)
     found = [_value(priors[0], impartial, lam, costs, weights)] if hi_hi else []
     if hi_lo or lo_hi:
         record, pi_bar = _value(priors[1], tilted, lam, costs, weights), tilted.pi_bar
         found += [record] if hi_lo else []
-        found += [record._replace(profile=(LO, HI), signal=tilted.mirrored(), utility_m=weights[0] * (1.0 - pi_bar),
-                                  utility_w=weights[1] * pi_bar - costs[1])] if lo_hi else []
+        found += [tuple.__new__(EquilibriumRecord, ((LO, HI), tilted.mirrored(), *record[2:6],
+                                weights[0] * (1.0 - pi_bar), weights[1] * pi_bar - costs[1]))] if lo_hi else []
     return found + ([_value(priors[2], impartial, lam, costs, weights)] if lo_lo else [])
 
 

@@ -17,6 +17,7 @@ from .baseline_game import (
     LO,
     PROFILES,
     GameParams,
+    _gain_table,
     _game,
     _incentive_holds,
     _profile_signals,
@@ -99,10 +100,10 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     additively separable), so the check is per task: the task-t effort pair
     must survive both incentive constraints of the task-t game. A task game
     differs from game only in cost_C, and signals, gains and profits do not
-    depend on the cost, so the two signals are formed once and tested against
-    both task games' c, and each pair some joint equilibrium uses is valued
-    once, (lo, hi) as (hi, lo). The principal's payoff adds the per-task profits
-    weighted by arrivals, sum_t alpha^t (V_t - lam I_t).
+    depend on the cost, so the two signals and their one gain table are formed
+    once and tested against both task games' c, and each pair some joint
+    equilibrium uses is valued once, (lo, hi) as (hi, lo). The principal's payoff
+    adds the per-task profits weighted by arrivals, alpha^1 (V_1 - lam I_1) + alpha^2 (V_2 - lam I_2).
     """
     return _multitask_equilibria(_multitask_game(game, tasks), game.lam)
 
@@ -115,16 +116,19 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
 
 def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
-    game, costs, alpha1, alpha2 = multitask_game
+    game, (c1, c2), alpha1, alpha2 = multitask_game
     impartial, tilted = _profile_signals(game, lam)
-    supported = [_supported(game.priors, impartial, tilted, c, c) for c in costs]
-    joint = [row for row in _JOINT if supported[0][row[0]] and supported[1][row[1]]]
-    held = {i for row in joint for i in row[:2]}
-    signals = (impartial, tilted, tilted.mirrored() if 2 in held else None, impartial)
-    profits = {k: _value(game.priors[k], (impartial, tilted, impartial)[k], lam, game.costs, (1.0, 1.0)).profit
-               for k in {_PRIOR[i] for i in held}}
-    return [MultitaskRecord(inv_m, inv_w, label, sum((alpha1 * profits[_PRIOR[i]], alpha2 * profits[_PRIOR[j]])),
-                            (signals[i], signals[j])) for i, j, inv_m, inv_w, label in joint]
+    table = _gain_table(game.priors, impartial, tilted)
+    first, second = _supported(table, c1, c1), _supported(table, c2, c2)
+    if not (any(first) and any(second)):
+        return []
+    held = [a or b for a, b in zip(first, second)]  # _JOINT pairs every task-1 pair with every task-2 pair
+    signals = (impartial, tilted, tilted.mirrored() if held[2] else None, impartial)
+    profits = [_value(prior, signals[i], lam, game.costs, (1.0, 1.0)).profit if used else None
+               for prior, i, used in zip(game.priors, (0, 1, 3), (held[0], held[1] or held[2], held[3]))]
+    return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * profits[_PRIOR[i]]
+                                            + alpha2 * profits[_PRIOR[j]], (signals[i], signals[j])))
+            for i, j, inv_m, inv_w, label in _JOINT if first[i] and second[j]]
 
 
 def multitask_most_profitable(game: GameParams, tasks: tuple) -> list:

@@ -21,6 +21,7 @@ from collections import namedtuple
 
 from . import ri_core
 from .baseline_game import (
+    GAIN_ALLOWANCE,
     HI,
     LO,
     GameParams,
@@ -29,6 +30,7 @@ from .baseline_game import (
     _cubic_roots,
     _equilibria,
     _game,
+    _gains_can_reach,
     _incentive_holds,
     _logit_rule,
     optimal_signal,
@@ -38,9 +40,6 @@ from ._primitives import BracketError
 
 #: |pi_bar - 1/2| at the returned multiplier must be below this
 QUOTA_TOL = 1e-9
-#: absolute rounding allowance on an incentive gain of a quota signal (8 eps):
-#: each gain is a convex sum of the bonuses X and Y, each a few ulps from the model
-GAIN_ALLOWANCE = 2.0 ** -49
 
 
 class QuotaSolution(namedtuple("QuotaSolution", "nu signal")):
@@ -197,16 +196,12 @@ def _quota_game(params: GameParams) -> _Game:
 def _asymmetric_open(c: float, lam: float) -> bool:
     """Can the quota signal of (hi, lo) or (lo, hi) meet both incentive constraints at lam?
 
-    The rule sigmoid((d - nu)/lam) rises over any window of width 1 in d by
-    at most tanh(1/(4 lam)), its rise over [-1/2, 1/2], so the worker's gain,
-    at most X, is at most that. With 0 < nu < 1 and mu_hi > 1/2, the shirker's gain is at
-    least (X + Y)/2, the rise over a window of width 2, which is smallest at
-    nu = 1: tanh(1/lam)/4. Each bound, widened by GAIN_ALLOWANCE, goes
-    through _incentive_holds, so a computed gain that passes its constraint
-    never meets a bound that fails it.
+    The worker's gain is at most tanh(1/(4 lam)), the slope bound of every logit rule
+    (:func:`baseline_game._gains_can_reach`). With 0 < nu < 1 and mu_hi > 1/2, the shirker's gain is at
+    least (X + Y)/2, the rise of sigmoid((d - nu)/lam) over a window of width 2, which is smallest at
+    nu = 1: tanh(1/lam)/4. Each bound, widened by GAIN_ALLOWANCE, goes through _incentive_holds.
     """
-    return (_incentive_holds(HI, math.tanh(0.25 / lam) + GAIN_ALLOWANCE, c)
-            and _incentive_holds(LO, math.tanh(1.0 / lam) / 4.0 - GAIN_ALLOWANCE, c))
+    return _gains_can_reach(c, lam) and _incentive_holds(LO, math.tanh(1.0 / lam) / 4.0 - GAIN_ALLOWANCE, c)
 
 
 def _quota_equilibria(game: _Game, lam: float) -> list:

@@ -25,6 +25,7 @@ from .baseline_game import (
     _equilibria,
     _game,
     _gains,
+    _gains_can_reach,
     _incentive_holds,
     _log_gamma_star,
     _logit_rule,
@@ -143,13 +144,14 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     the best of: (hi, hi) held together by both incentive constraints
     binding (:func:`bind_high_effort`, the impartial rule with X = Y = c),
     the discriminatory (hi, lo) rule when it is self-enforcing, and the
-    unconstrained (lo, lo) rule. All three are closed forms.
+    unconstrained (lo, lo) rule. All three are closed forms. The (hi, lo) rule is
+    not formed where the slope bound tanh(1/(4 lam)) of every gain is below c.
     """
     return _commitment(_variants_game(game), game.lam)
 
 
 def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
-    """commitment_solve at lam of the game whose lambda-independent part is variants."""
+    """commitment_solve at lam of the game whose lambda-independent part is variants; (hi, lo) past the bound is out."""
     base = variants.base
     priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
     impartial = _logit_rule(0.0, lam)
@@ -159,8 +161,8 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
     rec = _value(priors[2], impartial, lam, costs, weights)
     # each outcome is a CommitmentSolution's first five fields: nu, signal, profile, profit, agent
     outcomes = [(0.0, rec.signal, (LO, LO), rec.profit, None)]
-    # at a corner (None) m is always promoted: zero gains never meet c > 0
-    disc_signal = signal_from_odds(base.A, base.B, lam)
+    # at a corner (None) m is always promoted: zero gains never meet c > 0, nor does any past the slope bound
+    disc_signal = signal_from_odds(base.A, base.B, lam) if _gains_can_reach(base.c, lam) else None
     if disc_signal is not None and _supports(priors[1], disc_signal, base.c, base.c):
         outcomes.append((0.0, disc_signal, (HI, LO), _value(priors[1], disc_signal, lam, costs, weights).profit, None))
     bound = _bind_high_effort(variants, lam)
@@ -352,7 +354,9 @@ def mixed_equilibria(game: GameParams) -> list:
       :func:`baseline_game._cubic_roots`), < 0 at 0, r and 1/r: at most two
       lie in (r, 1/r). m <-> w relabelings are symmetric duplicates.
 
-    Away from lam = lambda_star every returned signal is discriminatory.
+    Away from lam = lambda_star every returned signal is discriminatory. Every gain is at
+    most tanh(1/(4 lam)), so above lam = 1/(4 atanh c) > lambda_star (the slope bound,
+    baseline_game._gains_can_reach) no agent works or is indifferent, and no root is searched.
     """
     return _mixed(_variants_game(game), game.lam)
 
@@ -384,11 +388,9 @@ def _variants_game(game: GameParams) -> _Variants:
 
 
 def _mixed(variants: _Variants, lam: float) -> list:
-    """mixed_equilibria at lam of the game whose lambda-independent part is variants."""
+    """mixed_equilibria at lam of the game whose lambda-independent part is variants; no search past the slope bound."""
     base, window = variants.base, variants.window
     c, mu_lo, mu_hi, delta_mu = base.c, base.mu_lo, base.mu_hi, base.mu_hi - base.mu_lo
-    r = math.exp(-1.0 / lam)
-    k = c * (1.0 - r * r)
     found = []
 
     def keep(sigma_m: float, sigma_w: float, sig: PromotionSignal) -> None:
@@ -397,6 +399,10 @@ def _mixed(variants: _Variants, lam: float) -> list:
 
     if abs(lam - variants.lam_star) <= 1e-9:
         keep(0.5, 0.5, _logit_rule(0.0, lam))
+    if not _gains_can_reach(c, lam):  # no gain meets c: no agent is indifferent, none works
+        return found
+    r = math.exp(-1.0 / lam)
+    k = c * (1.0 - r * r)
 
     if window is not None:
         lo, hi = window

@@ -271,12 +271,13 @@ def test_equilibrium_set_matches_reference(case):
 
 
 def test_each_task_pair_is_solved_once(monkeypatch):
-    # signals and profits do not depend on cost: two kernels, the impartial and the
-    # (hi, lo) signal, serve all four effort pairs of both tasks; the mirror pairs
-    # share one valuation
+    # signals, gains and profits do not depend on cost: two kernels, the impartial and the
+    # (hi, lo) signal, serve all four effort pairs of both tasks; one table of the gains at
+    # (hi, hi), (hi, lo) and (lo, lo) is tested at both task costs; the mirror pairs share
+    # one valuation
     from riscreen import baseline_game, multitask
 
-    counts = {"_logit_rule": 0, "signal_from_odds": 0, "_value": 0}
+    counts = {"_logit_rule": 0, "signal_from_odds": 0, "_gains": 0, "_value": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -285,7 +286,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
 
         return wrapper
 
-    for name in ("_logit_rule", "signal_from_odds"):
+    for name in ("_logit_rule", "signal_from_odds", "_gains"):
         monkeypatch.setattr(baseline_game, name, counted(name, getattr(baseline_game, name)))
     monkeypatch.setattr(multitask, "_value", counted("_value", multitask._value))
     tasks = equal_tasks(0.35)
@@ -295,8 +296,8 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     records = multitask_equilibrium_set(game, tasks)
     assert len(records) >= 2
     # (lo, lo) is in no joint equilibrium here, so only (hi, hi) and (hi, lo) are valued
-    # one logit rule for the impartial signal and one inside signal_from_odds
-    assert counts == {"_logit_rule": 2, "signal_from_odds": 1, "_value": 2}
+    # one logit rule for the impartial signal and one inside signal_from_odds, three gain pairs
+    assert counts == {"_logit_rule": 2, "signal_from_odds": 1, "_gains": 3, "_value": 2}
 
 
 @helpers.draws(60, seed=31007, case=helpers.multitask_game)

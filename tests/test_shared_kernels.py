@@ -4,14 +4,34 @@
 with the agents' names swapped: it is tested with (hi, lo)'s gains swapped and
 valued as (hi, lo), its signal the mirror of (hi, lo)'s. Under the quota the
 one tilt of (hi, lo) is solved only where the closed-form gain bounds leave the
-asymmetric profiles open. The shared results must equal the per-profile ones
-bit for bit.
+asymmetric profiles open. Each enumeration tests every cost against one table
+of gains, and past the slope bound of the logit rule the variants search no
+mixed root and form no committed (hi, lo) signal. The shared results must
+equal the per-profile ones bit for bit.
 """
+
+import math
 
 import pytest
 
-from riscreen import PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
-from riscreen.baseline_game import _profile_signals
+from riscreen import HI, LO, PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
+from riscreen import variants
+from riscreen.baseline_game import (
+    GAIN_ALLOWANCE,
+    IC_TOL,
+    _band,
+    _gain_table,
+    _gains,
+    _gains_can_reach,
+    _game,
+    _incentive_holds,
+    _logit_rule,
+    _profile_prior,
+    _profile_signals,
+    _supported,
+    _supports,
+    signal_from_odds,
+)
 from riscreen.quota_policy import _asymmetric_open
 
 import helpers
@@ -83,3 +103,82 @@ def test_at_most_one_tilt_and_one_tilted_kernel_per_enumeration(monkeypatch, lam
     equilibrium_set(game)
     # the (hi, lo) kernel decides interior vs corner itself, at every lam
     assert counts == {"_tilt": tilts, "signal_from_odds": 1}
+
+
+def stepped(edge, below=3, above=3):
+    """The floats from `below` ulps under edge to `above` ulps over it."""
+    x = edge
+    for _ in range(below):
+        x = math.nextafter(x, -math.inf)
+    out = []
+    for _ in range(below + above + 1):
+        out.append(x)
+        x = math.nextafter(x, math.inf)
+    return out
+
+
+@helpers.draws(150, seed=44001, domain=helpers.domain_game, edge=helpers.edge_game, star=helpers.near_star_game)
+def test_the_verdicts_on_one_gain_table_equal_the_per_profile_rule(domain, edge, star):
+    # each profile's own prior and signal through _supports, (lo, hi) at its own prior and the mirrored
+    # signal; costs equal, unequal, and stepped by ulps across the _band edges of every gain in the table,
+    # where a verdict flips: the high-effort test near gain + tol, the low-effort test near gain - tol
+    for game in (domain, edge, star):
+        priors, c = _game(game).priors, game.c
+        impartial, tilted = _profile_signals(game, game.lam)
+        lo_hi = _profile_prior(game.mu_hi, game.mu_lo, (LO, HI))
+        for signal in (tilted, None):  # None: the corner, where both asymmetric profiles are out
+            table = _gain_table(priors, impartial, signal)
+            costs = [(c, c), (c, 2.0 * c), (0.5 * c, c)]
+            for gain in (g for pair in table if pair is not None for g in pair):
+                for cost in (x for e in _band(gain) for x in stepped(e)):
+                    costs += [(cost, c), (c, cost), (cost, cost)]
+            for c_m, c_w in costs:
+                want = (_supports(priors[0], impartial, c_m, c_w),
+                        signal is not None and _supports(priors[1], signal, c_m, c_w),
+                        signal is not None and _supports(lo_hi, signal.mirrored(), c_m, c_w),
+                        _supports(priors[2], impartial, c_m, c_w))
+                assert _supported(table, c_m, c_w) == want, (game, signal is None, c_m, c_w)
+
+
+def bound_lams(game):
+    """The game's lam and, for c < 1, lams at and around 1/(4 atanh c) and the widened edge of the slope bound."""
+    c, lams = game.c, [game.lam]
+    slack = IC_TOL * min(1.0, c) + GAIN_ALLOWANCE
+    if c < 1.0:
+        lams += [x * 0.25 / math.atanh(c) for x in (1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.9, 1.1)]
+    if slack < c < 1.0 + slack:
+        lams += stepped(0.25 / math.atanh(min(c - slack, 1.0 - 2.0 ** -53)), 4, 4)
+    return [lam for lam in lams if 0.0 < lam < math.inf]
+
+
+@helpers.draws(120, seed=44002, game=helpers.any_domain_game)
+def test_the_slope_bound_prunes_only_futile_work(game):
+    base, va = _game(game), variants._variants_game(game)
+    c, mu_hi, mu_lo = base.c, base.mu_hi, base.mu_lo
+    for lam in bound_lams(game):
+        # (a) every bonus of the logit rule, at its peaks s = +-1/(2 lam) too, is within the bound
+        cap = math.tanh(0.25 / lam) + GAIN_ALLOWANCE
+        for s in [i / 2.0 for i in range(-120, 121)] + [0.5 / lam, -0.5 / lam]:
+            rule = _logit_rule(s, lam)
+            assert rule.X <= cap and rule.Y <= cap, (s, lam, rule)
+        if _gains_can_reach(c, lam):
+            continue
+        # (b) neither one-sided search has a root that _mixed would keep
+        r = math.exp(-1.0 / lam)
+        k = c * (1.0 - r * r)
+        for rho in variants._odds_roots(r, k, 1.0 - mu_lo, mu_lo, *va.rho_m):
+            nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
+            sig = signal_from_odds(nu_m * (1.0 - mu_lo), mu_lo * (1.0 - nu_m), lam)
+            assert sig is None or not _incentive_holds(LO, _gains(nu_m, mu_lo, sig)[1], c), (lam, rho)
+        for rho in variants._odds_roots(r, k, mu_hi, 1.0 - mu_hi, *va.rho_w):
+            nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
+            sig = signal_from_odds(mu_hi * (1.0 - nu_w), nu_w * (1.0 - mu_hi), lam)
+            assert sig is None or not _incentive_holds(HI, _gains(mu_hi, nu_w, sig)[0], c), (lam, rho)
+        # (c) the committed (hi, lo) rule is not self-enforcing
+        tilted = signal_from_odds(base.A, base.B, lam)
+        assert tilted is None or not _supports(base.priors[1], tilted, c, c), lam
+        # and the pruned steps equal the unpruned ones
+        pruned = hexed(variants._mixed(va, lam)), hexed(variants._commitment(va, lam))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variants, "_gains_can_reach", lambda c, lam: True)
+            assert (hexed(variants._mixed(va, lam)), hexed(variants._commitment(va, lam))) == pruned, lam
