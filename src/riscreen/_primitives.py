@@ -19,8 +19,9 @@ class BracketError(RuntimeError):
     """A root search found no sign change to bracket, or a quota was not met.
 
     ``ri_core.find_root`` raises it when the end values share a sign, and
-    ``quota_policy._quota_solution`` when the closed-form quota rule misses
-    pi_bar = 1/2 by more than ``QUOTA_TOL``, where no root is searched.
+    ``quota_policy._quota_solution``, which solves the quota's tilt in closed
+    form and searches no root, when its rule misses pi_bar = 1/2 by more than
+    ``QUOTA_TOL``.
     """
 
 

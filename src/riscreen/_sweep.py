@@ -14,7 +14,7 @@ from . import baseline_game as bg
 from . import multitask as mt
 from . import quota_policy as qp
 from . import variants as va
-from .cli import _TAGS, SCHEMA_VERSION, _emit, _lam_grid, _parse_triple
+from .cli import _TAGS, SCHEMA_VERSION, _emit, _game, _lam_grid, _tasks
 
 _REGIME_HEADER = [
     "lam",
@@ -74,7 +74,7 @@ def _regime_svg(rows: list) -> str:
 
 
 def regimes(args) -> int:
-    base = bg.GameParams(args.mu_hi, args.mu_lo, args.cost, 1.0)
+    base = _game(args)  # each analysis's lambda-independent part reads no lam
     grid = _lam_grid(args)
     if args.svg is not None and args.analysis not in ("baseline", "quota"):
         raise ValueError("the regime strip chart is defined for baseline/quota sweeps")
@@ -86,7 +86,7 @@ def regimes(args) -> int:
         "seed": str(args.seed),
     }
     if args.analysis == "multitask":
-        tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
+        tasks = _tasks(args)
     rows = []
     header = list(_REGIME_HEADER)
     if args.analysis in ("baseline", "quota"):

@@ -224,6 +224,7 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
     impartial, tilted = _profile_signals(params, params.lam)
+    tilted = tilted or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: m is always promoted, as A >= B
     return impartial if e_m == e_w else tilted if e_m == HI else tilted.mirrored()
 
 
@@ -249,9 +250,8 @@ def _logit_rule(s: float, lam: float) -> PromotionSignal:
 
 def _profile_signals(game, lam: float) -> tuple:
     """The two kernels at lam, for a game with A and B (a GameParams or a _Game): the impartial
-    signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors; at its corner
-    m is always promoted, as A >= B."""
-    return _logit_rule(0.0, lam), signal_from_odds(game.A, game.B, lam) or PromotionSignal(1.0, 1.0, 1.0, 1.0)
+    signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors, None at its corner."""
+    return _logit_rule(0.0, lam), signal_from_odds(game.A, game.B, lam)
 
 
 def signal_from_odds(A: float, B: float, lam: float) -> PromotionSignal | None:

@@ -58,7 +58,13 @@ def _parse_triple(text: str) -> tuple:
     return parts
 
 
+def _tasks(args) -> tuple:
+    """The two TaskParams of --task1 and --task2."""
+    return mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2))
+
+
 def _game(args) -> bg.GameParams:
+    """The game of the flags; that of thresholds and regimes, which take no --lambda, is at lam 1."""
     flags = {"--mu-hi": args.mu_hi, "--mu-lo": args.mu_lo, "--lambda": args.lam}
     missing = ", ".join(flag for flag, value in flags.items() if value is None)
     if missing:  # only where the parser leaves them optional
@@ -191,8 +197,7 @@ def cmd_quota(args) -> int:
 
 
 def cmd_multitask(args) -> int:
-    game = _game(args)
-    tasks = (mt.TaskParams(*_parse_triple(args.task1)), mt.TaskParams(*_parse_triple(args.task2)))
+    game, tasks = _game(args), _tasks(args)
     records = mt.multitask_equilibrium_set(game, tasks)
     lines = []
     for rec in records:
@@ -291,11 +296,14 @@ def cmd_reproduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_game_args(sub, lam_default=None, required=True):
+def _add_game_args(sub, reads_lam=True, required=True):
     sub.add_argument("--mu-hi", type=float, dest="mu_hi", required=required)
     sub.add_argument("--mu-lo", type=float, dest="mu_lo", required=required)
     sub.add_argument("--cost", type=float, default=0.07)
-    sub.add_argument("--lambda", type=float, default=lam_default, dest="lam", required=required and lam_default is None)
+    if reads_lam:
+        sub.add_argument("--lambda", type=float, dest="lam", required=required)
+    else:  # the cutpoints read no lambda: the game is built at 1
+        sub.set_defaults(lam=1.0)
 
 
 def _add_sweep_args(sub):
@@ -303,55 +311,27 @@ def _add_sweep_args(sub):
     sub.add_argument("--lambda-steps", type=int, default=40)
 
 
-def _add_output_args(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out")
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def _signal_args(p):
     _add_game_args(p)
     p.add_argument("--profile", default="hi,lo")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_signal)
-
-
-def _thresholds_args(p):
-    _add_game_args(p, lam_default=1.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_thresholds)
-
-
-def _equilibria_args(p):
-    _add_game_args(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_equilibria)
 
 
 def _regimes_args(p):
-    _add_game_args(p, lam_default=1.0)
+    _add_game_args(p, reads_lam=False)
     _add_sweep_args(p)
-    _add_output_args(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--analysis", choices=("baseline", "quota", "multitask", "variants"), default="baseline")
     p.add_argument("--task1", default="0.5,1.0,0.05", help="alpha,beta,cost of task 1")
     p.add_argument("--task2", default="0.5,1.0,0.05", help="alpha,beta,cost of task 2")
     p.add_argument("--svg", help="also write an SVG regime strip chart")
-    p.set_defaults(func=cmd_regimes)
-
-
-def _quota_args(p):
-    _add_game_args(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_quota)
 
 
 def _multitask_args(p):
     _add_game_args(p)
     p.add_argument("--task1", required=True, help="alpha,beta,cost of task 1")
     p.add_argument("--task2", required=True, help="alpha,beta,cost of task 2")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_multitask)
 
 
 def _variants_args(p):
@@ -368,27 +348,30 @@ def _variants_args(p):
     p.add_argument("--kappa", type=float, default=0.65)
     p.add_argument("--grid-size", type=int, default=100, dest="grid_size")
     _add_sweep_args(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_variants)
 
 
 def _reproduce_args(p):
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reproduce)
 
 
-#: (name, help, argument code) of every subcommand, in help order
+#: (name, help, argument code, runner) of every subcommand, in help order
 _COMMANDS = (
-    ("signal", "optimal signal table for one effort profile", _signal_args),
-    ("thresholds", "regime cutpoints", _thresholds_args),
-    ("equilibria", "pure equilibria at one parameter point", _equilibria_args),
-    ("regimes", "sweep lambda and write regime rows", _regimes_args),
-    ("quota", "equal-promotion quota analysis", _quota_args),
-    ("multitask", "two-task investment equilibria", _multitask_args),
-    ("variants", "model variants", _variants_args),
-    ("reproduce", "run the golden checks", _reproduce_args),
+    ("signal", "optimal signal table for one effort profile", _signal_args, cmd_signal),
+    ("thresholds", "regime cutpoints", lambda p: _add_game_args(p, reads_lam=False), cmd_thresholds),
+    ("equilibria", "pure equilibria at one parameter point", _add_game_args, cmd_equilibria),
+    ("regimes", "sweep lambda and write regime rows", _regimes_args, cmd_regimes),
+    ("quota", "equal-promotion quota analysis", _add_game_args, cmd_quota),
+    ("multitask", "two-task investment equilibria", _multitask_args, cmd_multitask),
+    ("variants", "model variants", _variants_args, cmd_variants),
+    ("reproduce", "run the golden checks", _reproduce_args, cmd_reproduce),
 )
+
+
+def _add_command(parser: argparse.ArgumentParser, add_arguments, run) -> None:
+    """Fill a subcommand's parser from its _COMMANDS row: the row's arguments, then --out and its runner."""
+    add_arguments(parser)
+    parser.add_argument("--out")
+    parser.set_defaults(func=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in _COMMANDS:
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, help_text, *row in _COMMANDS:
+        _add_command(sub.add_parser(name, help=help_text), *row)
     return parser
 
 
@@ -412,10 +395,10 @@ def _command_parser(name: str) -> argparse.ArgumentParser | None:
     """The parser of subcommand ``name`` (no --config), built on first use; None for any other name."""
     parser = _COMMAND_PARSERS.get(name)
     if parser is None:
-        for command, _, add_arguments in _COMMANDS:
+        for command, _, *row in _COMMANDS:
             if command == name:
                 parser = argparse.ArgumentParser(prog=f"riscreen {name}")
-                add_arguments(parser)
+                _add_command(parser, *row)
                 _COMMAND_PARSERS[name] = parser
     return parser
 

@@ -144,13 +144,14 @@ def find_multiplier(params: GameParams, profile: tuple) -> QuotaSolution:
     if e_m == e_w:
         return QuotaSolution(0.0, optimal_signal(params, profile))
     params.mu(e_m), params.mu(e_w)
-    prior = state_distribution(params, (HI, LO))
-    nu, signal = _quota_solution(prior, *_tilt(*prior, params.delta_mu, params.lam), params.lam)
+    nu, signal = _quota_solution(state_distribution(params, (HI, LO)), params.delta_mu, params.lam)
     return QuotaSolution(nu, signal) if e_m == HI else QuotaSolution(-nu, signal.mirrored())
 
 
-def _quota_solution(prior: tuple, s: float, y: float, lam: float) -> QuotaSolution:
-    """find_multiplier's rule for (hi, lo) at the tilt (s, y): the logit rule of intercept -nu/lam = -s/lam - y."""
+def _quota_solution(prior: tuple, delta: float, lam: float) -> QuotaSolution:
+    """find_multiplier's rule for (hi, lo) at its prior (p(-1), p(0), p(1)), delta = p(1) - p(-1): the logit
+    rule of intercept -nu/lam = -s/lam - y at the :func:`_tilt` (s, y)."""
+    s, y = _tilt(*prior, delta, lam)
     nu, rule = s + lam * y, _logit_rule(-s / lam - y, lam)
     pi_bar = prior[0] * rule.pi_minus + prior[1] * rule.pi_zero + prior[2] * rule.pi_plus
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
@@ -207,7 +208,6 @@ def _asymmetric_open(c: float, lam: float) -> bool:
 def _quota_equilibria(game: _Game, lam: float) -> list:
     """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _quota_game)."""
     tilted = None
-    if _asymmetric_open(game.c, lam):
-        prior = game.priors[1][3:]  # (p(-1), p(0), p(1)) of (hi, lo)
-        tilted = _quota_solution(prior, *_tilt(*prior, game.mu_hi - game.mu_lo, lam), lam).signal
+    if _asymmetric_open(game.c, lam):  # game.priors[1][3:] is (p(-1), p(0), p(1)) of (hi, lo)
+        tilted = _quota_solution(game.priors[1][3:], game.mu_hi - game.mu_lo, lam).signal
     return _equilibria(game.priors, lam, _logit_rule(0.0, lam), tilted, game.c, game.c, game.costs, (1.0, 1.0))

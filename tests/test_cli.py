@@ -55,6 +55,32 @@ def test_a_config_without_a_path_gets_the_top_level_usage(argv, capsys, monkeypa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_subcommand_takes_out(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "-h"])
+    assert exc.value.code == 0
+    assert "\n  --out OUT\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["thresholds", *CANON, "--lambda", "1"], "riscreen: error: unrecognized arguments: --lambda 1"),
+    (["regimes", *CANON, "--lambda", "0.3"],
+     "riscreen regimes: error: ambiguous option: --lambda could match --lambda-range, --lambda-steps"),
+], ids=["thresholds", "regimes"])
+def test_the_cutpoint_commands_take_no_lambda(argv, error, tmp_path, capsys):
+    # the cutpoints read no lambda: a typed --lambda is a usage error, and a config's lam is ignored,
+    # even one that --lambda would refuse
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: riscreen") and captured.err.splitlines()[-1] == error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": "x"}))
+    assert run(["--config", str(cfg), argv[0]], capsys) == run([argv[0], *CANON], capsys)
+
+
 class TestSignalCommand:
     def test_published_table_rows(self, capsys):
         code, out, _ = run(["signal", *CANON, "--lambda", ".3", "--profile", "hi,lo"], capsys)
@@ -411,7 +437,7 @@ def test_cli_never_loads_numpy(tmp_path):
     sweep = ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda-steps", "8"]
     commands = [
         ["signal", *game, "--profile", "hi,lo", "--oracle"],
-        ["thresholds", *game],
+        ["thresholds", *game[:4]],
         ["equilibria", *game],
         *(["regimes", "--analysis", a, *sweep] for a in ("baseline", "quota", "multitask", "variants")),
         ["regimes", *sweep, "--format", "json", "--svg", str(tmp_path / "strip.svg")],
@@ -438,7 +464,7 @@ def test_cli_never_loads_numpy(tmp_path):
         ["reproduce"],
         ["reproduce", "--json"],
     ]
-    assert {c[0] for c in commands} == {name for name, _, _ in cli._COMMANDS}
+    assert {c[0] for c in commands} == {name for name, *_ in cli._COMMANDS}
     script = (
         "import contextlib, io, sys\n"
         "sys.modules['numpy'] = None\n"

@@ -16,7 +16,7 @@ from riscreen import _sweep, cli
 
 import helpers
 
-COMMANDS = [name for name, _, _ in cli._COMMANDS]
+COMMANDS = [name for name, *_ in cli._COMMANDS]
 CANON = ["--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07"]
 
 
@@ -89,7 +89,7 @@ def test_a_run_adds_arguments_for_its_subcommand_only(capsys, monkeypatch, uncac
     assert code == 0
     assert {prog for prog, _ in added} == {"riscreen regimes"}
     assert added[0] == ("riscreen regimes", "-h")
-    assert len(added) == 14
+    assert len(added) == 13
     assert full == []  # no leftover tokens: the full parser is never built
 
 
@@ -156,9 +156,9 @@ def dispatch_cases(cfg_path) -> list:
 def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, capsys, monkeypatch, uncached_parsers):
     monkeypatch.setenv("COLUMNS", "80")
     seen = []  # the Namespace of each run that reached its subcommand
-    for name in COMMANDS:
-        real = getattr(cli, f"cmd_{name}")
-        monkeypatch.setattr(cli, f"cmd_{name}", lambda args, real=real: seen.append(args) or real(args))
+    monkeypatch.setattr(cli, "_COMMANDS", tuple(
+        (name, help_text, add_arguments, lambda args, run=run: seen.append(args) or run(args))
+        for name, help_text, add_arguments, run in cli._COMMANDS))
 
     def reference(argv):
         try:
@@ -181,8 +181,8 @@ def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, cap
 CONFIG_RUNS = [
     ("signal", {"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3, "profile": "hi,hi", "oracle": True},
      [*CANON, "--lambda", ".3", "--profile", "hi,hi", "--oracle"], ["--lambda", ".5"]),
-    ("thresholds", {"mu_hi": 0.9, "mu_lo": 0.35, "cost": 0.04, "lam": 2},
-     ["--mu-hi", ".9", "--mu-lo", ".35", "--cost", ".04", "--lambda", "2"], ["--cost", ".05"]),
+    ("thresholds", {"mu_hi": 0.9, "mu_lo": 0.35, "cost": 0.04},
+     ["--mu-hi", ".9", "--mu-lo", ".35", "--cost", ".04"], ["--cost", ".05"]),
     ("equilibria", {"mu_hi": 0.8, "mu_lo": 0.6, "lam": 0.3, "out": None, "unknown": 1, "help": True},
      ["--mu-hi", ".8", "--mu-lo", ".6", "--lambda", ".3"], ["--lambda", ".5"]),
     ("regimes", {"mu_hi": 0.7, "mu_lo": 0.59, "cost": "0.0473", "lambda_range": [0.13, "2.6"], "lambda_steps": 3,
@@ -207,8 +207,9 @@ def test_a_config_run_equals_its_flag_run(name, cfg, flags, override, tmp_path, 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     seen, added, full = [], [], []
-    real = getattr(cli, f"cmd_{name}")
-    monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or real(args))
+    monkeypatch.setattr(cli, "_COMMANDS", tuple(
+        (command, help_text, add_arguments, lambda args, run=run: seen.append(args) or run(args))
+        for command, help_text, add_arguments, run in cli._COMMANDS))
     build_parser, add_argument = cli.build_parser, argparse.ArgumentParser.add_argument
     monkeypatch.setattr(cli, "build_parser", lambda: full.append(1) or build_parser())
 
@@ -267,7 +268,7 @@ def test_threads_share_parsers_safely(tmp_path, capsys, same):
     game = [*CANON, "--lambda", ".3"]
     argvs = [
         ["signal", *game],
-        ["thresholds", *game],
+        ["thresholds", *CANON],
         ["equilibria", *game],
         ["quota", *game],
     ]

@@ -1,11 +1,16 @@
-"""The regime map on regular games: the cutpoints predict every equilibrium set.
+"""The regime map on every game: the cutpoints predict every equilibrium set.
 
 As a function of lam, equilibrium_set lists (hi, hi) for lam <= lambda_star,
 (hi, lo) and (lo, hi) for lambda_low <= lam <= lambda_high, and (lo, lo) for
 lam >= lambda_star; quota_equilibrium_set lists the impartial ones alone.
 Games are drawn with c = cost_C / delta_mu down to 1e-16 times the
 regularity bound mu_hi (1 - mu_hi)/(A + B), and lam at random or next to a
-cutpoint, within a few ulps of it or up to a factor e either side.
+cutpoint, within a few ulps of it or up to a factor e either side. Past
+assumption 1 the map is the same: where mu_hi + mu_lo < 1, X_low > X_high, so
+lambda_low > lambda_high and no lam lists (hi, lo); where c is past the
+regularity bound, a bonus bound the (hi, lo) bonus never reaches has its
+cutpoint at 0. The quota refuses mu_hi + mu_lo <= 1, so only the costly
+games past the bound test it.
 
 The knife band: a constraint holds to IC_TOL min(1, c), so where the exact
 gain of a profile's signal (the 60-digit model of :mod:`exact`) lies within
@@ -33,15 +38,38 @@ HUGE_LAM = GameParams(0.9999999952221139, 0.2516413759674337, 6.842489891370814e
 
 def regular_game(rng: random.Random) -> GameParams:
     """mu_hi in [0.52, 0.97], mu_lo in [max(1 - mu_hi + 0.01, 0.05), mu_hi - 0.01], c log-uniform
-    in [1e-16, 0.98] times the regularity bound, and lam one of: log-uniform in [1e-4, 1e4]; a
-    cutpoint (lambda_star, lambda_low, lambda_high or lambda_breve) moved by up to 64 ulps; or a
-    cutpoint times exp([-1, 1]) or 1 + [-1e-9, 1e-9]."""
+    in [1e-16, 0.98] times the regularity bound, and lam as :func:`near_cutpoint` draws it."""
     mu_hi = rng.uniform(0.52, 0.97)
-    mu_lo = rng.uniform(max(1.0 - mu_hi + 0.01, 0.05), mu_hi - 0.01)
+    return at_cost(rng, mu_hi, rng.uniform(max(1.0 - mu_hi + 0.01, 0.05), mu_hi - 0.01), -16.0, math.log10(0.98))
+
+
+def sum_below_one_game(rng: random.Random) -> GameParams:
+    """Past assumption 1 by mu_hi + mu_lo < 1: mu_hi in [0.05, 0.95], mu_lo in
+    [0.01, min(mu_hi, 1 - mu_hi) - 0.01], and c and lam as in :func:`regular_game`."""
+    mu_hi = rng.uniform(0.05, 0.95)
+    return at_cost(rng, mu_hi, rng.uniform(0.01, min(mu_hi, 1.0 - mu_hi) - 0.01), -16.0, math.log10(0.98))
+
+
+def costly_game(rng: random.Random) -> GameParams:
+    """Past assumption 1 by its cost: mu as in :func:`regular_game`, c log-uniform in [1, 10] times
+    the regularity bound, and lam as :func:`near_cutpoint` draws it. lambda_low is 0 there, as the (hi, lo)
+    bonus is below X_high at every lam, and so is lambda_high once X_low reaches the bonus's cap too."""
+    mu_hi = rng.uniform(0.52, 0.97)
+    return at_cost(rng, mu_hi, rng.uniform(max(1.0 - mu_hi + 0.01, 0.05), mu_hi - 0.01), 0.0, 1.0)
+
+
+def at_cost(rng: random.Random, mu_hi: float, mu_lo: float, lo: float, hi: float) -> GameParams:
+    """The game of mu_hi and mu_lo with c 10^[lo, hi] times the regularity bound mu_hi (1 - mu_hi)/(A + B),
+    at a lam from :func:`near_cutpoint`."""
     probe = GameParams(mu_hi, mu_lo, 1.0, 1.0)
     bound = mu_hi * (1.0 - mu_hi) / (probe.A + probe.B)
-    c = bound * 10.0 ** rng.uniform(-16.0, math.log10(0.98))
-    game = probe._replace(cost_C=c * probe.delta_mu)
+    return near_cutpoint(rng, probe._replace(cost_C=bound * 10.0 ** rng.uniform(lo, hi) * probe.delta_mu))
+
+
+def near_cutpoint(rng: random.Random, game: GameParams) -> GameParams:
+    """game at a lam that is one of: log-uniform in [1e-4, 1e4]; a cutpoint (lambda_star, lambda_low,
+    lambda_high or lambda_breve) moved by up to 64 ulps; or a cutpoint times exp([-1, 1]) or
+    1 + [-1e-9, 1e-9]. A cutpoint of 0 or inf gives the log-uniform lam."""
     cuts = thresholds(game)
     cut = rng.choice((cuts.lambda_star, cuts.lambda_low, cuts.lambda_high, cuts.lambda_breve))
     mode = rng.choice(("random", "ulps", "factor", "near"))
@@ -87,6 +115,18 @@ def predicted(game, cuts):
 
 @helpers.draws(600, seed=42101, cases=[dict(game=HUGE_LAM)], game=regular_game)
 def test_the_enumeration_matches_the_cutpoints_outside_the_knife_band(game):
+    check_enumeration(game)
+
+
+@helpers.draws(300, seed=45101, below=sum_below_one_game, costly=costly_game)
+def test_the_enumeration_matches_the_cutpoints_past_assumption_1(below, costly):
+    for game in (below, costly):
+        assert not game.assumption1, game
+        check_enumeration(game)
+
+
+def check_enumeration(game):
+    """equilibrium_set(game) is the cutpoints' prediction, unless a gain is in the knife band."""
     with exact.digits(60):
         s = exact.intercept(game.A, game.B, game.lam)
         shift = 2 * math.ulp(float(s)) if s is not None else 0.0
@@ -99,6 +139,18 @@ def test_the_enumeration_matches_the_cutpoints_outside_the_knife_band(game):
 
 @helpers.draws(200, seed=42102, cases=[dict(game=HUGE_LAM)], game=regular_game)
 def test_the_quota_keeps_the_impartial_cutpoint_outside_the_knife_band(game):
+    check_quota(game)
+
+
+@helpers.draws(200, seed=45102, game=costly_game)
+def test_the_quota_keeps_the_impartial_cutpoint_past_the_regularity_bound(game):
+    assert not game.assumption1 and game.mu_hi + game.mu_lo > 1.0, game
+    check_quota(game)
+
+
+def check_quota(game):
+    """quota_equilibrium_set(game) is the impartial record the cutpoints predict, unless a gain is in the
+    knife band."""
     nu = find_multiplier(game, (HI, LO)).nu
     with exact.digits(60):
         if any(in_band(game, (HI, HI), lambda lam: 0)) or all(in_band(

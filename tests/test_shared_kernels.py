@@ -11,11 +11,12 @@ equal the per-profile ones bit for bit.
 """
 
 import math
+import random
 
 import pytest
 
 from riscreen import HI, LO, PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
-from riscreen import variants
+from riscreen import PromotionSignal, variants
 from riscreen.baseline_game import (
     GAIN_ALLOWANCE,
     IC_TOL,
@@ -57,6 +58,7 @@ def outcome(f, *args):
 @helpers.draws(200, seed=31014, game=helpers.domain_game)
 def test_shared_signals_and_tilt_equal_the_per_profile_solves(game):
     impartial, tilted = _profile_signals(game, game.lam)
+    tilted = tilted or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: m is always promoted
     per_profile = (impartial, tilted, tilted.mirrored(), impartial)
     assert hexed(per_profile) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
     # the quota refuses mu_hi + mu_lo <= 1; mu -> 1 - mu flips the sum across 1
@@ -182,3 +184,25 @@ def test_the_slope_bound_prunes_only_futile_work(game):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(variants, "_gains_can_reach", lambda c, lam: True)
             assert (hexed(variants._mixed(va, lam)), hexed(variants._commitment(va, lam))) == pruned, lam
+
+
+def test_the_slope_bound_needs_its_rounding_allowance():
+    # within 3 ulps of s = -1/(2 lam) the bonus X peaks at tanh(1/(4 lam)) in the model, and a computed X
+    # can round a few ulps above it: the largest c that each bonus meets must stay reachable, and for
+    # some of them the unwidened bound tanh(1/(4 lam)) would deny it
+    rng, denied = random.Random(45001), 0
+    for _ in range(2000):
+        lam, steps = 10.0 ** rng.uniform(-2.0, 3.0), rng.randint(-3, 3)
+        s = -0.5 / lam
+        for _ in range(abs(steps)):
+            s = math.nextafter(s, math.copysign(math.inf, steps))
+        rule = _logit_rule(s, lam)
+        for gain in (rule.X, rule.Y):
+            c = gain / (1.0 - IC_TOL)  # then the largest c whose _band still passes the gain
+            while not _incentive_holds(HI, gain, c):
+                c = math.nextafter(c, 0.0)
+            while _incentive_holds(HI, gain, math.nextafter(c, math.inf)):
+                c = math.nextafter(c, math.inf)
+            assert _gains_can_reach(c, lam), (lam, s, gain, c)
+            denied += not _incentive_holds(HI, math.tanh(0.25 / lam), c)
+    assert denied > 0
