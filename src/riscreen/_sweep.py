@@ -1,4 +1,4 @@
-"""The regimes sweep: its rows, its CSV and JSON writers and its SVG strip chart.
+"""The regimes sweep: its analysis table, its rows, its CSV and JSON writers and its SVG strip chart.
 
 ``cli.cmd_regimes`` imports it on first use, so no other command compiles it.
 Machine output carries 12 significant digits and is byte-deterministic for a
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+from functools import partial
 
 from . import baseline_game as bg
 from . import multitask as mt
@@ -73,10 +74,44 @@ def _regime_svg(rows: list) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _regime_step(game, solve, base):
+    cuts = bg.thresholds(base)
+    cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
+    return lambda lam: _regime_row(lam, solve(game, lam), cut_cells)
+
+
+def _multitask_step(base, args):
+    tasks = _tasks(args)
+    return partial(_multitask_row, mt._multitask_game(base, tasks), tasks)
+
+
+def _multitask_row(game, tasks: tuple, lam: float) -> list:
+    records = mt._multitask_equilibria(game, lam)
+    winners = mt.most_profitable_among(records, tasks)
+    classes = "|".join(sorted({w.classification for w in winners}))
+    return [lam, len(records), classes, winners[0].payoff if winners else math.nan]
+
+
+def _variants_row(game, lam: float) -> list:
+    sol = va._commitment(game, lam)
+    return [lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, lam))]
+
+
+#: each --analysis in the parser's order: (header, prepare); prepare(base, args) does the lam-free work, returns lam -> row
+_ANALYSES = {
+    "baseline": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), bg._pure_equilibria, base)),
+    "quota": (_REGIME_HEADER, lambda base, args: _regime_step(qp._quota_game(base), qp._quota_equilibria, base)),
+    "multitask": (["lam", "n_equilibria", "most_profitable", "best_payoff"], _multitask_step),
+    "variants": (["lam", "commitment_profile", "commitment_profit", "n_mixed"],
+                 lambda base, args: partial(_variants_row, va._variants_game(base))),
+}
+
+
 def regimes(args) -> int:
+    header, prepare = _ANALYSES[args.analysis]
     base = _game(args)  # each analysis's lambda-independent part reads no lam
     grid = _lam_grid(args)
-    if args.svg is not None and args.analysis not in ("baseline", "quota"):
+    if args.svg is not None and header is not _REGIME_HEADER:
         raise ValueError("the regime strip chart is defined for baseline/quota sweeps")
     meta = {
         "analysis": args.analysis,
@@ -85,37 +120,10 @@ def regimes(args) -> int:
         "cost": f"{args.cost:.12g}",
         "seed": str(args.seed),
     }
-    if args.analysis == "multitask":
-        tasks = _tasks(args)
-    rows = []
-    header = list(_REGIME_HEADER)
-    if args.analysis in ("baseline", "quota"):
-        quota = args.analysis == "quota"
-        game = qp._quota_game(base) if quota else bg._game(base)
-        solve = qp._quota_equilibria if quota else bg._pure_equilibria
-        cuts = bg.thresholds(base)
-        cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
-        rows = [_regime_row(lam, solve(game, lam), cut_cells) for lam in grid]
-    elif args.analysis == "multitask":
-        header = ["lam", "n_equilibria", "most_profitable", "best_payoff"]
-        game = mt._multitask_game(base, tasks)
-        for lam in grid:
-            records = mt._multitask_equilibria(game, lam)
-            winners = mt.most_profitable_among(records, tasks)
-            classes = "|".join(sorted({w.classification for w in winners}))
-            rows.append([lam, len(records), classes, winners[0].payoff if winners else math.nan])
-    else:  # variants
-        header = ["lam", "commitment_profile", "commitment_profit", "n_mixed"]
-        game = va._variants_game(base)
-        for lam in grid:
-            sol = va._commitment(game, lam)
-            rows.append([lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, lam))])
-    text = (
-        _rows_to_json(header, rows, meta)
-        if args.format == "json"
-        else _rows_to_csv(header, rows, meta)
-    )
-    _emit(text, args.out)
+    step = prepare(base, args)
+    rows = [step(lam) for lam in grid]
+    write = _rows_to_json if args.format == "json" else _rows_to_csv
+    _emit(write(header, rows, meta), args.out)
     if args.svg is not None:
         _emit(_regime_svg(rows), args.svg)
     return 0

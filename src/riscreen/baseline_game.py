@@ -223,9 +223,10 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     """
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
-    impartial, tilted = _profile_signals(params, params.lam)
-    tilted = tilted or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: m is always promoted, as A >= B
-    return impartial if e_m == e_w else tilted if e_m == HI else tilted.mirrored()
+    if e_m == e_w:
+        return _logit_rule(0.0, params.lam)
+    tilted = signal_from_odds(params.A, params.B, params.lam) or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: promote m
+    return tilted if e_m == HI else tilted.mirrored()
 
 
 def _logit_rule(s: float, lam: float) -> PromotionSignal:

@@ -438,7 +438,7 @@ def main(argv=None) -> int:
 
     The subcommand's parser alone, built on first use and kept, parses the text of a config
     read before its name (:func:`_config_flags`) and then the tokens after it, so a typed flag
-    wins. Any other argv, and leftover tokens, get :func:`build_parser`'s help or usage error.
+    wins; a leftover token gets its usage error. Any other argv gets :func:`build_parser`'s.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     rest, config = argv, None
@@ -457,12 +457,10 @@ def main(argv=None) -> int:
             if not isinstance(cfg, dict):
                 raise ValueError(f"config {config!r} must hold a JSON object")
         command = _command_parser(rest[0]) if rest else None
-        if command is not None:
-            tokens = [*_config_flags(command, cfg), *rest[1:]]
-            args, extras = command.parse_known_args(tokens, argparse.Namespace(config=config, command=rest[0]))
-            argv = [*argv[: len(argv) - len(rest)], rest[0], *tokens]  # reread to report extras
-        if command is None or extras:
+        if command is None:
             args = build_parser().parse_args(argv)
+        else:
+            args = command.parse_args([*_config_flags(command, cfg), *rest[1:]], argparse.Namespace(config=config, command=rest[0]))
         return args.func(args)
     except (ValueError, BracketError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

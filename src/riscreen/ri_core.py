@@ -238,25 +238,17 @@ def mutual_information(prior: Sequence[float], rule: ChoiceRule | Sequence[float
 def classify(prior: Sequence[float], z: Sequence[float]) -> str:
     """Corner or interior optimum for the scaled advantages z = v/lam.
 
-    Action 1 is taken unconditionally when E[exp(-z)] <= 1, action 0 when
-    E[exp(z)] <= 1; otherwise the optimum is interior. A problem in which
-    no state of positive prior has z < 0 (or z > 0) is a corner whatever
-    the moments say, since a prior summing to a hair above 1 can push them
-    past 1; when no state has z of either sign, action 1 is taken.
+    Action 1 is taken unconditionally when E[exp(-z) - 1] <= 0, action 0 when E[exp(z) - 1] <= 0,
+    each term an expm1 where |z| < 1 so that a nearly flat problem keeps its digits; otherwise interior.
     """
     down = up = 0.0
-    neg = pos = False
     for p, zs in zip(prior, z):
         if p > 0.0:
-            down += p * _exp(-zs)
-            up += p * _exp(zs)
-            if zs < 0.0:
-                neg = True
-            elif zs > 0.0:
-                pos = True
-    if not neg or down <= 1.0:
+            down += p * (math.expm1(-zs) if abs(zs) < 1.0 else _exp(-zs) - 1.0)
+            up += p * (math.expm1(zs) if abs(zs) < 1.0 else _exp(zs) - 1.0)
+    if down <= 0.0:
         return ALWAYS_ACT1
-    if not pos or up <= 1.0:
+    if up <= 0.0:
         return ALWAYS_ACT0
     return INTERIOR
 

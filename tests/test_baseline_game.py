@@ -253,6 +253,25 @@ class TestOptimalSignal:
                         worst = max(worst, signal_oracle_residual(game, profile))
         assert worst <= 1e-8
 
+    def test_nearly_flat_problems_match_the_generic_solver(self, capsys):
+        # from lam 1e6 on each z = d/lam is within 1e-6 of 0: a corner test that sums plain exps loses the
+        # O(z^2) term that decides the problem and reads interior problems as corners, 0.5 or 1 away from
+        # the closed form. The bound is the package's closed-form-vs-oracle tolerance, 1e-8 (reproduce's
+        # signal_oracle check); the residuals measured are 0, and the (hi, hi) line prints 0 exactly
+        from riscreen import cli
+
+        argv = ["signal", "--mu-hi", ".8", "--mu-lo", ".6", "--cost", ".07", "--lambda", "1e8", "--profile", "hi,hi"]
+        assert cli.main([*argv, "--oracle"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle residual=0.000e+00"
+        for sampler in (helpers.domain_game, helpers.near_half_game, helpers.near_star_game, helpers.edge_game):
+            rng = random.Random(46002)
+            for _ in range(50):
+                game = sampler(rng)
+                for lam in (10.0**k for k in range(4, 13)):
+                    for profile in PROFILES:
+                        residual = signal_oracle_residual(game._replace(lam=lam), profile)
+                        assert residual <= 1e-8, (sampler.__name__, game, lam, profile, residual)
+
     def test_tiny_lambda_stays_finite(self):
         # the closed forms are evaluated in 1/gamma and in logits, so attention
         # costs far below the exp overflow point still produce the costless limit
@@ -591,18 +610,25 @@ class TestProfit:
         assert calls == []
 
     def test_profit_solves_one_signal(self, monkeypatch):
-        # profit is evaluate at optimal_signal; (lo, hi) is valued as (hi, lo)
+        # profit is evaluate at optimal_signal; (lo, hi) is valued as (hi, lo); a symmetric
+        # profile forms only the impartial kernel, and an asymmetric one the (hi, lo) kernel once
         import riscreen.baseline_game as bg
 
-        calls = []
-        real = bg.optimal_signal
+        calls, odds = [], []
+        real, real_odds = bg.optimal_signal, bg.signal_from_odds
         monkeypatch.setattr(bg, "optimal_signal", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(bg, "signal_from_odds", lambda *args: odds.append(args) or real_odds(*args))
         for lam in (1e-4, 0.05, 0.3, 0.7, 1.5, 1e4):
             game = GAME._replace(lam=lam)
             for profile in PROFILES:
                 calls.clear()
+                odds.clear()
                 pb = profit(game, profile)
                 assert len(calls) == 1
+                assert len(odds) == (profile[0] != profile[1]), (lam, profile)
+                odds.clear()
+                real(game, profile)
+                assert len(odds) == (profile[0] != profile[1]), (lam, profile)
                 assert tuple(pb) == evaluate(game, calls[0][1], real(*calls[0]))[3:6]
             assert profit(game, (LO, HI)) == profit(game, (HI, LO))
 

@@ -64,18 +64,18 @@ def test_every_subcommand_takes_out(name, capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["thresholds", *CANON, "--lambda", "1"], "riscreen: error: unrecognized arguments: --lambda 1"),
+    (["thresholds", *CANON, "--lambda", "1"], "riscreen thresholds: error: unrecognized arguments: --lambda 1"),
     (["regimes", *CANON, "--lambda", "0.3"],
      "riscreen regimes: error: ambiguous option: --lambda could match --lambda-range, --lambda-steps"),
 ], ids=["thresholds", "regimes"])
 def test_the_cutpoint_commands_take_no_lambda(argv, error, tmp_path, capsys):
-    # the cutpoints read no lambda: a typed --lambda is a usage error, and a config's lam is ignored,
-    # even one that --lambda would refuse
+    # the cutpoints read no lambda: a typed --lambda is a usage error under the subcommand's own usage,
+    # and a config's lam is ignored, even one that --lambda would refuse
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
-    assert captured.err.startswith("usage: riscreen") and captured.err.splitlines()[-1] == error
+    assert captured.err.startswith(f"usage: riscreen {argv[0]} [-h]") and captured.err.splitlines()[-1] == error
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": "x"}))
     assert run(["--config", str(cfg), argv[0]], capsys) == run([argv[0], *CANON], capsys)
@@ -214,16 +214,17 @@ class TestRegimesCommand:
         assert "commitment_profit" in out
 
     def test_svg_strip_chart(self, tmp_path, capsys):
-        svg = tmp_path / "strip.svg"
-        out_csv = tmp_path / "rows.csv"
-        code, _, _ = run(
-            ["regimes", *CANON, "--lambda-steps", "12", "--lambda-range", "0.05", "1.5",
-             "--out", str(out_csv), "--svg", str(svg)],
-            capsys,
-        )
-        assert code == 0
-        text = svg.read_text()
-        assert text.startswith("<svg") and text.count("<rect") == 12
+        for analysis in ("baseline", "quota"):  # the two analyses with the regime header
+            svg = tmp_path / f"{analysis}.svg"
+            out_csv = tmp_path / f"{analysis}.csv"
+            code, _, _ = run(
+                ["regimes", *CANON, "--analysis", analysis, "--lambda-steps", "12", "--lambda-range", "0.05", "1.5",
+                 "--out", str(out_csv), "--svg", str(svg)],
+                capsys,
+            )
+            assert code == 0, analysis
+            text = svg.read_text()
+            assert text.startswith("<svg") and text.count("<rect") == 12, analysis
 
 
     @pytest.mark.parametrize("analysis", ["variants", "multitask"])
@@ -266,7 +267,8 @@ class TestConfigFile:
             cli.main(["signal", *CANON, "--lambda", ".3", "--config", str(missing)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.endswith(f"riscreen: error: unrecognized arguments: --config {missing}\n")
+        assert err.startswith("usage: riscreen signal [-h]")
+        assert err.endswith(f"riscreen signal: error: unrecognized arguments: --config {missing}\n")
         # a readable config there supplies nothing: the required options stay missing
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}))

@@ -42,6 +42,25 @@ def uncached_parsers(monkeypatch):
     monkeypatch.setattr(cli, "main", fresh_main)
 
 
+def leftover(argv, capsys) -> bool:
+    """Whether argv leads with a subcommand and the full parser leaves tokens after it; what it prints is dropped."""
+    extras = []
+    if argv and argv[0] in COMMANDS:
+        try:
+            extras = cli.build_parser().parse_known_args(argv)[1]
+        except SystemExit:
+            capsys.readouterr()
+    return bool(extras)
+
+
+def own_outcome(argv, capsys):
+    """The exit code, stdout and stderr of argv's subcommand parser alone on the tokens after its name."""
+    with pytest.raises(SystemExit) as exc:
+        cli._command_parser(argv[0]).parse_args(argv[1:])
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 def byte_identity_cases(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu_hi": 0.8, "mu_lo": 0.6, "cost": 0.07, "lam": 0.3}))
@@ -64,13 +83,25 @@ def test_a_subcommand_parser_matches_the_full_parser(tmp_path, capsys, monkeypat
     # the full parser reads no config: test_a_config_run_equals_its_flag_run checks config runs
     cases = [argv for argv in byte_identity_cases(tmp_path) if "--config" not in argv]
     direct = [outcome(argv, capsys) for argv in cases]
+    # tokens left after a leading subcommand get that subcommand's own usage error
+    own = [own_outcome(argv, capsys) if leftover(argv, capsys) else None for argv in cases]
+    assert [argv for argv, mine in zip(cases, own) if mine] == [["equilibria", *CANON, "--lambda", ".3", "--verbose"]]
     monkeypatch.setattr(cli, "_command_parser", lambda name: None)  # every argv through build_parser
     full = [outcome(argv, capsys) for argv in cases]
-    for argv, got, want in zip(cases, direct, full):
-        assert got == want, argv
+    for argv, got, want, mine in zip(cases, direct, full, own):
+        assert got == (mine or want), argv
+        if mine:  # the same error as the full parser's, under the subcommand's usage and name
+            assert mine[2].endswith("\nriscreen equilibria: error: unrecognized arguments: --verbose\n"), mine
+            assert want[2].endswith("\nriscreen: error: unrecognized arguments: --verbose\n"), want
     # every case reached argparse's output or a run, not an exception
     assert {code for code, _, _ in direct} == {0, 2}
     assert all(out.startswith("usage: riscreen ") for argv, (_, out, _) in zip(cases, direct) if "--help" in argv)
+
+
+def test_the_sweep_table_names_the_parsers_analyses_in_order():
+    # the --analysis choices stay in cli, which loads _sweep only for regimes; _sweep's table must match them
+    action = next(a for a in cli._command_parser("regimes")._actions if a.dest == "analysis")
+    assert tuple(_sweep._ANALYSES) == action.choices
 
 
 def test_a_run_adds_arguments_for_its_subcommand_only(capsys, monkeypatch, uncached_parsers):
@@ -161,14 +192,20 @@ def test_a_leading_subcommand_parses_as_the_top_level_parser_would(tmp_path, cap
         for name, help_text, add_arguments, run in cli._COMMANDS))
 
     def reference(argv):
+        # the full parser, except that tokens left after a leading subcommand get its own parser's usage error
         try:
-            args = cli.build_parser().parse_args(argv)
+            own = leftover(argv, capsys)
+            args = cli._command_parser(argv[0]).parse_args(argv[1:]) if own else cli.build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code
         return args.func(args)
 
     # test_a_config_run_equals_its_flag_run checks --config and --conf runs against flag runs
-    for argv in dispatch_cases(tmp_path / "cfg.json"):
+    cases = dispatch_cases(tmp_path / "cfg.json")
+    game, path = [*CANON, "--lambda", ".3"], str(tmp_path / "cfg.json")
+    assert [argv for argv in cases if leftover(argv, capsys)] == [
+        ["regimes", *CANON, "stray"], ["equilibria", *game, "--"], ["equilibria", *game, "--config", path]]
+    for argv in cases:
         got = outcome(list(argv), capsys), seen[:]
         seen.clear()
         want = (reference(list(argv)), *capsys.readouterr()), seen[:]
