@@ -82,12 +82,14 @@ def _regime_step(game, solve, base):
 
 def _multitask_step(base, args):
     tasks = _tasks(args)
-    return partial(_multitask_row, mt._multitask_game(base, tasks), tasks)
+    game = mt._multitask_game(base, tasks)  # a task-order error comes before the ranking's
+    mt._check_equal_arrivals(tasks)
+    return partial(_multitask_row, game)
 
 
-def _multitask_row(game, tasks: tuple, lam: float) -> list:
+def _multitask_row(game, lam: float) -> list:
     records = mt._multitask_equilibria(game, lam)
-    winners = mt.most_profitable_among(records, tasks)
+    winners = mt._most_profitable(records)
     classes = "|".join(sorted({w.classification for w in winners}))
     return [lam, len(records), classes, winners[0].payoff if winners else math.nan]
 
@@ -100,7 +102,7 @@ def _variants_row(game, lam: float) -> list:
 #: each --analysis in the parser's order: (header, prepare); prepare(base, args) does the lam-free work, returns lam -> row
 _ANALYSES = {
     "baseline": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), bg._pure_equilibria, base)),
-    "quota": (_REGIME_HEADER, lambda base, args: _regime_step(qp._quota_game(base), qp._quota_equilibria, base)),
+    "quota": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), qp._quota_equilibria, base)),
     "multitask": (["lam", "n_equilibria", "most_profitable", "best_payoff"], _multitask_step),
     "variants": (["lam", "commitment_profile", "commitment_profit", "n_mixed"],
                  lambda base, args: partial(_variants_row, va._variants_game(base))),

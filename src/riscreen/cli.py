@@ -207,7 +207,7 @@ def cmd_multitask(args) -> int:
             f" {rec.classification:15s} payoff={_fmt4(rec.payoff)}"
         )
     if mt._equal_arrivals(tasks) and records:
-        winners = mt.most_profitable_among(records, tasks)
+        winners = mt._most_profitable(records)
         lines.append("most profitable: " + ", ".join(sorted({w.classification for w in winners})))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

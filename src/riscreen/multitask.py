@@ -141,7 +141,7 @@ def multitask_most_profitable(game: GameParams, tasks: tuple) -> list:
     Mirror specialized equilibria tie, so the list can have two entries.
     """
     _check_equal_arrivals(tasks)
-    return most_profitable_among(multitask_equilibrium_set(game, tasks), tasks)
+    return _most_profitable(multitask_equilibrium_set(game, tasks))
 
 
 def most_profitable_among(records: list, tasks: tuple) -> list:
@@ -151,6 +151,11 @@ def most_profitable_among(records: list, tasks: tuple) -> list:
     tasks; the same alpha1 = alpha2 requirement and 1e-12 tie rule apply.
     """
     _check_equal_arrivals(tasks)
+    return _most_profitable(records)
+
+
+def _most_profitable(records: list) -> list:
+    """most_profitable_among's ranking, for tasks whose arrivals are already checked."""
     ranked = [r for r in records if r.classification in (SPECIALIZED, NON_SPECIALIZED)]
     return _ties_at_best(ranked, [r.payoff for r in ranked])
 

@@ -9,9 +9,9 @@ pi(d) = sigmoid((d - nu)/lam), baseline_game._logit_rule at the intercept
 -nu/lam, so no RI problem is solved on this path,
 and nu itself is the positive root of a cubic in exp(nu/lam), taken in
 closed form by baseline_game._cubic_roots: no root is searched either.
-The quota keeps the impartial equilibria, and it removes the
-discriminatory ones except within rounding of mu_hi + mu_lo = 1 (see
-:func:`quota_equilibrium_set`).
+The quota keeps the impartial equilibria on the whole domain. Above
+mu_hi + mu_lo = 1 it removes the discriminatory ones, except within rounding
+of that line; below it, it can create them (see :func:`quota_equilibrium_set`).
 """
 
 from __future__ import annotations
@@ -165,17 +165,16 @@ def quota_equilibrium_set(params: GameParams) -> list:
     A symmetric profile's quota signal is its optimal_signal, so its record
     equals equilibrium_set's. An asymmetric profile binds at a multiplier nu
     with 0 < |nu| < 1, and its signal has X > Y > 0 (X and Y swap for
-    (lo, hi)). The shirker's gain exceeds the worker's by only (mu_hi + mu_lo - 1)(X - Y),
-    so the quota leaves only the impartial records except where both constraints can hold to
-    IC_TOL min(1, c): within rounding of mu_hi + mu_lo = 1, or where lam is near lambda_star and
-    huge (c of about 1e-12 or less), as X - Y is O(1/lam^3) and c about 1/(4 lam). At
-    GameParams(0.8885586675347767, 0.11144133246522533, 0.09972474181102377,
-    1.9056210918215344), where mu_hi + mu_lo - 1 = 2.0e-15, the quota keeps
-    (hi, lo), (lo, hi) and (lo, lo). The case mu_hi + mu_lo <= 1 is not
-    characterized and is refused.
+    (lo, hi)). The shirker's gain exceeds the worker's by (mu_hi + mu_lo - 1)(X - Y), so (hi, lo) and
+    (lo, hi) hold where c lies between the two. Below mu_hi + mu_lo = 1 that band is open: at
+    GameParams(0.6, 0.3, 0.117, 0.5) the quota keeps (hi, lo), (lo, hi) and (lo, lo), equilibrium_set
+    (lo, lo) alone. Above it the band is empty, except where both constraints hold to IC_TOL min(1, c):
+    within rounding of the line (at GameParams(0.8885586675347767, 0.11144133246522533,
+    0.09972474181102377, 1.9056210918215344) the quota keeps (hi, lo), (lo, hi) and (lo, lo)), or where
+    lam is near lambda_star and huge (c of about 1e-12 or less), as X - Y is O(1/lam^3) and c 1/(4 lam).
 
     The worker's gain is at most tanh(1/(4 lam)) and the shirker's at least
-    tanh(1/lam)/4 (:func:`_asymmetric_open`). Where either bound already
+    min(mu_hi, 1/2) tanh(1/lam)/2 (:func:`_asymmetric_open`). Where either bound already
     fails its constraint, the asymmetric profiles are out and no tilt is
     solved, so find_multiplier's QUOTA_TOL check (a BracketError) is not
     run there. Otherwise the one tilt of (hi, lo) is solved, and (lo, hi)
@@ -183,31 +182,24 @@ def quota_equilibrium_set(params: GameParams) -> list:
     listed together, with the same profit, bit for bit, even where a gain
     meets c within rounding.
     """
-    return _quota_equilibria(_quota_game(params), params.lam)
+    return _quota_equilibria(_game(params), params.lam)
 
 
-def _quota_game(params: GameParams) -> _Game:
-    """The lambda-independent part of quota_equilibrium_set: the refusal of
-    mu_hi + mu_lo <= 1, then the _game."""
-    if not params.mu_hi + params.mu_lo > 1.0:
-        raise ValueError(f"quota analysis requires mu_hi + mu_lo > 1 (got {params.mu_hi + params.mu_lo!r})")
-    return _game(params)
-
-
-def _asymmetric_open(c: float, lam: float) -> bool:
+def _asymmetric_open(c: float, lam: float, mu_hi: float) -> bool:
     """Can the quota signal of (hi, lo) or (lo, hi) meet both incentive constraints at lam?
 
     The worker's gain is at most tanh(1/(4 lam)), the slope bound of every logit rule
-    (:func:`baseline_game._gains_can_reach`). With 0 < nu < 1 and mu_hi > 1/2, the shirker's gain is at
-    least (X + Y)/2, the rise of sigmoid((d - nu)/lam) over a window of width 2, which is smallest at
-    nu = 1: tanh(1/lam)/4. Each bound, widened by GAIN_ALLOWANCE, goes through _incentive_holds.
+    (:func:`baseline_game._gains_can_reach`). With 0 < nu < 1, X >= Y >= 0, so the shirker's gain is at
+    least min(mu_hi, 1/2)(X + Y), and X + Y, the rise of sigmoid((d - nu)/lam) over a window of width 2,
+    is smallest at nu = 1: tanh(1/lam)/2. Each bound, widened by GAIN_ALLOWANCE, goes through _incentive_holds.
     """
-    return _gains_can_reach(c, lam) and _incentive_holds(LO, math.tanh(1.0 / lam) / 4.0 - GAIN_ALLOWANCE, c)
+    floor = min(mu_hi, 0.5) / 2.0 * math.tanh(1.0 / lam)  # tanh(1/lam)/4, bit for bit, where mu_hi >= 1/2
+    return _gains_can_reach(c, lam) and _incentive_holds(LO, floor - GAIN_ALLOWANCE, c)
 
 
 def _quota_equilibria(game: _Game, lam: float) -> list:
-    """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _quota_game)."""
+    """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
     tilted = None
-    if _asymmetric_open(game.c, lam):  # game.priors[1][3:] is (p(-1), p(0), p(1)) of (hi, lo)
+    if _asymmetric_open(game.c, lam, game.mu_hi):  # game.priors[1][3:] is (p(-1), p(0), p(1)) of (hi, lo)
         tilted = _quota_solution(game.priors[1][3:], game.mu_hi - game.mu_lo, lam).signal
     return _equilibria(game.priors, lam, _logit_rule(0.0, lam), tilted, game.c, game.c, game.costs, (1.0, 1.0))

@@ -419,10 +419,6 @@ def reference_quota_equilibrium_set(params: GameParams) -> list:
     from riscreen import HI, LO, PROFILES, evaluate, find_multiplier
     from riscreen.baseline_game import supports_profile
 
-    if not params.mu_hi + params.mu_lo > 1.0:
-        raise ValueError(
-            f"quota analysis requires mu_hi + mu_lo > 1 (got {params.mu_hi + params.mu_lo!r})"
-        )
     found = {}
     for profile in ((HI, HI), (HI, LO), (LO, LO)):
         signal = find_multiplier(params, profile).signal

@@ -326,9 +326,14 @@ def test_only_the_pairs_in_use_are_valued(case):
     assert [r.payoff.hex() for r in records] == [r.payoff.hex() for r in expected]
 
 
-def test_regimes_sweep_refuses_unequal_arrivals(capsys):
-    from riscreen import cli
+def test_regimes_sweep_refuses_unequal_arrivals(capsys, monkeypatch):
+    # the arrivals are checked once, before any row is enumerated
+    from riscreen import cli, multitask
 
+    def unreached(*args):
+        raise AssertionError("a row was enumerated before the arrivals were checked")
+
+    monkeypatch.setattr(multitask, "_multitask_equilibria", unreached)
     code = cli.main(
         ["regimes", "--analysis", "multitask", "--mu-hi", ".8", "--mu-lo", ".6",
          "--task1", "0.3,1,0.01", "--task2", "0.5,1,0.02"]

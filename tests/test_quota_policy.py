@@ -28,6 +28,7 @@ from riscreen.quota_policy import GAIN_ALLOWANCE
 
 import exact
 import helpers
+from test_regime_map import sum_below_one_game
 
 GAME = helpers.canonical()
 LAM_STAR = 0.576501436392967
@@ -153,10 +154,13 @@ class TestQuotaEquilibria:
         profiles = [r.profile for r in quota_equilibrium_set(helpers.canonical(LAM_STAR))]
         assert profiles == [(HI, HI), (LO, LO)]
 
-    def test_refuses_uncharacterized_region(self):
-        skewed = GameParams(0.6, 0.3, 0.02, 0.4)
-        with pytest.raises(ValueError):
-            quota_equilibrium_set(skewed)
+    def test_creates_discrimination_below_the_line(self):
+        # mu_hi + mu_lo = 0.9: the worker's gain is the larger, and c = 0.39 lies between the two
+        skewed = GameParams(0.6, 0.3, 0.117, 0.5)
+        signal = find_multiplier(skewed, (HI, LO)).signal
+        assert incentive_gain(skewed, signal, AGENT_W, HI) < skewed.c < incentive_gain(skewed, signal, AGENT_M, LO)
+        assert [r.profile for r in quota_equilibrium_set(skewed)] == [(HI, LO), (LO, HI), (LO, LO)]
+        assert [r.profile for r in equilibrium_set(skewed)] == [(LO, LO)]
 
 
 def _primal_grid_value(game, profile, center, span, step):
@@ -268,8 +272,13 @@ def test_shared_impartial_records_are_equal(game):
         assert rec == baseline[rec.profile]
 
 
+def quota_or_sum_below_one_game(rng):
+    """A draw of helpers.quota_game or of test_regime_map.sum_below_one_game, where mu_hi + mu_lo < 1."""
+    return rng.choice((helpers.quota_game, sum_below_one_game))(rng)
+
+
 @helpers.draws(
-    300,
+    600,
     seed=31010,
     cases=[
         dict(game=GameParams(0.999, 0.0011, 0.07, 1e-4)),  # nu -> 1: the shifted branch
@@ -279,7 +288,7 @@ def test_shared_impartial_records_are_equal(game):
         # the multiplier is 1.1e-16 for (hi, lo): a residual pi_bar - 1/2 gave the oracle -6.2e-13
         dict(game=GameParams(0.6375755851878737, 0.6375755851878736, 1.0, 5623.413251903491)),
     ],
-    game=helpers.quota_game,
+    game=quota_or_sum_below_one_game,
 )
 def test_find_multiplier_agrees_with_the_root_search(game):
     # to 1e-12 relative or 1e-15, or closer than the oracle to a 60-digit root
@@ -293,19 +302,16 @@ def test_find_multiplier_agrees_with_the_root_search(game):
 
 
 def quota_side(rng):
-    """A game the quota analyses: a domain game, flipped by mu -> 1 - mu when
-    mu_hi + mu_lo <= 1, or a quota or knife-edge game."""
-    game = rng.choice((helpers.domain_game, helpers.quota_game, helpers.quota_knife_game))(rng)
-    if game.mu_hi + game.mu_lo > 1.0:
-        return game
-    return GameParams(1.0 - game.mu_lo, 1.0 - game.mu_hi, game.cost_C, game.lam)
+    """A game the quota analyses: a domain game, on either side of mu_hi + mu_lo = 1, or a quota or
+    knife-edge game."""
+    return rng.choice((helpers.domain_game, helpers.quota_game, helpers.quota_knife_game))(rng)
 
 
 @helpers.draws(600, seed=39002, game=quota_side)
 def test_asymmetric_quota_gains_lie_within_the_gain_bounds(game):
     # the bounds of quota_policy._asymmetric_open: the worker's gain at most
-    # tanh(1/(4 lam)), the shirker's at least tanh(1/lam)/4, to GAIN_ALLOWANCE
-    most, least = math.tanh(0.25 / game.lam), math.tanh(1.0 / game.lam) / 4.0
+    # tanh(1/(4 lam)), the shirker's at least min(mu_hi, 1/2) tanh(1/lam)/2, to GAIN_ALLOWANCE
+    most, least = math.tanh(0.25 / game.lam), min(game.mu_hi, 0.5) * math.tanh(1.0 / game.lam) / 2.0
     for profile, worker, shirker in (((HI, LO), AGENT_M, AGENT_W), ((LO, HI), AGENT_W, AGENT_M)):
         signal = find_multiplier(game, profile).signal
         assert incentive_gain(game, signal, worker, LO) <= most + GAIN_ALLOWANCE, profile

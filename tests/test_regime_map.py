@@ -2,23 +2,25 @@
 
 As a function of lam, equilibrium_set lists (hi, hi) for lam <= lambda_star,
 (hi, lo) and (lo, hi) for lambda_low <= lam <= lambda_high, and (lo, lo) for
-lam >= lambda_star; quota_equilibrium_set lists the impartial ones alone.
+lam >= lambda_star; quota_equilibrium_set lists the impartial ones, and (hi, lo)
+and (lo, hi) only where the quota signal's worker's gain is at least c and its
+shirker's at most c, which needs mu_hi + mu_lo < 1 or rounding.
 Games are drawn with c = cost_C / delta_mu down to 1e-16 times the
 regularity bound mu_hi (1 - mu_hi)/(A + B), and lam at random or next to a
 cutpoint, within a few ulps of it or up to a factor e either side. Past
 assumption 1 the map is the same: where mu_hi + mu_lo < 1, X_low > X_high, so
 lambda_low > lambda_high and no lam lists (hi, lo); where c is past the
 regularity bound, a bonus bound the (hi, lo) bonus never reaches has its
-cutpoint at 0. The quota refuses mu_hi + mu_lo <= 1, so only the costly
-games past the bound test it.
+cutpoint at 0. The quota is tested on both kinds of game past assumption 1.
 
 The knife band: a constraint holds to IC_TOL min(1, c), so where the exact
 gain of a profile's signal (the 60-digit model of :mod:`exact`) lies within
 2 IC_TOL min(1, c) of c, rounding may list the profile or not, and the draw
 is left out. Outside the band the library's gains, a few ulps from the
-model, decide as the model does. For the quota the band also holds where
-both asymmetric constraints meet c to 2 IC_TOL min(1, c) in the model,
-which the quota's near-equal gains allow at tiny c.
+model, decide as the model does. For the quota the band also holds where an
+asymmetric constraint meets c to 2 IC_TOL min(1, c) in the model and the
+other is in the band too or holds: the quota's near-equal gains allow both at
+tiny c.
 """
 
 import math
@@ -142,22 +144,31 @@ def test_the_quota_keeps_the_impartial_cutpoint_outside_the_knife_band(game):
     check_quota(game)
 
 
-@helpers.draws(200, seed=45102, game=costly_game)
-def test_the_quota_keeps_the_impartial_cutpoint_past_the_regularity_bound(game):
-    assert not game.assumption1 and game.mu_hi + game.mu_lo > 1.0, game
-    check_quota(game)
+@helpers.draws(200, seed=45102, below=sum_below_one_game, costly=costly_game)
+def test_the_quota_keeps_the_impartial_cutpoint_past_assumption_1(below, costly):
+    assert not below.assumption1 and below.mu_hi + below.mu_lo < 1.0, below
+    assert not costly.assumption1 and costly.mu_hi + costly.mu_lo > 1.0, costly
+    check_quota(below)
+    check_quota(costly)
 
 
 def check_quota(game):
-    """quota_equilibrium_set(game) is the impartial record the cutpoints predict, unless a gain is in the
-    knife band."""
+    """quota_equilibrium_set(game) is the impartial record the cutpoints predict, with (hi, lo) and (lo, hi)
+    where the 60-digit worker's gain of the quota signal is at least c and the shirker's at most c, unless
+    the outcome turns on a gain in the knife band."""
     nu = find_multiplier(game, (HI, LO)).nu
     with exact.digits(60):
-        if any(in_band(game, (HI, HI), lambda lam: 0)) or all(in_band(
-                game, (HI, LO), lambda lam: -exact.quota_multiplier(game.mu_hi, game.mu_lo, lam, nu) / lam,
-                4 * math.ulp(nu / game.lam))):
+        def intercept(lam):
+            return -exact.quota_multiplier(game.mu_hi, game.mu_lo, lam, nu) / lam
+
+        X, Y = exact.logit_rule(intercept(Decimal(game.lam)), game.lam)[3:]
+        mu_hi, mu_lo, c = Decimal(game.mu_hi), Decimal(game.mu_lo), Decimal(game.c)
+        held = ((1 - mu_lo) * X + mu_lo * Y >= c, mu_hi * X + (1 - mu_hi) * Y <= c)
+        near = in_band(game, (HI, LO), intercept, 4 * math.ulp(nu / game.lam))
+        if any(in_band(game, (HI, HI), lambda lam: 0)) or (any(near) and all(a or b for a, b in zip(near, held))):
             return
-    want = [(HI, HI)] if game.lam <= thresholds(game).lambda_star else [(LO, LO)]
+    asymmetric = [(HI, LO), (LO, HI)] if all(held) else []
+    want = [(HI, HI), *asymmetric] if game.lam <= thresholds(game).lambda_star else [*asymmetric, (LO, LO)]
     assert [r.profile for r in quota_equilibrium_set(game)] == want, game
 
 

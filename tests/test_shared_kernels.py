@@ -61,7 +61,7 @@ def test_shared_signals_and_tilt_equal_the_per_profile_solves(game):
     tilted = tilted or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: m is always promoted
     per_profile = (impartial, tilted, tilted.mirrored(), impartial)
     assert hexed(per_profile) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
-    # the quota refuses mu_hi + mu_lo <= 1; mu -> 1 - mu flips the sum across 1
+    # mu -> 1 - mu flips mu_hi + mu_lo across 1, so the quota is compared on both sides of the line
     games = [game]
     if 1.0 - game.mu_hi < 1.0 - game.mu_lo:
         games.append(GameParams(1.0 - game.mu_lo, 1.0 - game.mu_hi, game.cost_C, game.lam))
@@ -74,7 +74,7 @@ KNIFE_EDGE = GameParams(0.8885586675347767, 0.11144133246522533, 0.0997247418110
 
 
 def test_the_quota_keeps_asymmetric_records_at_the_knife_edge():
-    assert _asymmetric_open(KNIFE_EDGE.c, KNIFE_EDGE.lam)
+    assert _asymmetric_open(KNIFE_EDGE.c, KNIFE_EDGE.lam, KNIFE_EDGE.mu_hi)
     assert [r.profile for r in quota_equilibrium_set(KNIFE_EDGE)] == [("hi", "lo"), ("lo", "hi"), ("lo", "lo")]
 
 

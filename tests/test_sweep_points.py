@@ -136,8 +136,7 @@ def test_invalid_grids_keep_their_errors(analysis, sweep, message, capsys):
 @pytest.mark.parametrize(
     "sweep, message",
     [
-        ([], f"quota analysis requires mu_hi + mu_lo > 1 (got {0.6 + 0.3!r})"),
-        # the grid, its overflow included, is checked before the quota's refusal
+        # the grid, its overflow included, is refused before the quota runs below mu_hi + mu_lo = 1
         (["--lambda-range", "0.1", "inf"], "need 0 < lo < hi and at least two steps in the lambda grid"),
         (["--lambda-range", "0.1", "1e308", "--lambda-steps", "4"], GRID_OVERFLOW),
     ],
