@@ -144,12 +144,16 @@ def test_the_quota_keeps_the_impartial_cutpoint_outside_the_knife_band(game):
     check_quota(game)
 
 
-@helpers.draws(200, seed=45102, below=sum_below_one_game, costly=costly_game)
-def test_the_quota_keeps_the_impartial_cutpoint_past_assumption_1(below, costly):
-    assert not below.assumption1 and below.mu_hi + below.mu_lo < 1.0, below
-    assert not costly.assumption1 and costly.mu_hi + costly.mu_lo > 1.0, costly
-    check_quota(below)
-    check_quota(costly)
+@helpers.draws(200, seed=45102, game=costly_game)
+def test_the_quota_keeps_the_impartial_cutpoint_past_the_regularity_bound(game):
+    assert not game.assumption1 and game.mu_hi + game.mu_lo > 1.0, game
+    check_quota(game)
+
+
+@helpers.draws(200, seed=45103, cases=[dict(game=GameParams(0.6, 0.3, 0.117, 0.5))], game=sum_below_one_game)
+def test_the_quota_adds_the_asymmetric_pair_below_the_line(game):
+    assert not game.assumption1 and game.mu_hi + game.mu_lo < 1.0, game
+    check_quota(game)
 
 
 def check_quota(game):
