@@ -1,5 +1,5 @@
 """What the RI oracle and the closed forms share: the two error types, the
-sigmoid, the positivity rule and the validating record mixin.
+positivity rule and the validating record mixin.
 
 A leaf that imports only ``math``: :mod:`riscreen.ri_core` takes these from
 here and nothing else from riscreen, so it stays the closed forms'
@@ -30,14 +30,6 @@ def _positive(name: str, value: float) -> float:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
-
-
-def _sigmoid(t: float) -> float:
-    """Numerically stable 1 / (1 + exp(-t))."""
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
 
 
 class _Validated:

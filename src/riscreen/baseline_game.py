@@ -115,8 +115,9 @@ class PromotionSignal(namedtuple("PromotionSignal", "pi_minus pi_zero pi_plus pi
 
     pi_bar is the average promotion probability under the distribution the
     signal was derived for. X = pi(1) - pi(0) is the promotion bonus for
-    outperforming, Y = pi(0) - pi(-1) the penalty for underperforming: stored
-    by :func:`_logit_rule` without cancellation, or else taken as differences.
+    outperforming, Y = pi(0) - pi(-1) the penalty for underperforming: formed by
+    :func:`_logit_rule` without cancellation for every closed-form signal, passed
+    as X = Y = c by the committed bound rule, and otherwise taken as differences.
     """
 
     __slots__ = ()
@@ -224,35 +225,35 @@ def optimal_signal(params: GameParams, profile: tuple) -> PromotionSignal:
     e_m, e_w = profile
     params.mu(e_m), params.mu(e_w)
     if e_m == e_w:
-        return _logit_rule(0.0, params.lam)
+        return _logit_rule(0.0, 1.0 / params.lam, 1.0 / params.lam)
     tilted = signal_from_odds(params.A, params.B, params.lam) or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: promote m
     return tilted if e_m == HI else tilted.mirrored()
 
 
-def _logit_rule(s: float, lam: float) -> PromotionSignal:
-    """The logit rule logit pi(d) = s + d/lam (Matejka & McKay 2015), pi_bar = pi(0), with its bonuses.
+def _logit_rule(s: float, a: float, b: float) -> PromotionSignal:
+    """The logit rule of slope a above and b below, logit pi(d) = s + a, s, s - b at d = 1, 0, -1, with
+    pi_bar = pi(0) and its bonuses. The game's rule (Matejka & McKay 2015) has a = b = 1/lam.
 
-    Each conditional is sigmoid(t), t = s + d/lam, in [0, 1]. Each bonus is
-    sigmoid(a) - sigmoid(b), a - b = 1/lam, taken without cancellation as
-    sinh(1/(2 lam)) / (2 cosh(a/2) cosh(b/2)) = E (1 - e^(-1/lam)) / ((1 + e^-|a|) (1 + e^-|b|)),
-    where E = exp(min(0, a, -b)) is e^-|b| if b >= 0, e^-|a| if a <= 0 and 1 otherwise: the three
-    e^-|t| serve all five values. X at s is Y at -s, bit for bit.
+    Each conditional is sigmoid(t) in [0, 1]. Each bonus is sigmoid(u) - sigmoid(v), u - v = a for X and b for Y,
+    taken without cancellation as sinh((u - v)/2) / (2 cosh(u/2) cosh(v/2)) = E k / ((1 + e^-|u|) (1 + e^-|v|)),
+    k = -expm1(-(u - v)), formed once where a == b, and E = exp(min(0, u, -v)) is e^-|v| if v >= 0, e^-|u| if
+    u <= 0 and 1 otherwise: the three e^-|t| serve all five values. X at (s, a, b) is Y at (-s, b, a), bit for bit.
     """
-    inv = 1.0 / lam
-    t_minus, t_plus, k = s - inv, s + inv, -math.expm1(-inv)
+    t_minus, t_plus, k_a = s - b, s + a, -math.expm1(-a)
+    k_b = k_a if b == a else -math.expm1(-b)
     e_minus, e_zero, e_plus = math.exp(-abs(t_minus)), math.exp(-abs(s)), math.exp(-abs(t_plus))
     pi_zero = 1.0 / (1.0 + e_zero) if s >= 0.0 else e_zero / (1.0 + e_zero)
     return tuple.__new__(PromotionSignal, (  # all six fields in hand: no defaults to fill
         1.0 / (1.0 + e_minus) if t_minus >= 0.0 else e_minus / (1.0 + e_minus), pi_zero,
         1.0 / (1.0 + e_plus) if t_plus >= 0.0 else e_plus / (1.0 + e_plus), pi_zero,
-        (e_zero if s >= 0.0 else e_plus if t_plus <= 0.0 else 1.0) * k / ((1.0 + e_plus) * (1.0 + e_zero)),
-        (e_minus if t_minus >= 0.0 else e_zero if s <= 0.0 else 1.0) * k / ((1.0 + e_zero) * (1.0 + e_minus))))
+        (e_zero if s >= 0.0 else e_plus if t_plus <= 0.0 else 1.0) * k_a / ((1.0 + e_plus) * (1.0 + e_zero)),
+        (e_minus if t_minus >= 0.0 else e_zero if s <= 0.0 else 1.0) * k_b / ((1.0 + e_zero) * (1.0 + e_minus))))
 
 
 def _profile_signals(game, lam: float) -> tuple:
     """The two kernels at lam, for a game with A and B (a GameParams or a _Game): the impartial
     signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors, None at its corner."""
-    return _logit_rule(0.0, lam), signal_from_odds(game.A, game.B, lam)
+    return _logit_rule(0.0, 1.0 / lam, 1.0 / lam), signal_from_odds(game.A, game.B, lam)
 
 
 def signal_from_odds(A: float, B: float, lam: float) -> PromotionSignal | None:
@@ -271,7 +272,7 @@ def signal_from_odds(A: float, B: float, lam: float) -> PromotionSignal | None:
         return None
     L = math.log1p((A - B) / B) if A >= B else -math.log1p((B - A) / A)
     a, b = -A * math.expm1(-L - inv), -B * math.expm1(L - inv)
-    return _logit_rule(math.log(a / b), lam) if a > 0.0 and b > 0.0 else None
+    return _logit_rule(math.log(a / b), inv, inv) if a > 0.0 and b > 0.0 else None
 
 
 def _cubic_roots(a: float, b: float, c: float, reverse: bool = True) -> list:

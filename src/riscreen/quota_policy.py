@@ -152,7 +152,7 @@ def _quota_solution(prior: tuple, delta: float, lam: float) -> QuotaSolution:
     """find_multiplier's rule for (hi, lo) at its prior (p(-1), p(0), p(1)), delta = p(1) - p(-1): the logit
     rule of intercept -nu/lam = -s/lam - y at the :func:`_tilt` (s, y)."""
     s, y = _tilt(*prior, delta, lam)
-    nu, rule = s + lam * y, _logit_rule(-s / lam - y, lam)
+    nu, rule = s + lam * y, _logit_rule(-s / lam - y, 1.0 / lam, 1.0 / lam)
     pi_bar = prior[0] * rule.pi_minus + prior[1] * rule.pi_zero + prior[2] * rule.pi_plus
     if not abs(pi_bar - 0.5) <= QUOTA_TOL:
         raise BracketError(f"quota not met at nu={nu!r}: pi_bar={pi_bar!r}")
@@ -202,4 +202,4 @@ def _quota_equilibria(game: _Game, lam: float) -> list:
     tilted = None
     if _asymmetric_open(game.c, lam, game.mu_hi):  # game.priors[1][3:] is (p(-1), p(0), p(1)) of (hi, lo)
         tilted = _quota_solution(game.priors[1][3:], game.mu_hi - game.mu_lo, lam).signal
-    return _equilibria(game.priors, lam, _logit_rule(0.0, lam), tilted, game.c, game.c, game.costs, (1.0, 1.0))
+    return _equilibria(game.priors, lam, _logit_rule(0.0, 1.0 / lam, 1.0 / lam), tilted, game.c, game.c, game.costs, (1.0, 1.0))

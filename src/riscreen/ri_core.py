@@ -32,7 +32,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from ._primitives import BracketError, ConvergenceError, _positive, _sigmoid, _Validated
+from ._primitives import BracketError, ConvergenceError, _positive, _Validated
 
 ALWAYS_ACT1 = "always_act1"
 ALWAYS_ACT0 = "always_act0"
@@ -57,6 +57,14 @@ def _exp(z: float) -> float:
         return math.exp(z)
     except OverflowError:
         return math.inf
+
+
+def _sigmoid(t: float) -> float:
+    """Numerically stable 1 / (1 + exp(-t))."""
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
 
 
 def _softplus(t: float) -> float:

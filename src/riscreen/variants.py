@@ -34,7 +34,7 @@ from .baseline_game import (
     _value,
     signal_from_odds,
 )
-from ._primitives import ConvergenceError, _positive, _sigmoid, _Validated
+from ._primitives import ConvergenceError, _positive, _Validated
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
     """commitment_solve at lam of the game whose lambda-independent part is variants; (hi, lo) past the bound is out."""
     base = variants.base
     priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
-    impartial = _logit_rule(0.0, lam)
+    impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
     if lam <= variants.lam_star + 1e-15:
         rec = _value(priors[0], impartial, lam, costs, weights)
         return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
@@ -237,8 +237,9 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     nearly cancel; up is then evaluated as lam q(1) q(-1) (p(1) - p(-1))
     / (p(1) p(-1)) + q(1) phi(b) + q(-1) (1 - phi(a)) with :func:`_phi`,
     whose first term is that difference in closed form. At larger tilts the
-    split would cancel instead. No term overflows at small lam, and the
-    logit base ln(up/down) keeps its digits near 0 and 1. An
+    split would cancel instead. No term overflows at small lam. The rule is
+    :func:`baseline_game._logit_rule` at base ln(up/down), which keeps its digits near 0
+    and 1, with slopes a and b: pi_bar_q is its pi(0), and X and Y do not cancel. An
     up or down <= 0 (or a vanishing tilt) means the optimum is not interior;
     that case is flagged rather than guessed. Raises
     :class:`ConvergenceError` when the reference-prior consistency
@@ -257,17 +258,13 @@ def prior_invariant_signal(problem: ReferencePriorProblem) -> PriorInvariantResu
     else:
         up = q_p / -math.expm1(-b) - q_m * math.exp(-a) / -math.expm1(-a)
         down = q_m / -math.expm1(-a) - q_p * math.exp(-b) / -math.expm1(-b)
-    pi_bar_q = up / (up + down)
     if not (up > 0.0 and down > 0.0):
-        return PriorInvariantResult(pi_bar_q, False, None)
-    base = math.log(up / down)
-    pi_p = _sigmoid(base + a)
-    pi_m = _sigmoid(base - b)
-    signal = PromotionSignal(pi_m, pi_bar_q, pi_p, pi_bar_q)
-    residual = q_m * pi_m + q_0 * pi_bar_q + q_p * pi_p - pi_bar_q
+        return PriorInvariantResult(up / (up + down), False, None)
+    signal = _logit_rule(math.log(up / down), a, b)
+    residual = q_m * signal.pi_minus + q_0 * signal.pi_zero + q_p * signal.pi_plus - signal.pi_bar
     if not abs(residual) <= 1e-10:
         raise ConvergenceError(f"reference-prior consistency residual {residual!r} above 1e-10")
-    return PriorInvariantResult(pi_bar_q, True, signal)
+    return PriorInvariantResult(signal.pi_bar, True, signal)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +395,7 @@ def _mixed(variants: _Variants, lam: float) -> list:
         found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, label))
 
     if abs(lam - variants.lam_star) <= 1e-9:
-        keep(0.5, 0.5, _logit_rule(0.0, lam))
+        keep(0.5, 0.5, _logit_rule(0.0, 1.0 / lam, 1.0 / lam))
     if not _gains_can_reach(c, lam):  # no gain meets c: no agent is indifferent, none works
         return found
     r = math.exp(-1.0 / lam)

@@ -1,4 +1,4 @@
-"""The one logit kernel: every closed-form signal is logit pi(d) = s + d/lam.
+"""The one logit kernel: every closed-form signal of the game is logit pi(d) = s + d/lam.
 
 ``baseline_game._logit_rule`` forms the conditionals sigmoid(s + d/lam) and
 the bonuses X = pi(1) - pi(0) and Y = pi(0) - pi(-1) without cancellation.
@@ -63,8 +63,7 @@ def test_signals_at_any_odds_are_within_a_few_ulps_of_the_exact_model(nu_m, nu_w
 @helpers.draws(2000, seed=42002, cases=[dict(params=ABOVE_ONE)], params=helpers.any_domain_game)
 def test_no_conditional_lies_outside_the_unit_interval(params):
     signals = [optimal_signal(params, profile) for profile in PROFILES]
-    if params.mu_hi + params.mu_lo > 1.0:
-        signals += [find_multiplier(params, profile).signal for profile in PROFILES]
+    signals += [find_multiplier(params, profile).signal for profile in PROFILES]
     signals += [eq.signal for eq in mixed_equilibria(params)]
     for signal in signals:
         assert all(0.0 <= p <= 1.0 for p in (*signal.as_tuple(), signal.pi_bar)), (params, signal)
@@ -74,8 +73,11 @@ def test_no_conditional_lies_outside_the_unit_interval(params):
 @helpers.draws(20000, seed=42003, s=lambda rng: rng.uniform(-60.0, 60.0) * 10.0 ** rng.uniform(-12.0, 0.0),
                lam=lambda rng: 10.0 ** rng.uniform(-4.0, 4.0))
 def test_the_bonuses_of_mirror_intercepts_swap_bit_for_bit(s, lam):
-    rule, mirror = _logit_rule(s, lam), _logit_rule(-s, lam)
-    assert (rule.X, rule.Y) == (mirror.Y, mirror.X)
+    # the game's equal slopes 1/lam, and unequal ones, which the mirror swaps
+    inv = 1.0 / lam
+    for a, b in ((inv, inv), (inv, 2.0 * inv)):
+        rule, mirror = _logit_rule(s, a, b), _logit_rule(-s, b, a)
+        assert (rule.X, rule.Y) == (mirror.Y, mirror.X), (a, b)
 
 
 @helpers.draws(500, seed=42004, params=helpers.any_domain_game)
@@ -100,7 +102,7 @@ def test_the_impartial_bonus_keeps_its_digits_at_huge_lam():
 
 
 def test_the_kernel_stays_finite_where_one_over_lam_overflows():
-    rule = _logit_rule(0.0, 1e-310)
+    rule = _logit_rule(0.0, 1.0 / 1e-310, 1.0 / 1e-310)  # slopes 1/lam = inf
     assert rule == (0.0, 0.5, 1.0, 0.5, 0.5, 0.5)
     # odds 2 : 1 at r = 0: pi_bar = 2/3, X = 1 - 2/3 and Y = 2/3 - 0
     tilted = signal_from_odds(0.5, 0.25, 1e-310)

@@ -161,7 +161,7 @@ def test_the_slope_bound_prunes_only_futile_work(game):
         # (a) every bonus of the logit rule, at its peaks s = +-1/(2 lam) too, is within the bound
         cap = math.tanh(0.25 / lam) + GAIN_ALLOWANCE
         for s in [i / 2.0 for i in range(-120, 121)] + [0.5 / lam, -0.5 / lam]:
-            rule = _logit_rule(s, lam)
+            rule = _logit_rule(s, 1.0 / lam, 1.0 / lam)
             assert rule.X <= cap and rule.Y <= cap, (s, lam, rule)
         if _gains_can_reach(c, lam):
             continue
@@ -196,7 +196,7 @@ def test_the_slope_bound_needs_its_rounding_allowance():
         s = -0.5 / lam
         for _ in range(abs(steps)):
             s = math.nextafter(s, math.copysign(math.inf, steps))
-        rule = _logit_rule(s, lam)
+        rule = _logit_rule(s, 1.0 / lam, 1.0 / lam)
         for gain in (rule.X, rule.Y):
             c = gain / (1.0 - IC_TOL)  # then the largest c whose _band still passes the gain
             while not _incentive_holds(HI, gain, c):

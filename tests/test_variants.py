@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -402,11 +403,47 @@ def test_prior_invariant_matches_a_60_digit_reference(game, profile, log_weights
         return
     with exact.digits(60):
         want = exact.prior_invariant(dist, ref, game.lam)
-    assert want is not None
+        assert want is not None
+        X, Y = float(want[2] - want[0]), float(want[0] - want[1])
     pi_bar_q, pi_minus, pi_plus = (float(v) for v in want)
     assert abs(result.pi_bar_q - pi_bar_q) <= 1e-12 * pi_bar_q, (result.pi_bar_q, pi_bar_q)
     assert abs(result.signal.pi_minus - pi_minus) <= 1e-12, (result.signal.pi_minus, pi_minus)
     assert abs(result.signal.pi_plus - pi_plus) <= 1e-12, (result.signal.pi_plus, pi_plus)
+    # the logit kernel forms X and Y without cancellation: the worst of these draws is 1.8e-15 relative,
+    # while X and Y taken as differences of the conditionals are up to 1.1e-5 and 1.4e-8 off
+    assert abs(result.signal.X - X) <= 4e-15 * X and abs(result.signal.Y - Y) <= 4e-15 * Y, (result.signal, X, Y)
+
+
+@helpers.draws(
+    300,
+    seed=48001,
+    game=helpers.domain_game,
+    profile=lambda rng: rng.choice(PROFILES),
+    log_weights=lambda rng: tuple(rng.uniform(-6.0, 0.0) for _ in range(3)),
+)
+def test_prior_invariant_matches_the_generic_solver(game, profile, log_weights):
+    # the rule solves the binary RI problem on the reference prior q with advantage d p(d)/q(d), which
+    # the oracle solves without the closed form: ri_core decides interior versus corner, and the
+    # 60-digit bisection, fed the exact advantages, gives the conditionals. They are held to 1e-12
+    # relative, the 60-digit reference test's bound on pi_bar_q: the library rounds the slopes
+    # p(d)/(q(d) lam), which shifts a logit t by |t| ulps (1.3e-13 relative at worst on these draws).
+    # solve_binary_ri's own conditionals are not compared: where p(1) = p(-1) the problem is
+    # ill-conditioned, and at a (hi, hi) draw at lam 4,198 rounding the advantages to floats alone
+    # moves the 60-digit pi_bar_q by 2.2e-9.
+    weights = [10.0 ** w for w in log_weights]
+    ref = tuple(w / sum(weights) for w in weights)
+    dist = tuple(state_distribution(game, profile))
+    result = prior_invariant_signal(ReferencePriorProblem(dist, ref, game.lam))
+    advantage = (-dist[0] / ref[0], 0.0, dist[2] / ref[2])
+    rule = ri_core.solve_binary_ri(ri_core.BinaryRIProblem((-1, 0, 1), ref, advantage, game.lam))
+    assert result.interior == (not rule.degenerate), (result, rule)
+    if not result.interior:
+        return
+    with exact.digits(60):
+        advantage = (-Decimal(dist[0]) / Decimal(ref[0]), Decimal(0), Decimal(dist[2]) / Decimal(ref[2]))
+        conditionals, _ = exact.binary_ri_rule(ref, advantage, game.lam)
+    for got, want in zip(result.signal.as_tuple(), conditionals):
+        assert abs(got - want) <= 1e-12 * want, (result.signal, conditionals)
 
 
 class TestMixed:
