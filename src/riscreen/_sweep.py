@@ -10,6 +10,8 @@ from __future__ import annotations
 import io
 import math
 from functools import partial
+from itertools import repeat
+from operator import is_
 
 from . import baseline_game as bg
 from . import multitask as mt
@@ -36,9 +38,14 @@ _REGIME_HEADER = [
 def _regime_row(lam: float, records: list, cut_cells: list) -> list:
     """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells.
 
-    The profits are listed once and ranked by most_profitable_among's tie rule;
-    the best profit, the highest of all, is also the highest among the ties.
+    One record is no choice: its tag is the most profitable and the welfare
+    order, its profit the best, and nothing is ranked. Two or more have their
+    profits listed once and ranked by most_profitable_among's tie rule; the
+    best profit, the highest of all, is also the highest among the ties.
     """
+    if len(records) == 1:
+        tag = _TAGS[records[0].profile]
+        return [lam, *[int(t == tag) for t in _TAGS.values()], tag, records[0].profit, tag, *cut_cells]
     if not records:
         raise ValueError("no equilibrium records to rank")
     tags, profits = [_TAGS[r.profile] for r in records], [r.profit for r in records]
@@ -89,6 +96,8 @@ def _multitask_step(base, args):
 
 def _multitask_row(game, lam: float) -> list:
     records = mt._multitask_equilibria(game, lam)
+    if len(records) == 1 and records[0].classification in mt._RANKED:  # no choice: nothing to rank
+        return [lam, 1, records[0].classification, records[0].payoff]
     winners = mt._most_profitable(records)
     classes = "|".join(sorted({w.classification for w in winners}))
     return [lam, len(records), classes, winners[0].payoff if winners else math.nan]
@@ -151,10 +160,13 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
     A column holds only ``float``, only ``int`` or only ``str``; any other
     column (``None``, a bool, a subclass, a mix) raises ``TypeError`` naming
     it. The header is sorted into key order once; a repeated name keeps its
-    last column, as in a dict. The rows are written column by column into one
-    row template: a column that holds the same object on every row (by
-    identity, so -0.0 and 0.0 or two nans never merge) is formatted once into
-    the template, and each row is ``template % cells`` of the other columns.
+    last column, as in a dict. The rows are transposed once into columns
+    (``zip``), and each column is scanned by C-level ``map`` calls: ``is_``
+    for sameness, ``type`` for its kinds and ``format`` for its floats. The
+    rows are written column by column into one row template: a column that
+    holds the same object on every row (by identity, so -0.0 and 0.0 or two
+    nans never merge) is formatted once into the template, and each row is
+    ``template % cells`` of the other columns.
     A float is its ``.12g`` text when that has a point and no exponent, which
     is then its repr (a decimal of at most 12 digits is the shortest repr of
     its double, and repr writes [1e-4, 1e16) positionally), and otherwise the
@@ -162,17 +174,17 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
     ``json.encoder.encode_basestring_ascii``.
     """
     from json.encoder import encode_basestring_ascii as quote
-    pieces, columns = [], []
+    pieces, columns, cols = [], [], list(zip(*rows)) or [()] * len(header)
     for name, i in sorted({k: i for i, k in enumerate(header)}.items()):
-        cells = [row[i] for row in rows]
+        cells = cols[i]
         key = "\n      " + quote(name) + ": "
-        once = rows and all(v is cells[0] for v in cells)
+        once = rows and all(map(is_, cells, repeat(cells[0])))
         if once:
             cells = cells[:1]
-        kinds = {v.__class__ for v in cells}
+        kinds = set(map(type, cells))
         if kinds == {float}:
             texts = [t if "." in t and "e" not in t else _WORDS.get(t) or repr(float(t))
-                     for t in [f"{v:.12g}" for v in cells]]
+                     for t in map(format, cells, repeat(".12g"))]
         elif kinds == {int}:
             texts = list(map(int.__repr__, cells))
         elif kinds <= {str}:  # no rows: no kind

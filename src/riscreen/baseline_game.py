@@ -379,9 +379,11 @@ def _gain_table(priors: tuple, impartial: PromotionSignal, tilted) -> tuple:
 
 def _supported(table: tuple, c_m: float, c_w: float) -> tuple:
     """:func:`_supports` of each profile in PROFILES order, off a :func:`_gain_table`, at effective costs c_m and c_w.
-    (lo, hi) is (hi, lo) with the names swapped: it passes where (hi, lo) passes at the swapped costs (c_w, c_m)."""
+    (lo, hi) is (hi, lo) with the names swapped: it passes where (hi, lo) passes at the swapped costs (c_w, c_m).
+    A common cost, as in every analysis but the heterogeneous one, takes its :func:`_band` once."""
     (hh_m, hh_w), hl, (ll_m, ll_w) = table
-    (lo_m, hi_m), (lo_w, hi_w) = _band(c_m), _band(c_w)
+    lo_m, hi_m = _band(c_m)
+    lo_w, hi_w = (lo_m, hi_m) if c_w == c_m else _band(c_w)
     return (hh_m >= lo_m and hh_w >= lo_w,
             hl is not None and hl[0] >= lo_m and hl[1] <= hi_w,
             hl is not None and hl[0] >= lo_w and hl[1] <= hi_m,
@@ -472,7 +474,7 @@ def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weig
     """evaluate at a profile's prior (from _profile_prior), with agent i's utility weight_i times its
     promotion probability, less cost_i when it works high."""
     (e_m, e_w), _, mu_w, p_minus, p_zero, p_plus = prior
-    q_minus, q_zero, q_plus, pi_bar = signal[:4]
+    q_minus, q_zero, q_plus, pi_bar, _, _ = signal
     mean = p_minus * q_minus + p_zero * q_zero + p_plus * q_plus
     if abs(pi_bar - mean) > 1e-12:
         raise ValueError(f"signal pi_bar={pi_bar!r} is not the prior mean {mean!r} of its conditionals")

@@ -32,6 +32,8 @@ SPECIALIZED = "specialized"
 HYBRID = "hybrid"
 
 _EFFORTS = (HI, LO)
+#: the classes the profitability ranking compares; a hybrid equilibrium is enumerated but not ranked
+_RANKED = (SPECIALIZED, NON_SPECIALIZED)
 
 
 class TaskParams(_Validated, namedtuple("TaskParams", "alpha beta cost_C")):
@@ -156,7 +158,7 @@ def most_profitable_among(records: list, tasks: tuple) -> list:
 
 def _most_profitable(records: list) -> list:
     """most_profitable_among's ranking, for tasks whose arrivals are already checked."""
-    ranked = [r for r in records if r.classification in (SPECIALIZED, NON_SPECIALIZED)]
+    ranked = [r for r in records if r.classification in _RANKED]
     return _ties_at_best(ranked, [r.payoff for r in ranked])
 
 
