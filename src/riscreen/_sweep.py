@@ -35,17 +35,22 @@ _REGIME_HEADER = [
 ]
 
 
+#: the eq_* cells of a row that lists one record, by its tag
+_ONE_HOT = {tag: [int(t == tag) for t in _TAGS.values()] for tag in _TAGS.values()}
+
+
 def _regime_row(lam: float, records: list, cut_cells: list) -> list:
     """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells.
 
     One record is no choice: its tag is the most profitable and the welfare
-    order, its profit the best, and nothing is ranked. Two or more have their
-    profits listed once and ranked by most_profitable_among's tie rule; the
-    best profit, the highest of all, is also the highest among the ties.
+    order, its profit the best, its eq_* cells are looked up in _ONE_HOT, and
+    nothing is ranked; past the slope bound that record is (lo, lo). Two or
+    more have their profits listed once and ranked by most_profitable_among's
+    tie rule; the best profit, the highest of all, is also the highest among the ties.
     """
     if len(records) == 1:
         tag = _TAGS[records[0].profile]
-        return [lam, *[int(t == tag) for t in _TAGS.values()], tag, records[0].profit, tag, *cut_cells]
+        return [lam, *_ONE_HOT[tag], tag, records[0].profit, tag, *cut_cells]
     if not records:
         raise ValueError("no equilibrium records to rank")
     tags, profits = [_TAGS[r.profile] for r in records], [r.profit for r in records]

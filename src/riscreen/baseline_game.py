@@ -405,8 +405,17 @@ def _incentive_holds(effort: str, gain: float, c: float) -> bool:
 def _gains_can_reach(c: float, lam: float) -> bool:
     """The slope bound: can a gain meet c at lam? Each bonus sigmoid(a) - sigmoid(a - 1/lam) is at most
     tanh(1/(4 lam)), and so is each gain, a convex sum of the two. Widened by GAIN_ALLOWANCE for rounding,
-    the bound goes through _incentive_holds: where it fails (lam a little above 1/(4 atanh c)), no gain passes."""
+    the bound goes through _incentive_holds: where it fails (lam a little above 1/(4 atanh c)), no gain passes.
+    Its callers: :func:`_out_of_reach` ahead of every pure enumeration, and the mixed and committed variants."""
     return _incentive_holds(HI, math.tanh(0.25 / lam) + GAIN_ALLOWANCE, c)
+
+
+def _out_of_reach(c_min: float, lam: float):
+    """The gate ahead of every pure enumeration, at c_min, the smallest effective cost in play: None where a gain
+    can meet c_min at lam; otherwise the impartial rule, at which (lo, lo) is the one equilibrium. Past the bound
+    every gain is below each c_i - tol_i, so no agent works, and at most each c_i + tol_i, so (lo, lo) holds:
+    the caller values that record alone and forms no (hi, lo) kernel, gain table or verdict."""
+    return None if _gains_can_reach(c_min, lam) else _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
 
 
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
@@ -519,6 +528,9 @@ def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: f
 
 def _pure_equilibria(game: _Game, lam: float) -> list:
     """equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
+    impartial = _out_of_reach(game.c, lam)
+    if impartial:
+        return [_value(game.priors[2], impartial, lam, game.costs, (1.0, 1.0))]
     return _equilibria(game.priors, lam, *_profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
 
 
@@ -527,7 +539,9 @@ def equilibrium_set(params: GameParams) -> list:
 
     A profile is an equilibrium when its optimal signal satisfies both
     agents' incentive constraints. Knife-edge parameter values keep a
-    profile in both adjacent regimes.
+    profile in both adjacent regimes. Past the slope bound (lam a little
+    above 1/(4 atanh c), :func:`_out_of_reach`) (lo, lo) is the one
+    equilibrium, and no (hi, lo) signal is formed.
     """
     return _pure_equilibria(_game(params), params.lam)
 

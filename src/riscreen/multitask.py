@@ -20,6 +20,7 @@ from .baseline_game import (
     _gain_table,
     _game,
     _incentive_holds,
+    _out_of_reach,
     _profile_signals,
     _supported,
     _ties_at_best,
@@ -106,6 +107,9 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     once and tested against both task games' c, and each pair some joint
     equilibrium uses is valued once, (lo, hi) as (hi, lo). The principal's payoff
     adds the per-task profits weighted by arrivals, alpha^1 (V_1 - lam I_1) + alpha^2 (V_2 - lam I_2).
+    Past the slope bound at the smaller task cost (baseline_game._out_of_reach),
+    (lo, lo) in both tasks is the one equilibrium, valued alone at the impartial
+    signal, and no (hi, lo) signal or gain table is formed.
     """
     return _multitask_equilibria(_multitask_game(game, tasks), game.lam)
 
@@ -119,6 +123,11 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
 def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
     game, (c1, c2), alpha1, alpha2 = multitask_game
+    impartial = _out_of_reach(min(c1, c2), lam)
+    if impartial:  # (lo, lo) in both tasks, the last of _JOINT
+        p = _value(game.priors[2], impartial, lam, game.costs, (1.0, 1.0)).profit
+        inv_m, inv_w, label = _JOINT[-1][2:]
+        return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * p + alpha2 * p, (impartial, impartial)))]
     impartial, tilted = _profile_signals(game, lam)
     table = _gain_table(game.priors, impartial, tilted)
     first, second = _supported(table, c1, c1), _supported(table, c2, c2)

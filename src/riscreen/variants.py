@@ -29,6 +29,7 @@ from .baseline_game import (
     _incentive_holds,
     _log_gamma_star,
     _logit_rule,
+    _out_of_reach,
     _profile_signals,
     _supports,
     _value,
@@ -82,9 +83,17 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     agent is possible whenever c_w/c_m >= mu_hi(1-mu_hi)/(mu_lo(1-mu_lo))
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
+
+    Past the slope bound at the smaller effective cost
+    (baseline_game._out_of_reach), (lo, lo) is the one equilibrium, and no
+    (hi, lo) signal is formed.
     """
-    return _equilibria(_game(game).priors, game.lam, *_profile_signals(game, game.lam),
-                       *het.effective_costs(game.delta_mu), (het.cost_m, het.cost_w), (het.du_m, het.du_w))
+    priors, (c_m, c_w) = _game(game).priors, het.effective_costs(game.delta_mu)
+    costs, weights = (het.cost_m, het.cost_w), (het.du_m, het.du_w)
+    impartial = _out_of_reach(min(c_m, c_w), game.lam)
+    if impartial:
+        return [_value(priors[2], impartial, game.lam, costs, weights)]
+    return _equilibria(priors, game.lam, *_profile_signals(game, game.lam), c_m, c_w, costs, weights)
 
 
 # ---------------------------------------------------------------------------

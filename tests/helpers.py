@@ -132,8 +132,9 @@ def quota_knife_game(rng: random.Random) -> GameParams:
     - the crossing: c is m's quota (hi, lo) gain at lam0, log-uniform in
       [1e-3, 1e3], and lam is bisected on [lam0/2, 2 lam0] to where that
       gain equals the game's c, then moved k in [-3, 3] ulps;
-    - the edge of a gain bound of quota_policy._asymmetric_open, with c
-      log-uniform in [1e-6, 0.24]: the lam where the bound, widened by
+    - the edge of a gain bound of the quota enumeration, m's the slope
+      bound that gates it and w's the floor of quota_policy._asymmetric_open,
+      with c log-uniform in [1e-6, 0.24]: the lam where the bound, widened by
       GAIN_ALLOWANCE, meets c to IC_TOL min(1, c), times 1 + [-1e-12, 1e-12].
     """
     from riscreen.baseline_game import IC_TOL

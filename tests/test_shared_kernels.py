@@ -5,9 +5,10 @@ with the agents' names swapped: it is tested with (hi, lo)'s gains swapped and
 valued as (hi, lo), its signal the mirror of (hi, lo)'s. Under the quota the
 one tilt of (hi, lo) is solved only where the closed-form gain bounds leave the
 asymmetric profiles open. Each enumeration tests every cost against one table
-of gains, and past the slope bound of the logit rule the variants search no
-mixed root and form no committed (hi, lo) signal. The shared results must
-equal the per-profile ones bit for bit.
+of gains, and past the slope bound of the logit rule the enumerations keep
+(lo, lo) alone and form no (hi, lo) signal, and the variants search no mixed
+root and form no committed (hi, lo) signal. The shared and pruned results must
+equal the per-profile and unpruned ones bit for bit.
 """
 
 import math
@@ -16,7 +17,7 @@ import random
 import pytest
 
 from riscreen import HI, LO, PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
-from riscreen import PromotionSignal, variants
+from riscreen import PromotionSignal, TaskParams, baseline_game, variants
 from riscreen.baseline_game import (
     GAIN_ALLOWANCE,
     IC_TOL,
@@ -29,11 +30,13 @@ from riscreen.baseline_game import (
     _logit_rule,
     _profile_prior,
     _profile_signals,
+    _pure_equilibria,
     _supported,
     _supports,
     signal_from_odds,
 )
-from riscreen.quota_policy import _asymmetric_open
+from riscreen.multitask import _multitask_equilibria, _multitask_game
+from riscreen.quota_policy import _asymmetric_open, _quota_equilibria
 
 import helpers
 
@@ -103,8 +106,9 @@ def test_at_most_one_tilt_and_one_tilted_kernel_per_enumeration(monkeypatch, lam
     quota_equilibrium_set(game)
     assert counts == {"_tilt": tilts, "signal_from_odds": 0}
     equilibrium_set(game)
-    # the (hi, lo) kernel decides interior vs corner itself, at every lam
-    assert counts == {"_tilt": tilts, "signal_from_odds": 1}
+    # the (hi, lo) kernel decides interior vs corner itself, wherever a gain can meet c; past the slope
+    # bound (from lam 0.684 here, where the quota's tilt stops too) the gate keeps (lo, lo) and forms none
+    assert counts == {"_tilt": tilts, "signal_from_odds": tilts}
 
 
 def stepped(edge, below=3, above=3):
@@ -153,10 +157,38 @@ def bound_lams(game):
     return [lam for lam in lams if 0.0 < lam < math.inf]
 
 
-@helpers.draws(120, seed=44002, game=helpers.any_domain_game)
+def enumerations(game, lam, k):
+    """The hexed pure enumerations of game at lam: the baseline, the quota, and the multitask and heterogeneous
+    ones with the first task's and m's effective cost k c, the second's and w's c (task 1 at arrival 0.3, task 2
+    at 0.5; w at twice the cost and weight)."""
+    tasks = (TaskParams(0.3, 1.0, k * game.cost_C * 0.3), TaskParams(0.5, 1.0, game.cost_C * 0.5))
+    het = variants.HeterogeneousParams(k * game.cost_C, 2.0 * game.cost_C, 1.0, 2.0)
+    return (hexed(_pure_equilibria(_game(game), lam)), hexed(_quota_equilibria(_game(game), lam)),
+            hexed(_multitask_equilibria(_multitask_game(game, tasks), lam)),
+            hexed(variants.heterogeneous_equilibrium_set(game._replace(lam=lam), het)))
+
+
+#: m's (hi, lo) gain is 9e-15 relative below the slope bound at lam (mu_lo within 1e-14 of 1, where that gain
+#: is nearly Y, at its peak s = 1/(2 lam)), and c a hair above that gain: the bound reaches c but not c (1 + IC_TOL/2),
+#: so an enumeration gated on that first cost, not the smaller one, loses (hi, lo) at c
+HAIR_EDGE = GameParams(0.999999999999999, 0.99999999999999, 7.482467294805879e-15, 0.20924648196624415)
+
+
+@helpers.draws(120, seed=44002, cases=[dict(game=HAIR_EDGE)], game=helpers.any_domain_game)
 def test_the_slope_bound_prunes_only_futile_work(game):
     base, va = _game(game), variants._variants_game(game)
     c, mu_hi, mu_lo = base.c, base.mu_hi, base.mu_lo
+    # the gate ahead of the enumerations tests the smallest cost in play: the first cost equal to the second,
+    # half of it, or a hair above it, as the cost-order checks allow, with lams stepped across that cost's edge
+    first = [(1.0, bound_lams(game)), (0.5, bound_lams(game._replace(cost_C=0.5 * game.cost_C)))]
+    if c < 1.0:
+        first.append((1.0 + IC_TOL / 2.0, bound_lams(game)))
+    for k, lams in first:
+        for lam in lams:
+            pruned = enumerations(game, lam, k)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(baseline_game, "_gains_can_reach", lambda c, lam: True)
+                assert enumerations(game, lam, k) == pruned, (k, lam)
     for lam in bound_lams(game):
         # (a) every bonus of the logit rule, at its peaks s = +-1/(2 lam) too, is within the bound
         cap = math.tanh(0.25 / lam) + GAIN_ALLOWANCE
