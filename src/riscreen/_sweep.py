@@ -109,8 +109,9 @@ def _multitask_row(game, lam: float) -> list:
 
 
 def _variants_row(game, lam: float) -> list:
-    sol = va._commitment(game, lam)
-    return [lam, _TAGS[sol.induced_profile], sol.profit, len(va._mixed(game, lam))]
+    """A variants sweep row: the best committed outcome, ranked as commitment_solve ranks it, and the mixed count."""
+    _, _, profile, profit, _ = max(va._commitment(game, lam), key=va._profit)
+    return [lam, _TAGS[profile], profit, len(va._mixed(game, lam))]
 
 
 #: each --analysis in the parser's order: (header, prepare); prepare(base, args) does the lam-free work, returns lam -> row

@@ -259,20 +259,30 @@ def _profile_signals(game, lam: float) -> tuple:
 def signal_from_odds(A: float, B: float, lam: float) -> PromotionSignal | None:
     """The optimal signal at outcome odds A : B, or None at a corner.
 
-    A = P(d = 1) and B = P(d = -1) under the effort profile, r = exp(-1/lam).
-    The signal is interior exactly when r < A/B < 1/r, tested as products, so
-    B = 0 and r = 1 are corners too; at a corner the principal always promotes
-    one agent, m when A > B. This is the one interior-vs-corner decision of
-    every closed-form signal. Inside, it is the logit rule of intercept
-    s = ln(a/b), a = A - rB = -A expm1(-L - 1/lam) and b = B - rA = -B expm1(L - 1/lam),
-    L = ln(A/B) taken as a log1p of the larger over the smaller; a b (or a) that rounds to 0 is a corner.
+    A = P(d = 1) and B = P(d = -1) under the effort profile. Inside, it is
+    the logit rule of slopes 1/lam at the intercept of :func:`_intercept`,
+    which makes the one interior-vs-corner decision of every closed-form
+    signal; at a corner the principal always promotes one agent, m when A > B.
+    """
+    s = _intercept(A, B, lam)
+    return None if s is None else _logit_rule(s, 1.0 / lam, 1.0 / lam)
+
+
+def _intercept(A: float, B: float, lam: float) -> float | None:
+    """The intercept s of the optimal signal at outcome odds A : B, or None at a corner.
+
+    With r = exp(-1/lam), the signal is interior exactly when r < A/B < 1/r,
+    tested as products, so B = 0 and r = 1 are corners too. Inside, s = ln(a/b),
+    a = A - rB = -A expm1(-L - 1/lam) and b = B - rA = -B expm1(L - 1/lam),
+    L = ln(A/B) taken as a log1p of the larger over the smaller; an a or b that
+    rounds to 0 is a corner.
     """
     inv, r = 1.0 / lam, math.exp(-1.0 / lam)
     if A <= r * B or B <= r * A:
         return None
     L = math.log1p((A - B) / B) if A >= B else -math.log1p((B - A) / A)
     a, b = -A * math.expm1(-L - inv), -B * math.expm1(L - inv)
-    return _logit_rule(math.log(a / b), inv, inv) if a > 0.0 and b > 0.0 else None
+    return math.log(a / b) if a > 0.0 and b > 0.0 else None
 
 
 def _cubic_roots(a: float, b: float, c: float, reverse: bool = True) -> list:

@@ -11,6 +11,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .baseline_game import (
     AGENT_M,
@@ -27,6 +28,7 @@ from .baseline_game import (
     _gains,
     _gains_can_reach,
     _incentive_holds,
+    _intercept,
     _log_gamma_star,
     _logit_rule,
     _out_of_reach,
@@ -156,19 +158,26 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     unconstrained (lo, lo) rule. All three are closed forms. The (hi, lo) rule is
     not formed where the slope bound tanh(1/(4 lam)) of every gain is below c.
     """
-    return _commitment(_variants_game(game), game.lam)
+    outcomes = _commitment(_variants_game(game), game.lam)
+    # max keeps the first of equal profits
+    return CommitmentSolution(*max(outcomes, key=_profit), {o[2]: o[3] for o in outcomes})
 
 
-def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
-    """commitment_solve at lam of the game whose lambda-independent part is variants; (hi, lo) past the bound is out."""
+#: an outcome's profit
+_profit = itemgetter(3)
+
+
+def _commitment(variants: _Variants, lam: float) -> list:
+    """The feasible outcomes of commitment_solve at lam of the game whose lambda-independent part is variants,
+    each a CommitmentSolution's first five fields: (hi, hi) alone up to lambda_star, else (lo, lo), the
+    self-enforcing (hi, lo) rule (not formed past the slope bound) and the bound (hi, hi) rule when c < 1/2."""
     base = variants.base
     priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
     impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
     if lam <= variants.lam_star + 1e-15:
         rec = _value(priors[0], impartial, lam, costs, weights)
-        return CommitmentSolution(0.0, rec.signal, (HI, HI), rec.profit, None, {(HI, HI): rec.profit})
+        return [(0.0, rec.signal, (HI, HI), rec.profit, None)]
     rec = _value(priors[2], impartial, lam, costs, weights)
-    # each outcome is a CommitmentSolution's first five fields: nu, signal, profile, profit, agent
     outcomes = [(0.0, rec.signal, (LO, LO), rec.profit, None)]
     # at a corner (None) m is always promoted: zero gains never meet c > 0, nor does any past the slope bound
     disc_signal = signal_from_odds(base.A, base.B, lam) if _gains_can_reach(base.c, lam) else None
@@ -177,8 +186,7 @@ def _commitment(variants: _Variants, lam: float) -> CommitmentSolution:
     bound = _bind_high_effort(variants, lam)
     if bound is not None:
         outcomes.append((bound.nu, bound.signal, (HI, HI), bound.profit, f"{AGENT_M},{AGENT_W}"))
-    # max keeps the first of equal profits
-    return CommitmentSolution(*max(outcomes, key=lambda o: o[3]), {o[2]: o[3] for o in outcomes})
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +366,25 @@ def mixed_equilibria(game: GameParams) -> list:
       w mixing against a working m (w_x = mu_hi, w_y = 1-mu_hi; rho falls).
       The gap has the sign of the cubic P of :func:`_odds_roots` (roots by
       :func:`baseline_game._cubic_roots`), < 0 at 0, r and 1/r: at most two
-      lie in (r, 1/r). m <-> w relabelings are symmetric duplicates.
+      lie in (r, 1/r). m <-> w relabelings are symmetric duplicates. The
+      pure agent's check is an interval in nu, and no signal is formed for
+      it: both branches have odds rho >= 1, so X <= Y. At a root of m's
+      indifference gain_m = c and gain_w - gain_m = (nu_m + mu_lo - 1)(X - Y),
+      so w shirks exactly when nu_m >= 1 - mu_lo; at a root of w's,
+      gain_m - gain_w = (1 - nu_w - mu_hi)(X - Y), so m works exactly when
+      nu_w >= 1 - mu_hi. A record's signal is the logit rule at the intercept
+      that decided it interior.
 
     Away from lam = lambda_star every returned signal is discriminatory. Every gain is at
     most tanh(1/(4 lam)), so above lam = 1/(4 atanh c) > lambda_star (the slope bound,
     baseline_game._gains_can_reach) no agent works or is indifferent, and no root is searched.
     """
-    return _mixed(_variants_game(game), game.lam)
+    lam, found = game.lam, []
+    for sigma_m, sigma_w, s in _mixed(_variants_game(game), lam):
+        signal = _logit_rule(s, 1.0 / lam, 1.0 / lam)
+        label = IMPARTIAL if signal.impartial else DISCRIMINATORY
+        found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), signal, label))
+    return found
 
 
 #: the lambda-independent part of commitment_solve, bind_high_effort and mixed_equilibria: the
@@ -394,17 +414,12 @@ def _variants_game(game: GameParams) -> _Variants:
 
 
 def _mixed(variants: _Variants, lam: float) -> list:
-    """mixed_equilibria at lam of the game whose lambda-independent part is variants; no search past the slope bound."""
+    """(sigma_m, sigma_w, s) of each mixed_equilibria record at lam of the game whose lambda-independent part is
+    variants, s its signal's intercept: each candidate is decided on nu (the interval rule), then s is formed
+    and a corner drops it. No signal is formed, and no root is searched past the slope bound."""
     base, window = variants.base, variants.window
     c, mu_lo, mu_hi, delta_mu = base.c, base.mu_lo, base.mu_hi, base.mu_hi - base.mu_lo
-    found = []
-
-    def keep(sigma_m: float, sigma_w: float, sig: PromotionSignal) -> None:
-        label = IMPARTIAL if sig.impartial else DISCRIMINATORY
-        found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), sig, label))
-
-    if abs(lam - variants.lam_star) <= 1e-9:
-        keep(0.5, 0.5, _logit_rule(0.0, 1.0 / lam, 1.0 / lam))
+    found = [(0.5, 0.5, 0.0)] if abs(lam - variants.lam_star) <= 1e-9 else []
     if not _gains_can_reach(c, lam):  # no gain meets c: no agent is indifferent, none works
         return found
     r = math.exp(-1.0 / lam)
@@ -422,25 +437,28 @@ def _mixed(variants: _Variants, lam: float) -> list:
             s = 0.5 * (u + math.sqrt(u_minus_2 * (u + 2.0)))
             for nu_m in (1.0 / (1.0 + s), s / (1.0 + s)):
                 nu_w = 1.0 - nu_m
-                sig = signal_from_odds(nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m), lam)
-                if sig is None or not lo <= nu_m <= hi:
-                    continue
                 sigma_m = (nu_m - mu_lo) / delta_mu
                 sigma_w = (nu_w - mu_lo) / delta_mu
-                if _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE:
-                    keep(sigma_m, sigma_w, sig)
+                if (lo <= nu_m <= hi and _SIGMA_EDGE < sigma_m < 1.0 - _SIGMA_EDGE
+                        and _SIGMA_EDGE < sigma_w < 1.0 - _SIGMA_EDGE):
+                    intercept = _intercept(nu_m * (1.0 - nu_w), nu_w * (1.0 - nu_m), lam)
+                    if intercept is not None:
+                        found.append((sigma_m, sigma_w, intercept))
 
+    # w shirks where nu_m >= 1 - mu_lo, m works where nu_w >= 1 - mu_hi
     for rho in _odds_roots(r, k, 1.0 - mu_lo, mu_lo, *variants.rho_m):
         nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
-        sig = signal_from_odds(nu_m * (1.0 - mu_lo), mu_lo * (1.0 - nu_m), lam)
-        if sig is not None and _incentive_holds(LO, _gains(nu_m, mu_lo, sig)[1], c):
-            keep((nu_m - mu_lo) / delta_mu, 0.0, sig)
+        if nu_m >= 1.0 - mu_lo:
+            intercept = _intercept(nu_m * (1.0 - mu_lo), mu_lo * (1.0 - nu_m), lam)
+            if intercept is not None:
+                found.append(((nu_m - mu_lo) / delta_mu, 0.0, intercept))
 
     for rho in reversed(_odds_roots(r, k, mu_hi, 1.0 - mu_hi, *variants.rho_w)):
         nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
-        sig = signal_from_odds(mu_hi * (1.0 - nu_w), nu_w * (1.0 - mu_hi), lam)
-        if sig is not None and _incentive_holds(HI, _gains(mu_hi, nu_w, sig)[0], c):
-            keep(1.0, (nu_w - mu_lo) / delta_mu, sig)
+        if nu_w >= 1.0 - mu_hi:
+            intercept = _intercept(mu_hi * (1.0 - nu_w), nu_w * (1.0 - mu_hi), lam)
+            if intercept is not None:
+                found.append((1.0, (nu_w - mu_lo) / delta_mu, intercept))
 
     return found
 

@@ -573,6 +573,8 @@ def test_every_subcommand_exits_cleanly_on_the_whole_domain(params):
     game = ["--mu-hi", repr(params.mu_hi), "--mu-lo", repr(params.mu_lo), "--cost", repr(params.cost_C)]
     at = [*game, "--lambda", repr(params.lam)]
     sweep = [*game, "--lambda-range", repr(params.lam / 2.0), repr(params.lam * 2.0), "--lambda-steps", "3"]
+    # two equal-arrival tasks priced either side of cost_C
+    tasks = ["--task1", f"0.5,1.0,{0.9 * params.cost_C!r}", "--task2", f"0.5,1.0,{1.1 * params.cost_C!r}"]
     commands = [
         *(["signal", *at, "--profile", profile] for profile in ("hi,hi", "hi,lo", "lo,hi", "lo,lo")),
         ["signal", *at, "--oracle"],
@@ -583,7 +585,9 @@ def test_every_subcommand_exits_cleanly_on_the_whole_domain(params):
         ["variants", "--which", "commitment", *at],
         ["variants", "--which", "heterogeneous", *at, "--cost-m", repr(params.cost_C),
          "--cost-w", repr(1.5 * params.cost_C)],
+        ["multitask", *at, *tasks],
         *(["regimes", "--analysis", analysis, *sweep] for analysis in ("baseline", "quota", "variants")),
+        ["regimes", "--analysis", "multitask", *sweep, *tasks],
     ]
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()

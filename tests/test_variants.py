@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -32,14 +34,23 @@ from riscreen import (
     state_distribution,
     thresholds,
 )
-from riscreen import ri_core
-from riscreen.baseline_game import lambda_star, signal_from_odds, supports_profile
+from riscreen import _sweep, ri_core, variants
+from riscreen.baseline_game import _gains, _incentive_holds, lambda_star, signal_from_odds, supports_profile
 from riscreen.ri_core import BracketError, ConvergenceError
 
 import exact
 import helpers
 
 GAME = helpers.canonical()
+
+
+def hexed(obj):
+    """obj with every float replaced by its hex text, so -0.0 and NaN compare exactly."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (tuple, list)):
+        return [hexed(x) for x in obj]
+    return obj
 
 
 def success_signal(lam, nu_m, nu_w):
@@ -253,6 +264,68 @@ def test_commitment_on_the_whole_domain(game):
         assert bound.signal.impartial
         for agent in (AGENT_M, AGENT_W):
             assert abs(incentive_gain(game, bound.signal, agent, HI) - game.c) <= 1e-12
+
+
+def above_star_game(rng):
+    """A game above lambda_star: a condition-5 game in (lambda_star, lambda_high), where the committed
+    (hi, lo) rule is self-enforcing, or a game of helpers.any_domain_game moved to lambda_star
+    exp([1e-3, 4]); a lambda_star of 0 (c >= 1/2) keeps the draw's lam."""
+    if rng.random() < 0.5:
+        game = helpers.sample_condition5(rng)
+        cuts = thresholds(game)
+        return game._replace(lam=cuts.lambda_star + rng.random() * (cuts.lambda_high - cuts.lambda_star))
+    game, factor = helpers.any_domain_game(rng), math.exp(rng.uniform(1e-3, 4.0))
+    star = lambda_star(game)
+    return game._replace(lam=star * factor) if 0.0 < star * factor < math.inf else game
+
+
+@helpers.draws(400, seed=51001, game=above_star_game)
+def test_each_committed_outcome_has_the_envelope_slope(game):
+    # above lambda_star, d profit / d lam = -I for every committed outcome: the (lo, lo) and (hi, lo) rules are
+    # optima at lam (envelope theorem), and the bound (hi, hi) rule reads no lam, so V - lam I has slope -I exactly.
+    # With h = 1e-5 lam the central difference is off by its rounding and its truncation. Each profit is within
+    # 4 eps of S = V + lam I (the revenue and the bill, each rounded), which the quotient turns into 4 eps S / h;
+    # the truncation h^2/6 |P'''| = h^2/6 |I''| is at most (h/lam)^2 I, as I'' <= 6 I / lam^2 for a bill that falls
+    # no faster than 1/lam^2, the logit rule's at large lam (0 for the bound rule)
+    h = 1e-5 * game.lam
+    if not game.lam - h > lambda_star(game) + 1e-15:
+        return
+    try:
+        below, at, above = (commitment_solve(game._replace(lam=game.lam + d)) for d in (-h, 0.0, h))
+    except (ValueError, BracketError, ConvergenceError) as err:
+        assert str(err)
+        return
+    if not below.candidates.keys() == at.candidates.keys() == above.candidates.keys():
+        return  # the candidate set changes within the step
+    for profile in at.candidates:
+        signal = bind_high_effort(game).signal if profile == (HI, HI) else optimal_signal(game, profile)
+        rec = evaluate(game, profile, signal)
+        assert rec.profit == at.candidates[profile], profile
+        slope = (above.candidates[profile] - below.candidates[profile]) / (2.0 * h)
+        tol = 4.0 * sys.float_info.epsilon * (rec.revenue + game.lam * rec.info_cost) / h
+        tol += (h / game.lam) ** 2 * rec.info_cost
+        assert abs(slope + rec.info_cost) <= tol, (profile, slope, rec.info_cost, tol)
+
+
+@helpers.draws(
+    100,
+    seed=51002,
+    cases=[dict(game=GameParams(0.6, 0.3, 0.117, 1.0), lo=0.2, span=5.0, steps=5)],
+    game=helpers.any_domain_game,
+    lo=lambda rng: 10.0 ** rng.uniform(-4.0, 3.0),
+    span=lambda rng: 10.0 ** rng.uniform(0.1, 1.0),
+    steps=lambda rng: rng.randint(2, 12),
+)
+def test_the_variants_sweep_row_is_the_public_solutions(game, lo, span, steps):
+    # a variants sweep row ranks _commitment's outcomes and counts _mixed's triples itself: at each point
+    # of the grid from lo to lo * span its cells are commitment_solve's and len(mixed_equilibria), bit for bit
+    va = variants._variants_game(game)
+    for i in range(steps):
+        lam = lo + (lo * span - lo) * i / (steps - 1)
+        point = game._replace(lam=lam)
+        sol = commitment_solve(point)
+        want = [lam, f"{sol.induced_profile[0]},{sol.induced_profile[1]}", sol.profit, len(mixed_equilibria(point))]
+        assert hexed(_sweep._variants_row(va, lam)) == hexed(want), lam
 
 
 @helpers.draws(
@@ -524,6 +597,60 @@ class TestMixed:
             gain_w = nu_m * sig.X + (1 - nu_m) * sig.Y
             assert gain_m == pytest.approx(game.c, abs=1e-8)
             assert gain_w == pytest.approx(game.c, abs=1e-8)
+
+
+def low_sum_game(rng):
+    """A game where the pure agent's check binds: mu_lo in [0.01, 0.49], mu_hi in (mu_lo, 1 - mu_lo),
+    so mu_hi + mu_lo < 1, c in [0.01, 0.49] and lam lambda_star exp([-1.5, 0.5])."""
+    mu_lo = rng.uniform(0.01, 0.49)
+    mu_hi = mu_lo + rng.uniform(0.02, 0.98) * (1.0 - 2.0 * mu_lo)
+    game = GameParams(mu_hi, mu_lo, rng.uniform(0.01, 0.49) * (mu_hi - mu_lo), 1.0)
+    return game._replace(lam=lambda_star(game) * math.exp(rng.uniform(-1.5, 0.5)))
+
+
+def pure_agent_verdicts(game):
+    """(branch, interval rule, signal check) at each root of either one-sided branch of _mixed whose signal is
+    interior: nu_m >= 1 - mu_lo against w's shirking at the signal, nu_w >= 1 - mu_hi against m's working."""
+    va, lam, c, mu_hi, mu_lo = variants._variants_game(game), game.lam, game.c, game.mu_hi, game.mu_lo
+    r = math.exp(-1.0 / lam)
+    k = c * (1.0 - r * r)
+    verdicts = []
+    for rho in variants._odds_roots(r, k, 1.0 - mu_lo, mu_lo, *va.rho_m):
+        nu_m = rho * mu_lo / (1.0 - mu_lo + rho * mu_lo)
+        sig = signal_from_odds(nu_m * (1.0 - mu_lo), mu_lo * (1.0 - nu_m), lam)
+        if sig is not None:
+            verdicts.append(("m", nu_m >= 1.0 - mu_lo, _incentive_holds(LO, _gains(nu_m, mu_lo, sig)[1], c)))
+    for rho in variants._odds_roots(r, k, mu_hi, 1.0 - mu_hi, *va.rho_w):
+        nu_w = mu_hi / (mu_hi + rho * (1.0 - mu_hi))
+        sig = signal_from_odds(mu_hi * (1.0 - nu_w), nu_w * (1.0 - mu_hi), lam)
+        if sig is not None:
+            verdicts.append(("w", nu_w >= 1.0 - mu_hi, _incentive_holds(HI, _gains(mu_hi, nu_w, sig)[0], c)))
+    return verdicts
+
+
+def test_the_pure_agent_check_is_an_interval_in_nu():
+    # at a root of one agent's indifference the other's gain differs from c by (nu + mu - 1)(X - Y), X <= Y,
+    # so the check that _mixed makes on nu alone keeps a root exactly when the signal's incentive test does
+    rng, kept, rejected = random.Random(51003), Counter(), Counter()
+    samplers = (helpers.domain_game, helpers.edge_game, helpers.near_half_game, helpers.near_star_game, low_sum_game)
+    for sampler in samplers:
+        for i in range(600):
+            for branch, interval, check in pure_agent_verdicts(sampler(rng)):
+                assert interval == check, (sampler.__name__, i, branch)
+                (kept if check else rejected)[branch] += 1
+    # both verdicts are met on both branches, so the test is not vacuous
+    assert min(kept["m"], kept["w"], rejected["m"], rejected["w"]) >= 20, (kept, rejected)
+
+
+def test_the_row_at_a_rejected_root():
+    # at (.6, .3, .117) and lam 0.4 the balanced pair and one root on each side are the candidates, and the
+    # root of m's indifference is dropped: w would work there (nu_m < 1 - mu_lo); at lam 0.2, its one root is dropped
+    game = GameParams(0.6, 0.3, 0.117, 0.4)
+    assert [(branch, check) for branch, _, check in pure_agent_verdicts(game)] == [("m", False), ("w", True)]
+    assert len(mixed_equilibria(game)) == 3
+    assert _sweep._variants_row(variants._variants_game(game), 0.4)[3] == 3
+    assert [(branch, check) for branch, _, check in pure_agent_verdicts(game._replace(lam=0.2))] == [("m", False)]
+    assert mixed_equilibria(game._replace(lam=0.2)) == []
 
 
 class TestContinuousEffort:
