@@ -110,8 +110,9 @@ def _multitask_row(game, lam: float) -> list:
 
 def _variants_row(game, lam: float) -> list:
     """A variants sweep row: the best committed outcome, ranked as commitment_solve ranks it, and the mixed count."""
-    _, _, profile, profit, _ = max(va._commitment(game, lam), key=va._profit)
-    return [lam, _TAGS[profile], profit, len(va._mixed(game, lam))]
+    reach = bg._gains_can_reach(game.base.c, lam)  # the slope-bound gate, once for both steps
+    _, _, profile, profit, _ = max(va._commitment(game, lam, reach), key=va._profit)
+    return [lam, _TAGS[profile], profit, len(va._mixed(game, lam, reach))]
 
 
 #: each --analysis in the parser's order: (header, prepare); prepare(base, args) does the lam-free work, returns lam -> row

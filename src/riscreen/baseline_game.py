@@ -476,11 +476,9 @@ def _divergence(a: float, b: float) -> float:
 def evaluate(params: GameParams, profile: tuple, signal: PromotionSignal) -> EquilibriumRecord:
     """Value a signal at an effort profile: V, I, profit V - lam I, utilities.
 
-    V = mu_w + (p(1) pi(1) - p(-1) pi(-1)) and the mutual information
-    I = sum_d p(d) D(pi(d) || pi_bar); a d with pi(d) = pi_bar, or a sure
-    pi_bar of 0 or 1, costs nothing. pi_bar must be the prior mean of the
-    conditionals to 1e-12 (ValueError otherwise). Each agent's utility is
-    its promotion probability, less cost_C when it works high.
+    V and I are those of :func:`_bill`, which raises ValueError when pi_bar
+    is not the prior mean of the conditionals to 1e-12. Each agent's utility
+    is its promotion probability, less cost_C when it works high.
     """
     mu_hi, mu_lo, cost_C, lam = params
     e_m, e_w = profile
@@ -489,10 +487,14 @@ def evaluate(params: GameParams, profile: tuple, signal: PromotionSignal) -> Equ
     return _value(_profile_prior(mu_hi, mu_lo, profile), signal, lam, (cost_C, cost_C), (1.0, 1.0))
 
 
-def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weights: tuple) -> EquilibriumRecord:
-    """evaluate at a profile's prior (from _profile_prior), with agent i's utility weight_i times its
-    promotion probability, less cost_i when it works high."""
-    (e_m, e_w), _, mu_w, p_minus, p_zero, p_plus = prior
+def _bill(prior: tuple, signal: PromotionSignal) -> tuple:
+    """(V, I) of a signal at a profile's prior (from _profile_prior): the one home of the check and the formulas.
+
+    V = mu_w + (p(1) pi(1) - p(-1) pi(-1)) and I = sum_d p(d) D(pi(d) || pi_bar); a d with pi(d) = pi_bar, or a
+    sure pi_bar of 0 or 1, costs nothing. pi_bar must be the prior mean of the conditionals to 1e-12 (ValueError
+    otherwise). The record of :func:`_value` and each caller that reads only the profit form it as V - lam * I.
+    """
+    _, _, mu_w, p_minus, p_zero, p_plus = prior
     q_minus, q_zero, q_plus, pi_bar, _, _ = signal
     mean = p_minus * q_minus + p_zero * q_zero + p_plus * q_plus
     if abs(pi_bar - mean) > 1e-12:
@@ -501,6 +503,14 @@ def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weig
     # by the check above, the conditionals of a sure decision differ from it by rounding only
     I = 0.0 if pi_bar in (0.0, 1.0) else (p_minus * _divergence(q_minus, pi_bar)
         + p_zero * _divergence(q_zero, pi_bar) + p_plus * _divergence(q_plus, pi_bar))
+    return V, I
+
+
+def _value(prior: tuple, signal: PromotionSignal, lam: float, costs: tuple, weights: tuple) -> EquilibriumRecord:
+    """The record of evaluate at a profile's prior (from _profile_prior): :func:`_bill`'s V and I, the profit
+    V - lam * I, and agent i's utility weight_i times its promotion probability, less cost_i when it works high."""
+    V, I = _bill(prior, signal)
+    (e_m, e_w), pi_bar = prior[0], signal[3]
     (cost_m, cost_w), (du_m, du_w) = costs, weights
     return tuple.__new__(EquilibriumRecord, (  # all eight fields in hand
         prior[0], signal, IMPARTIAL if signal.impartial else DISCRIMINATORY, V, I, V - lam * I,

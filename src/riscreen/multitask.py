@@ -17,6 +17,7 @@ from .baseline_game import (
     LO,
     PROFILES,
     GameParams,
+    _bill,
     _gain_table,
     _game,
     _incentive_holds,
@@ -24,7 +25,6 @@ from .baseline_game import (
     _profile_signals,
     _supported,
     _ties_at_best,
-    _value,
 )
 from ._primitives import _positive, _Validated
 
@@ -125,7 +125,8 @@ def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     game, (c1, c2), alpha1, alpha2 = multitask_game
     impartial = _out_of_reach(min(c1, c2), lam)
     if impartial:  # (lo, lo) in both tasks, the last of _JOINT
-        p = _value(game.priors[2], impartial, lam, game.costs, (1.0, 1.0)).profit
+        V, I = _bill(game.priors[2], impartial)
+        p = V - lam * I
         inv_m, inv_w, label = _JOINT[-1][2:]
         return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * p + alpha2 * p, (impartial, impartial)))]
     impartial, tilted = _profile_signals(game, lam)
@@ -135,8 +136,11 @@ def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
         return []
     held = [a or b for a, b in zip(first, second)]  # _JOINT pairs every task-1 pair with every task-2 pair
     signals = (impartial, tilted, tilted.mirrored() if held[2] else None, impartial)
-    profits = [_value(prior, signals[i], lam, game.costs, (1.0, 1.0)).profit if used else None
-               for prior, i, used in zip(game.priors, (0, 1, 3), (held[0], held[1] or held[2], held[3]))]
+    profits = [None, None, None]  # by prior: (hi, hi), (hi, lo), (lo, lo)
+    for k, i, used in ((0, 0, held[0]), (1, 1, held[1] or held[2]), (2, 3, held[3])):
+        if used:
+            V, I = _bill(game.priors[k], signals[i])
+            profits[k] = V - lam * I
     return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * profits[_PRIOR[i]]
                                             + alpha2 * profits[_PRIOR[j]], (signals[i], signals[j])))
             for i, j, inv_m, inv_w, label in _JOINT if first[i] and second[j]]

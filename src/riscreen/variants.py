@@ -22,6 +22,7 @@ from .baseline_game import (
     LO,
     GameParams,
     PromotionSignal,
+    _bill,
     _cubic_roots,
     _equilibria,
     _game,
@@ -133,17 +134,14 @@ def bind_high_effort(game: GameParams) -> BindingHighSolution | None:
     pi = (1/2 - c, 1/2, 1/2 + c), so (1 + nu/s)/lam = ln gamma* with
     gamma* = (1 + 2c)/(1 - 2c), and nu = s (lam ln gamma* - 1): positive
     above lambda_star, where the unpriced rule gives X = g(gamma) < c.
-    Returns None when c >= 1/2, which no interior rule reaches.
+    Returns None when c >= 1/2, which no interior rule reaches. The signal, V
+    and I read no lam (the bound of :func:`_variants_game`); the profit is V - lam I.
     """
-    return _bind_high_effort(_variants_game(game), game.lam)
-
-
-def _bind_high_effort(variants: _Variants, lam: float) -> BindingHighSolution | None:
-    """bind_high_effort at lam of the game whose lambda-independent part is variants."""
+    variants, lam = _variants_game(game), game.lam
     if variants.bound is None:
         return None
     signal, V, I = variants.bound
-    s = variants.base.mu_hi * (1.0 - variants.base.mu_hi)
+    s = game.mu_hi * (1.0 - game.mu_hi)
     return BindingHighSolution(s * (lam * variants.log_gamma_star - 1.0), signal, V - lam * I)
 
 
@@ -158,7 +156,8 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
     unconstrained (lo, lo) rule. All three are closed forms. The (hi, lo) rule is
     not formed where the slope bound tanh(1/(4 lam)) of every gain is below c.
     """
-    outcomes = _commitment(_variants_game(game), game.lam)
+    variants = _variants_game(game)
+    outcomes = _commitment(variants, game.lam, _gains_can_reach(variants.base.c, game.lam))
     # max keeps the first of equal profits
     return CommitmentSolution(*max(outcomes, key=_profit), {o[2]: o[3] for o in outcomes})
 
@@ -167,25 +166,28 @@ def commitment_solve(game: GameParams) -> CommitmentSolution:
 _profit = itemgetter(3)
 
 
-def _commitment(variants: _Variants, lam: float) -> list:
+def _commitment(variants: _Variants, lam: float, reach: bool) -> list:
     """The feasible outcomes of commitment_solve at lam of the game whose lambda-independent part is variants,
     each a CommitmentSolution's first five fields: (hi, hi) alone up to lambda_star, else (lo, lo), the
-    self-enforcing (hi, lo) rule (not formed past the slope bound) and the bound (hi, hi) rule when c < 1/2."""
+    self-enforcing (hi, lo) rule (formed only if reach, the caller's _gains_can_reach(c, lam)) and the bound
+    (hi, hi) rule when c < 1/2, from variants.bound as bind_high_effort forms it. Each profit is _bill's V - lam * I."""
     base = variants.base
-    priors, costs, weights = base.priors, base.costs, (1.0, 1.0)
+    priors, c = base.priors, base.c
     impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
     if lam <= variants.lam_star + 1e-15:
-        rec = _value(priors[0], impartial, lam, costs, weights)
-        return [(0.0, rec.signal, (HI, HI), rec.profit, None)]
-    rec = _value(priors[2], impartial, lam, costs, weights)
-    outcomes = [(0.0, rec.signal, (LO, LO), rec.profit, None)]
+        V, I = _bill(priors[0], impartial)
+        return [(0.0, impartial, (HI, HI), V - lam * I, None)]
+    V, I = _bill(priors[2], impartial)
+    outcomes = [(0.0, impartial, (LO, LO), V - lam * I, None)]
     # at a corner (None) m is always promoted: zero gains never meet c > 0, nor does any past the slope bound
-    disc_signal = signal_from_odds(base.A, base.B, lam) if _gains_can_reach(base.c, lam) else None
-    if disc_signal is not None and _supports(priors[1], disc_signal, base.c, base.c):
-        outcomes.append((0.0, disc_signal, (HI, LO), _value(priors[1], disc_signal, lam, costs, weights).profit, None))
-    bound = _bind_high_effort(variants, lam)
-    if bound is not None:
-        outcomes.append((bound.nu, bound.signal, (HI, HI), bound.profit, f"{AGENT_M},{AGENT_W}"))
+    disc_signal = signal_from_odds(base.A, base.B, lam) if reach else None
+    if disc_signal is not None and _supports(priors[1], disc_signal, c, c):
+        V, I = _bill(priors[1], disc_signal)
+        outcomes.append((0.0, disc_signal, (HI, LO), V - lam * I, None))
+    if variants.bound is not None:
+        signal, V, I = variants.bound
+        nu = base.mu_hi * (1.0 - base.mu_hi) * (lam * variants.log_gamma_star - 1.0)
+        outcomes.append((nu, signal, (HI, HI), V - lam * I, f"{AGENT_M},{AGENT_W}"))
     return outcomes
 
 
@@ -309,6 +311,11 @@ def _odds(num: float, den: float) -> float:
     return num / den if den else math.inf
 
 
+def _odds_poly(rho: float, r: float, k: float, w_x: float, w_y: float) -> float:
+    """P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho) of :func:`_odds_roots`, in its factored form."""
+    return (rho - r) * (1.0 - r * rho) * (w_x + w_y * rho) - k * rho * (1.0 + rho)
+
+
 def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float) -> list:
     """Roots in [lo, hi], increasing, of P(rho) = (rho-r)(1-r rho)(w_x + w_y rho) - k rho(1+rho).
 
@@ -317,14 +324,11 @@ def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float
     rounding on [lo, hi], and the roots are those of the quadratic left,
     c2 rho^2 + c1 rho - r w_x, taken as the roots of rho times it over c2
     (the extra root 0 lies below lo). Each gets one Newton step on P in
-    this factored form, kept where it lowers |P|: the expanded
+    the factored form of :func:`_odds_poly`, kept where it lowers |P|: the expanded
     coefficients lose digits as r nears 1. A step moves a candidate by its
     error, under eps^(1/3) relative even at a triple root, so only those
     within 1e-3 relative of [lo, hi] are polished.
     """
-    def P(rho: float) -> float:
-        return (rho - r) * (1.0 - r * rho) * (w_x + w_y * rho) - k * rho * (1.0 + rho)
-
     c2 = (1.0 + r * r) * w_y - r * w_x - k
     c1 = (1.0 + r * r) * w_x - r * w_y - k
     if r * w_y * hi > sys.float_info.epsilon * abs(c2):
@@ -335,8 +339,8 @@ def _odds_roots(r: float, k: float, w_x: float, w_y: float, lo: float, hi: float
     for rho in candidates:
         if not lo * (1.0 - 1e-3) <= rho <= hi * (1.0 + 1e-3):
             continue
-        p, slope = P(rho), (2.0 * c2 - 3.0 * r * w_y * rho) * rho + c1
-        if slope and abs(P(rho - p / slope)) < abs(p):
+        p, slope = _odds_poly(rho, r, k, w_x, w_y), (2.0 * c2 - 3.0 * r * w_y * rho) * rho + c1
+        if slope and abs(_odds_poly(rho - p / slope, r, k, w_x, w_y)) < abs(p):
             rho -= p / slope
         if lo <= rho <= hi:
             roots.append(rho)
@@ -379,8 +383,8 @@ def mixed_equilibria(game: GameParams) -> list:
     most tanh(1/(4 lam)), so above lam = 1/(4 atanh c) > lambda_star (the slope bound,
     baseline_game._gains_can_reach) no agent works or is indifferent, and no root is searched.
     """
-    lam, found = game.lam, []
-    for sigma_m, sigma_w, s in _mixed(_variants_game(game), lam):
+    lam, found, variants = game.lam, [], _variants_game(game)
+    for sigma_m, sigma_w, s in _mixed(variants, lam, _gains_can_reach(variants.base.c, lam)):
         signal = _logit_rule(s, 1.0 / lam, 1.0 / lam)
         label = IMPARTIAL if signal.impartial else DISCRIMINATORY
         found.append(MixedEquilibrium(MixedProfile(sigma_m, sigma_w), signal, label))
@@ -405,22 +409,22 @@ def _variants_game(game: GameParams) -> _Variants:
     base = _game(game)
     c = base.c
     bound = None
-    if c < 0.5:  # the bound rule reads no lam; its profit at lam is V - lam I, as _value forms it
-        rec = _value(base.priors[0], PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5, c, c), 1.0, base.costs, (1.0, 1.0))
-        bound = rec.signal, rec.revenue, rec.info_cost
+    if c < 0.5:  # the bound rule reads no lam; its profit at lam is V - lam I
+        signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5, c, c)
+        bound = (signal, *_bill(base.priors[0], signal))
     log_gamma_star = _log_gamma_star(c)
     return _Variants(base, 1.0 / log_gamma_star, log_gamma_star, bound,
                      (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
 
 
-def _mixed(variants: _Variants, lam: float) -> list:
+def _mixed(variants: _Variants, lam: float, reach: bool) -> list:
     """(sigma_m, sigma_w, s) of each mixed_equilibria record at lam of the game whose lambda-independent part is
     variants, s its signal's intercept: each candidate is decided on nu (the interval rule), then s is formed
-    and a corner drops it. No signal is formed, and no root is searched past the slope bound."""
+    and a corner drops it. No signal is formed, and no root is searched unless reach (_gains_can_reach(c, lam))."""
     base, window = variants.base, variants.window
     c, mu_lo, mu_hi, delta_mu = base.c, base.mu_lo, base.mu_hi, base.mu_hi - base.mu_lo
     found = [(0.5, 0.5, 0.0)] if abs(lam - variants.lam_star) <= 1e-9 else []
-    if not _gains_can_reach(c, lam):  # no gain meets c: no agent is indifferent, none works
+    if not reach:  # no gain meets c: no agent is indifferent, none works
         return found
     r = math.exp(-1.0 / lam)
     k = c * (1.0 - r * r)

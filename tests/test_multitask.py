@@ -274,10 +274,10 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     # signals, gains and profits do not depend on cost: two kernels, the impartial and the
     # (hi, lo) signal, serve all four effort pairs of both tasks; one table of the gains at
     # (hi, hi), (hi, lo) and (lo, lo) is tested at both task costs; the mirror pairs share
-    # one valuation
+    # one valuation, the profit-only bill
     from riscreen import baseline_game, multitask
 
-    counts = {"_logit_rule": 0, "signal_from_odds": 0, "_gains": 0, "_value": 0}
+    counts = {"_logit_rule": 0, "signal_from_odds": 0, "_gains": 0, "_bill": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -288,7 +288,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
 
     for name in ("_logit_rule", "signal_from_odds", "_gains"):
         monkeypatch.setattr(baseline_game, name, counted(name, getattr(baseline_game, name)))
-    monkeypatch.setattr(multitask, "_value", counted("_value", multitask._value))
+    monkeypatch.setattr(multitask, "_bill", counted("_bill", multitask._bill))
     tasks = equal_tasks(0.35)
     g1, _ = task_games(GAME, tasks)
     cuts = thresholds(g1)
@@ -297,23 +297,23 @@ def test_each_task_pair_is_solved_once(monkeypatch):
     assert len(records) >= 2
     # (lo, lo) is in no joint equilibrium here, so only (hi, hi) and (hi, lo) are valued
     # one logit rule for the impartial signal and one inside signal_from_odds, three gain pairs
-    assert counts == {"_logit_rule": 2, "signal_from_odds": 1, "_gains": 3, "_value": 2}
+    assert counts == {"_logit_rule": 2, "signal_from_odds": 1, "_gains": 3, "_bill": 2}
 
 
 @helpers.draws(60, seed=31007, case=helpers.multitask_game)
 def test_only_the_pairs_in_use_are_valued(case):
-    # one valuation per distinct effort pair of some joint equilibrium, (lo, hi) as (hi, lo)
+    # one valuation (a bill, V and I) per distinct effort pair of some joint equilibrium, (lo, hi) as (hi, lo)
     from riscreen import multitask
 
     game, tasks = case
-    valued, real = [], multitask._value
+    valued, real = [], multitask._bill
 
-    def counted(prior, signal, lam, costs, weights):
+    def counted(prior, signal):
         valued.append(prior[0])  # the profile
-        return real(prior, signal, lam, costs, weights)
+        return real(prior, signal)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multitask, "_value", counted)
+        mp.setattr(multitask, "_bill", counted)
         records = multitask_equilibrium_set(game, tasks)
     used = {
         (HI, LO) if pair == (LO, HI) else pair

@@ -211,11 +211,9 @@ def test_the_slope_bound_prunes_only_futile_work(game):
         # (c) the committed (hi, lo) rule is not self-enforcing
         tilted = signal_from_odds(base.A, base.B, lam)
         assert tilted is None or not _supports(base.priors[1], tilted, c, c), lam
-        # and the pruned steps equal the unpruned ones
-        pruned = hexed(variants._mixed(va, lam)), hexed(variants._commitment(va, lam))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(variants, "_gains_can_reach", lambda c, lam: True)
-            assert (hexed(variants._mixed(va, lam)), hexed(variants._commitment(va, lam))) == pruned, lam
+        # and the pruned steps equal the unpruned ones: each step takes the gate as its argument
+        pruned = hexed(variants._mixed(va, lam, False)), hexed(variants._commitment(va, lam, False))
+        assert (hexed(variants._mixed(va, lam, True)), hexed(variants._commitment(va, lam, True))) == pruned, lam
 
 
 def test_the_slope_bound_needs_its_rounding_allowance():
