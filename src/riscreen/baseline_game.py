@@ -416,16 +416,8 @@ def _gains_can_reach(c: float, lam: float) -> bool:
     """The slope bound: can a gain meet c at lam? Each bonus sigmoid(a) - sigmoid(a - 1/lam) is at most
     tanh(1/(4 lam)), and so is each gain, a convex sum of the two. Widened by GAIN_ALLOWANCE for rounding,
     the bound goes through _incentive_holds: where it fails (lam a little above 1/(4 atanh c)), no gain passes.
-    Its callers: :func:`_out_of_reach` ahead of every pure enumeration, and the mixed and committed variants."""
+    Its callers: the gate of :func:`_equilibria` and of the multitask step, and the mixed and committed variants."""
     return _incentive_holds(HI, math.tanh(0.25 / lam) + GAIN_ALLOWANCE, c)
-
-
-def _out_of_reach(c_min: float, lam: float):
-    """The gate ahead of every pure enumeration, at c_min, the smallest effective cost in play: None where a gain
-    can meet c_min at lam; otherwise the impartial rule, at which (lo, lo) is the one equilibrium. Past the bound
-    every gain is below each c_i - tol_i, so no agent works, and at most each c_i + tol_i, so (lo, lo) holds:
-    the caller values that record alone and forms no (hi, lo) kernel, gain table or verdict."""
-    return None if _gains_can_reach(c_min, lam) else _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
 
 
 def profit(params: GameParams, profile: tuple) -> ProfitBreakdown:
@@ -531,11 +523,17 @@ def _game(params: GameParams) -> _Game:
                  tuple(_profile_prior(mu_hi, mu_lo, p) for p in ((HI, HI), (HI, LO), (LO, LO))))
 
 
-def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
-    """The enumeration of every pure analysis: each profile that :func:`_supported` keeps at (c_m, c_w) on the
-    :func:`_gain_table` of the three priors of a _Game, impartial and tilted, valued by :func:`_value` at these
-    costs and weights. (lo, hi)'s record is (hi, lo)'s with the signal mirrored and each agent's utility at its
-    own cost and weight, u_m = du_m (1 - pi_bar) and u_w = du_w pi_bar - cost_w."""
+def _equilibria(game: _Game, lam: float, tilt, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
+    """The enumeration of every pure analysis but the multitask one, at effective costs (c_m, c_w), costs and weights.
+    Past the slope bound at min(c_m, c_w) (:func:`_gains_can_reach`) no gain reaches c_i - tol_i and each is at most
+    c_i + tol_i: (lo, lo) at the impartial rule is the one equilibrium, its record alone, and tilt is not called.
+    Otherwise tilt(game, lam) is the (hi, lo) signal (None at its corner), and each profile that :func:`_supported`
+    keeps on the :func:`_gain_table` is valued by :func:`_value`. (lo, hi)'s record is (hi, lo)'s with the signal
+    mirrored and each agent's utility at its own cost and weight, u_m = du_m (1 - pi_bar), u_w = du_w pi_bar - cost_w."""
+    priors, impartial = game.priors, _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
+    if not _gains_can_reach(min(c_m, c_w), lam):
+        return [_value(priors[2], impartial, lam, costs, weights)]
+    tilted = tilt(game, lam)
     hi_hi, hi_lo, lo_hi, lo_lo = _supported(_gain_table(priors, impartial, tilted), c_m, c_w)
     found = [_value(priors[0], impartial, lam, costs, weights)] if hi_hi else []
     if hi_lo or lo_hi:
@@ -546,12 +544,14 @@ def _equilibria(priors: tuple, lam: float, impartial, tilted, c_m: float, c_w: f
     return found + ([_value(priors[2], impartial, lam, costs, weights)] if lo_lo else [])
 
 
+def _odds_tilt(game: _Game, lam: float) -> PromotionSignal | None:
+    """The (hi, lo) signal of the baseline and heterogeneous analyses at lam: :func:`signal_from_odds` at A : B."""
+    return signal_from_odds(game.A, game.B, lam)
+
+
 def _pure_equilibria(game: _Game, lam: float) -> list:
     """equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
-    impartial = _out_of_reach(game.c, lam)
-    if impartial:
-        return [_value(game.priors[2], impartial, lam, game.costs, (1.0, 1.0))]
-    return _equilibria(game.priors, lam, *_profile_signals(game, lam), game.c, game.c, game.costs, (1.0, 1.0))
+    return _equilibria(game, lam, _odds_tilt, game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def equilibrium_set(params: GameParams) -> list:
@@ -560,8 +560,8 @@ def equilibrium_set(params: GameParams) -> list:
     A profile is an equilibrium when its optimal signal satisfies both
     agents' incentive constraints. Knife-edge parameter values keep a
     profile in both adjacent regimes. Past the slope bound (lam a little
-    above 1/(4 atanh c), :func:`_out_of_reach`) (lo, lo) is the one
-    equilibrium, and no (hi, lo) signal is formed.
+    above 1/(4 atanh c), the gate of :func:`_equilibria`) (lo, lo) is the
+    one equilibrium, and no (hi, lo) signal is formed.
     """
     return _pure_equilibria(_game(params), params.lam)
 

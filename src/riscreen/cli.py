@@ -206,7 +206,7 @@ def cmd_multitask(args) -> int:
             f" w=({rec.investment_w[0]},{rec.investment_w[1]})"
             f" {rec.classification:15s} payoff={_fmt4(rec.payoff)}"
         )
-    if mt._equal_arrivals(tasks) and records:
+    if mt._equal_arrivals(tasks):
         winners = mt._most_profitable(records)
         lines.append("most profitable: " + ", ".join(sorted({w.classification for w in winners})))
     _emit("\n".join(lines) + "\n", args.out)

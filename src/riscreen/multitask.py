@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import baseline_game
 from .baseline_game import (
     HI,
     LO,
@@ -21,7 +22,7 @@ from .baseline_game import (
     _gain_table,
     _game,
     _incentive_holds,
-    _out_of_reach,
+    _logit_rule,
     _profile_signals,
     _supported,
     _ties_at_best,
@@ -107,9 +108,10 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     once and tested against both task games' c, and each pair some joint
     equilibrium uses is valued once, (lo, hi) as (hi, lo). The principal's payoff
     adds the per-task profits weighted by arrivals, alpha^1 (V_1 - lam I_1) + alpha^2 (V_2 - lam I_2).
-    Past the slope bound at the smaller task cost (baseline_game._out_of_reach),
-    (lo, lo) in both tasks is the one equilibrium, valued alone at the impartial
-    signal, and no (hi, lo) signal or gain table is formed.
+    Past the slope bound at the smaller task cost (baseline_game._gains_can_reach,
+    the gate this step shares with baseline_game._equilibria), (lo, lo) in both
+    tasks is the one equilibrium, valued alone at the impartial signal, and no
+    (hi, lo) signal or gain table is formed.
     """
     return _multitask_equilibria(_multitask_game(game, tasks), game.lam)
 
@@ -123,8 +125,8 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
 def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
     game, (c1, c2), alpha1, alpha2 = multitask_game
-    impartial = _out_of_reach(min(c1, c2), lam)
-    if impartial:  # (lo, lo) in both tasks, the last of _JOINT
+    if not baseline_game._gains_can_reach(min(c1, c2), lam):  # (lo, lo) in both tasks, the last of _JOINT
+        impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
         V, I = _bill(game.priors[2], impartial)
         p = V - lam * I
         inv_m, inv_w, label = _JOINT[-1][2:]
@@ -132,8 +134,6 @@ def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
     impartial, tilted = _profile_signals(game, lam)
     table = _gain_table(game.priors, impartial, tilted)
     first, second = _supported(table, c1, c1), _supported(table, c2, c2)
-    if not (any(first) and any(second)):
-        return []
     held = [a or b for a, b in zip(first, second)]  # _JOINT pairs every task-1 pair with every task-2 pair
     signals = (impartial, tilted, tilted.mirrored() if held[2] else None, impartial)
     profits = [None, None, None]  # by prior: (hi, hi), (hi, lo), (lo, lo)
@@ -159,18 +159,8 @@ def multitask_most_profitable(game: GameParams, tasks: tuple) -> list:
     return _most_profitable(multitask_equilibrium_set(game, tasks))
 
 
-def most_profitable_among(records: list, tasks: tuple) -> list:
-    """The ranking of :func:`multitask_most_profitable` over records in hand.
-
-    records are those of :func:`multitask_equilibrium_set` for the same
-    tasks; the same alpha1 = alpha2 requirement and 1e-12 tie rule apply.
-    """
-    _check_equal_arrivals(tasks)
-    return _most_profitable(records)
-
-
 def _most_profitable(records: list) -> list:
-    """most_profitable_among's ranking, for tasks whose arrivals are already checked."""
+    """multitask_most_profitable's ranking of records in hand, for tasks whose arrivals are already checked."""
     ranked = [r for r in records if r.classification in _RANKED]
     return _ties_at_best(ranked, [r.payoff for r in ranked])
 

@@ -32,8 +32,6 @@ from .baseline_game import (
     _game,
     _incentive_holds,
     _logit_rule,
-    _out_of_reach,
-    _value,
     optimal_signal,
     state_distribution,
 )
@@ -175,8 +173,8 @@ def quota_equilibrium_set(params: GameParams) -> list:
     lam is near lambda_star and huge (c of about 1e-12 or less), as X - Y is O(1/lam^3) and c 1/(4 lam).
 
     The worker's gain is at most tanh(1/(4 lam)), the slope bound: past it
-    (lo, lo) is the one equilibrium, and the gate ahead of the enumeration
-    (baseline_game._out_of_reach) returns it alone. The shirker's gain is at least
+    (lo, lo) is the one equilibrium, and the gate of the shared enumeration
+    (baseline_game._equilibria) returns it alone. The shirker's gain is at least
     min(mu_hi, 1/2) tanh(1/lam)/2 (:func:`_asymmetric_open`). Where either bound already
     fails its constraint, the asymmetric profiles are out and no tilt is
     solved, so find_multiplier's QUOTA_TOL check (a BracketError) is not
@@ -192,7 +190,7 @@ def _asymmetric_open(c: float, lam: float, mu_hi: float) -> bool:
     """Can the shirker of (hi, lo) or (lo, hi) stay low under the quota signal at lam?
 
     Asked only where the worker's gain can meet c, below the slope bound that gates the
-    enumeration (:func:`baseline_game._out_of_reach`). With 0 < nu < 1, X >= Y >= 0, so the shirker's
+    enumeration (:func:`baseline_game._equilibria`). With 0 < nu < 1, X >= Y >= 0, so the shirker's
     gain is at least min(mu_hi, 1/2)(X + Y), and X + Y, the rise of sigmoid((d - nu)/lam) over a window
     of width 2, is smallest at nu = 1: tanh(1/lam)/2. That floor, less GAIN_ALLOWANCE, goes through
     _incentive_holds.
@@ -201,12 +199,14 @@ def _asymmetric_open(c: float, lam: float, mu_hi: float) -> bool:
     return _incentive_holds(LO, floor - GAIN_ALLOWANCE, c)
 
 
+def _quota_tilted(game: _Game, lam: float) -> PromotionSignal | None:
+    """The quota's (hi, lo) signal at lam, or None where :func:`_asymmetric_open` rules both asymmetric profiles
+    out and no tilt is solved; game.priors[1][3:] is (p(-1), p(0), p(1)) of (hi, lo)."""
+    if not _asymmetric_open(game.c, lam, game.mu_hi):
+        return None
+    return _quota_solution(game.priors[1][3:], game.mu_hi - game.mu_lo, lam).signal
+
+
 def _quota_equilibria(game: _Game, lam: float) -> list:
     """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
-    impartial = _out_of_reach(game.c, lam)
-    if impartial:
-        return [_value(game.priors[2], impartial, lam, game.costs, (1.0, 1.0))]
-    tilted = None
-    if _asymmetric_open(game.c, lam, game.mu_hi):  # game.priors[1][3:] is (p(-1), p(0), p(1)) of (hi, lo)
-        tilted = _quota_solution(game.priors[1][3:], game.mu_hi - game.mu_lo, lam).signal
-    return _equilibria(game.priors, lam, _logit_rule(0.0, 1.0 / lam, 1.0 / lam), tilted, game.c, game.c, game.costs, (1.0, 1.0))
+    return _equilibria(game, lam, _quota_tilted, game.c, game.c, game.costs, (1.0, 1.0))

@@ -32,10 +32,9 @@ from .baseline_game import (
     _intercept,
     _log_gamma_star,
     _logit_rule,
-    _out_of_reach,
-    _profile_signals,
+    _odds_tilt,
+    _profile_prior,
     _supports,
-    _value,
     signal_from_odds,
 )
 from ._primitives import ConvergenceError, _positive, _Validated
@@ -87,16 +86,12 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     (automatic under mu_hi + mu_lo > 1), favoring the high-cost agent needs
     the opposite strict inequality together with mu_hi + mu_lo > 1.
 
-    Past the slope bound at the smaller effective cost
-    (baseline_game._out_of_reach), (lo, lo) is the one equilibrium, and no
+    Past the slope bound at the smaller effective cost (the gate of
+    baseline_game._equilibria), (lo, lo) is the one equilibrium, and no
     (hi, lo) signal is formed.
     """
-    priors, (c_m, c_w) = _game(game).priors, het.effective_costs(game.delta_mu)
-    costs, weights = (het.cost_m, het.cost_w), (het.du_m, het.du_w)
-    impartial = _out_of_reach(min(c_m, c_w), game.lam)
-    if impartial:
-        return [_value(priors[2], impartial, game.lam, costs, weights)]
-    return _equilibria(priors, game.lam, *_profile_signals(game, game.lam), c_m, c_w, costs, weights)
+    c_m, c_w = het.effective_costs(game.delta_mu)
+    return _equilibria(_game(game), game.lam, _odds_tilt, c_m, c_w, (het.cost_m, het.cost_w), (het.du_m, het.du_w))
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +130,28 @@ def bind_high_effort(game: GameParams) -> BindingHighSolution | None:
     gamma* = (1 + 2c)/(1 - 2c), and nu = s (lam ln gamma* - 1): positive
     above lambda_star, where the unpriced rule gives X = g(gamma) < c.
     Returns None when c >= 1/2, which no interior rule reaches. The signal, V
-    and I read no lam (the bound of :func:`_variants_game`); the profit is V - lam I.
+    and I read no lam (:func:`_bound_rule`); the profit is V - lam I.
     """
-    variants, lam = _variants_game(game), game.lam
-    if variants.bound is None:
+    c, lam = game.c, game.lam
+    bound = _bound_rule(_profile_prior(game.mu_hi, game.mu_lo, (HI, HI)), c)
+    if bound is None:
         return None
-    signal, V, I = variants.bound
-    s = game.mu_hi * (1.0 - game.mu_hi)
-    return BindingHighSolution(s * (lam * variants.log_gamma_star - 1.0), signal, V - lam * I)
+    signal, V, I = bound
+    return BindingHighSolution(_bound_multiplier(game.mu_hi, lam, _log_gamma_star(c)), signal, V - lam * I)
+
+
+def _bound_rule(prior: tuple, c: float) -> tuple | None:
+    """bind_high_effort's (signal, V, I) at the (hi, hi) prior (from _profile_prior), None when c >= 1/2: the
+    impartial rule with X = Y = c, valued by _bill. It reads no lam; its profit at lam is V - lam I."""
+    if c >= 0.5:
+        return None
+    signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5, c, c)
+    return (signal, *_bill(prior, signal))
+
+
+def _bound_multiplier(mu_hi: float, lam: float, log_gamma_star: float) -> float:
+    """The bound rule's multiplier at lam, nu = s (lam ln gamma* - 1) with s = mu_hi (1 - mu_hi)."""
+    return mu_hi * (1.0 - mu_hi) * (lam * log_gamma_star - 1.0)
 
 
 def commitment_solve(game: GameParams) -> CommitmentSolution:
@@ -170,7 +179,7 @@ def _commitment(variants: _Variants, lam: float, reach: bool) -> list:
     """The feasible outcomes of commitment_solve at lam of the game whose lambda-independent part is variants,
     each a CommitmentSolution's first five fields: (hi, hi) alone up to lambda_star, else (lo, lo), the
     self-enforcing (hi, lo) rule (formed only if reach, the caller's _gains_can_reach(c, lam)) and the bound
-    (hi, hi) rule when c < 1/2, from variants.bound as bind_high_effort forms it. Each profit is _bill's V - lam * I."""
+    (hi, hi) rule when c < 1/2, variants.bound at :func:`_bound_multiplier`. Each profit is _bill's V - lam * I."""
     base = variants.base
     priors, c = base.priors, base.c
     impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
@@ -186,7 +195,7 @@ def _commitment(variants: _Variants, lam: float, reach: bool) -> list:
         outcomes.append((0.0, disc_signal, (HI, LO), V - lam * I, None))
     if variants.bound is not None:
         signal, V, I = variants.bound
-        nu = base.mu_hi * (1.0 - base.mu_hi) * (lam * variants.log_gamma_star - 1.0)
+        nu = _bound_multiplier(base.mu_hi, lam, variants.log_gamma_star)
         outcomes.append((nu, signal, (HI, HI), V - lam * I, f"{AGENT_M},{AGENT_W}"))
     return outcomes
 
@@ -391,10 +400,9 @@ def mixed_equilibria(game: GameParams) -> list:
     return found
 
 
-#: the lambda-independent part of commitment_solve, bind_high_effort and mixed_equilibria: the
-#: _game, lambda_star, ln gamma*, the bound rule's signal, V and I at (hi, hi) or None when
-#: c >= 1/2, the balanced branch's nu_m window or None, and the odds of m's and of w's branch
-#: at the sigma edges
+#: the lambda-independent part of commitment_solve and mixed_equilibria: the _game, lambda_star,
+#: ln gamma*, the _bound_rule (None when c >= 1/2), the balanced branch's nu_m window or None,
+#: and the odds of m's and of w's branch at the sigma edges
 _Variants = namedtuple("_Variants", "base lam_star log_gamma_star bound window rho_m rho_w")
 
 
@@ -407,13 +415,8 @@ def _variants_game(game: GameParams) -> _Variants:
     rho_m = [_odds(nu * (1.0 - mu_lo), mu_lo * (1.0 - nu)) for nu in nu_edges]
     rho_w = [_odds(mu_hi * (1.0 - nu), nu * (1.0 - mu_hi)) for nu in reversed(nu_edges)]
     base = _game(game)
-    c = base.c
-    bound = None
-    if c < 0.5:  # the bound rule reads no lam; its profit at lam is V - lam I
-        signal = PromotionSignal(0.5 - c, 0.5, 0.5 + c, 0.5, c, c)
-        bound = (signal, *_bill(base.priors[0], signal))
-    log_gamma_star = _log_gamma_star(c)
-    return _Variants(base, 1.0 / log_gamma_star, log_gamma_star, bound,
+    log_gamma_star = _log_gamma_star(base.c)
+    return _Variants(base, 1.0 / log_gamma_star, log_gamma_star, _bound_rule(base.priors[0], base.c),
                      (lo, hi) if mu_lo < 0.5 and lo < hi else None, rho_m, rho_w)
 
 

@@ -11,9 +11,11 @@ from riscreen import (
     SPECIALIZED,
     GameParams,
     TaskParams,
+    equilibrium_set,
     multitask_equilibrium_set,
     multitask_most_profitable,
     profit,
+    quota_equilibrium_set,
     thresholds,
 )
 from riscreen.multitask import task_games
@@ -342,3 +344,26 @@ def test_regimes_sweep_refuses_unequal_arrivals(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: profitability ranking requires alpha1 = alpha2\n"
+
+
+def any_domain_case(rng):
+    """A game of helpers.any_domain_game and two tasks, the cheaper first: arrivals in (0, 1/2], rewards
+    log-uniform in [0.1, 10] and effective costs within a factor of 10 of the game's c either way."""
+    game = helpers.any_domain_game(rng)
+    c1, c2 = sorted(game.c * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+    tasks = []
+    for c in (c1, c2):
+        alpha, beta = rng.uniform(1e-3, 0.5), 10.0 ** rng.uniform(-1.0, 1.0)
+        tasks.append(TaskParams(alpha, beta, c * alpha * beta * game.delta_mu))
+    return game, tuple(tasks)
+
+
+@helpers.draws(3000, seed=54001, case=any_domain_case)
+def test_every_pure_enumeration_lists_an_equilibrium(case):
+    # at the impartial rule X == Y, so each gain at (hi, hi) and (lo, lo) is within a few ulps of X: for every c
+    # one of the two passes its _band, and so at each task cost (the heterogeneous analysis can be empty when
+    # c_m < g < c_w, and is not asked)
+    game, tasks = case
+    assert equilibrium_set(game)
+    assert quota_equilibrium_set(game)
+    assert multitask_equilibrium_set(game, tasks)

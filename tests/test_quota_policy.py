@@ -309,8 +309,8 @@ def quota_side(rng):
 
 @helpers.draws(600, seed=39002, game=quota_side)
 def test_asymmetric_quota_gains_lie_within_the_gain_bounds(game):
-    # the worker's gain at most tanh(1/(4 lam)), the slope bound of the gate ahead of the quota
-    # enumeration (baseline_game._out_of_reach), and the shirker's at least min(mu_hi, 1/2) tanh(1/lam)/2,
+    # the worker's gain at most tanh(1/(4 lam)), the slope bound that the shared enumeration
+    # (baseline_game._equilibria) tests first, and the shirker's at least min(mu_hi, 1/2) tanh(1/lam)/2,
     # the floor of quota_policy._asymmetric_open, each to GAIN_ALLOWANCE
     most, least = math.tanh(0.25 / game.lam), min(game.mu_hi, 0.5) * math.tanh(1.0 / game.lam) / 2.0
     for profile, worker, shirker in (((HI, LO), AGENT_M, AGENT_W), ((LO, HI), AGENT_W, AGENT_M)):

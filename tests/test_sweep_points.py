@@ -51,7 +51,7 @@ def point_row(analysis, game, tasks, cuts):
                 cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
     if analysis == "multitask":
         records = mt.multitask_equilibrium_set(game, tasks)
-        winners = mt.most_profitable_among(records, tasks)
+        winners = mt.multitask_most_profitable(game, tasks)
         return [game.lam, len(records), "|".join(sorted({w.classification for w in winners})),
                 winners[0].payoff if winners else math.nan]
     sol = va.commitment_solve(game)
