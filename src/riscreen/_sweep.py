@@ -1,8 +1,11 @@
 """The regimes sweep: its analysis table, its rows, its CSV and JSON writers and its SVG strip chart.
 
 ``cli.cmd_regimes`` imports it on first use, so no other command compiles it.
-Machine output carries 12 significant digits and is byte-deterministic for a
-fixed configuration (see ``cli``).
+A baseline, quota or multitask row starts at its analysis's decision step
+(``baseline_game._decide``, ``multitask._decide``): a lone verdict is valued
+by ``baseline_game._bill`` alone, and only a row with a choice builds its
+records and ranks them. Machine output carries 12 significant digits and is
+byte-deterministic for a fixed configuration (see ``cli``).
 """
 
 from __future__ import annotations
@@ -35,22 +38,16 @@ _REGIME_HEADER = [
 ]
 
 
-#: the eq_* cells of a row that lists one record, by its tag
-_ONE_HOT = {tag: [int(t == tag) for t in _TAGS.values()] for tag in _TAGS.values()}
+#: a lone verdict, by the verdicts of a decision step: the index in a _Game's priors of its profile, its tag and its
+#: eq_* cells; with equal costs (hi, lo) and (lo, hi) pass together, so a lone verdict is (hi, hi) or (lo, lo)
+_LONE = {(True, False, False, False): (0, "hi,hi", [1, 0, 0, 0]),
+         (False, False, False, True): (2, "lo,lo", [0, 0, 0, 1])}
 
 
 def _regime_row(lam: float, records: list, cut_cells: list) -> list:
-    """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells.
-
-    One record is no choice: its tag is the most profitable and the welfare
-    order, its profit the best, its eq_* cells are looked up in _ONE_HOT, and
-    nothing is ranked; past the slope bound that record is (lo, lo). Two or
-    more have their profits listed once and ranked by most_profitable_among's
-    tie rule; the best profit, the highest of all, is also the highest among the ties.
-    """
-    if len(records) == 1:
-        tag = _TAGS[records[0].profile]
-        return [lam, *_ONE_HOT[tag], tag, records[0].profit, tag, *cut_cells]
+    """A baseline or quota sweep row from the equilibrium records at lam and the sweep's cutpoint cells: their
+    profits listed once and ranked by most_profitable_among's tie rule; the best profit, the highest of all, is
+    also the highest among the ties. The row step (:func:`_regime_step`) calls it only where there is a choice."""
     if not records:
         raise ValueError("no equilibrium records to rank")
     tags, profits = [_TAGS[r.profile] for r in records], [r.profit for r in records]
@@ -86,10 +83,28 @@ def _regime_svg(rows: list) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _regime_step(game, solve, base):
+def _regime_step(game, tilt, base):
+    """The baseline or quota row step of the game prepared from base whose (hi, lo) signal is tilt(game, lam).
+
+    The decision step (baseline_game._decide) comes first. A lone verdict is no choice: its tag is the most
+    profitable and the welfare order, its profit V - lam I of baseline_game._bill at the impartial rule, its
+    eq_* cells are looked up in _LONE, and no record is built; past the slope bound it is (lo, lo). Two or more
+    verdicts have their records built (baseline_game._records) and ranked by :func:`_regime_row`.
+    """
     cuts = bg.thresholds(base)
     cut_cells = [cuts.lambda_low, cuts.lambda_star, cuts.lambda_high, int(cuts.condition5)]
-    return lambda lam: _regime_row(lam, solve(game, lam), cut_cells)
+    priors, c, costs = game.priors, game.c, game.costs
+
+    def row(lam):
+        impartial, tilted, verdicts = bg._decide(game, lam, tilt, c, c)
+        lone = _LONE.get(verdicts)
+        if lone is None:
+            return _regime_row(lam, bg._records(game, lam, impartial, tilted, verdicts, costs, (1.0, 1.0)), cut_cells)
+        k, tag, eq_cells = lone
+        V, I = bg._bill(priors[k], impartial)
+        return [lam, *eq_cells, tag, V - lam * I, tag, *cut_cells]
+
+    return row
 
 
 def _multitask_step(base, args):
@@ -100,12 +115,23 @@ def _multitask_step(base, args):
 
 
 def _multitask_row(game, lam: float) -> list:
-    records = mt._multitask_equilibria(game, lam)
-    if len(records) == 1 and records[0].classification in mt._RANKED:  # no choice: nothing to rank
-        return [lam, 1, records[0].classification, records[0].payoff]
-    winners = mt._most_profitable(records)
-    classes = "|".join(sorted({w.classification for w in winners}))
-    return [lam, len(records), classes, winners[0].payoff if winners else math.nan]
+    """A multitask sweep row. A lone verdict in each task game is one joint equilibrium, whose investments
+    agree ((hi, hi) or (lo, lo) per task): a non-specialized row, valued by baseline_game._bill without a record.
+    Otherwise the records are built (multitask._records) and ranked as multitask_most_profitable ranks them."""
+    impartial, tilted, first, second = mt._decide(game, lam)
+    one, two = _LONE.get(first), _LONE.get(second)
+    if one is None or two is None:
+        records = mt._records(game, lam, impartial, tilted, first, second)
+        winners = mt._most_profitable(records)
+        classes = "|".join(sorted({w.classification for w in winners}))
+        return [lam, len(records), classes, winners[0].payoff if winners else math.nan]
+    base, _, alpha1, alpha2 = game
+    V, I = bg._bill(base.priors[one[0]], impartial)
+    p = q = V - lam * I
+    if two is not one:
+        V, I = bg._bill(base.priors[two[0]], impartial)
+        q = V - lam * I
+    return [lam, 1, mt.NON_SPECIALIZED, alpha1 * p + alpha2 * q]
 
 
 def _variants_row(game, lam: float) -> list:
@@ -117,8 +143,8 @@ def _variants_row(game, lam: float) -> list:
 
 #: each --analysis in the parser's order: (header, prepare); prepare(base, args) does the lam-free work, returns lam -> row
 _ANALYSES = {
-    "baseline": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), bg._pure_equilibria, base)),
-    "quota": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), qp._quota_equilibria, base)),
+    "baseline": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), bg._odds_tilt, base)),
+    "quota": (_REGIME_HEADER, lambda base, args: _regime_step(bg._game(base), qp._quota_tilted, base)),
     "multitask": (["lam", "n_equilibria", "most_profitable", "best_payoff"], _multitask_step),
     "variants": (["lam", "commitment_profile", "commitment_profit", "n_mixed"],
                  lambda base, args: partial(_variants_row, va._variants_game(base))),
@@ -147,7 +173,15 @@ def regimes(args) -> int:
     return 0
 
 
+def _g12(cells: tuple) -> str:
+    """The ``.12g`` texts of a column of floats, each ended by a newline, formatted in one ``%`` pass."""
+    return ("%.12g\n" * len(cells)) % cells
+
+
 def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
+    """The sweep as CSV: ``#`` lines of the schema and the sorted meta, the header, then the rows with each float
+    as its ``.12g`` text. A column of ``float`` alone takes its texts from one :func:`_g12` pass; any other column
+    formats its floats cell by cell."""
     import csv
     buf = io.StringIO()
     buf.write(f"# schema={SCHEMA_VERSION}\n")
@@ -155,8 +189,8 @@ def _rows_to_csv(header: list, rows: list, meta: dict) -> str:
         buf.write(f"# {key}={meta[key]}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    writer.writerows(zip(*[_g12(col).splitlines() if set(map(type, col)) == {float}
+                           else [f"{v:.12g}" if isinstance(v, float) else v for v in col] for col in zip(*rows)]))
     return buf.getvalue()
 
 
@@ -168,17 +202,20 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
     column (``None``, a bool, a subclass, a mix) raises ``TypeError`` naming
     it. The header is sorted into key order once; a repeated name keeps its
     last column, as in a dict. The rows are transposed once into columns
-    (``zip``), and each column is scanned by C-level ``map`` calls: ``is_``
-    for sameness, ``type`` for its kinds and ``format`` for its floats. The
-    rows are written column by column into one row template: a column that
-    holds the same object on every row (by identity, so -0.0 and 0.0 or two
-    nans never merge) is formatted once into the template, and each row is
-    ``template % cells`` of the other columns.
-    A float is its ``.12g`` text when that has a point and no exponent, which
-    is then its repr (a decimal of at most 12 digits is the shortest repr of
-    its double, and repr writes [1e-4, 1e16) positionally), and otherwise the
-    repr of that text's value, or its _WORDS word. Strings go through
-    ``json.encoder.encode_basestring_ascii``.
+    (``zip``), and each column is scanned by C-level calls: ``is_``
+    for sameness and ``type`` for its kinds. The rows are written column by
+    column into one row template: a column that holds the same object on every
+    row (by identity, so -0.0 and 0.0 or two nans never merge) is formatted
+    once into the template, and each row is ``template % cells`` of the other
+    columns, an int column's cells through ``%d``.
+    A float column's ``.12g`` texts come from one :func:`_g12` pass. A float is
+    its ``.12g`` text when that has a point and no exponent, which is then its
+    repr (a decimal of at most 12 digits is the shortest repr of its double,
+    and repr writes [1e-4, 1e16) positionally), and otherwise the repr of that
+    text's value, or its _WORDS word (a nan or an infinity has no point). So
+    the texts stand as they are when the joined text has no ``e`` and one point
+    per cell, and go through that rule cell by cell otherwise. Strings go
+    through ``json.encoder.encode_basestring_ascii``, each distinct one once.
     """
     from json.encoder import encode_basestring_ascii as quote
     pieces, columns, cols = [], [], list(zip(*rows)) or [()] * len(header)
@@ -188,22 +225,25 @@ def _rows_to_json(header: list, rows: list, meta: dict) -> str:
         once = rows and all(map(is_, cells, repeat(cells[0])))
         if once:
             cells = cells[:1]
-        kinds = set(map(type, cells))
+        kinds, slot = set(map(type, cells)), "%s"
         if kinds == {float}:
-            texts = [t if "." in t and "e" not in t else _WORDS.get(t) or repr(float(t))
-                     for t in map(format, cells, repeat(".12g"))]
+            joined = _g12(cells)
+            cells = joined.splitlines()
+            if "e" in joined or joined.count(".") != len(cells):
+                cells = [t if "." in t and "e" not in t else _WORDS.get(t) or repr(float(t)) for t in cells]
         elif kinds == {int}:
-            texts = list(map(int.__repr__, cells))
+            slot = "%d"
         elif kinds <= {str}:  # no rows: no kind
-            texts = list(map(quote, cells))
+            quoted = {text: quote(text) for text in set(cells)}
+            cells = list(map(quoted.__getitem__, cells))
         else:
             held = ", ".join(sorted(kind.__name__ for kind in kinds))
             raise TypeError(f"sweep column {name!r} holds {held}; a column holds only float, only int or only str")
         if once:
-            pieces.append((key + texts[0]).replace("%", "%%"))
+            pieces.append((key + slot % cells[0]).replace("%", "%%"))
         else:
-            pieces.append(key.replace("%", "%%") + "%s")
-            columns.append(texts)
+            pieces.append(key.replace("%", "%%") + slot)
+            columns.append(cells)
     template = "{" + ",".join(pieces) + "\n    }" if pieces else "{}"
     texts = [template % cells for cells in (zip(*columns) if columns else [()] * len(rows))]
     body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"

@@ -416,7 +416,8 @@ def _gains_can_reach(c: float, lam: float) -> bool:
     """The slope bound: can a gain meet c at lam? Each bonus sigmoid(a) - sigmoid(a - 1/lam) is at most
     tanh(1/(4 lam)), and so is each gain, a convex sum of the two. Widened by GAIN_ALLOWANCE for rounding,
     the bound goes through _incentive_holds: where it fails (lam a little above 1/(4 atanh c)), no gain passes.
-    Its callers: the gate of :func:`_equilibria` and of the multitask step, and the mixed and committed variants."""
+    Its callers: the gate of the decision steps (:func:`_decide`, and the multitask one), and the mixed and committed
+    variants."""
     return _incentive_holds(HI, math.tanh(0.25 / lam) + GAIN_ALLOWANCE, c)
 
 
@@ -524,17 +525,34 @@ def _game(params: GameParams) -> _Game:
 
 
 def _equilibria(game: _Game, lam: float, tilt, c_m: float, c_w: float, costs: tuple, weights: tuple) -> list:
-    """The enumeration of every pure analysis but the multitask one, at effective costs (c_m, c_w), costs and weights.
-    Past the slope bound at min(c_m, c_w) (:func:`_gains_can_reach`) no gain reaches c_i - tol_i and each is at most
-    c_i + tol_i: (lo, lo) at the impartial rule is the one equilibrium, its record alone, and tilt is not called.
-    Otherwise tilt(game, lam) is the (hi, lo) signal (None at its corner), and each profile that :func:`_supported`
-    keeps on the :func:`_gain_table` is valued by :func:`_value`. (lo, hi)'s record is (hi, lo)'s with the signal
-    mirrored and each agent's utility at its own cost and weight, u_m = du_m (1 - pi_bar), u_w = du_w pi_bar - cost_w."""
-    priors, impartial = game.priors, _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
+    """The enumeration of every pure analysis but the multitask one, at effective costs (c_m, c_w), costs and weights:
+    the records (:func:`_records`) of the profiles that :func:`_decide` keeps."""
+    return _records(game, lam, *_decide(game, lam, tilt, c_m, c_w), costs, weights)
+
+
+#: the verdicts past the slope bound: (lo, lo) alone
+_LO_LO = (False, False, False, True)
+
+
+def _decide(game: _Game, lam: float, tilt, c_m: float, c_w: float) -> tuple:
+    """The decision step of :func:`_equilibria`: (the impartial rule, the (hi, lo) signal, the verdicts in PROFILES
+    order). Past the slope bound at min(c_m, c_w) (:func:`_gains_can_reach`) no gain reaches c_i - tol_i and each is
+    at most c_i + tol_i: the verdicts are _LO_LO, the (hi, lo) signal None, and tilt is not called. Otherwise
+    tilt(game, lam) is the (hi, lo) signal (None at its corner), and the verdicts are :func:`_supported` on the
+    :func:`_gain_table`."""
+    impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
     if not _gains_can_reach(min(c_m, c_w), lam):
-        return [_value(priors[2], impartial, lam, costs, weights)]
+        return impartial, None, _LO_LO
     tilted = tilt(game, lam)
-    hi_hi, hi_lo, lo_hi, lo_lo = _supported(_gain_table(priors, impartial, tilted), c_m, c_w)
+    return impartial, tilted, _supported(_gain_table(game.priors, impartial, tilted), c_m, c_w)
+
+
+def _records(game: _Game, lam: float, impartial: PromotionSignal, tilted, verdicts: tuple, costs: tuple,
+             weights: tuple) -> list:
+    """The record step of :func:`_equilibria`: each profile that the verdicts keep, valued by :func:`_value`.
+    (lo, hi)'s record is (hi, lo)'s with the signal mirrored and each agent's utility at its own cost and weight,
+    u_m = du_m (1 - pi_bar), u_w = du_w pi_bar - cost_w."""
+    priors, (hi_hi, hi_lo, lo_hi, lo_lo) = game.priors, verdicts
     found = [_value(priors[0], impartial, lam, costs, weights)] if hi_hi else []
     if hi_lo or lo_hi:
         record, pi_bar = _value(priors[1], tilted, lam, costs, weights), tilted.pi_bar
@@ -560,7 +578,7 @@ def equilibrium_set(params: GameParams) -> list:
     A profile is an equilibrium when its optimal signal satisfies both
     agents' incentive constraints. Knife-edge parameter values keep a
     profile in both adjacent regimes. Past the slope bound (lam a little
-    above 1/(4 atanh c), the gate of :func:`_equilibria`) (lo, lo) is the
+    above 1/(4 atanh c), the gate of :func:`_decide`) (lo, lo) is the
     one equilibrium, and no (hi, lo) signal is formed.
     """
     return _pure_equilibria(_game(params), params.lam)

@@ -17,6 +17,7 @@ from .baseline_game import (
     HI,
     LO,
     PROFILES,
+    _LO_LO,
     GameParams,
     _bill,
     _gain_table,
@@ -109,7 +110,7 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     equilibrium uses is valued once, (lo, hi) as (hi, lo). The principal's payoff
     adds the per-task profits weighted by arrivals, alpha^1 (V_1 - lam I_1) + alpha^2 (V_2 - lam I_2).
     Past the slope bound at the smaller task cost (baseline_game._gains_can_reach,
-    the gate this step shares with baseline_game._equilibria), (lo, lo) in both
+    the gate this step shares with baseline_game._decide), (lo, lo) in both
     tasks is the one equilibrium, valued alone at the impartial signal, and no
     (hi, lo) signal or gain table is formed.
     """
@@ -123,17 +124,27 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
 
 
 def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
-    """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game."""
-    game, (c1, c2), alpha1, alpha2 = multitask_game
-    if not baseline_game._gains_can_reach(min(c1, c2), lam):  # (lo, lo) in both tasks, the last of _JOINT
-        impartial = _logit_rule(0.0, 1.0 / lam, 1.0 / lam)
-        V, I = _bill(game.priors[2], impartial)
-        p = V - lam * I
-        inv_m, inv_w, label = _JOINT[-1][2:]
-        return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * p + alpha2 * p, (impartial, impartial)))]
+    """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game:
+    the records (:func:`_records`) of the joint profiles that :func:`_decide` keeps."""
+    return _records(multitask_game, lam, *_decide(multitask_game, lam))
+
+
+def _decide(multitask_game: tuple, lam: float) -> tuple:
+    """The decision step of :func:`_multitask_equilibria`: (the impartial rule, the (hi, lo) signal, the verdicts of
+    the task-1 game, those of the task-2 game), each in PROFILES order. Past the slope bound at the smaller task cost
+    both are baseline_game._LO_LO, and no (hi, lo) signal or gain table is formed."""
+    game, (c1, c2), _, _ = multitask_game
+    if not baseline_game._gains_can_reach(min(c1, c2), lam):  # (lo, lo) in both tasks
+        return _logit_rule(0.0, 1.0 / lam, 1.0 / lam), None, _LO_LO, _LO_LO
     impartial, tilted = _profile_signals(game, lam)
     table = _gain_table(game.priors, impartial, tilted)
-    first, second = _supported(table, c1, c1), _supported(table, c2, c2)
+    return impartial, tilted, _supported(table, c1, c1), _supported(table, c2, c2)
+
+
+def _records(multitask_game: tuple, lam: float, impartial, tilted, first: tuple, second: tuple) -> list:
+    """The record step of :func:`_multitask_equilibria`: a record for each task-1 pair that first keeps joined
+    with each task-2 pair that second keeps, each pair in use valued once, (lo, hi) as (hi, lo)."""
+    game, _, alpha1, alpha2 = multitask_game
     held = [a or b for a, b in zip(first, second)]  # _JOINT pairs every task-1 pair with every task-2 pair
     signals = (impartial, tilted, tilted.mirrored() if held[2] else None, impartial)
     profits = [None, None, None]  # by prior: (hi, hi), (hi, lo), (lo, lo)

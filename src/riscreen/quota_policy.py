@@ -173,8 +173,8 @@ def quota_equilibrium_set(params: GameParams) -> list:
     lam is near lambda_star and huge (c of about 1e-12 or less), as X - Y is O(1/lam^3) and c 1/(4 lam).
 
     The worker's gain is at most tanh(1/(4 lam)), the slope bound: past it
-    (lo, lo) is the one equilibrium, and the gate of the shared enumeration
-    (baseline_game._equilibria) returns it alone. The shirker's gain is at least
+    (lo, lo) is the one equilibrium, and the gate of the shared decision step
+    (baseline_game._decide) keeps it alone. The shirker's gain is at least
     min(mu_hi, 1/2) tanh(1/lam)/2 (:func:`_asymmetric_open`). Where either bound already
     fails its constraint, the asymmetric profiles are out and no tilt is
     solved, so find_multiplier's QUOTA_TOL check (a BracketError) is not
@@ -190,7 +190,7 @@ def _asymmetric_open(c: float, lam: float, mu_hi: float) -> bool:
     """Can the shirker of (hi, lo) or (lo, hi) stay low under the quota signal at lam?
 
     Asked only where the worker's gain can meet c, below the slope bound that gates the
-    enumeration (:func:`baseline_game._equilibria`). With 0 < nu < 1, X >= Y >= 0, so the shirker's
+    enumeration (:func:`baseline_game._decide`). With 0 < nu < 1, X >= Y >= 0, so the shirker's
     gain is at least min(mu_hi, 1/2)(X + Y), and X + Y, the rise of sigmoid((d - nu)/lam) over a window
     of width 2, is smallest at nu = 1: tanh(1/lam)/2. That floor, less GAIN_ALLOWANCE, goes through
     _incentive_holds.

@@ -87,7 +87,7 @@ def heterogeneous_equilibrium_set(game: GameParams, het: HeterogeneousParams) ->
     the opposite strict inequality together with mu_hi + mu_lo > 1.
 
     Past the slope bound at the smaller effective cost (the gate of
-    baseline_game._equilibria), (lo, lo) is the one equilibrium, and no
+    baseline_game._decide), (lo, lo) is the one equilibrium, and no
     (hi, lo) signal is formed.
     """
     c_m, c_w = het.effective_costs(game.delta_mu)

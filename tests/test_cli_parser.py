@@ -453,6 +453,10 @@ def test_cell_samplers_stay_in_their_boxes():
         dict(header=["a", "b", "a", "a", "c", "b"], cells=[[1.5, 2, "x", 0.1, "", 7], [0.0, 1, "y", 2.5, "%", 3]], meta={}),
         # equal cells that are not one object keep their own texts
         dict(header=["x", "y"], cells=[[0.0, 1], [-0.0, 1]], meta={}),
+        # float columns of point texts but one cell that needs the per-cell rule: no point, an exponent, a nan,
+        # and an exponent after a point
+        dict(header=list("abcd"), cells=[[0.1, 0.1, 0.5, 0.1], [0.2, 1e-7, math.nan, 1.5e-7], [3.0, 0.3, 0.25, 0.3]],
+             meta={}),
     ],
     header=_header,
     cells=_one_kind_rows,

@@ -78,8 +78,9 @@ def row_cells(records, lam):
 
 
 def test_a_regime_row_equals_the_public_ranking():
-    """Over the domain the rows of one record skip the ranking and those of several rank; both match it."""
-    rng, ranked = random.Random(49), {"baseline": 0, "quota": 0}
+    """Over the domain the rows of one record skip the ranking and those of several rank; both match it, and so
+    do the rows of the prepared steps that the CLI runs, which value a lone verdict without building its record."""
+    rng, ranked, lone = random.Random(49), {"baseline": 0, "quota": 0}, {"baseline": 0, "quota": 0}
     for _ in range(3000):
         params = helpers.domain_game(rng)
         game = bg._game(params)
@@ -87,8 +88,13 @@ def test_a_regime_row_equals_the_public_ranking():
                                         ("quota", qp._quota_equilibria, qp.quota_equilibrium_set)):
             records = public(params)
             ranked[analysis] += len(records) > 1
-            assert row_cells(solve(game, params.lam), params.lam) == ranked_cells(records), (analysis, params)
+            lone[analysis] += len(records) == 1
+            want = ranked_cells(records)
+            assert row_cells(solve(game, params.lam), params.lam) == want, (analysis, params)
+            row = _sweep._ANALYSES[analysis][1](params, None)(params.lam)
+            assert [*row[1:6], row[6].hex(), row[7]] == want, (analysis, params)
     assert ranked["baseline"] > 100 and ranked["quota"] > 0  # both branches run, in both analyses
+    assert lone["baseline"] > 100 and lone["quota"] > 100
 
 
 @pytest.mark.parametrize("params, public", [(GameParams(0.7, 0.59, 0.0473, 0.39), bg.equilibrium_set),
@@ -115,3 +121,14 @@ def test_a_multitask_row_equals_the_public_ranking():
         assert [row[1], row[2], row[3].hex()] == [len(records), "|".join(sorted({w.classification for w in winners})),
                                                   (winners[0].payoff if winners else math.nan).hex()], params
     assert {1, 3, 9} <= sizes
+
+
+def test_a_multitask_sweep_checks_the_arrivals_before_any_row(capsys, monkeypatch):
+    # each row starts at the decision step, so a row decided before the arrivals check would fail here
+    def unreached(*args):
+        raise AssertionError("a row was decided before the arrivals were checked")
+
+    monkeypatch.setattr(mt, "_decide", unreached)
+    code = cli.main(["regimes", "--analysis", "multitask", "--mu-hi", ".8", "--mu-lo", ".6",
+                     "--task1", "0.3,1,0.01", "--task2", "0.5,1,0.02"])
+    assert (code, capsys.readouterr().out) == (2, "")
