@@ -250,12 +250,6 @@ def _logit_rule(s: float, a: float, b: float) -> PromotionSignal:
         (e_minus if t_minus >= 0.0 else e_zero if s <= 0.0 else 1.0) * k_b / ((1.0 + e_zero) * (1.0 + e_minus))))
 
 
-def _profile_signals(game, lam: float) -> tuple:
-    """The two kernels at lam, for a game with A and B (a GameParams or a _Game): the impartial
-    signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which (lo, hi) mirrors, None at its corner."""
-    return _logit_rule(0.0, 1.0 / lam, 1.0 / lam), signal_from_odds(game.A, game.B, lam)
-
-
 def signal_from_odds(A: float, B: float, lam: float) -> PromotionSignal | None:
     """The optimal signal at outcome odds A : B, or None at a corner.
 
@@ -549,9 +543,9 @@ def _decide(game: _Game, lam: float, tilt, c_m: float, c_w: float) -> tuple:
 
 def _records(game: _Game, lam: float, impartial: PromotionSignal, tilted, verdicts: tuple, costs: tuple,
              weights: tuple) -> list:
-    """The record step of :func:`_equilibria`: each profile that the verdicts keep, valued by :func:`_value`.
-    (lo, hi)'s record is (hi, lo)'s with the signal mirrored and each agent's utility at its own cost and weight,
-    u_m = du_m (1 - pi_bar), u_w = du_w pi_bar - cost_w."""
+    """The record step of :func:`_equilibria` and of the multitask enumeration: each profile that the verdicts keep,
+    valued by :func:`_value`. (lo, hi)'s record is (hi, lo)'s with the signal mirrored and each agent's utility at
+    its own cost and weight, u_m = du_m (1 - pi_bar), u_w = du_w pi_bar - cost_w."""
     priors, (hi_hi, hi_lo, lo_hi, lo_lo) = game.priors, verdicts
     found = [_value(priors[0], impartial, lam, costs, weights)] if hi_hi else []
     if hi_lo or lo_hi:
@@ -567,11 +561,6 @@ def _odds_tilt(game: _Game, lam: float) -> PromotionSignal | None:
     return signal_from_odds(game.A, game.B, lam)
 
 
-def _pure_equilibria(game: _Game, lam: float) -> list:
-    """equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
-    return _equilibria(game, lam, _odds_tilt, game.c, game.c, game.costs, (1.0, 1.0))
-
-
 def equilibrium_set(params: GameParams) -> list:
     """All pure-strategy equilibria, in the fixed order of PROFILES.
 
@@ -581,7 +570,8 @@ def equilibrium_set(params: GameParams) -> list:
     above 1/(4 atanh c), the gate of :func:`_decide`) (lo, lo) is the
     one equilibrium, and no (hi, lo) signal is formed.
     """
-    return _pure_equilibria(_game(params), params.lam)
+    game = _game(params)
+    return _equilibria(game, params.lam, _odds_tilt, game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def most_profitable(params: GameParams) -> list:

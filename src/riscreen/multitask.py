@@ -19,12 +19,10 @@ from .baseline_game import (
     PROFILES,
     _LO_LO,
     GameParams,
-    _bill,
     _gain_table,
     _game,
     _incentive_holds,
-    _logit_rule,
-    _profile_signals,
+    _odds_tilt,
     _supported,
     _ties_at_best,
 )
@@ -94,8 +92,6 @@ def _classify(inv_m: tuple, inv_w: tuple) -> str:
 #: investment_w, classification) of the 16 joint profiles, in enumeration order
 _JOINT = tuple((PROFILES.index((m1, w1)), PROFILES.index((m2, w2)), (m1, m2), (w1, w2), _classify((m1, m2), (w1, w2)))
                for m1 in _EFFORTS for m2 in _EFFORTS for w1 in _EFFORTS for w2 in _EFFORTS)
-#: the index in a _Game's priors of each profile in PROFILES order: (lo, hi) is valued as (hi, lo)
-_PRIOR = (0, 1, 1, 2)
 
 
 def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
@@ -104,17 +100,13 @@ def multitask_equilibrium_set(game: GameParams, tasks: tuple) -> list:
     One-step deviations are all that need deterring (task payoffs are
     additively separable), so the check is per task: the task-t effort pair
     must survive both incentive constraints of the task-t game. A task game
-    differs from game only in cost_C, and signals, gains and profits do not
-    depend on the cost, so the two signals and their one gain table are formed
-    once and tested against both task games' c, and each pair some joint
-    equilibrium uses is valued once, (lo, hi) as (hi, lo). The principal's payoff
-    adds the per-task profits weighted by arrivals, alpha^1 (V_1 - lam I_1) + alpha^2 (V_2 - lam I_2).
-    Past the slope bound at the smaller task cost (baseline_game._gains_can_reach,
-    the gate this step shares with baseline_game._decide), (lo, lo) in both
-    tasks is the one equilibrium, valued alone at the impartial signal, and no
-    (hi, lo) signal or gain table is formed.
+    differs from game only in cost_C, which signals, gains and profits do not
+    read: one gain table is tested at both task costs (:func:`_decide`), and the
+    pairs in use are valued once (:func:`_records`). The principal's payoff adds
+    the per-task profits weighted by arrivals, alpha^1 (V_1 - lam I_1) + alpha^2 (V_2 - lam I_2).
     """
-    return _multitask_equilibria(_multitask_game(game, tasks), game.lam)
+    multitask_game = _multitask_game(game, tasks)
+    return _records(multitask_game, game.lam, *_decide(multitask_game, game.lam))
 
 
 def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
@@ -123,37 +115,29 @@ def _multitask_game(game: GameParams, tasks: tuple) -> tuple:
     return _game(game), _validate(game, tasks), tasks[0].alpha, tasks[1].alpha
 
 
-def _multitask_equilibria(multitask_game: tuple, lam: float) -> list:
-    """multitask_equilibrium_set at lam of the game whose lambda-independent part is multitask_game:
-    the records (:func:`_records`) of the joint profiles that :func:`_decide` keeps."""
-    return _records(multitask_game, lam, *_decide(multitask_game, lam))
-
-
 def _decide(multitask_game: tuple, lam: float) -> tuple:
-    """The decision step of :func:`_multitask_equilibria`: (the impartial rule, the (hi, lo) signal, the verdicts of
-    the task-1 game, those of the task-2 game), each in PROFILES order. Past the slope bound at the smaller task cost
+    """The decision step of :func:`multitask_equilibrium_set`: (the impartial rule, the (hi, lo) signal, the verdicts
+    of the task-1 game, those of the task-2 game), each in PROFILES order. It is baseline_game._decide's step on one
+    gain table tested at two costs. Past the slope bound at the smaller task cost (baseline_game._gains_can_reach)
     both are baseline_game._LO_LO, and no (hi, lo) signal or gain table is formed."""
     game, (c1, c2), _, _ = multitask_game
+    impartial = baseline_game._logit_rule(0.0, 1.0 / lam, 1.0 / lam)
     if not baseline_game._gains_can_reach(min(c1, c2), lam):  # (lo, lo) in both tasks
-        return _logit_rule(0.0, 1.0 / lam, 1.0 / lam), None, _LO_LO, _LO_LO
-    impartial, tilted = _profile_signals(game, lam)
+        return impartial, None, _LO_LO, _LO_LO
+    tilted = _odds_tilt(game, lam)
     table = _gain_table(game.priors, impartial, tilted)
     return impartial, tilted, _supported(table, c1, c1), _supported(table, c2, c2)
 
 
 def _records(multitask_game: tuple, lam: float, impartial, tilted, first: tuple, second: tuple) -> list:
-    """The record step of :func:`_multitask_equilibria`: a record for each task-1 pair that first keeps joined
-    with each task-2 pair that second keeps, each pair in use valued once, (lo, hi) as (hi, lo)."""
+    """The record step of :func:`multitask_equilibrium_set`: baseline_game._records of the pairs either task keeps,
+    then a record for each task-1 pair that first keeps joined with each task-2 pair that second keeps."""
     game, _, alpha1, alpha2 = multitask_game
     held = [a or b for a, b in zip(first, second)]  # _JOINT pairs every task-1 pair with every task-2 pair
-    signals = (impartial, tilted, tilted.mirrored() if held[2] else None, impartial)
-    profits = [None, None, None]  # by prior: (hi, hi), (hi, lo), (lo, lo)
-    for k, i, used in ((0, 0, held[0]), (1, 1, held[1] or held[2]), (2, 3, held[3])):
-        if used:
-            V, I = _bill(game.priors[k], signals[i])
-            profits[k] = V - lam * I
-    return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * profits[_PRIOR[i]]
-                                            + alpha2 * profits[_PRIOR[j]], (signals[i], signals[j])))
+    valued = iter(baseline_game._records(game, lam, impartial, tilted, held, game.costs, (1.0, 1.0)))
+    pairs = [next(valued) if used else None for used in held]  # in PROFILES order
+    return [tuple.__new__(MultitaskRecord, (inv_m, inv_w, label, alpha1 * pairs[i].profit + alpha2 * pairs[j].profit,
+                                            (pairs[i].signal, pairs[j].signal)))
             for i, j, inv_m, inv_w, label in _JOINT if first[i] and second[j]]
 
 

@@ -183,7 +183,8 @@ def quota_equilibrium_set(params: GameParams) -> list:
     listed together, with the same profit, bit for bit, even where a gain
     meets c within rounding.
     """
-    return _quota_equilibria(_game(params), params.lam)
+    game = _game(params)
+    return _equilibria(game, params.lam, _quota_tilted, game.c, game.c, game.costs, (1.0, 1.0))
 
 
 def _asymmetric_open(c: float, lam: float, mu_hi: float) -> bool:
@@ -206,7 +207,3 @@ def _quota_tilted(game: _Game, lam: float) -> PromotionSignal | None:
         return None
     return _quota_solution(game.priors[1][3:], game.mu_hi - game.mu_lo, lam).signal
 
-
-def _quota_equilibria(game: _Game, lam: float) -> list:
-    """quota_equilibrium_set at lam of the game whose lambda-independent part is game (from _game)."""
-    return _equilibria(game, lam, _quota_tilted, game.c, game.c, game.costs, (1.0, 1.0))

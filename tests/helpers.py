@@ -76,6 +76,23 @@ def draws(n: int, seed: int, cases=(), **samplers):
     return decorate
 
 
+def calls_to(monkeypatch, owner, name: str, raises: bool = False) -> list:
+    """Patch owner.name to log the arguments of each call in the list it returns, then
+    call the original, or raise AssertionError naming the call if raises. A guard
+    asserts the list empty, and its positive control, the same patch on the nearest
+    argv the guard lets through, asserts it not."""
+    real, calls = getattr(owner, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if raises:
+            raise AssertionError(f"{name} was called")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+    return calls
+
+
 def edge_mu(rng: random.Random) -> float:
     """mu in [1e-6, 1e-3] or [1 - 1e-3, 1 - 1e-6], within 1e-3 of an edge, or in [1e-3, 1 - 1e-3]."""
     lo, hi = rng.choice(((1e-6, 1e-3), (1.0 - 1e-3, 1.0 - 1e-6), (1e-3, 1.0 - 1e-3)))

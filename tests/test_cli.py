@@ -11,6 +11,8 @@ import pytest
 from riscreen import _golden
 from riscreen import baseline_game as bg
 from riscreen import cli
+from riscreen import multitask as mt
+from riscreen import variants as va
 
 import helpers
 
@@ -227,18 +229,21 @@ class TestRegimesCommand:
             assert text.startswith("<svg") and text.count("<rect") == 12, analysis
 
 
-    @pytest.mark.parametrize("analysis", ["variants", "multitask"])
-    def test_svg_rejected_before_any_solve(self, analysis, tmp_path, capsys, monkeypatch):
-        solves = []
-        monkeypatch.setattr(bg, "thresholds", lambda params: solves.append(params))
+    @pytest.mark.parametrize("analysis, owner, prepare", [("variants", va, "_variants_game"),
+                                                          ("multitask", mt, "_multitask_game")],
+                             ids=["variants", "multitask"])
+    def test_svg_rejected_before_any_solve(self, analysis, owner, prepare, tmp_path, capsys, monkeypatch):
+        # the analysis's prepare step in _ANALYSES is never reached with --svg, and is without it (the control)
+        solves = helpers.calls_to(monkeypatch, owner, prepare)
         svg = tmp_path / "strip.svg"
-        code, out, err = run(
-            ["regimes", *CANON, "--analysis", analysis, "--lambda-steps", "3", "--svg", str(svg)],
-            capsys,
-        )
+        argv = ["regimes", *CANON, "--analysis", analysis, "--lambda-steps", "3"]
+        code, out, err = run([*argv, "--svg", str(svg)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: the regime strip chart is defined for baseline/quota sweeps\n"
         assert solves == [] and not svg.exists()
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "") and out
+        assert solves
 
 
 class TestConfigFile:

@@ -290,7 +290,7 @@ def test_each_task_pair_is_solved_once(monkeypatch):
 
     for name in ("_logit_rule", "signal_from_odds", "_gains"):
         monkeypatch.setattr(baseline_game, name, counted(name, getattr(baseline_game, name)))
-    monkeypatch.setattr(multitask, "_bill", counted("_bill", multitask._bill))
+    monkeypatch.setattr(baseline_game, "_bill", counted("_bill", baseline_game._bill))
     tasks = equal_tasks(0.35)
     g1, _ = task_games(GAME, tasks)
     cuts = thresholds(g1)
@@ -305,17 +305,17 @@ def test_each_task_pair_is_solved_once(monkeypatch):
 @helpers.draws(60, seed=31007, case=helpers.multitask_game)
 def test_only_the_pairs_in_use_are_valued(case):
     # one valuation (a bill, V and I) per distinct effort pair of some joint equilibrium, (lo, hi) as (hi, lo)
-    from riscreen import multitask
+    from riscreen import baseline_game
 
     game, tasks = case
-    valued, real = [], multitask._bill
+    valued, real = [], baseline_game._bill
 
     def counted(prior, signal):
         valued.append(prior[0])  # the profile
         return real(prior, signal)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multitask, "_bill", counted)
+        mp.setattr(baseline_game, "_bill", counted)
         records = multitask_equilibrium_set(game, tasks)
     used = {
         (HI, LO) if pair == (LO, HI) else pair
@@ -329,21 +329,21 @@ def test_only_the_pairs_in_use_are_valued(case):
 
 
 def test_regimes_sweep_refuses_unequal_arrivals(capsys, monkeypatch):
-    # the arrivals are checked once, before any row is enumerated
+    # the arrivals are checked once, before any row is decided; every row starts at the decision step,
+    # which the same sweep at equal arrivals reaches (the positive control)
     from riscreen import cli, multitask
 
-    def unreached(*args):
-        raise AssertionError("a row was enumerated before the arrivals were checked")
-
-    monkeypatch.setattr(multitask, "_multitask_equilibria", unreached)
-    code = cli.main(
-        ["regimes", "--analysis", "multitask", "--mu-hi", ".8", "--mu-lo", ".6",
-         "--task1", "0.3,1,0.01", "--task2", "0.5,1,0.02"]
-    )
+    decided = helpers.calls_to(monkeypatch, multitask, "_decide")
+    argv = ["regimes", "--analysis", "multitask", "--mu-hi", ".8", "--mu-lo", ".6", "--task2", "0.5,1,0.02"]
+    code = cli.main([*argv, "--task1", "0.3,1,0.01"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: profitability ranking requires alpha1 = alpha2\n"
+    assert decided == []
+    assert cli.main([*argv, "--task1", "0.5,1,0.01"]) == 0
+    assert capsys.readouterr().err == ""
+    assert decided
 
 
 def any_domain_case(rng):

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from riscreen import HI, LO, PROFILES, GameParams, equilibrium_set, optimal_signal, quota_equilibrium_set
-from riscreen import PromotionSignal, TaskParams, baseline_game, variants
+from riscreen import PromotionSignal, TaskParams, baseline_game, multitask_equilibrium_set, variants
 from riscreen.baseline_game import (
     GAIN_ALLOWANCE,
     IC_TOL,
@@ -29,14 +29,11 @@ from riscreen.baseline_game import (
     _incentive_holds,
     _logit_rule,
     _profile_prior,
-    _profile_signals,
-    _pure_equilibria,
     _supported,
     _supports,
     signal_from_odds,
 )
-from riscreen.multitask import _multitask_equilibria, _multitask_game
-from riscreen.quota_policy import _asymmetric_open, _quota_equilibria
+from riscreen.quota_policy import _asymmetric_open
 
 import helpers
 
@@ -50,6 +47,12 @@ def hexed(obj):
     return obj
 
 
+def kernels(game, lam):
+    """The two kernels at lam: the impartial signal of (hi, hi) and (lo, lo), and the (hi, lo) signal, which
+    (lo, hi) mirrors, None at its corner."""
+    return _logit_rule(0.0, 1.0 / lam, 1.0 / lam), signal_from_odds(game.A, game.B, lam)
+
+
 def outcome(f, *args):
     """hexed result of f(*args), or the type and message of what it raised."""
     try:
@@ -60,7 +63,7 @@ def outcome(f, *args):
 
 @helpers.draws(200, seed=31014, game=helpers.domain_game)
 def test_shared_signals_and_tilt_equal_the_per_profile_solves(game):
-    impartial, tilted = _profile_signals(game, game.lam)
+    impartial, tilted = kernels(game, game.lam)
     tilted = tilted or PromotionSignal(1.0, 1.0, 1.0, 1.0)  # the corner: m is always promoted
     per_profile = (impartial, tilted, tilted.mirrored(), impartial)
     assert hexed(per_profile) == tuple(hexed(optimal_signal(game, p)) for p in PROFILES)
@@ -130,7 +133,7 @@ def test_the_verdicts_on_one_gain_table_equal_the_per_profile_rule(domain, edge,
     # where a verdict flips: the high-effort test near gain + tol, the low-effort test near gain - tol
     for game in (domain, edge, star):
         priors, c = _game(game).priors, game.c
-        impartial, tilted = _profile_signals(game, game.lam)
+        impartial, tilted = kernels(game, game.lam)
         lo_hi = _profile_prior(game.mu_hi, game.mu_lo, (LO, HI))
         for signal in (tilted, None):  # None: the corner, where both asymmetric profiles are out
             table = _gain_table(priors, impartial, signal)
@@ -163,9 +166,9 @@ def enumerations(game, lam, k):
     at 0.5; w at twice the cost and weight)."""
     tasks = (TaskParams(0.3, 1.0, k * game.cost_C * 0.3), TaskParams(0.5, 1.0, game.cost_C * 0.5))
     het = variants.HeterogeneousParams(k * game.cost_C, 2.0 * game.cost_C, 1.0, 2.0)
-    return (hexed(_pure_equilibria(_game(game), lam)), hexed(_quota_equilibria(_game(game), lam)),
-            hexed(_multitask_equilibria(_multitask_game(game, tasks), lam)),
-            hexed(variants.heterogeneous_equilibrium_set(game._replace(lam=lam), het)))
+    game = game._replace(lam=lam)
+    return (hexed(equilibrium_set(game)), hexed(quota_equilibrium_set(game)),
+            hexed(multitask_equilibrium_set(game, tasks)), hexed(variants.heterogeneous_equilibrium_set(game, het)))
 
 
 #: m's (hi, lo) gain is 9e-15 relative below the slope bound at lam (mu_lo within 1e-14 of 1, where that gain

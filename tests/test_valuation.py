@@ -1,9 +1,10 @@
 """One bill values every signal, and the envelope identity holds wherever no constraint involves lam.
 
 baseline_game._bill is the one home of the prior-mean check and of the V and I
-formulas: the record of evaluate takes its V and I from it, and the callers that
-read only the profit (the committed outcomes, the bound rule, the multitask
-payoffs) take V - lam * I from it, so both agree bit for bit.
+formulas: the record of evaluate takes its V and I from it, the multitask payoffs
+weight the profits of those records, and the callers that read only the profit
+(the committed outcomes, the bound rule) take V - lam * I from it, so all agree
+bit for bit.
 
 The profit of a fixed profile is the maximum of V - lam I over rules, so
 d profit / d lam = -I (the envelope theorem); the same holds at the quota rule,
